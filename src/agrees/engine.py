@@ -31,6 +31,7 @@ from .groebner import (
     maximal_ideal,
     min_gens,
     minimal_generators,
+    normal_form,
     _contains_all,
 )
 from .poly import Polynomial
@@ -38,6 +39,7 @@ from .staircase import (
     Staircase,
     hull_vertices,
     ideal_of_staircase,
+    is_contracted,
     mono_colength,
     newton_closure,
     staircase_colon,
@@ -123,60 +125,28 @@ class AGReport:
 # Monomial inputs route through staircases; everything else uses the Groebner
 # kernel.  The two paths agree (checked by the oracle-equivalence suite).
 
-def _stair(I: Ideal) -> Staircase | None:
-    return staircase_of_ideal(I)
-
-
 def _mul(A: Ideal, B: Ideal) -> Ideal:
-    sa, sb = _stair(A), _stair(B)
+    sa, sb = staircase_of_ideal(A), staircase_of_ideal(B)
     if sa is not None and sb is not None:
         return ideal_of_staircase(staircase_product(sa, sb), A.ring, A.field)
     return ideal_product(A, B)
 
 
-def _pow(A: Ideal, k: int) -> Ideal:
-    sa = _stair(A)
-    if sa is not None:
-        out = sa
-        for _ in range(k - 1):
-            out = staircase_product(out, sa)
-        return ideal_of_staircase(out, A.ring, A.field)
-    out = A
-    for _ in range(k - 1):
-        out = ideal_product(out, A)
-    return out
-
-
 def _contained_in(A: Ideal, B: Ideal) -> bool:
-    sa, sb = _stair(A), _stair(B)
+    sa, sb = staircase_of_ideal(A), staircase_of_ideal(B)
     if sa is not None and sb is not None:
         return all(sb.contains(e) for e in sa.gens)
     return _contains_all(B, A.generators)
 
 
-def _equal(A: Ideal, B: Ideal) -> bool:
-    sa, sb = _stair(A), _stair(B)
-    if sa is not None and sb is not None:
-        return sa == sb
-    return ideal_equal(A, B)
-
-
 def _colength(I: Ideal) -> int:
-    s = _stair(I)
+    s = staircase_of_ideal(I)
     return mono_colength(s) if s is not None else colength(I)
 
 
 def _mu(I: Ideal) -> int:
-    s = _stair(I)
+    s = staircase_of_ideal(I)
     return len(s.gens) if s is not None else min_gens(I)
-
-
-def _min_gens_list(I: Ideal) -> list[Polynomial]:
-    return minimal_generators(I)
-
-
-def _is_contracted(I: Ideal) -> bool:
-    return _mu(I) == ideal_order(I) + 1
 
 
 # -- reductions ---------------------------------------------------------------
@@ -208,7 +178,7 @@ def find_reduction(I: Ideal, seed: int = 0, pairs: int = 32, cap: int = 4) -> Re
     so they are rejected rather than trusted.
     """
     ring, fld = I.ring, I.field
-    stair = _stair(I)
+    stair = staircase_of_ideal(I)
     candidates: list[tuple[Polynomial, Polynomial]] = []
     if stair is not None and stair.is_m_primary:
         a = stair.gens[0][0]
@@ -273,14 +243,14 @@ def is_stable(I: Ideal, Q: Ideal) -> bool:
 
 def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     """J = Q : I; for contracted stable I the orders must satisfy o(I) = o(J)+1."""
-    sQ, sI = _stair(Q), _stair(I)
+    sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
     else:
         J = ideal_colon(Q, I)
     if stable is None:
         stable = is_stable(I, Q)
-    if stable and _is_contracted(I):
+    if stable and is_contracted(I):
         o_i, o_j = ideal_order(I), ideal_order(J)
         if o_i != o_j + 1:
             raise RuntimeError(
@@ -313,7 +283,7 @@ def witness_candidates(I: Ideal, Q: Ideal, J: Ideal, budget: int = 64,
                        seed: int = 0) -> tuple[list, list, list]:
     """Candidate pools (h, g, f) scanned by the certificate search."""
     ring, fld = I.ring, I.field
-    j_min = _min_gens_list(J)
+    j_min = minimal_generators(J)
     seen: set[Polynomial] = set()
     hs: list[Polynomial] = []
 
@@ -383,9 +353,9 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, budget: int = 64,
     m = maximal_ideal(ring, fld)
     IJ = _mul(I, J)
     mJ = _mul(m, J)
-    IJ_stair, mJ_stair = _stair(IJ), _stair(mJ)
-    IJ_min = _min_gens_list(IJ)
-    mJ_min = _min_gens_list(mJ)
+    IJ_stair, mJ_stair = staircase_of_ideal(IJ), staircase_of_ideal(mJ)
+    IJ_min = minimal_generators(IJ)
+    mJ_min = minimal_generators(mJ)
     i_gens = [g for g in I.generators if not g.is_zero]
     j_gens = [w for w in J.generators if not w.is_zero]
     hs, gs, fs = witness_candidates(I, Q, J, budget=budget, seed=seed)
@@ -439,29 +409,33 @@ def _sample_vector(rng: random.Random, fld, n: int, space: int) -> list:
             return [fld.from_int(d) for d in draws]
 
 
-def _monomial_rank_data(factors: list[tuple[int, int]], basis_exps: list[tuple[int, int]],
-                        j_basis: list[tuple[int, int]]):
-    """Index map for the span matrix of {factor * h} inside (top)/(m * top).
+def _coordinate_map(factors: list[Polynomial], j_min: list[Polynomial],
+                    top: Ideal) -> tuple[list[list[list]], int]:
+    """Sparse coordinates in R/top of every product a * w_j, and their width.
 
-    Rows are minimal generators of the top ideal; a product that is not a
-    minimal generator lies one step deeper and contributes nothing.
+    Normal forms modulo `top` are k-linear, so a * h for h = sum c_j w_j has
+    coordinates sum c_j * map[a][j].  For a monomial `top` a product keeps
+    its single term exactly when it lies outside `top`.
     """
-    index = {e: i for i, e in enumerate(basis_exps)}
-    cells = []
-    for j, gexp in enumerate(factors):
-        for i, wexp in enumerate(j_basis):
-            prod = (gexp[0] + wexp[0], gexp[1] + wexp[1])
-            row = index.get(prod)
-            if row is not None:
-                cells.append((row, j, i))
-    return cells
+    gb = top.groebner_basis()
+    support: dict = {}
+    coords = [[[(support.setdefault(e, len(support)), v)
+                for e, v in normal_form(a * w, gb).terms.items()] for w in j_min]
+              for a in factors]
+    return coords, len(support)
 
 
-def _rank_matrix_from_cells(cells, nrows: int, ncols: int, c: list, fld):
-    rows = [[fld.zero] * ncols for _ in range(nrows)]
-    for row, col, ci in cells:
-        rows[row][col] = fld.add(rows[row][col], c[ci])
-    return rows
+def _span_rank(coord_map: tuple[list[list[list]], int], c: list, fld) -> int:
+    """dim_k of the span of {a * h} in R/top for h = sum c_j w_j."""
+    coords, width = coord_map
+    rows = []
+    for per_w in coords:
+        row = [fld.zero] * width
+        for cj, entries in zip(c, per_w):
+            for col, v in entries:
+                row[col] = fld.add(row[col], fld.mul(cj, v))
+        rows.append(row)
+    return _rank(rows, fld)
 
 
 def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
@@ -479,49 +453,27 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     m = maximal_ideal(ring, fld)
     IJ = _mul(I, J)
     mJ = _mul(m, J)
-    mIJ = _mul(m, IJ)
-    m2J = _mul(m, mJ)
     mu_IJ = _mu(IJ)
     mu_mJ = _mu(mJ)
     mu_J = _mu(J)
     if mu_J < 2:
         raise ValueError("refutation needs mu(J) >= 2; mu(J) = 1 is the Gorenstein case")
     threshold = 2 * (mu_J - 1)
-    j_min = _min_gens_list(J)
-    i_min = _min_gens_list(I)
+    j_min = minimal_generators(J)
+    i_min = minimal_generators(I)
     run_seed = derive_seed(seed, "refuter")
     rng = random.Random(run_seed)
 
     space = fld.p if isinstance(fld, PrimeField) else _RAND_RANGE
-    stair_ok = all(
-        s is not None for s in (_stair(I), _stair(J), _stair(IJ), _stair(mJ))
-    )
+    # (Ih + mIJ)/mIJ is spanned over k by {a * h : a in i_min}, and likewise
+    # (mh + m^2 J)/m^2 J by {x h, y h}: products are reduced once, not per trial
+    coords_I = _coordinate_map(i_min, j_min, _mul(m, IJ))
+    coords_m = _coordinate_map(list(m.generators), j_min, _mul(m, mJ))
     best_I = best_m = 0
-    if stair_ok:
-        i_exps = [g.monomial_exponent() for g in i_min]
-        j_exps = [w.monomial_exponent() for w in j_min]
-        ij_exps = [e for e in _stair(IJ).gens]
-        mj_exps = [e for e in _stair(mJ).gens]
-        cells_I = _monomial_rank_data(i_exps, ij_exps, j_exps)
-        cells_m = _monomial_rank_data([(1, 0), (0, 1)], mj_exps, j_exps)
-        for _ in range(trials):
-            c = _sample_vector(rng, fld, len(j_exps), space)
-            best_I = max(best_I, _rank(
-                _rank_matrix_from_cells(cells_I, len(ij_exps), len(i_exps), c, fld), fld))
-            best_m = max(best_m, _rank(
-                _rank_matrix_from_cells(cells_m, len(mj_exps), 2, c, fld), fld))
-    else:
-        base_I = _colength(mIJ)
-        base_m = _colength(m2J)
-        for _ in range(trials):
-            c = _sample_vector(rng, fld, len(j_min), space)
-            h = Polynomial.zero(ring, fld)
-            for ci, w in zip(c, j_min):
-                h = h + w.scale(ci)
-            span_I = Ideal([gi * h for gi in i_min] + list(mIJ.generators))
-            span_m = Ideal([v * h for v in m.generators] + list(m2J.generators))
-            best_I = max(best_I, base_I - colength(span_I))
-            best_m = max(best_m, base_m - colength(span_m))
+    for _ in range(trials):
+        c = _sample_vector(rng, fld, len(j_min), space)
+        best_I = max(best_I, _span_rank(coords_I, c, fld))
+        best_m = max(best_m, _span_rank(coords_m, c, fld))
     min_sum = mu_IJ + mu_mJ - best_I - best_m
     degree = min(mu_IJ, len(i_min)) + min(mu_mJ, 2)
     failure_bound = float((degree / space) ** trials)
@@ -554,7 +506,7 @@ def _lift_ideal(I: Ideal, new_field) -> Ideal:
 def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     """Full verdict pipeline; deterministic for a fixed (input, seed, field)."""
     cfg = config or ClassifyConfig()
-    stair = _stair(I)
+    stair = staircase_of_ideal(I)
     if stair is not None:
         primary = stair.is_m_primary and stair.gens != ((0, 0),)
     else:
@@ -592,7 +544,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
 
     Q = Ideal(list(reduction.Q))
     J = canonical_colon(I, Q, stable=True)
-    j_min = _min_gens_list(J)
+    j_min = minimal_generators(J)
     base["colon_gens"] = tuple(j_min)
     base["colon_order"] = ideal_order(J)
     base["colon_min_gens"] = len(j_min)
@@ -635,7 +587,11 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
 
 
 def validate_report(I: Ideal, report: AGReport) -> bool:
-    """Re-check the verdict's supporting evidence with full Groebner equality."""
+    """Re-check the verdict's supporting evidence.
+
+    A witness is re-verified with full Groebner equality; a refutation is
+    recomputed from the reported colon and reduction with a fresh seed.
+    """
     if report.verdict is Verdict.GORENSTEIN:
         return report.colon_min_gens == 1
     if report.verdict is Verdict.AG_CERTIFIED:
@@ -646,5 +602,10 @@ def validate_report(I: Ideal, report: AGReport) -> bool:
         return verify_witness(I, J, w.f, w.g, w.h)
     if report.verdict is Verdict.NOT_AG:
         r = report.refutation
-        return r is not None and r.min_sum > r.threshold
+        if r is None or report.colon_gens is None or report.reduction is None:
+            return False
+        again = necessary_bound(I, Ideal(list(report.colon_gens)),
+                                seed=derive_seed(*r.seeds, "validate"),
+                                Q=Ideal(list(report.reduction.Q)), trials=r.trials)
+        return r.min_sum > r.threshold and again.min_sum > again.threshold
     return True

@@ -53,10 +53,6 @@ class NotStable(AgreesError):
     """Operation requires I^2 = QI."""
 
 
-class NotContracted(AgreesError):
-    """Operation requires a contracted ideal."""
-
-
 class NoReductionFound(AgreesError):
     """Reduction search exhausted its budget."""
 

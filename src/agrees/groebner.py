@@ -373,29 +373,16 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
-def _staircase_count(lead_exps: list[Exponent]) -> int:
-    """Lattice points outside the monomial ideal spanned by lead_exps (2 vars)."""
-    if any(e == (0, 0) for e in lead_exps):
-        return 0
-    xs = [e[0] for e in lead_exps if e[1] == 0]
-    ys = [e[1] for e in lead_exps if e[0] == 0]
-    if not xs or not ys:
-        raise NotZeroDimensional(
-            "leading terms contain no pure power of each variable")
-    total = 0
-    for i in range(min(xs)):
-        total += min(e[1] for e in lead_exps if e[0] <= i)
-    return total
-
-
 def colength(I: Ideal) -> int:
     """Length of R/I as the count of standard monomials (2-variable rings)."""
     if I.ring.arity != 2:
         raise NotZeroDimensional(f"colength requires a 2-variable ring, got {I.ring}")
+    from .staircase import mono_colength, staircase_normalize
+
     gb = I.groebner_basis()
     if not gb.elements:
         raise NotZeroDimensional("zero ideal has infinite colength")
-    return _staircase_count(gb.leading_exponents())
+    return mono_colength(staircase_normalize(gb.leading_exponents()))
 
 
 def is_origin_primary(I: Ideal) -> bool:
@@ -415,7 +402,9 @@ def is_origin_primary(I: Ideal) -> bool:
         return False  # unit ideal
     if not any(e[1] == 0 for e in leads) or not any(e[0] == 0 for e in leads):
         return False
-    ell = _staircase_count(leads)
+    from .staircase import mono_colength, staircase_normalize
+
+    ell = mono_colength(staircase_normalize(leads))
     x = Polynomial.variable(I.ring, I.field, "x")
     y = Polynomial.variable(I.ring, I.field, "y")
     return ideal_contains(I, x ** ell) and ideal_contains(I, y ** ell)
@@ -448,17 +437,20 @@ def minimal_generators(I: Ideal) -> list[Polynomial]:
         return [
             Polynomial.monomial(I.ring, I.field, e) for e in stair.gens
         ]
-    gb = list(I.groebner_basis().elements)
-    field = I.field
-    ring = I.ring
-    keyf = GREVLEX.key(ring)
-    scaled = [
-        Polynomial.variable(ring, field, v) * g for v in ring.vars for g in gb
-    ]
-    candidates = sorted(gb, key=lambda g: (g.min_degree(), keyf(g.leading()[0])))
+    keyf = GREVLEX.key(I.ring)
+    return _nakayama_prune(list(I.groebner_basis().elements),
+                           key=lambda g: (g.min_degree(), keyf(g.leading()[0])))
+
+
+def _nakayama_prune(gens: list[Polynomial], key) -> list[Polynomial]:
+    """Graded Nakayama: scanning gens sorted by key, keep g unless it lies in
+    the ideal of the kept ones plus (vars) * gens."""
+    if not gens:
+        return []
+    ring, field = gens[0].ring, gens[0].field
+    scaled = [Polynomial.variable(ring, field, v) * g for v in ring.vars for g in gens]
     kept: list[Polynomial] = []
-    for g in candidates:
-        probe = Ideal(kept + scaled)
-        if not ideal_contains(probe, g):
+    for g in sorted(gens, key=key):
+        if not ideal_contains(Ideal(kept + scaled), g):
             kept.append(g)
     return kept

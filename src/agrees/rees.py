@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import Ideal, colength, ideal_contains, _buchberger
+from .groebner import Ideal, colength, _buchberger, _nakayama_prune
 from .poly import (
     GREVLEX,
     BlockElimination,
@@ -77,18 +77,8 @@ def rees_defining_ideal(I: Ideal, max_basis: int = MAX_BASIS,
 
     # minimal generators by graded Nakayama against (x, y, T_1..T_s) * kernel
     keyg = GREVLEX.key(target)
-    scaled = [
-        Polynomial.variable(target, field, v) * g
-        for v in target.vars
-        for g in t_free
-    ]
-    candidates = sorted(
+    kept = _nakayama_prune(
         t_free, key=lambda g: (_t_degree(g), _xy_degree(g), keyg(g.leading()[0])))
-    kept: list[Polynomial] = []
-    for g in candidates:
-        probe = Ideal(kept + scaled)
-        if not ideal_contains(probe, g):
-            kept.append(g)
     bidegrees = tuple(sorted((_t_degree(g), _xy_degree(g)) for g in kept))
     return ReesPresentation(defining_gens=tuple(kept), bidegrees=bidegrees)
 

@@ -1,6 +1,7 @@
 """Classifier pipeline: reductions, stability, certificates, refutations."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -177,41 +178,49 @@ def test_certificate_deterministic():
 
 # -- the refuter --------------------------------------------------------------------
 
-def test_refuter_flagship_numbers():
-    I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
-    Q = ideal("x^3, y^6")
+# each refuter case runs on the monomial ideal over q, on its x -> x+2y twin
+# over q (no staircase anywhere) and on the monomial ideal over a prime field
+VIEWS = ("monomial-q", "twin-q", "monomial-fp")
+
+
+def _refuter_numbers(i_exps, j_exps, view):
+    """Engine refuter numbers, checked against the sympy rank oracle."""
+    field = FP if view == "monomial-fp" else QQ
+    x = Polynomial.variable(BASE_RING, field, "x")
+    y = Polynomial.variable(BASE_RING, field, "y")
+    if view == "twin-q":
+        x = x + y.scale(field.from_int(2))
+    I = Ideal([x ** a * y ** b for a, b in i_exps])
+    Q = Ideal([x ** i_exps[0][0], y ** i_exps[-1][1]])
     J = canonical_colon(I, Q, stable=True)
     ref = necessary_bound(I, J, Q=Q)
-    assert (ref.mu_IJ, ref.mu_mJ, ref.mu_J) == (6, 4, 3)
-    assert (ref.rank_I, ref.rank_m) == (3, 2)
-    assert ref.min_sum == 5 and ref.threshold == 4
-    # symbolic-rank oracle agreement
-    mu_ij, mu_mj, r_i, r_m = generic_ranks(
-        [(3, 0), (2, 3), (1, 5), (0, 6)], [(2, 0), (1, 1), (0, 3)])
-    assert (mu_ij, mu_mj, r_i, r_m) == (6, 4, 3, 2)
+    got = (ref.mu_IJ, ref.mu_mJ, ref.rank_I, ref.rank_m, ref.min_sum)
+    mu_ij, mu_mj, r_i, r_m = generic_ranks(i_exps, j_exps)
+    assert got == (mu_ij, mu_mj, r_i, r_m, mu_ij + mu_mj - r_i - r_m)
+    return got, ref
 
 
-def test_refuter_three_gen_numbers():
-    I = ideal("x^3, x^2 y^3, y^5")
-    Q = ideal("x^3, y^5")
-    J = canonical_colon(I, Q, stable=True)
-    ref = necessary_bound(I, J, Q=Q)
-    assert (ref.mu_IJ, ref.mu_mJ) == (4, 3)
-    assert ref.min_sum == 3 and ref.threshold == 2
-    mu_ij, mu_mj, r_i, r_m = generic_ranks(
-        [(3, 0), (2, 3), (0, 5)], [(1, 0), (0, 2)])
-    assert mu_ij + mu_mj - r_i - r_m == 3
+@pytest.mark.parametrize("view", VIEWS)
+def test_refuter_flagship_numbers(view):
+    got, ref = _refuter_numbers(
+        [(3, 0), (2, 3), (1, 5), (0, 6)], [(2, 0), (1, 1), (0, 3)], view)
+    assert got == (6, 4, 3, 2, 5)
+    assert (ref.mu_J, ref.threshold) == (3, 4)
 
 
-def test_refuter_boundary_is_inconclusive():
-    I = ideal("x^3, x^2 y^3, x y^4, y^5")
-    Q = ideal("x^3, y^5")
-    J = canonical_colon(I, Q, stable=True)
-    ref = necessary_bound(I, J, Q=Q)
+@pytest.mark.parametrize("view", VIEWS)
+def test_refuter_three_gen_numbers(view):
+    got, ref = _refuter_numbers([(3, 0), (2, 3), (0, 5)], [(1, 0), (0, 2)], view)
+    assert got == (4, 3, 2, 2, 3)
+    assert ref.threshold == 2
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_refuter_boundary_is_inconclusive(view):
+    got, ref = _refuter_numbers(
+        [(3, 0), (2, 3), (1, 4), (0, 5)], [(2, 0), (1, 1), (0, 2)], view)
+    assert got == (6, 4, 4, 2, 4)
     assert ref.min_sum <= ref.threshold == 4
-    mu_ij, mu_mj, r_i, r_m = generic_ranks(
-        [(3, 0), (2, 3), (1, 4), (0, 5)], [(2, 0), (1, 1), (0, 2)])
-    assert mu_ij + mu_mj - r_i - r_m == ref.min_sum == 4
 
 
 def test_refuter_min_sum_at_least_two():
@@ -237,6 +246,18 @@ def test_classify_flagship_not_ag():
     assert rep.contracted and rep.reduction.stable
     assert rep.refutation.min_sum == 5
     assert validate_report(ideal("x^3, x^2 y^3, x y^5, y^6"), rep)
+
+
+def test_validate_report_recomputes_refutation():
+    # the boundary ideal is almost Gorenstein; a NOT_AG report claiming
+    # min_sum above the threshold must not survive validation
+    I = ideal("x^3, x^2 y^3, x y^4, y^5")
+    rep = classify(I)
+    J, Q = Ideal(list(rep.colon_gens)), Ideal(list(rep.reduction.Q))
+    ref = necessary_bound(I, J, Q=Q)
+    tampered = replace(rep, verdict=Verdict.NOT_AG, witness=None,
+                       refutation=replace(ref, min_sum=ref.threshold + 1))
+    assert not validate_report(I, tampered)
 
 
 def test_classify_simplest_order_two():
