@@ -258,6 +258,70 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     return J
 
 
+# -- witness quotients ------------------------------------------------------------
+
+class _Quotient:
+    """R/top with one column per standard monomial met so far.
+
+    Normal forms modulo `top` are k-linear, so the coordinates of
+    sum_j c_j * p_j are sum_j c_j * coords(p_j).  For a monomial `top` a
+    product keeps its single term exactly when it lies outside `top`.
+    """
+
+    def __init__(self, top: Ideal):
+        self._gb = top.groebner_basis()
+        self._columns: dict = {}
+
+    def coords(self, p: Polynomial) -> dict:
+        cols = self._columns
+        return {cols.setdefault(e, len(cols)): v
+                for e, v in normal_form(p, self._gb).terms.items()}
+
+    def rank(self, rows: list[dict], fld) -> int:
+        """dim_k of the span of the given coordinate rows."""
+        dense = []
+        for row in rows:
+            d = [fld.zero] * len(self._columns)
+            for col, v in row.items():
+                d[col] = v
+            dense.append(d)
+        return _rank(dense, fld)
+
+
+def _combine(per_w: list[dict], c: list, fld) -> dict:
+    """Coordinates of a * h for h = sum c_j w_j, from those of each a * w_j."""
+    row: dict = {}
+    for cj, entries in zip(c, per_w):
+        for col, v in entries.items():
+            row[col] = fld.add(row.get(col, fld.zero), fld.mul(cj, v))
+    return row
+
+
+class _WitnessSpaces:
+    """IJ/mIJ and mJ/m^2J for one pair (I, J), the spaces in which both the
+    certificate's candidates and the refuter's samples are rank-tested.
+
+    By Nakayama, an ideal P inside IJ satisfies P + mIJ = IJ exactly when
+    the coordinates of its generators in IJ/mIJ have rank mu(IJ); likewise
+    for mJ.  Every product a * w_j (a in mingens(I) for IJ, a in {x, y} for
+    mJ, w_j in mingens(J)) is reduced once, here.
+    """
+
+    def __init__(self, I: Ideal, J: Ideal, j_min: list[Polynomial]):
+        m = maximal_ideal(I.ring, I.field)
+        self.IJ = _mul(I, J)
+        self.mJ = _mul(m, J)
+        mIJ = _mul(m, self.IJ)
+        m2J = _mul(m, self.mJ)
+        self.j_min = j_min
+        self.mu_IJ = _colength(mIJ) - _colength(self.IJ)
+        self.mu_mJ = _colength(m2J) - _colength(self.mJ)
+        self.ij = _Quotient(mIJ)
+        self.mj = _Quotient(m2J)
+        self.by_I = [[self.ij.coords(a * w) for w in j_min] for a in minimal_generators(I)]
+        self.by_m = [[self.mj.coords(v * w) for w in j_min] for v in m.generators]
+
+
 # -- certificates --------------------------------------------------------------
 
 def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomial],
@@ -279,35 +343,35 @@ def _menu_coeff(rng: random.Random, fld):
     return fld.from_int(rng.randint(3, _RAND_RANGE))
 
 
-def witness_candidates(I: Ideal, Q: Ideal, J: Ideal, budget: int = 64,
-                       seed: int = 0) -> tuple[list, list, list]:
-    """Candidate pools (h, g, f) scanned by the certificate search."""
+def _candidate_pools(I: Ideal, Q: Ideal, j_min: list[Polynomial], budget: int,
+                     seed: int) -> tuple[list, list, list]:
+    """Pools (h, g, f); each h comes with its coefficient vector over j_min."""
     ring, fld = I.ring, I.field
-    j_min = minimal_generators(J)
+    one, zero = fld.one, fld.zero
     seen: set[Polynomial] = set()
-    hs: list[Polynomial] = []
+    hs: list[tuple[Polynomial, list]] = []
 
-    def push(h: Polynomial):
+    def push(c: list):
+        h = sum((w.scale(cj) for cj, w in zip(c, j_min)), Polynomial.zero(ring, fld))
         if h.is_zero:
             return
         key = h.monic()
         if key in seen:
             return
         seen.add(key)
-        hs.append(h)
+        hs.append((h, c))
 
-    for w in j_min:
-        push(w)
-    for i, wi in enumerate(j_min):
-        for j, wj in enumerate(j_min):
+    n = len(j_min)
+    for i in range(n):
+        push([one if k == i else zero for k in range(n)])
+    for i in range(n):
+        for j in range(n):
             if i != j:
-                push(wi - wj)
+                push([one if k == i else fld.neg(one) if k == j else zero
+                      for k in range(n)])
     rng = random.Random(derive_seed(seed, "certificate"))
     for _ in range(budget):
-        h = Polynomial.zero(ring, fld)
-        for w in j_min:
-            h = h + w.scale(_menu_coeff(rng, fld))
-        push(h)
+        push([_menu_coeff(rng, fld) for _ in j_min])
 
     gs: list[Polynomial] = []
     gseen: set[Polynomial] = set()
@@ -328,6 +392,13 @@ def witness_candidates(I: Ideal, Q: Ideal, J: Ideal, budget: int = 64,
     return hs, gs, fs
 
 
+def witness_candidates(I: Ideal, Q: Ideal, J: Ideal, budget: int = 64,
+                       seed: int = 0) -> tuple[list, list, list]:
+    """Candidate pools (h, g, f) scanned by the certificate search."""
+    hs, gs, fs = _candidate_pools(I, Q, minimal_generators(J), budget, seed)
+    return [h for h, _ in hs], gs, fs
+
+
 def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
                    h: Polynomial) -> bool:
     """Check both witness equalities with full Groebner comparisons."""
@@ -341,33 +412,43 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
 
 
 def certificate_search(I: Ideal, Q: Ideal, J: Ideal, budget: int = 64,
-                       seed: int = 0) -> AGWitness | None:
+                       seed: int = 0, spaces: _WitnessSpaces | None = None
+                       ) -> AGWitness | None:
     """Scan the candidate pools for a verified witness triple; None if exhausted.
 
-    A returned witness is always re-verified with full Groebner equality, so
+    Each (g, h) and (f, h) first costs one rank in IJ/mIJ or mJ/m^2J: a
+    candidate whose ideal misses IJ (or mJ) modulo the maximal ideal cannot
+    equal it, so only candidates that pass reach the exact comparison.  A
+    returned witness is always re-verified with full Groebner equality, so
     false positives are impossible; exhaustion proves nothing.
     """
     if not is_stable(I, Q):
         raise NotStable("certificate search requires I^2 = QI")
-    ring, fld = I.ring, I.field
-    m = maximal_ideal(ring, fld)
-    IJ = _mul(I, J)
-    mJ = _mul(m, J)
-    IJ_stair, mJ_stair = staircase_of_ideal(IJ), staircase_of_ideal(mJ)
-    IJ_min = minimal_generators(IJ)
-    mJ_min = minimal_generators(mJ)
+    fld = I.field
+    sp = spaces or _WitnessSpaces(I, J, minimal_generators(J))
+    m = maximal_ideal(I.ring, fld)
+    IJ_stair, mJ_stair = staircase_of_ideal(sp.IJ), staircase_of_ideal(sp.mJ)
+    IJ_gens, mJ_gens = list(sp.IJ.generators), list(sp.mJ.generators)
     i_gens = [g for g in I.generators if not g.is_zero]
     j_gens = [w for w in J.generators if not w.is_zero]
-    hs, gs, fs = witness_candidates(I, Q, J, budget=budget, seed=seed)
-    for h in hs:
+    hs, gs, fs = _candidate_pools(I, Q, sp.j_min, budget, seed)
+    g_rows = [[sp.ij.coords(g * w) for w in sp.j_min] for g in gs]
+    f_rows = [[sp.mj.coords(f * w) for w in sp.j_min] for f in fs]
+    for h, c in hs:
+        h_rows = [_combine(per_w, c, fld) for per_w in sp.by_I]
         i_part = [gi * h for gi in i_gens]
-        for g in gs:
-            parts = [g * w for w in j_gens] + i_part
-            if not _sum_equals(IJ, IJ_stair, IJ_min, parts):
+        for g, rows in zip(gs, g_rows):
+            if sp.ij.rank(rows + h_rows, fld) < sp.mu_IJ:
                 continue
-            for f in fs:
+            parts = [g * w for w in j_gens] + i_part
+            if not _sum_equals(sp.IJ, IJ_stair, IJ_gens, parts):
+                continue
+            mh_rows = [_combine(per_w, c, fld) for per_w in sp.by_m]
+            for f, rows_f in zip(fs, f_rows):
+                if sp.mj.rank(rows_f + mh_rows, fld) < sp.mu_mJ:
+                    continue
                 mparts = [f * w for w in j_gens] + [v * h for v in m.generators]
-                if _sum_equals(mJ, mJ_stair, mJ_min, mparts):
+                if _sum_equals(sp.mJ, mJ_stair, mJ_gens, mparts):
                     if verify_witness(I, J, f, g, h):
                         return AGWitness(f=f, g=g, h=h)
             break  # the IJ equality held; other g values cannot improve the mJ side
@@ -409,37 +490,9 @@ def _sample_vector(rng: random.Random, fld, n: int, space: int) -> list:
             return [fld.from_int(d) for d in draws]
 
 
-def _coordinate_map(factors: list[Polynomial], j_min: list[Polynomial],
-                    top: Ideal) -> tuple[list[list[list]], int]:
-    """Sparse coordinates in R/top of every product a * w_j, and their width.
-
-    Normal forms modulo `top` are k-linear, so a * h for h = sum c_j w_j has
-    coordinates sum c_j * map[a][j].  For a monomial `top` a product keeps
-    its single term exactly when it lies outside `top`.
-    """
-    gb = top.groebner_basis()
-    support: dict = {}
-    coords = [[[(support.setdefault(e, len(support)), v)
-                for e, v in normal_form(a * w, gb).terms.items()] for w in j_min]
-              for a in factors]
-    return coords, len(support)
-
-
-def _span_rank(coord_map: tuple[list[list[list]], int], c: list, fld) -> int:
-    """dim_k of the span of {a * h} in R/top for h = sum c_j w_j."""
-    coords, width = coord_map
-    rows = []
-    for per_w in coords:
-        row = [fld.zero] * width
-        for cj, entries in zip(c, per_w):
-            for col, v in entries:
-                row[col] = fld.add(row[col], fld.mul(cj, v))
-        rows.append(row)
-    return _rank(rows, fld)
-
-
 def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
-                    trials: int = 16) -> RefutationData:
+                    trials: int = 16, spaces: _WitnessSpaces | None = None
+                    ) -> RefutationData:
     """Minimum over generic h in J of mu(IJ/Ih) + mu(mJ/mh), versus 2(mu(J)-1).
 
     Both quotient sizes depend only on the class of h in J/mJ and are
@@ -449,33 +502,26 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     """
     if Q is not None and not is_stable(I, Q):
         raise NotStable("the generator-count refutation needs I^2 = QI")
-    ring, fld = I.ring, I.field
-    m = maximal_ideal(ring, fld)
-    IJ = _mul(I, J)
-    mJ = _mul(m, J)
-    mu_IJ = _mu(IJ)
-    mu_mJ = _mu(mJ)
-    mu_J = _mu(J)
+    fld = I.field
+    sp = spaces or _WitnessSpaces(I, J, minimal_generators(J))
+    mu_IJ, mu_mJ = sp.mu_IJ, sp.mu_mJ
+    mu_J = _colength(sp.mJ) - _colength(J)
     if mu_J < 2:
         raise ValueError("refutation needs mu(J) >= 2; mu(J) = 1 is the Gorenstein case")
     threshold = 2 * (mu_J - 1)
-    j_min = minimal_generators(J)
-    i_min = minimal_generators(I)
     run_seed = derive_seed(seed, "refuter")
     rng = random.Random(run_seed)
 
     space = fld.p if isinstance(fld, PrimeField) else _RAND_RANGE
-    # (Ih + mIJ)/mIJ is spanned over k by {a * h : a in i_min}, and likewise
-    # (mh + m^2 J)/m^2 J by {x h, y h}: products are reduced once, not per trial
-    coords_I = _coordinate_map(i_min, j_min, _mul(m, IJ))
-    coords_m = _coordinate_map(list(m.generators), j_min, _mul(m, mJ))
+    # (Ih + mIJ)/mIJ is spanned over k by {a * h : a in mingens(I)}, and
+    # likewise (mh + m^2 J)/m^2 J by {x h, y h}
     best_I = best_m = 0
     for _ in range(trials):
-        c = _sample_vector(rng, fld, len(j_min), space)
-        best_I = max(best_I, _span_rank(coords_I, c, fld))
-        best_m = max(best_m, _span_rank(coords_m, c, fld))
+        c = _sample_vector(rng, fld, len(sp.j_min), space)
+        best_I = max(best_I, sp.ij.rank([_combine(per_w, c, fld) for per_w in sp.by_I], fld))
+        best_m = max(best_m, sp.mj.rank([_combine(per_w, c, fld) for per_w in sp.by_m], fld))
     min_sum = mu_IJ + mu_mJ - best_I - best_m
-    degree = min(mu_IJ, len(i_min)) + min(mu_mJ, 2)
+    degree = min(mu_IJ, len(sp.by_I)) + min(mu_mJ, 2)
     failure_bound = float((degree / space) ** trials)
     primes = (fld.p,) if isinstance(fld, PrimeField) else ()
     return RefutationData(
@@ -552,14 +598,15 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if len(j_min) == 1:
         return AGReport(verdict=Verdict.GORENSTEIN, notes=tuple(notes), **base)
 
+    spaces = _WitnessSpaces(I, J, j_min)
     witness = certificate_search(I, Q, J, budget=cfg.certificate_budget,
-                                 seed=cfg.seed)
+                                 seed=cfg.seed, spaces=spaces)
     if witness is not None:
         base["witness"] = witness
         return AGReport(verdict=Verdict.AG_CERTIFIED, notes=tuple(notes), **base)
 
     refutation = necessary_bound(I, J, seed=cfg.seed, Q=Q,
-                                 trials=cfg.refuter_trials)
+                                 trials=cfg.refuter_trials, spaces=spaces)
     base["refutation"] = refutation
     notes.append(
         f"refutation threshold 2*(mu(J)-1) = {refutation.threshold} from the "

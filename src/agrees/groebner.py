@@ -169,6 +169,17 @@ def _buchberger(inputs: list[_Term], keyf, field, max_basis=None, max_deg=None) 
     return reduced
 
 
+def _monomial_basis(inputs: list[_Term], keyf, field) -> list[_Term]:
+    """Reduced basis of a monomial ideal: its minimal monomials, monic, in
+    the order `_buchberger` returns them.  Every monomial order refines
+    divisibility, so scanning upwards meets each divisor before its multiples."""
+    minimal: list[Exponent] = []
+    for e in sorted({e for p in inputs for e in p}, key=keyf):
+        if all(not mono_divides(m, e) for m in minimal):
+            minimal.append(e)
+    return [{e: field.one} for e in reversed(minimal)]
+
+
 # -- public layer ------------------------------------------------------------
 
 class GroebnerBasis:
@@ -221,7 +232,11 @@ class Ideal:
         if cached is not None:
             return cached
         keyf = order.key(self.ring)
-        dicts = _buchberger([dict(g.terms) for g in self.generators], keyf, self.field)
+        inputs = [dict(g.terms) for g in self.generators]
+        if self.is_monomial():
+            dicts = _monomial_basis(inputs, keyf, self.field)
+        else:
+            dicts = _buchberger(inputs, keyf, self.field)
         gb = GroebnerBasis(
             self.ring,
             self.field,
@@ -433,10 +448,10 @@ def minimal_generators(I: Ideal) -> list[Polynomial]:
     if I.is_monomial():
         from .staircase import staircase_of_ideal
 
+        # None outside k[x,y] and for the zero ideal: the general path covers both
         stair = staircase_of_ideal(I)
-        return [
-            Polynomial.monomial(I.ring, I.field, e) for e in stair.gens
-        ]
+        if stair is not None:
+            return [Polynomial.monomial(I.ring, I.field, e) for e in stair.gens]
     keyf = GREVLEX.key(I.ring)
     return _nakayama_prune(list(I.groebner_basis().elements),
                            key=lambda g: (g.min_degree(), keyf(g.leading()[0])))

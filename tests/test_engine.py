@@ -8,6 +8,10 @@ import pytest
 from agrees.engine import (
     ClassifyConfig,
     Verdict,
+    _WitnessSpaces,
+    _candidate_pools,
+    _combine,
+    _sum_equals,
     canonical_colon,
     certificate_search,
     classify,
@@ -21,7 +25,14 @@ from agrees.engine import (
 from agrees.errors import BadParameters, NotContained, NotStable
 from agrees.families import make_family
 from agrees.fields import QQ, PrimeField
-from agrees.groebner import Ideal, ideal_equal, ideal_pow, ideal_product
+from agrees.groebner import (
+    Ideal,
+    ideal_equal,
+    ideal_pow,
+    ideal_product,
+    maximal_ideal,
+    minimal_generators,
+)
 from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import BASE_RING, Polynomial
 from agrees.staircase import staircase_normalize, staircase_of_ideal
@@ -174,6 +185,70 @@ def test_certificate_deterministic():
     w1 = certificate_search(I, Q, J, seed=3)
     w2 = certificate_search(I, Q, J, seed=3)
     assert w1 == w2
+
+
+# (f, g, h) as certificate_search returned them before candidates were
+# rank-tested: the rank test only skips candidates that fail the exact
+# comparison, so the scan order and the witness found must not move
+PINNED = {
+    "boundary-q": ("x", "x^3", "y^2"),
+    "boundary-twin-q": ("y", "x^3 + 6*x^2*y + 12*x*y^2 + 8*y^3", "x^2"),
+    "order-four-fp": ("x - y", "y^7 + x^4", "x^2*y"),
+}
+
+
+def _pinned_case(name):
+    if name == "boundary-q":
+        I = ideal("x^3, x^2 y^3, x y^4, y^5")
+    elif name == "boundary-twin-q":
+        x, y = (Polynomial.variable(BASE_RING, QQ, v) for v in ("x", "y"))
+        x = x + y.scale(QQ.from_int(2))
+        I = Ideal([x ** a * y ** b for a, b in [(3, 0), (2, 3), (1, 4), (0, 5)]])
+    else:
+        I = ideal("x^4, x^3 y^2, x^2 y^4, x y^5, y^7", FP)
+    Q = Ideal(list(find_reduction(I).Q))
+    return I, Q, canonical_colon(I, Q, stable=True)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_certificate_pinned_witness(name):
+    w = certificate_search(*_pinned_case(name))
+    assert (str(w.f), str(w.g), str(w.h)) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_rank_test_passes_every_exact_equality(name):
+    """Whenever gJ + Ih = IJ (or fJ + mh = mJ) holds exactly, the candidate
+    also passes its rank test modulo m*IJ (or m^2*J)."""
+    I, Q, J = _pinned_case(name)
+    fld = I.field
+    sp = _WitnessSpaces(I, J, minimal_generators(J))
+    m = maximal_ideal(I.ring, fld)
+    hs, gs, fs = _candidate_pools(I, Q, sp.j_min, 64, 0)
+    stairs = staircase_of_ideal(sp.IJ), staircase_of_ideal(sp.mJ)
+    exact = rejected = 0
+    for h, c in hs:
+        assert h == sum((w.scale(cj) for cj, w in zip(c, sp.j_min)),
+                        Polynomial.zero(I.ring, fld))
+        h_rows = [_combine(per_w, c, fld) for per_w in sp.by_I]
+        mh_rows = [_combine(per_w, c, fld) for per_w in sp.by_m]
+        for g in gs:
+            rows = [sp.ij.coords(g * w) for w in sp.j_min]
+            passes = sp.ij.rank(rows + h_rows, fld) == sp.mu_IJ
+            parts = [g * w for w in J.generators] + [a * h for a in I.generators]
+            if _sum_equals(sp.IJ, stairs[0], list(sp.IJ.generators), parts):
+                exact += 1
+                assert passes, (str(g), str(h))
+            rejected += not passes
+        for f in fs:
+            rows = [sp.mj.coords(f * w) for w in sp.j_min]
+            passes = sp.mj.rank(rows + mh_rows, fld) == sp.mu_mJ
+            parts = [f * w for w in J.generators] + [v * h for v in m.generators]
+            if _sum_equals(sp.mJ, stairs[1], list(sp.mJ.generators), parts):
+                exact += 1
+                assert passes, (str(f), str(h))
+            rejected += not passes
+    assert exact > 0 and rejected > 0
 
 
 # -- the refuter --------------------------------------------------------------------

@@ -18,6 +18,7 @@ from agrees.errors import (
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
     Ideal,
+    _buchberger,
     colength,
     ideal_colon,
     ideal_contains,
@@ -27,10 +28,11 @@ from agrees.groebner import (
     ideal_product,
     maximal_ideal,
     min_gens,
+    minimal_generators,
     normal_form,
 )
 from agrees.parse import parse_ideal_spec, parse_polynomial
-from agrees.poly import BASE_RING, Polynomial
+from agrees.poly import BASE_RING, GREVLEX, BlockElimination, Polynomial, Ring
 
 from oracles import (
     lattice_colength,
@@ -86,6 +88,32 @@ def test_gb_reducedness_invariants():
                 if g.leading()[0] != e:
                     for lj in leads:
                         assert not all(a <= b for a, b in zip(lj, e))
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+@pytest.mark.parametrize("order", [GREVLEX, BlockElimination(front=("y",))])
+def test_monomial_basis_matches_buchberger(names, order):
+    """A monomial ideal's basis skips Buchberger; it must equal what
+    Buchberger returns, element for element and in order."""
+    ring = Ring(names)
+    keyf = order.key(ring)
+    rng = random.Random(47)
+    for field in (QQ, PrimeField(2147483647)):
+        for _ in range(25):
+            gens = [Polynomial.monomial(ring, field,
+                                        [rng.randint(0, 4) for _ in names],
+                                        field.from_int(rng.choice([1, 2, -3])))
+                    for _ in range(rng.randint(1, 6))]
+            gens += [gens[0] * Polynomial.variable(ring, field, rng.choice(names))]
+            gens += [Polynomial.zero(ring, field)] * rng.randint(0, 2)
+            rng.shuffle(gens)
+            got = Ideal(gens).groebner_basis(order).elements
+            want = _buchberger([dict(g.terms) for g in gens], keyf, field)
+            assert [g.terms for g in got] == want
+
+
+def test_monomial_basis_of_zero_ideal_is_empty():
+    assert Ideal([Polynomial.zero(BASE_RING, QQ)]).groebner_basis().elements == ()
 
 
 def test_gb_deterministic_and_cached():
@@ -247,6 +275,17 @@ def test_min_gens_examples():
     assert min_gens(ideal("x^3, x^2 y^3, x y^5, y^6")) == 4
     assert min_gens(ideal("x^2, y^2, x^2 + y^2")) == 2
     assert min_gens(ideal("x^2, x y, y^2")) == 3
+
+
+def test_minimal_generators_monomial_outside_the_plane():
+    ring = Ring(("x", "y", "z"))
+    x, z = (Polynomial.variable(ring, QQ, v) for v in ("x", "z"))
+    got = minimal_generators(Ideal([x, x ** 2, z]))
+    assert sorted(str(g) for g in got) == ["x", "z"]
+
+
+def test_minimal_generators_of_zero_ideal():
+    assert minimal_generators(Ideal([Polynomial.zero(BASE_RING, QQ)])) == []
 
 
 def test_ideal_order_examples():
