@@ -241,8 +241,13 @@ def is_stable(I: Ideal, Q: Ideal) -> bool:
     return _contained_in(_mul(I, I), _mul(Q, I))
 
 
-def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
-    """J = Q : I; for contracted stable I the orders must satisfy o(I) = o(J)+1."""
+def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
+                    contracted: bool | None = None) -> Ideal:
+    """J = Q : I; for contracted stable I the orders must satisfy o(I) = o(J)+1.
+
+    `stable` and `contracted`, when the caller already knows them, skip
+    recomputing I^2 = QI and mu(I) = o(I) + 1.
+    """
     sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
@@ -250,7 +255,7 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
         J = ideal_colon(Q, I)
     if stable is None:
         stable = is_stable(I, Q)
-    if stable and is_contracted(I):
+    if stable and (is_contracted(I) if contracted is None else contracted):
         o_i, o_j = ideal_order(I), ideal_order(J)
         if o_i != o_j + 1:
             raise RuntimeError(
@@ -412,17 +417,20 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
 
 
 def certificate_search(I: Ideal, Q: Ideal, J: Ideal, budget: int = 64,
-                       seed: int = 0, spaces: _WitnessSpaces | None = None
-                       ) -> AGWitness | None:
+                       seed: int = 0, spaces: _WitnessSpaces | None = None,
+                       stable: bool | None = None) -> AGWitness | None:
     """Scan the candidate pools for a verified witness triple; None if exhausted.
 
     Each (g, h) and (f, h) first costs one rank in IJ/mIJ or mJ/m^2J: a
     candidate whose ideal misses IJ (or mJ) modulo the maximal ideal cannot
     equal it, so only candidates that pass reach the exact comparison.  A
     returned witness is always re-verified with full Groebner equality, so
-    false positives are impossible; exhaustion proves nothing.
+    false positives are impossible; exhaustion proves nothing.  `stable`
+    skips the I^2 = QI check when the caller already knows it.
     """
-    if not is_stable(I, Q):
+    if stable is None:
+        stable = is_stable(I, Q)
+    if not stable:
         raise NotStable("certificate search requires I^2 = QI")
     fld = I.field
     sp = spaces or _WitnessSpaces(I, J, minimal_generators(J))
@@ -498,7 +506,8 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     Both quotient sizes depend only on the class of h in J/mJ and are
     determined by ranks of matrices whose entries are linear in the
     coefficients of h, so sampling h at random computes the generic minimum
-    with quantifiable failure probability (reported).
+    with quantifiable failure probability (reported).  A given Q is checked
+    for I^2 = QI; callers that already know it pass none.
     """
     if Q is not None and not is_stable(I, Q):
         raise NotStable("the generator-count refutation needs I^2 = QI")
@@ -589,7 +598,8 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
         return AGReport(verdict=Verdict.UNKNOWN, notes=tuple(notes), **base)
 
     Q = Ideal(list(reduction.Q))
-    J = canonical_colon(I, Q, stable=True)
+    # r <= 1 already means I^2 = QI: no stage below re-checks it on a new Q*I
+    J = canonical_colon(I, Q, stable=True, contracted=contracted)
     j_min = minimal_generators(J)
     base["colon_gens"] = tuple(j_min)
     base["colon_order"] = ideal_order(J)
@@ -600,13 +610,13 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
 
     spaces = _WitnessSpaces(I, J, j_min)
     witness = certificate_search(I, Q, J, budget=cfg.certificate_budget,
-                                 seed=cfg.seed, spaces=spaces)
+                                 seed=cfg.seed, spaces=spaces, stable=True)
     if witness is not None:
         base["witness"] = witness
         return AGReport(verdict=Verdict.AG_CERTIFIED, notes=tuple(notes), **base)
 
-    refutation = necessary_bound(I, J, seed=cfg.seed, Q=Q,
-                                 trials=cfg.refuter_trials, spaces=spaces)
+    refutation = necessary_bound(I, J, seed=cfg.seed, trials=cfg.refuter_trials,
+                                 spaces=spaces)
     base["refutation"] = refutation
     notes.append(
         f"refutation threshold 2*(mu(J)-1) = {refutation.threshold} from the "

@@ -18,6 +18,7 @@ from .errors import (
     ZeroDivisorIdeal,
     ZeroIdeal,
 )
+from .fields import DEFAULT_SURVEY_PRIME, PrimeField, RationalField
 from .poly import (
     GREVLEX,
     BlockElimination,
@@ -42,12 +43,17 @@ def _lead(p: _Term, keyf) -> Exponent:
 
 
 def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
-    """Full normal form of p against basis entries (lm, lc, terms)."""
+    """Full normal form of p against basis entries (lm, lc, terms).
+
+    Each monomial's order key is computed once, when it first enters `work`;
+    the leading term picked at every step is the same as with keyf itself.
+    """
     work = dict(p)
+    keys = {m: keyf(m) for m in work}
     rem: _Term = {}
     zero = field.zero
     while work:
-        lm = _lead(work, keyf)
+        lm = max(work, key=keys.__getitem__)
         c = work.pop(lm)
         for blm, blc, bterms in basis:
             if mono_divides(blm, lm):
@@ -61,6 +67,8 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
                     if nv == zero:
                         work.pop(mm, None)
                     else:
+                        if mm not in keys:
+                            keys[mm] = keyf(mm)
                         work[mm] = nv
                 break
         else:
@@ -346,10 +354,11 @@ def _exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
     keyf = GREVLEX.key(p.ring)
     lmf, lcf = f.leading()
     work = dict(p.terms)
+    keys = {m: keyf(m) for m in work}  # one order key per monomial, as in _nf_dict
     out: _Term = {}
     zero = field.zero
     while work:
-        lm = _lead(work, keyf)
+        lm = max(work, key=keys.__getitem__)
         c = work.pop(lm)
         assert mono_divides(lmf, lm), "exact division called on a non-multiple"
         shift = mono_div(lm, lmf)
@@ -363,6 +372,8 @@ def _exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
             if nv == zero:
                 work.pop(mm, None)
             else:
+                if mm not in keys:
+                    keys[mm] = keyf(mm)
                 work[mm] = nv
     return Polynomial(p.ring, field, out)
 
@@ -405,7 +416,10 @@ def is_origin_primary(I: Ideal) -> bool:
 
     Finite colength alone admits zeros away from the origin; those are ruled
     out by checking that pure variable powers lie in the ideal itself (the
-    nilpotency index on R/I is at most its length).
+    nilpotency index on R/I is at most its length).  Over Q each power is
+    first reduced modulo a prime (`_mod_p_basis`): a nonzero remainder there
+    already proves it is not in the ideal, so the rational normal forms run
+    only when both remainders mod p are zero.
     """
     if I.ring.arity != 2:
         return False
@@ -420,9 +434,44 @@ def is_origin_primary(I: Ideal) -> bool:
     from .staircase import mono_colength, staircase_normalize
 
     ell = mono_colength(staircase_normalize(leads))
-    x = Polynomial.variable(I.ring, I.field, "x")
-    y = Polynomial.variable(I.ring, I.field, "y")
-    return ideal_contains(I, x ** ell) and ideal_contains(I, y ** ell)
+    powers = [Polynomial.variable(I.ring, I.field, v) ** ell for v in ("x", "y")]
+    sieve = _mod_p_basis(gb)
+    if sieve is not None:
+        keyf = gb.order.key(gb.ring)
+        for pw in powers:
+            if _nf_dict({e: _SIEVE_FIELD.one for e in pw.terms}, sieve, keyf, _SIEVE_FIELD):
+                return False
+    return all(normal_form(pw, gb).is_zero for pw in powers)
+
+
+# Prime of the exact rejection test in `is_origin_primary`.
+_SIEVE_FIELD = PrimeField(DEFAULT_SURVEY_PRIME)
+
+
+def _mod_p_basis(gb: GroebnerBasis) -> list | None:
+    """gb reduced modulo the sieve prime p, as `_nf_dict` entries; None unless
+    gb is over Q and p divides none of its denominators.
+
+    Then gb mod p is still a Groebner basis (Arnold, JSC 35 (2003)): gb is
+    monic and p-integral, so dividing by it needs no inverses and the
+    standard representations of its S-polynomials survive reduction mod p.
+    Hence NF(f, gb) mod p = NF(f, gb mod p) for p-integral f, and a nonzero
+    remainder mod p proves f is not in the ideal.  A zero one proves nothing.
+    """
+    if not isinstance(gb.field, RationalField):
+        return None
+    fp = _SIEVE_FIELD
+    out = []
+    for lm, _, terms in gb._lead_data:
+        reduced = {}
+        for m, c in terms.items():
+            if c.denominator % fp.p == 0:
+                return None
+            v = fp.fraction(c.numerator, c.denominator)
+            if v:
+                reduced[m] = v
+        out.append((lm, fp.one, reduced))
+    return out
 
 
 def maximal_ideal(ring: Ring, field) -> Ideal:

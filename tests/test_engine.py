@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from agrees import engine
 from agrees.engine import (
     ClassifyConfig,
     Verdict,
@@ -15,6 +16,7 @@ from agrees.engine import (
     canonical_colon,
     certificate_search,
     classify,
+    derive_seed,
     find_reduction,
     is_stable,
     necessary_bound,
@@ -22,14 +24,15 @@ from agrees.engine import (
     verify_witness,
     witness_candidates,
 )
-from agrees.errors import BadParameters, NotContained, NotStable
-from agrees.families import make_family
+from agrees.errors import BadParameters, NoReductionFound, NotContained, NotStable
+from agrees.families import family_exponents, make_family
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
     Ideal,
     ideal_equal,
     ideal_pow,
     ideal_product,
+    is_origin_primary,
     maximal_ideal,
     minimal_generators,
 )
@@ -79,6 +82,37 @@ def test_reduction_deterministic():
     a = find_reduction(ideal("x^3, x y, y^3"), seed=5)
     b = find_reduction(ideal("x^3, x y, y^3"), seed=5)
     assert a == b
+
+
+# Origin checks on the pairs the reduction search draws for the remark43 m=4
+# twin x -> x+2y, as recorded with exact rational membership before the
+# mod-p rejection: seed 0 draws one origin-primary pair, at index 11; the
+# benchmark's seed for this twin draws none.  Of each seed's 32 draws one has
+# a zero member and is skipped.
+REMARK43_TWIN_PAIRS = {
+    "seed-0": (0, {11}),
+    "benchmark-seed": (derive_seed(0, "remark43(m=4) x->x+(2)y"), set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMARK43_TWIN_PAIRS))
+def test_origin_check_on_remark43_twin_pairs(name, monkeypatch):
+    seed, primary = REMARK43_TWIN_PAIRS[name]
+    x, y = (Polynomial.variable(BASE_RING, QQ, v) for v in ("x", "y"))
+    x = x + y.scale(QQ.from_int(2))
+    I = Ideal([x ** a * y ** b for a, b in family_exponents("remark43", {"m": 4})])
+    drawn = []
+
+    def record(Q):
+        drawn.append(Q)
+        return False
+
+    monkeypatch.setattr(engine, "is_origin_primary", record)
+    with pytest.raises(NoReductionFound):
+        find_reduction(I, seed=seed)
+    assert len(drawn) == 31
+    got = {i for i, Q in enumerate(drawn) if is_origin_primary(Q)}
+    assert got == primary
 
 
 # -- stability -----------------------------------------------------------------

@@ -17,8 +17,12 @@ from agrees.errors import (
 )
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
+    _SIEVE_FIELD,
     Ideal,
     _buchberger,
+    _exact_divide,
+    _mod_p_basis,
+    _nf_dict,
     colength,
     ideal_colon,
     ideal_contains,
@@ -26,13 +30,23 @@ from agrees.groebner import (
     ideal_intersection,
     ideal_order,
     ideal_product,
+    is_origin_primary,
     maximal_ideal,
     min_gens,
     minimal_generators,
     normal_form,
 )
 from agrees.parse import parse_ideal_spec, parse_polynomial
-from agrees.poly import BASE_RING, GREVLEX, BlockElimination, Polynomial, Ring
+from agrees.poly import (
+    BASE_RING,
+    GREVLEX,
+    BlockElimination,
+    Polynomial,
+    Ring,
+    mono_div,
+    mono_divides,
+    mono_mul,
+)
 
 from oracles import (
     lattice_colength,
@@ -169,6 +183,81 @@ def test_normal_form_idempotent():
     assert normal_form(r, gb) == r
 
 
+def _reference_nf(p, basis, keyf, field):
+    """The normal form as computed before order keys were cached: the
+    leading term is re-derived from keyf over all of `work` at every step."""
+    work = dict(p)
+    rem = {}
+    zero = field.zero
+    while work:
+        lm = max(work, key=keyf)
+        c = work.pop(lm)
+        for blm, blc, bterms in basis:
+            if mono_divides(blm, lm):
+                scale = field.div(c, blc)
+                shift = mono_div(lm, blm)
+                for m, bc in bterms.items():
+                    if m == blm:
+                        continue
+                    mm = mono_mul(m, shift)
+                    nv = field.sub(work.get(mm, zero), field.mul(scale, bc))
+                    if nv == zero:
+                        work.pop(mm, None)
+                    else:
+                        work[mm] = nv
+                break
+        else:
+            rem[lm] = c
+    return rem
+
+
+def _random_terms(rng, field, arity, n_terms, max_exp):
+    terms = {}
+    for _ in range(n_terms):
+        e = tuple(rng.randint(0, max_exp) for _ in range(arity))
+        c = field.from_int(rng.choice([1, -1, 2, -3, 5, rng.randint(6, 99)]))
+        terms[e] = field.add(terms.get(e, field.zero), c)
+    return {e: c for e, c in terms.items() if c != field.zero}
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+@pytest.mark.parametrize("order", [GREVLEX, BlockElimination(front=("y",))])
+def test_nf_dict_matches_reference(names, order):
+    """Cached order keys pick the same leading term at every step, so the
+    remainder equals the uncached one: against arbitrary (non-monic, not
+    Groebner) divisor lists and, in the plane, against reduced bases."""
+    ring = Ring(names)
+    keyf = order.key(ring)
+    rng = random.Random(53)
+    for field in (QQ, PrimeField(2147483647)):
+        for _ in range(30):
+            divisors = []
+            for _ in range(rng.randint(1, 4)):
+                terms = _random_terms(rng, field, len(names), rng.randint(1, 4), 3)
+                if terms:
+                    lm = max(terms, key=keyf)
+                    divisors.append((lm, terms[lm], terms))
+            p = _random_terms(rng, field, len(names), rng.randint(1, 8), 6)
+            assert _nf_dict(p, divisors, keyf, field) == _reference_nf(p, divisors, keyf, field)
+            if len(names) > 2:
+                continue  # random bases in three variables take seconds over Q
+            gens = [Polynomial(ring, field, t) for _, _, t in divisors]
+            gb = Ideal(gens).groebner_basis(order)
+            assert (_nf_dict(p, gb._lead_data, keyf, field)
+                    == _reference_nf(p, gb._lead_data, keyf, field))
+
+
+def test_exact_divide_recovers_the_quotient():
+    rng = random.Random(59)
+    for field in (QQ, PrimeField(2147483647)):
+        for _ in range(20):
+            f = Polynomial(BASE_RING, field, _random_terms(rng, field, 2, rng.randint(1, 4), 4))
+            q = Polynomial(BASE_RING, field, _random_terms(rng, field, 2, rng.randint(1, 5), 4))
+            if f.is_zero or q.is_zero:
+                continue
+            assert _exact_divide(f * q, f) == q
+
+
 def test_contains_examples():
     # staircase membership oracle: (1,3) under gens {(2,0),(1,4),(0,5)}
     assert not lattice_member((1, 3), [(2, 0), (1, 4), (0, 5)])
@@ -269,6 +358,85 @@ def test_colength_rejects_positive_dimension():
         colength(ideal("x^2"))
     with pytest.raises(NotZeroDimensional):
         colength(ideal("x, x y"))
+
+
+# -- the origin check ---------------------------------------------------------------
+
+FP = PrimeField(2147483647)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+@pytest.mark.parametrize("text", [
+    "x^3, y^2",
+    "x^2 + y^2, x*y",
+    "x - 2*y, y^2",
+    "x^2 + 4*x*y + 4*y^2, y^3",
+    "x^3 + 6*x^2*y + 12*x*y^2 + 8*y^3, x*y^4 + 2*y^5 - y^6",
+])
+def test_origin_primary_true_cases(text, field):
+    assert is_origin_primary(ideal(text, field))
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+@pytest.mark.parametrize("text", [
+    "x^2 - x, y",             # (1, 0)
+    "x^2 - 2*x*y, y^2 - x",   # (4, 2)
+    "x^2 + y^2 - 1, x*y",     # four points on the axes, the origin not among them
+])
+def test_origin_primary_rejects_zeros_away_from_the_origin(text, field):
+    assert not is_origin_primary(ideal(text, field))
+
+
+def test_origin_primary_non_primary_shapes():
+    assert not is_origin_primary(ideal("x^2"))        # no pure y power leads
+    assert not is_origin_primary(ideal("x + 1, x"))   # unit ideal
+    assert not is_origin_primary(Ideal(parse_ideal_spec("x, y, t", Ring(("x", "y", "t")), QQ)))
+
+
+def test_origin_primary_sieve_prime_in_a_denominator_uses_the_exact_path():
+    p = _SIEVE_FIELD.p
+    for text, want in ((f"{p}*x - y, y^3", True), (f"{p}*x - y, y^3 - y^2", False)):
+        I = ideal(text)
+        assert _mod_p_basis(I.groebner_basis()) is None
+        assert is_origin_primary(I) is want
+
+
+def test_origin_primary_zero_remainder_mod_p_falls_back():
+    # x^2 = p*x mod the basis: zero mod p, yet (p, 0) is a zero of the ideal
+    p = _SIEVE_FIELD.p
+    I = ideal(f"x^2 - {p}*x, y")
+    gb = I.groebner_basis()
+    sieve = _mod_p_basis(gb)
+    assert sieve is not None
+    assert _nf_dict({(2, 0): 1}, sieve, GREVLEX.key(BASE_RING), _SIEVE_FIELD) == {}
+    assert not is_origin_primary(I)
+
+
+def test_origin_primary_matches_exact_membership():
+    """Random pairs as the reduction search draws them, on x -> x+2y twins of
+    monomial ideals: the answer is the exact rational membership of x^ell
+    and y^ell, whatever the sieve decided."""
+    rng = random.Random(61)
+    x, y = poly("x + 2*y"), poly("y")
+    verdicts = []
+    for exps in ([(3, 0), (2, 1), (1, 3), (0, 4)], [(2, 0), (1, 2), (0, 3)],
+                 [(3, 0), (1, 2), (0, 5)]):
+        gens = [x ** a * y ** b for a, b in exps]
+        for _ in range(8):
+            pair = [sum((g.scale(QQ.from_int(rng.choice([0, 1, -1, 2, 5]))) for g in gens),
+                        Polynomial.zero(BASE_RING, QQ)) for _ in range(2)]
+            if any(q.is_zero for q in pair):
+                continue
+            Q = Ideal(pair)
+            try:
+                ell = colength(Q)
+            except NotZeroDimensional:
+                assert not is_origin_primary(Q)
+                continue
+            want = all(ideal_contains(Q, poly(v) ** ell) for v in ("x", "y"))
+            assert is_origin_primary(Q) is want
+            verdicts.append(want)
+    assert len(verdicts) >= 10 and any(verdicts) and not all(verdicts)
 
 
 def test_min_gens_examples():
