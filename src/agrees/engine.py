@@ -222,8 +222,10 @@ def find_reduction(I: Ideal, seed: int = 0, pairs: int = 32, cap: int = 4) -> Re
             combos.append(q)
         candidates.append((combos[0], combos[1]))
 
+    skipped = 0
     for q1, q2 in candidates[:pairs]:
         if q1.is_zero or q2.is_zero:
+            skipped += 1
             continue
         Q = Ideal([q1, q2])
         if not is_origin_primary(Q):
@@ -231,7 +233,8 @@ def find_reduction(I: Ideal, seed: int = 0, pairs: int = 32, cap: int = 4) -> Re
         r = _reduction_number(I, Q, cap)
         if r is not None:
             return ReductionData(Q=(q1, q2), reduction_number=r, stable=r <= 1)
-    raise NoReductionFound(f"no reduction with r <= {cap} found in {pairs} attempts")
+    raise NoReductionFound(f"no reduction with r <= {cap} found in {pairs - skipped} attempts; "
+                           f"{skipped} of {pairs} draws had a zero member and were skipped")
 
 
 def is_stable(I: Ideal, Q: Ideal) -> bool:

@@ -508,13 +508,37 @@ def minimal_generators(I: Ideal) -> list[Polynomial]:
 
 def _nakayama_prune(gens: list[Polynomial], key) -> list[Polynomial]:
     """Graded Nakayama: scanning gens sorted by key, keep g unless it lies in
-    the ideal of the kept ones plus (vars) * gens."""
+    the ideal of the kept ones plus N = (vars) * gens.
+
+    Every a in S is a constant plus an element of (vars), and the kept ones
+    lie in L = (gens), so (kept) + N = span_k(kept) + N: g is redundant iff
+    NF_N(g) lies in span_k(NF_N(kept)).  One reduced basis of N serves every
+    candidate; the span is an echelon of the kept normal forms, one row per
+    leading monomial.
+    """
     if not gens:
         return []
     ring, field = gens[0].ring, gens[0].field
-    scaled = [Polynomial.variable(ring, field, v) * g for v in ring.vars for g in gens]
+    gb = Ideal([Polynomial.variable(ring, field, v) * g
+                for v in ring.vars for g in gens]).groebner_basis()
+    keyf = gb.order.key(ring)
+    zero = field.zero
+    rows: dict[Exponent, _Term] = {}
     kept: list[Polynomial] = []
     for g in sorted(gens, key=key):
-        if not ideal_contains(Ideal(kept + scaled), g):
-            kept.append(g)
+        r = _nf_dict(dict(g.terms), gb._lead_data, keyf, field)
+        while r:
+            lm = _lead(r, keyf)
+            row = rows.get(lm)
+            if row is None:
+                rows[lm] = r
+                kept.append(g)
+                break
+            scale = field.div(r[lm], row[lm])
+            for m, c in row.items():
+                nv = field.sub(r.get(m, zero), field.mul(scale, c))
+                if nv == zero:
+                    r.pop(m, None)
+                else:
+                    r[m] = nv
     return kept

@@ -8,6 +8,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Callable, Iterable, Mapping
 
 from .errors import RingMismatch
@@ -48,11 +49,11 @@ def presentation_ring(s: int) -> Ring:
 # -- monomial helpers --------------------------------------------------------
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a: Exponent, b: Exponent) -> bool:
@@ -60,7 +61,7 @@ def mono_divides(a: Exponent, b: Exponent) -> bool:
 
 
 def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Exponent) -> int:

@@ -3,8 +3,10 @@
 For I = (f_1, ..., f_s) the kernel of x,y,T_i -> x,y,f_i*t is computed as
 (T_1 - f_1 t, ..., T_s - f_s t) intersected with the t-free subring, using a
 block order that eliminates t.  A minimal generating set is then extracted
-degree by degree (the kernel is graded by T-degree), and each generator is
-reported with its (T-degree, coefficient xy-degree) bidegree.
+from that basis by graded Nakayama against (x, y, T_1..T_s) * kernel: one
+basis of that product, then one normal form per candidate (see
+`groebner._nakayama_prune`).  Each generator is reported with its
+(T-degree, coefficient xy-degree) bidegree.
 
 Generator bookkeeping follows the user's generator order; comparing a
 presentation against a source that fixes a particular generator order

@@ -115,6 +115,18 @@ def test_origin_check_on_remark43_twin_pairs(name, monkeypatch):
     assert got == primary
 
 
+def test_no_reduction_note_counts_tested_pairs():
+    # the remark43 m=4 twin x -> x+2y, seed 0: the note counts the 31 pairs
+    # that reach the origin check, not the skipped draw with a zero member
+    x, y = (Polynomial.variable(BASE_RING, QQ, v) for v in ("x", "y"))
+    x = x + y.scale(QQ.from_int(2))
+    I = Ideal([x ** a * y ** b for a, b in family_exponents("remark43", {"m": 4})])
+    with pytest.raises(NoReductionFound) as exc:
+        find_reduction(I, seed=0)
+    assert str(exc.value) == ("no reduction with r <= 4 found in 31 attempts; "
+                              "1 of 32 draws had a zero member and were skipped")
+
+
 # -- stability -----------------------------------------------------------------
 
 def test_stability_truth_instances():

@@ -16,12 +16,14 @@ from agrees.errors import (
     ZeroIdeal,
 )
 from agrees.fields import QQ, PrimeField
+from agrees import groebner, rees
 from agrees.groebner import (
     _SIEVE_FIELD,
     Ideal,
     _buchberger,
     _exact_divide,
     _mod_p_basis,
+    _nakayama_prune,
     _nf_dict,
     colength,
     ideal_colon,
@@ -454,6 +456,111 @@ def test_minimal_generators_monomial_outside_the_plane():
 
 def test_minimal_generators_of_zero_ideal():
     assert minimal_generators(Ideal([Polynomial.zero(BASE_RING, QQ)])) == []
+
+
+def _reference_prune(gens, key):
+    """The per-candidate prune: one basis of kept + (vars) * gens per candidate."""
+    if not gens:
+        return []
+    ring, field = gens[0].ring, gens[0].field
+    scaled = [Polynomial.variable(ring, field, v) * g for v in ring.vars for g in gens]
+    kept = []
+    for g in sorted(gens, key=key):
+        if not ideal_contains(Ideal(kept + scaled), g):
+            kept.append(g)
+    return kept
+
+
+def _random_generators(rng, ring, field):
+    """A few sparse generators plus redundant, duplicate and unit-multiple ones."""
+    def rand_poly():
+        p = Polynomial.zero(ring, field)
+        while p.is_zero:
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(0, 3) for _ in ring.vars)
+                if sum(e) >= 2:
+                    c = field.from_int(rng.randint(1, 5))
+                    p = p + Polynomial.monomial(ring, field, e).scale(c)
+        return p
+
+    base = [rand_poly() for _ in range(3)]
+    var = Polynomial.variable(ring, field, rng.choice(ring.vars))
+    extra = [rng.choice(base),
+             rng.choice(base).scale(field.from_int(rng.randint(2, 9))),
+             rng.choice(base) + var * rng.choice(base),
+             base[0] + base[1].scale(field.from_int(rng.randint(1, 4)))]
+    gens = [g for g in base + extra if not g.is_zero]
+    rng.shuffle(gens)
+    return gens
+
+
+def _rees_prune_inputs(I, monkeypatch):
+    """The t-free list and key that `rees_defining_ideal` hands its prune."""
+    calls = []
+
+    def record(gens, key):
+        calls.append((list(gens), key))
+        return groebner._nakayama_prune(gens, key)
+
+    monkeypatch.setattr(rees, "_nakayama_prune", record)
+    rees.rees_defining_ideal(I)
+    monkeypatch.undo()
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+def test_nakayama_prune_matches_reference(names, field, monkeypatch):
+    ring = Ring(names)
+    keyf = GREVLEX.key(ring)
+
+    def key(g):
+        return (g.min_degree(), keyf(g.leading()[0]))
+
+    rng = random.Random(71 + len(names))
+    for _ in range(12):
+        gens = _random_generators(rng, ring, field)
+        assert _nakayama_prune(gens, key) == _reference_prune(gens, key)
+
+    if names == ("x", "y"):
+        xt = poly("x + 2*y", field)
+        y = poly("y", field)
+        for I in (ideal("x^3, x^2 y^3, x y^5, y^6", field),
+                  ideal("x^2 + y^3, y^4, x y^2", field),
+                  Ideal([xt ** 2, xt * y ** 2, y ** 3])):
+            t_free, rkey = _rees_prune_inputs(I, monkeypatch)
+            got = _nakayama_prune(t_free, rkey)
+            assert got == _reference_prune(t_free, rkey)
+            assert len(got) < len(t_free)  # each kernel basis has a redundant element
+
+
+def _count_buchberger(monkeypatch):
+    calls = []
+    real = groebner._buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    monkeypatch.setattr(rees, "_buchberger", counted)
+    return calls
+
+
+def test_rees_presentation_runs_two_buchberger(monkeypatch):
+    # the elimination, then one basis of (x, y, T_1..T_s) * kernel
+    calls = _count_buchberger(monkeypatch)
+    rees.rees_defining_ideal(ideal("x^3, x^2 y^3, x y^5, y^6"))
+    assert len(calls) == 2
+
+
+def test_minimal_generators_runs_at_most_two_buchberger(monkeypatch):
+    # GB(I), then one basis of (x, y) * GB(I)
+    calls = _count_buchberger(monkeypatch)
+    got = minimal_generators(ideal("x^2 + y^3, y^4, x y^2"))
+    assert len(got) == 3
+    assert len(calls) <= 2
 
 
 def test_ideal_order_examples():

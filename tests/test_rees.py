@@ -106,3 +106,19 @@ def test_mixed_generator_presentation():
     pres = rees_defining_ideal(I)
     assert substitution_check(I, pres)
     assert all(t >= 1 for t, _ in pres.bidegrees)
+
+
+@pytest.mark.parametrize("texts", [
+    ["x^2 + y^3", "y^4", "x*y^2"],
+    # its x -> x+2y twin, expanded
+    ["x^2 + 4*x*y + 4*y^2 + y^3", "y^4", "x*y^2 + 2*y^3"],
+], ids=["mixed", "mixed-twin"])
+def test_mixed_presentation_matches_sympy_elimination(texts):
+    # ideal equality with sympy's t-free kernel catches a missing generator,
+    # which the substitution check alone cannot
+    I = ideal(", ".join(texts))
+    pres = rees_defining_ideal(I)
+    oracle, names = sympy_elimination(texts)
+    mine = [to_sympy(g, names) for g in pres.defining_gens]
+    assert sympy_same_ideal(mine, oracle, names)
+    assert not sympy_same_ideal(mine[1:], oracle, names)
