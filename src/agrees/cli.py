@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in _RANGE_FLAGS:
         survey.add_argument(f"--{flag}", help="range lo..hi or a single value")
     survey.add_argument("--field", default="fp:2147483647",
-                        help="survey default fp:2147483647 with second-prime "
-                             "confirmation of refutations")
+                        help="q (exact rationals) or fp:<prime>; surveys default "
+                             "to fp:2147483647")
     survey.add_argument("--seed", type=int, default=0)
     survey.add_argument("--jobs", type=int, default=1)
     survey.add_argument("--out", help="CSV path (stdout when omitted)")

@@ -152,7 +152,6 @@ class PrimeField:
 QQ = RationalField()
 
 DEFAULT_SURVEY_PRIME = 2147483647
-CONFIRM_PRIME = 2147483629
 
 
 def field_from_config(text: str):

@@ -20,7 +20,6 @@ from .engine import (
     is_stable,
     necessary_bound,
     verify_witness,
-    witness_candidates,
 )
 from .errors import UnknownCheckId
 from .families import make_family
@@ -90,8 +89,11 @@ def check_thm14_simplest(seed: int) -> CheckResult:
     )
 
 
-def _stability_truth_table(n_max: int) -> tuple[int, int]:
+def _stability_truth_table(n_max: int) -> tuple[int, int, list]:
+    """(tuples, mismatches, tuples predicted stable) of contracted-o3 with
+    n <= n_max, stability read against the pure-power pair (x^3, y^n)."""
     total = bad = 0
+    stable = []
     for n in range(3, n_max + 1):
         for alpha in range(1, n):
             for beta in range(alpha + 1, n):
@@ -101,11 +103,13 @@ def _stability_truth_table(n_max: int) -> tuple[int, int]:
                 total += 1
                 if is_stable(I, Q) != predicted:
                     bad += 1
-    return total, bad
+                if predicted:
+                    stable.append((n, alpha, beta))
+    return total, bad, stable
 
 
 def check_prop41_boundary(seed: int) -> CheckResult:
-    total, bad = _stability_truth_table(7)
+    total, bad, _ = _stability_truth_table(7)
     return CheckResult(
         "prop41-boundary",
         f"{total} tuples, 0 mismatches",
@@ -114,31 +118,20 @@ def check_prop41_boundary(seed: int) -> CheckResult:
 
 
 def check_boundary_witnesses(seed: int) -> CheckResult:
-    """Stable boundary tuples n + alpha = 2*beta certify, with the difference
-    h = x^2 - y^(n-alpha) available in the candidate pool."""
-    total = bad = 0
-    stability_bad = 0
-    for n in range(3, 10):
-        for alpha in range(1, n):
-            for beta in range(alpha + 1, n):
-                I = make_family("contracted-o3", {"n": n, "alpha": alpha, "beta": beta})
-                Q = _mono_ideal([(3, 0), (0, n)])
-                predicted = beta <= 2 * alpha and n <= alpha + beta and n + alpha <= 2 * beta
-                if is_stable(I, Q) != predicted:
-                    stability_bad += 1
-                if not (predicted and n + alpha == 2 * beta):
-                    continue
-                total += 1
-                rep = classify(I, ClassifyConfig(seed=seed))
-                ok = rep.verdict is Verdict.AG_CERTIFIED
-                J = canonical_colon(I, Q, stable=True)
-                h = _poly(f"x^2 - y^{n - alpha}")
-                ok = ok and verify_witness(I, J, _poly("y"), _poly("x^3"), h)
-                hs, _, _ = witness_candidates(I, Q, J, budget=64, seed=seed)
-                ok = ok and any(c.monic() == h.monic() for c in hs)
-                if not ok:
-                    bad += 1
-    expected = f"stability exact, {total} boundary tuples certified with pool witness"
+    """Stable boundary tuples n + alpha = 2*beta certify, and the published
+    triple f = y, g = x^3, h = x^2 - y^(n-alpha) verifies on each of them."""
+    _, stability_bad, stable = _stability_truth_table(9)
+    boundary = [(n, alpha, beta) for n, alpha, beta in stable if n + alpha == 2 * beta]
+    total, bad = len(boundary), 0
+    for n, alpha, beta in boundary:
+        I = make_family("contracted-o3", {"n": n, "alpha": alpha, "beta": beta})
+        rep = classify(I, ClassifyConfig(seed=seed))
+        J = canonical_colon(I, _mono_ideal([(3, 0), (0, n)]), stable=True)
+        h = _poly(f"x^2 - y^{n - alpha}")
+        if not (rep.verdict is Verdict.AG_CERTIFIED
+                and verify_witness(I, J, _poly("y"), _poly("x^3"), h)):
+            bad += 1
+    expected = f"stability exact, {total} boundary tuples certified"
     if stability_bad:
         got = f"{stability_bad} stability mismatches"
     elif bad:

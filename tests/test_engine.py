@@ -10,9 +10,6 @@ from agrees.engine import (
     ClassifyConfig,
     Verdict,
     _WitnessSpaces,
-    _candidate_pools,
-    _combine,
-    _sum_equals,
     canonical_colon,
     certificate_search,
     classify,
@@ -22,7 +19,6 @@ from agrees.engine import (
     necessary_bound,
     validate_report,
     verify_witness,
-    witness_candidates,
 )
 from agrees.errors import BadParameters, NoReductionFound, NotContained, NotStable
 from agrees.families import family_exponents, make_family
@@ -189,9 +185,10 @@ def test_certificate_high_order_simplest():
     Q = ideal("x^2, y^5")
     J = canonical_colon(I, Q, stable=True)
     w = certificate_search(I, Q, J)
-    assert w is not None
-    assert (str(w.f), str(w.g), str(w.h)) == ("x", "x^2", "y")
+    assert w is not None and w == certificate_search(I, Q, J)
     assert verify_witness(I, J, w.f, w.g, w.h)
+    # so does the sparse triple (x, x^2, y)
+    assert verify_witness(I, J, poly("x"), poly("x^2"), poly("y"))
 
 
 def test_certificate_boundary_family():
@@ -200,12 +197,8 @@ def test_certificate_boundary_family():
     J = canonical_colon(I, Q, stable=True)
     w = certificate_search(I, Q, J)
     assert w is not None and verify_witness(I, J, w.f, w.g, w.h)
-    # the published triple also verifies, and its h sits in the candidate pool
-    paper = (poly("y"), poly("x^3"), poly("x^2 - y^2"))
-    assert verify_witness(I, J, *paper)
-    hs, gs, fs = witness_candidates(I, Q, J)
-    assert any(c.monic() == paper[2].monic() for c in hs)
-    assert paper[1] in gs and any(c.monic() == paper[0].monic() for c in fs)
+    # the published triple also verifies
+    assert verify_witness(I, J, poly("y"), poly("x^3"), poly("x^2 - y^2"))
 
 
 def test_certificate_three_gen_even_case():
@@ -233,14 +226,32 @@ def test_certificate_deterministic():
     assert w1 == w2
 
 
-# (f, g, h) as certificate_search returned them before candidates were
-# rank-tested: the rank test only skips candidates that fail the exact
-# comparison, so the scan order and the witness found must not move
-PINNED = {
-    "boundary-q": ("x", "x^3", "y^2"),
-    "boundary-twin-q": ("y", "x^3 + 6*x^2*y + 12*x*y^2 + 8*y^3", "x^2"),
-    "order-four-fp": ("x - y", "y^7 + x^4", "x^2*y"),
-}
+def test_verify_witness_is_local():
+    # g = x^2 (1 + x) is x^2 times a unit of the local ring, so gJ + Ih = IJ
+    # holds locally, although globally both sides differ at (-1, 0)
+    I, J = ideal("x^2, x y, y^2"), ideal("x, y")
+    f, g, h = poly("x"), poly("x^2 + x^3"), poly("y")
+    assert verify_witness(I, J, f, g, h)
+    left = Ideal([g * w for w in J.generators] + [a * h for a in I.generators])
+    assert not ideal_equal(ideal_product(I, J), left)
+
+
+def test_witness_outside_its_ideal_is_rejected():
+    # unit entries would make both sums trivially full; membership rejects them
+    I = ideal("x^2, x y^4, y^5")
+    rep = classify(I)
+    assert rep.verdict is Verdict.AG_CERTIFIED and validate_report(I, rep)
+    J = Ideal(list(rep.colon_gens))
+    one = poly("1")
+    for bad in (replace(rep.witness, g=one), replace(rep.witness, f=one),
+                replace(rep.witness, h=one)):
+        assert not verify_witness(I, J, bad.f, bad.g, bad.h)
+        assert not validate_report(I, replace(rep, witness=bad))
+
+
+# ideals whose certificates are checked on the monomial ideal over q, on an
+# x -> x+2y twin over q (no staircase anywhere) and over a prime field
+PINNED = ("boundary-q", "boundary-twin-q", "order-four-fp")
 
 
 def _pinned_case(name):
@@ -256,45 +267,41 @@ def _pinned_case(name):
     return I, Q, canonical_colon(I, Q, stable=True)
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("name", PINNED)
 def test_certificate_pinned_witness(name):
-    w = certificate_search(*_pinned_case(name))
-    assert (str(w.f), str(w.g), str(w.h)) == PINNED[name]
+    I, Q, J = _pinned_case(name)
+    w = certificate_search(I, Q, J)
+    assert w is not None and w == certificate_search(I, Q, J)
+    assert verify_witness(I, J, w.f, w.g, w.h)
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("name", PINNED)
 def test_rank_test_passes_every_exact_equality(name):
-    """Whenever gJ + Ih = IJ (or fJ + mh = mJ) holds exactly, the candidate
-    also passes its rank test modulo m*IJ (or m^2*J)."""
+    """On seeded sparse and dense triples, both ranks are full exactly when
+    verify_witness holds: in both directions, not only on exact equalities."""
     I, Q, J = _pinned_case(name)
     fld = I.field
     sp = _WitnessSpaces(I, J, minimal_generators(J))
     m = maximal_ideal(I.ring, fld)
-    hs, gs, fs = _candidate_pools(I, Q, sp.j_min, 64, 0)
-    stairs = staircase_of_ideal(sp.IJ), staircase_of_ideal(sp.mJ)
-    exact = rejected = 0
-    for h, c in hs:
-        assert h == sum((w.scale(cj) for cj, w in zip(c, sp.j_min)),
-                        Polynomial.zero(I.ring, fld))
-        h_rows = [_combine(per_w, c, fld) for per_w in sp.by_I]
-        mh_rows = [_combine(per_w, c, fld) for per_w in sp.by_m]
-        for g in gs:
-            rows = [sp.ij.coords(g * w) for w in sp.j_min]
-            passes = sp.ij.rank(rows + h_rows, fld) == sp.mu_IJ
-            parts = [g * w for w in J.generators] + [a * h for a in I.generators]
-            if _sum_equals(sp.IJ, stairs[0], list(sp.IJ.generators), parts):
-                exact += 1
-                assert passes, (str(g), str(h))
-            rejected += not passes
-        for f in fs:
-            rows = [sp.mj.coords(f * w) for w in sp.j_min]
-            passes = sp.mj.rank(rows + mh_rows, fld) == sp.mu_mJ
-            parts = [f * w for w in J.generators] + [v * h for v in m.generators]
-            if _sum_equals(sp.mJ, stairs[1], list(sp.mJ.generators), parts):
-                exact += 1
-                assert passes, (str(f), str(h))
-            rejected += not passes
-    assert exact > 0 and rejected > 0
+    rng = random.Random(derive_seed("rank-vs-exact", name))
+
+    def coeffs(n):
+        # sparse draws are mostly 0 and +-1, dense ones are wide
+        if rng.random() < 0.5:
+            return [fld.from_int(rng.choice((0, 0, 1, -1))) for _ in range(n)]
+        return [fld.from_int(rng.randint(-99, 99)) for _ in range(n)]
+
+    def span(c, gens):
+        return sum((p.scale(cj) for cj, p in zip(c, gens)), Polynomial.zero(I.ring, fld))
+
+    outcomes = set()
+    for _ in range(24):
+        a, c, b = coeffs(len(sp.i_min)), coeffs(len(sp.j_min)), coeffs(2)
+        passes = sp.full_ranks(a, b, c, fld)
+        f, g, h = span(b, m.generators), span(a, sp.i_min), span(c, sp.j_min)
+        assert passes == verify_witness(I, J, f, g, h), (str(f), str(g), str(h))
+        outcomes.add(passes)
+    assert outcomes == {True, False}
 
 
 # -- the refuter --------------------------------------------------------------------
@@ -413,20 +420,49 @@ def test_classify_unstable_is_unknown():
 def test_classify_designated_q_unstable_but_true_reduction_found():
     # (n, alpha, beta) = (6, 2, 3): the family's pure-power pair is not a
     # reduction (its multiplicity is too large), but a vertex split of the
-    # Newton polygon is, with reduction number one; the verdict stays honest
+    # Newton polygon is, with reduction number one; the ideal is integrally
+    # closed, so R(I) is almost Gorenstein
     I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
     Q = ideal("x^3, y^6")
     assert not is_stable(I, Q)
     rep = classify(I)
     assert rep.reduction is not None and rep.reduction.stable
-    assert rep.verdict is Verdict.UNKNOWN
+    assert rep.integrally_closed
+    assert rep.verdict is Verdict.AG_CERTIFIED and validate_report(I, rep)
 
 
-def test_classify_over_prime_field_confirms_with_second_prime():
+@pytest.mark.parametrize("params", [(5, 2, 4), (6, 2, 3), (7, 2, 3), (7, 3, 6)])
+def test_classify_contracted_o3_certified(params):
+    n, alpha, beta = params
+    I = make_family("contracted-o3", {"n": n, "alpha": alpha, "beta": beta}, field=FP)
+    rep = classify(I, ClassifyConfig(seed=derive_seed(0, "contracted-o3", *params)))
+    assert rep.verdict is Verdict.AG_CERTIFIED and validate_report(I, rep)
+
+
+def test_classify_over_prime_field_uses_its_own_prime():
     I = ideal("x^3, x^2 y^3, x y^5, y^6", FP)
     rep = classify(I)
     assert rep.verdict is Verdict.NOT_AG
-    assert rep.refutation.primes == (2147483647, 2147483629)
+    assert rep.refutation.primes == (2147483647,)
+    assert validate_report(I, rep)
+
+
+@pytest.mark.parametrize("c", ["1/3", "-1/2", "5/7"])
+def test_classify_prime_field_twin_with_fraction_matches_q(c):
+    # three-gen (n=5, alpha=3) under x -> x + c*y: the fp coefficients of the
+    # twin are residues of fractions, so the verdict over fp must be the one
+    # over q, not that of an ideal re-read from integer representatives
+    verdicts = set()
+    for field in (QQ, FP):
+        x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
+        x = x + y * poly(c, field)
+        I = Ideal([x ** a * y ** b for a, b in family_exponents("three-gen", {"n": 5, "alpha": 3})])
+        rep = classify(I)
+        assert validate_report(I, rep)
+        if field is FP:
+            assert rep.refutation.primes == (FP.p,)
+        verdicts.add(rep.verdict)
+    assert verdicts == {Verdict.NOT_AG}
 
 
 def test_classify_m_primary_guard():
@@ -454,6 +490,22 @@ def test_integrally_closed_never_refuted():
         verdicts.add(rep.verdict)
         assert rep.verdict is not Verdict.NOT_AG, S
     assert Verdict.AG_CERTIFIED in verdicts
+
+
+def test_integrally_closed_is_almost_gorenstein():
+    # GMTY1: every integrally closed m-primary I has an almost Gorenstein
+    # R(I); only a missing reduction may leave such an ideal undecided
+    from agrees.repro import random_staircase
+    from agrees.staircase import ideal_of_staircase, newton_closure
+
+    rng = random.Random(2016)
+    for k in range(150):
+        S = newton_closure(random_staircase(rng, 8, 3))
+        I = ideal_of_staircase(S, BASE_RING, FP)
+        rep = classify(I, ClassifyConfig(seed=k))
+        if rep.reduction is None:
+            continue
+        assert rep.verdict in (Verdict.GORENSTEIN, Verdict.AG_CERTIFIED), (S, rep.notes)
 
 
 def test_stability_for_low_order_random():
