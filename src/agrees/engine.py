@@ -1,8 +1,10 @@
 """Classifier for the almost Gorenstein property of Rees algebras.
 
-The pipeline: find a 2-generated reduction Q of I, require stability
-(I^2 = QI), read everything off the colon ideal J = Q : I, then either
-certify with a witness triple (f, g, h) satisfying, in k[x,y]_(x,y),
+Everything is decided in the local ring k[x,y]_(x,y) by Nakayama ranks in
+quotients by m-primary ideals.  The pipeline: find a 2-generated reduction
+Q of I (a rank in I^(r+1)/m*I^(r+1); Q may vanish away from the origin),
+require stability (I^2 = QI), read everything off the local colon ideal
+J = Q : I, then either certify with a witness triple (f, g, h) satisfying
 
     IJ = gJ + Ih    and    mJ = fJ + mh,
 
@@ -144,124 +146,7 @@ def _mu(I: Ideal) -> int:
     return len(s.gens) if s is not None else min_gens(I)
 
 
-# -- reductions ---------------------------------------------------------------
-
-def _reduction_number(I: Ideal, Q: Ideal, cap: int) -> int | None:
-    """Minimal r <= cap with I^{r+1} = Q I^r; Q <= I is assumed."""
-    if _contained_in(I, Q):
-        return 0
-    power = I
-    for r in range(1, cap + 1):
-        lhs = _mul(I, power)
-        rhs = _mul(Q, power)
-        if _contained_in(lhs, rhs):  # the reverse inclusion holds since Q <= I
-            return r
-        power = lhs
-    return None
-
-
-def find_reduction(I: Ideal, seed: int = 0, pairs: int = 32, cap: int = 4) -> ReductionData:
-    """Find a parameter reduction Q of I together with its reduction number.
-
-    Monomial ideals whose pure powers x^a, y^b dominate the Newton polygon
-    get Q = (x^a, y^b).  Otherwise pairs of linear combinations of the
-    generators are tried: first the even/odd splits of the Newton-polygon
-    vertices (their supports cover the polygon, so they are always local
-    reductions), then seeded random sparse combinations.  A pair is only
-    accepted when it is m-primary as a global ideal; combinations that pick
-    up zeros away from the origin would silently corrupt every later colon,
-    so they are rejected rather than trusted.
-    """
-    ring, fld = I.ring, I.field
-    stair = staircase_of_ideal(I)
-    candidates: list[tuple[Polynomial, Polynomial]] = []
-    if stair is not None and stair.is_m_primary:
-        a = stair.gens[0][0]
-        b = stair.gens[-1][1]
-        if all(i * b + j * a >= a * b for i, j in stair.gens):
-            Q = Ideal([
-                Polynomial.monomial(ring, fld, (a, 0)),
-                Polynomial.monomial(ring, fld, (0, b)),
-            ])
-            r = _reduction_number(I, Q, cap)
-            if r is None:
-                raise NoReductionFound(
-                    f"pure-power reduction exceeds reduction number {cap}")
-            return ReductionData(Q=(Q.generators[0], Q.generators[1]),
-                                 reduction_number=r, stable=r <= 1)
-        seen_splits = set()
-        for pts in (tuple(hull_vertices(stair.gens)), stair.gens):
-            if len(pts) < 2 or pts in seen_splits:
-                continue
-            seen_splits.add(pts)
-            even = [Polynomial.monomial(ring, fld, e) for e in pts[0::2]]
-            odd = [Polynomial.monomial(ring, fld, e) for e in pts[1::2]]
-            q1 = sum(even[1:], even[0])
-            q2 = sum(odd[1:], odd[0])
-            candidates.append((q1, q2))
-
-    rng = random.Random(derive_seed(seed, "reduction"))
-    gens = [g for g in I.generators if not g.is_zero]
-    zero = Polynomial.zero(ring, fld)
-
-    def menu() -> int:
-        pick = rng.randrange(6)
-        return (0, 0, 1, -1, 2, rng.randint(3, 99))[pick]
-
-    while len(candidates) < pairs:
-        combos = []
-        for _ in range(2):
-            q = zero
-            for g in gens:
-                q = q + g.scale(fld.from_int(menu()))
-            combos.append(q)
-        candidates.append((combos[0], combos[1]))
-
-    skipped = 0
-    for q1, q2 in candidates[:pairs]:
-        if q1.is_zero or q2.is_zero:
-            skipped += 1
-            continue
-        Q = Ideal([q1, q2])
-        if not is_origin_primary(Q):
-            continue
-        r = _reduction_number(I, Q, cap)
-        if r is not None:
-            return ReductionData(Q=(q1, q2), reduction_number=r, stable=r <= 1)
-    raise NoReductionFound(f"no reduction with r <= {cap} found in {pairs - skipped} attempts; "
-                           f"{skipped} of {pairs} draws had a zero member and were skipped")
-
-
-def is_stable(I: Ideal, Q: Ideal) -> bool:
-    """I^2 = QI for the given reduction; raises if Q is not inside I."""
-    if not _contained_in(Q, I):
-        raise NotContained("Q is not contained in I")
-    return _contained_in(_mul(I, I), _mul(Q, I))
-
-
-def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
-                    contracted: bool | None = None) -> Ideal:
-    """J = Q : I; for contracted stable I the orders must satisfy o(I) = o(J)+1.
-
-    `stable` and `contracted`, when the caller already knows them, skip
-    recomputing I^2 = QI and mu(I) = o(I) + 1.
-    """
-    sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
-    if sQ is not None and sI is not None:
-        J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
-    else:
-        J = ideal_colon(Q, I)
-    if stable is None:
-        stable = is_stable(I, Q)
-    if stable and (is_contracted(I) if contracted is None else contracted):
-        o_i, o_j = ideal_order(I), ideal_order(J)
-        if o_i != o_j + 1:
-            raise RuntimeError(
-                f"order drop violated: o(I)={o_i}, o(J)={o_j} for contracted stable input")
-    return J
-
-
-# -- witness quotients ------------------------------------------------------------
+# -- quotients modulo m-primary ideals -----------------------------------------
 
 class _Quotient:
     """R/top with one column per standard monomial met so far.
@@ -290,6 +175,146 @@ class _Quotient:
             dense.append(d)
         return _rank(dense, fld)
 
+
+# -- reductions ---------------------------------------------------------------
+
+_REDUCTION_PAIRS = 32  # seeded menu draws tried for an ideal without a staircase
+_REDUCTION_CAP = 4     # largest reduction number searched for
+
+
+class _Powers:
+    """Level r of I, built once and shared by every candidate pair: gens(I^r),
+    R/m*I^(r+1) and mu(I^(r+1)) = colength(m*I^(r+1)) - colength(I^(r+1))."""
+
+    def __init__(self, I: Ideal):
+        self._I = I
+        self._m = maximal_ideal(I.ring, I.field)
+        self._power = I  # I^(r+1) of the newest level; I before any is built
+        self._levels: list = []
+
+    def level(self, r: int) -> tuple:
+        while len(self._levels) <= r:
+            if self._levels:
+                gens = list(self._power.generators)
+                self._power = _mul(self._I, self._power)
+            else:
+                gens = [Polynomial.one(self._I.ring, self._I.field)]
+            top = _mul(self._m, self._power)
+            self._levels.append(
+                (gens, _Quotient(top), _colength(top) - _colength(self._power)))
+        return self._levels[r]
+
+
+def _reduction_number(I: Ideal, Q: Ideal, cap: int,
+                      powers: _Powers | None = None) -> int | None:
+    """Minimal r <= cap with I^{r+1} = Q I^r in k[x,y]_(x,y); Q <= I is assumed.
+
+    Both sides lie between m*I^{r+1} and I^{r+1}, so by Nakayama they agree
+    locally iff the classes of q * p (q in Q, p in gens(I^r)) span
+    I^{r+1}/m*I^{r+1}, i.e. have rank mu(I^{r+1}).  That quotient is
+    supported at the origin, so Q may vanish elsewhere.
+    """
+    powers = powers or _Powers(I)
+    for r in range(cap + 1):
+        gens, quotient, mu = powers.level(r)
+        rows = [quotient.coords(q * p) for q in Q.generators for p in gens]
+        if quotient.rank(rows, I.field) == mu:
+            return r
+    return None
+
+
+def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
+    """Find a two-generated reduction Q of I in k[x,y]_(x,y) and its
+    reduction number, decided by `_reduction_number`'s local rank test.
+
+    A monomial ideal gets one pair: Q = (x^a, y^b) when those pure powers
+    dominate the Newton polygon, else the even/odd split of the polygon's
+    vertices.  On every edge of the polygon each member of the split has a
+    single term, so the pair is Newton non-degenerate and hence a reduction.
+    Other ideals try seeded sparse combinations of their generators.  Every
+    pair is tested for r <= 1 before any is tested up to `_REDUCTION_CAP`,
+    so a pair with r <= 1 is found before any pair builds I^3 and beyond.
+    """
+    ring, fld = I.ring, I.field
+    stair = staircase_of_ideal(I)
+    if stair is not None and stair.is_m_primary:
+        a, b = stair.gens[0][0], stair.gens[-1][1]
+        if all(i * b + j * a >= a * b for i, j in stair.gens):
+            pts = [(a, 0), (0, b)]
+        else:
+            pts = hull_vertices(stair.gens)
+        monos = [Polynomial.monomial(ring, fld, e) for e in pts]
+        pairs = [Ideal([sum(monos[2::2], monos[0]), sum(monos[3::2], monos[1])])]
+    else:
+        rng = random.Random(derive_seed(seed, "reduction"))
+        gens = [g for g in I.generators if not g.is_zero]
+
+        def menu() -> int:
+            pick = rng.randrange(6)
+            return (0, 0, 1, -1, 2, rng.randint(3, 99))[pick]
+
+        def combo() -> Polynomial:
+            return sum((g.scale(fld.from_int(menu())) for g in gens), Polynomial.zero(ring, fld))
+
+        def draws():
+            for _ in range(_REDUCTION_PAIRS):
+                q1, q2 = combo(), combo()
+                if not (q1.is_zero or q2.is_zero):
+                    yield Ideal([q1, q2])
+
+        pairs = draws()  # lazily: the first draw is usually a stable reduction
+
+    powers = _Powers(I)
+    tried: list[Ideal] = []
+    for Q in pairs:
+        r = _reduction_number(I, Q, 1, powers)
+        if r is not None:
+            return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
+        tried.append(Q)
+    for Q in tried:
+        r = _reduction_number(I, Q, _REDUCTION_CAP, powers)
+        if r is not None:
+            return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
+    raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(tried)} pairs")
+
+
+def is_stable(I: Ideal, Q: Ideal) -> bool:
+    """I^2 = QI in k[x,y]_(x,y); raises if Q is not inside I."""
+    if not _contained_in(Q, I):
+        raise NotContained("Q is not contained in I")
+    return _reduction_number(I, Q, 1) is not None
+
+
+def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
+                    contracted: bool | None = None) -> Ideal:
+    """J = Q : I in k[x,y]_(x,y), as an m-primary ideal; raises NotStable
+    unless I^2 = QI.  For contracted I the orders satisfy o(I) = o(J) + 1.
+
+    A monomial Q is the pure-power pair (a stable monomial pair is
+    m-primary) and takes the staircase colon.  Any other Q may vanish away
+    from the origin; then J = (Q : I) + I^2, as a reduced basis: I^2 = QI
+    lies in Q locally, so the sum is m-primary with the localization of the
+    local colon, and two m-primary ideals with one localization are equal.
+    `stable` and `contracted`, when the caller already knows them, skip
+    recomputing I^2 = QI and mu(I) = o(I) + 1.
+    """
+    if not (is_stable(I, Q) if stable is None else stable):
+        raise NotStable("the canonical colon needs I^2 = QI")
+    sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
+    if sQ is not None and sI is not None:
+        J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
+    else:
+        local = Ideal(list(ideal_colon(Q, I).generators) + list(_mul(I, I).generators))
+        J = Ideal(list(local.groebner_basis()))
+    if is_contracted(I) if contracted is None else contracted:
+        o_i, o_j = ideal_order(I), ideal_order(J)
+        if o_i != o_j + 1:
+            raise RuntimeError(
+                f"order drop violated: o(I)={o_i}, o(J)={o_j} for contracted stable input")
+    return J
+
+
+# -- witness quotients ------------------------------------------------------------
 
 def _combine(per_w: list[dict], c: list, fld) -> dict:
     """Coordinates of a * h for h = sum c_j w_j, from those of each a * w_j."""

@@ -18,7 +18,6 @@ from .errors import (
     ZeroDivisorIdeal,
     ZeroIdeal,
 )
-from .fields import DEFAULT_SURVEY_PRIME, PrimeField, RationalField
 from .poly import (
     GREVLEX,
     BlockElimination,
@@ -416,10 +415,7 @@ def is_origin_primary(I: Ideal) -> bool:
 
     Finite colength alone admits zeros away from the origin; those are ruled
     out by checking that pure variable powers lie in the ideal itself (the
-    nilpotency index on R/I is at most its length).  Over Q each power is
-    first reduced modulo a prime (`_mod_p_basis`): a nonzero remainder there
-    already proves it is not in the ideal, so the rational normal forms run
-    only when both remainders mod p are zero.
+    nilpotency index on R/I is at most its length).
     """
     if I.ring.arity != 2:
         return False
@@ -435,43 +431,7 @@ def is_origin_primary(I: Ideal) -> bool:
 
     ell = mono_colength(staircase_normalize(leads))
     powers = [Polynomial.variable(I.ring, I.field, v) ** ell for v in ("x", "y")]
-    sieve = _mod_p_basis(gb)
-    if sieve is not None:
-        keyf = gb.order.key(gb.ring)
-        for pw in powers:
-            if _nf_dict({e: _SIEVE_FIELD.one for e in pw.terms}, sieve, keyf, _SIEVE_FIELD):
-                return False
     return all(normal_form(pw, gb).is_zero for pw in powers)
-
-
-# Prime of the exact rejection test in `is_origin_primary`.
-_SIEVE_FIELD = PrimeField(DEFAULT_SURVEY_PRIME)
-
-
-def _mod_p_basis(gb: GroebnerBasis) -> list | None:
-    """gb reduced modulo the sieve prime p, as `_nf_dict` entries; None unless
-    gb is over Q and p divides none of its denominators.
-
-    Then gb mod p is still a Groebner basis (Arnold, JSC 35 (2003)): gb is
-    monic and p-integral, so dividing by it needs no inverses and the
-    standard representations of its S-polynomials survive reduction mod p.
-    Hence NF(f, gb) mod p = NF(f, gb mod p) for p-integral f, and a nonzero
-    remainder mod p proves f is not in the ideal.  A zero one proves nothing.
-    """
-    if not isinstance(gb.field, RationalField):
-        return None
-    fp = _SIEVE_FIELD
-    out = []
-    for lm, _, terms in gb._lead_data:
-        reduced = {}
-        for m, c in terms.items():
-            if c.denominator % fp.p == 0:
-                return None
-            v = fp.fraction(c.numerator, c.denominator)
-            if v:
-                reduced[m] = v
-        out.append((lm, fp.one, reduced))
-    return out
 
 
 def maximal_ideal(ring: Ring, field) -> Ideal:

@@ -20,15 +20,16 @@ from agrees.engine import (
     validate_report,
     verify_witness,
 )
-from agrees.errors import BadParameters, NoReductionFound, NotContained, NotStable
+from agrees.errors import BadParameters, NotContained, NotStable
 from agrees.families import family_exponents, make_family
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
     Ideal,
+    _contains_all,
+    ideal_colon,
     ideal_equal,
     ideal_pow,
     ideal_product,
-    is_origin_primary,
     maximal_ideal,
     minimal_generators,
 )
@@ -80,47 +81,85 @@ def test_reduction_deterministic():
     assert a == b
 
 
-# Origin checks on the pairs the reduction search draws for the remark43 m=4
-# twin x -> x+2y, as recorded with exact rational membership before the
-# mod-p rejection: seed 0 draws one origin-primary pair, at index 11; the
-# benchmark's seed for this twin draws none.  Of each seed's 32 draws one has
-# a zero member and is skipped.
-REMARK43_TWIN_PAIRS = {
-    "seed-0": (0, {11}),
-    "benchmark-seed": (derive_seed(0, "remark43(m=4) x->x+(2)y"), set()),
+def _twin(exps, field):
+    """The ideal generated by (x + 2y)^a * y^b for (a, b) in exps."""
+    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
+    x = x + y.scale(field.from_int(2))
+    return Ideal([x ** a * y ** b for a, b in exps])
+
+
+def _reference_reduction_number(I, Q, cap):
+    """Minimal r <= cap with I^{r+1} = Q I^r as global ideals, by product
+    containments; Q <= I is assumed."""
+    if _contains_all(Q, I.generators):
+        return 0
+    power = I
+    for r in range(1, cap + 1):
+        lhs = ideal_product(I, power)
+        if _contains_all(ideal_product(Q, power), lhs.generators):
+            return r
+        power = lhs
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_reduction_number_matches_products_on_staircases(field):
+    # a pure-power pair is m-primary, so the local rank test and the global
+    # containments must agree, on pairs that are reductions and on those that
+    # are not
+    from agrees.repro import random_staircase
+    from agrees.staircase import ideal_of_staircase
+
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(60):
+        S = random_staircase(rng, 6, 3)
+        I = ideal_of_staircase(S, BASE_RING, field)
+        Q = Ideal([Polynomial.monomial(BASE_RING, field, e)
+                   for e in ((S.gens[0][0], 0), (0, S.gens[-1][1]))])
+        r = engine._reduction_number(I, Q, 4)
+        assert r == _reference_reduction_number(I, Q, 4), S
+        seen.add(r)
+    assert None in seen and {0, 1, 2} <= seen
+
+
+def test_reduction_number_matches_products_on_twins():
+    # x -> x+2y twins of staircases with the twin of their pure-power pair:
+    # no staircase anywhere, and the pair is still m-primary
+    from agrees.repro import random_staircase
+
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(12):
+        S = random_staircase(rng, 5, 2)
+        I = _twin(S.gens, QQ)
+        Q = _twin([(S.gens[0][0], 0), (0, S.gens[-1][1])], QQ)
+        r = engine._reduction_number(I, Q, 3)
+        assert r == _reference_reduction_number(I, Q, 3), S
+        seen.add(r)
+    assert None in seen and 1 in seen
+
+
+# the x -> x+2y twins of remark43 and the refuter numbers (min_sum, threshold)
+# of their monomial sources; m=4 over q also runs with the benchmark's seed
+REMARK43_TWINS = {
+    "m4-q-seed-0": (4, QQ, 0),
+    "m4-q-benchmark-seed": (4, QQ, derive_seed(0, "remark43(m=4) x->x+(2)y")),
+    "m5-fp": (5, FP, 0),
 }
 
 
-@pytest.mark.parametrize("name", sorted(REMARK43_TWIN_PAIRS))
-def test_origin_check_on_remark43_twin_pairs(name, monkeypatch):
-    seed, primary = REMARK43_TWIN_PAIRS[name]
-    x, y = (Polynomial.variable(BASE_RING, QQ, v) for v in ("x", "y"))
-    x = x + y.scale(QQ.from_int(2))
-    I = Ideal([x ** a * y ** b for a, b in family_exponents("remark43", {"m": 4})])
-    drawn = []
-
-    def record(Q):
-        drawn.append(Q)
-        return False
-
-    monkeypatch.setattr(engine, "is_origin_primary", record)
-    with pytest.raises(NoReductionFound):
-        find_reduction(I, seed=seed)
-    assert len(drawn) == 31
-    got = {i for i, Q in enumerate(drawn) if is_origin_primary(Q)}
-    assert got == primary
-
-
-def test_no_reduction_note_counts_tested_pairs():
-    # the remark43 m=4 twin x -> x+2y, seed 0: the note counts the 31 pairs
-    # that reach the origin check, not the skipped draw with a zero member
-    x, y = (Polynomial.variable(BASE_RING, QQ, v) for v in ("x", "y"))
-    x = x + y.scale(QQ.from_int(2))
-    I = Ideal([x ** a * y ** b for a, b in family_exponents("remark43", {"m": 4})])
-    with pytest.raises(NoReductionFound) as exc:
-        find_reduction(I, seed=0)
-    assert str(exc.value) == ("no reduction with r <= 4 found in 31 attempts; "
-                              "1 of 32 draws had a zero member and were skipped")
+@pytest.mark.parametrize("name", sorted(REMARK43_TWINS))
+def test_remark43_twin_matches_its_source(name):
+    m, field, seed = REMARK43_TWINS[name]
+    numbers = {4: (8, 6), 5: (11, 8)}[m]
+    source = make_family("remark43", {"m": m}, field=field)
+    I = _twin(family_exponents("remark43", {"m": m}), field)
+    for ideal_ in (source, I):
+        rep = classify(ideal_, ClassifyConfig(seed=seed))
+        assert rep.verdict is Verdict.NOT_AG, rep.notes
+        assert (rep.refutation.min_sum, rep.refutation.threshold) == numbers
+        assert validate_report(ideal_, rep)
 
 
 # -- stability -----------------------------------------------------------------
@@ -156,6 +195,24 @@ def test_colon_of_parameter_ideal_is_unit():
     Q = ideal("x^3, y^6")
     J = canonical_colon(Q, Q, stable=True)
     assert staircase_of_ideal(J).gens == ((0, 0),)
+
+
+def test_colon_requires_stability():
+    # (6, 2, 3) is not stable against its pure powers, which are no reduction
+    I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
+    Q = ideal("x^3, y^6")
+    for stable in (None, False):
+        with pytest.raises(NotStable):
+            canonical_colon(I, Q, stable=stable)
+
+
+def test_colon_of_a_pair_vanishing_away_from_the_origin():
+    # Q = (x^2 - x^3, y^2) also vanishes at (1, 0), so the global Q : I keeps
+    # a component there; locally Q = (x^2, y^2), whose colon is (x, y)
+    I = ideal("x^2, x y, y^2")
+    J = canonical_colon(I, ideal("x^2 - x^3, y^2"))
+    assert ideal_equal(J, ideal("x, y"))
+    assert not ideal_equal(ideal_colon(ideal("x^2 - x^3, y^2"), I), J)
 
 
 def test_order_drop_for_contracted_stable():
@@ -363,7 +420,7 @@ def test_refuter_requires_stability_when_given_q():
     I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
     Q = ideal("x^3, y^6")
     with pytest.raises(NotStable):
-        necessary_bound(I, canonical_colon(I, Q, stable=False), Q=Q)
+        necessary_bound(I, ideal_colon(Q, I), Q=Q)
 
 
 # -- classify ------------------------------------------------------------------------
@@ -494,18 +551,34 @@ def test_integrally_closed_never_refuted():
 
 def test_integrally_closed_is_almost_gorenstein():
     # GMTY1: every integrally closed m-primary I has an almost Gorenstein
-    # R(I); only a missing reduction may leave such an ideal undecided
+    # R(I); checked on Newton closures and on their x -> x+2y twins
     from agrees.repro import random_staircase
     from agrees.staircase import ideal_of_staircase, newton_closure
 
     rng = random.Random(2016)
-    for k in range(150):
-        S = newton_closure(random_staircase(rng, 8, 3))
-        I = ideal_of_staircase(S, BASE_RING, FP)
+    cases = [ideal_of_staircase(newton_closure(random_staircase(rng, 8, 3)), BASE_RING, FP)
+             for _ in range(150)]
+    for field, count in ((FP, 40), (QQ, 25)):
+        cases += [_twin(newton_closure(random_staircase(rng, 6, 3)).gens, field)
+                  for _ in range(count)]
+    for k, I in enumerate(cases):
         rep = classify(I, ClassifyConfig(seed=k))
-        if rep.reduction is None:
-            continue
-        assert rep.verdict in (Verdict.GORENSTEIN, Verdict.AG_CERTIFIED), (S, rep.notes)
+        assert rep.verdict in (Verdict.GORENSTEIN, Verdict.AG_CERTIFIED), (I, rep.notes)
+
+
+def test_twins_match_their_source():
+    # the x -> x+2y twin of every contracted-o3 tuple with n <= 6 gets the
+    # verdict of its monomial source, with the survey's per-tuple seed
+    tuples = [(n, alpha, beta) for n in range(3, 7)
+              for alpha in range(1, n) for beta in range(alpha + 1, n)]
+    for params in tuples:
+        values = dict(zip(("n", "alpha", "beta"), params))
+        cfg = ClassifyConfig(seed=derive_seed(0, "contracted-o3", *params))
+        source = classify(make_family("contracted-o3", values, field=FP), cfg)
+        I = _twin(family_exponents("contracted-o3", values), FP)
+        twin = classify(I, cfg)
+        assert twin.verdict is source.verdict, (params, twin.notes)
+        assert validate_report(I, twin)
 
 
 def test_stability_for_low_order_random():
