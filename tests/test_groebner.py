@@ -394,12 +394,18 @@ def test_origin_primary_non_primary_shapes():
 
 
 def test_origin_primary_with_a_large_prime_in_the_basis():
-    # the prime p = 2^31 - 1 in a denominator of the basis, or a zero at
-    # (p, 0), away from the origin
-    p = 2147483647
-    for text, want in ((f"{p}*x - y, y^3", True), (f"{p}*x - y, y^3 - y^2", False),
-                       (f"x^2 - {p}*x, y", False)):
+    # the prime p = 2^31 - 1 in a denominator of the basis
+    p = FP.p
+    for text, want in ((f"{p}*x - y, y^3", True), (f"{p}*x - y, y^3 - y^2", False)):
         assert is_origin_primary(ideal(text)) is want
+
+
+def test_origin_primary_zero_remainder_mod_p_falls_back():
+    # x^2 = p*x mod the basis: zero mod p, yet (p, 0) is a zero of the ideal
+    p = FP.p
+    text = f"x^2 - {p}*x, y"
+    assert ideal_contains(ideal(text, FP), poly("x^2", FP))
+    assert not is_origin_primary(ideal(text))
 
 
 def test_origin_primary_matches_exact_membership():
