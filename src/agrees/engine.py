@@ -1,10 +1,13 @@
 """Classifier for the almost Gorenstein property of Rees algebras.
 
-Everything is decided in the local ring k[x,y]_(x,y) by Nakayama ranks in
+Everything is decided in the local ring k[x,y]_(x,y) by linear algebra in
 quotients by m-primary ideals.  The pipeline: find a 2-generated reduction
 Q of I (a rank in I^(r+1)/m*I^(r+1); Q may vanish away from the origin),
 require stability (I^2 = QI), read everything off the local colon ideal
-J = Q : I, then either certify with a witness triple (f, g, h) satisfying
+J = Q : I (a kernel on R/I: I^2 = QI lies in Q locally, so T = Q + I^2 is
+the origin component of Q and J/I is the kernel of f -> (f*a mod T) over
+the generators a of I), then either certify with a witness triple (f, g, h)
+satisfying
 
     IJ = gJ + Ih    and    mJ = fJ + mh,
 
@@ -22,20 +25,19 @@ import hashlib
 import random
 from dataclasses import dataclass
 
+from . import groebner
 from .errors import NoReductionFound, NotContained, NotStable, NotZeroDimensional
 from .fields import PrimeField
 from .groebner import (
     Ideal,
     colength,
-    ideal_colon,
     ideal_order,
     ideal_product,
     is_origin_primary,
     maximal_ideal,
-    min_gens,
     minimal_generators,
-    normal_form,
     _contains_all,
+    _sub_scaled,
 )
 from .poly import Polynomial
 from .staircase import (
@@ -49,6 +51,7 @@ from .staircase import (
     staircase_normalize,
     staircase_of_ideal,
     staircase_product,
+    standard_monomials,
 )
 
 _RAND_RANGE = 1 << 20  # sample space for random coefficients (Schwartz-Zippel)
@@ -141,11 +144,6 @@ def _colength(I: Ideal) -> int:
     return mono_colength(s) if s is not None else colength(I)
 
 
-def _mu(I: Ideal) -> int:
-    s = staircase_of_ideal(I)
-    return len(s.gens) if s is not None else min_gens(I)
-
-
 # -- quotients modulo m-primary ideals -----------------------------------------
 
 class _Quotient:
@@ -158,12 +156,18 @@ class _Quotient:
 
     def __init__(self, top: Ideal):
         self._gb = top.groebner_basis()
+        self._key = self._gb.order.key(top.ring)
         self._columns: dict = {}
+
+    def reduce(self, terms: dict) -> dict:
+        """Normal form modulo `top` of a term dict, as a term dict."""
+        # looked up on the module, so a wrapper bound there sees this call too
+        return groebner._nf_dict(terms, self._gb._lead_data, self._key, self._gb.field)
 
     def coords(self, p: Polynomial) -> dict:
         cols = self._columns
         return {cols.setdefault(e, len(cols)): v
-                for e, v in normal_form(p, self._gb).terms.items()}
+                for e, v in self.reduce(p.terms).items()}
 
     def rank(self, rows: list[dict], fld) -> int:
         """dim_k of the span of the given coordinate rows."""
@@ -223,7 +227,7 @@ def _reduction_number(I: Ideal, Q: Ideal, cap: int,
     return None
 
 
-def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
+def find_reduction(I: Ideal, seed: int = 0, powers: _Powers | None = None) -> ReductionData:
     """Find a two-generated reduction Q of I in k[x,y]_(x,y) and its
     reduction number, decided by `_reduction_number`'s local rank test.
 
@@ -234,6 +238,7 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
     Other ideals try seeded sparse combinations of their generators.  Every
     pair is tested for r <= 1 before any is tested up to `_REDUCTION_CAP`,
     so a pair with r <= 1 is found before any pair builds I^3 and beyond.
+    `powers`, when the caller already holds the levels of I, is shared.
     """
     ring, fld = I.ring, I.field
     stair = staircase_of_ideal(I)
@@ -264,7 +269,7 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
 
         pairs = draws()  # lazily: the first draw is usually a stable reduction
 
-    powers = _Powers(I)
+    powers = powers or _Powers(I)
     tried: list[Ideal] = []
     for Q in pairs:
         r = _reduction_number(I, Q, 1, powers)
@@ -288,30 +293,73 @@ def is_stable(I: Ideal, Q: Ideal) -> bool:
 def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
                     contracted: bool | None = None) -> Ideal:
     """J = Q : I in k[x,y]_(x,y), as an m-primary ideal; raises NotStable
-    unless I^2 = QI.  For contracted I the orders satisfy o(I) = o(J) + 1.
+    unless I^2 = QI, and NotZeroDimensional unless I has finite colength.
+    For contracted I the orders satisfy o(I) = o(J) + 1.
 
     A monomial Q is the pure-power pair (a stable monomial pair is
     m-primary) and takes the staircase colon.  Any other Q may vanish away
-    from the origin; then J = (Q : I) + I^2, as a reduced basis: I^2 = QI
-    lies in Q locally, so the sum is m-primary with the localization of the
-    local colon, and two m-primary ideals with one localization are equal.
-    `stable` and `contracted`, when the caller already knows them, skip
-    recomputing I^2 = QI and mu(I) = o(I) + 1.
+    from the origin; then J = T : I for T = Q + I^2, found by `_local_colon`
+    as a kernel on R/I.  I^2 = QI lies in Q locally, so T is m-primary and
+    is the origin component of Q; hence T : I = (Q : I) + I^2 is m-primary
+    with the localization of the local colon, and two m-primary ideals with
+    one localization are equal.  `stable` and `contracted`, when the caller
+    already knows them, skip recomputing I^2 = QI and mu(I) = o(I) + 1.
     """
     if not (is_stable(I, Q) if stable is None else stable):
         raise NotStable("the canonical colon needs I^2 = QI")
+    _colength(I)  # raises unless I has finite colength
     sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
     else:
-        local = Ideal(list(ideal_colon(Q, I).generators) + list(_mul(I, I).generators))
-        J = Ideal(list(local.groebner_basis()))
+        J = _local_colon(I, Q)
     if is_contracted(I) if contracted is None else contracted:
         o_i, o_j = ideal_order(I), ideal_order(J)
         if o_i != o_j + 1:
             raise RuntimeError(
                 f"order drop violated: o(I)={o_i}, o(J)={o_j} for contracted stable input")
     return J
+
+
+def _local_colon(I: Ideal, Q: Ideal) -> Ideal:
+    """(Q + I^2) : I for I of finite colength, as a reduced basis.
+
+    I*I lies in T = Q + I^2, so f -> (NF_T(f*a)) over the generators a of I
+    is a k-linear map R/I -> (R/T)^mu whose kernel is J/I.  The rows, one
+    per standard monomial s of I, are filled by walking the staircase in
+    degree order with NF_T(v*s*a) = NF_T(v*NF_T(s*a)) for a variable v, so
+    each product is reduced from an already reduced one.  One echelon that
+    tracks row combinations turns each zero row into a kernel element.
+    """
+    fld = I.field
+    T = _Quotient(Ideal(list(Q.generators) + list(_mul(I, I).generators)))
+    gb = I.groebner_basis()
+    gens = [a.terms for a in I.generators if not a.is_zero]
+    forms: dict = {}   # s -> [NF_T(s*a) for a in gens]
+    pivots: dict = {}  # lead column -> (row, combination of standard monomials)
+    kernel: list[Polynomial] = []
+    for s in standard_monomials(staircase_normalize(gb.leading_exponents())):
+        if s == (0, 0):
+            prods = gens
+        else:
+            v = (1, 0) if s[0] else (0, 1)
+            parent = forms[(s[0] - v[0], s[1] - v[1])]
+            prods = [{(e[0] + v[0], e[1] + v[1]): c for e, c in f.items()} for f in parent]
+        forms[s] = nfs = [T.reduce(p) for p in prods]
+        row = {(j, e): c for j, f in enumerate(nfs) for e, c in f.items()}
+        combo = {s: fld.one}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = (row, combo)
+                break
+            scale = fld.div(row[lead], pivot[0][lead])
+            _sub_scaled(row, pivot[0], scale, fld)
+            _sub_scaled(combo, pivot[1], scale, fld)
+        else:
+            kernel.append(Polynomial(I.ring, fld, combo))
+    return Ideal(list(Ideal(list(gb) + kernel).groebner_basis()))
 
 
 # -- witness quotients ------------------------------------------------------------
@@ -332,13 +380,15 @@ class _WitnessSpaces:
     By Nakayama, an ideal P inside IJ satisfies P + mIJ = IJ exactly when
     the coordinates of its generators in IJ/mIJ have rank mu(IJ); likewise
     for mJ.  Every product a * w_j (a in mingens(I) for IJ, a in {x, y} for
-    mJ, w_j in mingens(J)) is reduced once, here.
+    mJ, w_j in mingens(J)) is reduced once, here.  `mJ`, when the caller
+    already built m*J, is shared.
     """
 
-    def __init__(self, I: Ideal, J: Ideal, j_min: list[Polynomial]):
+    def __init__(self, I: Ideal, J: Ideal, j_min: list[Polynomial],
+                 mJ: Ideal | None = None):
         m = maximal_ideal(I.ring, I.field)
         self.IJ = _mul(I, J)
-        self.mJ = _mul(m, J)
+        self.mJ = mJ or _mul(m, J)
         mIJ = _mul(m, self.IJ)
         m2J = _mul(m, self.mJ)
         self.i_min = minimal_generators(I)
@@ -532,7 +582,8 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
         raise NotZeroDimensional("input ideal is not m-primary at the origin")
     colen = _colength(I)
     o = ideal_order(I)
-    mu = _mu(I)
+    powers = _Powers(I)
+    mu = powers.level(0)[2]
     contracted = mu == o + 1
     integrally_closed = None
     if stair is not None:
@@ -546,7 +597,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     )
 
     try:
-        reduction = find_reduction(I, seed=cfg.seed)
+        reduction = find_reduction(I, seed=cfg.seed, powers=powers)
     except NoReductionFound as exc:
         notes.append(f"verdict undecided: {exc}")
         return AGReport(verdict=Verdict.UNKNOWN, notes=tuple(notes), **base)
@@ -560,7 +611,8 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     Q = Ideal(list(reduction.Q))
     # r <= 1 already means I^2 = QI: no stage below re-checks it on a new Q*I
     J = canonical_colon(I, Q, stable=True, contracted=contracted)
-    j_min = minimal_generators(J)
+    mJ = _mul(maximal_ideal(I.ring, I.field), J)  # one basis for the prune and the spaces
+    j_min = minimal_generators(J, mJ)
     base["colon_gens"] = tuple(j_min)
     base["colon_order"] = ideal_order(J)
     base["colon_min_gens"] = len(j_min)
@@ -568,7 +620,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if len(j_min) == 1:
         return AGReport(verdict=Verdict.GORENSTEIN, notes=tuple(notes), **base)
 
-    spaces = _WitnessSpaces(I, J, j_min)
+    spaces = _WitnessSpaces(I, J, j_min, mJ)
     witness = certificate_search(I, Q, J, seed=cfg.seed, spaces=spaces, stable=True)
     if witness is not None:
         base["witness"] = witness

@@ -75,6 +75,17 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
     return rem
 
 
+def _sub_scaled(row: dict, other: dict, scale, field) -> None:
+    """row -= scale * other, in place, dropping zero entries."""
+    zero = field.zero
+    for k, v in other.items():
+        nv = field.sub(row.get(k, zero), field.mul(scale, v))
+        if nv == zero:
+            row.pop(k, None)
+        else:
+            row[k] = nv
+
+
 def _spoly(f, g, lcm: Exponent, field) -> _Term:
     lmf, lcf, tf = f
     lmg, lcg, tg = g
@@ -452,8 +463,9 @@ def ideal_order(I: Ideal) -> int:
     return min(degs)
 
 
-def minimal_generators(I: Ideal) -> list[Polynomial]:
-    """A minimal generating set, extracted greedily against (vars) * I."""
+def minimal_generators(I: Ideal, mI: Ideal | None = None) -> list[Polynomial]:
+    """A minimal generating set, extracted greedily against (vars) * I;
+    `mI`, when the caller already built (vars) * I, shares its basis."""
     if I.is_monomial():
         from .staircase import staircase_of_ideal
 
@@ -463,10 +475,10 @@ def minimal_generators(I: Ideal) -> list[Polynomial]:
             return [Polynomial.monomial(I.ring, I.field, e) for e in stair.gens]
     keyf = GREVLEX.key(I.ring)
     return _nakayama_prune(list(I.groebner_basis().elements),
-                           key=lambda g: (g.min_degree(), keyf(g.leading()[0])))
+                           key=lambda g: (g.min_degree(), keyf(g.leading()[0])), N=mI)
 
 
-def _nakayama_prune(gens: list[Polynomial], key) -> list[Polynomial]:
+def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None) -> list[Polynomial]:
     """Graded Nakayama: scanning gens sorted by key, keep g unless it lies in
     the ideal of the kept ones plus N = (vars) * gens.
 
@@ -474,15 +486,17 @@ def _nakayama_prune(gens: list[Polynomial], key) -> list[Polynomial]:
     lie in L = (gens), so (kept) + N = span_k(kept) + N: g is redundant iff
     NF_N(g) lies in span_k(NF_N(kept)).  One reduced basis of N serves every
     candidate; the span is an echelon of the kept normal forms, one row per
-    leading monomial.
+    leading monomial.  `N`, when the caller already built that ideal, is used
+    in place of a new one.
     """
     if not gens:
         return []
     ring, field = gens[0].ring, gens[0].field
-    gb = Ideal([Polynomial.variable(ring, field, v) * g
-                for v in ring.vars for g in gens]).groebner_basis()
+    if N is None:
+        N = Ideal([Polynomial.variable(ring, field, v) * g
+                   for v in ring.vars for g in gens])
+    gb = N.groebner_basis()
     keyf = gb.order.key(ring)
-    zero = field.zero
     rows: dict[Exponent, _Term] = {}
     kept: list[Polynomial] = []
     for g in sorted(gens, key=key):
@@ -494,11 +508,5 @@ def _nakayama_prune(gens: list[Polynomial], key) -> list[Polynomial]:
                 rows[lm] = r
                 kept.append(g)
                 break
-            scale = field.div(r[lm], row[lm])
-            for m, c in row.items():
-                nv = field.sub(r.get(m, zero), field.mul(scale, c))
-                if nv == zero:
-                    r.pop(m, None)
-                else:
-                    r[m] = nv
+            _sub_scaled(r, row, field.div(r[lm], row[lm]), field)
     return kept

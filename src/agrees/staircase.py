@@ -71,6 +71,14 @@ def mono_colength(s: Staircase) -> int:
     return total
 
 
+def standard_monomials(s: Staircase) -> list[Pair]:
+    """Lattice points under the staircase, by total degree."""
+    _require_primary(s)
+    pts = [(a, b) for a in range(s.gens[0][0])
+           for b in range(min(gb for ga, gb in s.gens if ga <= a))]
+    return sorted(pts, key=sum)
+
+
 def staircase_product(s: Staircase, t: Staircase) -> Staircase:
     return staircase_normalize(
         (a1 + a2, b1 + b2) for a1, b1 in s.gens for a2, b2 in t.gens

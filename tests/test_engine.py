@@ -81,10 +81,11 @@ def test_reduction_deterministic():
     assert a == b
 
 
-def _twin(exps, field):
-    """The ideal generated by (x + 2y)^a * y^b for (a, b) in exps."""
+def _twin(exps, field, c=None):
+    """The ideal generated by (x + c*y)^a * y^b for (a, b) in exps; c = 2
+    unless given."""
     x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
-    x = x + y.scale(field.from_int(2))
+    x = x + y.scale(field.from_int(2) if c is None else c)
     return Ideal([x ** a * y ** b for a, b in exps])
 
 
@@ -213,6 +214,82 @@ def test_colon_of_a_pair_vanishing_away_from_the_origin():
     J = canonical_colon(I, ideal("x^2 - x^3, y^2"))
     assert ideal_equal(J, ideal("x, y"))
     assert not ideal_equal(ideal_colon(ideal("x^2 - x^3, y^2"), I), J)
+
+
+def _reference_colon(I, Q):
+    """The reduced basis of (Q : I) + I^2, through the global colon."""
+    local = Ideal(list(ideal_colon(Q, I).generators) + list(ideal_product(I, I).generators))
+    return Ideal(list(local.groebner_basis()))
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_colon_matches_reference_on_twins(field):
+    # x -> x+2y and x -> x-y/2 twins with the pair find_reduction picks
+    from agrees.repro import random_staircase
+
+    rng = random.Random(61)
+    half = field.div(field.from_int(-1), field.from_int(2))
+    checked = 0
+    for c in (field.from_int(2), half):
+        for _ in range(12):
+            I = _twin(random_staircase(rng, 6, 3).gens, field, c)
+            red = find_reduction(I)
+            if not red.stable:
+                continue
+            Q = Ideal(list(red.Q))
+            J = canonical_colon(I, Q, stable=True)
+            assert J.generators == _reference_colon(I, Q).generators, I
+            checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_colon_matches_reference_on_vertex_splits(field):
+    # monomial ideals whose pair is the Newton-polygon vertex split: Q is
+    # not monomial, so the colon is the kernel on R/I, not the staircase one
+    from agrees.repro import random_staircase
+    from agrees.staircase import ideal_of_staircase
+
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(60):
+        I = ideal_of_staircase(random_staircase(rng, 7, 3), BASE_RING, field)
+        red = find_reduction(I)
+        Q = Ideal(list(red.Q))
+        if not red.stable or staircase_of_ideal(Q) is not None:
+            continue
+        J = canonical_colon(I, Q, stable=True)
+        assert J.generators == _reference_colon(I, Q).generators, I
+        checked += 1
+    assert checked >= 16
+
+
+def test_colon_of_infinite_colength_raises():
+    from agrees.errors import NotZeroDimensional
+
+    for text in ("x^2 + x y, x y^2", "x^2, x y"):
+        I = ideal(text)
+        with pytest.raises(NotZeroDimensional):
+            canonical_colon(I, I, stable=True, contracted=False)
+
+
+def test_classify_builds_no_basis_twice(monkeypatch):
+    # the flagship twin: mu(I) shares the reduction's levels of I, and the
+    # minimal generators of J share m*J with the witness spaces
+    from agrees import groebner
+
+    inputs = []
+    real = groebner._buchberger
+
+    def record(polys, *args, **kwargs):
+        inputs.append(frozenset(frozenset(p.items()) for p in polys))
+        return real(polys, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", record)
+    I = _twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), QQ,
+              QQ.div(QQ.from_int(1), QQ.from_int(3)))
+    assert classify(I).verdict is Verdict.NOT_AG
+    assert inputs and len(set(inputs)) == len(inputs)
 
 
 def test_order_drop_for_contracted_stable():
