@@ -13,7 +13,9 @@ satisfying
 
 or refute by showing that no h in J can keep mu(IJ/Ih) + mu(mJ/mh) within
 the generator-count budget 2*(mu(J) - 1).  Both witness conditions are
-Zariski-open ranks (Nakayama), so one generic triple decides the first.
+Zariski-open ranks (Nakayama), so one generic triple decides the first; a
+triple that passes is re-checked exactly by one echelon of normal forms
+modulo freshly built bases of m*IJ and m^2*J.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -37,6 +39,7 @@ from .groebner import (
     maximal_ideal,
     minimal_generators,
     _contains_all,
+    _echelon_reduce,
     _sub_scaled,
 )
 from .poly import Polynomial
@@ -155,6 +158,7 @@ class _Quotient:
     """
 
     def __init__(self, top: Ideal):
+        self.top = top
         self._gb = top.groebner_basis()
         self._key = self._gb.order.key(top.ring)
         self._columns: dict = {}
@@ -188,24 +192,29 @@ _REDUCTION_CAP = 4     # largest reduction number searched for
 
 class _Powers:
     """Level r of I, built once and shared by every candidate pair: gens(I^r),
-    R/m*I^(r+1) and mu(I^(r+1)) = colength(m*I^(r+1)) - colength(I^(r+1))."""
+    R/m*I^(r+1) and mu(I^(r+1)) = colength(m*I^(r+1)) - colength(I^(r+1)).
+    Later stages share the powers I^k and level 0's m*I (its quotient's top)."""
 
     def __init__(self, I: Ideal):
         self._I = I
         self._m = maximal_ideal(I.ring, I.field)
-        self._power = I  # I^(r+1) of the newest level; I before any is built
+        self._powers = [I]  # I^(k+1) at index k
         self._levels: list = []
+
+    def power(self, k: int) -> Ideal:
+        """I^k for k >= 1, each built once."""
+        while len(self._powers) < k:
+            self._powers.append(_mul(self._I, self._powers[-1]))
+        return self._powers[k - 1]
 
     def level(self, r: int) -> tuple:
         while len(self._levels) <= r:
-            if self._levels:
-                gens = list(self._power.generators)
-                self._power = _mul(self._I, self._power)
-            else:
-                gens = [Polynomial.one(self._I.ring, self._I.field)]
-            top = _mul(self._m, self._power)
-            self._levels.append(
-                (gens, _Quotient(top), _colength(top) - _colength(self._power)))
+            n = len(self._levels)
+            gens = (list(self.power(n).generators) if n
+                    else [Polynomial.one(self._I.ring, self._I.field)])
+            power = self.power(n + 1)
+            top = _mul(self._m, power)
+            self._levels.append((gens, _Quotient(top), _colength(top) - _colength(power)))
         return self._levels[r]
 
 
@@ -291,7 +300,8 @@ def is_stable(I: Ideal, Q: Ideal) -> bool:
 
 
 def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
-                    contracted: bool | None = None) -> Ideal:
+                    contracted: bool | None = None,
+                    powers: _Powers | None = None) -> Ideal:
     """J = Q : I in k[x,y]_(x,y), as an m-primary ideal; raises NotStable
     unless I^2 = QI, and NotZeroDimensional unless I has finite colength.
     For contracted I the orders satisfy o(I) = o(J) + 1.
@@ -303,7 +313,8 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
     is the origin component of Q; hence T : I = (Q : I) + I^2 is m-primary
     with the localization of the local colon, and two m-primary ideals with
     one localization are equal.  `stable` and `contracted`, when the caller
-    already knows them, skip recomputing I^2 = QI and mu(I) = o(I) + 1.
+    already knows them, skip recomputing I^2 = QI and mu(I) = o(I) + 1;
+    `powers`, when the caller already holds the levels of I, shares I^2.
     """
     if not (is_stable(I, Q) if stable is None else stable):
         raise NotStable("the canonical colon needs I^2 = QI")
@@ -312,7 +323,7 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
     else:
-        J = _local_colon(I, Q)
+        J = _local_colon(I, Q, (powers or _Powers(I)).power(2))
     if is_contracted(I) if contracted is None else contracted:
         o_i, o_j = ideal_order(I), ideal_order(J)
         if o_i != o_j + 1:
@@ -321,8 +332,9 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
     return J
 
 
-def _local_colon(I: Ideal, Q: Ideal) -> Ideal:
-    """(Q + I^2) : I for I of finite colength, as a reduced basis.
+def _local_colon(I: Ideal, Q: Ideal, I2: Ideal) -> Ideal:
+    """(Q + I^2) : I for I of finite colength, as a reduced basis; T starts
+    from the basis of I2 = I^2, shared with the reduction's levels.
 
     I*I lies in T = Q + I^2, so f -> (NF_T(f*a)) over the generators a of I
     is a k-linear map R/I -> (R/T)^mu whose kernel is J/I.  The rows, one
@@ -332,7 +344,7 @@ def _local_colon(I: Ideal, Q: Ideal) -> Ideal:
     tracks row combinations turns each zero row into a kernel element.
     """
     fld = I.field
-    T = _Quotient(Ideal(list(Q.generators) + list(_mul(I, I).generators)))
+    T = _Quotient(Ideal(list(Q.generators) + list(I2.groebner_basis())))
     gb = I.groebner_basis()
     gens = [a.terms for a in I.generators if not a.is_zero]
     forms: dict = {}   # s -> [NF_T(s*a) for a in gens]
@@ -380,18 +392,18 @@ class _WitnessSpaces:
     By Nakayama, an ideal P inside IJ satisfies P + mIJ = IJ exactly when
     the coordinates of its generators in IJ/mIJ have rank mu(IJ); likewise
     for mJ.  Every product a * w_j (a in mingens(I) for IJ, a in {x, y} for
-    mJ, w_j in mingens(J)) is reduced once, here.  `mJ`, when the caller
-    already built m*J, is shared.
+    mJ, w_j in mingens(J)) is reduced once, here.  `mJ` and `i_min`, when
+    the caller already built m*J or mingens(I), are shared.
     """
 
     def __init__(self, I: Ideal, J: Ideal, j_min: list[Polynomial],
-                 mJ: Ideal | None = None):
+                 mJ: Ideal | None = None, i_min: list[Polynomial] | None = None):
         m = maximal_ideal(I.ring, I.field)
         self.IJ = _mul(I, J)
         self.mJ = mJ or _mul(m, J)
         mIJ = _mul(m, self.IJ)
         m2J = _mul(m, self.mJ)
-        self.i_min = minimal_generators(I)
+        self.i_min = i_min or minimal_generators(I)
         self.j_min = j_min
         self.mu_IJ = _colength(mIJ) - _colength(self.IJ)
         self.mu_mJ = _colength(m2J) - _colength(self.mJ)
@@ -415,14 +427,25 @@ class _WitnessSpaces:
 
 def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomial],
                 parts: list[Polynomial]) -> bool:
-    """Does the ideal generated by `parts` equal `ref`?  parts <= ref is assumed."""
-    nonzero = [p for p in parts if not p.is_zero]
-    if not nonzero:
-        return False
-    if ref_stair is not None and all(p.is_monomial for p in nonzero):
-        s = staircase_normalize([p.monomial_exponent() for p in nonzero])
-        return s == ref_stair
-    return _contains_all(Ideal(nonzero), ref_min)
+    """Does (parts) + m*ref equal ref?  parts <= ref is assumed, and ref_min
+    generates ref.
+
+    ref/m*ref is killed by m, so modulo m*ref the ideal (parts) is the
+    k-span of the parts' normal forms: the sum is ref iff every member of
+    ref_min reduces to zero against one echelon of those forms.  The basis
+    of m*ref is built here, apart from the rank test's spaces; `_mul` makes
+    it a staircase when ref has one, so `ref_stair` is not read.
+    """
+    fld = ref.field
+    top = _Quotient(_mul(maximal_ideal(ref.ring, fld), ref))
+    rows: dict = {}
+    for p in parts:
+        r = top.reduce(p.terms)
+        lead = _echelon_reduce(r, rows, top._key, fld)
+        if lead is not None:
+            rows[lead] = r
+    return all(_echelon_reduce(top.reduce(q.terms), rows, top._key, fld) is None
+               for q in ref_min)
 
 
 def _draw_size(fld) -> int:
@@ -441,8 +464,9 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
 
     With f in m, g in I and h in J (by normal form), gJ + Ih = IJ holds
     locally iff gJ + Ih + m*IJ = IJ (Nakayama); that quotient is killed by
-    m, so local and global agree, and Groebner membership tests it apart
-    from the rank test.  Likewise mJ = fJ + mh against m^2*J.
+    m, so local and global agree.  `_sum_equals` tests it by one echelon of
+    normal forms modulo a freshly built m*IJ, apart from the rank test.
+    Likewise mJ = fJ + mh against m^2*J.
     """
     m = maximal_ideal(I.ring, I.field)
     if not (_contains_all(m, [f]) and _contains_all(I, [g]) and _contains_all(J, [h])):
@@ -450,10 +474,8 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
     IJ, mJ = _mul(I, J), _mul(m, J)
     sides = ((IJ, [g * w for w in J.generators] + [a * h for a in I.generators]),
              (mJ, [f * w for w in J.generators] + [v * h for v in m.generators]))
-    return all(
-        _sum_equals(ref, staircase_of_ideal(ref), list(ref.generators),
-                    parts + list(_mul(m, ref).generators))
-        for ref, parts in sides)
+    return all(_sum_equals(ref, staircase_of_ideal(ref), list(ref.generators), parts)
+               for ref, parts in sides)
 
 
 def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
@@ -583,7 +605,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     colen = _colength(I)
     o = ideal_order(I)
     powers = _Powers(I)
-    mu = powers.level(0)[2]
+    _, level0, mu = powers.level(0)
     contracted = mu == o + 1
     integrally_closed = None
     if stair is not None:
@@ -610,7 +632,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
 
     Q = Ideal(list(reduction.Q))
     # r <= 1 already means I^2 = QI: no stage below re-checks it on a new Q*I
-    J = canonical_colon(I, Q, stable=True, contracted=contracted)
+    J = canonical_colon(I, Q, stable=True, contracted=contracted, powers=powers)
     mJ = _mul(maximal_ideal(I.ring, I.field), J)  # one basis for the prune and the spaces
     j_min = minimal_generators(J, mJ)
     base["colon_gens"] = tuple(j_min)
@@ -620,7 +642,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if len(j_min) == 1:
         return AGReport(verdict=Verdict.GORENSTEIN, notes=tuple(notes), **base)
 
-    spaces = _WitnessSpaces(I, J, j_min, mJ)
+    spaces = _WitnessSpaces(I, J, j_min, mJ, minimal_generators(I, level0.top))
     witness = certificate_search(I, Q, J, seed=cfg.seed, spaces=spaces, stable=True)
     if witness is not None:
         base["witness"] = witness

@@ -86,6 +86,18 @@ def _sub_scaled(row: dict, other: dict, scale, field) -> None:
             row[k] = nv
 
 
+def _echelon_reduce(r: _Term, rows: dict, keyf, field) -> Exponent | None:
+    """Reduce r in place against an echelon {lead monomial: row}; the lead
+    of what is left, a row the echelon lacks, or None when r reduces to 0."""
+    while r:
+        lm = _lead(r, keyf)
+        row = rows.get(lm)
+        if row is None:
+            return lm
+        _sub_scaled(r, row, field.div(r[lm], row[lm]), field)
+    return None
+
+
 def _spoly(f, g, lcm: Exponent, field) -> _Term:
     lmf, lcf, tf = f
     lmg, lcg, tg = g
@@ -501,12 +513,8 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None) -> list
     kept: list[Polynomial] = []
     for g in sorted(gens, key=key):
         r = _nf_dict(dict(g.terms), gb._lead_data, keyf, field)
-        while r:
-            lm = _lead(r, keyf)
-            row = rows.get(lm)
-            if row is None:
-                rows[lm] = r
-                kept.append(g)
-                break
-            _sub_scaled(r, row, field.div(r[lm], row[lm]), field)
+        lm = _echelon_reduce(r, rows, keyf, field)
+        if lm is not None:
+            rows[lm] = r
+            kept.append(g)
     return kept

@@ -273,23 +273,52 @@ def test_colon_of_infinite_colength_raises():
             canonical_colon(I, I, stable=True, contracted=False)
 
 
-def test_classify_builds_no_basis_twice(monkeypatch):
-    # the flagship twin: mu(I) shares the reduction's levels of I, and the
-    # minimal generators of J share m*J with the witness spaces
+@pytest.mark.parametrize("case", ["flagship-twin", "boundary-twin"])
+def test_classify_builds_no_basis_twice(monkeypatch, case):
+    # mu(I) shares the reduction's levels of I, the colon shares their I^2,
+    # mingens(I) shares their m*I and mingens(J) shares m*J with the witness
+    # spaces.  verify_witness is the independent re-check of a certificate:
+    # it builds its own bases of m*IJ and m^2*J by design, so the bases it
+    # builds are left out of the count
     from agrees import groebner
 
-    inputs = []
-    real = groebner._buchberger
+    def key(polys):
+        return frozenset(frozenset(p.items()) for p in polys)
+
+    if case == "flagship-twin":
+        I = _twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), QQ,
+                  QQ.div(QQ.from_int(1), QQ.from_int(3)))
+        expected = Verdict.NOT_AG
+    else:
+        I = _twin([(3, 0), (2, 3), (1, 4), (0, 5)], QQ)  # PINNED's boundary twin
+        expected = Verdict.AG_CERTIFIED
+    m = maximal_ideal(BASE_RING, QQ)
+    shared = [key(p.terms for p in ideal_product(A, I).groebner_basis()) for A in (m, I)]
+
+    inputs, outputs = [], []
+    real, real_verify = groebner._buchberger, engine.verify_witness
+    verifying = []
 
     def record(polys, *args, **kwargs):
-        inputs.append(frozenset(frozenset(p.items()) for p in polys))
-        return real(polys, *args, **kwargs)
+        out = real(polys, *args, **kwargs)
+        if not verifying:
+            inputs.append(key(polys))
+            outputs.append(key(out))
+        return out
+
+    def verify(*args):
+        verifying.append(True)
+        try:
+            return real_verify(*args)
+        finally:
+            verifying.pop()
 
     monkeypatch.setattr(groebner, "_buchberger", record)
-    I = _twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), QQ,
-              QQ.div(QQ.from_int(1), QQ.from_int(3)))
-    assert classify(I).verdict is Verdict.NOT_AG
+    monkeypatch.setattr(engine, "verify_witness", verify)
+    assert classify(I).verdict is expected
     assert inputs and len(set(inputs)) == len(inputs)
+    # nor is a basis of m*I or I^2 built again from another generator list
+    assert [outputs.count(basis) for basis in shared] == [1, 1]
 
 
 def test_order_drop_for_contracted_stable():
@@ -435,6 +464,88 @@ def test_rank_test_passes_every_exact_equality(name):
         f, g, h = span(b, m.generators), span(a, sp.i_min), span(c, sp.j_min)
         assert passes == verify_witness(I, J, f, g, h), (str(f), str(g), str(h))
         outcomes.add(passes)
+    assert outcomes == {True, False}
+
+
+def _reference_sum_equals(ref, parts):
+    """(parts) + m*ref = ref by Groebner membership of ref's generators in
+    one basis of the parts plus the generators of m*ref."""
+    m = maximal_ideal(ref.ring, ref.field)
+    gens = [p for p in parts + list(ideal_product(m, ref).generators) if not p.is_zero]
+    return _contains_all(Ideal(gens), ref.generators)
+
+
+def _reference_verify_witness(I, J, f, g, h):
+    m = maximal_ideal(I.ring, I.field)
+    if not (_contains_all(m, [f]) and _contains_all(I, [g]) and _contains_all(J, [h])):
+        return False
+    return (_reference_sum_equals(ideal_product(I, J), [g * w for w in J.generators]
+                                  + [a * h for a in I.generators])
+            and _reference_sum_equals(ideal_product(m, J), [f * w for w in J.generators]
+                                      + [v * h for v in m.generators]))
+
+
+# verify_witness against the Groebner route: monomial ideals over q, their
+# x -> x+2y twins over q (no staircase anywhere) and monomial ideals over fp
+SUM_CASES = {
+    "monomial-q": (QQ, False),
+    "twin-q": (QQ, True),
+    "monomial-fp": (FP, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_CASES))
+def test_verify_witness_matches_groebner_route(name):
+    from agrees.repro import random_staircase
+
+    field, twin = SUM_CASES[name]
+    rng = random.Random(derive_seed("sum-equals", name))
+    m = maximal_ideal(BASE_RING, field)
+
+    def coeffs(n):
+        # sparse draws are mostly 0 and +-1, dense ones are wide
+        if rng.random() < 0.5:
+            return [field.from_int(rng.choice((0, 0, 1, -1))) for _ in range(n)]
+        return [field.from_int(rng.randint(-99, 99)) for _ in range(n)]
+
+    def span(c, gens):
+        return sum((p.scale(cj) for cj, p in zip(c, gens)), Polynomial.zero(BASE_RING, field))
+
+    outcomes = set()
+    checked = 0
+    while checked < 8:
+        S = random_staircase(rng, 5, 2)
+        I = _twin(S.gens, field) if twin else Ideal(
+            [Polynomial.monomial(BASE_RING, field, e) for e in S.gens])
+        red = find_reduction(I)
+        if not red.stable:
+            continue
+        J = canonical_colon(I, Ideal(list(red.Q)), stable=True)
+        i_min, j_min = minimal_generators(I), minimal_generators(J)
+        if len(j_min) < 2:
+            continue
+        for _ in range(6):
+            f = span(coeffs(2), m.generators)
+            g, h = span(coeffs(len(i_min)), i_min), span(coeffs(len(j_min)), j_min)
+            got = verify_witness(I, J, f, g, h)
+            assert got == _reference_verify_witness(I, J, f, g, h), (S, str(f), str(g), str(h))
+            outcomes.add(got)
+        checked += 1
+    assert outcomes == {True, False}
+
+
+def test_sum_equals_on_monomial_parts_against_mj():
+    # ref = mJ with all parts monomial: the path a staircase comparison once took
+    J = ideal("x^2, x y, y^3")
+    m = maximal_ideal(BASE_RING, QQ)
+    mJ = ideal_product(m, J)
+    outcomes = set()
+    for f in m.generators:
+        for h in J.generators:
+            parts = [f * w for w in J.generators] + [v * h for v in m.generators]
+            got = engine._sum_equals(mJ, staircase_of_ideal(mJ), list(mJ.generators), parts)
+            assert got == _reference_sum_equals(mJ, parts), (str(f), str(h))
+            outcomes.add(got)
     assert outcomes == {True, False}
 
 
