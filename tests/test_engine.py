@@ -273,8 +273,8 @@ def test_colon_of_infinite_colength_raises():
             canonical_colon(I, I, stable=True, contracted=False)
 
 
-@pytest.mark.parametrize("case", ["flagship-twin", "boundary-twin"])
-def test_classify_builds_no_basis_twice(monkeypatch, case):
+def test_classify_builds_no_basis_twice(monkeypatch):
+    # the flagship twin (NOT_AG) and PINNED's boundary twin (AG_CERTIFIED):
     # mu(I) shares the reduction's levels of I, the colon shares their I^2,
     # mingens(I) shares their m*I and mingens(J) shares m*J with the witness
     # spaces.  verify_witness is the independent re-check of a certificate:
@@ -285,15 +285,14 @@ def test_classify_builds_no_basis_twice(monkeypatch, case):
     def key(polys):
         return frozenset(frozenset(p.items()) for p in polys)
 
-    if case == "flagship-twin":
-        I = _twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), QQ,
-                  QQ.div(QQ.from_int(1), QQ.from_int(3)))
-        expected = Verdict.NOT_AG
-    else:
-        I = _twin([(3, 0), (2, 3), (1, 4), (0, 5)], QQ)  # PINNED's boundary twin
-        expected = Verdict.AG_CERTIFIED
     m = maximal_ideal(BASE_RING, QQ)
-    shared = [key(p.terms for p in ideal_product(A, I).groebner_basis()) for A in (m, I)]
+    cases = []
+    for I, expected in (
+            (_twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), QQ,
+                   QQ.div(QQ.from_int(1), QQ.from_int(3))), Verdict.NOT_AG),
+            (_twin([(3, 0), (2, 3), (1, 4), (0, 5)], QQ), Verdict.AG_CERTIFIED)):
+        shared = [key(p.terms for p in ideal_product(A, I).groebner_basis()) for A in (m, I)]
+        cases.append((I, expected, shared))
 
     inputs, outputs = [], []
     real, real_verify = groebner._buchberger, engine.verify_witness
@@ -315,10 +314,13 @@ def test_classify_builds_no_basis_twice(monkeypatch, case):
 
     monkeypatch.setattr(groebner, "_buchberger", record)
     monkeypatch.setattr(engine, "verify_witness", verify)
-    assert classify(I).verdict is expected
-    assert inputs and len(set(inputs)) == len(inputs)
-    # nor is a basis of m*I or I^2 built again from another generator list
-    assert [outputs.count(basis) for basis in shared] == [1, 1]
+    for I, expected, shared in cases:
+        inputs.clear()
+        outputs.clear()
+        assert classify(I).verdict is expected
+        assert inputs and len(set(inputs)) == len(inputs)
+        # nor is a basis of m*I or I^2 built again from another generator list
+        assert [outputs.count(basis) for basis in shared] == [1, 1]
 
 
 def test_order_drop_for_contracted_stable():
