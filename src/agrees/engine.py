@@ -1,21 +1,22 @@
 """Classifier for the almost Gorenstein property of Rees algebras.
 
 Everything is decided in the local ring k[x,y]_(x,y) by linear algebra in
-quotients by m-primary ideals.  The pipeline: find a 2-generated reduction
-Q of I (a rank in I^(r+1)/m*I^(r+1); Q may vanish away from the origin),
-require stability (I^2 = QI), read everything off the local colon ideal
-J = Q : I (a kernel on R/I: I^2 = QI lies in Q locally, so T = Q + I^2 is
-the origin component of Q and J/I is the kernel of f -> (f*a mod T) over
-the generators a of I), then either certify with a witness triple (f, g, h)
-satisfying
+quotients by m-primary ideals, and every rank, kernel and span test is one
+sparse echelon (`groebner._echelon_reduce`) over normal forms keyed by
+monomial.  The pipeline: find a 2-generated reduction Q of I (a rank in
+I^(r+1)/m*I^(r+1); Q may vanish away from the origin), require stability
+(I^2 = QI), read everything off the local colon ideal J = Q : I (a kernel
+on R/I: I^2 = QI lies in Q locally, so T = Q + I^2 is the origin component
+of Q and J/I is the kernel of f -> (f*a mod T) over the generators a of I),
+then either certify with a witness triple (f, g, h) satisfying
 
     IJ = gJ + Ih    and    mJ = fJ + mh,
 
 or refute by showing that no h in J can keep mu(IJ/Ih) + mu(mJ/mh) within
 the generator-count budget 2*(mu(J) - 1).  Both witness conditions are
 Zariski-open ranks (Nakayama), so one generic triple decides the first; a
-triple that passes is re-checked exactly by one echelon of normal forms
-modulo freshly built bases of m*IJ and m^2*J.
+triple that passes is re-checked exactly by comparing two ranks of normal
+forms modulo freshly built bases of m*IJ and m^2*J.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -40,7 +41,6 @@ from .groebner import (
     minimal_generators,
     _contains_all,
     _echelon_reduce,
-    _sub_scaled,
 )
 from .poly import Polynomial
 from .staircase import (
@@ -48,7 +48,7 @@ from .staircase import (
     hull_vertices,
     ideal_of_staircase,
     is_contracted,
-    mono_colength,
+    mono_colength,  # unused here; perfbench/tracing.py binds engine.mono_colength
     newton_closure,
     staircase_colon,
     staircase_normalize,
@@ -125,8 +125,9 @@ class AGReport:
 
 
 # -- representation dispatch -------------------------------------------------
-# Monomial inputs route through staircases; everything else uses the Groebner
-# kernel.  The two paths agree (checked by the oracle-equivalence suite).
+# Products of two monomial ideals are built on their staircases, keeping the
+# generator lists of monomial powers minimal.  Everything else, colengths and
+# containments included, goes through the Groebner kernel.
 
 def _mul(A: Ideal, B: Ideal) -> Ideal:
     sa, sb = staircase_of_ideal(A), staircase_of_ideal(B)
@@ -135,53 +136,41 @@ def _mul(A: Ideal, B: Ideal) -> Ideal:
     return ideal_product(A, B)
 
 
-def _contained_in(A: Ideal, B: Ideal) -> bool:
-    sa, sb = staircase_of_ideal(A), staircase_of_ideal(B)
-    if sa is not None and sb is not None:
-        return all(sb.contains(e) for e in sa.gens)
-    return _contains_all(B, A.generators)
-
-
-def _colength(I: Ideal) -> int:
-    s = staircase_of_ideal(I)
-    return mono_colength(s) if s is not None else colength(I)
-
-
-# -- quotients modulo m-primary ideals -----------------------------------------
+# -- linear algebra modulo m-primary ideals ------------------------------------
 
 class _Quotient:
-    """R/top with one column per standard monomial met so far.
+    """R/top: elements are normal forms modulo `top`, term dicts keyed by
+    monomial, and so are rows for `_rank` with one column per monomial.
 
-    Normal forms modulo `top` are k-linear, so the coordinates of
-    sum_j c_j * p_j are sum_j c_j * coords(p_j).  For a monomial `top` a
-    product keeps its single term exactly when it lies outside `top`.
+    Normal forms are k-linear, so the normal form of sum_j c_j * p_j is
+    sum_j c_j * NF(p_j).  For a monomial `top` a product keeps its single
+    term exactly when it lies outside `top`.
     """
 
     def __init__(self, top: Ideal):
         self.top = top
         self._gb = top.groebner_basis()
         self._key = self._gb.order.key(top.ring)
-        self._columns: dict = {}
 
     def reduce(self, terms: dict) -> dict:
         """Normal form modulo `top` of a term dict, as a term dict."""
         # looked up on the module, so a wrapper bound there sees this call too
         return groebner._nf_dict(terms, self._gb._lead_data, self._key, self._gb.field)
 
-    def coords(self, p: Polynomial) -> dict:
-        cols = self._columns
-        return {cols.setdefault(e, len(cols)): v
-                for e, v in self.reduce(p.terms).items()}
 
-    def rank(self, rows: list[dict], fld) -> int:
-        """dim_k of the span of the given coordinate rows."""
-        dense = []
-        for row in rows:
-            d = [fld.zero] * len(self._columns)
-            for col, v in row.items():
-                d[col] = v
-            dense.append(d)
-        return _rank(dense, fld)
+def _rank(rows: list[dict], fld) -> int:
+    """dim_k of the span of sparse rows {column: value}, with mutually
+    comparable columns: one echelon keyed by the largest column, built from
+    copies of the rows without their zero entries (a `_combine` can cancel
+    one)."""
+    echelon: dict = {}
+    zero = fld.zero
+    for row in rows:
+        r = {col: v for col, v in row.items() if v != zero}
+        lead = _echelon_reduce(r, echelon, None, fld)
+        if lead is not None:
+            echelon[lead] = r
+    return len(echelon)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -214,7 +203,7 @@ class _Powers:
                     else [Polynomial.one(self._I.ring, self._I.field)])
             power = self.power(n + 1)
             top = _mul(self._m, power)
-            self._levels.append((gens, _Quotient(top), _colength(top) - _colength(power)))
+            self._levels.append((gens, _Quotient(top), colength(top) - colength(power)))
         return self._levels[r]
 
 
@@ -230,8 +219,8 @@ def _reduction_number(I: Ideal, Q: Ideal, cap: int,
     powers = powers or _Powers(I)
     for r in range(cap + 1):
         gens, quotient, mu = powers.level(r)
-        rows = [quotient.coords(q * p) for q in Q.generators for p in gens]
-        if quotient.rank(rows, I.field) == mu:
+        rows = [quotient.reduce((q * p).terms) for q in Q.generators for p in gens]
+        if _rank(rows, I.field) == mu:
             return r
     return None
 
@@ -294,7 +283,7 @@ def find_reduction(I: Ideal, seed: int = 0, powers: _Powers | None = None) -> Re
 
 def is_stable(I: Ideal, Q: Ideal) -> bool:
     """I^2 = QI in k[x,y]_(x,y); raises if Q is not inside I."""
-    if not _contained_in(Q, I):
+    if not _contains_all(I, Q.generators):
         raise NotContained("Q is not contained in I")
     return _reduction_number(I, Q, 1) is not None
 
@@ -318,7 +307,7 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
     """
     if not (is_stable(I, Q) if stable is None else stable):
         raise NotStable("the canonical colon needs I^2 = QI")
-    _colength(I)  # raises unless I has finite colength
+    colength(I)  # raises unless I has finite colength
     sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
@@ -333,22 +322,25 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
 
 
 def _local_colon(I: Ideal, Q: Ideal, I2: Ideal) -> Ideal:
-    """(Q + I^2) : I for I of finite colength, as a reduced basis; T starts
-    from the basis of I2 = I^2, shared with the reduction's levels.
+    """(Q + I^2) : I for I of finite colength, generated by its reduced basis,
+    which it carries cached; T starts from the basis of I2 = I^2, shared with
+    the reduction's levels.
 
     I*I lies in T = Q + I^2, so f -> (NF_T(f*a)) over the generators a of I
-    is a k-linear map R/I -> (R/T)^mu whose kernel is J/I.  The rows, one
+    is a k-linear map R/I -> (R/T)^mu whose kernel is J/I.  The images, one
     per standard monomial s of I, are filled by walking the staircase in
     degree order with NF_T(v*s*a) = NF_T(v*NF_T(s*a)) for a variable v, so
-    each product is reduced from an already reduced one.  One echelon that
-    tracks row combinations turns each zero row into a kernel element.
+    each product is reduced from an already reduced one.  The row of s holds
+    its image columns (j, e) and a combination column (-1, s) that sorts
+    below them; a row whose reduced lead lands in a (-1, .) column has a
+    zero image, and its combination columns are a kernel element.
     """
     fld = I.field
     T = _Quotient(Ideal(list(Q.generators) + list(I2.groebner_basis())))
     gb = I.groebner_basis()
     gens = [a.terms for a in I.generators if not a.is_zero]
-    forms: dict = {}   # s -> [NF_T(s*a) for a in gens]
-    pivots: dict = {}  # lead column -> (row, combination of standard monomials)
+    forms: dict = {}     # s -> [NF_T(s*a) for a in gens]
+    echelon: dict = {}   # lead column -> augmented row with a nonzero image
     kernel: list[Polynomial] = []
     for s in standard_monomials(staircase_normalize(gb.leading_exponents())):
         if s == (0, 0):
@@ -359,25 +351,23 @@ def _local_colon(I: Ideal, Q: Ideal, I2: Ideal) -> Ideal:
             prods = [{(e[0] + v[0], e[1] + v[1]): c for e, c in f.items()} for f in parent]
         forms[s] = nfs = [T.reduce(p) for p in prods]
         row = {(j, e): c for j, f in enumerate(nfs) for e, c in f.items()}
-        combo = {s: fld.one}
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = (row, combo)
-                break
-            scale = fld.div(row[lead], pivot[0][lead])
-            _sub_scaled(row, pivot[0], scale, fld)
-            _sub_scaled(combo, pivot[1], scale, fld)
+        row[(-1, s)] = fld.one  # no earlier row has this column: never cancelled
+        lead = _echelon_reduce(row, echelon, None, fld)
+        if lead[0] >= 0:
+            echelon[lead] = row
         else:
-            kernel.append(Polynomial(I.ring, fld, combo))
-    return Ideal(list(Ideal(list(gb) + kernel).groebner_basis()))
+            kernel.append(Polynomial(I.ring, fld, {e: c for (_, e), c in row.items()}))
+    basis = Ideal(list(gb) + kernel).groebner_basis()
+    J = Ideal(list(basis))
+    J._gb_cache[basis.order] = basis  # already reduced: no second Buchberger run
+    return J
 
 
 # -- witness quotients ------------------------------------------------------------
 
 def _combine(per_w: list[dict], c: list, fld) -> dict:
-    """Coordinates of a * h for h = sum c_j w_j, from those of each a * w_j."""
+    """Normal form of a * h for h = sum c_j w_j, from those of each a * w_j;
+    an entry can cancel to zero, which `_rank` drops."""
     row: dict = {}
     for cj, entries in zip(c, per_w):
         for col, v in entries.items():
@@ -390,7 +380,7 @@ class _WitnessSpaces:
     certificate's triple and the refuter's samples are rank-tested.
 
     By Nakayama, an ideal P inside IJ satisfies P + mIJ = IJ exactly when
-    the coordinates of its generators in IJ/mIJ have rank mu(IJ); likewise
+    the normal forms of its generators modulo mIJ have rank mu(IJ); likewise
     for mJ.  Every product a * w_j (a in mingens(I) for IJ, a in {x, y} for
     mJ, w_j in mingens(J)) is reduced once, here.  `mJ` and `i_min`, when
     the caller already built m*J or mingens(I), are shared.
@@ -405,12 +395,11 @@ class _WitnessSpaces:
         m2J = _mul(m, self.mJ)
         self.i_min = i_min or minimal_generators(I)
         self.j_min = j_min
-        self.mu_IJ = _colength(mIJ) - _colength(self.IJ)
-        self.mu_mJ = _colength(m2J) - _colength(self.mJ)
-        self.ij = _Quotient(mIJ)
-        self.mj = _Quotient(m2J)
-        self.by_I = [[self.ij.coords(a * w) for w in j_min] for a in self.i_min]
-        self.by_m = [[self.mj.coords(v * w) for w in j_min] for v in m.generators]
+        self.mu_IJ = colength(mIJ) - colength(self.IJ)
+        self.mu_mJ = colength(m2J) - colength(self.mJ)
+        ij, mj = _Quotient(mIJ), _Quotient(m2J)
+        self.by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in self.i_min]
+        self.by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
 
     def full_ranks(self, a: list, b: list, c: list, fld) -> bool:
         """Do g = sum a_i i_i, f = b_1 x + b_2 y, h = sum c_j w_j pass both ranks?"""
@@ -419,8 +408,7 @@ class _WitnessSpaces:
                    + [_combine(per_w, c, fld) for per_w in self.by_I])
         mj_rows = ([_combine([per_w[j] for per_w in self.by_m], b, fld) for j in cols]
                    + [_combine(per_w, c, fld) for per_w in self.by_m])
-        return (self.ij.rank(ij_rows, fld) == self.mu_IJ
-                and self.mj.rank(mj_rows, fld) == self.mu_mJ)
+        return _rank(ij_rows, fld) == self.mu_IJ and _rank(mj_rows, fld) == self.mu_mJ
 
 
 # -- certificates --------------------------------------------------------------
@@ -431,21 +419,15 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
     generates ref.
 
     ref/m*ref is killed by m, so modulo m*ref the ideal (parts) is the
-    k-span of the parts' normal forms: the sum is ref iff every member of
-    ref_min reduces to zero against one echelon of those forms.  The basis
-    of m*ref is built here, apart from the rank test's spaces; `_mul` makes
-    it a staircase when ref has one, so `ref_stair` is not read.
+    k-span of the parts' normal forms: the sum is ref iff adding the normal
+    forms of ref_min leaves the rank of that span unchanged.  The basis of
+    m*ref is built here, apart from the rank test's spaces; `_mul` makes it
+    a staircase when ref has one, so `ref_stair` is not read.
     """
     fld = ref.field
     top = _Quotient(_mul(maximal_ideal(ref.ring, fld), ref))
-    rows: dict = {}
-    for p in parts:
-        r = top.reduce(p.terms)
-        lead = _echelon_reduce(r, rows, top._key, fld)
-        if lead is not None:
-            rows[lead] = r
-    return all(_echelon_reduce(top.reduce(q.terms), rows, top._key, fld) is None
-               for q in ref_min)
+    forms = [top.reduce(p.terms) for p in parts]
+    return _rank(forms, fld) == _rank(forms + [top.reduce(q.terms) for q in ref_min], fld)
 
 
 def _draw_size(fld) -> int:
@@ -464,7 +446,7 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
 
     With f in m, g in I and h in J (by normal form), gJ + Ih = IJ holds
     locally iff gJ + Ih + m*IJ = IJ (Nakayama); that quotient is killed by
-    m, so local and global agree.  `_sum_equals` tests it by one echelon of
+    m, so local and global agree.  `_sum_equals` tests it by two ranks of
     normal forms modulo a freshly built m*IJ, apart from the rank test.
     Likewise mJ = fJ + mh against m^2*J.
     """
@@ -514,32 +496,6 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
 
 # -- refutation ----------------------------------------------------------------
 
-def _rank(rows: list[list], fld) -> int:
-    m = [row[:] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != fld.zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = fld.inv(m[rank][col])
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != fld.zero:
-                scale = fld.mul(m[r][col], inv)
-                m[r] = [fld.sub(a, fld.mul(scale, b)) for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def _sample_vector(rng: random.Random, fld, n: int, space: int) -> list:
     while True:
         draws = [rng.randint(0, space - 1) for _ in range(n)]
@@ -563,7 +519,7 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     fld = I.field
     sp = spaces or _WitnessSpaces(I, J, minimal_generators(J))
     mu_IJ, mu_mJ = sp.mu_IJ, sp.mu_mJ
-    mu_J = _colength(sp.mJ) - _colength(J)
+    mu_J = colength(sp.mJ) - colength(J)
     if mu_J < 2:
         raise ValueError("refutation needs mu(J) >= 2; mu(J) = 1 is the Gorenstein case")
     threshold = 2 * (mu_J - 1)
@@ -576,8 +532,8 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     best_I = best_m = 0
     for _ in range(trials):
         c = _sample_vector(rng, fld, len(sp.j_min), space)
-        best_I = max(best_I, sp.ij.rank([_combine(per_w, c, fld) for per_w in sp.by_I], fld))
-        best_m = max(best_m, sp.mj.rank([_combine(per_w, c, fld) for per_w in sp.by_m], fld))
+        best_I = max(best_I, _rank([_combine(per_w, c, fld) for per_w in sp.by_I], fld))
+        best_m = max(best_m, _rank([_combine(per_w, c, fld) for per_w in sp.by_m], fld))
     min_sum = mu_IJ + mu_mJ - best_I - best_m
     degree = min(mu_IJ, len(sp.by_I)) + min(mu_mJ, 2)
     failure_bound = float((degree / space) ** trials)
@@ -598,11 +554,11 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if stair is not None:
         primary = stair.is_m_primary and stair.gens != ((0, 0),)
     else:
-        _colength(I)  # raises when no pure variable power leads the basis
+        colength(I)  # raises when no pure variable power leads the basis
         primary = is_origin_primary(I)
     if not primary:
         raise NotZeroDimensional("input ideal is not m-primary at the origin")
-    colen = _colength(I)
+    colen = colength(I)
     o = ideal_order(I)
     powers = _Powers(I)
     _, level0, mu = powers.level(0)
@@ -665,11 +621,15 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
 def validate_report(I: Ideal, report: AGReport) -> bool:
     """Re-check the verdict's supporting evidence.
 
-    A witness is re-verified by `verify_witness`; a refutation is recomputed
-    from the reported colon and reduction with a fresh seed.
+    mu(J) = 1 is recomputed from the reported colon as colength(m*J) -
+    colength(J); a witness is re-verified by `verify_witness`; a refutation
+    is recomputed from the reported colon and reduction with a fresh seed.
     """
     if report.verdict is Verdict.GORENSTEIN:
-        return report.colon_min_gens == 1
+        if report.colon_min_gens != 1 or report.colon_gens is None:
+            return False
+        J = Ideal(list(report.colon_gens))
+        return colength(_mul(maximal_ideal(I.ring, I.field), J)) - colength(J) == 1
     if report.verdict is Verdict.AG_CERTIFIED:
         w = report.witness
         if w is None or report.colon_gens is None:

@@ -87,8 +87,9 @@ def _sub_scaled(row: dict, other: dict, scale, field) -> None:
 
 
 def _echelon_reduce(r: _Term, rows: dict, keyf, field) -> Exponent | None:
-    """Reduce r in place against an echelon {lead monomial: row}; the lead
-    of what is left, a row the echelon lacks, or None when r reduces to 0."""
+    """Reduce r in place against an echelon {lead column: row}, columns
+    ordered by keyf (by their own order when keyf is None); the lead of what
+    is left, a row the echelon lacks, or None when r reduces to 0."""
     while r:
         lm = _lead(r, keyf)
         row = rows.get(lm)

@@ -277,7 +277,8 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     # the flagship twin (NOT_AG) and PINNED's boundary twin (AG_CERTIFIED):
     # mu(I) shares the reduction's levels of I, the colon shares their I^2,
     # mingens(I) shares their m*I and mingens(J) shares m*J with the witness
-    # spaces.  verify_witness is the independent re-check of a certificate:
+    # spaces; the colon's J carries its reduced basis, so no run starts from
+    # an earlier run's output.  verify_witness is the independent re-check of a certificate:
     # it builds its own bases of m*IJ and m^2*J by design, so the bases it
     # builds are left out of the count
     from agrees import groebner
@@ -319,6 +320,7 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         outputs.clear()
         assert classify(I).verdict is expected
         assert inputs and len(set(inputs)) == len(inputs)
+        assert not any(basis in outputs[:k] for k, basis in enumerate(inputs))
         # nor is a basis of m*I or I^2 built again from another generator list
         assert [outputs.count(basis) for basis in shared] == [1, 1]
 
@@ -551,6 +553,87 @@ def test_sum_equals_on_monomial_parts_against_mj():
     assert outcomes == {True, False}
 
 
+# -- the sparse rank --------------------------------------------------------------
+
+def _reference_rank(rows, fld):
+    """Dense Gaussian elimination on lists of field elements: the rank
+    engine._rank computed before it became one sparse echelon."""
+    m = [row[:] for row in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(m)):
+            if m[r][col] != fld.zero:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = fld.inv(m[rank][col])
+        for r in range(rank + 1, len(m)):
+            if m[r][col] != fld.zero:
+                scale = fld.mul(m[r][col], inv)
+                m[r] = [fld.sub(a, fld.mul(scale, b)) for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+# hand-built sparse rows, integer entries; "zero-entry-leads" is the row whose
+# largest column holds an explicit 0, which a rank without the zero drop
+# stores as a pivot and then divides by
+RANK_ROWS = {
+    "no-rows": [],
+    "empty-row": [{}, {(0, 1): 1}, {}],
+    "zero-entry-leads": [{(2, 0): 0, (1, 1): 1}, {(2, 0): 1, (1, 1): 1}, {(2, 0): 2}],
+    "repeated-rows": [{(1, 0): 1, (0, 1): 2}] * 3 + [{(0, 1): 1}],
+    "cancels-to-zero": [{(1, 0): 1, (0, 2): 3}, {(1, 0): 2, (0, 2): 6},
+                        {(1, 0): 0, (0, 2): 0}],
+}
+
+
+def _seeded_rank_rows(rng, fld):
+    """Sparse rows over 16 monomial columns: fresh rows with explicit zeros,
+    repeats of earlier rows, and _combine's sums of two earlier rows, whose
+    entries may cancel to zero."""
+    cols = [(i, j) for i in range(4) for j in range(4)]
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif len(rows) >= 2 and pick < 0.35:
+            a, b = rng.sample(rows, 2)
+            c = rng.choice(((1, -1), (-1, 1), (2, -2)) if a == b
+                           else ((1, -1), (rng.randint(-3, 3), rng.randint(-3, 3))))
+            rows.append(engine._combine([a, b], [fld.from_int(v) for v in c], fld))
+        else:
+            rows.append({col: fld.from_int(rng.choice((0, 0, 1, -1, rng.randint(-99, 99))))
+                         for col in rng.sample(cols, rng.randint(0, 5))})
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+@pytest.mark.parametrize("case", [*RANK_ROWS, "seeded"])
+def test_rank_matches_dense_reference(case, field):
+    if case == "seeded":
+        rng = random.Random(derive_seed("sparse-rank", field.p if field is FP else 0))
+        row_lists = [_seeded_rank_rows(rng, field) for _ in range(300)]
+    else:
+        row_lists = [[{col: field.from_int(v) for col, v in row.items()}
+                      for row in RANK_ROWS[case]]]
+    for rows in row_lists:
+        before = [dict(row) for row in rows]
+        cols = sorted({col for row in rows for col in row})
+        dense = [[row.get(col, field.zero) for col in cols] for row in rows]
+        assert engine._rank(rows, field) == _reference_rank(dense, field), rows
+        assert rows == before
+
+
 # -- the refuter --------------------------------------------------------------------
 
 # each refuter case runs on the monomial ideal over q, on its x -> x+2y twin
@@ -633,6 +716,20 @@ def test_validate_report_recomputes_refutation():
     tampered = replace(rep, verdict=Verdict.NOT_AG, witness=None,
                        refutation=replace(ref, min_sum=ref.threshold + 1))
     assert not validate_report(I, tampered)
+
+
+def test_validate_report_recomputes_mu_of_the_colon():
+    # an AG_CERTIFIED report relabelled GORENSTEIN with colon_min_gens = 1 must
+    # not survive validation: its colon x^2, xy, y^2 has mu(J) = 3
+    I = ideal("x^3, x^2 y, x y^2, y^3")
+    rep = classify(I)
+    assert rep.verdict is Verdict.AG_CERTIFIED and len(rep.colon_gens) == 3
+    relabelled = replace(rep, verdict=Verdict.GORENSTEIN, colon_min_gens=1)
+    assert not validate_report(I, relabelled)
+    assert not validate_report(I, replace(relabelled, colon_gens=None))
+    I = ideal("x^3, y^6")
+    rep = classify(I)
+    assert rep.verdict is Verdict.GORENSTEIN and validate_report(I, rep)
 
 
 def test_classify_simplest_order_two():
