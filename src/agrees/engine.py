@@ -15,8 +15,8 @@ then either certify with a witness triple (f, g, h) satisfying
 or refute by showing that no h in J can keep mu(IJ/Ih) + mu(mJ/mh) within
 the generator-count budget 2*(mu(J) - 1).  Both witness conditions are
 Zariski-open ranks (Nakayama), so one generic triple decides the first; a
-triple that passes is re-checked exactly by comparing two ranks of normal
-forms modulo freshly built bases of m*IJ and m^2*J.
+triple that passes is re-checked exactly by one echelon of normal forms
+modulo each of freshly built bases of m*IJ and m^2*J.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -419,15 +419,22 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
     generates ref.
 
     ref/m*ref is killed by m, so modulo m*ref the ideal (parts) is the
-    k-span of the parts' normal forms: the sum is ref iff adding the normal
-    forms of ref_min leaves the rank of that span unchanged.  The basis of
-    m*ref is built here, apart from the rank test's spaces; `_mul` makes it
-    a staircase when ref has one, so `ref_stair` is not read.
+    k-span of the parts' normal forms: the sum is ref iff the normal form of
+    every member of ref_min reduces to zero against one echelon of that
+    span.  The basis of m*ref is built here, apart from the rank test's
+    spaces; `_mul` makes it a staircase when ref has one, so `ref_stair` is
+    not read.
     """
     fld = ref.field
     top = _Quotient(_mul(maximal_ideal(ref.ring, fld), ref))
-    forms = [top.reduce(p.terms) for p in parts]
-    return _rank(forms, fld) == _rank(forms + [top.reduce(q.terms) for q in ref_min], fld)
+    echelon: dict = {}
+    for p in parts:
+        r = top.reduce(p.terms)
+        lead = _echelon_reduce(r, echelon, None, fld)
+        if lead is not None:
+            echelon[lead] = r
+    return all(_echelon_reduce(top.reduce(q.terms), echelon, None, fld) is None
+               for q in ref_min)
 
 
 def _draw_size(fld) -> int:
@@ -446,7 +453,7 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
 
     With f in m, g in I and h in J (by normal form), gJ + Ih = IJ holds
     locally iff gJ + Ih + m*IJ = IJ (Nakayama); that quotient is killed by
-    m, so local and global agree.  `_sum_equals` tests it by two ranks of
+    m, so local and global agree.  `_sum_equals` tests it by one echelon of
     normal forms modulo a freshly built m*IJ, apart from the rank test.
     Likewise mJ = fJ + mh against m^2*J.
     """

@@ -3,8 +3,9 @@
 The engine keeps polynomials as exponent->coefficient dicts and runs classic
 Buchberger with the sugar selection strategy, pruning pairs with the coprime
 leading-term criterion and the chain criterion (Gebauer-Moeller style
-bookkeeping).  Reduced bases are unique, so every operation here is
-deterministic for a fixed input and order.
+bookkeeping).  Each pair is keyed once, when it is added.  A run may be
+truncated by a weight bound (see `_buchberger`).  Reduced bases are unique,
+so every operation here is deterministic for a fixed input and order.
 """
 
 from __future__ import annotations
@@ -120,19 +121,24 @@ def _spoly(f, g, lcm: Exponent, field) -> _Term:
     return out
 
 
-def _update_pairs(G, sugars, P, f_entry, f_sugar, keyf):
-    """Add f to the basis, pruning pairs by the chain and coprime criteria."""
+def _update_pairs(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None):
+    """Add f to the basis, pruning pairs by the chain and coprime criteria.
+
+    P maps (i, j) to (sugar, keyf(lcm), (i, j), lcm), so the smallest value
+    is the next pair to reduce and each pair's key is computed once.
+    """
     lmf = f_entry[0]
     m = len(G)
     kept = {}
-    for (i, j), (L, s) in P.items():
+    for ij, entry in P.items():
+        L = entry[3]
         if (
             mono_divides(lmf, L)
-            and mono_lcm(G[i][0], lmf) != L
-            and mono_lcm(G[j][0], lmf) != L
+            and mono_lcm(G[ij[0]][0], lmf) != L
+            and mono_lcm(G[ij[1]][0], lmf) != L
         ):
             continue  # chain criterion
-        kept[(i, j)] = (L, s)
+        kept[ij] = entry
     groups: dict[Exponent, list[int]] = {}
     for i in range(m):
         groups.setdefault(mono_lcm(G[i][0], lmf), []).append(i)
@@ -141,6 +147,8 @@ def _update_pairs(G, sugars, P, f_entry, f_sugar, keyf):
         if all(not mono_divides(Lp, L) for Lp in minimal):
             minimal.append(L)
     for L in minimal:
+        if max_weight is not None and sum(L[2:]) > max_weight:
+            continue  # above the weight bound
         if any(mono_lcm(G[i][0], lmf) == mono_mul(G[i][0], lmf) for i in groups[L]):
             continue  # coprime leading terms reduce to zero
         i = min(groups[L])
@@ -148,7 +156,7 @@ def _update_pairs(G, sugars, P, f_entry, f_sugar, keyf):
             sugars[i] + mono_deg(L) - mono_deg(G[i][0]),
             f_sugar + mono_deg(L) - mono_deg(lmf),
         )
-        kept[(i, m)] = (L, sug)
+        kept[(i, m)] = (sug, keyf(L), (i, m), L)
     G.append(f_entry)
     sugars.append(f_sugar)
     return kept
@@ -163,7 +171,19 @@ def _monic_entry(p: _Term, keyf, field):
     return (lm, field.one, p)
 
 
-def _buchberger(inputs: list[_Term], keyf, field, max_basis=None, max_deg=None) -> list[_Term]:
+def _buchberger(inputs: list[_Term], keyf, field, max_basis=None, max_deg=None,
+                max_weight=None) -> list[_Term]:
+    """Reduced basis of the ideal of `inputs`, as monic term dicts sorted by
+    descending leading monomial.
+
+    Pairs are reduced by smallest sugar, then smallest lcm, then index.
+    `max_weight` drops every S-pair whose lcm weighs more than it, where an
+    exponent's weight is its degree in the variables after the first two
+    (x and y weigh 0).  For inputs homogeneous in that weight, S-polynomials
+    and their reductions stay homogeneous, and a leading monomial divides
+    only monomials of equal or higher weight; so the result is exactly the
+    part of weight <= max_weight of the unbounded reduced basis.
+    """
     G: list = []
     sugars: list[int] = []
     P: dict = {}
@@ -171,15 +191,14 @@ def _buchberger(inputs: list[_Term], keyf, field, max_basis=None, max_deg=None) 
         if not p:
             continue
         sug = max(mono_deg(m) for m in p)
-        P = _update_pairs(G, sugars, P, _monic_entry(p, keyf, field), sug, keyf)
+        P = _update_pairs(G, sugars, P, _monic_entry(p, keyf, field), sug, keyf, max_weight)
     while P:
-        pair = min(P, key=lambda ij: (P[ij][1], keyf(P[ij][0]), ij))
-        L, sug = P.pop(pair)
-        i, j = pair
+        sug, _, (i, j), L = P.pop(min(P.values())[2])
         s = _spoly(G[i], G[j], L, field)
         r = _nf_dict(s, G, keyf, field)
         if r:
-            P = _update_pairs(G, sugars, P, _monic_entry(r, keyf, field), sug, keyf)
+            P = _update_pairs(G, sugars, P, _monic_entry(r, keyf, field), sug, keyf,
+                              max_weight)
             if max_basis is not None and len(G) > max_basis:
                 raise EliminationBudgetExceeded(f"basis grew past {max_basis} elements")
             if max_deg is not None and max(mono_deg(m) for m in r) > max_deg:
@@ -491,7 +510,8 @@ def minimal_generators(I: Ideal, mI: Ideal | None = None) -> list[Polynomial]:
                            key=lambda g: (g.min_degree(), keyf(g.leading()[0])), N=mI)
 
 
-def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None) -> list[Polynomial]:
+def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
+                    max_weight: int | None = None) -> list[Polynomial]:
     """Graded Nakayama: scanning gens sorted by key, keep g unless it lies in
     the ideal of the kept ones plus N = (vars) * gens.
 
@@ -500,20 +520,26 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None) -> list
     NF_N(g) lies in span_k(NF_N(kept)).  One reduced basis of N serves every
     candidate; the span is an echelon of the kept normal forms, one row per
     leading monomial.  `N`, when the caller already built that ideal, is used
-    in place of a new one.
+    in place of a new one.  Otherwise N's basis is built here, bounded by
+    `max_weight` as in `_buchberger`; the prune stays exact for
+    weight-homogeneous gens that weigh no more than the bound.
     """
     if not gens:
         return []
     ring, field = gens[0].ring, gens[0].field
     if N is None:
-        N = Ideal([Polynomial.variable(ring, field, v) * g
-                   for v in ring.vars for g in gens])
-    gb = N.groebner_basis()
-    keyf = gb.order.key(ring)
+        keyf = GREVLEX.key(ring)
+        basis = _buchberger([dict((Polynomial.variable(ring, field, v) * g).terms)
+                             for v in ring.vars for g in gens],
+                            keyf, field, max_weight=max_weight)
+        lead_data = [(_lead(d, keyf), field.one, d) for d in basis]
+    else:
+        gb = N.groebner_basis()
+        keyf, lead_data = gb.order.key(ring), gb._lead_data
     rows: dict[Exponent, _Term] = {}
     kept: list[Polynomial] = []
     for g in sorted(gens, key=key):
-        r = _nf_dict(dict(g.terms), gb._lead_data, keyf, field)
+        r = _nf_dict(dict(g.terms), lead_data, keyf, field)
         lm = _echelon_reduce(r, rows, keyf, field)
         if lm is not None:
             rows[lm] = r

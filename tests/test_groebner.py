@@ -43,8 +43,10 @@ from agrees.poly import (
     BlockElimination,
     Polynomial,
     Ring,
+    mono_deg,
     mono_div,
     mono_divides,
+    mono_lcm,
     mono_mul,
 )
 
@@ -489,44 +491,21 @@ def _random_generators(rng, ring, field):
 
 
 def _rees_prune_inputs(I, monkeypatch):
-    """The t-free list and key that `rees_defining_ideal` hands its prune."""
+    """The unbounded t-free list of I's kernel basis and the key that
+    `rees_defining_ideal` hands its prune.  The list comes from an
+    elimination run here: the bounded list it hands over may have no
+    redundant element left."""
     calls = []
 
-    def record(gens, key):
-        calls.append((list(gens), key))
-        return groebner._nakayama_prune(gens, key)
+    def record(gens, key, **kwargs):
+        calls.append(key)
+        return groebner._nakayama_prune(gens, key, **kwargs)
 
     monkeypatch.setattr(rees, "_nakayama_prune", record)
     rees.rees_defining_ideal(I)
     monkeypatch.undo()
-    (call,) = calls
-    return call
-
-
-@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
-@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
-def test_nakayama_prune_matches_reference(names, field, monkeypatch):
-    ring = Ring(names)
-    keyf = GREVLEX.key(ring)
-
-    def key(g):
-        return (g.min_degree(), keyf(g.leading()[0]))
-
-    rng = random.Random(71 + len(names))
-    for _ in range(12):
-        gens = _random_generators(rng, ring, field)
-        assert _nakayama_prune(gens, key) == _reference_prune(gens, key)
-
-    if names == ("x", "y"):
-        xt = poly("x + 2*y", field)
-        y = poly("y", field)
-        for I in (ideal("x^3, x^2 y^3, x y^5, y^6", field),
-                  ideal("x^2 + y^3, y^4, x y^2", field),
-                  Ideal([xt ** 2, xt * y ** 2, y ** 3])):
-            t_free, rkey = _rees_prune_inputs(I, monkeypatch)
-            got = _nakayama_prune(t_free, rkey)
-            assert got == _reference_prune(t_free, rkey)
-            assert len(got) < len(t_free)  # each kernel basis has a redundant element
+    (key,) = calls
+    return rees._t_free_kernel(list(I.generators), I.field, None), key
 
 
 def _count_buchberger(monkeypatch):
@@ -540,6 +519,99 @@ def _count_buchberger(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger", counted)
     monkeypatch.setattr(rees, "_buchberger", counted)
     return calls
+
+
+def _reference_update_pairs(G, sugars, P, f_entry, f_sugar, keyf):
+    """`_update_pairs` before each pair's key was stored: P maps (i, j) to
+    (lcm, sugar)."""
+    lmf = f_entry[0]
+    m = len(G)
+    kept = {}
+    for (i, j), (L, s) in P.items():
+        if (
+            mono_divides(lmf, L)
+            and mono_lcm(G[i][0], lmf) != L
+            and mono_lcm(G[j][0], lmf) != L
+        ):
+            continue
+        kept[(i, j)] = (L, s)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(mono_lcm(G[i][0], lmf), []).append(i)
+    minimal = []
+    for L in sorted(groups, key=keyf):
+        if all(not mono_divides(Lp, L) for Lp in minimal):
+            minimal.append(L)
+    for L in minimal:
+        if any(mono_lcm(G[i][0], lmf) == mono_mul(G[i][0], lmf) for i in groups[L]):
+            continue
+        i = min(groups[L])
+        sug = max(
+            sugars[i] + mono_deg(L) - mono_deg(G[i][0]),
+            f_sugar + mono_deg(L) - mono_deg(lmf),
+        )
+        kept[(i, m)] = (L, sug)
+    G.append(f_entry)
+    sugars.append(f_sugar)
+    return kept
+
+
+def _reference_buchberger(inputs, keyf, field):
+    """`_buchberger` before each pair's key was stored, keying every pair at
+    every step; its reductions go through `groebner._nf_dict` as the
+    engine's do."""
+    G, sugars, P = [], [], {}
+    for p in inputs:
+        if p:
+            P = _reference_update_pairs(G, sugars, P, groebner._monic_entry(p, keyf, field),
+                                        max(mono_deg(m) for m in p), keyf)
+    while P:
+        pair = min(P, key=lambda ij: (P[ij][1], keyf(P[ij][0]), ij))
+        L, sug = P.pop(pair)
+        i, j = pair
+        r = groebner._nf_dict(groebner._spoly(G[i], G[j], L, field), G, keyf, field)
+        if r:
+            P = _reference_update_pairs(G, sugars, P, groebner._monic_entry(r, keyf, field),
+                                        sug, keyf)
+    order_asc = sorted(range(len(G)), key=lambda i: keyf(G[i][0]))
+    minimal = []
+    for i in order_asc:
+        if all(not mono_divides(e[0], G[i][0]) for e in minimal):
+            minimal.append(G[i])
+    reduced = []
+    for k, entry in enumerate(minimal):
+        others = [e for idx, e in enumerate(minimal) if idx != k]
+        r = groebner._nf_dict(entry[2], others, keyf, field)
+        reduced.append(groebner._monic_entry(r, keyf, field)[2])
+    reduced.sort(key=lambda p: keyf(groebner._lead(p, keyf)), reverse=True)
+    return reduced
+
+
+@pytest.mark.parametrize("order", [GREVLEX, BlockElimination(front=("x",))],
+                         ids=["grevlex", "block"])
+def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
+    """Storing each pair's key changes no selection: the same reductions run,
+    as many of them, and the same basis comes out."""
+    calls = []
+    real = groebner._nf_dict
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_nf_dict", counted)
+    rng = random.Random(83)
+    ring = Ring(("x", "y", "z"))
+    keyf = order.key(ring)
+    for field in (QQ, PrimeField(2147483647)):
+        for _ in range(8):
+            inputs = [dict(g.terms) for g in _random_generators(rng, ring, field)]
+            calls.clear()
+            want = _reference_buchberger(inputs, keyf, field)
+            n_reference = len(calls)
+            calls.clear()
+            assert _buchberger(inputs, keyf, field) == want
+            assert len(calls) == n_reference > 0
 
 
 def test_rees_presentation_runs_two_buchberger(monkeypatch):

@@ -4,14 +4,19 @@ The elimination results are cross-checked against sympy's Groebner engine,
 which plays the independent elimination oracle here.
 """
 
+import random
+
 import sympy
 import pytest
 
+from agrees import engine, groebner, rees
 from agrees.errors import NotZeroDimensional
-from agrees.fields import QQ
+from agrees.families import make_family
+from agrees.fields import QQ, PrimeField
 from agrees.groebner import Ideal
 from agrees.parse import parse_ideal_spec
-from agrees.poly import BASE_RING
+from agrees.poly import BASE_RING, Polynomial
+from agrees.repro import random_staircase
 from agrees.rees import (
     presentation_bidegrees,
     rees_defining_ideal,
@@ -21,8 +26,11 @@ from agrees.rees import (
 from oracles import sympy_same_ideal, to_sympy
 
 
-def ideal(text):
-    return Ideal(parse_ideal_spec(text, BASE_RING, QQ))
+FP = PrimeField(2147483647)
+
+
+def ideal(text, field=QQ):
+    return Ideal(parse_ideal_spec(text, BASE_RING, field))
 
 
 def sympy_elimination(gen_texts):
@@ -122,3 +130,90 @@ def test_mixed_presentation_matches_sympy_elimination(texts):
     mine = [to_sympy(g, names) for g in pres.defining_gens]
     assert sympy_same_ideal(mine, oracle, names)
     assert not sympy_same_ideal(mine[1:], oracle, names)
+
+
+# -- the T-degree bound -------------------------------------------------------------
+
+def _unbounded(I, monkeypatch):
+    """The presentation with both bases run without the weight bound."""
+    with monkeypatch.context() as m:
+        m.setattr(rees, "_relation_type_bound", lambda I: None)
+        return rees_defining_ideal(I)
+
+
+def _monomial_ideal(exps, field):
+    return Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
+
+
+def _twin(exps, field):
+    """The ideal of (x + 2y)^a * y^b for (a, b) in exps."""
+    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
+    x = x + y.scale(field.from_int(2))
+    return Ideal([x ** a * y ** b for a, b in exps])
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_bounded_presentation_matches_unbounded(field, monkeypatch):
+    """Where r <= 1 both bases stop at T-degree r + 1; the presentation is
+    the same, generator for generator and in order, and the bounded t-free
+    list is exactly the part of the unbounded one of T-degree <= r + 1."""
+    rng = random.Random(29)
+    stairs = [random_staircase(rng, 6, 3).gens for _ in range(14)]
+    cases = ([_monomial_ideal(g, field) for g in stairs]
+             + [_twin(g, field) for g in stairs[:5]]
+             + [ideal(text, field) for text in ("x, y", "x^3, y^6", "x^2, x*y, y^2, x^2 + x*y")])
+    bounds = [rees._relation_type_bound(I) for I in cases]
+    assert bounds[-3:] == [1, 1, 2]  # r = 0, r = 0, and r = 1 with a redundant generator
+    assert sum(b is not None for b in bounds) >= 15
+    for I, bound in zip(cases, bounds):
+        got, want = rees_defining_ideal(I), _unbounded(I, monkeypatch)
+        assert got.defining_gens == want.defining_gens
+        assert got.bidegrees == want.bidegrees
+        if bound is not None:
+            assert max(t for t, _ in got.bidegrees) <= bound
+            gens = [g for g in I.generators if not g.is_zero]
+            full = rees._t_free_kernel(gens, field, None)
+            assert (rees._t_free_kernel(gens, field, bound)
+                    == [g for g in full if rees._t_degree(g) <= bound])
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+@pytest.mark.parametrize("I", [
+    "x^4, x^3*y, x*y^3, y^4",
+    ("contracted-o3", {"n": 6, "alpha": 2, "beta": 5}),
+    ("contracted-o3", {"n": 6, "alpha": 3, "beta": 4}),
+], ids=["not-ratliff-russell-closed", "co3-6-2-5", "co3-6-3-4"])
+def test_reduction_number_two_runs_unbounded(I, field):
+    # r = 2, so no bound is proven; these keep their T-degree 3 generators
+    I = ideal(I, field) if isinstance(I, str) else make_family(*I, field=field)
+    assert engine.find_reduction(I).reduction_number == 2
+    assert rees._relation_type_bound(I) is None
+    assert max(t for t, _ in rees_defining_ideal(I).bidegrees) == 3
+
+
+def test_zeros_away_from_the_origin_run_unbounded():
+    # r = 0 at the origin, but the bound is proven only when V(I) is the origin
+    I = ideal("x^2 - x^3, y^2")
+    assert engine.find_reduction(I).reduction_number == 0
+    assert rees._relation_type_bound(I) is None
+    pres = rees_defining_ideal(I)
+    assert [str(g) for g in pres.defining_gens] == ["x^3*T2 + y^2*T1 - x^2*T2"]
+    assert substitution_check(I, pres)
+
+
+@pytest.mark.parametrize("text,bound", [
+    ("x^3, x^2 y^3, x y^5, y^6", 2),
+    ("x^4, x^3*y, x*y^3, y^4", None),
+])
+def test_both_bases_get_the_bound(text, bound, monkeypatch):
+    seen = []
+    real = groebner._buchberger
+
+    def record(*args, **kwargs):
+        seen.append(kwargs.get("max_weight"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", record)
+    monkeypatch.setattr(rees, "_buchberger", record)
+    rees_defining_ideal(ideal(text))
+    assert seen == [bound, bound]
