@@ -508,6 +508,34 @@ def _rees_prune_inputs(I, monkeypatch):
     return rees._t_free_kernel(list(I.generators), I.field, None), key
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+def test_nakayama_prune_matches_reference(names, field, monkeypatch):
+    ring = Ring(names)
+    keyf = GREVLEX.key(ring)
+
+    def key(g):
+        return (g.min_degree(), keyf(g.leading()[0]))
+
+    rng = random.Random(71 + len(names))
+    for _ in range(12):
+        gens = _random_generators(rng, ring, field)
+        assert _nakayama_prune(gens, key) == _reference_prune(gens, key)
+
+    if names == ("x", "y"):
+        xt = poly("x + 2*y", field)
+        y = poly("y", field)
+        for I in (ideal("x^3, x^2 y^3, x y^5, y^6", field),
+                  ideal("x^2 + y^3, y^4, x y^2", field),
+                  Ideal([xt ** 2, xt * y ** 2, y ** 3])):
+            t_free, rkey = _rees_prune_inputs(I, monkeypatch)
+            got = _nakayama_prune(t_free, rkey)
+            assert got == _reference_prune(t_free, rkey)
+            assert len(got) < len(t_free)  # each kernel basis has a redundant element
+            # the bounded presentation keeps the same generators
+            assert got == list(rees.rees_defining_ideal(I).defining_gens)
+
+
 def _count_buchberger(monkeypatch):
     calls = []
     real = groebner._buchberger
