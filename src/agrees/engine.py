@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -176,7 +177,7 @@ def _rank(rows: list[dict], fld) -> int:
 # -- reductions ---------------------------------------------------------------
 
 _REDUCTION_PAIRS = 32  # seeded menu draws tried for an ideal without a staircase
-_REDUCTION_CAP = 4     # largest reduction number searched for
+_REDUCTION_CAP = 4     # largest reduction number searched for on those draws
 
 
 class _Powers:
@@ -207,9 +208,10 @@ class _Powers:
         return self._levels[r]
 
 
-def _reduction_number(I: Ideal, Q: Ideal, cap: int,
+def _reduction_number(I: Ideal, Q: Ideal, cap: int | None,
                       powers: _Powers | None = None) -> int | None:
-    """Minimal r <= cap with I^{r+1} = Q I^r in k[x,y]_(x,y); Q <= I is assumed.
+    """Minimal r <= cap (any r when cap is None) with I^{r+1} = Q I^r in
+    k[x,y]_(x,y); Q <= I is assumed, and Q must be a reduction when cap is None.
 
     Both sides lie between m*I^{r+1} and I^{r+1}, so by Nakayama they agree
     locally iff the classes of q * p (q in Q, p in gens(I^r)) span
@@ -217,7 +219,7 @@ def _reduction_number(I: Ideal, Q: Ideal, cap: int,
     supported at the origin, so Q may vanish elsewhere.
     """
     powers = powers or _Powers(I)
-    for r in range(cap + 1):
+    for r in itertools.count() if cap is None else range(cap + 1):
         gens, quotient, mu = powers.level(r)
         rows = [quotient.reduce((q * p).terms) for q in Q.generators for p in gens]
         if _rank(rows, I.field) == mu:
@@ -233,9 +235,10 @@ def find_reduction(I: Ideal, seed: int = 0, powers: _Powers | None = None) -> Re
     dominate the Newton polygon, else the even/odd split of the polygon's
     vertices.  On every edge of the polygon each member of the split has a
     single term, so the pair is Newton non-degenerate and hence a reduction.
-    Other ideals try seeded sparse combinations of their generators.  Every
-    pair is tested for r <= 1 before any is tested up to `_REDUCTION_CAP`,
-    so a pair with r <= 1 is found before any pair builds I^3 and beyond.
+    Its reduction number is therefore searched with no cap.  Other ideals
+    try seeded sparse combinations of their generators.  Every draw is
+    tested for r <= 1 before any is tested up to `_REDUCTION_CAP`, so a
+    pair with r <= 1 is found before any pair builds I^3 and beyond.
     `powers`, when the caller already holds the levels of I, is shared.
     """
     ring, fld = I.ring, I.field
@@ -248,6 +251,7 @@ def find_reduction(I: Ideal, seed: int = 0, powers: _Powers | None = None) -> Re
             pts = hull_vertices(stair.gens)
         monos = [Polynomial.monomial(ring, fld, e) for e in pts]
         pairs = [Ideal([sum(monos[2::2], monos[0]), sum(monos[3::2], monos[1])])]
+        cap = None
     else:
         rng = random.Random(derive_seed(seed, "reduction"))
         gens = [g for g in I.generators if not g.is_zero]
@@ -266,6 +270,7 @@ def find_reduction(I: Ideal, seed: int = 0, powers: _Powers | None = None) -> Re
                     yield Ideal([q1, q2])
 
         pairs = draws()  # lazily: the first draw is usually a stable reduction
+        cap = _REDUCTION_CAP
 
     powers = powers or _Powers(I)
     tried: list[Ideal] = []
@@ -275,7 +280,7 @@ def find_reduction(I: Ideal, seed: int = 0, powers: _Powers | None = None) -> Re
             return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
         tried.append(Q)
     for Q in tried:
-        r = _reduction_number(I, Q, _REDUCTION_CAP, powers)
+        r = _reduction_number(I, Q, cap, powers)
         if r is not None:
             return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
     raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(tried)} pairs")

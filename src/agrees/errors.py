@@ -63,7 +63,3 @@ class BadParameters(AgreesError):
 
 class UnknownCheckId(AgreesError):
     """Reproduction check id not in the registry."""
-
-
-class EliminationBudgetExceeded(AgreesError):
-    """Intermediate elimination basis grew past the configured cap."""

@@ -77,13 +77,14 @@ class MonomialOrder:
         raise NotImplementedError
 
 
+def _grevlex_key(e: Exponent) -> tuple:
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
 @dataclass(frozen=True)
 class _Grevlex(MonomialOrder):
     def key(self, ring):
-        def k(e):
-            return (sum(e), tuple(-x for x in reversed(e)))
-
-        return k
+        return _grevlex_key
 
     def __repr__(self):
         return "grevlex"
@@ -100,34 +101,26 @@ class _Lex(MonomialOrder):
 
 @dataclass(frozen=True)
 class BlockElimination(MonomialOrder):
-    """Front block compared by grevlex, then the rest by the back order.
+    """Front block compared by grevlex, then the rest by grevlex.
 
     Any monomial involving a front variable sorts above every monomial free
     of them, which is what elimination needs.
     """
 
     front: tuple[str, ...]
-    back: MonomialOrder = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.back is None:
-            object.__setattr__(self, "back", GREVLEX)
 
     def key(self, ring):
         fidx = tuple(ring.index(v) for v in self.front)
         bidx = tuple(i for i in range(ring.arity) if i not in fidx)
-        back_ring = Ring(tuple(ring.vars[i] for i in bidx))
-        bkey = self.back.key(back_ring)
 
         def k(e):
-            fe = tuple(e[i] for i in fidx)
-            be = tuple(e[i] for i in bidx)
-            return ((sum(fe), tuple(-x for x in reversed(fe))), bkey(be))
+            return (_grevlex_key(tuple(e[i] for i in fidx)),
+                    _grevlex_key(tuple(e[i] for i in bidx)))
 
         return k
 
     def __repr__(self):
-        return f"block({','.join(self.front)} >> {self.back!r})"
+        return f"block({','.join(self.front)} >> {GREVLEX!r})"
 
 
 GREVLEX = _Grevlex()

@@ -8,6 +8,13 @@ of that product, then one normal form per candidate (see
 `groebner._nakayama_prune`).  Each generator is reported with its
 (T-degree, coefficient xy-degree) bidegree.
 
+The presentation is local, like every verdict: the prune is Nakayama at
+(x, y, T), so the kept generators generate K after localizing there.  When
+I has zeros away from the origin they may generate less than K globally;
+`substitution_check` still holds, since every kept generator lies in K.
+Buchberger terminates on every input, so the T-degree bound below is the
+only truncation.
+
 Both bases are truncated at T-degree r + 1 when that bound is proven.  With
 t and every T_i of weight 1 and x, y of weight 0 the inputs T_i - f_i t are
 weight-homogeneous, so a Buchberger run that drops the S-pairs of weight
@@ -37,9 +44,6 @@ from .poly import (
     presentation_ring,
     rees_ring,
 )
-
-MAX_BASIS = 5000
-MAX_DEGREE = 40
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,7 @@ def _relation_type_bound(I: Ideal) -> int | None:
     return r + 1 if r <= 1 else None
 
 
-def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None,
-                   max_basis: int = MAX_BASIS, max_deg: int = MAX_DEGREE) -> list[Polynomial]:
+def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> list[Polynomial]:
     """The t-free elements of the elimination basis of (T_i - f_i t), in the
     presentation ring, bounded by `max_weight` as in `_buchberger`."""
     s = len(gens)
@@ -92,20 +95,19 @@ def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None,
 
     keyf = BlockElimination(front=("t",)).key(big)
     basis = _buchberger([dict(g.terms) for g in kernel_gens], keyf, field,
-                        max_basis=max_basis, max_deg=max_deg, max_weight=max_weight)
+                        max_weight=max_weight)
     target = presentation_ring(s)
     keep = (0, 1) + tuple(range(3, big.arity))  # drop the t slot
     return [Polynomial(big, field, d).project(target, keep)
             for d in basis if all(e[2] == 0 for e in d)]
 
 
-def rees_defining_ideal(I: Ideal, max_basis: int = MAX_BASIS,
-                        max_deg: int = MAX_DEGREE) -> ReesPresentation:
+def rees_defining_ideal(I: Ideal) -> ReesPresentation:
     """Minimal defining generators of R[It] with their bidegrees."""
     colength(I)  # rejects inputs that are not m-primary
     gens = [g for g in I.generators if not g.is_zero]
     bound = _relation_type_bound(I)
-    t_free = _t_free_kernel(gens, I.field, bound, max_basis, max_deg)
+    t_free = _t_free_kernel(gens, I.field, bound)
 
     # minimal generators by graded Nakayama against (x, y, T_1..T_s) * kernel
     keyg = GREVLEX.key(presentation_ring(len(gens)))

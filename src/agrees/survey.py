@@ -8,6 +8,7 @@ identical to --jobs 1.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product
 
 from .engine import ClassifyConfig, classify, derive_seed
 from .errors import BadParameters
@@ -51,8 +52,6 @@ def expand_tuples(family: str, ranges: dict[str, range]) -> tuple[list[tuple[int
     missing = [n for n in names if n not in ranges]
     if missing:
         raise BadParameters(f"family {family!r} needs ranges for {missing}")
-    tuples: list[tuple[int, ...]] = []
-    skipped = 0
 
     def valid(values: tuple[int, ...]) -> bool:
         params = dict(zip(names, values))
@@ -65,19 +64,9 @@ def expand_tuples(family: str, ranges: dict[str, range]) -> tuple[list[tuple[int
         except BadParameters:
             return False
 
-    def rec(prefix: tuple[int, ...], rest: tuple[str, ...]):
-        nonlocal skipped
-        if not rest:
-            if valid(prefix):
-                tuples.append(prefix)
-            else:
-                skipped += 1
-            return
-        for v in ranges[rest[0]]:
-            rec(prefix + (v,), rest[1:])
-
-    rec((), names)
-    return tuples, skipped
+    candidates = list(product(*(ranges[n] for n in names)))
+    tuples = [values for values in candidates if valid(values)]
+    return tuples, len(candidates) - len(tuples)
 
 
 def _build_ideal(family: str, values: tuple[int, ...], field) -> Ideal:

@@ -761,6 +761,23 @@ def test_classify_unstable_is_unknown():
     assert rep.colon_gens is None
 
 
+@pytest.mark.parametrize("text,r", [
+    ("x^9, x*y^5, y^6", 5),
+    ("x^9, x*y^6, y^7", 6),
+    ("x^7, x^6*y^2, x*y^7, y^8", 5),
+])
+def test_newton_pair_reduction_number_has_no_cap(text, r):
+    # the Newton pair is a reduction, so its r is found above _REDUCTION_CAP
+    assert r > engine._REDUCTION_CAP
+    I = ideal(text)
+    assert find_reduction(I).reduction_number == r
+    rep = classify(I)
+    assert rep.verdict is Verdict.UNKNOWN
+    assert rep.reduction.reduction_number == r
+    assert rep.notes[0].startswith(f"reduction number {r} exceeds 1; ")
+    assert validate_report(I, rep)
+
+
 def test_classify_designated_q_unstable_but_true_reduction_found():
     # (n, alpha, beta) = (6, 2, 3): the family's pure-power pair is not a
     # reduction (its multiplicity is too large), but a vertex split of the

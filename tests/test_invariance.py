@@ -1,0 +1,59 @@
+"""Metamorphic invariance of the classifier on generated monomial ideals.
+
+A verdict is a statement about the ideal in k[x,y]_(x,y), so it and the
+numbers behind it must not depend on the names of the variables or on the
+choice of generators.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from agrees.engine import classify
+from agrees.fields import PrimeField
+from agrees.groebner import Ideal
+from agrees.poly import BASE_RING, Polynomial
+from agrees.staircase import staircase_normalize
+
+FP = PrimeField(2147483647)
+
+CASES = settings(max_examples=30, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def staircases(draw):
+    """Generators of a small m-primary staircase: x^a, y^b and up to three
+    corners inside the box."""
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pts = [(a, 0), (0, b)]
+    if a > 1 and b > 1:
+        corner = st.tuples(st.integers(1, a - 1), st.integers(1, b - 1))
+        pts += draw(st.lists(corner, max_size=3))
+    return staircase_normalize(pts).gens
+
+
+def _monomials(exps):
+    return [Polynomial.monomial(BASE_RING, FP, e) for e in exps]
+
+
+def _invariants(I):
+    rep = classify(I)
+    ref = rep.refutation
+    return (rep.verdict, rep.colon_min_gens,
+            None if ref is None else (ref.min_sum, ref.threshold),
+            rep.colength, rep.min_gens)
+
+
+@CASES
+@given(staircases())
+def test_swapping_x_and_y_keeps_the_verdict(exps):
+    swapped = [(j, i) for i, j in exps]
+    assert _invariants(Ideal(_monomials(swapped))) == _invariants(Ideal(_monomials(exps)))
+
+
+@CASES
+@given(staircases(), st.data())
+def test_a_redundant_sum_keeps_the_verdict(exps, data):
+    gens = _monomials(exps)
+    i, j = data.draw(st.lists(st.integers(0, len(gens) - 1), min_size=2, max_size=2,
+                              unique=True))
+    extra = Ideal(gens + [gens[i] + gens[j]])
+    assert _invariants(extra) == _invariants(Ideal(gens))

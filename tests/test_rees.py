@@ -99,13 +99,33 @@ def test_non_primary_input_rejected():
         rees_defining_ideal(ideal("x^2, x y"))
 
 
-def test_elimination_budget_guard():
-    from agrees.errors import EliminationBudgetExceeded
+def test_no_size_or_degree_cap():
+    # Buchberger terminates on every input: bases of degree above 40 present
+    rows = ((14, 6, 9), (14, 7, 9), (14, 8, 9))
+    cases = [make_family("contracted-o3", dict(zip(("n", "alpha", "beta"), row)))
+             for row in rows]
+    for I in cases:
+        pres = rees_defining_ideal(I)
+        assert pres.bidegrees == ((1, 1), (1, 1), (1, 1), (2, 0), (2, 0), (2, 0), (3, 0))
+        assert substitution_check(I, pres)
+    I = ideal("x^41, y^41")
+    pres = rees_defining_ideal(I)
+    assert pres.bidegrees == ((1, 41),)
+    assert substitution_check(I, pres)
 
-    with pytest.raises(EliminationBudgetExceeded):
-        rees_defining_ideal(ideal("x^3, x^2 y^3, x y^5, y^6"), max_basis=3)
-    with pytest.raises(EliminationBudgetExceeded):
-        rees_defining_ideal(ideal("x^3, x^2 y^3, x y^5, y^6"), max_deg=4)
+
+def test_presentation_is_local_at_the_origin():
+    # zeros along x = 1: the Nakayama prune at (x, y, T) keeps generators of
+    # the kernel's localization there, which generate less than the kernel
+    x, y = (Polynomial.variable(BASE_RING, QQ, v) for v in ("x", "y"))
+    u = x - Polynomial.one(BASE_RING, QQ)
+    I = Ideal([x * u ** 4, u ** 3 * y, u * y ** 3, y ** 4])
+    pres = rees_defining_ideal(I)
+    assert pres.bidegrees == ((1, 0), (1, 0), (1, 1))
+    assert substitution_check(I, pres)
+    t_free = rees._t_free_kernel(list(I.generators), QQ, None)
+    assert len(t_free) == 12
+    assert not groebner.ideal_equal(Ideal(list(pres.defining_gens)), Ideal(t_free))
 
 
 def test_mixed_generator_presentation():

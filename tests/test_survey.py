@@ -19,6 +19,11 @@ def test_expand_counts_invalid_tuples():
     assert all(2 * a >= n for n, a in tuples)
     assert skipped == 12 - len(tuples)
     assert tuples == sorted(tuples)
+    tuples, skipped = expand_tuples(
+        "contracted-o3", {"n": range(3, 8), "alpha": range(1, 7), "beta": range(1, 8)})
+    assert tuples == [(n, alpha, beta) for n in range(3, 8) for alpha in range(1, 7)
+                      for beta in range(1, 8) if alpha < beta < n]
+    assert skipped == 5 * 6 * 7 - len(tuples)
 
 
 def test_expand_requires_all_ranges():
