@@ -20,7 +20,7 @@ from .engine import (
     validate_report,
     verify_witness,
 )
-from .families import make_family
+from .families import coordinate_twin, make_family
 from .fields import QQ, PrimeField, RationalField, field_from_config
 from .groebner import (
     GroebnerBasis,

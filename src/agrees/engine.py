@@ -361,7 +361,7 @@ def _local_colon(I: Ideal, Q: Ideal, I2: Ideal) -> Ideal:
         if lead[0] >= 0:
             echelon[lead] = row
         else:
-            kernel.append(Polynomial(I.ring, fld, {e: c for (_, e), c in row.items()}))
+            kernel.append(Polynomial(I.ring, fld, {e: fld.from_int(c) for (_, e), c in row.items()}))
     basis = Ideal(list(gb) + kernel).groebner_basis()
     J = Ideal(list(basis))
     J._gb_cache[basis.order] = basis  # already reduced: no second Buchberger run

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import BadParameters
 
@@ -36,7 +37,13 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """Exact rationals; elements are Fraction values in lowest terms."""
+    """Exact rationals; elements are Fraction values in lowest terms.
+
+    The Groebner and echelon kernels work on rows of plain integers (see
+    `groebner`): `clear` turns field values into integers, `cross` gives the
+    integer multipliers of one reduction step and `normalize` keeps a stored
+    row primitive, with content 1 and a positive leading coefficient.
+    """
 
     name = "q"
 
@@ -63,10 +70,35 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return Fraction(1, a)
 
     def div(self, a, b):
-        return a / b
+        return Fraction(a, b)
+
+    # -- integer rows -------------------------------------------------------
+
+    def clear(self, row: dict) -> Fraction:
+        """Scale row in place by the lcm of its denominators, so its values
+        become ints; the unit u with old row = u * new row."""
+        den = lcm(*[c.denominator for c in row.values()])
+        for m, c in row.items():
+            row[m] = c.numerator * (den // c.denominator)
+        return Fraction(1, den)
+
+    def cross(self, c: int, b: int) -> tuple[int, int]:
+        """(a, s) with a * c = s * b and a > 0 for b > 0: the smallest
+        multipliers that cancel c against a leading coefficient b."""
+        g = gcd(c, b)
+        return b // g, c // g
+
+    def normalize(self, row: dict, lm) -> None:
+        """Divide row in place by its content, signed so that row[lm] > 0."""
+        g = gcd(*row.values())
+        if row[lm] < 0:
+            g = -g
+        if g != 1:
+            for m, v in row.items():
+                row[m] = v // g
 
     def is_negative(self, a) -> bool:
         return a < 0
@@ -88,7 +120,12 @@ class RationalField:
 
 
 class PrimeField:
-    """Integers modulo a prime p > 2^20; elements are ints in [0, p)."""
+    """Integers modulo a prime p > 2^20; elements are ints in [0, p).
+
+    Elements are already the integers the kernels work on, so `clear` leaves
+    a row as it is, `normalize` makes it monic and `cross` against a monic
+    leading coefficient gives the multiplier 1.
+    """
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -128,6 +165,24 @@ class PrimeField:
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
+
+    # -- integer rows -------------------------------------------------------
+
+    def clear(self, row: dict) -> int:
+        """Residues are already integers: row stays, with unit 1."""
+        return 1
+
+    def cross(self, c: int, b: int) -> tuple[int, int]:
+        """(1, c / b) with 1 * c = s * b; s = c against a monic lead."""
+        return 1, (c if b == 1 else self.div(c, b))
+
+    def normalize(self, row: dict, lm) -> None:
+        """Scale row in place so that row[lm] = 1."""
+        c = row[lm]
+        if c != 1:
+            inv = self.inv(c)
+            for m, v in row.items():
+                row[m] = v * inv % self.p
 
     # Symmetric representative (-p/2, p/2] keeps printed coefficients small.
     def is_negative(self, a) -> bool:

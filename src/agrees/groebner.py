@@ -6,6 +6,20 @@ leading-term criterion and the chain criterion (Gebauer-Moeller style
 bookkeeping).  Each pair is keyed once, when it is added.  A run may be
 truncated by a weight bound (see `_buchberger`).  Reduced bases are unique,
 so every operation here is deterministic for a fixed input and order.
+
+The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
+rows of plain integers, one kernel for both fields; the field supplies what
+differs.  `field.clear` writes field values as a unit times integers (over
+q it clears denominators; over fp a residue is already an integer),
+`field.cross(c, b)` gives multipliers (a, s) with a*c = s*b, so that a step
+r := a*r - s*row cancels r's leading c against a row led by b, and
+`field.normalize` keeps every stored row primitive (over q: content 1, lead
+positive) or monic (over fp, where a is therefore always 1).  This is
+fraction-free elimination (Bareiss 1968) and the primitive-part Buchberger
+algorithm (Cox-Little-O'Shea).  Field values are made again only where a
+value leaves a kernel: the remainder `_nf_dict` returns, the monic reduced
+basis `_buchberger` returns, and a kernel vector a caller reads off an
+echelon.
 """
 
 from __future__ import annotations
@@ -42,28 +56,39 @@ def _lead(p: _Term, keyf) -> Exponent:
 
 
 def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
-    """Full normal form of p against basis entries (lm, lc, terms).
+    """Full normal form of p against basis entries (lm, lc, row) made by
+    `_entry`, returned as field values.
 
+    The work is an integer row (see the module docstring): `field.clear`
+    writes p as unit * work, and a step that cancels the leading c of work
+    against an entry with leading integer lc sets work := a * work - s *
+    shift * row with (a, s) = `field.cross(c, lc)`, dividing unit by a.  A
+    term that no leading monomial divides leaves as its value times unit.
     Each monomial's order key is computed once, when it first enters `work`;
     the leading term picked at every step is the same as with keyf itself.
     """
     work = dict(p)
+    unit = field.clear(work)
     keys = {m: keyf(m) for m in work}
     rem: _Term = {}
-    zero = field.zero
+    mul, sub = field.mul, field.sub
     while work:
         lm = max(work, key=keys.__getitem__)
         c = work.pop(lm)
         for blm, blc, bterms in basis:
             if mono_divides(blm, lm):
-                scale = field.div(c, blc)
+                a, s = field.cross(c, blc)
+                if a != 1:
+                    for m, v in work.items():
+                        work[m] = mul(a, v)
+                    unit = field.div(unit, a)
                 shift = mono_div(lm, blm)
                 for m, bc in bterms.items():
                     if m == blm:
                         continue
                     mm = mono_mul(m, shift)
-                    nv = field.sub(work.get(mm, zero), field.mul(scale, bc))
-                    if nv == zero:
+                    nv = sub(work.get(mm, 0), mul(s, bc))
+                    if nv == 0:
                         work.pop(mm, None)
                     else:
                         if mm not in keys:
@@ -71,16 +96,16 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
                         work[mm] = nv
                 break
         else:
-            rem[lm] = c
+            rem[lm] = mul(c, unit)
     return rem
 
 
 def _sub_scaled(row: dict, other: dict, scale, field) -> None:
     """row -= scale * other, in place, dropping zero entries."""
-    zero = field.zero
+    mul, sub = field.mul, field.sub
     for k, v in other.items():
-        nv = field.sub(row.get(k, zero), field.mul(scale, v))
-        if nv == zero:
+        nv = sub(row.get(k, 0), mul(scale, v))
+        if nv == 0:
             row.pop(k, None)
         else:
             row[k] = nv
@@ -89,31 +114,46 @@ def _sub_scaled(row: dict, other: dict, scale, field) -> None:
 def _echelon_reduce(r: _Term, rows: dict, keyf, field) -> Exponent | None:
     """Reduce r in place against an echelon {lead column: row}, columns
     ordered by keyf (by their own order when keyf is None); the lead of what
-    is left, a row the echelon lacks, or None when r reduces to 0."""
+    is left, a row the echelon lacks, or None when r reduces to 0.
+
+    r arrives with field values and is cleared to an integer row first.  A
+    step cancels r's lead c against the row's lead b as r := a * r - s * row
+    with (a, s) = `field.cross(c, b)`; a rank or a kernel's span does not
+    depend on row scale (fraction-free elimination, Bareiss 1968).  What is
+    left is `field.normalize`d, so the rows a caller stores are primitive
+    (over q) or monic (over fp); a caller reading a kernel vector off r
+    takes its integers back to field values.
+    """
+    field.clear(r)
+    mul = field.mul
     while r:
         lm = _lead(r, keyf)
         row = rows.get(lm)
         if row is None:
+            field.normalize(r, lm)
             return lm
-        _sub_scaled(r, row, field.div(r[lm], row[lm]), field)
+        a, s = field.cross(r[lm], row[lm])
+        if a != 1:
+            for m, v in r.items():
+                r[m] = mul(a, v)
+        _sub_scaled(r, row, s, field)
     return None
 
 
 def _spoly(f, g, lcm: Exponent, field) -> _Term:
+    """a * (lcm/lm f) * f - s * (lcm/lm g) * g for integer entries f, g, with
+    (a, s) = `field.cross` of their leading integers."""
     lmf, lcf, tf = f
     lmg, lcg, tg = g
     sf = mono_div(lcm, lmf)
     sg = mono_div(lcm, lmg)
-    out: _Term = {}
-    zero = field.zero
-    inv_f = field.inv(lcf)
-    for m, c in tf.items():
-        out[mono_mul(m, sf)] = field.mul(c, inv_f)
-    inv_g = field.inv(lcg)
+    a, s = field.cross(lcf, lcg)
+    mul, sub = field.mul, field.sub
+    out: _Term = {mono_mul(m, sf): mul(a, c) for m, c in tf.items()}
     for m, c in tg.items():
         mm = mono_mul(m, sg)
-        nv = field.sub(out.get(mm, zero), field.mul(c, inv_g))
-        if nv == zero:
+        nv = sub(out.get(mm, 0), mul(s, c))
+        if nv == 0:
             out.pop(mm, None)
         else:
             out[mm] = nv
@@ -161,18 +201,34 @@ def _update_pairs(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None):
     return kept
 
 
-def _monic_entry(p: _Term, keyf, field):
-    lm = _lead(p, keyf)
-    lc = p[lm]
-    if lc != field.one:
-        inv = field.inv(lc)
-        p = {m: field.mul(c, inv) for m, c in p.items()}
-    return (lm, field.one, p)
+def _entry(p: _Term, keyf, field):
+    """Basis entry (lm, lc, row) of p: its integer row, `field.normalize`d
+    (primitive over q, monic over fp), with lc = row[lm]."""
+    row = dict(p)
+    field.clear(row)
+    lm = _lead(row, keyf)
+    field.normalize(row, lm)
+    return (lm, row[lm], row)
+
+
+def _monic(p: _Term, keyf, field) -> _Term:
+    """p, field values, divided by its leading coefficient."""
+    lc = p[_lead(p, keyf)]
+    if lc == field.one:
+        return p
+    inv = field.inv(lc)
+    return {m: field.mul(c, inv) for m, c in p.items()}
 
 
 def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list[_Term]:
-    """Reduced basis of the ideal of `inputs`, as monic term dicts sorted by
-    descending leading monomial.
+    """Reduced basis of the ideal of `inputs`, as monic term dicts of field
+    values sorted by descending leading monomial.
+
+    The run keeps each basis element as an `_entry`, an integer row with its
+    content removed (the primitive-part Buchberger algorithm, Cox-Little-
+    O'Shea); S-polynomials cross-multiply by integer leads, and every
+    reduction is one `_nf_dict`.  Only the interreduced elements are made
+    monic field values again.
 
     Pairs are reduced by smallest sugar, then smallest lcm, then index.
     `max_weight` drops every S-pair whose lcm weighs more than it, where an
@@ -190,13 +246,13 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list[_Term
         if not p:
             continue
         sug = max(mono_deg(m) for m in p)
-        P = _update_pairs(G, sugars, P, _monic_entry(p, keyf, field), sug, keyf, max_weight)
+        P = _update_pairs(G, sugars, P, _entry(p, keyf, field), sug, keyf, max_weight)
     while P:
         sug, _, (i, j), L = P.pop(min(P.values())[2])
         s = _spoly(G[i], G[j], L, field)
         r = _nf_dict(s, G, keyf, field)
         if r:
-            P = _update_pairs(G, sugars, P, _monic_entry(r, keyf, field), sug, keyf,
+            P = _update_pairs(G, sugars, P, _entry(r, keyf, field), sug, keyf,
                               max_weight)
     # minimalize: leading monomials must form a divisibility antichain
     order_asc = sorted(range(len(G)), key=lambda i: keyf(G[i][0]))
@@ -209,7 +265,7 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list[_Term
     for k, entry in enumerate(minimal):
         others = [e for idx, e in enumerate(minimal) if idx != k]
         r = _nf_dict(entry[2], others, keyf, field)
-        reduced.append(_monic_entry(r, keyf, field)[2])
+        reduced.append(_monic(r, keyf, field))
     reduced.sort(key=lambda p: keyf(_lead(p, keyf)), reverse=True)
     return reduced
 
@@ -228,7 +284,12 @@ def _monomial_basis(inputs: list[_Term], keyf, field) -> list[_Term]:
 # -- public layer ------------------------------------------------------------
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic elements, leading monomials an antichain."""
+    """Reduced Groebner basis: monic elements, leading monomials an antichain.
+
+    `_lead_data` holds each element once more as the `_entry` that
+    `_nf_dict` reduces by: its primitive integer row over q, its monic row
+    over fp.
+    """
 
     __slots__ = ("ring", "field", "order", "elements", "_lead_data")
 
@@ -238,9 +299,7 @@ class GroebnerBasis:
         self.order = order
         self.elements = elements
         keyf = order.key(ring)
-        self._lead_data = [
-            (max(p.terms, key=keyf), field.one, p.terms) for p in elements
-        ]
+        self._lead_data = [_entry(p.terms, keyf, field) for p in elements]
 
     def __iter__(self):
         return iter(self.elements)
@@ -527,7 +586,7 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
         basis = _buchberger([dict((Polynomial.variable(ring, field, v) * g).terms)
                              for v in ring.vars for g in gens],
                             keyf, field, max_weight=max_weight)
-        lead_data = [(_lead(d, keyf), field.one, d) for d in basis]
+        lead_data = [_entry(d, keyf, field) for d in basis]
     else:
         gb = N.groebner_basis()
         keyf, lead_data = gb.order.key(ring), gb._lead_data

@@ -1,9 +1,12 @@
 """Command-line surface: byte stability, schemas, exit codes, parallelism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from agrees.engine import verify_witness
 from agrees.fields import QQ
@@ -61,6 +64,30 @@ def test_analyze_byte_stable():
     b = run_cli("analyze", "--ideal", "x^2, x y^4, y^5", "--seed", "7")
     assert a.stdout == b.stdout
     assert "elapsed" in a.stderr  # timing stays off stdout
+
+
+# sha256 of `agrees analyze --rees --seed 0` stdout, pinned across commits:
+# the flagship contracted-o3 (6,3,5) under x -> x + y/3, and remark43 m=4
+# under x -> x + 2y.  Over q these run every kernel on integer rows with
+# denominators to clear, so a kernel change that moves a byte fails here.
+PINNED_ANALYZE = {
+    "flagship-twin": (
+        "x^3 + x^2*y + 1/3*x*y^2 + 1/27*y^3, x^2*y^3 + 2/3*x*y^4 + 1/9*y^5, "
+        "x*y^5 + 1/3*y^6, y^6",
+        "d267dc76ad3404143640f29cdd35a92efe26b596968582680baa693904f9c066"),
+    "remark43-m4-twin": (
+        "x^4 + 8*x^3*y + 24*x^2*y^2 + 32*x*y^3 + 16*y^4, y^8, "
+        "x^3*y^3 + 6*x^2*y^4 + 12*x*y^5 + 8*y^6, x^2*y^5 + 4*x*y^6 + 4*y^7, x*y^7 + 2*y^8",
+        "11b81f64efa73469b4d9f0c1acd25c64a90d255c0b3415c8bfea0ebb1262604c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ANALYZE))
+def test_analyze_bytes_are_pinned(name):
+    text, digest = PINNED_ANALYZE[name]
+    out = run_cli("analyze", "--ideal", text, "--rees", "--seed", "0")
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
 def test_analyze_pretty_includes_staircase():

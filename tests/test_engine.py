@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,7 @@ from agrees.engine import (
     verify_witness,
 )
 from agrees.errors import BadParameters, NotContained, NotStable
-from agrees.families import family_exponents, make_family
+from agrees.families import coordinate_twin, family_exponents, make_family
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
     Ideal,
@@ -81,14 +82,6 @@ def test_reduction_deterministic():
     assert a == b
 
 
-def _twin(exps, field, c=None):
-    """The ideal generated by (x + c*y)^a * y^b for (a, b) in exps; c = 2
-    unless given."""
-    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
-    x = x + y.scale(field.from_int(2) if c is None else c)
-    return Ideal([x ** a * y ** b for a, b in exps])
-
-
 def _reference_reduction_number(I, Q, cap):
     """Minimal r <= cap with I^{r+1} = Q I^r as global ideals, by product
     containments; Q <= I is assumed."""
@@ -133,8 +126,8 @@ def test_reduction_number_matches_products_on_twins():
     seen = set()
     for _ in range(12):
         S = random_staircase(rng, 5, 2)
-        I = _twin(S.gens, QQ)
-        Q = _twin([(S.gens[0][0], 0), (0, S.gens[-1][1])], QQ)
+        I = coordinate_twin(S.gens, 2, QQ)
+        Q = coordinate_twin([(S.gens[0][0], 0), (0, S.gens[-1][1])], 2, QQ)
         r = engine._reduction_number(I, Q, 3)
         assert r == _reference_reduction_number(I, Q, 3), S
         seen.add(r)
@@ -155,7 +148,7 @@ def test_remark43_twin_matches_its_source(name):
     m, field, seed = REMARK43_TWINS[name]
     numbers = {4: (8, 6), 5: (11, 8)}[m]
     source = make_family("remark43", {"m": m}, field=field)
-    I = _twin(family_exponents("remark43", {"m": m}), field)
+    I = coordinate_twin(family_exponents("remark43", {"m": m}), 2, field)
     for ideal_ in (source, I):
         rep = classify(ideal_, ClassifyConfig(seed=seed))
         assert rep.verdict is Verdict.NOT_AG, rep.notes
@@ -228,11 +221,10 @@ def test_colon_matches_reference_on_twins(field):
     from agrees.repro import random_staircase
 
     rng = random.Random(61)
-    half = field.div(field.from_int(-1), field.from_int(2))
     checked = 0
-    for c in (field.from_int(2), half):
+    for c in (2, Fraction(-1, 2)):
         for _ in range(12):
-            I = _twin(random_staircase(rng, 6, 3).gens, field, c)
+            I = coordinate_twin(random_staircase(rng, 6, 3).gens, c, field)
             red = find_reduction(I)
             if not red.stable:
                 continue
@@ -289,9 +281,9 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     m = maximal_ideal(BASE_RING, QQ)
     cases = []
     for I, expected in (
-            (_twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), QQ,
-                   QQ.div(QQ.from_int(1), QQ.from_int(3))), Verdict.NOT_AG),
-            (_twin([(3, 0), (2, 3), (1, 4), (0, 5)], QQ), Verdict.AG_CERTIFIED)):
+            (coordinate_twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}),
+                             Fraction(1, 3), QQ), Verdict.NOT_AG),
+            (coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ), Verdict.AG_CERTIFIED)):
         shared = [key(p.terms for p in ideal_product(A, I).groebner_basis()) for A in (m, I)]
         cases.append((I, expected, shared))
 
@@ -519,7 +511,7 @@ def test_verify_witness_matches_groebner_route(name):
     checked = 0
     while checked < 8:
         S = random_staircase(rng, 5, 2)
-        I = _twin(S.gens, field) if twin else Ideal(
+        I = coordinate_twin(S.gens, 2, field) if twin else Ideal(
             [Polynomial.monomial(BASE_RING, field, e) for e in S.gens])
         red = find_reduction(I)
         if not red.stable:
@@ -815,9 +807,7 @@ def test_classify_prime_field_twin_with_fraction_matches_q(c):
     # over q, not that of an ideal re-read from integer representatives
     verdicts = set()
     for field in (QQ, FP):
-        x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
-        x = x + y * poly(c, field)
-        I = Ideal([x ** a * y ** b for a, b in family_exponents("three-gen", {"n": 5, "alpha": 3})])
+        I = coordinate_twin(family_exponents("three-gen", {"n": 5, "alpha": 3}), Fraction(c), field)
         rep = classify(I)
         assert validate_report(I, rep)
         if field is FP:
@@ -863,7 +853,7 @@ def test_integrally_closed_is_almost_gorenstein():
     cases = [ideal_of_staircase(newton_closure(random_staircase(rng, 8, 3)), BASE_RING, FP)
              for _ in range(150)]
     for field, count in ((FP, 40), (QQ, 25)):
-        cases += [_twin(newton_closure(random_staircase(rng, 6, 3)).gens, field)
+        cases += [coordinate_twin(newton_closure(random_staircase(rng, 6, 3)).gens, 2, field)
                   for _ in range(count)]
     for k, I in enumerate(cases):
         rep = classify(I, ClassifyConfig(seed=k))
@@ -879,7 +869,7 @@ def test_twins_match_their_source():
         values = dict(zip(("n", "alpha", "beta"), params))
         cfg = ClassifyConfig(seed=derive_seed(0, "contracted-o3", *params))
         source = classify(make_family("contracted-o3", values, field=FP), cfg)
-        I = _twin(family_exponents("contracted-o3", values), FP)
+        I = coordinate_twin(family_exponents("contracted-o3", values), 2, FP)
         twin = classify(I, cfg)
         assert twin.verdict is source.verdict, (params, twin.notes)
         assert validate_report(I, twin)

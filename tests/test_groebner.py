@@ -6,6 +6,7 @@ arithmetic); the frozen numbers are cross-checked against the oracles here.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +58,10 @@ from oracles import (
     lattice_minimal,
     saturation_groebner,
 )
+
+
+# coefficients whose numerators and denominators the integer kernels must clear
+PROPER_FRACTIONS = [(1, 3), (-5, 7), (3, 2)]
 
 
 def ideal(text, field=QQ):
@@ -140,22 +145,25 @@ def test_gb_deterministic_and_cached():
 
 
 def test_random_bases_match_saturation_oracle():
+    """Proper-fraction coefficients exercise the kernels' denominator
+    clearing and content removal; the oracle works on Fractions throughout."""
     rng = random.Random(31)
-    for _ in range(15):
-        gens = []
-        for _ in range(rng.randint(2, 3)):
-            terms = {
-                (rng.randint(0, 4), rng.randint(0, 4)): QQ.from_int(rng.choice([-2, -1, 1, 2]))
-                for _ in range(rng.randint(1, 3))
-            }
-            p = Polynomial(BASE_RING, QQ, terms)
-            if not p.is_zero:
-                gens.append(p)
-        if not gens:
-            continue
-        got = [str(g) for g in Ideal(gens).groebner_basis()]
-        want = [str(g) for g in saturation_groebner(gens)]
-        assert sorted(got) == sorted(want)
+    for coeffs in ([(-2, 1), (-1, 1), (1, 1), (2, 1)], PROPER_FRACTIONS):
+        for _ in range(15):
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                terms = {
+                    (rng.randint(0, 4), rng.randint(0, 4)): QQ.fraction(*rng.choice(coeffs))
+                    for _ in range(rng.randint(1, 3))
+                }
+                p = Polynomial(BASE_RING, QQ, terms)
+                if not p.is_zero:
+                    gens.append(p)
+            if not gens:
+                continue
+            got = [str(g) for g in Ideal(gens).groebner_basis()]
+            want = [str(g) for g in saturation_groebner(gens)]
+            assert sorted(got) == sorted(want)
 
 
 # -- normal forms and membership ------------------------------------------------
@@ -213,40 +221,57 @@ def _reference_nf(p, basis, keyf, field):
     return rem
 
 
-def _random_terms(rng, field, arity, n_terms, max_exp):
+def _random_terms(rng, field, arity, n_terms, max_exp, proper=False):
+    """Random terms with small integer coefficients, or with coefficients
+    drawn from PROPER_FRACTIONS when `proper`."""
     terms = {}
     for _ in range(n_terms):
         e = tuple(rng.randint(0, max_exp) for _ in range(arity))
-        c = field.from_int(rng.choice([1, -1, 2, -3, 5, rng.randint(6, 99)]))
+        if proper:
+            c = field.fraction(*rng.choice(PROPER_FRACTIONS))
+        else:
+            c = field.from_int(rng.choice([1, -1, 2, -3, 5, rng.randint(6, 99)]))
         terms[e] = field.add(terms.get(e, field.zero), c)
     return {e: c for e, c in terms.items() if c != field.zero}
+
+
+def _field_values(terms, field):
+    """Are all values field elements (Fractions over q, not bare ints)?"""
+    return all(isinstance(c, Fraction) for c in terms.values()) if field == QQ else True
 
 
 @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
 @pytest.mark.parametrize("order", [GREVLEX, BlockElimination(front=("y",))])
 def test_nf_dict_matches_reference(names, order):
-    """Cached order keys pick the same leading term at every step, so the
-    remainder equals the uncached one: against arbitrary (non-monic, not
-    Groebner) divisor lists and, in the plane, against reduced bases."""
+    """The integer kernel leaves the same remainder, as field values, as the
+    Fraction reference: against arbitrary (non-monic, not Groebner) divisor
+    lists, handed to `_nf_dict` as its `_entry` rows, and, in the plane,
+    against reduced bases, handed to the reference as monic polynomials."""
     ring = Ring(names)
     keyf = order.key(ring)
     rng = random.Random(53)
-    for field in (QQ, PrimeField(2147483647)):
-        for _ in range(30):
-            divisors = []
-            for _ in range(rng.randint(1, 4)):
-                terms = _random_terms(rng, field, len(names), rng.randint(1, 4), 3)
-                if terms:
-                    lm = max(terms, key=keyf)
-                    divisors.append((lm, terms[lm], terms))
-            p = _random_terms(rng, field, len(names), rng.randint(1, 8), 6)
-            assert _nf_dict(p, divisors, keyf, field) == _reference_nf(p, divisors, keyf, field)
-            if len(names) > 2:
-                continue  # random bases in three variables take seconds over Q
-            gens = [Polynomial(ring, field, t) for _, _, t in divisors]
-            gb = Ideal(gens).groebner_basis(order)
-            assert (_nf_dict(p, gb._lead_data, keyf, field)
-                    == _reference_nf(p, gb._lead_data, keyf, field))
+    for proper in (False, True):
+        for field in (QQ, PrimeField(2147483647)):
+            for _ in range(30):
+                divisors = []
+                for _ in range(rng.randint(1, 4)):
+                    terms = _random_terms(rng, field, len(names), rng.randint(1, 4), 3, proper)
+                    if terms:
+                        lm = max(terms, key=keyf)
+                        divisors.append((lm, terms[lm], terms))
+                p = _random_terms(rng, field, len(names), rng.randint(1, 8), 6, proper)
+                entries = [groebner._entry(t, keyf, field) for _, _, t in divisors]
+                got = _nf_dict(p, entries, keyf, field)
+                assert got == _reference_nf(p, divisors, keyf, field)
+                assert _field_values(got, field)
+                if len(names) > 2:
+                    continue  # random bases in three variables take seconds over Q
+                gens = [Polynomial(ring, field, t) for _, _, t in divisors]
+                gb = Ideal(gens).groebner_basis(order)
+                monic = [(max(g.terms, key=keyf), field.one, g.terms) for g in gb.elements]
+                got = _nf_dict(p, gb._lead_data, keyf, field)
+                assert got == _reference_nf(p, monic, keyf, field)
+                assert _field_values(got, field)
 
 
 def test_exact_divide_recovers_the_quotient():
@@ -467,15 +492,19 @@ def _reference_prune(gens, key):
     return kept
 
 
-def _random_generators(rng, ring, field):
-    """A few sparse generators plus redundant, duplicate and unit-multiple ones."""
+def _random_generators(rng, ring, field, proper=False):
+    """A few sparse generators plus redundant, duplicate and unit-multiple
+    ones; with coefficients from PROPER_FRACTIONS when `proper`."""
     def rand_poly():
         p = Polynomial.zero(ring, field)
         while p.is_zero:
             for _ in range(rng.randint(1, 3)):
                 e = tuple(rng.randint(0, 3) for _ in ring.vars)
                 if sum(e) >= 2:
-                    c = field.from_int(rng.randint(1, 5))
+                    if proper:
+                        c = field.fraction(*rng.choice(PROPER_FRACTIONS))
+                    else:
+                        c = field.from_int(rng.randint(1, 5))
                     p = p + Polynomial.monomial(ring, field, e).scale(c)
         return p
 
@@ -584,22 +613,78 @@ def _reference_update_pairs(G, sugars, P, f_entry, f_sugar, keyf):
     return kept
 
 
-def _reference_buchberger(inputs, keyf, field):
+def _reference_spoly(f, g, lcm, field):
+    """The S-polynomial of two monic Fraction entries (lm, lc, terms), as
+    computed before the kernels moved to integer rows."""
+    lmf, lcf, tf = f
+    lmg, lcg, tg = g
+    sf = mono_div(lcm, lmf)
+    sg = mono_div(lcm, lmg)
+    out = {}
+    zero = field.zero
+    inv_f = field.inv(lcf)
+    for m, c in tf.items():
+        out[mono_mul(m, sf)] = field.mul(c, inv_f)
+    inv_g = field.inv(lcg)
+    for m, c in tg.items():
+        mm = mono_mul(m, sg)
+        nv = field.sub(out.get(mm, zero), field.mul(c, inv_g))
+        if nv == zero:
+            out.pop(mm, None)
+        else:
+            out[mm] = nv
+    return out
+
+
+def _reference_monic_entry(p, keyf, field):
+    lm = max(p, key=keyf)
+    lc = p[lm]
+    if lc != field.one:
+        inv = field.inv(lc)
+        p = {m: field.mul(c, inv) for m, c in p.items()}
+    return (lm, field.one, p)
+
+
+def test_spoly_matches_reference():
+    """The S-polynomial of two integer entries cancels their leading terms:
+    it is the Fraction reference's S-polynomial of the monic forms, scaled."""
+    rng = random.Random(89)
+    ring = Ring(("x", "y", "z"))
+    keyf = GREVLEX.key(ring)
+    for field in (QQ, PrimeField(2147483647)):
+        for _ in range(40):
+            f, g = (_random_terms(rng, field, 3, rng.randint(1, 4), 3, rng.random() < 0.5)
+                    for _ in range(2))
+            if not (f and g):
+                continue
+            ef, eg = groebner._entry(f, keyf, field), groebner._entry(g, keyf, field)
+            L = mono_lcm(ef[0], eg[0])
+            got = groebner._spoly(ef, eg, L, field)
+            want = _reference_spoly(_reference_monic_entry(f, keyf, field),
+                                    _reference_monic_entry(g, keyf, field), L, field)
+            assert L not in got and got.keys() == want.keys()
+            if want:
+                m = max(want, key=keyf)
+                ratio = field.div(field.from_int(got[m]), want[m])
+                assert all(field.from_int(v) == field.mul(ratio, want[e])
+                           for e, v in got.items())
+
+
+def _reference_buchberger(inputs, keyf, field, nf=_reference_nf):
     """`_buchberger` before each pair's key was stored, keying every pair at
-    every step; its reductions go through `groebner._nf_dict` as the
-    engine's do."""
+    every step, on monic Fraction entries; every reduction is one `nf`."""
     G, sugars, P = [], [], {}
     for p in inputs:
         if p:
-            P = _reference_update_pairs(G, sugars, P, groebner._monic_entry(p, keyf, field),
+            P = _reference_update_pairs(G, sugars, P, _reference_monic_entry(p, keyf, field),
                                         max(mono_deg(m) for m in p), keyf)
     while P:
         pair = min(P, key=lambda ij: (P[ij][1], keyf(P[ij][0]), ij))
         L, sug = P.pop(pair)
         i, j = pair
-        r = groebner._nf_dict(groebner._spoly(G[i], G[j], L, field), G, keyf, field)
+        r = nf(_reference_spoly(G[i], G[j], L, field), G, keyf, field)
         if r:
-            P = _reference_update_pairs(G, sugars, P, groebner._monic_entry(r, keyf, field),
+            P = _reference_update_pairs(G, sugars, P, _reference_monic_entry(r, keyf, field),
                                         sug, keyf)
     order_asc = sorted(range(len(G)), key=lambda i: keyf(G[i][0]))
     minimal = []
@@ -609,37 +694,45 @@ def _reference_buchberger(inputs, keyf, field):
     reduced = []
     for k, entry in enumerate(minimal):
         others = [e for idx, e in enumerate(minimal) if idx != k]
-        r = groebner._nf_dict(entry[2], others, keyf, field)
-        reduced.append(groebner._monic_entry(r, keyf, field)[2])
-    reduced.sort(key=lambda p: keyf(groebner._lead(p, keyf)), reverse=True)
+        r = nf(entry[2], others, keyf, field)
+        reduced.append(_reference_monic_entry(r, keyf, field)[2])
+    reduced.sort(key=lambda p: keyf(max(p, key=keyf)), reverse=True)
     return reduced
 
 
 @pytest.mark.parametrize("order", [GREVLEX, BlockElimination(front=("x",))],
                          ids=["grevlex", "block"])
 def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
-    """Storing each pair's key changes no selection: the same reductions run,
-    as many of them, and the same basis comes out."""
-    calls = []
+    """Neither storing each pair's key nor integer rows change a selection:
+    the same reductions run, as many of them, and the same basis comes out,
+    as monic field values."""
+    calls, reference_calls = [], []
     real = groebner._nf_dict
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
+    def reference_nf(*args):
+        reference_calls.append(1)
+        return _reference_nf(*args)
+
     monkeypatch.setattr(groebner, "_nf_dict", counted)
     rng = random.Random(83)
     ring = Ring(("x", "y", "z"))
     keyf = order.key(ring)
-    for field in (QQ, PrimeField(2147483647)):
-        for _ in range(8):
-            inputs = [dict(g.terms) for g in _random_generators(rng, ring, field)]
-            calls.clear()
-            want = _reference_buchberger(inputs, keyf, field)
-            n_reference = len(calls)
-            calls.clear()
-            assert _buchberger(inputs, keyf, field) == want
-            assert len(calls) == n_reference > 0
+    for proper in (False, True):
+        for field in (QQ, PrimeField(2147483647)):
+            for _ in range(8):
+                gens = _random_generators(rng, ring, field, proper)
+                inputs = [dict(g.terms) for g in gens]
+                reference_calls.clear()
+                want = _reference_buchberger(inputs, keyf, field, reference_nf)
+                calls.clear()
+                got = _buchberger(inputs, keyf, field)
+                assert got == want
+                assert all(_field_values(p, field) for p in got)
+                assert len(calls) == len(reference_calls) > 0
 
 
 def test_rees_presentation_runs_two_buchberger(monkeypatch):

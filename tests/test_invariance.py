@@ -1,19 +1,23 @@
 """Metamorphic invariance of the classifier on generated monomial ideals.
 
 A verdict is a statement about the ideal in k[x,y]_(x,y), so it and the
-numbers behind it must not depend on the names of the variables or on the
-choice of generators.
+numbers behind it must not depend on the names of the variables, on the
+choice of generators or on the coefficient field.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from agrees.engine import classify
-from agrees.fields import PrimeField
+from agrees.families import coordinate_twin
+from agrees.fields import QQ, PrimeField
 from agrees.groebner import Ideal
 from agrees.poly import BASE_RING, Polynomial
 from agrees.staircase import staircase_normalize
 
 FP = PrimeField(2147483647)
+FP2 = PrimeField(2147483629)
 
 CASES = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
@@ -57,3 +61,13 @@ def test_a_redundant_sum_keeps_the_verdict(exps, data):
                               unique=True))
     extra = Ideal(gens + [gens[i] + gens[j]])
     assert _invariants(extra) == _invariants(Ideal(gens))
+
+
+@CASES
+@given(staircases(), st.sampled_from([2, -1, Fraction(1, 3), Fraction(3, 2)]))
+def test_the_field_keeps_the_verdict_of_a_twin(exps, c):
+    """The x -> x + c*y twin of a staircase: no staircase anywhere, and over
+    q the kernels clear the denominators of c."""
+    want = _invariants(coordinate_twin(exps, c, QQ))
+    for field in (FP, FP2):
+        assert _invariants(coordinate_twin(exps, c, field)) == want

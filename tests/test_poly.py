@@ -96,6 +96,43 @@ def test_rationals_lowest_terms():
     assert Fraction(-1, 2).denominator == 2  # positive denominator normal form
 
 
+@pytest.mark.parametrize("a, b", [(1, 3), (-4, 6), (Fraction(1, 2), Fraction(3, 4)),
+                                  (Fraction(-5, 7), 3), (2, Fraction(2, 3))],
+                         ids=["int", "int-reduced", "fraction", "fraction-int", "int-fraction"])
+def test_rational_division_is_exact(a, b):
+    """div and inv stay exact on int, Fraction and mixed operands."""
+    want = Fraction(a) / Fraction(b)
+    assert QQ.div(a, b) == want and type(QQ.div(a, b)) is Fraction
+    assert QQ.inv(b) == 1 / Fraction(b) and type(QQ.inv(b)) is Fraction
+    assert QQ.div(1, 3) == Fraction(1, 3) and QQ.inv(3) == Fraction(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(a, 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_integer_rows(field):
+    """clear writes a row as unit * integers, cross cancels a leading
+    coefficient, and normalize leaves a primitive (q) or monic (fp) row."""
+    x, y, z = (2, 0), (1, 1), (0, 2)
+    terms = {x: field.fraction(-2, 3), y: field.fraction(5, 7), z: field.fraction(3, 2)}
+    row = dict(terms)
+    unit = field.clear(row)
+    assert all(type(v) is int for v in row.values())
+    assert {m: field.mul(unit, v) for m, v in row.items()} == terms
+    field.normalize(row, x)
+    if field == QQ:
+        assert row == {x: 28, y: -30, z: -63}  # -42 * terms, content 1, lead positive
+    else:
+        assert row[x] == 1
+        assert {m: field.mul(terms[x], v) for m, v in row.items()} == terms
+    for c, b in ((6, 4), (-9, 6), (5, row[x])):
+        a, s = field.cross(c, b)
+        assert field.sub(field.mul(a, c), field.mul(s, b)) == 0 and a > 0
+    assert field.cross(5, row[x]) == ((row[x], 5) if field == QQ else (1, 5))
+
+
 def test_prime_field_range_and_modulus():
     from agrees.errors import BadParameters
 

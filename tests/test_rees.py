@@ -11,7 +11,7 @@ import pytest
 
 from agrees import engine, groebner, rees
 from agrees.errors import NotZeroDimensional
-from agrees.families import make_family
+from agrees.families import coordinate_twin, make_family
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import Ideal
 from agrees.parse import parse_ideal_spec
@@ -165,13 +165,6 @@ def _monomial_ideal(exps, field):
     return Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
 
 
-def _twin(exps, field):
-    """The ideal of (x + 2y)^a * y^b for (a, b) in exps."""
-    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
-    x = x + y.scale(field.from_int(2))
-    return Ideal([x ** a * y ** b for a, b in exps])
-
-
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
 def test_bounded_presentation_matches_unbounded(field, monkeypatch):
     """Where r <= 1 both bases stop at T-degree r + 1; the presentation is
@@ -180,7 +173,7 @@ def test_bounded_presentation_matches_unbounded(field, monkeypatch):
     rng = random.Random(29)
     stairs = [random_staircase(rng, 6, 3).gens for _ in range(14)]
     cases = ([_monomial_ideal(g, field) for g in stairs]
-             + [_twin(g, field) for g in stairs[:5]]
+             + [coordinate_twin(g, 2, field) for g in stairs[:5]]
              + [ideal(text, field) for text in ("x, y", "x^3, y^6", "x^2, x*y, y^2, x^2 + x*y")])
     bounds = [rees._relation_type_bound(I) for I in cases]
     assert bounds[-3:] == [1, 1, 2]  # r = 0, r = 0, and r = 1 with a redundant generator
