@@ -59,11 +59,10 @@ def make_family(name: str, params: Mapping[str, int], ring: Ring = BASE_RING,
     return Ideal([_mono(ring, field, a, b) for a, b in exps])
 
 
-def coordinate_twin(exps: Sequence[tuple[int, int]], c: Rational, field=QQ,
-                    ring: Ring = BASE_RING) -> Ideal:
+def coordinate_twin(exps: Sequence[tuple[int, int]], c: Rational, field=QQ) -> Ideal:
     """The ideal of (x + c*y)^a * y^b for (a, b) in exps: the image of the
     monomial ideal under the linear change x -> x + c*y, for a rational c
     (an int or a Fraction) taken into the field."""
-    x, y = (Polynomial.variable(ring, field, v) for v in ("x", "y"))
+    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
     shifted = x + y.scale(field.fraction(c.numerator, c.denominator))
     return Ideal([shifted ** a * y ** b for a, b in exps])

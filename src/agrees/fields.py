@@ -173,8 +173,9 @@ class PrimeField:
         return 1
 
     def cross(self, c: int, b: int) -> tuple[int, int]:
-        """(1, c / b) with 1 * c = s * b; s = c against a monic lead."""
-        return 1, (c if b == 1 else self.div(c, b))
+        """(1, c) with 1 * c = c * b: every lead b a kernel cancels against
+        is monic, made 1 by `normalize`."""
+        return 1, c
 
     def normalize(self, row: dict, lm) -> None:
         """Scale row in place so that row[lm] = 1."""
