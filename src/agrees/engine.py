@@ -3,7 +3,8 @@
 Everything is decided in the local ring k[x,y]_(x,y) by linear algebra in
 quotients by m-primary ideals, and every rank, kernel and span test is one
 sparse echelon (`groebner._echelon_reduce`) over normal forms keyed by
-monomial.  The pipeline: find a 2-generated reduction Q of I (a rank in
+monomial, each taken modulo one reduced basis by `GroebnerBasis.reduce`.
+The pipeline: find a 2-generated reduction Q of I (a rank in
 I^(r+1)/m*I^(r+1); Q may vanish away from the origin), require stability
 (I^2 = QI), read everything off the local colon ideal J = Q : I (a kernel
 on R/I: I^2 = QI lies in Q locally, so T = Q + I^2 is the origin component
@@ -29,7 +30,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import groebner
 from .errors import NoReductionFound, NotContained, NotStable, NotZeroDimensional
 from .fields import PrimeField
 from .groebner import (
@@ -48,7 +48,6 @@ from .staircase import (
     Staircase,
     hull_vertices,
     ideal_of_staircase,
-    is_contracted,
     mono_colength,  # unused here; perfbench/tracing.py binds engine.mono_colength
     newton_closure,
     staircase_colon,
@@ -139,25 +138,10 @@ def _mul(A: Ideal, B: Ideal) -> Ideal:
 
 # -- linear algebra modulo m-primary ideals ------------------------------------
 
-class _Quotient:
-    """R/top: elements are normal forms modulo `top`, term dicts keyed by
-    monomial, and so are rows for `_rank` with one column per monomial.
-
-    Normal forms are k-linear, so the normal form of sum_j c_j * p_j is
-    sum_j c_j * NF(p_j).  For a monomial `top` a product keeps its single
-    term exactly when it lies outside `top`.
-    """
-
-    def __init__(self, top: Ideal):
-        self.top = top
-        self._gb = top.groebner_basis()
-        self._key = self._gb.order.key(top.ring)
-
-    def reduce(self, terms: dict) -> dict:
-        """Normal form modulo `top` of a term dict, as a term dict."""
-        # looked up on the module, so a wrapper bound there sees this call too
-        return groebner._nf_dict(terms, self._gb._lead_data, self._key, self._gb.field)
-
+# Elements of R/top are normal forms modulo top's reduced basis
+# (`GroebnerBasis.reduce`), term dicts keyed by monomial, and so are rows for
+# `_rank` with one column per monomial.  For a monomial top a product keeps
+# its single term exactly when it lies outside top.
 
 def _rank(rows: list[dict], fld) -> int:
     """dim_k of the span of sparse rows {column: value}, with mutually
@@ -182,8 +166,9 @@ _REDUCTION_CAP = 4     # largest reduction number searched for on those draws
 
 class _Powers:
     """Level r of I, built once and shared by every candidate pair: gens(I^r),
-    R/m*I^(r+1) and mu(I^(r+1)) = colength(m*I^(r+1)) - colength(I^(r+1)).
-    Later stages share the powers I^k and level 0's m*I (its quotient's top)."""
+    m*I^(r+1) with its reduced basis, and mu(I^(r+1)) = colength(m*I^(r+1))
+    - colength(I^(r+1)).  Later stages share the powers I^k, level 0's m*I
+    and its mu(I)."""
 
     def __init__(self, I: Ideal):
         self._I = I
@@ -204,7 +189,8 @@ class _Powers:
                     else [Polynomial.one(self._I.ring, self._I.field)])
             power = self.power(n + 1)
             top = _mul(self._m, power)
-            self._levels.append((gens, _Quotient(top), colength(top) - colength(power)))
+            self._levels.append((gens, top, top.groebner_basis(),
+                                 colength(top) - colength(power)))
         return self._levels[r]
 
 
@@ -220,8 +206,8 @@ def _reduction_number(I: Ideal, Q: Ideal, cap: int | None,
     """
     powers = powers or _Powers(I)
     for r in itertools.count() if cap is None else range(cap + 1):
-        gens, quotient, mu = powers.level(r)
-        rows = [quotient.reduce((q * p).terms) for q in Q.generators for p in gens]
+        gens, _, top, mu = powers.level(r)
+        rows = [top.reduce((q * p).terms) for q in Q.generators for p in gens]
         if _rank(rows, I.field) == mu:
             return r
     return None
@@ -294,7 +280,6 @@ def is_stable(I: Ideal, Q: Ideal) -> bool:
 
 
 def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
-                    contracted: bool | None = None,
                     powers: _Powers | None = None) -> Ideal:
     """J = Q : I in k[x,y]_(x,y), as an m-primary ideal; raises NotStable
     unless I^2 = QI, and NotZeroDimensional unless I has finite colength.
@@ -306,19 +291,21 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
     as a kernel on R/I.  I^2 = QI lies in Q locally, so T is m-primary and
     is the origin component of Q; hence T : I = (Q : I) + I^2 is m-primary
     with the localization of the local colon, and two m-primary ideals with
-    one localization are equal.  `stable` and `contracted`, when the caller
-    already knows them, skip recomputing I^2 = QI and mu(I) = o(I) + 1;
-    `powers`, when the caller already holds the levels of I, shares I^2.
+    one localization are equal.  `stable`, when the caller already knows
+    it, skips recomputing I^2 = QI.  I is contracted iff mu(I) = o(I) + 1,
+    with mu(I) read off level 0 of `powers`; a caller that already holds
+    the levels of I shares them, and with them I^2.
     """
     if not (is_stable(I, Q) if stable is None else stable):
         raise NotStable("the canonical colon needs I^2 = QI")
     colength(I)  # raises unless I has finite colength
+    powers = powers or _Powers(I)
     sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
     else:
-        J = _local_colon(I, Q, (powers or _Powers(I)).power(2))
-    if is_contracted(I) if contracted is None else contracted:
+        J = _local_colon(I, Q, powers.power(2))
+    if powers.level(0)[-1] == ideal_order(I) + 1:
         o_i, o_j = ideal_order(I), ideal_order(J)
         if o_i != o_j + 1:
             raise RuntimeError(
@@ -341,7 +328,7 @@ def _local_colon(I: Ideal, Q: Ideal, I2: Ideal) -> Ideal:
     zero image, and its combination columns are a kernel element.
     """
     fld = I.field
-    T = _Quotient(Ideal(list(Q.generators) + list(I2.groebner_basis())))
+    T = Ideal(list(Q.generators) + list(I2.groebner_basis())).groebner_basis()
     gb = I.groebner_basis()
     gens = [a.terms for a in I.generators if not a.is_zero]
     forms: dict = {}     # s -> [NF_T(s*a) for a in gens]
@@ -402,7 +389,7 @@ class _WitnessSpaces:
         self.j_min = j_min
         self.mu_IJ = colength(mIJ) - colength(self.IJ)
         self.mu_mJ = colength(m2J) - colength(self.mJ)
-        ij, mj = _Quotient(mIJ), _Quotient(m2J)
+        ij, mj = mIJ.groebner_basis(), m2J.groebner_basis()
         self.by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in self.i_min]
         self.by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
 
@@ -431,7 +418,7 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
     not read.
     """
     fld = ref.field
-    top = _Quotient(_mul(maximal_ideal(ref.ring, fld), ref))
+    top = _mul(maximal_ideal(ref.ring, fld), ref).groebner_basis()
     echelon: dict = {}
     for p in parts:
         r = top.reduce(p.terms)
@@ -573,7 +560,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     colen = colength(I)
     o = ideal_order(I)
     powers = _Powers(I)
-    _, level0, mu = powers.level(0)
+    _, mI, _, mu = powers.level(0)
     contracted = mu == o + 1
     integrally_closed = None
     if stair is not None:
@@ -600,7 +587,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
 
     Q = Ideal(list(reduction.Q))
     # r <= 1 already means I^2 = QI: no stage below re-checks it on a new Q*I
-    J = canonical_colon(I, Q, stable=True, contracted=contracted, powers=powers)
+    J = canonical_colon(I, Q, stable=True, powers=powers)
     mJ = _mul(maximal_ideal(I.ring, I.field), J)  # one basis for the prune and the spaces
     j_min = minimal_generators(J, mJ)
     base["colon_gens"] = tuple(j_min)
@@ -610,7 +597,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if len(j_min) == 1:
         return AGReport(verdict=Verdict.GORENSTEIN, notes=tuple(notes), **base)
 
-    spaces = _WitnessSpaces(I, J, j_min, mJ, minimal_generators(I, level0.top))
+    spaces = _WitnessSpaces(I, J, j_min, mJ, minimal_generators(I, mI))
     witness = certificate_search(I, Q, J, seed=cfg.seed, spaces=spaces, stable=True)
     if witness is not None:
         base["witness"] = witness

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 from .errors import BadParameters
 from .fields import QQ
 from .groebner import Ideal
-from .poly import BASE_RING, Polynomial, Ring
+from .poly import BASE_RING, Polynomial
 
 # family name -> ordered parameter names
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
@@ -17,10 +17,6 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     "three-gen": ("n", "alpha"),
     "remark43": ("m",),
 }
-
-
-def _mono(ring, field, a: int, b: int) -> Polynomial:
-    return Polynomial.monomial(ring, field, (a, b))
 
 
 def family_exponents(name: str, params: Mapping[str, int]) -> list[tuple[int, int]]:
@@ -52,11 +48,10 @@ def family_exponents(name: str, params: Mapping[str, int]) -> list[tuple[int, in
     raise BadParameters(f"unknown family {name!r}; choose from {sorted(FAMILY_PARAMS)}")
 
 
-def make_family(name: str, params: Mapping[str, int], ring: Ring = BASE_RING,
-                field=QQ) -> Ideal:
+def make_family(name: str, params: Mapping[str, int], field=QQ) -> Ideal:
     """Build the named family member as an ideal over the given field."""
-    exps = family_exponents(name, params)
-    return Ideal([_mono(ring, field, a, b) for a, b in exps])
+    return Ideal([Polynomial.monomial(BASE_RING, field, e)
+                  for e in family_exponents(name, params)])
 
 
 def coordinate_twin(exps: Sequence[tuple[int, int]], c: Rational, field=QQ) -> Ideal:

@@ -16,10 +16,13 @@ r := a*r - s*row cancels r's leading c against a row led by b, and
 `field.normalize` keeps every stored row primitive (over q: content 1, lead
 positive) or monic (over fp, where a is therefore always 1).  This is
 fraction-free elimination (Bareiss 1968) and the primitive-part Buchberger
-algorithm (Cox-Little-O'Shea).  Field values are made again only where a
-value leaves a kernel: the remainder `_nf_dict` returns, the monic reduced
-basis `_buchberger` returns, and a kernel vector a caller reads off an
-echelon.
+algorithm (Cox-Little-O'Shea).
+
+A reduced basis is stored in one form, the kernels' entries (lm, lc, row)
+that `_buchberger` returns.  Field values are made again only where a value
+leaves a kernel: the remainder `_nf_dict` returns (`GroebnerBasis.reduce`),
+the monic polynomials `_monic_polynomial` builds once from a basis's
+entries, and a kernel vector a caller reads off an echelon.
 """
 
 from __future__ import annotations
@@ -211,24 +214,24 @@ def _entry(p: _Term, keyf, field):
     return (lm, row[lm], row)
 
 
-def _monic(p: _Term, keyf, field) -> _Term:
-    """p, field values, divided by its leading coefficient."""
-    lc = p[_lead(p, keyf)]
-    if lc == field.one:
-        return p
-    inv = field.inv(lc)
-    return {m: field.mul(c, inv) for m, c in p.items()}
+def _monic_polynomial(ring: Ring, field, entry) -> Polynomial:
+    """The monic polynomial of a basis entry (lm, lc, row), in field values:
+    the one conversion from a reduced basis's integer rows."""
+    _, lc, row = entry
+    if lc == 1:
+        return Polynomial(ring, field, {m: field.from_int(c) for m, c in row.items()})
+    return Polynomial(ring, field, {m: field.div(c, lc) for m, c in row.items()})
 
 
-def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list[_Term]:
-    """Reduced basis of the ideal of `inputs`, as monic term dicts of field
-    values sorted by descending leading monomial.
+def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list:
+    """Reduced basis of the ideal of `inputs`, as `_entry`s sorted by
+    descending leading monomial.
 
     The run keeps each basis element as an `_entry`, an integer row with its
     content removed (the primitive-part Buchberger algorithm, Cox-Little-
     O'Shea); S-polynomials cross-multiply by integer leads, and every
-    reduction is one `_nf_dict`.  Only the interreduced elements are made
-    monic field values again.
+    reduction is one `_nf_dict`.  The interreduced elements are returned as
+    entries too: primitive over q, monic over fp.
 
     Pairs are reduced by smallest sugar, then smallest lcm, then index.
     `max_weight` drops every S-pair whose lcm weighs more than it, where an
@@ -261,24 +264,24 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list[_Term
         if all(not mono_divides(e[0], G[i][0]) for e in minimal):
             minimal.append(G[i])
     # interreduce to the unique reduced basis
-    reduced: list[_Term] = []
+    reduced = []
     for k, entry in enumerate(minimal):
         others = [e for idx, e in enumerate(minimal) if idx != k]
-        r = _nf_dict(entry[2], others, keyf, field)
-        reduced.append(_monic(r, keyf, field))
-    reduced.sort(key=lambda p: keyf(_lead(p, keyf)), reverse=True)
+        reduced.append(_entry(_nf_dict(entry[2], others, keyf, field), keyf, field))
+    reduced.sort(key=lambda e: keyf(e[0]), reverse=True)
     return reduced
 
 
-def _monomial_basis(inputs: list[_Term], keyf, field) -> list[_Term]:
-    """Reduced basis of a monomial ideal: its minimal monomials, monic, in
-    the order `_buchberger` returns them.  Every monomial order refines
-    divisibility, so scanning upwards meets each divisor before its multiples."""
+def _monomial_basis(inputs: list[_Term], keyf) -> list:
+    """Reduced basis of a monomial ideal: its minimal monomials, as entries
+    (e, 1, {e: 1}) in the order `_buchberger` returns them.  Every monomial
+    order refines divisibility, so scanning upwards meets each divisor before
+    its multiples."""
     minimal: list[Exponent] = []
     for e in sorted({e for p in inputs for e in p}, key=keyf):
         if all(not mono_divides(m, e) for m in minimal):
             minimal.append(e)
-    return [{e: field.one} for e in reversed(minimal)]
+    return [(e, 1, {e: 1}) for e in reversed(minimal)]
 
 
 # -- public layer ------------------------------------------------------------
@@ -286,23 +289,31 @@ def _monomial_basis(inputs: list[_Term], keyf, field) -> list[_Term]:
 class GroebnerBasis:
     """Reduced Groebner basis: monic elements, leading monomials an antichain.
 
-    `_lead_data` holds each element once more as the `_entry` that
-    `_nf_dict` reduces by: its primitive integer row over q, its monic row
-    over fp.
+    `entries` are the basis as `_buchberger` returns it, `_entry`s sorted by
+    descending leading monomial: primitive integer rows over q, monic rows
+    over fp.  They are kept as `_lead_data`, which `reduce` divides by, and
+    the monic `elements` are made from them once.
     """
 
-    __slots__ = ("ring", "field", "order", "elements", "_lead_data")
+    __slots__ = ("ring", "field", "order", "elements", "_lead_data", "_key")
 
-    def __init__(self, ring: Ring, field, order: MonomialOrder, elements: tuple[Polynomial, ...]):
+    def __init__(self, ring: Ring, field, order: MonomialOrder, entries: list):
         self.ring = ring
         self.field = field
         self.order = order
-        self.elements = elements
-        keyf = order.key(ring)
-        self._lead_data = [_entry(p.terms, keyf, field) for p in elements]
+        self._lead_data = entries
+        self._key = order.key(ring)
+        self.elements = tuple(_monic_polynomial(ring, field, e) for e in entries)
 
     def __iter__(self):
         return iter(self.elements)
+
+    def reduce(self, terms: _Term) -> _Term:
+        """Normal form of a term dict modulo the basis, as a term dict of
+        field values.  Normal forms are k-linear: the normal form of
+        sum_j c_j * p_j is sum_j c_j * NF(p_j)."""
+        # looked up on the module, so a wrapper bound there sees this call too
+        return _nf_dict(terms, self._lead_data, self._key, self.field)
 
     def leading_exponents(self) -> list[Exponent]:
         return [lm for lm, _, _ in self._lead_data]
@@ -336,17 +347,12 @@ class Ideal:
         if cached is not None:
             return cached
         keyf = order.key(self.ring)
-        inputs = [dict(g.terms) for g in self.generators]
+        inputs = [g.terms for g in self.generators]
         if self.is_monomial():
-            dicts = _monomial_basis(inputs, keyf, self.field)
+            entries = _monomial_basis(inputs, keyf)
         else:
-            dicts = _buchberger(inputs, keyf, self.field)
-        gb = GroebnerBasis(
-            self.ring,
-            self.field,
-            order,
-            tuple(Polynomial(self.ring, self.field, d) for d in dicts),
-        )
+            entries = _buchberger(inputs, keyf, self.field)
+        gb = GroebnerBasis(self.ring, self.field, order, entries)
         self._gb_cache[order] = gb
         return gb
 
@@ -364,9 +370,7 @@ def groebner_basis(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.ring != gb.ring or p.field != gb.field:
         raise RingMismatch("polynomial and basis live in different rings or fields")
-    keyf = gb.order.key(gb.ring)
-    r = _nf_dict(dict(p.terms), gb._lead_data, keyf, gb.field)
-    return Polynomial(gb.ring, gb.field, r)
+    return Polynomial(gb.ring, gb.field, gb.reduce(p.terms))
 
 
 def ideal_contains(I: Ideal, p: Polynomial) -> bool:
@@ -375,10 +379,7 @@ def ideal_contains(I: Ideal, p: Polynomial) -> bool:
 
 def _contains_all(I: Ideal, polys: Sequence[Polynomial]) -> bool:
     gb = I.groebner_basis()
-    keyf = gb.order.key(gb.ring)
-    return all(
-        not _nf_dict(dict(p.terms), gb._lead_data, keyf, gb.field) for p in polys
-    )
+    return all(not gb.reduce(p.terms) for p in polys)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
@@ -433,11 +434,11 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     gens = [u * lift(f) for f in I.generators] + [one_minus_u * lift(g) for g in J.generators]
     order = BlockElimination(front=("u",))
     keyf = order.key(aux)
-    basis = _buchberger([dict(g.terms) for g in gens if not g.is_zero], keyf, field)
+    basis = _buchberger([g.terms for g in gens if not g.is_zero], keyf, field)
     trimmed = [
-        Polynomial(aux, field, d).project(ring, keep)
-        for d in basis
-        if all(e[0] == 0 for e in d)
+        _monic_polynomial(aux, field, entry).project(ring, keep)
+        for entry in basis
+        if all(e[0] == 0 for e in entry[2])
     ]
     if not trimmed:
         trimmed = [Polynomial.zero(ring, field)]
@@ -583,17 +584,16 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
     ring, field = gens[0].ring, gens[0].field
     if N is None:
         keyf = GREVLEX.key(ring)
-        basis = _buchberger([dict((Polynomial.variable(ring, field, v) * g).terms)
-                             for v in ring.vars for g in gens],
-                            keyf, field, max_weight=max_weight)
-        lead_data = [_entry(d, keyf, field) for d in basis]
+        lead_data = _buchberger([(Polynomial.variable(ring, field, v) * g).terms
+                                 for v in ring.vars for g in gens],
+                                keyf, field, max_weight=max_weight)
     else:
         gb = N.groebner_basis()
-        keyf, lead_data = gb.order.key(ring), gb._lead_data
+        keyf, lead_data = gb._key, gb._lead_data
     rows: dict[Exponent, _Term] = {}
     kept: list[Polynomial] = []
     for g in sorted(gens, key=key):
-        r = _nf_dict(dict(g.terms), lead_data, keyf, field)
+        r = _nf_dict(g.terms, lead_data, keyf, field)
         lm = _echelon_reduce(r, rows, keyf, field)
         if lm is not None:
             rows[lm] = r

@@ -36,7 +36,14 @@ from dataclasses import dataclass
 
 from . import engine
 from .errors import NoReductionFound
-from .groebner import Ideal, colength, is_origin_primary, _buchberger, _nakayama_prune
+from .groebner import (
+    Ideal,
+    colength,
+    is_origin_primary,
+    _buchberger,
+    _monic_polynomial,
+    _nakayama_prune,
+)
 from .poly import (
     GREVLEX,
     BlockElimination,
@@ -94,12 +101,12 @@ def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> lis
                    for i, g in enumerate(gens, start=1)]
 
     keyf = BlockElimination(front=("t",)).key(big)
-    basis = _buchberger([dict(g.terms) for g in kernel_gens], keyf, field,
+    basis = _buchberger([g.terms for g in kernel_gens], keyf, field,
                         max_weight=max_weight)
     target = presentation_ring(s)
     keep = (0, 1) + tuple(range(3, big.arity))  # drop the t slot
-    return [Polynomial(big, field, d).project(target, keep)
-            for d in basis if all(e[2] == 0 for e in d)]
+    return [_monic_polynomial(big, field, entry).project(target, keep)
+            for entry in basis if all(e[2] == 0 for e in entry[2])]
 
 
 def rees_defining_ideal(I: Ideal) -> ReesPresentation:

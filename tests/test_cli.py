@@ -66,26 +66,31 @@ def test_analyze_byte_stable():
     assert "elapsed" in a.stderr  # timing stays off stdout
 
 
-# sha256 of `agrees analyze --rees --seed 0` stdout, pinned across commits:
-# the flagship contracted-o3 (6,3,5) under x -> x + y/3, and remark43 m=4
-# under x -> x + 2y.  Over q these run every kernel on integer rows with
-# denominators to clear, so a kernel change that moves a byte fails here.
+# sha256 of `agrees analyze --rees --seed 0 --field F` stdout, pinned across
+# commits: the flagship contracted-o3 (6,3,5) under x -> x + y/3, over q and
+# over fp:2147483647, and remark43 m=4 under x -> x + 2y.  Over q these run
+# every kernel on integer rows with denominators to clear, over fp on monic
+# residue rows, so a kernel change that moves a byte fails here.
+FLAGSHIP_TWIN = ("x^3 + x^2*y + 1/3*x*y^2 + 1/27*y^3, x^2*y^3 + 2/3*x*y^4 + 1/9*y^5, "
+                 "x*y^5 + 1/3*y^6, y^6")
 PINNED_ANALYZE = {
     "flagship-twin": (
-        "x^3 + x^2*y + 1/3*x*y^2 + 1/27*y^3, x^2*y^3 + 2/3*x*y^4 + 1/9*y^5, "
-        "x*y^5 + 1/3*y^6, y^6",
+        FLAGSHIP_TWIN, "q",
         "d267dc76ad3404143640f29cdd35a92efe26b596968582680baa693904f9c066"),
+    "flagship-twin-fp": (
+        FLAGSHIP_TWIN, "fp:2147483647",
+        "b5991acba91fbc518ac1392f2b3bf473861ed218042c7884c655d54e9a10f49a"),
     "remark43-m4-twin": (
         "x^4 + 8*x^3*y + 24*x^2*y^2 + 32*x*y^3 + 16*y^4, y^8, "
-        "x^3*y^3 + 6*x^2*y^4 + 12*x*y^5 + 8*y^6, x^2*y^5 + 4*x*y^6 + 4*y^7, x*y^7 + 2*y^8",
+        "x^3*y^3 + 6*x^2*y^4 + 12*x*y^5 + 8*y^6, x^2*y^5 + 4*x*y^6 + 4*y^7, x*y^7 + 2*y^8", "q",
         "11b81f64efa73469b4d9f0c1acd25c64a90d255c0b3415c8bfea0ebb1262604c"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_ANALYZE))
 def test_analyze_bytes_are_pinned(name):
-    text, digest = PINNED_ANALYZE[name]
-    out = run_cli("analyze", "--ideal", text, "--rees", "--seed", "0")
+    text, field, digest = PINNED_ANALYZE[name]
+    out = run_cli("analyze", "--ideal", text, "--rees", "--seed", "0", "--field", field)
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 

@@ -262,7 +262,7 @@ def test_colon_of_infinite_colength_raises():
     for text in ("x^2 + x y, x y^2", "x^2, x y"):
         I = ideal(text)
         with pytest.raises(NotZeroDimensional):
-            canonical_colon(I, I, stable=True, contracted=False)
+            canonical_colon(I, I, stable=True)
 
 
 def test_classify_builds_no_basis_twice(monkeypatch):
@@ -274,6 +274,7 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     # it builds its own bases of m*IJ and m^2*J by design, so the bases it
     # builds are left out of the count
     from agrees import groebner
+    from test_groebner import _monic_values
 
     def key(polys):
         return frozenset(frozenset(p.items()) for p in polys)
@@ -291,11 +292,11 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     real, real_verify = groebner._buchberger, engine.verify_witness
     verifying = []
 
-    def record(polys, *args, **kwargs):
-        out = real(polys, *args, **kwargs)
+    def record(polys, keyf, field, *args, **kwargs):
+        out = real(polys, keyf, field, *args, **kwargs)
         if not verifying:
             inputs.append(key(polys))
-            outputs.append(key(out))
+            outputs.append(key(_monic_values(out, keyf, field)))
         return out
 
     def verify(*args):
@@ -858,6 +859,36 @@ def test_integrally_closed_is_almost_gorenstein():
     for k, I in enumerate(cases):
         rep = classify(I, ClassifyConfig(seed=k))
         assert rep.verdict in (Verdict.GORENSTEIN, Verdict.AG_CERTIFIED), (I, rep.notes)
+
+
+def _contracted_order_at_most_two(top):
+    """Staircase generators of every contracted monomial ideal of order <= 2
+    with exponents <= top: (x, y^n), (x^2, x*y^b, y^n), their mirrors and
+    (x^a, x*y, y^b)."""
+    shapes = {((1, 0), (0, n)) for n in range(1, top + 1)}
+    shapes |= {((2, 0), (1, b), (0, n)) for n in range(2, top + 1) for b in range(1, n)}
+    shapes |= {((a, 0), (1, 1), (0, b)) for a in range(2, top + 1) for b in range(2, top + 1)}
+    shapes |= {tuple((j, i) for i, j in reversed(s)) for s in shapes}
+    return sorted(shapes)
+
+
+def test_contracted_order_at_most_two_is_almost_gorenstein():
+    # the paper's main theorem: every contracted I with o(I) <= 2 has an
+    # almost Gorenstein R(I); checked on the monomial ones with exponents
+    # <= 12 over fp and on the x -> x+2y twins of those with exponents <= 6
+    # over q.  A gate: never loosened.
+    monomial = [Ideal([Polynomial.monomial(BASE_RING, FP, e) for e in gens])
+                for gens in _contracted_order_at_most_two(12)]
+    twins = [coordinate_twin(gens, 2, QQ) for gens in _contracted_order_at_most_two(6)]
+    for cases, counts in ((monomial, (23, 231)), (twins, (11, 45))):
+        verdicts = []
+        for I in cases:
+            rep = classify(I)
+            assert rep.contracted and rep.order <= 2, I
+            assert rep.verdict in (Verdict.GORENSTEIN, Verdict.AG_CERTIFIED), (I, rep.notes)
+            assert validate_report(I, rep), I
+            verdicts.append(rep.verdict)
+        assert (verdicts.count(Verdict.GORENSTEIN), verdicts.count(Verdict.AG_CERTIFIED)) == counts
 
 
 def test_twins_match_their_source():

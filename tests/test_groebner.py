@@ -19,6 +19,7 @@ from agrees.errors import (
 from agrees.fields import QQ, PrimeField
 from agrees import groebner, rees
 from agrees.groebner import (
+    GroebnerBasis,
     Ideal,
     _buchberger,
     _exact_divide,
@@ -129,7 +130,8 @@ def test_monomial_basis_matches_buchberger(names, order):
             gens += [Polynomial.zero(ring, field)] * rng.randint(0, 2)
             rng.shuffle(gens)
             got = Ideal(gens).groebner_basis(order).elements
-            want = _buchberger([dict(g.terms) for g in gens], keyf, field)
+            want = _monic_values(_buchberger([dict(g.terms) for g in gens], keyf, field),
+                                 keyf, field)
             assert [g.terms for g in got] == want
 
 
@@ -271,6 +273,32 @@ def test_nf_dict_matches_reference(names, order):
                 monic = [(max(g.terms, key=keyf), field.one, g.terms) for g in gb.elements]
                 got = _nf_dict(p, gb._lead_data, keyf, field)
                 assert got == _reference_nf(p, monic, keyf, field)
+                assert _field_values(got, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_reduce_is_the_normal_form(field):
+    """`GroebnerBasis.reduce` returns the normal form's terms, as field
+    values, and the basis's monic elements are its entries made monic."""
+    rng = random.Random(61)
+    keyf = GREVLEX.key(BASE_RING)
+    for proper in (False, True):
+        for _ in range(30):
+            gens = [Polynomial(BASE_RING, field,
+                               _random_terms(rng, field, 2, rng.randint(1, 4), 4, proper))
+                    for _ in range(rng.randint(1, 3))]
+            if all(g.is_zero for g in gens):
+                continue
+            gb = Ideal(gens).groebner_basis()
+            want = _monic_values(gb._lead_data, keyf, field)
+            assert [g.terms for g in gb.elements] == want
+            monic = [(max(t, key=keyf), field.one, t) for t in want]
+            for _ in range(3):
+                p = Polynomial(BASE_RING, field,
+                               _random_terms(rng, field, 2, rng.randint(1, 8), 6, proper))
+                got = gb.reduce(p.terms)
+                assert got == normal_form(p, gb).terms
+                assert got == _reference_nf(p.terms, monic, keyf, field)
                 assert _field_values(got, field)
 
 
@@ -645,6 +673,23 @@ def _reference_monic_entry(p, keyf, field):
     return (lm, field.one, p)
 
 
+def _reference_monic(p, keyf, field):
+    """p, field values, divided by its leading coefficient: the monic basis
+    `_buchberger` returned before it returned entries."""
+    lc = p[max(p, key=keyf)]
+    if lc == field.one:
+        return p
+    inv = field.inv(lc)
+    return {m: field.mul(c, inv) for m, c in p.items()}
+
+
+def _monic_values(entries, keyf, field):
+    """Basis entries (lm, lc, row) as monic term dicts of field values, by
+    `_reference_monic` rather than the conversion under test."""
+    return [_reference_monic({m: field.from_int(c) for m, c in row.items()}, keyf, field)
+            for _, _, row in entries]
+
+
 def test_spoly_matches_reference():
     """The S-polynomial of two integer entries cancels their leading terms:
     it is the Fraction reference's S-polynomial of the monic forms, scaled."""
@@ -729,10 +774,14 @@ def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
                 reference_calls.clear()
                 want = _reference_buchberger(inputs, keyf, field, reference_nf)
                 calls.clear()
-                got = _buchberger(inputs, keyf, field)
+                entries = _buchberger(inputs, keyf, field)
+                got = _monic_values(entries, keyf, field)
                 assert got == want
                 assert all(_field_values(p, field) for p in got)
                 assert len(calls) == len(reference_calls) > 0
+                elements = GroebnerBasis(ring, field, order, entries).elements
+                assert [p.terms for p in elements] == want
+                assert all(_field_values(p.terms, field) for p in elements)
 
 
 def test_rees_presentation_runs_two_buchberger(monkeypatch):
