@@ -27,9 +27,11 @@ entries, and a kernel vector a caller reads off an echelon.
 
 from __future__ import annotations
 
+from operator import le
 from typing import Sequence
 
 from .errors import (
+    NotContained,
     NotZeroDimensional,
     RingMismatch,
     ZeroDivisorIdeal,
@@ -67,7 +69,8 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
     against an entry with leading integer lc sets work := a * work - s *
     shift * row with (a, s) = `field.cross(c, lc)`, dividing unit by a.  A
     term that no leading monomial divides leaves as its value times unit.
-    Each monomial's order key is computed once, when it first enters `work`;
+    A step's divisor is the first entry in list order whose leading monomial
+    divides.  Each monomial's order key is computed once, when it first enters `work`;
     the leading term picked at every step is the same as with keyf itself.
     """
     work = dict(p)
@@ -79,7 +82,7 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
         lm = max(work, key=keys.__getitem__)
         c = work.pop(lm)
         for blm, blc, bterms in basis:
-            if mono_divides(blm, lm):
+            if all(map(le, blm, lm)):  # mono_divides(blm, lm), inlined
                 a, s = field.cross(c, blc)
                 if a != 1:
                     for m, v in work.items():
@@ -457,7 +460,8 @@ def _exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
     while work:
         lm = max(work, key=keys.__getitem__)
         c = work.pop(lm)
-        assert mono_divides(lmf, lm), "exact division called on a non-multiple"
+        if not mono_divides(lmf, lm):
+            raise NotContained(f"{p} is not a multiple of {f}")
         shift = mono_div(lm, lmf)
         scale = field.div(c, lcf)
         out[shift] = scale

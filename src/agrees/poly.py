@@ -8,10 +8,10 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, le, neg, sub
 from typing import Callable, Iterable, Mapping
 
-from .errors import RingMismatch
+from .errors import NotContained, RingMismatch
 
 Exponent = tuple[int, ...]
 
@@ -47,6 +47,8 @@ def presentation_ring(s: int) -> Ring:
 
 
 # -- monomial helpers --------------------------------------------------------
+# Exponents are plain tuples; divisibility and order keys run on map/operator,
+# with no cache, so no primitive runs a Python frame per coordinate.
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
@@ -57,7 +59,7 @@ def mono_div(a: Exponent, b: Exponent) -> Exponent:
 
 
 def mono_divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
@@ -78,7 +80,7 @@ class MonomialOrder:
 
 
 def _grevlex_key(e: Exponent) -> tuple:
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,8 @@ class BlockElimination(MonomialOrder):
         bidx = tuple(i for i in range(ring.arity) if i not in fidx)
 
         def k(e):
-            return (_grevlex_key(tuple(e[i] for i in fidx)),
-                    _grevlex_key(tuple(e[i] for i in bidx)))
+            return (_grevlex_key(tuple(map(e.__getitem__, fidx))),
+                    _grevlex_key(tuple(map(e.__getitem__, bidx))))
 
         return k
 
@@ -294,7 +296,8 @@ class Polynomial:
         """Keep only the exponent slots in `positions`; the rest must be zero."""
         out = {}
         for e, c in self.terms.items():
-            assert all(e[i] == 0 for i in range(len(e)) if i not in positions)
+            if any(e[i] for i in range(len(e)) if i not in positions):
+                raise NotContained(f"{self} has a term outside {target_ring}")
             out[tuple(e[i] for i in positions)] = c
         return Polynomial(target_ring, self.field, out)
 

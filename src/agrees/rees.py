@@ -62,7 +62,8 @@ class ReesPresentation:
 def _t_degree(p: Polynomial) -> int:
     # arity = 2 + s in the presentation ring; T exponents start at slot 2
     degs = {sum(e[2:]) for e in p.terms}
-    assert len(degs) == 1, "kernel elements must be homogeneous in the T-grading"
+    if len(degs) != 1:
+        raise RuntimeError("kernel elements must be homogeneous in the T-grading")
     return degs.pop()
 
 

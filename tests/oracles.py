@@ -10,7 +10,37 @@ from __future__ import annotations
 
 import sympy
 
-from agrees.poly import GREVLEX, Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
+from agrees.poly import GREVLEX, Polynomial, mono_div, mono_mul
+
+
+# -- monomial primitives in their generator form ------------------------------
+# Copies of `agrees.poly`'s divisibility, lcm and order keys as they were
+# written before those moved onto map/operator, so the oracles below do not
+# change with the primitives they are used to check.
+
+def reference_mono_divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def reference_mono_lcm(a, b) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def reference_grevlex_key(e) -> tuple:
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def reference_block_key(ring, front):
+    """`BlockElimination(front).key(ring)`: grevlex on the front slots, then
+    grevlex on the rest."""
+    fidx = tuple(ring.index(v) for v in front)
+    bidx = tuple(i for i in range(ring.arity) if i not in fidx)
+
+    def k(e):
+        return (reference_grevlex_key(tuple(e[i] for i in fidx)),
+                reference_grevlex_key(tuple(e[i] for i in bidx)))
+
+    return k
 
 
 # -- naive S-pair saturation Groebner oracle ----------------------------------
@@ -26,7 +56,7 @@ def _reduce_full(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
         hit = None
         for b in basis:
             blm, blc = b.leading()
-            if mono_divides(blm, lm):
+            if reference_mono_divides(blm, lm):
                 hit = (blm, blc, b)
                 break
         if hit is None:
@@ -59,7 +89,7 @@ def saturation_groebner(gens: list[Polynomial]) -> list[Polynomial]:
                 fi, fj = basis[i], basis[j]
                 lmi, _ = fi.leading()
                 lmj, _ = fj.leading()
-                lcm = mono_lcm(lmi, lmj)
+                lcm = reference_mono_lcm(lmi, lmj)
                 si = Polynomial.monomial(ring, field, mono_div(lcm, lmi))
                 sj = Polynomial.monomial(ring, field, mono_div(lcm, lmj))
                 s = si * fi - sj * fj
@@ -72,7 +102,7 @@ def saturation_groebner(gens: list[Polynomial]) -> list[Polynomial]:
     keyf = GREVLEX.key(ring)
     minimal = []
     for g in sorted(basis, key=lambda p: keyf(p.leading()[0])):
-        if all(not mono_divides(k.leading()[0], g.leading()[0]) for k in minimal):
+        if all(not reference_mono_divides(k.leading()[0], g.leading()[0]) for k in minimal):
             minimal.append(g)
     reduced = []
     for k, g in enumerate(minimal):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from agrees.errors import RingMismatch
+from agrees.errors import NotContained, RingMismatch
 from agrees.fields import QQ, PrimeField
 from agrees.poly import (
     BASE_RING,
@@ -14,8 +14,18 @@ from agrees.poly import (
     BlockElimination,
     Polynomial,
     Ring,
+    _grevlex_key,
     compare_monomials,
+    mono_divides,
+    mono_lcm,
     rees_ring,
+)
+
+from oracles import (
+    reference_block_key,
+    reference_grevlex_key,
+    reference_mono_divides,
+    reference_mono_lcm,
 )
 
 FP = PrimeField(2147483647)
@@ -71,6 +81,45 @@ def test_block_order_eliminates():
     with_t = (0, 0, 1, 0, 0)
     without = (5, 5, 0, 3, 3)
     assert key(with_t) > key(without)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 5])
+def test_monomial_primitives_match_generator_form(arity):
+    """mono_divides, mono_lcm and the grevlex and block keys give the values
+    of their generator forms (oracles.py) on every pair of seeded exponents,
+    equal and all-zero tuples included."""
+    rng = random.Random(1500 + arity)
+    monos = [_random_mono(rng, arity) for _ in range(40)]
+    monos += [(0,) * arity, monos[0], tuple(min(e, 2) for e in monos[1])]
+    ring = rees_ring(2)  # x, y, t, T1, T2
+    block = BlockElimination(front=("t",)).key(ring)
+    ref_block = reference_block_key(ring, ("t",))
+    divides = 0
+    for a in monos:
+        for b in monos:
+            assert mono_divides(a, b) is reference_mono_divides(a, b)
+            divides += mono_divides(a, b)
+            assert mono_lcm(a, b) == reference_mono_lcm(a, b)
+            assert _sign(_grevlex_key(a), _grevlex_key(b)) == _sign(
+                reference_grevlex_key(a), reference_grevlex_key(b))
+            if arity == ring.arity:
+                assert _sign(block(a), block(b)) == _sign(ref_block(a), ref_block(b))
+        assert _grevlex_key(a) == reference_grevlex_key(a)
+        if arity == ring.arity:
+            assert block(a) == ref_block(a)
+    assert len(monos) < divides < len(monos) ** 2  # both outcomes occur
+
+
+def test_project_rejects_a_dropped_slot():
+    ring = Ring(("u", "x", "y"))
+    u, x = (Polynomial.variable(ring, QQ, v) for v in ("u", "x"))
+    assert x.project(BASE_RING, (1, 2)) == Polynomial.variable(BASE_RING, QQ, "x")
+    with pytest.raises(NotContained):
+        (u * x).project(BASE_RING, (1, 2))
 
 
 @pytest.mark.parametrize("field", [QQ, FP])

@@ -15,7 +15,7 @@ from agrees.families import coordinate_twin, make_family
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import Ideal
 from agrees.parse import parse_ideal_spec
-from agrees.poly import BASE_RING, Polynomial
+from agrees.poly import BASE_RING, Polynomial, presentation_ring
 from agrees.repro import random_staircase
 from agrees.rees import (
     presentation_bidegrees,
@@ -43,6 +43,14 @@ def sympy_elimination(gen_texts):
         gens.append(Ts[i] - expr * t)
     G = sympy.groebner(gens, t, x, y, *Ts, order="lex")
     return [g for g in G.exprs if t not in g.free_symbols], (x, y) + Ts
+
+
+def test_t_degree_rejects_a_mixed_grading():
+    ring = presentation_ring(2)  # x, y, T1, T2
+    p = Polynomial(ring, QQ, {(1, 0, 1, 0): QQ.one, (0, 0, 1, 1): QQ.one})  # x*T1 + T1*T2
+    assert rees._t_degree(Polynomial(ring, QQ, {(1, 0, 1, 0): QQ.one})) == 1
+    with pytest.raises(RuntimeError):
+        rees._t_degree(p)
 
 
 def test_parameter_ideal_pencil():
