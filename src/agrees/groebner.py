@@ -70,8 +70,9 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
     shift * row with (a, s) = `field.cross(c, lc)`, dividing unit by a.  A
     term that no leading monomial divides leaves as its value times unit.
     A step's divisor is the first entry in list order whose leading monomial
-    divides.  Each monomial's order key is computed once, when it first enters `work`;
-    the leading term picked at every step is the same as with keyf itself.
+    divides.  Each monomial's order key is computed once, when it first
+    enters `work`; the leading term picked at every step is the same as with
+    keyf itself.
     """
     work = dict(p)
     unit = field.clear(work)

@@ -14,9 +14,9 @@ from agrees.poly import GREVLEX, Polynomial, mono_div, mono_mul
 
 
 # -- monomial primitives in their generator form ------------------------------
-# Copies of `agrees.poly`'s divisibility, lcm and order keys as they were
-# written before those moved onto map/operator, so the oracles below do not
-# change with the primitives they are used to check.
+# `agrees.poly`'s divisibility, lcm and order keys written with generators,
+# apart from the map/operator forms there, so the oracles below do not change
+# with the primitives they are used to check.
 
 def reference_mono_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
