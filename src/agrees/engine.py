@@ -7,8 +7,9 @@ monomial, each taken modulo one reduced basis by `GroebnerBasis.reduce`.
 The pipeline: find a 2-generated reduction Q of I (a rank in
 I^(r+1)/m*I^(r+1); Q may vanish away from the origin), require stability
 (I^2 = QI), read everything off the local colon ideal J = Q : I (a kernel
-on R/I: I^2 = QI lies in Q locally, so T = Q + I^2 is the origin component
-of Q and J/I is the kernel of f -> (f*a mod T) over the generators a of I),
+on R/I, `groebner._colon`: I^2 = QI lies in Q locally, so T = Q + I^2 is
+the origin component of Q and J/I is the kernel of f -> (f*a mod T) over
+the generators a of I),
 then either certify with a witness triple (f, g, h) satisfying
 
     IJ = gJ + Ih    and    mJ = fJ + mh,
@@ -40,6 +41,7 @@ from .groebner import (
     is_origin_primary,
     maximal_ideal,
     minimal_generators,
+    _colon,
     _contains_all,
     _echelon_reduce,
 )
@@ -51,10 +53,9 @@ from .staircase import (
     mono_colength,  # unused here; perfbench/tracing.py binds engine.mono_colength
     newton_closure,
     staircase_colon,
-    staircase_normalize,
+    staircase_normalize,  # unused here; perfbench/tracing.py binds engine.staircase_normalize
     staircase_of_ideal,
     staircase_product,
-    standard_monomials,
 )
 
 _RAND_RANGE = 1 << 20  # sample space for random coefficients (Schwartz-Zippel)
@@ -287,12 +288,14 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
 
     A monomial Q is the pure-power pair (a stable monomial pair is
     m-primary) and takes the staircase colon.  Any other Q may vanish away
-    from the origin; then J = T : I for T = Q + I^2, found by `_local_colon`
-    as a kernel on R/I.  I^2 = QI lies in Q locally, so T is m-primary and
-    is the origin component of Q; hence T : I = (Q : I) + I^2 is m-primary
-    with the localization of the local colon, and two m-primary ideals with
-    one localization are equal.  `stable`, when the caller already knows
-    it, skips recomputing I^2 = QI.  I is contracted iff mu(I) = o(I) + 1,
+    from the origin; then J = T : I for T = Q + I^2, found by
+    `groebner._colon(T, I, I)` as a kernel on R/I (I*I lies in T, so the
+    walk starts from I and not from T, whose colength e(I) is larger).
+    I^2 = QI lies in Q locally, so T is m-primary and is the origin
+    component of Q; hence T : I = (Q : I) + I^2 is m-primary with the
+    localization of the local colon, and two m-primary ideals with one
+    localization are equal.  `stable`, when the caller already knows it,
+    skips recomputing I^2 = QI.  I is contracted iff mu(I) = o(I) + 1,
     with mu(I) read off level 0 of `powers`; a caller that already holds
     the levels of I shares them, and with them I^2.
     """
@@ -304,54 +307,13 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
     else:
-        J = _local_colon(I, Q, powers.power(2))
+        T = Ideal(list(Q.generators) + list(powers.power(2).groebner_basis()))
+        J = _colon(T, I, I)
     if powers.level(0)[-1] == ideal_order(I) + 1:
         o_i, o_j = ideal_order(I), ideal_order(J)
         if o_i != o_j + 1:
             raise RuntimeError(
                 f"order drop violated: o(I)={o_i}, o(J)={o_j} for contracted stable input")
-    return J
-
-
-def _local_colon(I: Ideal, Q: Ideal, I2: Ideal) -> Ideal:
-    """(Q + I^2) : I for I of finite colength, generated by its reduced basis,
-    which it carries cached; T starts from the basis of I2 = I^2, shared with
-    the reduction's levels.
-
-    I*I lies in T = Q + I^2, so f -> (NF_T(f*a)) over the generators a of I
-    is a k-linear map R/I -> (R/T)^mu whose kernel is J/I.  The images, one
-    per standard monomial s of I, are filled by walking the staircase in
-    degree order with NF_T(v*s*a) = NF_T(v*NF_T(s*a)) for a variable v, so
-    each product is reduced from an already reduced one.  The row of s holds
-    its image columns (j, e) and a combination column (-1, s) that sorts
-    below them; a row whose reduced lead lands in a (-1, .) column has a
-    zero image, and its combination columns are a kernel element.
-    """
-    fld = I.field
-    T = Ideal(list(Q.generators) + list(I2.groebner_basis())).groebner_basis()
-    gb = I.groebner_basis()
-    gens = [a.terms for a in I.generators if not a.is_zero]
-    forms: dict = {}     # s -> [NF_T(s*a) for a in gens]
-    echelon: dict = {}   # lead column -> augmented row with a nonzero image
-    kernel: list[Polynomial] = []
-    for s in standard_monomials(staircase_normalize(gb.leading_exponents())):
-        if s == (0, 0):
-            prods = gens
-        else:
-            v = (1, 0) if s[0] else (0, 1)
-            parent = forms[(s[0] - v[0], s[1] - v[1])]
-            prods = [{(e[0] + v[0], e[1] + v[1]): c for e, c in f.items()} for f in parent]
-        forms[s] = nfs = [T.reduce(p) for p in prods]
-        row = {(j, e): c for j, f in enumerate(nfs) for e, c in f.items()}
-        row[(-1, s)] = fld.one  # no earlier row has this column: never cancelled
-        lead = _echelon_reduce(row, echelon, None, fld)
-        if lead[0] >= 0:
-            echelon[lead] = row
-        else:
-            kernel.append(Polynomial(I.ring, fld, {e: fld.from_int(c) for (_, e), c in row.items()}))
-    basis = Ideal(list(gb) + kernel).groebner_basis()
-    J = Ideal(list(basis))
-    J._gb_cache[basis.order] = basis  # already reduced: no second Buchberger run
     return J
 
 
@@ -617,30 +579,56 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     return AGReport(verdict=Verdict.UNKNOWN, notes=tuple(notes), **base)
 
 
+def _is_linked_colon(I: Ideal, Q: Ideal, J: Ideal) -> bool:
+    """Is J = Q : I in k[x,y]_(x,y) for a stable reduction Q of I?  Only
+    colengths and containments, no colon.
+
+    Q inside I with I^2 = QI makes T = Q + I^2 the origin component of the
+    two-generated Q, so R/T is an Artinian complete intersection, and T
+    lies in I; by linkage colength(T : I) = colength(T) - colength(I).
+    J*I inside T puts J inside T : I, so the two are equal exactly when J
+    has that colength.
+    """
+    try:
+        if len(Q.generators) != 2 or not is_stable(I, Q):
+            return False
+    except NotContained:
+        return False
+    T = Ideal(list(Q.generators) + list(_mul(I, I).generators))
+    if not _contains_all(T, [a * w for a in I.generators for w in J.generators]):
+        return False
+    try:
+        ell_J = colength(J)
+    except NotZeroDimensional:
+        return False  # J has infinite colength
+    return ell_J + colength(I) == colength(T)
+
+
 def validate_report(I: Ideal, report: AGReport) -> bool:
     """Re-check the verdict's supporting evidence.
 
-    mu(J) = 1 is recomputed from the reported colon as colength(m*J) -
-    colength(J); a witness is re-verified by `verify_witness`; a refutation
-    is recomputed from the reported colon and reduction with a fresh seed.
+    A reported colon is first re-derived by `_is_linked_colon` against the
+    reported reduction.  Then mu(J) = 1 is recomputed from the colon as
+    colength(m*J) - colength(J); a witness is re-verified by
+    `verify_witness`; a refutation is recomputed from the reported colon
+    with a fresh seed.
     """
+    if report.verdict is Verdict.UNKNOWN:
+        return True
+    if report.colon_gens is None or report.reduction is None:
+        return False
+    J = Ideal(list(report.colon_gens))
+    if not _is_linked_colon(I, Ideal(list(report.reduction.Q)), J):
+        return False
     if report.verdict is Verdict.GORENSTEIN:
-        if report.colon_min_gens != 1 or report.colon_gens is None:
-            return False
-        J = Ideal(list(report.colon_gens))
-        return colength(_mul(maximal_ideal(I.ring, I.field), J)) - colength(J) == 1
+        return (report.colon_min_gens == 1
+                and colength(_mul(maximal_ideal(I.ring, I.field), J)) - colength(J) == 1)
     if report.verdict is Verdict.AG_CERTIFIED:
         w = report.witness
-        if w is None or report.colon_gens is None:
-            return False
-        J = Ideal(list(report.colon_gens))
-        return verify_witness(I, J, w.f, w.g, w.h)
-    if report.verdict is Verdict.NOT_AG:
-        r = report.refutation
-        if r is None or report.colon_gens is None or report.reduction is None:
-            return False
-        again = necessary_bound(I, Ideal(list(report.colon_gens)),
-                                seed=derive_seed(*r.seeds, "validate"),
-                                Q=Ideal(list(report.reduction.Q)), trials=r.trials)
-        return r.min_sum > r.threshold and again.min_sum > again.threshold
-    return True
+        return w is not None and verify_witness(I, J, w.f, w.g, w.h)
+    r = report.refutation
+    if r is None:
+        return False
+    # the linkage check above already showed I^2 = QI: no Q for the refuter
+    again = necessary_bound(I, J, seed=derive_seed(*r.seeds, "validate"), trials=r.trials)
+    return r.min_sum > r.threshold and again.min_sum > again.threshold

@@ -31,7 +31,6 @@ from operator import le
 from typing import Sequence
 
 from .errors import (
-    NotContained,
     NotZeroDimensional,
     RingMismatch,
     ZeroDivisorIdeal,
@@ -418,17 +417,12 @@ def ideal_pow(I: Ideal, k: int) -> Ideal:
     return result
 
 
-def _extended(ring: Ring) -> tuple[Ring, tuple[int, ...]]:
-    aux = Ring(("u",) + ring.vars)
-    return aux, tuple(range(1, aux.arity))
-
-
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """I and J meet via one auxiliary variable: (u I + (1-u) J) with u eliminated."""
     if I.ring != J.ring or I.field != J.field:
         raise RingMismatch("ideals live in different rings or fields")
     ring, field = I.ring, I.field
-    aux, keep = _extended(ring)
+    aux = Ring(("u",) + ring.vars)
     u = Polynomial.variable(aux, field, "u")
     one_minus_u = Polynomial.one(aux, field) - u
 
@@ -439,6 +433,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     order = BlockElimination(front=("u",))
     keyf = order.key(aux)
     basis = _buchberger([g.terms for g in gens if not g.is_zero], keyf, field)
+    keep = tuple(range(1, aux.arity))
     trimmed = [
         _monic_polynomial(aux, field, entry).project(ring, keep)
         for entry in basis
@@ -449,56 +444,60 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(trimmed)
 
 
-def _exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
-    """Quotient p/f when f divides p (polynomial rings over fields are UFDs)."""
-    field = p.field
-    keyf = GREVLEX.key(p.ring)
-    lmf, lcf = f.leading()
-    work = dict(p.terms)
-    keys = {m: keyf(m) for m in work}  # one order key per monomial, as in _nf_dict
-    out: _Term = {}
-    zero = field.zero
-    while work:
-        lm = max(work, key=keys.__getitem__)
-        c = work.pop(lm)
-        if not mono_divides(lmf, lm):
-            raise NotContained(f"{p} is not a multiple of {f}")
-        shift = mono_div(lm, lmf)
-        scale = field.div(c, lcf)
-        out[shift] = scale
-        for m, fc in f.terms.items():
-            if m == lmf:
-                continue
-            mm = mono_mul(m, shift)
-            nv = field.sub(work.get(mm, zero), field.mul(scale, fc))
-            if nv == zero:
-                work.pop(mm, None)
-            else:
-                if mm not in keys:
-                    keys[mm] = keyf(mm)
-                work[mm] = nv
-    return Polynomial(p.ring, field, out)
+def _colon(A: Ideal, B: Ideal, C: Ideal) -> Ideal:
+    """A : B for a sub-ideal C of A : B of finite colength in k[x,y],
+    generated by its reduced basis, which it carries cached.
+
+    C*B lies in A, so f -> (NF_A(f*b)) over the nonzero generators b of B is
+    a k-linear map R/C -> (R/A)^mu whose kernel is (A : B)/C; so A : B is C
+    plus that kernel, exactly and globally, wherever A's components lie.
+    The images, one per standard monomial s of C, are filled by walking the
+    staircase in degree order with NF_A(v*s*b) = NF_A(v*NF_A(s*b)) for a
+    variable v, so each product is reduced from an already reduced one.
+    The row of s holds its image columns (j, e) and a combination column
+    (-1, s) that sorts below them; a row whose reduced lead lands in a
+    (-1, .) column has a zero image, and its combination columns are a
+    kernel element.
+    """
+    from .staircase import staircase_normalize, standard_monomials
+
+    fld = A.field
+    top = A.groebner_basis()
+    gb = C.groebner_basis()
+    gens = [b.terms for b in B.generators if not b.is_zero]
+    forms: dict = {}     # s -> [NF_A(s*b) for b in gens]
+    echelon: dict = {}   # lead column -> augmented row with a nonzero image
+    kernel: list[Polynomial] = []
+    for s in standard_monomials(staircase_normalize(gb.leading_exponents())):
+        if s == (0, 0):
+            prods = gens
+        else:
+            v = (1, 0) if s[0] else (0, 1)
+            parent = forms[(s[0] - v[0], s[1] - v[1])]
+            prods = [{(e[0] + v[0], e[1] + v[1]): c for e, c in f.items()} for f in parent]
+        forms[s] = nfs = [top.reduce(p) for p in prods]
+        row = {(j, e): c for j, f in enumerate(nfs) for e, c in f.items()}
+        row[(-1, s)] = fld.one  # no earlier row has this column: never cancelled
+        lead = _echelon_reduce(row, echelon, None, fld)
+        if lead[0] >= 0:
+            echelon[lead] = row
+        else:
+            kernel.append(Polynomial(A.ring, fld, {e: fld.from_int(c) for (_, e), c in row.items()}))
+    basis = Ideal(list(gb) + kernel).groebner_basis()
+    J = Ideal(list(basis))
+    J._gb_cache[basis.order] = basis  # already reduced: no second Buchberger run
+    return J
 
 
-def _colon_single(I: Ideal, f: Polynomial) -> Ideal:
-    meet = ideal_intersection(I, Ideal([f]))
-    gens = [_exact_divide(g, f) for g in meet.generators if not g.is_zero]
-    if not gens:
-        gens = [Polynomial.zero(I.ring, I.field)]
-    return Ideal(gens)
-
-
-def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
-    """I : J computed as the meet over J's generators of I : f."""
-    if I.ring != J.ring or I.field != J.field:
+def ideal_colon(A: Ideal, B: Ideal) -> Ideal:
+    """A : B for A of finite colength in k[x,y], exact globally: the kernel
+    `_colon` reads off R/A.  Raises NotZeroDimensional for any other A."""
+    if A.ring != B.ring or A.field != B.field:
         raise RingMismatch("ideals live in different rings or fields")
-    divisors = [f for f in J.generators if not f.is_zero]
-    if not divisors:
+    if all(f.is_zero for f in B.generators):
         raise ZeroDivisorIdeal("colon by the zero ideal")
-    result = _colon_single(I, divisors[0])
-    for f in divisors[1:]:
-        result = ideal_intersection(result, _colon_single(I, f))
-    return result
+    colength(A)  # raises outside k[x,y] and for infinite colength
+    return _colon(A, B, A)
 
 
 def colength(I: Ideal) -> int:

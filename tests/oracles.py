@@ -2,14 +2,18 @@
 
 These deliberately avoid the production algorithms: the Groebner oracle is a
 plain S-pair saturation loop with no selection strategy or pair pruning, the
-lattice oracles work on divisibility predicates, and the rank oracle runs
-symbolic linear algebra in sympy.
+lattice oracles work on divisibility predicates, the reference colon is an
+elimination (one auxiliary variable and exact division) in place of the
+library's kernel walk, and the rank oracle runs symbolic linear algebra in
+sympy.
 """
 
 from __future__ import annotations
 
 import sympy
 
+from agrees.errors import NotContained, ZeroDivisorIdeal
+from agrees.groebner import Ideal, ideal_intersection
 from agrees.poly import GREVLEX, Polynomial, mono_div, mono_mul
 
 
@@ -110,6 +114,55 @@ def saturation_groebner(gens: list[Polynomial]) -> list[Polynomial]:
         reduced.append(_reduce_full(g, others).monic())
     reduced.sort(key=lambda p: keyf(p.leading()[0]), reverse=True)
     return reduced
+
+
+# -- elimination colon ---------------------------------------------------------
+
+def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
+    """Quotient p/f when f divides p (polynomial rings over fields are UFDs);
+    raises NotContained otherwise."""
+    field = p.field
+    keyf = GREVLEX.key(p.ring)
+    lmf, lcf = f.leading()
+    work = dict(p.terms)
+    out: dict = {}
+    while work:
+        lm = max(work, key=keyf)
+        c = work.pop(lm)
+        if not reference_mono_divides(lmf, lm):
+            raise NotContained(f"{p} is not a multiple of {f}")
+        shift = mono_div(lm, lmf)
+        scale = field.div(c, lcf)
+        out[shift] = scale
+        for m, fc in f.terms.items():
+            if m == lmf:
+                continue
+            mm = mono_mul(m, shift)
+            nv = field.sub(work.get(mm, field.zero), field.mul(scale, fc))
+            if nv == field.zero:
+                work.pop(mm, None)
+            else:
+                work[mm] = nv
+    return Polynomial(p.ring, field, out)
+
+
+def reference_colon(A: Ideal, B: Ideal) -> Ideal:
+    """A : B as the meet over the nonzero f in B of (A meet (f)) / f, for any
+    A: the library's `ideal_intersection` eliminates one auxiliary variable,
+    and each generator of the meet is divided by f exactly."""
+    divisors = [f for f in B.generators if not f.is_zero]
+    if not divisors:
+        raise ZeroDivisorIdeal("colon by the zero ideal")
+
+    def by(f: Polynomial) -> Ideal:
+        meet = ideal_intersection(A, Ideal([f]))
+        gens = [exact_divide(g, f) for g in meet.generators if not g.is_zero]
+        return Ideal(gens or [Polynomial.zero(A.ring, A.field)])
+
+    result = by(divisors[0])
+    for f in divisors[1:]:
+        result = ideal_intersection(result, by(f))
+    return result
 
 
 # -- lattice oracles for monomial ideals --------------------------------------

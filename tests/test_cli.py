@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from agrees.engine import verify_witness
-from agrees.fields import QQ
+from agrees.engine import classify, validate_report, verify_witness
+from agrees.fields import QQ, field_from_config
 from agrees.groebner import Ideal
 from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import BASE_RING
@@ -93,6 +93,13 @@ def test_analyze_bytes_are_pinned(name):
     out = run_cli("analyze", "--ideal", text, "--rees", "--seed", "0", "--field", field)
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ANALYZE))
+def test_pinned_reports_validate(name):
+    text, field, _ = PINNED_ANALYZE[name]
+    I = Ideal(parse_ideal_spec(text, BASE_RING, field_from_config(field)))
+    assert validate_report(I, classify(I))
 
 
 def test_analyze_pretty_includes_staircase():
@@ -185,6 +192,18 @@ def test_repro_list():
     ids = out.stdout.split()
     assert "thm14-simplest" in ids and "prop41-boundary" in ids
     assert out.returncode == 0
+
+
+# sha256 of `agrees repro --all` stdout, pinned across commits: its
+# contracted-property-suite and oracle-agreement checks take their colons
+# through groebner.ideal_colon and compare them with the staircase colon
+REPRO_ALL_SHA256 = "0d226e92d96b263c46533c21552001ec7b1885d6f95554e4cabea6ab9e16ed07"
+
+
+def test_repro_all_bytes_are_pinned():
+    out = run_cli("repro", "--all")
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == REPRO_ALL_SHA256
 
 
 def test_repro_prop41():

@@ -38,7 +38,7 @@ from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import BASE_RING, Polynomial
 from agrees.staircase import staircase_normalize, staircase_of_ideal
 
-from oracles import generic_ranks
+from oracles import generic_ranks, reference_colon
 
 FP = PrimeField(2147483647)
 
@@ -206,12 +206,15 @@ def test_colon_of_a_pair_vanishing_away_from_the_origin():
     I = ideal("x^2, x y, y^2")
     J = canonical_colon(I, ideal("x^2 - x^3, y^2"))
     assert ideal_equal(J, ideal("x, y"))
-    assert not ideal_equal(ideal_colon(ideal("x^2 - x^3, y^2"), I), J)
+    assert not ideal_equal(reference_colon(ideal("x^2 - x^3, y^2"), I), J)
+    # the library's colon is global too, and is the reference there
+    assert ideal_equal(ideal_colon(ideal("x^2 - x^3, y^2"), I),
+                       reference_colon(ideal("x^2 - x^3, y^2"), I))
 
 
 def _reference_colon(I, Q):
-    """The reduced basis of (Q : I) + I^2, through the global colon."""
-    local = Ideal(list(ideal_colon(Q, I).generators) + list(ideal_product(I, I).generators))
+    """The reduced basis of (Q : I) + I^2, through the elimination colon."""
+    local = Ideal(list(reference_colon(Q, I).generators) + list(ideal_product(I, I).generators))
     return Ideal(list(local.groebner_basis()))
 
 
@@ -723,6 +726,70 @@ def test_validate_report_recomputes_mu_of_the_colon():
     I = ideal("x^3, y^6")
     rep = classify(I)
     assert rep.verdict is Verdict.GORENSTEIN and validate_report(I, rep)
+
+
+def test_validate_report_rederives_the_colon():
+    # forged colons, each accepted by a validator that trusts colon_gens: the
+    # unit colon on a NOT_AG report relabelled GORENSTEIN; under NOT_AG
+    # colons the refuter still refutes; under AG_CERTIFIED a colon with a
+    # fresh witness that verifies; a Q outside I; and a Q that is no
+    # reduction, with its own colon and witness
+    I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
+    rep = classify(I)
+    assert rep.verdict is Verdict.NOT_AG and validate_report(I, rep)
+    unit = replace(rep, verdict=Verdict.GORENSTEIN, colon_gens=(poly("1"),), colon_min_gens=1)
+    assert not validate_report(I, unit)
+    for text in ("x^3, x y, y^3", "x^2, y^2"):
+        # (x^2, y^2) has the colon's colength 4, but J*I leaves T
+        swapped = ideal(text)
+        ref = necessary_bound(I, swapped)
+        assert ref.min_sum > ref.threshold
+        assert not validate_report(I, replace(rep, colon_gens=swapped.generators))
+    outside = replace(rep.reduction, Q=(poly("x^2"), poly("y^6")))
+    assert not validate_report(I, replace(rep, reduction=outside))
+
+    I = ideal("x^3, x^2 y^3, x y^4, y^5")
+    rep = classify(I)
+    assert rep.verdict is Verdict.AG_CERTIFIED and validate_report(I, rep)
+    m = ideal("x, y")
+    w = certificate_search(I, Ideal(list(rep.reduction.Q)), m, stable=True)
+    assert w is not None and verify_witness(I, m, w.f, w.g, w.h)
+    assert not validate_report(I, replace(rep, colon_gens=m.generators, witness=w))
+
+    # (6, 2, 3) against its pure powers, which are no reduction (I^2 != QI):
+    # (Q + I^2) : I has the linked colength, and a witness for it verifies
+    I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
+    rep = classify(I)
+    assert rep.verdict is Verdict.AG_CERTIFIED and validate_report(I, rep)
+    Q = ideal("x^3, y^6")
+    J = ideal_colon(Ideal(list(Q.generators) + list(ideal_product(I, I).generators)), I)
+    w = certificate_search(I, Q, J, stable=True)
+    assert w is not None and verify_witness(I, J, w.f, w.g, w.h)
+    forged = replace(rep, reduction=replace(rep.reduction, Q=Q.generators),
+                     colon_gens=tuple(minimal_generators(J)), witness=w)
+    assert not validate_report(I, forged)
+
+
+def test_validate_report_rejects_the_unit_colon_on_a_sweep():
+    # contracted-o3 n <= 7 over fp and x -> x+2y twins over q: every report
+    # with a colon validates, and the unit colon validates only under
+    # GORENSTEIN, where it is the true colon
+    cases = [make_family("contracted-o3", {"n": n, "alpha": a, "beta": b}, field=FP)
+             for n in range(3, 8) for b in range(2, n) for a in range(1, b)]
+    cases += [coordinate_twin(family_exponents("contracted-o3",
+                                               {"n": n, "alpha": a, "beta": a + 1}), 2)
+              for n in (5, 6) for a in (1, 2, 3)]
+    refused = 0
+    for I in cases:
+        rep = classify(I)
+        if rep.colon_gens is None:
+            continue
+        assert validate_report(I, rep), I
+        unit = replace(rep, colon_gens=(Polynomial.one(I.ring, I.field),))
+        if rep.verdict is not Verdict.GORENSTEIN:
+            assert not validate_report(I, unit), I
+            refused += 1
+    assert refused >= 20
 
 
 def test_classify_simplest_order_two():

@@ -23,7 +23,7 @@ from agrees.groebner import (
     GroebnerBasis,
     Ideal,
     _buchberger,
-    _exact_divide,
+    _colon,
     _nakayama_prune,
     _nf_dict,
     colength,
@@ -53,10 +53,12 @@ from agrees.poly import (
 )
 
 from oracles import (
+    exact_divide,
     lattice_colength,
     lattice_intersection,
     lattice_member,
     lattice_minimal,
+    reference_colon,
     reference_mono_divides,
     saturation_groebner,
 )
@@ -311,12 +313,12 @@ def test_exact_divide_recovers_the_quotient():
             q = Polynomial(BASE_RING, field, _random_terms(rng, field, 2, rng.randint(1, 5), 4))
             if f.is_zero or q.is_zero:
                 continue
-            assert _exact_divide(f * q, f) == q
+            assert exact_divide(f * q, f) == q
 
 
 def test_exact_divide_rejects_a_non_multiple():
     with pytest.raises(NotContained):
-        _exact_divide(poly("x^2 + y"), poly("x"))
+        exact_divide(poly("x^2 + y"), poly("x"))
 
 
 def test_contains_examples():
@@ -403,6 +405,80 @@ def test_colon_by_zero_rejected():
     zero = Ideal([Polynomial.zero(BASE_RING, QQ)])
     with pytest.raises(ZeroDivisorIdeal):
         ideal_colon(I, zero)
+
+
+def _basis_strings(I):
+    return [str(g) for g in I.groebner_basis()]
+
+
+def _assert_colon_is_the_reference(A, B):
+    got = ideal_colon(A, B)
+    assert _basis_strings(got) == _basis_strings(reference_colon(A, B)), (A, B)
+    return got
+
+
+def test_colon_matches_the_reference_on_monomial_pairs():
+    rng = random.Random(71)
+    for _ in range(25):
+        A = mono_ideal(_random_mono_ideal(rng))
+        B = mono_ideal(_random_mono_ideal(rng))
+        _assert_colon_is_the_reference(A, B)
+    # A : (1) = A, and the staircase colon's sample pairs
+    I = ideal("x^2, x y^4, y^5")
+    assert _basis_strings(_assert_colon_is_the_reference(I, ideal("1"))) == _basis_strings(I)
+    _assert_colon_is_the_reference(ideal("x^3, y^6"), ideal("x^3, x^2 y^3, x y^5, y^6"))
+
+
+def test_colon_matches_the_reference_on_linear_divisors():
+    # mI : (x + c*y), the m-fullness test of the contracted-property suite
+    rng = random.Random(73)
+    m = maximal_ideal(BASE_RING, QQ)
+    for _ in range(15):
+        I = mono_ideal(_random_mono_ideal(rng))
+        c = rng.randint(1, 40)
+        _assert_colon_is_the_reference(ideal_product(m, I), ideal(f"x + {c}*y"))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_colon_matches_the_reference_on_twins(field):
+    # (Q + I^2) : I for x -> x+2y twins and the pair find_reduction picks:
+    # the engine's colon, walked on R/I, equals the public one walked on R/T
+    from agrees.engine import find_reduction
+    from agrees.families import coordinate_twin
+    from agrees.repro import random_staircase
+
+    rng = random.Random(79)
+    checked = 0
+    for _ in range(8):
+        I = coordinate_twin(random_staircase(rng, 5, 3).gens, 2, field)
+        red = find_reduction(I)
+        if not red.stable:
+            continue
+        T = Ideal(list(red.Q) + list(ideal_product(I, I).groebner_basis()))
+        got = _assert_colon_is_the_reference(T, I)
+        assert _colon(T, I, I).generators == got.generators
+        checked += 1
+    assert checked >= 5
+
+
+def test_colon_is_global_away_from_the_origin():
+    # A = (x^2 - x^3, y^2) also vanishes at (1, 0), where I is the unit ideal,
+    # so A : I keeps that component of A: length 1 at the origin, where
+    # (x^2, y^2) : m^2 = m, and 2 at (1, 0)
+    A = ideal("x^2 - x^3, y^2")
+    I = ideal("x^2, x y, y^2")
+    got = _assert_colon_is_the_reference(A, I)
+    assert colength(got) == colength(A) - colength(I) == 1 + 2
+    assert not ideal_equal(got, ideal("x, y"))
+
+
+def test_colon_needs_a_finite_colength_numerator():
+    with pytest.raises(NotZeroDimensional):
+        ideal_colon(ideal("x^2, x y"), ideal("x"))
+    ring = Ring(("x", "y", "z"))
+    A = Ideal([Polynomial.variable(ring, QQ, v) for v in ring.vars])
+    with pytest.raises(NotZeroDimensional):
+        ideal_colon(A, A)
 
 
 # -- colength, min_gens, order ---------------------------------------------------
