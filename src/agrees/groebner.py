@@ -489,15 +489,15 @@ def _colon(A: Ideal, B: Ideal, C: Ideal) -> Ideal:
     return J
 
 
-def ideal_colon(A: Ideal, B: Ideal) -> Ideal:
-    """A : B for A of finite colength in k[x,y], exact globally: the kernel
-    `_colon` reads off R/A.  Raises NotZeroDimensional for any other A."""
-    if A.ring != B.ring or A.field != B.field:
+def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
+    """I : J for I of finite colength in k[x,y], exact globally: the kernel
+    `_colon` reads off R/I.  Raises NotZeroDimensional for any other I."""
+    if I.ring != J.ring or I.field != J.field:
         raise RingMismatch("ideals live in different rings or fields")
-    if all(f.is_zero for f in B.generators):
+    if all(f.is_zero for f in J.generators):
         raise ZeroDivisorIdeal("colon by the zero ideal")
-    colength(A)  # raises outside k[x,y] and for infinite colength
-    return _colon(A, B, A)
+    colength(I)  # raises outside k[x,y] and for infinite colength
+    return _colon(I, J, I)
 
 
 def colength(I: Ideal) -> int:
