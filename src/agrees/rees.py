@@ -2,28 +2,44 @@
 
 For I = (f_1, ..., f_s) the kernel K of x,y,T_i -> x,y,f_i*t is computed as
 (T_1 - f_1 t, ..., T_s - f_s t) intersected with the t-free subring, using a
-block order that eliminates t.  A minimal generating set is then extracted
-from that basis by graded Nakayama against (x, y, T_1..T_s) * K: one basis
-of that product, then one normal form per candidate (see
-`groebner._nakayama_prune`).  Each generator is reported with its
+block order that eliminates t.  Each generator is reported with its
 (T-degree, coefficient xy-degree) bidegree.
+
+The elimination basis is truncated at T-degree r + 1 when that bound is
+proven.  With t and every T_i of weight 1 and x, y of weight 0 the inputs
+T_i - f_i t are weight-homogeneous, so a Buchberger run that drops the
+S-pairs of weight above D returns exactly the weight <= D part of the full
+reduced basis (see `groebner._buchberger`).  If V(I) is the origin and
+I^2 = QI for a minimal reduction Q, then G(I) is Cohen-Macaulay (Valla 1979)
+and K is generated in T-degree <= r + 1 (Trung 1987), so the minimal
+generators are the same as without the bound.  Otherwise (r >= 2, no
+reduction found, or zeros of I away from the origin) the basis runs
+unbounded.
+
+A minimal generating set is then read off that basis, by counting where the
+count is a proof and by graded Nakayama otherwise.  Write mu_d(K) for
+dim (K/MK)_d with M = (x, y, T_1..T_s); any T-homogeneous generating set has
+at least mu_d(K) elements of T-degree d.  In degree 1, K_1 is the syzygy
+module of I, locally free of rank s - 1 (Hilbert-Burch), so mu_1 = s - 1.
+In degree 2, K/MK maps onto P/(T)P for the ideal P of the fiber cone F(I);
+when the s generators are minimal, mu(I) = s, P_1 = 0 and
+mu_2 >= dim P_2 = C(s+1, 2) - mu(I^2).  So when the bound D = r + 1 is
+proven, mu(I) = s and the bounded basis has exactly s - 1 elements of
+T-degree 1 and, for D = 2, exactly C(s+1, 2) - mu(I^2) of T-degree 2, it is
+already minimal.  mu(I) and mu(I^2) are levels 0 and 1 of the powers that
+the reduction search behind the bound builds anyway.  Everywhere else (no
+bound, a redundant input generator, or a count above those numbers) the
+prune runs: one basis of (x, y, T_1..T_s) * K, then one normal form per
+candidate (see `groebner._nakayama_prune`).  Both paths return the basis
+sorted by the prune's key, so a certified basis is the tuple, in the order,
+that the prune would keep.
 
 The presentation is local, like every verdict: the prune is Nakayama at
 (x, y, T), so the kept generators generate K after localizing there.  When
 I has zeros away from the origin they may generate less than K globally;
 `substitution_check` still holds, since every kept generator lies in K.
-Buchberger terminates on every input, so the T-degree bound below is the
-only truncation.
-
-Both bases are truncated at T-degree r + 1 when that bound is proven.  With
-t and every T_i of weight 1 and x, y of weight 0 the inputs T_i - f_i t are
-weight-homogeneous, so a Buchberger run that drops the S-pairs of weight
-above D returns exactly the weight <= D part of the full reduced basis (see
-`groebner._buchberger`).  If V(I) is the origin and I^2 = QI for a minimal
-reduction Q, then G(I) is Cohen-Macaulay (Valla 1979) and K is generated in
-T-degree <= r + 1 (Trung 1987), so the minimal generators are the same as
-without the bound.  Otherwise (r >= 2, no reduction found, or zeros of I
-away from the origin) both bases run unbounded.
+Buchberger terminates on every input, so the T-degree bound is the only
+truncation.
 
 Generator bookkeeping follows the user's generator order; comparing a
 presentation against a source that fixes a particular generator order
@@ -32,7 +48,9 @@ requires supplying the generators in that same order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 from . import engine
 from .errors import NoReductionFound
@@ -78,18 +96,33 @@ def _lift(g: Polynomial, big) -> Polynomial:
     return Polynomial(big, g.field, {e + pad: c for e, c in g.terms.items()})
 
 
-def _relation_type_bound(I: Ideal) -> int | None:
+def _relation_type_bound(I: Ideal, powers: engine._Powers | None = None) -> int | None:
     """r + 1 when V(I) is the origin and a reduction of I has reduction
     number r <= 1, else None.  r is decided in the local ring at the origin,
     which speaks for all of V(I) only when V(I) is the origin.  Which
-    reduction is found only decides whether the bound is used."""
+    reduction is found only decides whether the bound is used.  `powers`,
+    when given, is shared with the reduction search."""
     if not is_origin_primary(I):
         return None
     try:
-        r = engine.find_reduction(I).reduction_number
+        r = engine.find_reduction(I, powers=powers).reduction_number
     except NoReductionFound:
         return None
     return r + 1 if r <= 1 else None
+
+
+def _minimal_by_count(t_free: list[Polynomial], s: int, bound: int,
+                      powers: engine._Powers) -> bool:
+    """Whether the bounded t-free basis is minimal by the counting
+    certificate in the module docstring.  Levels 0 and 1 of `powers` give
+    mu(I) and mu(I^2); with the bound proven, the reduction search has built
+    both already."""
+    if powers.level(0)[3] != s:
+        return False
+    want = Counter({1: s - 1})
+    if bound == 2:
+        want[2] = comb(s + 1, 2) - powers.level(1)[3]
+    return Counter(map(_t_degree, t_free)) == want
 
 
 def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> list[Polynomial]:
@@ -110,18 +143,27 @@ def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> lis
             for entry in basis if all(e[2] == 0 for e in entry[2])]
 
 
+def _prune_key(s: int):
+    """Scanning order of the prune, and the order of every presentation:
+    T-degree, then xy-degree, then the leading monomial in grevlex."""
+    keyg = GREVLEX.key(presentation_ring(s))
+    return lambda g: (_t_degree(g), _xy_degree(g), keyg(g.leading()[0]))
+
+
 def rees_defining_ideal(I: Ideal) -> ReesPresentation:
     """Minimal defining generators of R[It] with their bidegrees."""
     colength(I)  # rejects inputs that are not m-primary
     gens = [g for g in I.generators if not g.is_zero]
-    bound = _relation_type_bound(I)
+    powers = engine._Powers(I)
+    bound = _relation_type_bound(I, powers)
     t_free = _t_free_kernel(gens, I.field, bound)
 
-    # minimal generators by graded Nakayama against (x, y, T_1..T_s) * kernel
-    keyg = GREVLEX.key(presentation_ring(len(gens)))
-    kept = _nakayama_prune(
-        t_free, key=lambda g: (_t_degree(g), _xy_degree(g), keyg(g.leading()[0])),
-        max_weight=bound)
+    key = _prune_key(len(gens))
+    if bound is not None and _minimal_by_count(t_free, len(gens), bound, powers):
+        kept = sorted(t_free, key=key)
+    else:
+        # minimal generators by graded Nakayama against (x, y, T_1..T_s) * kernel
+        kept = _nakayama_prune(t_free, key=key, max_weight=bound)
     bidegrees = tuple(sorted((_t_degree(g), _xy_degree(g)) for g in kept))
     return ReesPresentation(defining_gens=tuple(kept), bidegrees=bidegrees)
 

@@ -2,7 +2,8 @@
 
 A verdict is a statement about the ideal in k[x,y]_(x,y), so it and the
 numbers behind it must not depend on the names of the variables, on the
-choice of generators or on the coefficient field.
+choice of generators or on the coefficient field.  Nor, with `--rees`, may
+the bidegrees of the Rees algebra's minimal presentation.
 """
 
 from fractions import Fraction
@@ -14,12 +15,14 @@ from agrees.families import coordinate_twin
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import Ideal
 from agrees.poly import BASE_RING, Polynomial
+from agrees.rees import presentation_bidegrees
 from agrees.staircase import staircase_normalize
 
 FP = PrimeField(2147483647)
 FP2 = PrimeField(2147483629)
 
 CASES = settings(max_examples=30, derandomize=True, deadline=None, database=None)
+FEW = settings(CASES, max_examples=10)
 
 
 @st.composite
@@ -71,3 +74,19 @@ def test_the_field_keeps_the_verdict_of_a_twin(exps, c):
     want = _invariants(coordinate_twin(exps, c, QQ))
     for field in (FP, FP2):
         assert _invariants(coordinate_twin(exps, c, field)) == want
+
+
+@FEW
+@given(staircases(), st.data())
+def test_constant_multipliers_keep_the_verdict(exps, data):
+    """Each generator times a nonzero constant: the same ideal, over q, for
+    a staircase and for its x -> x + 2y twin, so the same verdict, the same
+    (mu_J, min_sum, threshold) and the same Rees bidegrees."""
+    units = st.sampled_from([Fraction(c) for c in (2, -1, 3, "1/3", "-5/2")])
+    for I in (Ideal([Polynomial.monomial(BASE_RING, QQ, e) for e in exps]),
+              coordinate_twin(exps, 2, QQ)):
+        n = len(I.generators)
+        cs = data.draw(st.lists(units, min_size=n, max_size=n))
+        scaled = Ideal([g.scale(c) for g, c in zip(I.generators, cs)])
+        assert _invariants(scaled) == _invariants(I)
+        assert presentation_bidegrees(scaled) == presentation_bidegrees(I)

@@ -163,9 +163,10 @@ def test_mixed_presentation_matches_sympy_elimination(texts):
 # -- the T-degree bound -------------------------------------------------------------
 
 def _unbounded(I, monkeypatch):
-    """The presentation with both bases run without the weight bound."""
+    """The presentation with both bases run without the weight bound, which
+    also takes the prune path."""
     with monkeypatch.context() as m:
-        m.setattr(rees, "_relation_type_bound", lambda I: None)
+        m.setattr(rees, "_relation_type_bound", lambda I, powers=None: None)
         return rees_defining_ideal(I)
 
 
@@ -222,11 +223,12 @@ def test_zeros_away_from_the_origin_run_unbounded():
     assert substitution_check(I, pres)
 
 
-@pytest.mark.parametrize("text,bound", [
-    ("x^3, x^2 y^3, x y^5, y^6", 2),
-    ("x^4, x^3*y, x*y^3, y^4", None),
-])
-def test_both_bases_get_the_bound(text, bound, monkeypatch):
+@pytest.mark.parametrize("I,seen_want", [
+    ("x^3, x^2 y^3, x y^5, y^6", [2]),  # certified: the elimination only
+    (("contracted-o3", {"n": 5, "alpha": 2, "beta": 3}), [2, 2]),  # the count fails
+    ("x^4, x^3*y, x*y^3, y^4", [None, None]),  # r = 2
+], ids=["x^3, x^2 y^3, x y^5, y^6-2", "co3-5-2-3-2", "x^4, x^3*y, x*y^3, y^4-None"])
+def test_both_bases_get_the_bound(I, seen_want, monkeypatch):
     seen = []
     real = groebner._buchberger
 
@@ -236,5 +238,64 @@ def test_both_bases_get_the_bound(text, bound, monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger", record)
     monkeypatch.setattr(rees, "_buchberger", record)
-    rees_defining_ideal(ideal(text))
-    assert seen == [bound, bound]
+    rees_defining_ideal(ideal(I) if isinstance(I, str) else make_family(*I))
+    assert seen == seen_want
+
+
+def _takes_the_prune(I, monkeypatch):
+    """Whether `rees_defining_ideal(I)` calls the Nakayama prune."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(1)
+        return groebner._nakayama_prune(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(rees, "_nakayama_prune", record)
+        rees_defining_ideal(I)
+    return bool(calls)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_certified_presentation_matches_the_prune(field, monkeypatch):
+    """A presentation certified minimal by counting is the prune of the same
+    bounded t-free basis, generator for generator and in order; inputs whose
+    count fails, with a redundant generator or with no bound take the
+    prune."""
+    rng = random.Random(47)
+    stairs = [random_staircase(rng, 7, 6).gens for _ in range(16)]
+    cases = ([_monomial_ideal(g, field) for g in stairs]
+             + [coordinate_twin(g, 2, field) for g in stairs])
+    certified = []  # s of each certified input
+    for I in cases:
+        gens = [g for g in I.generators if not g.is_zero]
+        bound = rees._relation_type_bound(I)
+        pruned = groebner._nakayama_prune(rees._t_free_kernel(gens, field, bound),
+                                          rees._prune_key(len(gens)), max_weight=bound)
+        assert rees_defining_ideal(I).defining_gens == tuple(pruned)
+        if not _takes_the_prune(I, monkeypatch):
+            certified.append(len(gens))
+    assert len(certified) >= 18
+    assert sum(s >= 3 for s in certified) >= 8  # D = 2, where mu(I^2) enters
+
+    falls_back = [
+        make_family("contracted-o3", {"n": 5, "alpha": 2, "beta": 3}, field=field),
+        ideal("x^2, x*y, y^2, x^2 + x*y", field),  # one generator redundant
+        ideal("x^4, x^3*y, x*y^3, y^4", field),  # r = 2 from here on
+        make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 5}, field=field),
+        make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 4}, field=field),
+    ]
+    for I in falls_back:
+        assert _takes_the_prune(I, monkeypatch)
+
+
+def test_a_redundant_generator_is_never_certified():
+    # mu(I) = 3 < s = 4, so P_1 != 0 and C(s+1, 2) - mu(I^2) is no lower
+    # bound: a list with exactly the counts the certificate asks of s = 4
+    # generators is still not certified
+    I = ideal("x^2, x*y, y^2, x^2 + x*y")
+    powers = engine._Powers(I)
+    assert rees._relation_type_bound(I, powers) == 2
+    T1 = Polynomial.variable(presentation_ring(4), QQ, "T1")
+    counted = [T1] * 3 + [T1 * T1] * (10 - powers.level(1)[3])
+    assert not rees._minimal_by_count(counted, 4, 2, powers)
