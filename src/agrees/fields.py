@@ -36,54 +36,76 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class RationalField:
-    """Exact rationals; elements are Fraction values in lowest terms.
+def _exact(v):
+    """A rational value as the field holds it: an int when it is integral."""
+    return v.numerator if v.denominator == 1 else v
 
-    The Groebner and echelon kernels work on rows of plain integers (see
-    `groebner`): `clear` turns field values into integers, `cross` gives the
-    integer multipliers of one reduction step and `normalize` keeps a stored
-    row primitive, with content 1 and a positive leading coefficient.
+
+class RationalField:
+    """Exact rationals on Python's numeric tower: an element is an int when
+    its value is integral and a Fraction in lowest terms otherwise, never a
+    float.
+
+    Every operation returns that canonical form, with a fast path for two
+    ints; `str`, `==` and `hash` agree between an int and the equal
+    Fraction, so callers may still pass integral Fractions.  The Groebner
+    and echelon kernels work on rows of plain integers (see `groebner`):
+    `clear` turns field values into integers (a row of ints is one
+    already), `cross` gives the integer multipliers of one reduction step
+    and `normalize` keeps a stored row primitive, with content 1 and a
+    positive leading coefficient.
     """
 
     name = "q"
+    zero = 0
+    one = 1
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def fraction(self, num: int, den: int) -> Fraction:
-        return Fraction(num, den)
+    def fraction(self, num: int, den: int):
+        q, r = divmod(num, den)
+        return q if r == 0 else Fraction(num, den)
 
     def add(self, a, b):
-        return a + b
+        if type(a) is int and type(b) is int:
+            return a + b
+        return _exact(a + b)
 
     def sub(self, a, b):
-        return a - b
+        if type(a) is int and type(b) is int:
+            return a - b
+        return _exact(a - b)
 
     def mul(self, a, b):
-        return a * b
+        if type(a) is int and type(b) is int:
+            return a * b
+        return _exact(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return Fraction(1, a)
+        return self.div(1, a)
 
     def div(self, a, b):
-        return Fraction(a, b)
+        if type(a) is int and type(b) is int:
+            return self.fraction(a, b)
+        return _exact(Fraction(a, b))
 
     # -- integer rows -------------------------------------------------------
 
-    def clear(self, row: dict) -> Fraction:
+    def clear(self, row: dict):
         """Scale row in place by the lcm of its denominators, so its values
-        become ints; the unit u with old row = u * new row."""
+        become ints; the unit u with old row = u * new row.  A row of ints
+        (an integral polynomial) stays as it is, with unit 1; an integral
+        Fraction becomes its numerator."""
+        if all(type(c) is int for c in row.values()):
+            return 1
         den = lcm(*[c.denominator for c in row.values()])
         for m, c in row.items():
             row[m] = c.numerator * (den // c.denominator)
-        return Fraction(1, den)
+        return self.fraction(1, den)
 
     def cross(self, c: int, b: int) -> tuple[int, int]:
         """(a, s) with a * c = s * b and a > 0 for b > 0: the smallest

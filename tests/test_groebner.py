@@ -241,8 +241,12 @@ def _random_terms(rng, field, arity, n_terms, max_exp, proper=False):
 
 
 def _field_values(terms, field):
-    """Are all values field elements (Fractions over q, not bare ints)?"""
-    return all(isinstance(c, Fraction) for c in terms.values()) if field == QQ else True
+    """Are all values field elements in canonical form (over q an int when
+    integral and a Fraction otherwise, never a float)?"""
+    if field != QQ:
+        return True
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in terms.values())
 
 
 @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
@@ -303,6 +307,33 @@ def test_reduce_is_the_normal_form(field):
                 assert got == normal_form(p, gb).terms
                 assert got == _reference_nf(p.terms, monic, keyf, field)
                 assert _field_values(got, field)
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+def test_integral_fractions_act_as_their_ints(names):
+    """Over q, a polynomial a caller builds from integral Fractions such as
+    Fraction(2) equals, hashes, prints and reduces as its int-valued twin,
+    and `_buchberger` gives both the same entries, rows of plain ints."""
+    ring = Ring(names)
+    keyf = GREVLEX.key(ring)
+    rng = random.Random(89)
+
+    def as_fractions(p):
+        return Polynomial(ring, QQ, {m: Fraction(c) for m, c in p.terms.items()})
+
+    for proper in (False, True):
+        for _ in range(6):
+            gens = _random_generators(rng, ring, QQ, proper)
+            twins = [as_fractions(g) for g in gens]
+            for g, t in zip(gens, twins):
+                assert t == g and hash(t) == hash(g) and str(t) == str(g)
+            entries = _buchberger([g.terms for g in gens], keyf, QQ)
+            assert _buchberger([t.terms for t in twins], keyf, QQ) == entries
+            assert all(type(v) is int for _, lc, row in entries for v in (lc, *row.values()))
+            gb = Ideal(gens).groebner_basis()
+            p = Polynomial(ring, QQ, _random_terms(rng, QQ, len(names), 6, 5, proper))
+            got = gb.reduce(as_fractions(p).terms)
+            assert got == gb.reduce(p.terms) and _field_values(got, QQ)
 
 
 def test_exact_divide_recovers_the_quotient():

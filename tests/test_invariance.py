@@ -76,6 +76,15 @@ def test_the_field_keeps_the_verdict_of_a_twin(exps, c):
         assert _invariants(coordinate_twin(exps, c, field)) == want
 
 
+@CASES
+@given(staircases(), st.sampled_from([2, -1, Fraction(1, 3)]))
+def test_a_twin_keeps_the_verdict_of_its_staircase(exps, c):
+    """x -> x + c*y is a linear change of coordinates, so over q the twin
+    has the monomial staircase's verdict and the numbers behind it."""
+    source = Ideal([Polynomial.monomial(BASE_RING, QQ, e) for e in exps])
+    assert _invariants(coordinate_twin(exps, c, QQ)) == _invariants(source)
+
+
 @FEW
 @given(staircases(), st.data())
 def test_constant_multipliers_keep_the_verdict(exps, data):
