@@ -10,7 +10,8 @@ so every operation here is deterministic for a fixed input and order.
 The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
 rows of plain integers, one kernel for both fields; the field supplies what
 differs.  `field.clear` writes field values as a unit times integers (over
-q it clears denominators; over fp a residue is already an integer),
+q it clears denominators, and an integral row, whose values are ints,
+enters as it is with unit 1; over fp a residue is already an integer),
 `field.cross(c, b)` gives multipliers (a, s) with a*c = s*b, so that a step
 r := a*r - s*row cancels r's leading c against a row led by b, and
 `field.normalize` keeps every stored row primitive (over q: content 1, lead

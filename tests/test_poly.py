@@ -165,6 +165,25 @@ def test_rational_division_is_exact(a, b):
         QQ.inv(0)
 
 
+@pytest.mark.parametrize("op, a, b, want", [
+    ("add", Fraction(1, 2), Fraction(1, 2), 1), ("add", 2, 3, 5),
+    ("add", Fraction(1, 3), 1, Fraction(4, 3)), ("sub", Fraction(3, 2), Fraction(1, 2), 1),
+    ("sub", 1, Fraction(1, 3), Fraction(2, 3)), ("mul", Fraction(2, 3), Fraction(3, 2), 1),
+    ("mul", Fraction(4, 3), 3, 4), ("mul", Fraction(1, 3), Fraction(1, 5), Fraction(1, 15)),
+    ("div", 6, 3, 2), ("div", Fraction(4, 3), Fraction(2, 3), 2), ("fraction", -6, 3, -2),
+    ("fraction", 6, -4, Fraction(-3, 2))])
+def test_rational_results_are_canonical(op, a, b, want):
+    """Every operation over q returns an int for an integral value and a
+    Fraction otherwise, whatever mix of the two it is given."""
+    got = getattr(QQ, op)(a, b)
+    assert got == want and _canonical(got)
+    assert _canonical(QQ.neg(got)) and _canonical(QQ.inv(got))
+    assert type(QQ.zero) is type(QQ.one) is type(QQ.from_int(7)) is int
+    x = Polynomial.variable(BASE_RING, QQ, "x").scale(a)
+    s = x.scale(b) + x.scale(b)
+    assert all(_canonical(c) for c in (s * s).terms.values())
+
+
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
 def test_integer_rows(field):
     """clear writes a row as unit * integers, cross cancels a leading
