@@ -127,8 +127,9 @@ class AGReport:
 
 # -- representation dispatch -------------------------------------------------
 # Products of two monomial ideals are built on their staircases, keeping the
-# generator lists of monomial powers minimal.  Everything else, colengths and
-# containments included, goes through the Groebner kernel.
+# generator lists of monomial powers minimal, and carry them cached.
+# Everything else goes through `groebner`, whose colengths and normal forms
+# modulo a monomial ideal read its staircase.
 
 def _mul(A: Ideal, B: Ideal) -> Ideal:
     sa, sb = staircase_of_ideal(A), staircase_of_ideal(B)

@@ -166,7 +166,7 @@ class PrimeField:
         d = den % self.p
         if d == 0:
             raise ZeroDivisionError("denominator vanishes modulo p")
-        return num % self.p * pow(d, self.p - 2, self.p) % self.p
+        return num % self.p * pow(d, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -181,9 +181,10 @@ class PrimeField:
         return -a % self.p
 
     def inv(self, a):
-        if a == 0:
+        # pow(0, -1, p) raises ValueError: keep the field's ZeroDivisionError
+        if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
@@ -200,7 +201,8 @@ class PrimeField:
         return 1, c
 
     def normalize(self, row: dict, lm) -> None:
-        """Scale row in place so that row[lm] = 1."""
+        """Scale row in place so that row[lm] = 1, by one inverse (extended
+        Euclid, `pow(c, -1, p)`)."""
         c = row[lm]
         if c != 1:
             inv = self.inv(c)

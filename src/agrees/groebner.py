@@ -24,10 +24,16 @@ that `_buchberger` returns.  Field values are made again only where a value
 leaves a kernel: the remainder `_nf_dict` returns (`GroebnerBasis.reduce`),
 the monic polynomials `_monic_polynomial` builds once from a basis's
 entries, and a kernel vector a caller reads off an echelon.
+
+Monomial ideals take the staircase instead (`staircase`): an `Ideal`
+caches its staircase, a monomial ideal's `colength` and reduced basis are
+read off it, and a basis of single monomials reduces by a term filter in
+place of `_nf_dict` (`GroebnerBasis.reduce`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from operator import le
 from typing import Sequence
 
@@ -276,16 +282,23 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list:
     return reduced
 
 
-def _monomial_basis(inputs: list[_Term], keyf) -> list:
+def _monomial_basis(I: "Ideal", keyf) -> list:
     """Reduced basis of a monomial ideal: its minimal monomials, as entries
-    (e, 1, {e: 1}) in the order `_buchberger` returns them.  Every monomial
-    order refines divisibility, so scanning upwards meets each divisor before
-    its multiples."""
-    minimal: list[Exponent] = []
-    for e in sorted({e for p in inputs for e in p}, key=keyf):
-        if all(not mono_divides(m, e) for m in minimal):
-            minimal.append(e)
-    return [(e, 1, {e: 1}) for e in reversed(minimal)]
+    (e, 1, {e: 1}) in the order `_buchberger` returns them.  In k[x,y] they
+    are the corners of I's cached staircase; in any other ring they come
+    from a scan upwards, which meets each divisor before its multiples,
+    since every monomial order refines divisibility."""
+    from .staircase import staircase_of_ideal
+
+    stair = staircase_of_ideal(I)
+    if stair is not None:
+        minimal = stair.gens
+    else:
+        minimal = []
+        for e in sorted({e for g in I.generators for e in g.terms}, key=keyf):
+            if all(not mono_divides(m, e) for m in minimal):
+                minimal.append(e)
+    return [(e, 1, {e: 1}) for e in sorted(minimal, key=keyf, reverse=True)]
 
 
 # -- public layer ------------------------------------------------------------
@@ -297,9 +310,15 @@ class GroebnerBasis:
     descending leading monomial: primitive integer rows over q, monic rows
     over fp.  They are kept as `_lead_data`, which `reduce` divides by, and
     the monic `elements` are made from them once.
+
+    A basis of single monomials (a monomial ideal's, or a Buchberger run's
+    that came out monomial) reduces by a term filter instead: `_corners` is
+    its staircase in k[x,y], the leading x-exponents ascending and their
+    y-exponents, and its list of leading monomials in any other ring; None
+    for every other basis.
     """
 
-    __slots__ = ("ring", "field", "order", "elements", "_lead_data", "_key")
+    __slots__ = ("ring", "field", "order", "elements", "_lead_data", "_key", "_corners")
 
     def __init__(self, ring: Ring, field, order: MonomialOrder, entries: list):
         self.ring = ring
@@ -308,6 +327,14 @@ class GroebnerBasis:
         self._lead_data = entries
         self._key = order.key(ring)
         self.elements = tuple(_monic_polynomial(ring, field, e) for e in entries)
+        self._corners = None
+        if all(len(row) == 1 for _, _, row in entries):
+            leads = [lm for lm, _, _ in entries]
+            if ring.arity == 2:
+                leads.sort()  # an antichain: x-exponents distinct, y-exponents falling
+                self._corners = ([a for a, _ in leads], [b for _, b in leads])
+            else:
+                self._corners = leads
 
     def __iter__(self):
         return iter(self.elements)
@@ -315,23 +342,51 @@ class GroebnerBasis:
     def reduce(self, terms: _Term) -> _Term:
         """Normal form of a term dict modulo the basis, as a term dict of
         field values.  Normal forms are k-linear: the normal form of
-        sum_j c_j * p_j is sum_j c_j * NF(p_j)."""
-        # looked up on the module, so a wrapper bound there sees this call too
-        return _nf_dict(terms, self._lead_data, self._key, self.field)
+        sum_j c_j * p_j is sum_j c_j * NF(p_j).
+
+        Modulo a monomial basis the normal form keeps exactly the terms that
+        no leading monomial divides.  In k[x,y] that is one bisection: the
+        corner with the largest x-exponent <= a has the smallest y-exponent
+        among those, so (a, b) lies in the ideal iff that one is <= b.  The
+        kept values are put in the field's canonical form (an integral
+        Fraction over q becomes its int), as `_nf_dict` returns them.
+        """
+        corners = self._corners
+        if corners is None:
+            # looked up on the module, so a wrapper bound there sees this call too
+            return _nf_dict(terms, self._lead_data, self._key, self.field)
+        if self.ring.arity == 2:
+            xs, ys = corners
+            kept = {m: c for m, c in terms.items()
+                    if not (i := bisect_right(xs, m[0])) or ys[i - 1] > m[1]}
+        else:
+            kept = {m: c for m, c in terms.items()
+                    if not any(all(map(le, lm, m)) for lm in corners)}
+        field = self.field
+        unit = field.clear(kept)
+        if unit != 1:
+            for m, c in kept.items():
+                kept[m] = field.mul(c, unit)
+        return kept
 
     def leading_exponents(self) -> list[Exponent]:
         return [lm for lm, _, _ in self._lead_data]
 
 
-class Ideal:
-    """Generator list plus a write-once cache of reduced bases per order.
+# an Ideal's `_staircase` until `staircase.staircase_of_ideal` first reads it
+_UNREAD = object()
 
-    Instances are immutable apart from the cache; concurrent readers may
-    race to insert, but both compute the same reduced basis so either
-    insertion is correct.
+
+class Ideal:
+    """Generator list plus write-once caches: reduced bases per order, and
+    the staircase (`staircase.staircase_of_ideal`, None included).
+
+    Instances are immutable apart from the caches; concurrent readers may
+    race to insert, but both compute the same value so either insertion is
+    correct.
     """
 
-    __slots__ = ("ring", "field", "generators", "_gb_cache")
+    __slots__ = ("ring", "field", "generators", "_gb_cache", "_staircase")
 
     def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -345,17 +400,17 @@ class Ideal:
         self.field = first.field
         self.generators = gens
         self._gb_cache: dict[MonomialOrder, GroebnerBasis] = {}
+        self._staircase = _UNREAD
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         cached = self._gb_cache.get(order)
         if cached is not None:
             return cached
         keyf = order.key(self.ring)
-        inputs = [g.terms for g in self.generators]
         if self.is_monomial():
-            entries = _monomial_basis(inputs, keyf)
+            entries = _monomial_basis(self, keyf)
         else:
-            entries = _buchberger(inputs, keyf, self.field)
+            entries = _buchberger([g.terms for g in self.generators], keyf, self.field)
         gb = GroebnerBasis(self.ring, self.field, order, entries)
         self._gb_cache[order] = gb
         return gb
@@ -502,11 +557,15 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 
 
 def colength(I: Ideal) -> int:
-    """Length of R/I as the count of standard monomials (2-variable rings)."""
+    """Length of R/I as the count of standard monomials (2-variable rings),
+    read off I's own staircase when I is monomial, with no basis built."""
     if I.ring.arity != 2:
         raise NotZeroDimensional(f"colength requires a 2-variable ring, got {I.ring}")
-    from .staircase import mono_colength, staircase_normalize
+    from .staircase import mono_colength, staircase_normalize, staircase_of_ideal
 
+    stair = staircase_of_ideal(I)
+    if stair is not None:
+        return mono_colength(stair)
     gb = I.groebner_basis()
     if not gb.elements:
         raise NotZeroDimensional("zero ideal has infinite colength")

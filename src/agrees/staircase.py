@@ -1,7 +1,9 @@
 """Fast exact path for bivariate monomial ideals.
 
 A staircase is the divisibility antichain of minimal monomial generators,
-sorted with x-exponents strictly decreasing.  Integral closure is computed
+sorted with x-exponents strictly decreasing.  Each `Ideal` reads its
+staircase once (`staircase_of_ideal`) and keeps it; `groebner` answers a
+monomial ideal's colength and normal forms from it.  Integral closure is computed
 on the Newton polygon with integer arithmetic only: a lattice point belongs
 to the closure exactly when it sits on or above every lower-boundary edge.
 """
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, NotZeroDimensional
-from .groebner import Ideal, ideal_order, min_gens
+from .groebner import _UNREAD, Ideal, ideal_order, min_gens
 from .poly import Polynomial
 
 Pair = tuple[int, int]
@@ -62,13 +64,11 @@ def _require_primary(s: Staircase):
 
 
 def mono_colength(s: Staircase) -> int:
-    """Lattice points under the staircase."""
+    """Lattice points under the staircase, summed over consecutive corners:
+    the columns a_{i+1} <= a < a_i stand b_{i+1} points high."""
     _require_primary(s)
-    a_max = s.gens[0][0]
-    total = 0
-    for i in range(a_max):
-        total += min(b for a, b in s.gens if a <= i)
-    return total
+    g = s.gens
+    return sum((a - a_next) * b_next for (a, _), (a_next, b_next) in zip(g, g[1:]))
 
 
 def standard_monomials(s: Staircase) -> list[Pair]:
@@ -162,9 +162,18 @@ def is_integrally_closed(s: Staircase) -> bool:
 
 
 def staircase_of_ideal(I: Ideal) -> Staircase | None:
-    """Staircase view of an ideal whose generators are all single terms."""
+    """Staircase view of an ideal of k[x,y] whose generators are all single
+    terms; None for any other ideal.  Read once per ideal and cached on it,
+    None included."""
+    stair = I._staircase
+    if stair is _UNREAD:
+        stair = I._staircase = _read_staircase(I.generators)
+    return stair
+
+
+def _read_staircase(generators) -> Staircase | None:
     pairs = []
-    for g in I.generators:
+    for g in generators:
         if g.is_zero:
             continue
         if not g.is_monomial:
@@ -176,7 +185,10 @@ def staircase_of_ideal(I: Ideal) -> Staircase | None:
 
 
 def ideal_of_staircase(s: Staircase, ring, field) -> Ideal:
-    return Ideal([Polynomial.monomial(ring, field, e) for e in s.gens])
+    """The ideal of s's corners, with s already in its staircase cache."""
+    I = Ideal([Polynomial.monomial(ring, field, e) for e in s.gens])
+    I._staircase = s
+    return I
 
 
 def is_contracted(obj) -> bool:

@@ -15,9 +15,9 @@ from .errors import BadParameters
 from .families import FAMILY_PARAMS, family_exponents, make_family
 from .fields import field_from_config
 from .groebner import Ideal
-from .poly import BASE_RING, Polynomial
+from .poly import BASE_RING
 from .report import SurveyRow, witness_summary
-from .staircase import staircase_normalize, staircase_product
+from .staircase import ideal_of_staircase, staircase_normalize, staircase_product
 
 SURVEY_FAMILIES = tuple(FAMILY_PARAMS) + ("products",)
 
@@ -78,7 +78,7 @@ def _build_ideal(family: str, values: tuple[int, ...], field) -> Ideal:
         s2 = staircase_normalize(
             family_exponents("power-order", {"m": params["m2"], "n": params["n2"]}))
         prod = staircase_product(s1, s2)
-        return Ideal([Polynomial.monomial(BASE_RING, field, e) for e in prod.gens])
+        return ideal_of_staircase(prod, BASE_RING, field)
     return make_family(family, params, field=field)
 
 

@@ -321,6 +321,45 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         assert [outputs.count(basis) for basis in shared] == [1, 1]
 
 
+def test_monomial_colength_builds_no_basis(monkeypatch):
+    # colength, and with it mu(I) = colength(m*I) - colength(I), reads a
+    # monomial ideal's staircase: neither a reduced basis nor its monomial
+    # shortcut is built, for input ideals, ideals made from staircases and
+    # the engine's products of them, over both fields
+    from agrees import groebner
+    from agrees.groebner import colength, min_gens
+    from agrees.repro import random_staircase
+    from agrees.staircase import ideal_of_staircase
+
+    from oracles import lattice_colength
+
+    built = []
+    real_basis, real_monomial = groebner.Ideal.groebner_basis, groebner._monomial_basis
+
+    def basis(self, *args, **kwargs):
+        built.append("groebner_basis")
+        return real_basis(self, *args, **kwargs)
+
+    def monomial(*args):
+        built.append("_monomial_basis")
+        return real_monomial(*args)
+
+    monkeypatch.setattr(groebner.Ideal, "groebner_basis", basis)
+    monkeypatch.setattr(groebner, "_monomial_basis", monomial)
+    rng = random.Random(41)
+    for field in (QQ, FP):
+        m = maximal_ideal(BASE_RING, field)
+        for _ in range(15):
+            S = random_staircase(rng, 7, 3)
+            I = Ideal([Polynomial.monomial(BASE_RING, field, e) for e in reversed(S.gens)])
+            for A in (I, ideal_of_staircase(S, BASE_RING, field), engine._mul(m, I),
+                      engine._mul(I, I), ideal_product(I, I)):
+                assert colength(A) == lattice_colength(list(staircase_of_ideal(A).gens))
+            assert min_gens(I) == len(S.gens)
+    assert built == []
+    assert colength(ideal("x^2 - y, y^3")) == 6 and "groebner_basis" in built
+
+
 def test_order_drop_for_contracted_stable():
     rng = random.Random(19)
     checked = 0

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agrees.errors import (
     NotContained,
@@ -43,6 +44,7 @@ from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import (
     BASE_RING,
     GREVLEX,
+    LEX,
     BlockElimination,
     Polynomial,
     Ring,
@@ -50,6 +52,7 @@ from agrees.poly import (
     mono_div,
     mono_lcm,
     mono_mul,
+    rees_ring,
 )
 
 from oracles import (
@@ -307,6 +310,76 @@ def test_reduce_is_the_normal_form(field):
                 assert got == normal_form(p, gb).terms
                 assert got == _reference_nf(p.terms, monic, keyf, field)
                 assert _field_values(got, field)
+
+
+FP_BIG = PrimeField(2147483647)
+
+
+@st.composite
+def monomial_bases(draw):
+    """A monomial ideal's basis in k[x,y] (a random staircase, m-primary or
+    not, possibly the unit ideal) or in a Rees ring k[x,y,t,T1..Ts], over q
+    or fp, under one of two orders; generated by monomials with redundant
+    ones and non-unit coefficients, or, in k[x,y], also by a sum of two of
+    them, so that the monomial basis comes out of a Buchberger run."""
+    field = draw(st.sampled_from([QQ, FP_BIG]))
+    rees_s = draw(st.sampled_from([0, 0, 1, 2]))
+    ring = rees_ring(rees_s) if rees_s else BASE_RING
+    order = draw(st.sampled_from(
+        [GREVLEX, BlockElimination(front=("t",)) if rees_s else LEX]))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 5)] * ring.arity), min_size=1, max_size=6))
+    coeffs = draw(st.lists(st.sampled_from([1, 2, -3]), min_size=len(exps), max_size=len(exps)))
+    gens = [Polynomial.monomial(ring, field, e, field.from_int(c)) for e, c in zip(exps, coeffs)]
+    if len(gens) > 1 and ring.arity == 2 and draw(st.booleans()):
+        gens.append(gens[0] + gens[1])
+    return Ideal(gens).groebner_basis(order)
+
+
+@st.composite
+def field_terms(draw, ring, field):
+    """Terms of a polynomial in ring: over q with int, integral Fraction and
+    proper Fraction values, over fp with residues."""
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 7)] * ring.arity), max_size=12))
+    terms = {}
+    for e in exps:
+        num = draw(st.integers(-50, 50).filter(bool))
+        if field == QQ:
+            kind = draw(st.sampled_from(["int", "integral", "proper"]))
+            den = draw(st.integers(2, 9)) if kind == "proper" else 1
+            c = Fraction(num, den) if kind != "int" else num
+        else:
+            c = field.from_int(num * draw(st.integers(1, 2**40)))
+        terms[e] = c
+    return terms
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(monomial_bases(), st.data())
+def test_term_filter_is_the_normal_form(gb, data):
+    """Modulo a basis of monomials, `reduce` filters terms, by a bisection
+    on the staircase in k[x,y] and by divisibility in any other ring; it
+    must equal `_nf_dict` on the same entries, value for value and in the
+    same canonical form."""
+    assert gb._corners is not None  # the filter, not the division, runs
+    terms = data.draw(field_terms(gb.ring, gb.field))
+    got = gb.reduce(dict(terms))
+    want = _nf_dict(terms, gb._lead_data, gb._key, gb.field)
+    assert got == want
+    assert [type(c) for c in got.values()] == [type(want[m]) for m in got]
+    assert _field_values(got, gb.field)
+
+
+def test_only_monomial_bases_filter():
+    """A basis with a binomial divides; a monomial one filters, including
+    the unit ideal's (everything reduces to zero) and the zero ideal's
+    (nothing does)."""
+    assert ideal("x^2 - y^2, x^3").groebner_basis()._corners is None
+    assert ideal("x^2 + x*y, x*y, y^3").groebner_basis()._corners == ([0, 1, 2], [3, 1, 0])
+    unit = ideal("x^2, 1").groebner_basis()
+    assert unit.reduce(poly("x + 1/3*y^4").terms) == {}
+    zero = Ideal([Polynomial.zero(BASE_RING, QQ)]).groebner_basis()
+    assert zero.reduce({(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3)}) == {
+        (1, 0): 2, (0, 1): Fraction(1, 3)}
 
 
 @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])

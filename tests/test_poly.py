@@ -207,6 +207,25 @@ def test_integer_rows(field):
     assert field.cross(5, row[x]) == ((row[x], 5) if field == QQ else (1, 5))
 
 
+def test_prime_field_inverses_and_zero_division():
+    """inv, fraction and normalize invert by extended Euclid; a zero
+    divisor still raises ZeroDivisionError, never pow's ValueError."""
+    rng = random.Random(23)
+    for _ in range(200):
+        a = rng.randrange(1, FP.p)
+        assert FP.mul(a, FP.inv(a)) == 1 and FP.inv(a) == pow(a, FP.p - 2, FP.p)
+        num, den = rng.randint(-10**12, 10**12), rng.choice([-1, 1]) * rng.randint(1, 10**12)
+        if den % FP.p:
+            assert FP.mul(FP.fraction(num, den), FP.from_int(den)) == FP.from_int(num)
+    row = {(1, 0): 5, (0, 1): 7}
+    FP.normalize(row, (1, 0))
+    assert row == {(1, 0): 1, (0, 1): FP.fraction(7, 5)}
+    for call in (lambda: FP.inv(0), lambda: FP.inv(FP.p), lambda: FP.fraction(1, FP.p),
+                 lambda: FP.fraction(1, 0), lambda: FP.div(3, 0)):
+        with pytest.raises(ZeroDivisionError):
+            call()
+
+
 def test_prime_field_range_and_modulus():
     from agrees.errors import BadParameters
 

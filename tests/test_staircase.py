@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agrees.errors import EmptyInput, NotZeroDimensional
 from agrees.fields import QQ
-from agrees.groebner import ideal_contains, ideal_pow, Ideal
+from agrees import engine
+from agrees.groebner import colength, ideal_contains, ideal_pow, Ideal
 from agrees.parse import parse_ideal_spec
-from agrees.poly import BASE_RING, Polynomial
+from agrees.poly import BASE_RING, Polynomial, rees_ring
 from agrees.staircase import (
     Staircase,
     closure_gap_length,
@@ -21,6 +23,7 @@ from agrees.staircase import (
     staircase_colon,
     staircase_intersection,
     staircase_normalize,
+    staircase_of_ideal,
     staircase_power,
     staircase_product,
 )
@@ -35,6 +38,10 @@ from oracles import (
 
 def stair(*pairs):
     return staircase_normalize(pairs)
+
+
+def ideal(text):
+    return Ideal(parse_ideal_spec(text, BASE_RING, QQ))
 
 
 def random_stair(rng, max_exp=8, extras=3):
@@ -96,6 +103,52 @@ def test_colength_matches_lattice_oracle():
     for _ in range(50):
         s = random_stair(rng, max_exp=6)
         assert mono_colength(s) == lattice_colength(list(s.gens))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(1, 12),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6))
+def test_corner_sum_matches_lattice_count(a, b, inner):
+    """mono_colength sums (a_i - a_{i+1}) * b_{i+1} over consecutive corners;
+    the lattice oracle counts the points outside the ideal one by one."""
+    s = staircase_normalize([(a, 0), (0, b)] + inner)
+    assert mono_colength(s) == lattice_colength(list(s.gens))
+
+
+def test_corner_sum_edge_cases():
+    assert mono_colength(stair((0, 0))) == 0
+    assert mono_colength(stair((4, 0), (0, 0))) == 0
+    assert colength(Ideal([Polynomial.one(BASE_RING, QQ)])) == 0
+    assert mono_colength(stair((5, 0), (0, 1))) == 5
+    for s in (stair((3, 0), (1, 2)), stair((2, 1), (0, 3)), stair((2, 2))):
+        with pytest.raises(NotZeroDimensional):
+            mono_colength(s)
+    for text in ("x^2", "x^3, x*y^2", "x*y"):
+        with pytest.raises(NotZeroDimensional):
+            colength(ideal(text))
+
+
+def test_staircase_is_read_once_per_ideal():
+    """An ideal's staircase is cached on it, None included, and always
+    equals staircase_normalize of its generators' exponents; an ideal made
+    by ideal_of_staircase or by a product of staircases starts with it."""
+    rng = random.Random(29)
+    for _ in range(40):
+        s = random_stair(rng)
+        exps = list(s.gens) + [(a + 1, b) for a, b in s.gens[:2]]
+        rng.shuffle(exps)
+        I = Ideal([Polynomial.monomial(BASE_RING, QQ, e, QQ.from_int(rng.choice([1, -2])))
+                   for e in exps])
+        got = staircase_of_ideal(I)
+        assert got == s == staircase_normalize(exps) and staircase_of_ideal(I) is got
+        J = ideal_of_staircase(staircase_product(s, random_stair(rng)), BASE_RING, QQ)
+        for K in (J, engine._mul(I, J), engine._mul(J, J)):
+            cached = K._staircase
+            assert cached is staircase_of_ideal(K)
+            assert cached == staircase_normalize(g.monomial_exponent() for g in K.generators)
+    for K in (ideal("x^2 - y, y^3"), Ideal([Polynomial.zero(BASE_RING, QQ)]),
+              Ideal([Polynomial.variable(rees_ring(2), QQ, "T1")])):
+        assert staircase_of_ideal(K) is None and K._staircase is None
 
 
 # -- product / intersection / colon ------------------------------------------------
