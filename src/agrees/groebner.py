@@ -288,17 +288,15 @@ def _monomial_basis(I: "Ideal", keyf) -> list:
     are the corners of I's cached staircase; in any other ring they come
     from a scan upwards, which meets each divisor before its multiples,
     since every monomial order refines divisibility."""
-    from .staircase import staircase_of_ideal
-
-    stair = staircase_of_ideal(I)
+    stair = I.staircase()
     if stair is not None:
-        minimal = stair.gens
+        minimal = sorted(stair.gens, key=keyf)
     else:
         minimal = []
         for e in sorted({e for g in I.generators for e in g.terms}, key=keyf):
             if all(not mono_divides(m, e) for m in minimal):
                 minimal.append(e)
-    return [(e, 1, {e: 1}) for e in sorted(minimal, key=keyf, reverse=True)]
+    return [(e, 1, {e: 1}) for e in reversed(minimal)]
 
 
 # -- public layer ------------------------------------------------------------
@@ -373,13 +371,13 @@ class GroebnerBasis:
         return [lm for lm, _, _ in self._lead_data]
 
 
-# an Ideal's `_staircase` until `staircase.staircase_of_ideal` first reads it
+# an Ideal's `_staircase` until `Ideal.staircase` first reads it
 _UNREAD = object()
 
 
 class Ideal:
     """Generator list plus write-once caches: reduced bases per order, and
-    the staircase (`staircase.staircase_of_ideal`, None included).
+    the staircase (`staircase`, None included).
 
     Instances are immutable apart from the caches; concurrent readers may
     race to insert, but both compute the same value so either insertion is
@@ -417,6 +415,24 @@ class Ideal:
 
     def is_monomial(self) -> bool:
         return all(g.is_monomial or g.is_zero for g in self.generators)
+
+    def staircase(self):
+        """The `staircase.Staircase` of an ideal of k[x,y] whose generators
+        are all single terms; None for any other ideal.  Read once and
+        cached, None included."""
+        stair = self._staircase
+        if stair is _UNREAD:
+            from .staircase import _read_staircase
+
+            stair = self._staircase = _read_staircase(self.generators)
+        return stair
+
+    @classmethod
+    def of_staircase(cls, stair, ring: Ring, field) -> "Ideal":
+        """The ideal of stair's corners, with stair already in its cache."""
+        I = cls([Polynomial.monomial(ring, field, e) for e in stair.gens])
+        I._staircase = stair
+        return I
 
     def __repr__(self):
         return "Ideal(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -561,9 +577,9 @@ def colength(I: Ideal) -> int:
     read off I's own staircase when I is monomial, with no basis built."""
     if I.ring.arity != 2:
         raise NotZeroDimensional(f"colength requires a 2-variable ring, got {I.ring}")
-    from .staircase import mono_colength, staircase_normalize, staircase_of_ideal
+    from .staircase import mono_colength, staircase_normalize
 
-    stair = staircase_of_ideal(I)
+    stair = I.staircase()
     if stair is not None:
         return mono_colength(stair)
     gb = I.groebner_basis()
@@ -618,10 +634,8 @@ def minimal_generators(I: Ideal, mI: Ideal | None = None) -> list[Polynomial]:
     """A minimal generating set, extracted greedily against (vars) * I;
     `mI`, when the caller already built (vars) * I, shares its basis."""
     if I.is_monomial():
-        from .staircase import staircase_of_ideal
-
         # None outside k[x,y] and for the zero ideal: the general path covers both
-        stair = staircase_of_ideal(I)
+        stair = I.staircase()
         if stair is not None:
             return [Polynomial.monomial(I.ring, I.field, e) for e in stair.gens]
     keyf = GREVLEX.key(I.ring)

@@ -2,7 +2,7 @@
 
 A staircase is the divisibility antichain of minimal monomial generators,
 sorted with x-exponents strictly decreasing.  Each `Ideal` reads its
-staircase once (`staircase_of_ideal`) and keeps it; `groebner` answers a
+staircase once (`Ideal.staircase`) and keeps it; `groebner` answers a
 monomial ideal's colength and normal forms from it.  Integral closure is computed
 on the Newton polygon with integer arithmetic only: a lattice point belongs
 to the closure exactly when it sits on or above every lower-boundary edge.
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, NotZeroDimensional
-from .groebner import _UNREAD, Ideal, ideal_order, min_gens
-from .poly import Polynomial
+from .groebner import Ideal, ideal_order, min_gens
 
 Pair = tuple[int, int]
 
@@ -163,12 +162,8 @@ def is_integrally_closed(s: Staircase) -> bool:
 
 def staircase_of_ideal(I: Ideal) -> Staircase | None:
     """Staircase view of an ideal of k[x,y] whose generators are all single
-    terms; None for any other ideal.  Read once per ideal and cached on it,
-    None included."""
-    stair = I._staircase
-    if stair is _UNREAD:
-        stair = I._staircase = _read_staircase(I.generators)
-    return stair
+    terms; None for any other ideal.  Cached on the ideal (`Ideal.staircase`)."""
+    return I.staircase()
 
 
 def _read_staircase(generators) -> Staircase | None:
@@ -186,9 +181,7 @@ def _read_staircase(generators) -> Staircase | None:
 
 def ideal_of_staircase(s: Staircase, ring, field) -> Ideal:
     """The ideal of s's corners, with s already in its staircase cache."""
-    I = Ideal([Polynomial.monomial(ring, field, e) for e in s.gens])
-    I._staircase = s
-    return I
+    return Ideal.of_staircase(s, ring, field)
 
 
 def is_contracted(obj) -> bool:

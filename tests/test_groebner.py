@@ -357,7 +357,6 @@ def test_term_filter_is_the_normal_form(gb, data):
     on the staircase in k[x,y] and by divisibility in any other ring; it
     must equal `_nf_dict` on the same entries, value for value and in the
     same canonical form."""
-    assert gb._corners is not None  # the filter, not the division, runs
     terms = data.draw(field_terms(gb.ring, gb.field))
     got = gb.reduce(dict(terms))
     want = _nf_dict(terms, gb._lead_data, gb._key, gb.field)
@@ -367,11 +366,17 @@ def test_term_filter_is_the_normal_form(gb, data):
 
 
 def test_only_monomial_bases_filter():
-    """A basis with a binomial divides; a monomial one filters, including
-    the unit ideal's (everything reduces to zero) and the zero ideal's
-    (nothing does)."""
-    assert ideal("x^2 - y^2, x^3").groebner_basis()._corners is None
-    assert ideal("x^2 + x*y, x*y, y^3").groebner_basis()._corners == ([0, 1, 2], [3, 1, 0])
+    """A basis with a binomial divides, as `_nf_dict` does; a monomial one
+    keeps exactly the terms outside its staircase, including the unit
+    ideal's (everything reduces to zero) and the zero ideal's (nothing
+    does)."""
+    binomial = ideal("x^2 - y^2, x^3").groebner_basis()
+    terms = poly("x^4 + 1/2*x^2*y + 3*x*y^2 + y^5").terms
+    assert binomial.reduce(dict(terms)) == _nf_dict(terms, binomial._lead_data,
+                                                     binomial._key, binomial.field)
+    stair = ideal("x^2 + x*y, x*y, y^3").groebner_basis()  # corners x^2, x*y, y^3
+    kept = stair.reduce(poly("x^3 + 2*x^2*y + x*y + 1/2*x + y^4 + 3*y^2 - 1").terms)
+    assert kept == {(1, 0): Fraction(1, 2), (0, 2): 3, (0, 0): -1}
     unit = ideal("x^2, 1").groebner_basis()
     assert unit.reduce(poly("x + 1/3*y^4").terms) == {}
     zero = Ideal([Polynomial.zero(BASE_RING, QQ)]).groebner_basis()

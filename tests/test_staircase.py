@@ -128,10 +128,21 @@ def test_corner_sum_edge_cases():
             colength(ideal(text))
 
 
-def test_staircase_is_read_once_per_ideal():
-    """An ideal's staircase is cached on it, None included, and always
-    equals staircase_normalize of its generators' exponents; an ideal made
-    by ideal_of_staircase or by a product of staircases starts with it."""
+def test_staircase_is_read_once_per_ideal(monkeypatch):
+    """An ideal's staircase is read from its generators once and cached on
+    it, None included, and always equals staircase_normalize of their
+    exponents; an ideal made by ideal_of_staircase or by a product of
+    staircases starts with it and reads nothing."""
+    from agrees import staircase
+
+    reads = []
+    real_read = staircase._read_staircase
+
+    def read(generators):
+        reads.append(generators)
+        return real_read(generators)
+
+    monkeypatch.setattr(staircase, "_read_staircase", read)
     rng = random.Random(29)
     for _ in range(40):
         s = random_stair(rng)
@@ -141,14 +152,19 @@ def test_staircase_is_read_once_per_ideal():
                    for e in exps])
         got = staircase_of_ideal(I)
         assert got == s == staircase_normalize(exps) and staircase_of_ideal(I) is got
+        assert reads == [I.generators]
+        reads.clear()
         J = ideal_of_staircase(staircase_product(s, random_stair(rng)), BASE_RING, QQ)
         for K in (J, engine._mul(I, J), engine._mul(J, J)):
-            cached = K._staircase
+            cached = staircase_of_ideal(K)
             assert cached is staircase_of_ideal(K)
             assert cached == staircase_normalize(g.monomial_exponent() for g in K.generators)
+        assert reads == []
     for K in (ideal("x^2 - y, y^3"), Ideal([Polynomial.zero(BASE_RING, QQ)]),
               Ideal([Polynomial.variable(rees_ring(2), QQ, "T1")])):
-        assert staircase_of_ideal(K) is None and K._staircase is None
+        assert staircase_of_ideal(K) is None and staircase_of_ideal(K) is None
+        assert reads == [K.generators]
+        reads.clear()
 
 
 # -- product / intersection / colon ------------------------------------------------
