@@ -17,8 +17,12 @@ then either certify with a witness triple (f, g, h) satisfying
 or refute by showing that no h in J can keep mu(IJ/Ih) + mu(mJ/mh) within
 the generator-count budget 2*(mu(J) - 1).  Both witness conditions are
 Zariski-open ranks (Nakayama), so one generic triple decides the first; a
-triple that passes is re-checked exactly by one echelon of normal forms
-modulo each of freshly built bases of m*IJ and m^2*J.
+triple that passes is re-checked exactly by one echelon of its own normal
+forms modulo each of m*IJ and m^2*J.
+Every product ideal is built once per analysis (`_mul` caches it on its
+right factor, and `maximal_ideal` is one object per ring and field), so the
+re-check shares the rank test's unique reduced bases of m*IJ and m^2*J,
+while the witness's products and their echelon are its own.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -129,13 +133,21 @@ class AGReport:
 # Products of two monomial ideals are built on their staircases, keeping the
 # generator lists of monomial powers minimal, and carry them cached.
 # Everything else goes through `groebner`, whose colengths and normal forms
-# modulo a monomial ideal read its staircase.
+# modulo a monomial ideal read its staircase.  Each product is built once:
+# it is cached on its right factor, keyed by the left one (`Ideal._products`),
+# so its basis and staircase are built once per analysis, and the shared
+# maximal ideal, always the left factor here, pins no product.
 
 def _mul(A: Ideal, B: Ideal) -> Ideal:
-    sa, sb = staircase_of_ideal(A), staircase_of_ideal(B)
-    if sa is not None and sb is not None:
-        return ideal_of_staircase(staircase_product(sa, sb), A.ring, A.field)
-    return ideal_product(A, B)
+    P = B._products.get(A)
+    if P is None:
+        sa, sb = staircase_of_ideal(A), staircase_of_ideal(B)
+        if sa is not None and sb is not None:
+            P = ideal_of_staircase(staircase_product(sa, sb), A.ring, A.field)
+        else:
+            P = ideal_product(A, B)
+        B._products[A] = P
+    return P
 
 
 # -- linear algebra modulo m-primary ideals ------------------------------------
@@ -337,24 +349,28 @@ class _WitnessSpaces:
     By Nakayama, an ideal P inside IJ satisfies P + mIJ = IJ exactly when
     the normal forms of its generators modulo mIJ have rank mu(IJ); likewise
     for mJ.  Every product a * w_j (a in mingens(I) for IJ, a in {x, y} for
-    mJ, w_j in mingens(J)) is reduced once, here.  `mJ` and `i_min`, when
-    the caller already built m*J or mingens(I), are shared.
+    mJ, w_j in mingens(J)) is reduced once, here.  The a * w_j over
+    mingens(I) generate IJ, so mu(IJ) is their rank and IJ's own basis is
+    never built; mu(mJ) = colength(m^2*J) - colength(mJ), since m*J's basis
+    serves the prune of J as well.  The products come from `_mul`'s cache,
+    so `verify_witness` finds the bases of m*IJ and m^2*J built here;
+    `i_min`, when the caller already has mingens(I), is shared.
     """
 
     def __init__(self, I: Ideal, J: Ideal, j_min: list[Polynomial],
-                 mJ: Ideal | None = None, i_min: list[Polynomial] | None = None):
-        m = maximal_ideal(I.ring, I.field)
-        self.IJ = _mul(I, J)
-        self.mJ = mJ or _mul(m, J)
-        mIJ = _mul(m, self.IJ)
+                 i_min: list[Polynomial] | None = None):
+        fld = I.field
+        m = maximal_ideal(I.ring, fld)
+        self.mJ = _mul(m, J)
+        mIJ = _mul(m, _mul(I, J))
         m2J = _mul(m, self.mJ)
         self.i_min = i_min or minimal_generators(I)
         self.j_min = j_min
-        self.mu_IJ = colength(mIJ) - colength(self.IJ)
-        self.mu_mJ = colength(m2J) - colength(self.mJ)
         ij, mj = mIJ.groebner_basis(), m2J.groebner_basis()
         self.by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in self.i_min]
         self.by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
+        self.mu_IJ = _rank([row for per_w in self.by_I for row in per_w], fld)
+        self.mu_mJ = colength(m2J) - colength(self.mJ)
 
     def full_ranks(self, a: list, b: list, c: list, fld) -> bool:
         """Do g = sum a_i i_i, f = b_1 x + b_2 y, h = sum c_j w_j pass both ranks?"""
@@ -376,9 +392,10 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
     ref/m*ref is killed by m, so modulo m*ref the ideal (parts) is the
     k-span of the parts' normal forms: the sum is ref iff the normal form of
     every member of ref_min reduces to zero against one echelon of that
-    span.  The basis of m*ref is built here, apart from the rank test's
-    spaces; `_mul` makes it a staircase when ref has one, so `ref_stair` is
-    not read.
+    span.  m*ref comes from `_mul`'s cache, so its unique reduced basis is
+    the one the rank test's spaces built (a staircase when ref has one, so
+    `ref_stair` is not read); the parts' normal forms and the echelon are
+    made here.
     """
     fld = ref.field
     top = _mul(maximal_ideal(ref.ring, fld), ref).groebner_basis()
@@ -409,8 +426,10 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
     With f in m, g in I and h in J (by normal form), gJ + Ih = IJ holds
     locally iff gJ + Ih + m*IJ = IJ (Nakayama); that quotient is killed by
     m, so local and global agree.  `_sum_equals` tests it by one echelon of
-    normal forms modulo a freshly built m*IJ, apart from the rank test.
-    Likewise mJ = fJ + mh against m^2*J.
+    normal forms modulo m*IJ; likewise mJ = fJ + mh against m^2*J.  Only
+    the unique reduced bases of m*IJ and m^2*J are shared with the rank
+    test, through `_mul`'s cache; the products g*w, a*h, f*w and v*h, their
+    normal forms and the echelon are made here, apart from the rank test.
     """
     m = maximal_ideal(I.ring, I.field)
     if not (_contains_all(m, [f]) and _contains_all(I, [g]) and _contains_all(J, [h])):
@@ -560,7 +579,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if len(j_min) == 1:
         return AGReport(verdict=Verdict.GORENSTEIN, notes=tuple(notes), **base)
 
-    spaces = _WitnessSpaces(I, J, j_min, mJ, minimal_generators(I, mI))
+    spaces = _WitnessSpaces(I, J, j_min, minimal_generators(I, mI))
     witness = certificate_search(I, Q, J, seed=cfg.seed, spaces=spaces, stable=True)
     if witness is not None:
         base["witness"] = witness

@@ -53,12 +53,14 @@ class RationalField:
     `clear` turns field values into integers (a row of ints is one
     already), `cross` gives the integer multipliers of one reduction step
     and `normalize` keeps a stored row primitive, with content 1 and a
-    positive leading coefficient.
+    positive leading coefficient.  `modulus` 0 says that the kernels'
+    integer arithmetic is exact, with no reduction.
     """
 
     name = "q"
     zero = 0
     one = 1
+    modulus = 0
 
     def from_int(self, n: int) -> int:
         return n
@@ -146,7 +148,8 @@ class PrimeField:
 
     Elements are already the integers the kernels work on, so `clear` leaves
     a row as it is, `normalize` makes it monic and `cross` against a monic
-    leading coefficient gives the multiplier 1.
+    leading coefficient gives the multiplier 1.  The kernels reduce their
+    integer arithmetic modulo `modulus`, which is p.
     """
 
     def __init__(self, p: int):
@@ -155,6 +158,7 @@ class PrimeField:
         if p <= MIN_PRIME:
             raise BadParameters(f"field modulus {p} must exceed 2^20")
         self.p = p
+        self.modulus = p
         self.name = f"fp:{p}"
         self.zero = 0
         self.one = 1

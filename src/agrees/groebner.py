@@ -17,7 +17,9 @@ r := a*r - s*row cancels r's leading c against a row led by b, and
 `field.normalize` keeps every stored row primitive (over q: content 1, lead
 positive) or monic (over fp, where a is therefore always 1).  This is
 fraction-free elimination (Bareiss 1968) and the primitive-part Buchberger
-algorithm (Cox-Little-O'Shea).
+algorithm (Cox-Little-O'Shea).  Inside a kernel a step is native `int`
+arithmetic, reduced modulo `field.modulus` when that is nonzero (over fp),
+with no field method call per term.
 
 A reduced basis is stored in one form, the kernels' entries (lm, lc, row)
 that `_buchberger` returns.  Field values are made again only where a value
@@ -78,29 +80,32 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
     A step's divisor is the first entry in list order whose leading monomial
     divides.  Each monomial's order key is computed once, when it first
     enters `work`; the leading term picked at every step is the same as with
-    keyf itself.
+    keyf itself.  Steps are int arithmetic, modulo `field.modulus` when it
+    is nonzero; the remainder's values go through `field.mul`.
     """
     work = dict(p)
     unit = field.clear(work)
     keys = {m: keyf(m) for m in work}
     rem: _Term = {}
-    mul, sub = field.mul, field.sub
+    mod = field.modulus
     while work:
         lm = max(work, key=keys.__getitem__)
         c = work.pop(lm)
         for blm, blc, bterms in basis:
             if all(map(le, blm, lm)):  # mono_divides(blm, lm), inlined
                 a, s = field.cross(c, blc)
-                if a != 1:
+                if a != 1:  # over q only: fp leads are monic
                     for m, v in work.items():
-                        work[m] = mul(a, v)
+                        work[m] = a * v
                     unit = field.div(unit, a)
                 shift = mono_div(lm, blm)
                 for m, bc in bterms.items():
                     if m == blm:
                         continue
                     mm = mono_mul(m, shift)
-                    nv = sub(work.get(mm, 0), mul(s, bc))
+                    nv = work.get(mm, 0) - s * bc
+                    if mod:
+                        nv %= mod
                     if nv == 0:
                         work.pop(mm, None)
                     else:
@@ -109,15 +114,18 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
                         work[mm] = nv
                 break
         else:
-            rem[lm] = mul(c, unit)
+            rem[lm] = field.mul(c, unit)
     return rem
 
 
 def _sub_scaled(row: dict, other: dict, scale, field) -> None:
-    """row -= scale * other, in place, dropping zero entries."""
-    mul, sub = field.mul, field.sub
+    """row -= scale * other for integer rows, in place, modulo
+    `field.modulus` when it is nonzero, dropping zero entries."""
+    mod = field.modulus
     for k, v in other.items():
-        nv = sub(row.get(k, 0), mul(scale, v))
+        nv = row.get(k, 0) - scale * v
+        if mod:
+            nv %= mod
         if nv == 0:
             row.pop(k, None)
         else:
@@ -138,7 +146,6 @@ def _echelon_reduce(r: _Term, rows: dict, keyf, field) -> Exponent | None:
     takes its integers back to field values.
     """
     field.clear(r)
-    mul = field.mul
     while r:
         lm = _lead(r, keyf)
         row = rows.get(lm)
@@ -146,9 +153,9 @@ def _echelon_reduce(r: _Term, rows: dict, keyf, field) -> Exponent | None:
             field.normalize(r, lm)
             return lm
         a, s = field.cross(r[lm], row[lm])
-        if a != 1:
+        if a != 1:  # over q only: fp leads are monic
             for m, v in r.items():
-                r[m] = mul(a, v)
+                r[m] = a * v
         _sub_scaled(r, row, s, field)
     return None
 
@@ -160,12 +167,14 @@ def _spoly(f, g, lcm: Exponent, field) -> _Term:
     lmg, lcg, tg = g
     sf = mono_div(lcm, lmf)
     sg = mono_div(lcm, lmg)
-    a, s = field.cross(lcf, lcg)
-    mul, sub = field.mul, field.sub
-    out: _Term = {mono_mul(m, sf): mul(a, c) for m, c in tf.items()}
+    a, s = field.cross(lcf, lcg)  # a = 1 over fp, whose entries are monic
+    out: _Term = {mono_mul(m, sf): a * c for m, c in tf.items()}
+    mod = field.modulus
     for m, c in tg.items():
         mm = mono_mul(m, sg)
-        nv = sub(out.get(mm, 0), mul(s, c))
+        nv = out.get(mm, 0) - s * c
+        if mod:
+            nv %= mod
         if nv == 0:
             out.pop(mm, None)
         else:
@@ -306,8 +315,9 @@ class GroebnerBasis:
 
     `entries` are the basis as `_buchberger` returns it, `_entry`s sorted by
     descending leading monomial: primitive integer rows over q, monic rows
-    over fp.  They are kept as `_lead_data`, which `reduce` divides by, and
-    the monic `elements` are made from them once.
+    over fp.  They are kept as `_lead_data`, which `reduce` divides by; the
+    monic `elements` are made from them once, when first read, since most
+    bases are only reduced against.
 
     A basis of single monomials (a monomial ideal's, or a Buchberger run's
     that came out monomial) reduces by a term filter instead: `_corners` is
@@ -316,7 +326,7 @@ class GroebnerBasis:
     for every other basis.
     """
 
-    __slots__ = ("ring", "field", "order", "elements", "_lead_data", "_key", "_corners")
+    __slots__ = ("ring", "field", "order", "_elements", "_lead_data", "_key", "_corners")
 
     def __init__(self, ring: Ring, field, order: MonomialOrder, entries: list):
         self.ring = ring
@@ -324,7 +334,7 @@ class GroebnerBasis:
         self.order = order
         self._lead_data = entries
         self._key = order.key(ring)
-        self.elements = tuple(_monic_polynomial(ring, field, e) for e in entries)
+        self._elements = None
         self._corners = None
         if all(len(row) == 1 for _, _, row in entries):
             leads = [lm for lm, _, _ in entries]
@@ -333,6 +343,14 @@ class GroebnerBasis:
                 self._corners = ([a for a, _ in leads], [b for _, b in leads])
             else:
                 self._corners = leads
+
+    @property
+    def elements(self) -> tuple[Polynomial, ...]:
+        elements = self._elements
+        if elements is None:
+            elements = self._elements = tuple(
+                _monic_polynomial(self.ring, self.field, e) for e in self._lead_data)
+        return elements
 
     def __iter__(self):
         return iter(self.elements)
@@ -376,15 +394,18 @@ _UNREAD = object()
 
 
 class Ideal:
-    """Generator list plus write-once caches: reduced bases per order, and
-    the staircase (`staircase`, None included).
+    """Generator list plus write-once caches: reduced bases per order, the
+    staircase (`staircase`, None included), and the engine's products with
+    this ideal as right factor (`_products`, keyed by the left factor).
 
-    Instances are immutable apart from the caches; concurrent readers may
-    race to insert, but both compute the same value so either insertion is
-    correct.
+    The product cache holds its left factors, so an `id` is never reused
+    while it is keyed; products go on the right factor, so the shared
+    `maximal_ideal`, always a left factor, holds none.  Instances are
+    immutable apart from the caches; concurrent readers may race to insert,
+    but both compute the same value so either insertion is correct.
     """
 
-    __slots__ = ("ring", "field", "generators", "_gb_cache", "_staircase")
+    __slots__ = ("ring", "field", "generators", "_gb_cache", "_staircase", "_products")
 
     def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -399,6 +420,7 @@ class Ideal:
         self.generators = gens
         self._gb_cache: dict[MonomialOrder, GroebnerBasis] = {}
         self._staircase = _UNREAD
+        self._products: dict[Ideal, Ideal] = {}
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         cached = self._gb_cache.get(order)
@@ -583,7 +605,7 @@ def colength(I: Ideal) -> int:
     if stair is not None:
         return mono_colength(stair)
     gb = I.groebner_basis()
-    if not gb.elements:
+    if not gb._lead_data:
         raise NotZeroDimensional("zero ideal has infinite colength")
     return mono_colength(staircase_normalize(gb.leading_exponents()))
 
@@ -598,7 +620,7 @@ def is_origin_primary(I: Ideal) -> bool:
     if I.ring.arity != 2:
         return False
     gb = I.groebner_basis()
-    if not gb.elements:
+    if not gb._lead_data:
         return False
     leads = gb.leading_exponents()
     if any(e == (0, 0) for e in leads):
@@ -612,8 +634,18 @@ def is_origin_primary(I: Ideal) -> bool:
     return all(normal_form(pw, gb).is_zero for pw in powers)
 
 
+_MAXIMAL: dict = {}  # (ring, field) -> its maximal_ideal
+
+
 def maximal_ideal(ring: Ring, field) -> Ideal:
-    return Ideal([Polynomial.variable(ring, field, v) for v in ring.vars])
+    """The ideal of all variables: one object per (ring, field), so that its
+    reduced basis is built once and products with it are found in the
+    engine's cache."""
+    m = _MAXIMAL.get((ring, field))
+    if m is None:
+        m = _MAXIMAL[(ring, field)] = Ideal(
+            [Polynomial.variable(ring, field, v) for v in ring.vars])
+    return m
 
 
 def min_gens(I: Ideal) -> int:

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agrees import engine
 from agrees.engine import (
@@ -273,9 +274,9 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     # mu(I) shares the reduction's levels of I, the colon shares their I^2,
     # mingens(I) shares their m*I and mingens(J) shares m*J with the witness
     # spaces; the colon's J carries its reduced basis, so no run starts from
-    # an earlier run's output.  verify_witness is the independent re-check of a certificate:
-    # it builds its own bases of m*IJ and m^2*J by design, so the bases it
-    # builds are left out of the count
+    # an earlier run's output.  verify_witness, the exact re-check of a
+    # certificate, finds the bases of m*IJ and m^2*J that the witness spaces
+    # built, so no basis is built twice, verification included
     from agrees import groebner
     from test_groebner import _monic_values
 
@@ -292,25 +293,15 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         cases.append((I, expected, shared))
 
     inputs, outputs = [], []
-    real, real_verify = groebner._buchberger, engine.verify_witness
-    verifying = []
+    real = groebner._buchberger
 
     def record(polys, keyf, field, *args, **kwargs):
         out = real(polys, keyf, field, *args, **kwargs)
-        if not verifying:
-            inputs.append(key(polys))
-            outputs.append(key(_monic_values(out, keyf, field)))
+        inputs.append(key(polys))
+        outputs.append(key(_monic_values(out, keyf, field)))
         return out
 
-    def verify(*args):
-        verifying.append(True)
-        try:
-            return real_verify(*args)
-        finally:
-            verifying.pop()
-
     monkeypatch.setattr(groebner, "_buchberger", record)
-    monkeypatch.setattr(engine, "verify_witness", verify)
     for I, expected, shared in cases:
         inputs.clear()
         outputs.clear()
@@ -319,6 +310,73 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         assert not any(basis in outputs[:k] for k, basis in enumerate(inputs))
         # nor is a basis of m*I or I^2 built again from another generator list
         assert [outputs.count(basis) for basis in shared] == [1, 1]
+
+
+def test_products_are_built_once():
+    # _mul hands back the product it built before, cached on its right
+    # factor; the maximal ideal is one object per (ring, field)
+    from agrees.poly import rees_ring
+
+    for I, J in ((ideal("x^2, y^3"), ideal("x, y^2")),
+                 (ideal("x^2 + y^2, x y, y^3"), ideal("x + y, y^2"))):
+        P = engine._mul(I, J)
+        assert engine._mul(I, J) is P and J._products == {I: P}
+        assert engine._mul(J, I) is not P and I._products == {J: engine._mul(J, I)}
+    m = maximal_ideal(BASE_RING, QQ)
+    assert maximal_ideal(BASE_RING, QQ) is m
+    assert maximal_ideal(BASE_RING, PrimeField(FP.p)) is maximal_ideal(BASE_RING, FP)
+    assert maximal_ideal(BASE_RING, FP) is not m
+    assert maximal_ideal(rees_ring(1), QQ) is not m
+    assert [str(v) for v in maximal_ideal(rees_ring(1), QQ).generators] == ["x", "y", "t", "T1"]
+
+
+def test_classify_leaves_no_product_on_the_maximal_ideal():
+    # every product classify builds sits on a per-analysis ideal: the shared
+    # m, a left factor only, must not pin them
+    cases = [
+        ideal("x^3, x^2 y^3, x y^5, y^6"),
+        ideal("x^4, x^3 y, y^4"),  # r = 3: UNKNOWN
+        coordinate_twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}),
+                        Fraction(1, 3), QQ),
+        coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ),
+        ideal("x^2, x y^2, y^3", FP),
+        coordinate_twin([(3, 0), (1, 1), (0, 3)], 2, FP),
+    ]
+    for I in cases:
+        assert validate_report(I, classify(I))
+    for field in (QQ, FP):
+        assert maximal_ideal(BASE_RING, field)._products == {}
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mu_of_ij_is_the_rank_of_its_products(field, seed):
+    """mu(IJ), the rank of the products a*w (a in mingens(I), w in
+    mingens(J)) modulo m*IJ, is colength(m*IJ) - colength(IJ) of freshly
+    built products; on seeded staircases and their twins, with J the colon
+    of a stable reduction and a second, unrelated ideal."""
+    from agrees.groebner import colength
+    from agrees.repro import random_staircase
+
+    rng = random.Random(seed)
+    m = maximal_ideal(BASE_RING, field)
+    S, T = random_staircase(rng, 6, 3), random_staircase(rng, 5, 2)
+    for twin in (False, True):
+        def make(exps):
+            if twin:
+                return coordinate_twin(exps, 2, field)
+            return Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
+
+        I = make(S.gens)
+        partners = [make(T.gens)]
+        red = find_reduction(I)
+        if red.stable:
+            partners.append(canonical_colon(I, Ideal(list(red.Q)), stable=True))
+        for J in partners:
+            IJ = ideal_product(I, J)
+            want = colength(ideal_product(m, IJ)) - colength(IJ)
+            assert _WitnessSpaces(I, J, minimal_generators(J)).mu_IJ == want
 
 
 def test_monomial_colength_builds_no_basis(monkeypatch):
@@ -358,6 +416,28 @@ def test_monomial_colength_builds_no_basis(monkeypatch):
             assert min_gens(I) == len(S.gens)
     assert built == []
     assert colength(ideal("x^2 - y, y^3")) == 6 and "groebner_basis" in built
+
+
+def test_monomial_classify_makes_no_monic_elements(monkeypatch):
+    # a basis makes its monic elements only when they are read; the bases
+    # of monomial ideals are only reduced against, so classify makes none
+    from agrees import groebner
+
+    made = []
+    real = groebner._monic_polynomial
+
+    def monic(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_monic_polynomial", monic)
+    for field in (QQ, FP):
+        for text in ("x^3, x^2 y^3, x y^5, y^6", "x^4, x^3 y, y^4", "x^2, x y^2, y^3"):
+            classify(ideal(text, field))
+    assert made == []
+    gb = ideal("x^2 - y, y^3").groebner_basis()
+    assert [str(g) for g in gb.elements] == ["y^3", "x^2 - y"] and len(made) == 2
+    assert gb.elements is gb.elements and len(made) == 2
 
 
 def test_order_drop_for_contracted_stable():

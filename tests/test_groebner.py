@@ -887,6 +887,10 @@ def test_spoly_matches_reference():
             want = _reference_spoly(_reference_monic_entry(f, keyf, field),
                                     _reference_monic_entry(g, keyf, field), L, field)
             assert L not in got and got.keys() == want.keys()
+            # an integer row: nonzero ints, and residues in [1, p) over fp
+            assert all(type(v) is int and v for v in got.values())
+            if field != QQ:
+                assert all(0 < v < field.p for v in got.values())
             if want:
                 m = max(want, key=keyf)
                 ratio = field.div(field.from_int(got[m]), want[m])
