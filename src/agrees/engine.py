@@ -20,9 +20,12 @@ Zariski-open ranks (Nakayama), so one generic triple decides the first; a
 triple that passes is re-checked exactly by one echelon of its own normal
 forms modulo each of m*IJ and m^2*J.
 Every product ideal is built once per analysis (`_mul` caches it on its
-right factor, and `maximal_ideal` is one object per ring and field), so the
-re-check shares the rank test's unique reduced bases of m*IJ and m^2*J,
-while the witness's products and their echelon are its own.
+right factor, and `maximal_ideal` is one object per ring and field), and
+that cache is the one way stages share work: the powers I^k (`_power`),
+each mu(P) = colength(m*P) - colength(P) (`_mu`), I^2 for the colon, and
+the re-check's reduced bases of m*IJ and m^2*J, which the rank test built,
+are all read off it, while the witness's products and their echelon are
+its own.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -178,56 +181,50 @@ _REDUCTION_PAIRS = 32  # seeded menu draws tried for an ideal without a staircas
 _REDUCTION_CAP = 4     # largest reduction number searched for on those draws
 
 
-class _Powers:
-    """Level r of I, built once and shared by every candidate pair: gens(I^r),
-    m*I^(r+1) with its reduced basis, and mu(I^(r+1)) = colength(m*I^(r+1))
-    - colength(I^(r+1)).  Later stages share the powers I^k, level 0's m*I
-    and its mu(I)."""
-
-    def __init__(self, I: Ideal):
-        self._I = I
-        self._m = maximal_ideal(I.ring, I.field)
-        self._powers = [I]  # I^(k+1) at index k
-        self._levels: list = []
-
-    def power(self, k: int) -> Ideal:
-        """I^k for k >= 1, each built once."""
-        while len(self._powers) < k:
-            self._powers.append(_mul(self._I, self._powers[-1]))
-        return self._powers[k - 1]
-
-    def level(self, r: int) -> tuple:
-        while len(self._levels) <= r:
-            n = len(self._levels)
-            gens = (list(self.power(n).generators) if n
-                    else [Polynomial.one(self._I.ring, self._I.field)])
-            power = self.power(n + 1)
-            top = _mul(self._m, power)
-            self._levels.append((gens, top, top.groebner_basis(),
-                                 colength(top) - colength(power)))
-        return self._levels[r]
+def _power(I: Ideal, k: int) -> Ideal:
+    """I^k for k >= 1, walking `_mul(I, .)`: each power is built once, cached
+    on the one below it."""
+    P = I
+    for _ in range(k - 1):
+        P = _mul(I, P)
+    return P
 
 
-def _reduction_number(I: Ideal, Q: Ideal, cap: int | None,
-                      powers: _Powers | None = None) -> int | None:
+def _mu(P: Ideal) -> int:
+    """mu(P) = colength(m*P) - colength(P) for an m-primary P (Nakayama),
+    with m*P from `_mul`'s cache."""
+    return colength(_mul(maximal_ideal(P.ring, P.field), P)) - colength(P)
+
+
+def _min_gens(P: Ideal) -> list[Polynomial]:
+    """mingens(P), pruned against m*P from `_mul`'s cache."""
+    return minimal_generators(P, _mul(maximal_ideal(P.ring, P.field), P))
+
+
+def _reduction_number(I: Ideal, Q: Ideal, cap: int | None) -> int | None:
     """Minimal r <= cap (any r when cap is None) with I^{r+1} = Q I^r in
     k[x,y]_(x,y); Q <= I is assumed, and Q must be a reduction when cap is None.
 
     Both sides lie between m*I^{r+1} and I^{r+1}, so by Nakayama they agree
     locally iff the classes of q * p (q in Q, p in gens(I^r)) span
     I^{r+1}/m*I^{r+1}, i.e. have rank mu(I^{r+1}).  That quotient is
-    supported at the origin, so Q may vanish elsewhere.
+    supported at the origin, so Q may vanish elsewhere.  Every power,
+    m*I^{r+1} and its reduced basis come from `_mul`'s cache, so each is
+    built once per ideal and shared by every pair tried and by later stages.
     """
-    powers = powers or _Powers(I)
+    m = maximal_ideal(I.ring, I.field)
+    gens = [Polynomial.one(I.ring, I.field)]
     for r in itertools.count() if cap is None else range(cap + 1):
-        gens, _, top, mu = powers.level(r)
+        power = _power(I, r + 1)
+        top = _mul(m, power).groebner_basis()
         rows = [top.reduce((q * p).terms) for q in Q.generators for p in gens]
-        if _rank(rows, I.field) == mu:
+        if _rank(rows, I.field) == _mu(power):
             return r
+        gens = power.generators
     return None
 
 
-def find_reduction(I: Ideal, seed: int = 0, powers: _Powers | None = None) -> ReductionData:
+def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
     """Find a two-generated reduction Q of I in k[x,y]_(x,y) and its
     reduction number, decided by `_reduction_number`'s local rank test.
 
@@ -239,7 +236,6 @@ def find_reduction(I: Ideal, seed: int = 0, powers: _Powers | None = None) -> Re
     try seeded sparse combinations of their generators.  Every draw is
     tested for r <= 1 before any is tested up to `_REDUCTION_CAP`, so a
     pair with r <= 1 is found before any pair builds I^3 and beyond.
-    `powers`, when the caller already holds the levels of I, is shared.
     """
     ring, fld = I.ring, I.field
     stair = staircase_of_ideal(I)
@@ -272,15 +268,14 @@ def find_reduction(I: Ideal, seed: int = 0, powers: _Powers | None = None) -> Re
         pairs = draws()  # lazily: the first draw is usually a stable reduction
         cap = _REDUCTION_CAP
 
-    powers = powers or _Powers(I)
     tried: list[Ideal] = []
     for Q in pairs:
-        r = _reduction_number(I, Q, 1, powers)
+        r = _reduction_number(I, Q, 1)
         if r is not None:
             return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
         tried.append(Q)
     for Q in tried:
-        r = _reduction_number(I, Q, cap, powers)
+        r = _reduction_number(I, Q, cap)
         if r is not None:
             return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
     raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(tried)} pairs")
@@ -293,8 +288,7 @@ def is_stable(I: Ideal, Q: Ideal) -> bool:
     return _reduction_number(I, Q, 1) is not None
 
 
-def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
-                    powers: _Powers | None = None) -> Ideal:
+def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     """J = Q : I in k[x,y]_(x,y), as an m-primary ideal; raises NotStable
     unless I^2 = QI, and NotZeroDimensional unless I has finite colength.
     For contracted I the orders satisfy o(I) = o(J) + 1.
@@ -308,21 +302,20 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None,
     component of Q; hence T : I = (Q : I) + I^2 is m-primary with the
     localization of the local colon, and two m-primary ideals with one
     localization are equal.  `stable`, when the caller already knows it,
-    skips recomputing I^2 = QI.  I is contracted iff mu(I) = o(I) + 1,
-    with mu(I) read off level 0 of `powers`; a caller that already holds
-    the levels of I shares them, and with them I^2.
+    skips recomputing I^2 = QI.  I is contracted iff mu(I) = o(I) + 1;
+    I^2 and m*I, hence mu(I), come from `_mul`'s cache, so the reduction
+    search has built them already.
     """
     if not (is_stable(I, Q) if stable is None else stable):
         raise NotStable("the canonical colon needs I^2 = QI")
     colength(I)  # raises unless I has finite colength
-    powers = powers or _Powers(I)
     sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
     else:
-        T = Ideal(list(Q.generators) + list(powers.power(2).groebner_basis()))
+        T = Ideal(list(Q.generators) + list(_power(I, 2).groebner_basis()))
         J = _colon(T, I, I)
-    if powers.level(0)[-1] == ideal_order(I) + 1:
+    if _mu(I) == ideal_order(I) + 1:
         o_i, o_j = ideal_order(I), ideal_order(J)
         if o_i != o_j + 1:
             raise RuntimeError(
@@ -351,26 +344,22 @@ class _WitnessSpaces:
     for mJ.  Every product a * w_j (a in mingens(I) for IJ, a in {x, y} for
     mJ, w_j in mingens(J)) is reduced once, here.  The a * w_j over
     mingens(I) generate IJ, so mu(IJ) is their rank and IJ's own basis is
-    never built; mu(mJ) = colength(m^2*J) - colength(mJ), since m*J's basis
-    serves the prune of J as well.  The products come from `_mul`'s cache,
-    so `verify_witness` finds the bases of m*IJ and m^2*J built here;
-    `i_min`, when the caller already has mingens(I), is shared.
+    never built; mu(mJ) is `_mu`'s.  Every product comes from `_mul`'s
+    cache: mingens(I) is pruned against the reduction search's m*I, and
+    `verify_witness` finds the bases of m*IJ and m^2*J built here.
     """
 
-    def __init__(self, I: Ideal, J: Ideal, j_min: list[Polynomial],
-                 i_min: list[Polynomial] | None = None):
+    def __init__(self, I: Ideal, J: Ideal, j_min: list[Polynomial]):
         fld = I.field
         m = maximal_ideal(I.ring, fld)
-        self.mJ = _mul(m, J)
-        mIJ = _mul(m, _mul(I, J))
-        m2J = _mul(m, self.mJ)
-        self.i_min = i_min or minimal_generators(I)
+        mJ = _mul(m, J)
+        ij, mj = _mul(m, _mul(I, J)).groebner_basis(), _mul(m, mJ).groebner_basis()
+        self.i_gens = _min_gens(I)
         self.j_min = j_min
-        ij, mj = mIJ.groebner_basis(), m2J.groebner_basis()
-        self.by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in self.i_min]
+        self.by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in self.i_gens]
         self.by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
         self.mu_IJ = _rank([row for per_w in self.by_I for row in per_w], fld)
-        self.mu_mJ = colength(m2J) - colength(self.mJ)
+        self.mu_mJ = _mu(mJ)
 
     def full_ranks(self, a: list, b: list, c: list, fld) -> bool:
         """Do g = sum a_i i_i, f = b_1 x + b_2 y, h = sum c_j w_j pass both ranks?"""
@@ -458,18 +447,18 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
     if not stable:
         raise NotStable("certificate search requires I^2 = QI")
     fld = I.field
-    sp = spaces or _WitnessSpaces(I, J, minimal_generators(J))
+    sp = spaces or _WitnessSpaces(I, J, _min_gens(J))
     rng = random.Random(derive_seed(seed, "certificate"))
     size = _draw_size(fld)
 
     def draw(n: int) -> list:
         return [fld.from_int(rng.randint(1, size)) for _ in range(n)]
 
-    a, c, b = draw(len(sp.i_min)), draw(len(sp.j_min)), draw(2)
+    a, c, b = draw(len(sp.i_gens)), draw(len(sp.j_min)), draw(2)
     if not sp.full_ranks(a, b, c, fld):
         return None
     m = maximal_ideal(I.ring, fld)
-    f, g, h = _span(b, m.generators), _span(a, sp.i_min), _span(c, sp.j_min)
+    f, g, h = _span(b, m.generators), _span(a, sp.i_gens), _span(c, sp.j_min)
     if not verify_witness(I, J, f, g, h):
         raise RuntimeError("witness rank test passed but the exact check failed")
     return AGWitness(f=f, g=g, h=h)
@@ -498,9 +487,9 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     if Q is not None and not is_stable(I, Q):
         raise NotStable("the generator-count refutation needs I^2 = QI")
     fld = I.field
-    sp = spaces or _WitnessSpaces(I, J, minimal_generators(J))
+    sp = spaces or _WitnessSpaces(I, J, _min_gens(J))
     mu_IJ, mu_mJ = sp.mu_IJ, sp.mu_mJ
-    mu_J = colength(sp.mJ) - colength(J)
+    mu_J = _mu(J)
     if mu_J < 2:
         raise ValueError("refutation needs mu(J) >= 2; mu(J) = 1 is the Gorenstein case")
     threshold = 2 * (mu_J - 1)
@@ -541,8 +530,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
         raise NotZeroDimensional("input ideal is not m-primary at the origin")
     colen = colength(I)
     o = ideal_order(I)
-    powers = _Powers(I)
-    _, mI, _, mu = powers.level(0)
+    mu = _mu(I)
     contracted = mu == o + 1
     integrally_closed = None
     if stair is not None:
@@ -556,7 +544,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     )
 
     try:
-        reduction = find_reduction(I, seed=cfg.seed, powers=powers)
+        reduction = find_reduction(I, seed=cfg.seed)
     except NoReductionFound as exc:
         notes.append(f"verdict undecided: {exc}")
         return AGReport(verdict=Verdict.UNKNOWN, notes=tuple(notes), **base)
@@ -569,9 +557,8 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
 
     Q = Ideal(list(reduction.Q))
     # r <= 1 already means I^2 = QI: no stage below re-checks it on a new Q*I
-    J = canonical_colon(I, Q, stable=True, powers=powers)
-    mJ = _mul(maximal_ideal(I.ring, I.field), J)  # one basis for the prune and the spaces
-    j_min = minimal_generators(J, mJ)
+    J = canonical_colon(I, Q, stable=True)
+    j_min = _min_gens(J)
     base["colon_gens"] = tuple(j_min)
     base["colon_order"] = ideal_order(J)
     base["colon_min_gens"] = len(j_min)
@@ -579,7 +566,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if len(j_min) == 1:
         return AGReport(verdict=Verdict.GORENSTEIN, notes=tuple(notes), **base)
 
-    spaces = _WitnessSpaces(I, J, j_min, minimal_generators(I, mI))
+    spaces = _WitnessSpaces(I, J, j_min)
     witness = certificate_search(I, Q, J, seed=cfg.seed, spaces=spaces, stable=True)
     if witness is not None:
         base["witness"] = witness
@@ -627,9 +614,11 @@ def _is_linked_colon(I: Ideal, Q: Ideal, J: Ideal) -> bool:
 def validate_report(I: Ideal, report: AGReport) -> bool:
     """Re-check the verdict's supporting evidence.
 
-    A reported colon is first re-derived by `_is_linked_colon` against the
-    reported reduction.  Then mu(J) = 1 is recomputed from the colon as
-    colength(m*J) - colength(J); a witness is re-verified by
+    The check runs on a copy of I and on ideals built fresh from the report,
+    so it builds every basis it reads: `_mul`'s cache on the analyzed I
+    does not reach it.  A reported colon is first re-derived by
+    `_is_linked_colon` against the reported reduction.  Then mu(J) = 1 is
+    recomputed from the colon by `_mu`; a witness is re-verified by
     `verify_witness`; a refutation is recomputed from the reported colon
     with a fresh seed.
     """
@@ -637,12 +626,12 @@ def validate_report(I: Ideal, report: AGReport) -> bool:
         return True
     if report.colon_gens is None or report.reduction is None:
         return False
+    I = Ideal(list(I.generators))
     J = Ideal(list(report.colon_gens))
     if not _is_linked_colon(I, Ideal(list(report.reduction.Q)), J):
         return False
     if report.verdict is Verdict.GORENSTEIN:
-        return (report.colon_min_gens == 1
-                and colength(_mul(maximal_ideal(I.ring, I.field), J)) - colength(J) == 1)
+        return report.colon_min_gens == 1 and _mu(J) == 1
     if report.verdict is Verdict.AG_CERTIFIED:
         w = report.witness
         return w is not None and verify_witness(I, J, w.f, w.g, w.h)

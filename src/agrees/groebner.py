@@ -27,10 +27,12 @@ leaves a kernel: the remainder `_nf_dict` returns (`GroebnerBasis.reduce`),
 the monic polynomials `_monic_polynomial` builds once from a basis's
 entries, and a kernel vector a caller reads off an echelon.
 
-Monomial ideals take the staircase instead (`staircase`): an `Ideal`
-caches its staircase, a monomial ideal's `colength` and reduced basis are
-read off it, and a basis of single monomials reduces by a term filter in
-place of `_nf_dict` (`GroebnerBasis.reduce`).
+Monomial ideals of k[x,y] take the staircase instead (`staircase`): an
+`Ideal` caches its staircase, a monomial ideal's `colength` and reduced
+basis are read off it, and a basis of single monomials reduces by a term
+filter in place of `_nf_dict` (`GroebnerBasis.reduce`).  Every other ideal,
+the zero ideal and monomial ideals in more variables included, goes
+through Buchberger.
 """
 
 from __future__ import annotations
@@ -291,21 +293,11 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list:
     return reduced
 
 
-def _monomial_basis(I: "Ideal", keyf) -> list:
-    """Reduced basis of a monomial ideal: its minimal monomials, as entries
-    (e, 1, {e: 1}) in the order `_buchberger` returns them.  In k[x,y] they
-    are the corners of I's cached staircase; in any other ring they come
-    from a scan upwards, which meets each divisor before its multiples,
-    since every monomial order refines divisibility."""
-    stair = I.staircase()
-    if stair is not None:
-        minimal = sorted(stair.gens, key=keyf)
-    else:
-        minimal = []
-        for e in sorted({e for g in I.generators for e in g.terms}, key=keyf):
-            if all(not mono_divides(m, e) for m in minimal):
-                minimal.append(e)
-    return [(e, 1, {e: 1}) for e in reversed(minimal)]
+def _monomial_basis(stair, keyf) -> list:
+    """Reduced basis of a monomial ideal of k[x,y]: the corners of its
+    staircase, as entries (e, 1, {e: 1}) in the order `_buchberger` returns
+    them."""
+    return [(e, 1, {e: 1}) for e in sorted(stair.gens, key=keyf, reverse=True)]
 
 
 # -- public layer ------------------------------------------------------------
@@ -319,11 +311,10 @@ class GroebnerBasis:
     monic `elements` are made from them once, when first read, since most
     bases are only reduced against.
 
-    A basis of single monomials (a monomial ideal's, or a Buchberger run's
-    that came out monomial) reduces by a term filter instead: `_corners` is
-    its staircase in k[x,y], the leading x-exponents ascending and their
-    y-exponents, and its list of leading monomials in any other ring; None
-    for every other basis.
+    A basis of single monomials in k[x,y] (a monomial ideal's, or a
+    Buchberger run's that came out monomial) reduces by a term filter
+    instead: `_corners` is its staircase, the leading x-exponents ascending
+    and their y-exponents; None for every other basis.
     """
 
     __slots__ = ("ring", "field", "order", "_elements", "_lead_data", "_key", "_corners")
@@ -336,13 +327,10 @@ class GroebnerBasis:
         self._key = order.key(ring)
         self._elements = None
         self._corners = None
-        if all(len(row) == 1 for _, _, row in entries):
-            leads = [lm for lm, _, _ in entries]
-            if ring.arity == 2:
-                leads.sort()  # an antichain: x-exponents distinct, y-exponents falling
-                self._corners = ([a for a, _ in leads], [b for _, b in leads])
-            else:
-                self._corners = leads
+        if ring.arity == 2 and all(len(row) == 1 for _, _, row in entries):
+            # an antichain: x-exponents distinct, y-exponents falling
+            leads = sorted(lm for lm, _, _ in entries)
+            self._corners = ([a for a, _ in leads], [b for _, b in leads])
 
     @property
     def elements(self) -> tuple[Polynomial, ...]:
@@ -360,8 +348,8 @@ class GroebnerBasis:
         field values.  Normal forms are k-linear: the normal form of
         sum_j c_j * p_j is sum_j c_j * NF(p_j).
 
-        Modulo a monomial basis the normal form keeps exactly the terms that
-        no leading monomial divides.  In k[x,y] that is one bisection: the
+        Modulo a monomial basis of k[x,y] the normal form keeps exactly the
+        terms that no leading monomial divides, found by one bisection: the
         corner with the largest x-exponent <= a has the smallest y-exponent
         among those, so (a, b) lies in the ideal iff that one is <= b.  The
         kept values are put in the field's canonical form (an integral
@@ -371,13 +359,9 @@ class GroebnerBasis:
         if corners is None:
             # looked up on the module, so a wrapper bound there sees this call too
             return _nf_dict(terms, self._lead_data, self._key, self.field)
-        if self.ring.arity == 2:
-            xs, ys = corners
-            kept = {m: c for m, c in terms.items()
-                    if not (i := bisect_right(xs, m[0])) or ys[i - 1] > m[1]}
-        else:
-            kept = {m: c for m, c in terms.items()
-                    if not any(all(map(le, lm, m)) for lm in corners)}
+        xs, ys = corners
+        kept = {m: c for m, c in terms.items()
+                if not (i := bisect_right(xs, m[0])) or ys[i - 1] > m[1]}
         field = self.field
         unit = field.clear(kept)
         if unit != 1:
@@ -427,16 +411,14 @@ class Ideal:
         if cached is not None:
             return cached
         keyf = order.key(self.ring)
-        if self.is_monomial():
-            entries = _monomial_basis(self, keyf)
+        stair = self.staircase()
+        if stair is not None:
+            entries = _monomial_basis(stair, keyf)
         else:
             entries = _buchberger([g.terms for g in self.generators], keyf, self.field)
         gb = GroebnerBasis(self.ring, self.field, order, entries)
         self._gb_cache[order] = gb
         return gb
-
-    def is_monomial(self) -> bool:
-        return all(g.is_monomial or g.is_zero for g in self.generators)
 
     def staircase(self):
         """The `staircase.Staircase` of an ideal of k[x,y] whose generators
@@ -665,11 +647,9 @@ def ideal_order(I: Ideal) -> int:
 def minimal_generators(I: Ideal, mI: Ideal | None = None) -> list[Polynomial]:
     """A minimal generating set, extracted greedily against (vars) * I;
     `mI`, when the caller already built (vars) * I, shares its basis."""
-    if I.is_monomial():
-        # None outside k[x,y] and for the zero ideal: the general path covers both
-        stair = I.staircase()
-        if stair is not None:
-            return [Polynomial.monomial(I.ring, I.field, e) for e in stair.gens]
+    stair = I.staircase()  # None outside k[x,y] and for the zero ideal
+    if stair is not None:
+        return [Polynomial.monomial(I.ring, I.field, e) for e in stair.gens]
     keyf = GREVLEX.key(I.ring)
     return _nakayama_prune(list(I.groebner_basis().elements),
                            key=lambda g: (g.min_degree(), keyf(g.leading()[0])), N=mI)

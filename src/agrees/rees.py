@@ -26,8 +26,9 @@ when the s generators are minimal, mu(I) = s, P_1 = 0 and
 mu_2 >= dim P_2 = C(s+1, 2) - mu(I^2).  So when the bound D = r + 1 is
 proven, mu(I) = s and the bounded basis has exactly s - 1 elements of
 T-degree 1 and, for D = 2, exactly C(s+1, 2) - mu(I^2) of T-degree 2, it is
-already minimal.  mu(I) and mu(I^2) are levels 0 and 1 of the powers that
-the reduction search behind the bound builds anyway.  Everywhere else (no
+already minimal.  mu(I) and mu(I^2) are `engine._mu`'s, read off the
+products m*I, I^2 and m*I^2 that the reduction search behind the bound built
+in `engine._mul`'s cache.  Everywhere else (no
 bound, a redundant input generator, or a count above those numbers) the
 prune runs: one basis of (x, y, T_1..T_s) * K, then one normal form per
 candidate (see `groebner._nakayama_prune`).  Both paths return the basis
@@ -96,32 +97,30 @@ def _lift(g: Polynomial, big) -> Polynomial:
     return Polynomial(big, g.field, {e + pad: c for e, c in g.terms.items()})
 
 
-def _relation_type_bound(I: Ideal, powers: engine._Powers | None = None) -> int | None:
+def _relation_type_bound(I: Ideal) -> int | None:
     """r + 1 when V(I) is the origin and a reduction of I has reduction
     number r <= 1, else None.  r is decided in the local ring at the origin,
     which speaks for all of V(I) only when V(I) is the origin.  Which
-    reduction is found only decides whether the bound is used.  `powers`,
-    when given, is shared with the reduction search."""
+    reduction is found only decides whether the bound is used."""
     if not is_origin_primary(I):
         return None
     try:
-        r = engine.find_reduction(I, powers=powers).reduction_number
+        r = engine.find_reduction(I).reduction_number
     except NoReductionFound:
         return None
     return r + 1 if r <= 1 else None
 
 
-def _minimal_by_count(t_free: list[Polynomial], s: int, bound: int,
-                      powers: engine._Powers) -> bool:
-    """Whether the bounded t-free basis is minimal by the counting
-    certificate in the module docstring.  Levels 0 and 1 of `powers` give
-    mu(I) and mu(I^2); with the bound proven, the reduction search has built
-    both already."""
-    if powers.level(0)[3] != s:
+def _minimal_by_count(t_free: list[Polynomial], s: int, bound: int, I: Ideal) -> bool:
+    """Whether the bounded t-free basis of I is minimal by the counting
+    certificate in the module docstring.  mu(I) and mu(I^2) are
+    `engine._mu`'s; with the bound proven, the reduction search has built
+    the products they read already."""
+    if engine._mu(I) != s:
         return False
     want = Counter({1: s - 1})
     if bound == 2:
-        want[2] = comb(s + 1, 2) - powers.level(1)[3]
+        want[2] = comb(s + 1, 2) - engine._mu(engine._power(I, 2))
     return Counter(map(_t_degree, t_free)) == want
 
 
@@ -154,12 +153,11 @@ def rees_defining_ideal(I: Ideal) -> ReesPresentation:
     """Minimal defining generators of R[It] with their bidegrees."""
     colength(I)  # rejects inputs that are not m-primary
     gens = [g for g in I.generators if not g.is_zero]
-    powers = engine._Powers(I)
-    bound = _relation_type_bound(I, powers)
+    bound = _relation_type_bound(I)
     t_free = _t_free_kernel(gens, I.field, bound)
 
     key = _prune_key(len(gens))
-    if bound is not None and _minimal_by_count(t_free, len(gens), bound, powers):
+    if bound is not None and _minimal_by_count(t_free, len(gens), bound, I):
         kept = sorted(t_free, key=key)
     else:
         # minimal generators by graded Nakayama against (x, y, T_1..T_s) * kernel

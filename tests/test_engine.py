@@ -330,6 +330,67 @@ def test_products_are_built_once():
     assert [str(v) for v in maximal_ideal(rees_ring(1), QQ).generators] == ["x", "y", "t", "T1"]
 
 
+def _flagship_twin():
+    exps = family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
+    return coordinate_twin(exps, Fraction(1, 3), QQ)
+
+
+def _record_buchberger(monkeypatch) -> list:
+    """The input lists `_buchberger` is given from here on, in call order."""
+    from agrees import groebner, rees
+
+    inputs = []
+    real = groebner._buchberger
+
+    def record(polys, *args, **kwargs):
+        inputs.append([sorted(p.items()) for p in polys])
+        return real(polys, *args, **kwargs)
+
+    for module in (groebner, rees):
+        monkeypatch.setattr(module, "_buchberger", record)
+    return inputs
+
+
+@pytest.mark.parametrize("case", ["flagship-twin", "boundary-twin"])
+def test_validator_builds_every_basis_it_reads(case, monkeypatch):
+    # validate_report works on a copy of I and on ideals built fresh from the
+    # report, so the bases classify left in _mul's cache on the analyzed
+    # object do not reach it: it runs what it runs on a fresh copy
+    if case == "flagship-twin":
+        I, expected = _flagship_twin(), Verdict.NOT_AG
+    else:
+        I, expected = coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ), Verdict.AG_CERTIFIED
+    report = classify(I)
+    assert report.verdict is expected
+    inputs = _record_buchberger(monkeypatch)
+    assert validate_report(I, report)
+    on_analyzed = list(inputs)
+    inputs.clear()
+    assert validate_report(Ideal(list(I.generators)), report)
+    assert inputs and on_analyzed == inputs
+
+
+@pytest.mark.parametrize("case", ["flagship-twin", "monomial-fp"])
+def test_later_calls_read_classify_work_off_the_cache(case, monkeypatch):
+    # the powers of I, their products with m and their bases are cached on
+    # the analyzed object, so after classify(I) the reduction search, the
+    # Rees algebra's relation-type bound and mu(I) build no basis
+    from agrees import rees
+
+    if case == "flagship-twin":
+        I = _flagship_twin()
+    else:
+        exps = family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
+        I = Ideal([Polynomial.monomial(BASE_RING, FP, e) for e in exps])
+    seed = ClassifyConfig().seed
+    report = classify(I, ClassifyConfig(seed=seed))
+    inputs = _record_buchberger(monkeypatch)
+    assert find_reduction(I, seed=seed) == report.reduction
+    assert rees._relation_type_bound(I) == report.reduction.reduction_number + 1
+    assert engine._mu(I) == report.min_gens
+    assert inputs == []
+
+
 def test_classify_leaves_no_product_on_the_maximal_ideal():
     # every product classify builds sits on a per-analysis ideal: the shared
     # m, a left factor only, must not pin them
@@ -578,9 +639,9 @@ def test_rank_test_passes_every_exact_equality(name):
 
     outcomes = set()
     for _ in range(24):
-        a, c, b = coeffs(len(sp.i_min)), coeffs(len(sp.j_min)), coeffs(2)
+        a, c, b = coeffs(len(sp.i_gens)), coeffs(len(sp.j_min)), coeffs(2)
         passes = sp.full_ranks(a, b, c, fld)
-        f, g, h = span(b, m.generators), span(a, sp.i_min), span(c, sp.j_min)
+        f, g, h = span(b, m.generators), span(a, sp.i_gens), span(c, sp.j_min)
         assert passes == verify_witness(I, J, f, g, h), (str(f), str(g), str(h))
         outcomes.add(passes)
     assert outcomes == {True, False}
@@ -640,12 +701,12 @@ def test_verify_witness_matches_groebner_route(name):
         if not red.stable:
             continue
         J = canonical_colon(I, Ideal(list(red.Q)), stable=True)
-        i_min, j_min = minimal_generators(I), minimal_generators(J)
+        i_gens, j_min = minimal_generators(I), minimal_generators(J)
         if len(j_min) < 2:
             continue
         for _ in range(6):
             f = span(coeffs(2), m.generators)
-            g, h = span(coeffs(len(i_min)), i_min), span(coeffs(len(j_min)), j_min)
+            g, h = span(coeffs(len(i_gens)), i_gens), span(coeffs(len(j_min)), j_min)
             got = verify_witness(I, J, f, g, h)
             assert got == _reference_verify_witness(I, J, f, g, h), (S, str(f), str(g), str(h))
             outcomes.add(got)

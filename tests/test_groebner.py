@@ -52,7 +52,6 @@ from agrees.poly import (
     mono_div,
     mono_lcm,
     mono_mul,
-    rees_ring,
 )
 
 from oracles import (
@@ -118,11 +117,12 @@ def test_gb_reducedness_invariants():
                         assert not all(a <= b for a, b in zip(lj, e))
 
 
-@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+@pytest.mark.parametrize("names", [("x", "y")])
 @pytest.mark.parametrize("order", [GREVLEX, BlockElimination(front=("y",))])
 def test_monomial_basis_matches_buchberger(names, order):
-    """A monomial ideal's basis skips Buchberger; it must equal what
-    Buchberger returns, element for element and in order."""
+    """A monomial ideal of k[x,y] reads its basis off its staircase; it must
+    equal what Buchberger returns, element for element and in order (in
+    more variables the basis is Buchberger's own)."""
     ring = Ring(names)
     keyf = order.key(ring)
     rng = random.Random(47)
@@ -315,19 +315,17 @@ def test_reduce_is_the_normal_form(field):
 @st.composite
 def monomial_bases(draw):
     """A monomial ideal's basis in k[x,y] (a random staircase, m-primary or
-    not, possibly the unit ideal) or in a Rees ring k[x,y,t,T1..Ts], over q
-    or fp, under one of two orders; generated by monomials with redundant
-    ones and non-unit coefficients, or, in k[x,y], also by a sum of two of
-    them, so that the monomial basis comes out of a Buchberger run."""
+    not, possibly the unit ideal), over q or fp, under one of two orders;
+    generated by monomials with redundant ones and non-unit coefficients,
+    or also by a sum of two of them, so that the monomial basis comes out
+    of a Buchberger run."""
     field = draw(st.sampled_from([QQ, PrimeField(2147483647)]))
-    rees_s = draw(st.sampled_from([0, 0, 1, 2]))
-    ring = rees_ring(rees_s) if rees_s else BASE_RING
-    order = draw(st.sampled_from(
-        [GREVLEX, BlockElimination(front=("t",)) if rees_s else LEX]))
-    exps = draw(st.lists(st.tuples(*[st.integers(0, 5)] * ring.arity), min_size=1, max_size=6))
+    ring = BASE_RING
+    order = draw(st.sampled_from([GREVLEX, LEX]))
+    exps = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=6))
     coeffs = draw(st.lists(st.sampled_from([1, 2, -3]), min_size=len(exps), max_size=len(exps)))
     gens = [Polynomial.monomial(ring, field, e, field.from_int(c)) for e, c in zip(exps, coeffs)]
-    if len(gens) > 1 and ring.arity == 2 and draw(st.booleans()):
+    if len(gens) > 1 and draw(st.booleans()):
         gens.append(gens[0] + gens[1])
     return Ideal(gens).groebner_basis(order)
 
@@ -353,10 +351,9 @@ def field_terms(draw, ring, field):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(monomial_bases(), st.data())
 def test_term_filter_is_the_normal_form(gb, data):
-    """Modulo a basis of monomials, `reduce` filters terms, by a bisection
-    on the staircase in k[x,y] and by divisibility in any other ring; it
-    must equal `_nf_dict` on the same entries, value for value and in the
-    same canonical form."""
+    """Modulo a basis of monomials in k[x,y], `reduce` filters terms by a
+    bisection on the staircase; it must equal `_nf_dict` on the same
+    entries, value for value and in the same canonical form."""
     terms = data.draw(field_terms(gb.ring, gb.field))
     got = gb.reduce(dict(terms))
     want = _nf_dict(terms, gb._lead_data, gb._key, gb.field)

@@ -166,7 +166,7 @@ def _unbounded(I, monkeypatch):
     """The presentation with both bases run without the weight bound, which
     also takes the prune path."""
     with monkeypatch.context() as m:
-        m.setattr(rees, "_relation_type_bound", lambda I, powers=None: None)
+        m.setattr(rees, "_relation_type_bound", lambda I: None)
         return rees_defining_ideal(I)
 
 
@@ -294,8 +294,7 @@ def test_a_redundant_generator_is_never_certified():
     # bound: a list with exactly the counts the certificate asks of s = 4
     # generators is still not certified
     I = ideal("x^2, x*y, y^2, x^2 + x*y")
-    powers = engine._Powers(I)
-    assert rees._relation_type_bound(I, powers) == 2
+    assert rees._relation_type_bound(I) == 2
     T1 = Polynomial.variable(presentation_ring(4), QQ, "T1")
-    counted = [T1] * 3 + [T1 * T1] * (10 - powers.level(1)[3])
-    assert not rees._minimal_by_count(counted, 4, 2, powers)
+    counted = [T1] * 3 + [T1 * T1] * (10 - engine._mu(engine._power(I, 2)))
+    assert not rees._minimal_by_count(counted, 4, 2, I)
