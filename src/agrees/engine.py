@@ -601,7 +601,7 @@ def _is_linked_colon(I: Ideal, Q: Ideal, J: Ideal) -> bool:
             return False
     except NotContained:
         return False
-    T = Ideal(list(Q.generators) + list(_mul(I, I).generators))
+    T = Ideal(list(Q.generators) + list(_power(I, 2).generators))
     if not _contains_all(T, [a * w for a in I.generators for w in J.generators]):
         return False
     try:

@@ -382,10 +382,9 @@ def test_later_calls_read_classify_work_off_the_cache(case, monkeypatch):
     else:
         exps = family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
         I = Ideal([Polynomial.monomial(BASE_RING, FP, e) for e in exps])
-    seed = ClassifyConfig().seed
-    report = classify(I, ClassifyConfig(seed=seed))
+    report = classify(I)
     inputs = _record_buchberger(monkeypatch)
-    assert find_reduction(I, seed=seed) == report.reduction
+    assert find_reduction(I, seed=ClassifyConfig().seed) == report.reduction
     assert rees._relation_type_bound(I) == report.reduction.reduction_number + 1
     assert engine._mu(I) == report.min_gens
     assert inputs == []
