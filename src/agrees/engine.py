@@ -521,12 +521,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     """Full verdict pipeline; deterministic for a fixed (input, seed, field)."""
     cfg = config or ClassifyConfig()
     stair = staircase_of_ideal(I)
-    if stair is not None:
-        primary = stair.is_m_primary and stair.gens != ((0, 0),)
-    else:
-        colength(I)  # raises when no pure variable power leads the basis
-        primary = is_origin_primary(I)
-    if not primary:
+    if not is_origin_primary(I):
         raise NotZeroDimensional("input ideal is not m-primary at the origin")
     colen = colength(I)
     o = ideal_order(I)

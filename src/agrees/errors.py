@@ -45,6 +45,11 @@ class NotZeroDimensional(AgreesError):
     """Ideal is not m-primary at the origin, so local counts are undefined."""
 
 
+class DegreeOverflow(AgreesError):
+    """A monomial's total degree is at or above 2^32, beyond the integer
+    monomial-order keys."""
+
+
 class NotContained(AgreesError):
     """Claimed subideal is not contained in the ambient ideal."""
 

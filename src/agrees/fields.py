@@ -237,9 +237,12 @@ QQ = RationalField()
 
 DEFAULT_SURVEY_PRIME = 2147483647
 
+_PRIME_FIELDS: dict[int, PrimeField] = {}  # modulus -> its field_from_config field
+
 
 def field_from_config(text: str):
-    """Build a field from a CLI config string: "q" or "fp:<prime>"."""
+    """The field of a CLI config string, "q" or "fp:<prime>": one object per
+    modulus, so its primality is tested once per process."""
     if text == "q":
         return QQ
     if text.startswith("fp:"):
@@ -247,5 +250,8 @@ def field_from_config(text: str):
             p = int(text[3:])
         except ValueError:
             raise BadParameters(f"bad field config {text!r}") from None
-        return PrimeField(p)
+        field = _PRIME_FIELDS.get(p)
+        if field is None:
+            field = _PRIME_FIELDS[p] = PrimeField(p)
+        return field
     raise BadParameters(f"bad field config {text!r}; use q or fp:<prime>")

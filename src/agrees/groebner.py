@@ -1,10 +1,13 @@
 """Buchberger-based ideal arithmetic.
 
 The engine keeps polynomials as exponent->coefficient dicts and runs classic
-Buchberger with the sugar selection strategy, pruning pairs with the coprime
-leading-term criterion and the chain criterion (Gebauer-Moeller style
-bookkeeping).  Each pair is keyed once, when it is added.  A run may be
-truncated by a weight bound (see `_buchberger`).  Reduced bases are unique,
+Buchberger with the sugar selection strategy, pruning pairs by the criteria
+of Gebauer and Moeller (1988): the chain criterion, the lcm divisibility
+scan of the new pairs and the coprime leading-term criterion, in one pass
+that computes one lcm per basis element (`_update_pairs`).  Order keys are
+ints (`poly.GREVLEX`, `poly.BlockElimination`), and each pair is keyed once,
+when it is added.  A run may be truncated by a weight bound (see
+`_buchberger`).  Reduced bases are unique,
 so every operation here is deterministic for a fixed input and order.
 
 The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
@@ -57,7 +60,6 @@ from .poly import (
     mono_deg,
     mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
 )
 
@@ -83,7 +85,9 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
     divides.  Each monomial's order key is computed once, when it first
     enters `work`; the leading term picked at every step is the same as with
     keyf itself.  Steps are int arithmetic, modulo `field.modulus` when it
-    is nonzero; the remainder's values go through `field.mul`.
+    is nonzero, so a kept term's integer is the field's canonical value (an
+    int over q, a residue in [0, p) over fp): it leaves as it is while unit
+    is 1 (always over fp), and through `field.mul` by unit otherwise.
     """
     work = dict(p)
     unit = field.clear(work)
@@ -116,7 +120,8 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
                         work[mm] = nv
                 break
         else:
-            rem[lm] = field.mul(c, unit)
+            # c is already canonical (an int, a residue in [0, p)) when unit is 1
+            rem[lm] = c if unit == 1 else field.mul(c, unit)
     return rem
 
 
@@ -185,41 +190,48 @@ def _spoly(f, g, lcm: Exponent, field) -> _Term:
 
 
 def _update_pairs(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None):
-    """Add f to the basis, pruning pairs by the chain and coprime criteria.
+    """Add f to the basis, pruning pairs by Gebauer-Moeller's criteria.
 
     P maps (i, j) to (sugar, keyf(lcm), (i, j), lcm), so the smallest value
-    is the next pair to reduce and each pair's key is computed once.
+    is the next pair to reduce.  One pass computes L_i = lcm(lm g_i, lm f)
+    once per basis element and reads it in all three criteria: the chain
+    criterion on the old pairs; the grouping of the new pairs by L_i, where
+    a group gets one pair, from its smallest i, when no smaller L_j divides
+    its L_i; and the coprime test, as L_i = lm g_i * lm f exactly when
+    their degrees agree.  Each distinct L_i is keyed once, and the pair
+    keeps that key.  An L_i that weighs more than `max_weight` (see
+    `_buchberger`) is dropped before the divisibility scan: a divisor of a
+    light L_j weighs no more than L_j, so no dropped L_i could have pruned
+    a kept one.
     """
     lmf = f_entry[0]
+    deg_f = sum(lmf)
     m = len(G)
+    lcms = [tuple(map(max, g[0], lmf)) for g in G]  # mono_lcm, inlined
     kept = {}
     for ij, entry in P.items():
         L = entry[3]
-        if (
-            mono_divides(lmf, L)
-            and mono_lcm(G[ij[0]][0], lmf) != L
-            and mono_lcm(G[ij[1]][0], lmf) != L
-        ):
+        # mono_divides(lmf, L), inlined here and in the scan below
+        if all(map(le, lmf, L)) and lcms[ij[0]] != L and lcms[ij[1]] != L:
             continue  # chain criterion
         kept[ij] = entry
     groups: dict[Exponent, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(mono_lcm(G[i][0], lmf), []).append(i)
+    for i, L in enumerate(lcms):
+        if max_weight is None or sum(L[2:]) <= max_weight:
+            groups.setdefault(L, []).append(i)
+    keys = {L: keyf(L) for L in groups}
     minimal: list[Exponent] = []
-    for L in sorted(groups, key=keyf):
-        if all(not mono_divides(Lp, L) for Lp in minimal):
+    for L in sorted(groups, key=keys.__getitem__):
+        if not any(all(map(le, Lp, L)) for Lp in minimal):
             minimal.append(L)
     for L in minimal:
-        if max_weight is not None and sum(L[2:]) > max_weight:
-            continue  # above the weight bound
-        if any(mono_lcm(G[i][0], lmf) == mono_mul(G[i][0], lmf) for i in groups[L]):
+        deg_L = sum(L)
+        group = groups[L]
+        if any(deg_L == sum(G[i][0]) + deg_f for i in group):
             continue  # coprime leading terms reduce to zero
-        i = min(groups[L])
-        sug = max(
-            sugars[i] + mono_deg(L) - mono_deg(G[i][0]),
-            f_sugar + mono_deg(L) - mono_deg(lmf),
-        )
-        kept[(i, m)] = (sug, keyf(L), (i, m), L)
+        i = group[0]  # the smallest index: groups fill in index order
+        sug = max(sugars[i] + deg_L - sum(G[i][0]), f_sugar + deg_L - deg_f)
+        kept[(i, m)] = (sug, keys[L], (i, m), L)
     G.append(f_entry)
     sugars.append(f_sugar)
     return kept
@@ -595,12 +607,18 @@ def colength(I: Ideal) -> int:
 def is_origin_primary(I: Ideal) -> bool:
     """True when V(I) is exactly the origin, i.e. rad(I) = (x, y) globally.
 
-    Finite colength alone admits zeros away from the origin; those are ruled
-    out by checking that pure variable powers lie in the ideal itself (the
-    nilpotency index on R/I is at most its length).
+    A monomial ideal answers from its staircase, with no basis built, as
+    `colength` does: exactly when the staircase holds pure powers of x and y
+    and is not (1).  Otherwise finite colength alone admits zeros away from
+    the origin; those are ruled out by checking that pure variable powers
+    lie in the ideal itself (the nilpotency index on R/I is at most its
+    length).
     """
     if I.ring.arity != 2:
         return False
+    stair = I.staircase()
+    if stair is not None:
+        return stair.is_m_primary and stair.gens != ((0, 0),)
     gb = I.groebner_basis()
     if not gb._lead_data:
         return False

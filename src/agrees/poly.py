@@ -8,10 +8,10 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, neg, sub
+from operator import add, le, mul, sub
 from typing import Callable, Iterable, Mapping
 
-from .errors import NotContained, RingMismatch
+from .errors import DegreeOverflow, NotContained, RingMismatch
 
 Exponent = tuple[int, ...]
 
@@ -47,8 +47,9 @@ def presentation_ring(s: int) -> Ring:
 
 
 # -- monomial helpers --------------------------------------------------------
-# Exponents are plain tuples; divisibility and order keys run on map/operator,
-# with no cache, so no primitive runs a Python frame per coordinate.
+# Exponents are plain tuples; divisibility, lcm and order keys run on
+# map/operator, with no cache, so no primitive runs a Python frame per
+# coordinate.
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
@@ -75,18 +76,49 @@ def mono_deg(a: Exponent) -> int:
 class MonomialOrder:
     """Total multiplicative order on exponent tuples of a fixed ring."""
 
-    def key(self, ring: Ring) -> Callable[[Exponent], tuple]:
+    def key(self, ring: Ring) -> Callable[[Exponent], object]:
         raise NotImplementedError
 
 
-def _grevlex_key(e: Exponent) -> tuple:
-    return (sum(e), tuple(map(neg, reversed(e))))
+# Grevlex and block keys are ints, one weighted sum of the exponents per
+# monomial, sum(map(mul, e, W)), with one digit in base B = ORDER_BASE per
+# variable.  Grevlex orders as the tuples (deg(e), -e[n-1], ..., -e[0]) while
+# the total degree is below B, so that no digit carries; at or above it a key
+# raises DegreeOverflow rather than misorder.
+_DIGIT_BITS = 32
+ORDER_BASE = 1 << _DIGIT_BITS
+
+
+def _grevlex_weights(n: int) -> list[int]:
+    """W with sum(e[i] * W[i]) = deg(e) * B^n - sum(e[i] * B^i): the degree
+    on top, then -e[i] with the last variable most significant.  The value
+    lies in ((deg - 1) * B^n, deg * B^n] and is >= 0 while every e[i] < B."""
+    top = 1 << _DIGIT_BITS * n
+    return [top - (1 << _DIGIT_BITS * i) for i in range(n)]
+
+
+def _degree_overflow(e: Exponent) -> DegreeOverflow:
+    return DegreeOverflow(
+        f"monomial {e} has total degree {sum(e)}, at or above 2^32: "
+        "beyond the integer order keys")
 
 
 @dataclass(frozen=True)
 class _Grevlex(MonomialOrder):
     def key(self, ring):
-        return _grevlex_key
+        n = ring.arity
+        weights = _grevlex_weights(n)
+        # the key reaches (B - 1) * B^n exactly when deg(e) >= B: below, it
+        # is at most (B - 1) * (B^n - 1); from there, at least B * (B^n - B^(n-1))
+        limit = (ORDER_BASE - 1) << _DIGIT_BITS * n
+
+        def k(e):
+            v = sum(map(mul, e, weights))
+            if v >= limit:
+                raise _degree_overflow(e)
+            return v
+
+        return k
 
     def __repr__(self):
         return "grevlex"
@@ -106,18 +138,28 @@ class BlockElimination(MonomialOrder):
     """Front block compared by grevlex, then the rest by grevlex.
 
     Any monomial involving a front variable sorts above every monomial free
-    of them, which is what elimination needs.
+    of them, which is what elimination needs.  The key is the front block's
+    grevlex weight times B^(nb+1) plus the rest's grevlex weight, nb the
+    rest's arity: the rest's weight lies in [0, B^(nb+1)) while its degree is
+    below B, so the two compare as a pair.
     """
 
     front: tuple[str, ...]
 
     def key(self, ring):
-        fidx = tuple(ring.index(v) for v in self.front)
-        bidx = tuple(i for i in range(ring.arity) if i not in fidx)
+        fidx = [ring.index(v) for v in self.front]
+        bidx = [i for i in range(ring.arity) if i not in fidx]
+        shift = _DIGIT_BITS * (len(bidx) + 1)
+        weights = [0] * ring.arity
+        for i, w in zip(fidx, _grevlex_weights(len(fidx))):
+            weights[i] = w << shift
+        for i, w in zip(bidx, _grevlex_weights(len(bidx))):
+            weights[i] = w
 
         def k(e):
-            return (_grevlex_key(tuple(map(e.__getitem__, fidx))),
-                    _grevlex_key(tuple(map(e.__getitem__, bidx))))
+            if sum(e) >= ORDER_BASE:
+                raise _degree_overflow(e)
+            return sum(map(mul, e, weights))
 
         return k
 

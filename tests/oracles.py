@@ -1,6 +1,8 @@
 """Independent oracles used to derive expected values for the tests.
 
-These deliberately avoid the production algorithms: the Groebner oracle is a
+These deliberately avoid the production algorithms: the order keys' values
+come from their formulas, the pair update is the criterion-by-criterion
+form of the kernel's one-pass update, the Groebner oracle is a
 plain S-pair saturation loop with no selection strategy or pair pruning, the
 lattice oracles work on divisibility predicates, the reference colon is an
 elimination (one auxiliary variable and exact division) in place of the
@@ -45,6 +47,72 @@ def reference_block_key(ring, front):
                 reference_grevlex_key(tuple(e[i] for i in bidx)))
 
     return k
+
+
+# The integer order keys' values, by their defining formulas in base 2^32.
+
+ORDER_BASE = 2 ** 32
+
+
+def reference_grevlex_value(e) -> int:
+    """deg(e) * B^n - sum(e_i * B^i) for the n exponents of e."""
+    n = len(e)
+    return sum(e) * ORDER_BASE ** n - sum(x * ORDER_BASE ** i for i, x in enumerate(e))
+
+
+def reference_block_value(ring, front):
+    """The front block's grevlex value times B^(nb+1) plus the rest's, nb the
+    rest's arity."""
+    fidx = tuple(ring.index(v) for v in front)
+    bidx = tuple(i for i in range(ring.arity) if i not in fidx)
+
+    def k(e):
+        return (reference_grevlex_value(tuple(e[i] for i in fidx)) * ORDER_BASE ** (len(bidx) + 1)
+                + reference_grevlex_value(tuple(e[i] for i in bidx)))
+
+    return k
+
+
+# -- Gebauer-Moeller pair update, criterion by criterion ----------------------
+
+def reference_update_pairs(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None):
+    """`groebner._update_pairs` as three separate scans: the chain criterion
+    on the old pairs, the divisibility scan of the new pairs' lcms, then the
+    weight bound and the coprime test on each lcm kept, every lcm and key
+    computed where it is used."""
+    lmf = f_entry[0]
+    m = len(G)
+    kept = {}
+    for ij, entry in P.items():
+        L = entry[3]
+        if (
+            reference_mono_divides(lmf, L)
+            and reference_mono_lcm(G[ij[0]][0], lmf) != L
+            and reference_mono_lcm(G[ij[1]][0], lmf) != L
+        ):
+            continue  # chain criterion
+        kept[ij] = entry
+    groups: dict = {}
+    for i in range(m):
+        groups.setdefault(reference_mono_lcm(G[i][0], lmf), []).append(i)
+    minimal: list = []
+    for L in sorted(groups, key=keyf):
+        if all(not reference_mono_divides(Lp, L) for Lp in minimal):
+            minimal.append(L)
+    for L in minimal:
+        if max_weight is not None and sum(L[2:]) > max_weight:
+            continue  # above the weight bound
+        if any(reference_mono_lcm(G[i][0], lmf) == mono_mul(G[i][0], lmf) for i in groups[L]):
+            continue  # coprime leading terms reduce to zero
+        i = min(groups[L])
+        sug = max(
+            sugars[i] + sum(L) - sum(G[i][0]),
+            f_sugar + sum(L) - sum(lmf),
+        )
+        kept[(i, m)] = (sug, keyf(L), (i, m), L)
+    G.append(f_entry)
+    sugars.append(f_sugar)
+    return kept
 
 
 # -- naive S-pair saturation Groebner oracle ----------------------------------

@@ -62,6 +62,7 @@ from oracles import (
     lattice_minimal,
     reference_colon,
     reference_mono_divides,
+    reference_update_pairs,
     saturation_groebner,
 )
 
@@ -245,9 +246,10 @@ def _random_terms(rng, field, arity, n_terms, max_exp, proper=False):
 
 def _field_values(terms, field):
     """Are all values field elements in canonical form (over q an int when
-    integral and a Fraction otherwise, never a float)?"""
+    integral and a Fraction otherwise, never a float; over fp an int in
+    [0, p))?"""
     if field != QQ:
-        return True
+        return all(type(c) is int and 0 <= c < field.p for c in terms.values())
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
                for c in terms.values())
 
@@ -284,6 +286,34 @@ def test_nf_dict_matches_reference(names, order):
                 got = _nf_dict(p, gb._lead_data, keyf, field)
                 assert got == _reference_nf(p, monic, keyf, field)
                 assert _field_values(got, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_nf_dict_remainders_are_canonical(field):
+    """A remainder's values are the field's canonical values, also where a
+    kept term leaves the kernel with no multiplication (its unit is 1, as
+    for an integral p against divisors led by 1): ints over q for an
+    integral remainder, a Fraction only for a proper one, and residues in
+    [0, p) over fp."""
+    rng = random.Random(67)
+    keyf = GREVLEX.key(BASE_RING)
+    kinds = set()
+    for proper in (False, True):
+        for _ in range(40):
+            entries = []
+            for _ in range(rng.randint(1, 4)):
+                t = _random_terms(rng, field, 2, rng.randint(1, 4), 3, proper)
+                if t:
+                    if not proper:
+                        t[max(t, key=keyf)] = field.one
+                    entries.append(groebner._entry(t, keyf, field))
+            p = _random_terms(rng, field, 2, rng.randint(1, 8), 6, proper)
+            got = _nf_dict(p, entries, keyf, field)
+            assert _field_values(got, field)
+            if not proper:
+                assert all(type(c) is int for c in got.values())
+            kinds.update(type(c) for c in got.values())
+    assert kinds == ({int, Fraction} if field == QQ else {int})
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
@@ -675,6 +705,39 @@ def test_origin_primary_matches_exact_membership():
     assert len(verdicts) >= 10 and any(verdicts) and not all(verdicts)
 
 
+def _seeded_monomial_ideals(rng):
+    """Exponent lists of m-primary, non-primary (a pure power dropped) and
+    unit monomial ideals of k[x,y]."""
+    out = [[(0, 0)], [(0, 0), (2, 1)]]
+    for _ in range(30):
+        exps = _random_mono_ideal(rng)
+        kind = rng.randrange(3)
+        if kind and len(exps) > 1:
+            exps = [e for e in exps if e[kind - 1] != 0]  # drop x^a or y^b
+        out.append(exps)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_origin_primary_reads_the_staircase(field):
+    """A monomial ideal's answer is the Buchberger path's, taken on the same
+    ideal with a redundant binomial generator g * (1 + x) added, and builds
+    no basis."""
+    rng = random.Random(97)
+    one_plus_x = poly("1 + x", field)
+    answers = []
+    for exps in _seeded_monomial_ideals(rng):
+        I = mono_ideal(exps, field)
+        got = is_origin_primary(I)
+        assert I.staircase() is not None and not I._gb_cache
+        twin = Ideal(list(I.generators) + [I.generators[0] * one_plus_x])
+        assert twin.staircase() is None
+        assert is_origin_primary(twin) is got
+        assert twin._gb_cache  # the twin did take the Buchberger path
+        answers.append(got)
+    assert True in answers and False in answers
+
+
 def test_min_gens_examples():
     assert min_gens(ideal("x^3, x^2 y^3, x y^5, y^6")) == 4
     assert min_gens(ideal("x^2, y^2, x^2 + y^2")) == 2
@@ -962,6 +1025,68 @@ def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
                 elements = GroebnerBasis(ring, field, order, entries).elements
                 assert [p.terms for p in elements] == want
                 assert all(_field_values(p.terms, field) for p in elements)
+
+
+def _checked_update_pairs(monkeypatch):
+    """Bind `groebner._update_pairs` to a wrapper that runs
+    `oracles.reference_update_pairs` on copies of the same arguments and
+    asserts the same pair dict, in the same order, and the same G and sugars
+    after the call; returns the list of pair-dict sizes, one per call."""
+    sizes = []
+    real = groebner._update_pairs
+
+    def checked(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None):
+        G_ref, sugars_ref = list(G), list(sugars)
+        want = reference_update_pairs(G_ref, sugars_ref, dict(P), f_entry, f_sugar, keyf,
+                                      max_weight)
+        got = real(G, sugars, P, f_entry, f_sugar, keyf, max_weight)
+        assert list(got.items()) == list(want.items())
+        assert G == G_ref and sugars == sugars_ref
+        sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(groebner, "_update_pairs", checked)
+    return sizes
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_update_pairs_matches_the_reference_in_the_plane(field, monkeypatch):
+    """Grevlex in k[x,y]: every pair update of seeded Buchberger runs, on
+    random generators and on x -> x + 2y twins of monomial ideals, keeps the
+    reference's pairs, keys and sugars."""
+    sizes = _checked_update_pairs(monkeypatch)
+    rng = random.Random(101)
+    keyf = GREVLEX.key(BASE_RING)
+    xt, y = poly("x + 2*y", field), poly("y", field)
+    for proper in (False, True):
+        for _ in range(10):
+            gens = _random_generators(rng, BASE_RING, field, proper)
+            _buchberger([g.terms for g in gens], keyf, field)
+    for _ in range(10):
+        exps = _random_mono_ideal(rng, max_exp=6)
+        _buchberger([(xt ** a * y ** b).terms for a, b in exps], keyf, field)
+    assert len(sizes) > 100 and max(sizes) > 3
+
+
+@pytest.mark.parametrize("max_weight", [None, 1, 2], ids=["unbounded", "w1", "w2"])
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_update_pairs_matches_the_reference_in_the_rees_ring(field, max_weight, monkeypatch):
+    """The block order of the Rees elimination in rees_ring(2) and
+    rees_ring(3), bounded by each weight: every pair update keeps the
+    reference's pairs, keys and sugars."""
+    sizes = _checked_update_pairs(monkeypatch)
+    rng = random.Random(103)
+    xt, y = poly("x + 2*y", field), poly("y", field)
+    for s in (2, 3):
+        for _ in range(6):
+            exps = _random_mono_ideal(rng, max_exp=5)
+            while len(exps) < s:
+                exps = _random_mono_ideal(rng, max_exp=5)
+            exps = rng.sample(exps, s)
+            for gens in ([Polynomial.monomial(BASE_RING, field, e) for e in exps],
+                         [xt ** a * y ** b for a, b in exps]):
+                rees._t_free_kernel(gens, field, max_weight)
+    assert len(sizes) > 50 and max(sizes) >= 2
 
 
 def test_rees_presentation_runs_two_buchberger(monkeypatch):

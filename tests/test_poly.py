@@ -1,11 +1,12 @@
 """Monomial orders, polynomial arithmetic, and field axioms."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from agrees.errors import NotContained, RingMismatch
+from agrees.errors import DegreeOverflow, NotContained, RingMismatch
 from agrees.fields import QQ, PrimeField
 from agrees.poly import (
     BASE_RING,
@@ -14,7 +15,6 @@ from agrees.poly import (
     BlockElimination,
     Polynomial,
     Ring,
-    _grevlex_key,
     compare_monomials,
     mono_divides,
     mono_lcm,
@@ -22,8 +22,11 @@ from agrees.poly import (
 )
 
 from oracles import (
+    ORDER_BASE,
     reference_block_key,
+    reference_block_value,
     reference_grevlex_key,
+    reference_grevlex_value,
     reference_mono_divides,
     reference_mono_lcm,
 )
@@ -87,31 +90,91 @@ def _sign(a, b):
     return (a > b) - (a < b)
 
 
+def _ring(arity):
+    return Ring(tuple(f"v{i}" for i in range(arity)))
+
+
 @pytest.mark.parametrize("arity", [2, 3, 5])
 def test_monomial_primitives_match_generator_form(arity):
-    """mono_divides, mono_lcm and the grevlex and block keys give the values
-    of their generator forms (oracles.py) on every pair of seeded exponents,
-    equal and all-zero tuples included."""
+    """mono_divides and mono_lcm give the values of their generator forms
+    (oracles.py), and the grevlex and block keys order as the tuple keys
+    there and take the values of the integer formulas there, on every pair
+    of seeded exponents, equal and all-zero tuples included."""
     rng = random.Random(1500 + arity)
     monos = [_random_mono(rng, arity) for _ in range(40)]
     monos += [(0,) * arity, monos[0], tuple(min(e, 2) for e in monos[1])]
+    grevlex = GREVLEX.key(_ring(arity))
     ring = rees_ring(2)  # x, y, t, T1, T2
     block = BlockElimination(front=("t",)).key(ring)
     ref_block = reference_block_key(ring, ("t",))
+    block_value = reference_block_value(ring, ("t",))
     divides = 0
     for a in monos:
         for b in monos:
             assert mono_divides(a, b) is reference_mono_divides(a, b)
             divides += mono_divides(a, b)
             assert mono_lcm(a, b) == reference_mono_lcm(a, b)
-            assert _sign(_grevlex_key(a), _grevlex_key(b)) == _sign(
+            assert _sign(grevlex(a), grevlex(b)) == _sign(
                 reference_grevlex_key(a), reference_grevlex_key(b))
             if arity == ring.arity:
                 assert _sign(block(a), block(b)) == _sign(ref_block(a), ref_block(b))
-        assert _grevlex_key(a) == reference_grevlex_key(a)
+        assert grevlex(a) == reference_grevlex_value(a)
         if arity == ring.arity:
-            assert block(a) == ref_block(a)
+            assert block(a) == block_value(a)
     assert len(monos) < divides < len(monos) ** 2  # both outcomes occur
+
+
+def _wide_mono(rng, arity):
+    """Exponents mixing small values with values up to 2^31, so that some
+    total degrees reach 2^32."""
+    return tuple(rng.choice((rng.randint(0, 3), rng.randrange(1 << 31))) for _ in range(arity))
+
+
+@pytest.mark.parametrize("arity", [2, 3, 5])
+def test_integer_keys_order_as_the_tuple_keys_up_to_2_to_the_32(arity):
+    """On exponents up to 2^31 the grevlex and block keys order as the tuple
+    keys and take the formula values while the total degree is below 2^32,
+    and raise DegreeOverflow from there on, where the digits would carry."""
+    rng = random.Random(2200 + arity)
+    ring = _ring(arity)
+    orders = [(GREVLEX.key(ring), reference_grevlex_key, reference_grevlex_value)]
+    for front in (ring.vars[:1], ring.vars[1:2], ring.vars[:2]):
+        order = BlockElimination(front=front)
+        orders.append((order.key(ring), reference_block_key(ring, front),
+                       reference_block_value(ring, front)))
+    monos = [_wide_mono(rng, arity) for _ in range(60)]
+    monos += [(ORDER_BASE - 1,) + (0,) * (arity - 1), (0,) * (arity - 1) + (ORDER_BASE - 1,),
+              (1 << 31,) * arity]
+    small = [e for e in monos if sum(e) < ORDER_BASE]
+    assert 10 < len(small) < len(monos)  # both sides of the bound occur
+    for key, ref_key, ref_value in orders:
+        for a in monos:
+            if sum(a) >= ORDER_BASE:
+                with pytest.raises(DegreeOverflow):
+                    key(a)
+                continue
+            assert key(a) == ref_value(a)
+            for b in small:
+                assert _sign(key(a), key(b)) == _sign(ref_key(a), ref_key(b))
+
+
+@pytest.mark.parametrize("arity", [2, 3, 5])
+def test_a_total_degree_of_2_to_the_32_raises(arity):
+    """Degree 2^32 raises in every slot and split, all of it in one slot or
+    spread over all; 2^32 - 1 does not."""
+    ring = _ring(arity)
+    keys = [GREVLEX.key(ring), BlockElimination(front=ring.vars[:1]).key(ring),
+            BlockElimination(front=ring.vars[1:]).key(ring)]
+    for i in range(arity):
+        for deg, raises in ((ORDER_BASE, True), (ORDER_BASE - 1, False)):
+            alone = tuple(deg if j == i else 0 for j in range(arity))
+            spread = tuple(deg - (arity - 1) if j == i else 1 for j in range(arity))
+            for key, e in itertools.product(keys, (alone, spread)):
+                if raises:
+                    with pytest.raises(DegreeOverflow):
+                        key(e)
+                else:
+                    key(e)
 
 
 def test_project_rejects_a_dropped_slot():
@@ -235,6 +298,34 @@ def test_prime_field_range_and_modulus():
         PrimeField(1048573)  # prime but below the 2^20 floor
     with pytest.raises(BadParameters):
         PrimeField(1 << 22)  # composite
+
+
+def test_field_from_config_makes_one_field_per_modulus(monkeypatch):
+    """Each "fp:<p>" config gives the same PrimeField object every time, so
+    its Miller-Rabin test runs once per modulus; "q" is QQ."""
+    from agrees import fields
+    from agrees.errors import BadParameters
+
+    tested = []
+    real = fields._is_prime
+
+    def counted(n):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(fields, "_is_prime", counted)
+    monkeypatch.setattr(fields, "_PRIME_FIELDS", {})
+    first = fields.field_from_config("fp:2147483647")
+    assert fields.field_from_config("fp:2147483647") is first and first == FP
+    other = fields.field_from_config("fp:4294967291")
+    assert other is not first and fields.field_from_config("fp:4294967291") is other
+    assert tested == [2147483647, 4294967291]
+    assert fields.field_from_config("q") is QQ
+    with pytest.raises(BadParameters):
+        fields.field_from_config("fp:1048573")  # prime but below the 2^20 floor
+    with pytest.raises(BadParameters):
+        fields.field_from_config("fp:1048573")  # a rejected modulus is not kept
+    assert tested[2:] == [1048573, 1048573]
 
 
 def test_polynomial_arithmetic():
