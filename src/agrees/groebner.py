@@ -120,7 +120,6 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
                         work[mm] = nv
                 break
         else:
-            # c is already canonical (an int, a residue in [0, p)) when unit is 1
             rem[lm] = c if unit == 1 else field.mul(c, unit)
     return rem
 

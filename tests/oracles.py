@@ -20,8 +20,9 @@ from agrees.poly import GREVLEX, Polynomial, mono_div, mono_mul
 
 
 # -- monomial primitives in their generator form ------------------------------
-# `agrees.poly`'s divisibility, lcm and order keys written with generators,
-# apart from the map/operator forms there, so the oracles below do not change
+# `agrees.poly`'s divisibility and lcm written with generators, apart from the
+# map/operator forms there, and its grevlex and block orders as tuple keys,
+# the order its integer keys must keep, so the oracles below do not change
 # with the primitives they are used to check.
 
 def reference_mono_divides(a, b) -> bool:

@@ -845,41 +845,6 @@ def _count_buchberger(monkeypatch):
     return calls
 
 
-def _reference_update_pairs(G, sugars, P, f_entry, f_sugar, keyf):
-    """`_update_pairs` before each pair's key was stored: P maps (i, j) to
-    (lcm, sugar)."""
-    lmf = f_entry[0]
-    m = len(G)
-    kept = {}
-    for (i, j), (L, s) in P.items():
-        if (
-            reference_mono_divides(lmf, L)
-            and mono_lcm(G[i][0], lmf) != L
-            and mono_lcm(G[j][0], lmf) != L
-        ):
-            continue
-        kept[(i, j)] = (L, s)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(mono_lcm(G[i][0], lmf), []).append(i)
-    minimal = []
-    for L in sorted(groups, key=keyf):
-        if all(not reference_mono_divides(Lp, L) for Lp in minimal):
-            minimal.append(L)
-    for L in minimal:
-        if any(mono_lcm(G[i][0], lmf) == mono_mul(G[i][0], lmf) for i in groups[L]):
-            continue
-        i = min(groups[L])
-        sug = max(
-            sugars[i] + mono_deg(L) - mono_deg(G[i][0]),
-            f_sugar + mono_deg(L) - mono_deg(lmf),
-        )
-        kept[(i, m)] = (L, sug)
-    G.append(f_entry)
-    sugars.append(f_sugar)
-    return kept
-
-
 def _reference_spoly(f, g, lcm, field):
     """The S-polynomial of two monic Fraction entries (lm, lc, terms), as
     computed before the kernels moved to integer rows."""
@@ -960,20 +925,21 @@ def test_spoly_matches_reference():
 
 def _reference_buchberger(inputs, keyf, field, nf=_reference_nf):
     """`_buchberger` before each pair's key was stored, keying every pair at
-    every step, on monic Fraction entries; every reduction is one `nf`."""
+    every step rather than reading the key its pair holds, on monic Fraction
+    entries; every reduction is one `nf`."""
     G, sugars, P = [], [], {}
     for p in inputs:
         if p:
-            P = _reference_update_pairs(G, sugars, P, _reference_monic_entry(p, keyf, field),
-                                        max(mono_deg(m) for m in p), keyf)
+            P = reference_update_pairs(G, sugars, P, _reference_monic_entry(p, keyf, field),
+                                       max(mono_deg(m) for m in p), keyf)
     while P:
-        pair = min(P, key=lambda ij: (P[ij][1], keyf(P[ij][0]), ij))
-        L, sug = P.pop(pair)
+        pair = min(P, key=lambda ij: (P[ij][0], keyf(P[ij][3]), ij))
+        sug, _, _, L = P.pop(pair)
         i, j = pair
         r = nf(_reference_spoly(G[i], G[j], L, field), G, keyf, field)
         if r:
-            P = _reference_update_pairs(G, sugars, P, _reference_monic_entry(r, keyf, field),
-                                        sug, keyf)
+            P = reference_update_pairs(G, sugars, P, _reference_monic_entry(r, keyf, field),
+                                       sug, keyf)
     order_asc = sorted(range(len(G)), key=lambda i: keyf(G[i][0]))
     minimal = []
     for i in order_asc:
