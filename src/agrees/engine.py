@@ -51,6 +51,7 @@ from .groebner import (
     _colon,
     _contains_all,
     _echelon_reduce,
+    _nakayama_prune,
 )
 from .poly import Polynomial
 from .staircase import (
@@ -296,15 +297,18 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     A monomial Q is the pure-power pair (a stable monomial pair is
     m-primary) and takes the staircase colon.  Any other Q may vanish away
     from the origin; then J = T : I for T = Q + I^2, found by
-    `groebner._colon(T, I, I)` as a kernel on R/I (I*I lies in T, so the
+    `groebner._colon(T, B, I)` as a kernel on R/I (I*B lies in T, so the
     walk starts from I and not from T, whose colength e(I) is larger).
     I^2 = QI lies in Q locally, so T is m-primary and is the origin
     component of Q; hence T : I = (Q : I) + I^2 is m-primary with the
     localization of the local colon, and two m-primary ideals with one
-    localization are equal.  `stable`, when the caller already knows it,
-    skips recomputing I^2 = QI.  I is contracted iff mu(I) = o(I) + 1;
-    I^2 and m*I, hence mu(I), come from `_mul`'s cache, so the reduction
-    search has built them already.
+    localization are equal.  The walk multiplies only by B, the generators
+    of I left by Q's in a Nakayama prune against m*I (`_nakayama_prune`,
+    Q's generators first): Q + B = I locally and Q lies in T, so T : B and
+    T : I are m-primary with one localization.  `stable`, when the caller already
+    knows it, skips recomputing I^2 = QI.  I is contracted iff mu(I) =
+    o(I) + 1; I^2 and m*I, hence mu(I), come from `_mul`'s cache, so the
+    reduction search has built them already.
     """
     if not (is_stable(I, Q) if stable is None else stable):
         raise NotStable("the canonical colon needs I^2 = QI")
@@ -314,7 +318,9 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
     else:
         T = Ideal(list(Q.generators) + list(_power(I, 2).groebner_basis()))
-        J = _colon(T, I, I)
+        kept = _nakayama_prune(list(Q.generators + I.generators), key=lambda g: 0,
+                               N=_mul(maximal_ideal(I.ring, I.field), I))
+        J = _colon(T, [g for g in kept if all(g is not q for q in Q.generators)], I)
     if _mu(I) == ideal_order(I) + 1:
         o_i, o_j = ideal_order(I), ideal_order(J)
         if o_i != o_j + 1:

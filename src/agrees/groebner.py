@@ -5,10 +5,11 @@ Buchberger with the sugar selection strategy, pruning pairs by the criteria
 of Gebauer and Moeller (1988): the chain criterion, the lcm divisibility
 scan of the new pairs and the coprime leading-term criterion, in one pass
 that computes one lcm per basis element (`_update_pairs`).  Order keys are
-ints (`poly.GREVLEX`, `poly.BlockElimination`), and each pair is keyed once,
-when it is added.  A run may be truncated by a weight bound (see
-`_buchberger`).  Reduced bases are unique,
-so every operation here is deterministic for a fixed input and order.
+ints (`poly.GREVLEX`, `poly.BlockElimination`), read in a run from one
+`_Keys`, so each monomial is keyed once per run and each pair once, when it
+is added.  A run may be truncated by a weight bound (see `_buchberger`).
+Reduced bases are unique, so every operation here is deterministic for a
+fixed input and order.
 
 The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
 rows of plain integers, one kernel for both fields; the field supplies what
@@ -25,10 +26,14 @@ arithmetic, reduced modulo `field.modulus` when that is nonzero (over fp),
 with no field method call per term.
 
 A reduced basis is stored in one form, the kernels' entries (lm, lc, row)
-that `_buchberger` returns.  Field values are made again only where a value
-leaves a kernel: the remainder `_nf_dict` returns (`GroebnerBasis.reduce`),
-the monic polynomials `_monic_polynomial` builds once from a basis's
-entries, and a kernel vector a caller reads off an echelon.
+that `_buchberger` returns.  A run clears its inputs once; its S-pair and
+interreduction remainders stay integer rows.  Field values are made again
+only where a value leaves a kernel: the remainder `GroebnerBasis.reduce`
+returns, the monic polynomials `_monic_polynomial` builds once from a
+basis's entries, and a kernel vector a caller reads off an echelon.  The
+colon (`_colon`) runs no Buchberger: it reads its reduced basis off the
+kernel it finds and the basis it starts from (`_extend_basis`, the border
+read-off of FGLM).
 
 Monomial ideals of k[x,y] take the staircase instead (`staircase`): an
 `Ideal` caches its staircase, a monomial ideal's `colength` and reduced
@@ -41,7 +46,7 @@ through Buchberger.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import le
+from operator import add, le
 from typing import Sequence
 
 from .errors import (
@@ -72,30 +77,49 @@ def _lead(p: _Term, keyf) -> Exponent:
     return max(p, key=keyf)
 
 
-def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
-    """Full normal form of p against basis entries (lm, lc, row) made by
-    `_entry`, returned as field values.
+class _Keys(dict):
+    """keyf's values, each computed once, when first read: `__getitem__` is
+    keyf keying each monomial once."""
 
-    The work is an integer row (see the module docstring): `field.clear`
-    writes p as unit * work, and a step that cancels the leading c of work
-    against an entry with leading integer lc sets work := a * work - s *
-    shift * row with (a, s) = `field.cross(c, lc)`, dividing unit by a.  A
-    term that no leading monomial divides leaves as its value times unit.
-    A step's divisor is the first entry in list order whose leading monomial
-    divides.  Each monomial's order key is computed once, when it first
-    enters `work`; the leading term picked at every step is the same as with
-    keyf itself.  Steps are int arithmetic, modulo `field.modulus` when it
-    is nonzero, so a kept term's integer is the field's canonical value (an
-    int over q, a residue in [0, p) over fp): it leaves as it is while unit
-    is 1 (always over fp), and through `field.mul` by unit otherwise.
+    __slots__ = ("keyf",)
+
+    def __init__(self, keyf):
+        self.keyf = keyf
+
+    def __missing__(self, m):
+        k = self[m] = self.keyf(m)
+        return k
+
+
+def _nf_dict(p: _Term, basis: list, keyf, field, keys: _Keys | None = None) -> _Term:
+    """Full normal form of p against basis entries (lm, lc, row) made by
+    `_entry`: of field values, or, given a Buchberger run's `_Keys` of keyf,
+    of an integer row, returned as an integer row (a positive multiple of
+    the normal form, which the run's `_entry` normalizes).
+
+    The work is an integer row (see the module docstring); field values
+    enter as unit * work by `field.clear`.  A step that cancels the leading
+    c of work against an entry with leading integer lc sets work := a * work
+    - s * shift * row with (a, s) = `field.cross(c, lc)`, and scales the
+    kept terms by a too.  A step's divisor is the first entry in list order
+    whose leading monomial divides.  Each monomial is keyed once (once per
+    run with `keys`), when first compared for the lead.  Steps are int
+    arithmetic, modulo `field.modulus` when it is nonzero, so a kept integer
+    is the field's canonical value; field values leave as the kept integers
+    times unit / (the product of the a), with no `field.mul` when that is 1
+    (always over fp).
     """
     work = dict(p)
-    unit = field.clear(work)
-    keys = {m: keyf(m) for m in work}
+    integral = keys is not None
+    if not integral:
+        unit = field.clear(work)
+        keys = _Keys(keyf)
+    key = keys.__getitem__
     rem: _Term = {}
+    den = 1
     mod = field.modulus
     while work:
-        lm = max(work, key=keys.__getitem__)
+        lm = max(work, key=key)
         c = work.pop(lm)
         for blm, blc, bterms in basis:
             if all(map(le, blm, lm)):  # mono_divides(blm, lm), inlined
@@ -103,24 +127,29 @@ def _nf_dict(p: _Term, basis: list, keyf, field) -> _Term:
                 if a != 1:  # over q only: fp leads are monic
                     for m, v in work.items():
                         work[m] = a * v
-                    unit = field.div(unit, a)
+                    for m, v in rem.items():
+                        rem[m] = a * v
+                    den *= a
                 shift = mono_div(lm, blm)
                 for m, bc in bterms.items():
                     if m == blm:
                         continue
-                    mm = mono_mul(m, shift)
+                    mm = tuple(map(add, m, shift))  # mono_mul(m, shift), inlined
                     nv = work.get(mm, 0) - s * bc
                     if mod:
                         nv %= mod
                     if nv == 0:
                         work.pop(mm, None)
                     else:
-                        if mm not in keys:
-                            keys[mm] = keyf(mm)
                         work[mm] = nv
                 break
         else:
-            rem[lm] = c if unit == 1 else field.mul(c, unit)
+            rem[lm] = c
+    if not integral:
+        scale = unit if den == 1 else field.div(unit, den)
+        if scale != 1:
+            for m, c in rem.items():
+                rem[m] = field.mul(c, scale)
     return rem
 
 
@@ -236,11 +265,9 @@ def _update_pairs(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None):
     return kept
 
 
-def _entry(p: _Term, keyf, field):
-    """Basis entry (lm, lc, row) of p: its integer row, `field.normalize`d
-    (primitive over q, monic over fp), with lc = row[lm]."""
-    row = dict(p)
-    field.clear(row)
+def _entry(row: _Term, keyf, field):
+    """Basis entry (lm, lc, row) of an integer row, `field.normalize`d in
+    place (primitive over q, monic over fp), with lc = row[lm]."""
     lm = _lead(row, keyf)
     field.normalize(row, lm)
     return (lm, row[lm], row)
@@ -262,8 +289,11 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list:
     The run keeps each basis element as an `_entry`, an integer row with its
     content removed (the primitive-part Buchberger algorithm, Cox-Little-
     O'Shea); S-polynomials cross-multiply by integer leads, and every
-    reduction is one `_nf_dict`.  The interreduced elements are returned as
-    entries too: primitive over q, monic over fp.
+    reduction is one `_nf_dict` that returns an integer row, so after the
+    inputs are cleared no field value is made until the run returns.  Every
+    order key of the run is read from one `_Keys`, so each monomial is keyed
+    once.  The interreduced elements are returned as entries too: primitive
+    over q, monic over fp.
 
     Pairs are reduced by smallest sugar, then smallest lcm, then index.
     `max_weight` drops every S-pair whose lcm weighs more than it, where an
@@ -274,6 +304,8 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list:
     part of weight <= max_weight of the unbounded reduced basis.  A run
     terminates on every input (Dickson's lemma), so nothing else bounds it.
     """
+    keys = _Keys(keyf)
+    key = keys.__getitem__
     G: list = []
     sugars: list[int] = []
     P: dict = {}
@@ -281,16 +313,16 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list:
         if not p:
             continue
         sug = max(mono_deg(m) for m in p)
-        P = _update_pairs(G, sugars, P, _entry(p, keyf, field), sug, keyf, max_weight)
+        row = dict(p)
+        field.clear(row)
+        P = _update_pairs(G, sugars, P, _entry(row, key, field), sug, key, max_weight)
     while P:
         sug, _, (i, j), L = P.pop(min(P.values())[2])
-        s = _spoly(G[i], G[j], L, field)
-        r = _nf_dict(s, G, keyf, field)
+        r = _nf_dict(_spoly(G[i], G[j], L, field), G, keyf, field, keys)
         if r:
-            P = _update_pairs(G, sugars, P, _entry(r, keyf, field), sug, keyf,
-                              max_weight)
+            P = _update_pairs(G, sugars, P, _entry(r, key, field), sug, key, max_weight)
     # minimalize: leading monomials must form a divisibility antichain
-    order_asc = sorted(range(len(G)), key=lambda i: keyf(G[i][0]))
+    order_asc = sorted(range(len(G)), key=lambda i: key(G[i][0]))
     minimal: list = []
     for i in order_asc:
         if all(not mono_divides(e[0], G[i][0]) for e in minimal):
@@ -299,8 +331,8 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list:
     reduced = []
     for k, entry in enumerate(minimal):
         others = [e for idx, e in enumerate(minimal) if idx != k]
-        reduced.append(_entry(_nf_dict(entry[2], others, keyf, field), keyf, field))
-    reduced.sort(key=lambda e: keyf(e[0]), reverse=True)
+        reduced.append(_entry(_nf_dict(entry[2], others, keyf, field, keys), key, field))
+    reduced.sort(key=lambda e: key(e[0]), reverse=True)
     return reduced
 
 
@@ -531,30 +563,81 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(trimmed)
 
 
-def _colon(A: Ideal, B: Ideal, C: Ideal) -> Ideal:
-    """A : B for a sub-ideal C of A : B of finite colength in k[x,y],
+def _eliminate_leads(row: _Term, lead: Exponent, rows: dict, field) -> None:
+    """Cancel, in place, each term of an integer row but `lead` that leads
+    a row of the fully reduced echelon `rows` (their other terms lead none,
+    so a cancelled term never comes back)."""
+    for m in [m for m in row if m != lead and m in rows]:
+        other = rows[m]
+        a, s = field.cross(row[m], other[m])
+        if a != 1:  # over q only
+            for k, v in row.items():
+                row[k] = a * v
+        _sub_scaled(row, other, s, field)
+
+
+def _extend_basis(gb: GroebnerBasis, kernel: list) -> list:
+    """C + (kernel)'s reduced basis as `_buchberger` returns it, from the
+    reduced grevlex basis gb of C, of finite colength in k[x,y], and integer
+    rows on C's standard monomials that span an ideal modulo C: the border
+    read-off of FGLM (Faugere-Gianni-Lazard-Mora 1993).
+
+    With L the leads of a fully reduced grevlex echelon of the rows, the
+    leading monomials of C + (kernel) are LM(C) and L: an element g + k, g
+    in C and k in the span, has g's lead in LM(C) and k's terms standard
+    for C, so a lead outside LM(C) is k's.  A corner c of that staircase in
+    L leads its echelon row; any other is a corner of LM(C) and leads gb's
+    element, whose tail, standard for C, loses its terms in L.
+    """
+    from .staircase import staircase_normalize
+
+    field, keyf = gb.field, gb._key
+    rows: dict = {}
+    for r in kernel:
+        r = dict(r)
+        lm = _echelon_reduce(r, rows, keyf, field)
+        if lm is not None:
+            rows[lm] = r
+    for lm in sorted(rows, key=keyf):  # a row's terms lead only smaller rows
+        _eliminate_leads(rows[lm], lm, rows, field)
+    of_gb = {lm: row for lm, _, row in gb._lead_data}
+    entries = []
+    for c in staircase_normalize(gb.leading_exponents() + list(rows)).gens:
+        row = rows.get(c)
+        if row is None:
+            row = dict(of_gb[c])
+            _eliminate_leads(row, c, rows, field)
+        field.normalize(row, c)
+        entries.append((c, row[c], row))
+    entries.sort(key=lambda e: keyf(e[0]), reverse=True)
+    return entries
+
+
+def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
+    """A : (B) for a sub-ideal C of A : (B) of finite colength in k[x,y],
     generated by its reduced basis, which it carries cached.
 
-    C*B lies in A, so f -> (NF_A(f*b)) over the nonzero generators b of B is
-    a k-linear map R/C -> (R/A)^mu whose kernel is (A : B)/C; so A : B is C
-    plus that kernel, exactly and globally, wherever A's components lie.
-    The images, one per standard monomial s of C, are filled by walking the
-    staircase in degree order with NF_A(v*s*b) = NF_A(v*NF_A(s*b)) for a
-    variable v, so each product is reduced from an already reduced one.
-    The row of s holds its image columns (j, e) and a combination column
-    (-1, s) that sorts below them; a row whose reduced lead lands in a
-    (-1, .) column has a zero image, and its combination columns are a
-    kernel element.
+    C*b lies in A for each b in B, so f -> (NF_A(f*b)) over the nonzero b
+    is a k-linear map R/C -> (R/A)^mu whose kernel is (A : (B))/C; so the
+    colon is C plus that kernel, exactly and globally, wherever A's
+    components lie.  The images, one per standard monomial s of C, are
+    filled by walking the staircase in degree order with NF_A(v*s*b) =
+    NF_A(v*NF_A(s*b)) for a variable v, so each product is reduced from an
+    already reduced one.  The row of s holds its image columns (j, e) and a
+    combination column (-1, s) that sorts below them; a row whose reduced
+    lead lands in a (-1, .) column has a zero image, and its combination
+    columns are a kernel row; with no nonzero b every row is one.  The
+    reduced basis is read off C's and the kernel (`_extend_basis`).
     """
     from .staircase import staircase_normalize, standard_monomials
 
     fld = A.field
     top = A.groebner_basis()
     gb = C.groebner_basis()
-    gens = [b.terms for b in B.generators if not b.is_zero]
+    gens = [b.terms for b in B if not b.is_zero]
     forms: dict = {}     # s -> [NF_A(s*b) for b in gens]
     echelon: dict = {}   # lead column -> augmented row with a nonzero image
-    kernel: list[Polynomial] = []
+    kernel: list[_Term] = []
     for s in standard_monomials(staircase_normalize(gb.leading_exponents())):
         if s == (0, 0):
             prods = gens
@@ -569,10 +652,10 @@ def _colon(A: Ideal, B: Ideal, C: Ideal) -> Ideal:
         if lead[0] >= 0:
             echelon[lead] = row
         else:
-            kernel.append(Polynomial(A.ring, fld, {e: fld.from_int(c) for (_, e), c in row.items()}))
-    basis = Ideal(list(gb) + kernel).groebner_basis()
+            kernel.append({e: c for (_, e), c in row.items()})
+    basis = GroebnerBasis(A.ring, fld, GREVLEX, _extend_basis(gb, kernel))
     J = Ideal(list(basis))
-    J._gb_cache[basis.order] = basis  # already reduced: no second Buchberger run
+    J._gb_cache[GREVLEX] = basis  # already reduced: no Buchberger run
     return J
 
 
@@ -584,7 +667,7 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     if all(f.is_zero for f in J.generators):
         raise ZeroDivisorIdeal("colon by the zero ideal")
     colength(I)  # raises outside k[x,y] and for infinite colength
-    return _colon(I, J, I)
+    return _colon(I, J.generators, I)
 
 
 def colength(I: Ideal) -> int:

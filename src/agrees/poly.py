@@ -73,10 +73,21 @@ def mono_deg(a: Exponent) -> int:
 
 # -- monomial orders ---------------------------------------------------------
 
+_ORDER_KEYS: dict = {}  # (order, ring) -> the order's key function on ring
+
+
 class MonomialOrder:
     """Total multiplicative order on exponent tuples of a fixed ring."""
 
     def key(self, ring: Ring) -> Callable[[Exponent], object]:
+        """The order's sort key on ring's exponents: one function per equal
+        (order, ring), built once, so a caller may ask for it per call."""
+        k = _ORDER_KEYS.get((self, ring))
+        if k is None:
+            k = _ORDER_KEYS[(self, ring)] = self._build_key(ring)
+        return k
+
+    def _build_key(self, ring: Ring) -> Callable[[Exponent], object]:
         raise NotImplementedError
 
 
@@ -105,7 +116,7 @@ def _degree_overflow(e: Exponent) -> DegreeOverflow:
 
 @dataclass(frozen=True)
 class _Grevlex(MonomialOrder):
-    def key(self, ring):
+    def _build_key(self, ring):
         n = ring.arity
         weights = _grevlex_weights(n)
         # the key reaches (B - 1) * B^n exactly when deg(e) >= B: below, it
@@ -126,7 +137,7 @@ class _Grevlex(MonomialOrder):
 
 @dataclass(frozen=True)
 class _Lex(MonomialOrder):
-    def key(self, ring):
+    def _build_key(self, ring):
         return lambda e: e
 
     def __repr__(self):
@@ -146,7 +157,7 @@ class BlockElimination(MonomialOrder):
 
     front: tuple[str, ...]
 
-    def key(self, ring):
+    def _build_key(self, ring):
         fidx = [ring.index(v) for v in self.front]
         bidx = [i for i in range(ring.arity) if i not in fidx]
         shift = _DIGIT_BITS * (len(bidx) + 1)

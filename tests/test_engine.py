@@ -260,6 +260,37 @@ def test_colon_matches_reference_on_vertex_splits(field):
     assert checked >= 16
 
 
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_colon_walks_only_the_generators_q_leaves(field, monkeypatch):
+    # canonical_colon hands _colon only the generators of I outside Q + m*I,
+    # and J is still the reference colon: on the flagship and the boundary
+    # twin (mu(I) = 4, so two generators are walked), and on a twin with
+    # mu(I) = 2, where Q covers every generator and J = (1)
+    walked = []
+    real = engine._colon
+
+    def record(A, gens, C):
+        walked.append(len(gens))
+        return real(A, gens, C)
+
+    monkeypatch.setattr(engine, "_colon", record)
+    for exps, c, n_walked in (
+            (family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}),
+             Fraction(1, 3), 2),
+            ([(3, 0), (2, 3), (1, 4), (0, 5)], 2, 2),
+            ([(2, 0), (0, 3)], 2, 0)):
+        I = coordinate_twin(exps, c, field)
+        red = find_reduction(I)
+        assert red.stable
+        Q = Ideal(list(red.Q))
+        walked.clear()
+        J = canonical_colon(I, Q, stable=True)
+        assert walked == [n_walked]
+        assert J.generators == _reference_colon(I, Q).generators
+        if not n_walked:
+            assert [str(g) for g in J.generators] == ["1"]
+
+
 def test_colon_of_infinite_colength_raises():
     from agrees.errors import NotZeroDimensional
 
@@ -276,7 +307,10 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     # spaces; the colon's J carries its reduced basis, so no run starts from
     # an earlier run's output.  verify_witness, the exact re-check of a
     # certificate, finds the bases of m*IJ and m^2*J that the witness spaces
-    # built, so no basis is built twice, verification included
+    # built, so no basis is built twice, verification included.  The colon
+    # reads J's reduced basis off its kernel and runs no Buchberger, so the
+    # flagship makes 8 runs in all and the boundary twin 6, one fewer each
+    # than a colon that ran Buchberger on gb(I) + kernel
     from agrees import groebner
     from test_groebner import _monic_values
 
@@ -285,15 +319,16 @@ def test_classify_builds_no_basis_twice(monkeypatch):
 
     m = maximal_ideal(BASE_RING, QQ)
     cases = []
-    for I, expected in (
+    for I, expected, runs in (
             (coordinate_twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}),
-                             Fraction(1, 3), QQ), Verdict.NOT_AG),
-            (coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ), Verdict.AG_CERTIFIED)):
+                             Fraction(1, 3), QQ), Verdict.NOT_AG, 8),
+            (coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ), Verdict.AG_CERTIFIED, 6)):
         shared = [key(p.terms for p in ideal_product(A, I).groebner_basis()) for A in (m, I)]
-        cases.append((I, expected, shared))
+        cases.append((I, expected, runs, shared))
 
     inputs, outputs = [], []
     real = groebner._buchberger
+    real_colon = engine._colon
 
     def record(polys, keyf, field, *args, **kwargs):
         out = real(polys, keyf, field, *args, **kwargs)
@@ -301,11 +336,20 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         outputs.append(key(_monic_values(out, keyf, field)))
         return out
 
+    def colon(A, gens, C):
+        A.groebner_basis(), C.groebner_basis()  # the walk's own inputs
+        before = len(inputs)
+        J = real_colon(A, gens, C)
+        assert len(inputs) == before
+        return J
+
     monkeypatch.setattr(groebner, "_buchberger", record)
-    for I, expected, shared in cases:
+    monkeypatch.setattr(engine, "_colon", colon)
+    for I, expected, runs, shared in cases:
         inputs.clear()
         outputs.clear()
         assert classify(I).verdict is expected
+        assert len(inputs) == runs
         assert inputs and len(set(inputs)) == len(inputs)
         assert not any(basis in outputs[:k] for k, basis in enumerate(inputs))
         # nor is a basis of m*I or I^2 built again from another generator list

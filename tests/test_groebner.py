@@ -244,6 +244,14 @@ def _random_terms(rng, field, arity, n_terms, max_exp, proper=False):
     return {e: c for e, c in terms.items() if c != field.zero}
 
 
+def _integer_entry(terms, keyf, field):
+    """`groebner._entry` of a copy of field values, cleared to an integer
+    row first, as `_buchberger` enters its inputs."""
+    row = dict(terms)
+    field.clear(row)
+    return groebner._entry(row, keyf, field)
+
+
 def _field_values(terms, field):
     """Are all values field elements in canonical form (over q an int when
     integral and a Fraction otherwise, never a float; over fp an int in
@@ -274,7 +282,7 @@ def test_nf_dict_matches_reference(names, order):
                         lm = max(terms, key=keyf)
                         divisors.append((lm, terms[lm], terms))
                 p = _random_terms(rng, field, len(names), rng.randint(1, 8), 6, proper)
-                entries = [groebner._entry(t, keyf, field) for _, _, t in divisors]
+                entries = [_integer_entry(t, keyf, field) for _, _, t in divisors]
                 got = _nf_dict(p, entries, keyf, field)
                 assert got == _reference_nf(p, divisors, keyf, field)
                 assert _field_values(got, field)
@@ -306,7 +314,7 @@ def test_nf_dict_remainders_are_canonical(field):
                 if t:
                     if not proper:
                         t[max(t, key=keyf)] = field.one
-                    entries.append(groebner._entry(t, keyf, field))
+                    entries.append(_integer_entry(t, keyf, field))
             p = _random_terms(rng, field, 2, rng.randint(1, 8), 6, proper)
             got = _nf_dict(p, entries, keyf, field)
             assert _field_values(got, field)
@@ -314,6 +322,41 @@ def test_nf_dict_remainders_are_canonical(field):
                 assert all(type(c) is int for c in got.values())
             kinds.update(type(c) for c in got.values())
     assert kinds == ({int, Fraction} if field == QQ else {int})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_integer_remainders_are_positive_multiples_of_the_normal_form(field):
+    """Given a run's `_Keys`, `_nf_dict` takes an integer row and returns one:
+    a positive multiple of the remainder it returns as field values (the
+    same remainder over fp, whose leads are monic), on the same terms."""
+    rng = random.Random(71)
+    keyf = GREVLEX.key(Ring(("x", "y", "z")))
+    scaled = 0
+    for proper in (False, True):
+        for _ in range(40):
+            entries = [_integer_entry(t, keyf, field)
+                       for t in (_random_terms(rng, field, 3, rng.randint(1, 4), 3, proper)
+                                 for _ in range(rng.randint(1, 4))) if t]
+            p = _random_terms(rng, field, 3, rng.randint(1, 8), 6, proper)
+            row = dict(p)
+            unit = field.clear(row)
+            want = _nf_dict(p, entries, keyf, field)
+            keys = groebner._Keys(keyf)
+            got = _nf_dict(row, entries, keyf, field, keys)
+            assert got.keys() == want.keys()
+            assert all(type(c) is int for c in got.values())
+            if not got:
+                continue
+            # got * unit / lam == want for one lam > 0
+            lm = max(got, key=keyf)
+            lam = field.div(field.mul(got[lm], unit), want[lm])
+            assert all(field.mul(c, unit) == field.mul(lam, want[m]) for m, c in got.items())
+            if field == QQ:
+                assert lam > 0
+                scaled += lam != unit
+            else:
+                assert got == want
+    assert field != QQ or scaled
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
@@ -589,7 +632,7 @@ def test_colon_matches_the_reference_on_twins(field):
             continue
         T = Ideal(list(red.Q) + list(ideal_product(I, I).groebner_basis()))
         got = _assert_colon_is_the_reference(T, I)
-        assert _colon(T, I, I).generators == got.generators
+        assert _colon(T, I.generators, I).generators == got.generators
         checked += 1
     assert checked >= 5
 
@@ -612,6 +655,60 @@ def test_colon_needs_a_finite_colength_numerator():
     A = Ideal([Polynomial.variable(ring, QQ, v) for v in ring.vars])
     with pytest.raises(NotZeroDimensional):
         ideal_colon(A, A)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_extend_basis_is_the_buchberger_basis(field, seed):
+    """J's basis read off the kernel (`_extend_basis`) is the entries of
+    Buchberger's reduced basis of gb(C) + kernel, for the kernels `_colon`
+    finds on seeded (A, B, C): the public colon (C = A) of a twin by a few
+    random polynomials, A : A, where every row is kernel and J = (1), and
+    the engine's colon (T, B, I) of a twin with the pair find_reduction
+    picks."""
+    from agrees.engine import canonical_colon, find_reduction
+    from agrees.families import coordinate_twin
+    from agrees.repro import random_staircase
+
+    rng = random.Random(seed)
+    calls = []
+    real = groebner._extend_basis
+
+    def record(gb, kernel):
+        entries = real(gb, kernel)
+        calls.append((gb, kernel, entries))
+        return entries
+
+    A = coordinate_twin(random_staircase(rng, 5, 3).gens, rng.choice([2, -1, Fraction(1, 3)]),
+                        field)
+    B = [Polynomial(BASE_RING, field, t)
+         for t in (_random_terms(rng, field, 2, rng.randint(1, 3), 3)
+                   for _ in range(rng.randint(1, 3))) if t]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_extend_basis", record)
+        if B:
+            ideal_colon(A, Ideal(B))
+        ideal_colon(A, A)
+        red = find_reduction(A)
+        if red.stable:
+            canonical_colon(A, Ideal(list(red.Q)), stable=True)
+    assert calls
+    for gb, kernel, entries in calls:
+        polys = [Polynomial(BASE_RING, field, {e: field.from_int(c) for e, c in row.items()})
+                 for row in kernel]
+        assert entries == Ideal(list(gb) + polys).groebner_basis()._lead_data
+        # only the span counts: rows mixed by a unit triangular matrix, no
+        # longer an echelon, give the same basis
+        mixed = []
+        for i, row in enumerate(kernel):
+            mix = dict(row)
+            for other in kernel[i + 1:]:
+                groebner._sub_scaled(mix, other, rng.randint(-3, 3), field)
+            mixed.append(mix)
+        assert real(gb, mixed) == entries
+    # A : A: the kernel is all of R/A and J = (1)
+    assert calls[-2 if red.stable else -1][2] == [((0, 0), 1, {(0, 0): 1})]
 
 
 # -- colength, min_gens, order ---------------------------------------------------
@@ -906,7 +1003,7 @@ def test_spoly_matches_reference():
                     for _ in range(2))
             if not (f and g):
                 continue
-            ef, eg = groebner._entry(f, keyf, field), groebner._entry(g, keyf, field)
+            ef, eg = _integer_entry(f, keyf, field), _integer_entry(g, keyf, field)
             L = mono_lcm(ef[0], eg[0])
             got = groebner._spoly(ef, eg, L, field)
             want = _reference_spoly(_reference_monic_entry(f, keyf, field),
@@ -991,6 +1088,48 @@ def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
                 elements = GroebnerBasis(ring, field, order, entries).elements
                 assert [p.terms for p in elements] == want
                 assert all(_field_values(p.terms, field) for p in elements)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_buchberger_keeps_integer_rows_and_keys_each_monomial_once(field, monkeypatch):
+    """After clearing its inputs a run makes no field value: every
+    reduction hands `_nf_dict` the run's keys and gets an integer row back,
+    `field.clear` runs once per nonzero input, and each monomial is keyed
+    once, in runs over the grevlex and block orders."""
+    cleared, remainders, keyed = [], [], []
+    real_clear, real_nf = type(field).clear, groebner._nf_dict
+
+    def clear(self, row):
+        cleared.append(1)
+        return real_clear(self, row)
+
+    def nf(p, basis, keyf, fld, keys=None):
+        assert keys is not None and all(type(c) is int for c in p.values())
+        out = real_nf(p, basis, keyf, fld, keys)
+        remainders.append(out)
+        return out
+
+    monkeypatch.setattr(type(field), "clear", clear)
+    monkeypatch.setattr(groebner, "_nf_dict", nf)
+    rng = random.Random(97)
+    ring = Ring(("x", "y", "z"))
+    for order in (GREVLEX, BlockElimination(front=("x",))):
+        keyf = order.key(ring)
+
+        def counted(m):
+            keyed.append(m)
+            return keyf(m)
+
+        for proper in (False, True):
+            for _ in range(3):
+                inputs = [dict(g.terms) for g in _random_generators(rng, ring, field, proper)]
+                del cleared[:], remainders[:], keyed[:]
+                entries = _buchberger(inputs, counted, field)
+                assert len(cleared) == sum(1 for p in inputs if p)
+                assert remainders and all(type(c) is int for r in remainders for c in r.values())
+                assert len(keyed) == len(set(keyed))
+                assert _monic_values(entries, keyf, field) == _reference_buchberger(
+                    inputs, keyf, field)
 
 
 def _checked_update_pairs(monkeypatch):

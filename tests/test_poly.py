@@ -162,6 +162,21 @@ def test_integer_keys_order_as_the_tuple_keys_up_to_2_to_the_32(arity):
                 assert _sign(key(a), key(b)) == _sign(ref_key(a), ref_key(b))
 
 
+def test_an_order_key_is_built_once_per_order_and_ring():
+    """`order.key(ring)` hands back one function per equal (order, ring):
+    equal block orders share it, other rings and orders get their own."""
+    ring = rees_ring(2)
+    assert GREVLEX.key(ring) is GREVLEX.key(ring)
+    assert GREVLEX.key(Ring(ring.vars)) is GREVLEX.key(ring)
+    assert GREVLEX.key(BASE_RING) is not GREVLEX.key(ring)
+    block = BlockElimination(front=("t",)).key(ring)
+    assert BlockElimination(front=("t",)).key(ring) is block
+    assert BlockElimination(front=("T1",)).key(ring) is not block
+    assert LEX.key(ring) is LEX.key(ring) and LEX.key(ring) is not GREVLEX.key(ring)
+    e = (1, 0, 2, 0, 1)
+    assert block(e) == reference_block_value(ring, ("t",))(e)
+
+
 def test_project_rejects_a_dropped_slot():
     ring = Ring(("u", "x", "y"))
     u, x = (Polynomial.variable(ring, QQ, v) for v in ("u", "x"))
