@@ -305,10 +305,10 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     localization are equal.  The walk multiplies only by B, the generators
     of I left by Q's in a Nakayama prune against m*I (`_nakayama_prune`,
     Q's generators first): Q + B = I locally and Q lies in T, so T : B and
-    T : I are m-primary with one localization.  `stable`, when the caller already
-    knows it, skips recomputing I^2 = QI.  I is contracted iff mu(I) =
-    o(I) + 1; I^2 and m*I, hence mu(I), come from `_mul`'s cache, so the
-    reduction search has built them already.
+    T : I are m-primary with one localization.  `stable`, when the caller
+    already knows it, skips recomputing I^2 = QI.  I is contracted iff
+    mu(I) = o(I) + 1; I^2 and m*I, hence mu(I), come from `_mul`'s cache,
+    so the reduction search has built them already.
     """
     if not (is_stable(I, Q) if stable is None else stable):
         raise NotStable("the canonical colon needs I^2 = QI")

@@ -763,8 +763,8 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
     Every a in S is a constant plus an element of (vars), and the kept ones
     lie in L = (gens), so (kept) + N = span_k(kept) + N: g is redundant iff
     NF_N(g) lies in span_k(NF_N(kept)).  One reduced basis of N serves every
-    candidate; the span is an echelon of the kept normal forms, one row per
-    leading monomial.  `N`, when the caller already built that ideal, is used
+    candidate, through `GroebnerBasis.reduce`; the span is an echelon of the
+    kept normal forms, one row per leading monomial.  `N`, when the caller already built that ideal, is used
     in place of a new one.  Otherwise N's basis is built here, bounded by
     `max_weight` as in `_buchberger`; the prune stays exact for
     weight-homogeneous gens that weigh no more than the bound.
@@ -773,18 +773,16 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
         return []
     ring, field = gens[0].ring, gens[0].field
     if N is None:
-        keyf = GREVLEX.key(ring)
-        lead_data = _buchberger([(Polynomial.variable(ring, field, v) * g).terms
-                                 for v in ring.vars for g in gens],
-                                keyf, field, max_weight=max_weight)
+        gb = GroebnerBasis(ring, field, GREVLEX, _buchberger(
+            [(Polynomial.variable(ring, field, v) * g).terms for v in ring.vars for g in gens],
+            GREVLEX.key(ring), field, max_weight=max_weight))
     else:
         gb = N.groebner_basis()
-        keyf, lead_data = gb._key, gb._lead_data
     rows: dict[Exponent, _Term] = {}
     kept: list[Polynomial] = []
     for g in sorted(gens, key=key):
-        r = _nf_dict(g.terms, lead_data, keyf, field)
-        lm = _echelon_reduce(r, rows, keyf, field)
+        r = gb.reduce(g.terms)
+        lm = _echelon_reduce(r, rows, gb._key, field)
         if lm is not None:
             rows[lm] = r
             kept.append(g)
