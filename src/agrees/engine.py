@@ -5,12 +5,13 @@ quotients by m-primary ideals, and every rank, kernel and span test is one
 sparse echelon (`groebner._echelon_reduce`) over normal forms keyed by
 monomial, each taken modulo one reduced basis by `GroebnerBasis.reduce`.
 The pipeline: find a 2-generated reduction Q of I (a rank in
-I^(r+1)/m*I^(r+1); Q may vanish away from the origin), require stability
-(I^2 = QI), read everything off the local colon ideal J = Q : I (a kernel
-on R/I, `groebner._colon`: I^2 = QI lies in Q locally, so T = Q + I^2 is
-the origin component of Q and J/I is the kernel of f -> (f*a mod T) over
-the generators a of I),
-then either certify with a witness triple (f, g, h) satisfying
+I^(r+1)/m*I^(r+1), or for a monomial I with r <= 1 a count of lengths; Q
+may vanish away from the origin), require stability (I^2 = QI), read
+everything off the local colon ideal J = Q : I (a kernel on R/I,
+`groebner._colon`: I^2 = QI lies in Q locally, so T = Q + I^2 is the origin
+component of Q and J/I is the kernel of f -> (f*a mod T) over the
+generators a of I), then either certify with a witness triple (f, g, h)
+satisfying
 
     IJ = gJ + Ih    and    mJ = fJ + mh,
 
@@ -60,6 +61,7 @@ from .staircase import (
     ideal_of_staircase,
     mono_colength,  # unused here; perfbench/tracing.py binds engine.mono_colength
     newton_closure,
+    newton_multiplicity,
     staircase_colon,
     staircase_normalize,  # unused here; perfbench/tracing.py binds engine.staircase_normalize
     staircase_of_ideal,
@@ -225,18 +227,43 @@ def _reduction_number(I: Ideal, Q: Ideal, cap: int | None) -> int | None:
     return None
 
 
+def _stable_reduction_number(I: Ideal, stair: Staircase) -> int | None:
+    """r_Q(I) for a monomial m-primary I and its Newton pair Q when r <= 1,
+    else None, by lengths alone (see `find_reduction`): 0 iff
+    colength(I) = e(I), 1 iff colength(I^2) = e(I) + 2*colength(I), with
+    I^2 from `_mul`'s cache."""
+    e, ell = newton_multiplicity(stair), colength(I)
+    if ell == e:
+        return 0
+    if colength(_power(I, 2)) == e + 2 * ell:
+        return 1
+    return None
+
+
 def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
     """Find a two-generated reduction Q of I in k[x,y]_(x,y) and its
-    reduction number, decided by `_reduction_number`'s local rank test.
+    reduction number.
 
     A monomial ideal gets one pair: Q = (x^a, y^b) when those pure powers
     dominate the Newton polygon, else the even/odd split of the polygon's
     vertices.  On every edge of the polygon each member of the split has a
     single term, so the pair is Newton non-degenerate and hence a reduction.
-    Its reduction number is therefore searched with no cap.  Other ideals
-    try seeded sparse combinations of their generators.  Every draw is
-    tested for r <= 1 before any is tested up to `_REDUCTION_CAP`, so a
-    pair with r <= 1 is found before any pair builds I^3 and beyond.
+    Its reduction number up to 1 is read off colengths
+    (`_stable_reduction_number`):
+    1. Q is a minimal reduction, so l(R/Q) = e(I), twice the area under the
+       Newton polygon (Kouchnirenko 1976; `newton_multiplicity`); hence
+       I = Q iff l(R/I) = e(I).
+    2. Q is a parameter ideal, so Q/QI = (R/I)^2 and
+       l(R/QI) = e(I) + 2 l(R/I).
+    3. QI lies in I^2, so I^2 = QI iff l(R/I^2) = e(I) + 2 l(R/I)
+       (Huneke 1987, Ooishi 1987).
+    Only when both fail (r >= 2) is r searched, with no cap, by
+    `_reduction_number`'s local rank test.
+
+    Other ideals try seeded sparse combinations of their generators, each
+    decided by that rank test.  Every draw is tested for r <= 1 before any
+    is tested up to `_REDUCTION_CAP`, so a pair with r <= 1 is found before
+    any pair builds I^3 and beyond.
     """
     ring, fld = I.ring, I.field
     stair = staircase_of_ideal(I)
@@ -247,36 +274,34 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
         else:
             pts = hull_vertices(stair.gens)
         monos = [Polynomial.monomial(ring, fld, e) for e in pts]
-        pairs = [Ideal([sum(monos[2::2], monos[0]), sum(monos[3::2], monos[1])])]
-        cap = None
-    else:
-        rng = random.Random(derive_seed(seed, "reduction"))
-        gens = [g for g in I.generators if not g.is_zero]
+        Q = Ideal([sum(monos[2::2], monos[0]), sum(monos[3::2], monos[1])])
+        r = _stable_reduction_number(I, stair)
+        if r is None:
+            r = _reduction_number(I, Q, None)
+        return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
 
-        def menu() -> int:
-            pick = rng.randrange(6)
-            return (0, 0, 1, -1, 2, rng.randint(3, 99))[pick]
+    rng = random.Random(derive_seed(seed, "reduction"))
+    gens = [g for g in I.generators if not g.is_zero]
 
-        def combo() -> Polynomial:
-            return sum((g.scale(fld.from_int(menu())) for g in gens), Polynomial.zero(ring, fld))
+    def menu() -> int:
+        pick = rng.randrange(6)
+        return (0, 0, 1, -1, 2, rng.randint(3, 99))[pick]
 
-        def draws():
-            for _ in range(_REDUCTION_PAIRS):
-                q1, q2 = combo(), combo()
-                if not (q1.is_zero or q2.is_zero):
-                    yield Ideal([q1, q2])
-
-        pairs = draws()  # lazily: the first draw is usually a stable reduction
-        cap = _REDUCTION_CAP
+    def combo() -> Polynomial:
+        return sum((g.scale(fld.from_int(menu())) for g in gens), Polynomial.zero(ring, fld))
 
     tried: list[Ideal] = []
-    for Q in pairs:
+    for _ in range(_REDUCTION_PAIRS):  # the first draw is usually a stable reduction
+        q1, q2 = combo(), combo()
+        if q1.is_zero or q2.is_zero:
+            continue
+        Q = Ideal([q1, q2])
         r = _reduction_number(I, Q, 1)
         if r is not None:
             return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
         tried.append(Q)
     for Q in tried:
-        r = _reduction_number(I, Q, cap)
+        r = _reduction_number(I, Q, _REDUCTION_CAP)
         if r is not None:
             return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
     raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(tried)} pairs")
@@ -308,7 +333,7 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     T : I are m-primary with one localization.  `stable`, when the caller
     already knows it, skips recomputing I^2 = QI.  I is contracted iff
     mu(I) = o(I) + 1; I^2 and m*I, hence mu(I), come from `_mul`'s cache,
-    so the reduction search has built them already.
+    so classify's mu(I) and reduction search have built them already.
     """
     if not (is_stable(I, Q) if stable is None else stable):
         raise NotStable("the canonical colon needs I^2 = QI")

@@ -63,7 +63,7 @@ class NoReductionFound(AgreesError):
 
 
 class BadParameters(AgreesError):
-    """Family parameters violate the family's constraints."""
+    """Survey or family parameters are invalid."""
 
 
 class UnknownCheckId(AgreesError):

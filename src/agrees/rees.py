@@ -27,9 +27,11 @@ mu_2 >= dim P_2 = C(s+1, 2) - mu(I^2).  So when the bound D = r + 1 is
 proven, mu(I) = s and the bounded basis has exactly s - 1 elements of
 T-degree 1 and, for D = 2, exactly C(s+1, 2) - mu(I^2) of T-degree 2, it is
 already minimal.  mu(I) and mu(I^2) are `engine._mu`'s, read off the
-products m*I, I^2 and m*I^2 that the reduction search behind the bound built
-in `engine._mul`'s cache.  Everywhere else (no
-bound, a redundant input generator, or a count above those numbers) the
+products m*I, I^2 and m*I^2 in `engine._mul`'s cache: for a non-monomial I
+the reduction search behind the bound built them; for a monomial I they are
+staircase products and the bound is read off lengths, so after `classify`
+the elimination is the presentation's only Buchberger run.  Everywhere else
+(no bound, a redundant input generator, or a count above those numbers) the
 prune runs: one basis of (x, y, T_1..T_s) * K, then one normal form per
 candidate (see `groebner._nakayama_prune`).  Both paths return the basis
 sorted by the prune's key, so a certified basis is the tuple, in the order,
@@ -114,8 +116,7 @@ def _relation_type_bound(I: Ideal) -> int | None:
 def _minimal_by_count(t_free: list[Polynomial], s: int, bound: int, I: Ideal) -> bool:
     """Whether the bounded t-free basis of I is minimal by the counting
     certificate in the module docstring.  mu(I) and mu(I^2) are
-    `engine._mu`'s; with the bound proven, the reduction search has built
-    the products they read already."""
+    `engine._mu`'s, off products in `engine._mul`'s cache."""
     if engine._mu(I) != s:
         return False
     want = Counter({1: s - 1})

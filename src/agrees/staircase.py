@@ -6,6 +6,10 @@ staircase once (`Ideal.staircase`) and keeps it; `groebner` answers a
 monomial ideal's colength and normal forms from it.  Integral closure is computed
 on the Newton polygon with integer arithmetic only: a lattice point belongs
 to the closure exactly when it sits on or above every lower-boundary edge.
+The multiplicity e(I) is twice the area under that polygon
+(`newton_multiplicity`), so with colengths it decides the reduction number
+of the engine's Newton pair Q up to 1: I^2 = QI iff
+colength(I^2) = e(I) + 2*colength(I) (see `engine.find_reduction`).
 """
 
 from __future__ import annotations
@@ -125,6 +129,15 @@ def hull_vertices(points: Sequence[Pair]) -> list[Pair]:
                 break
         hull.append(p)
     return hull
+
+
+def newton_multiplicity(s: Staircase) -> int:
+    """e(I) of an m-primary monomial ideal: twice the area under its Newton
+    polygon (Kouchnirenko), the shoelace sum over the hull's vertices closed
+    through the origin, whose own terms vanish."""
+    _require_primary(s)
+    hull = hull_vertices(s.gens)
+    return sum(x2 * y1 - x1 * y2 for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
 
 
 def newton_closure(s: Staircase) -> Staircase:

@@ -7,6 +7,7 @@ identical to --jobs 1.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
@@ -105,11 +106,17 @@ def classify_tuple(task) -> SurveyRow:
 
 def run_survey(family: str, ranges: dict[str, range], *, seed: int,
                field_config: str, jobs: int = 1) -> tuple[list[SurveyRow], int]:
-    """Classify every valid tuple; rows come back sorted by parameter tuple."""
+    """Classify every valid tuple; rows come back sorted by parameter tuple.
+
+    At most `jobs` worker processes run, and never more than there are
+    tuples or CPUs: a pool may start all its workers at the first submit."""
+    if jobs < 1:
+        raise BadParameters(f"jobs must be at least 1, got {jobs}")
     tuples, skipped = expand_tuples(family, ranges)
     tasks = [(family, values, seed, field_config) for values in tuples]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(classify_tuple, tasks))
     else:
         rows = [classify_tuple(t) for t in tasks]

@@ -171,6 +171,14 @@ def test_survey_out_file(tmp_path):
     assert "remark43,m=4,NOT_AG" in content
 
 
+def test_survey_jobs_below_one_exit_two():
+    for jobs in ("0", "-3"):
+        out = run_cli("survey", "--family", "power-order", "--m", "2", "--n", "2..4",
+                      "--jobs", jobs)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "jobs must be at least 1" in out.stderr
+
+
 def test_survey_missing_range_exit_two():
     assert run_cli("survey", "--family", "three-gen", "--n", "3..5").returncode == 2
     assert run_cli("survey", "--family", "three-gen", "--n", "bad",

@@ -28,6 +28,7 @@ from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
     Ideal,
     _contains_all,
+    colength,
     ideal_colon,
     ideal_equal,
     ideal_pow,
@@ -133,6 +134,66 @@ def test_reduction_number_matches_products_on_twins():
         assert r == _reference_reduction_number(I, Q, 3), S
         seen.add(r)
     assert None in seen and 1 in seen
+
+
+def _newton_pair(I):
+    """The Newton pair find_reduction picks for a monomial I, with its kind."""
+    Q = Ideal(list(find_reduction(I).Q))
+    return Q, all(q.is_monomial for q in Q.generators)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lengths_decide_r_as_the_rank_test(field, seed):
+    # the length identity's r <= 1 answer is the rank test's, on pure-power
+    # pairs and vertex splits alike; e(I) is the colength of Q's origin
+    # component Q + m^e (m^k with k < e can undercount it)
+    from agrees.repro import random_staircase
+    from agrees.staircase import ideal_of_staircase, newton_multiplicity
+
+    rng = random.Random(seed)
+    for _ in range(4):
+        S = random_staircase(rng, 6, 4)
+        I = ideal_of_staircase(S, BASE_RING, field)
+        Q, _ = _newton_pair(I)
+        assert engine._stable_reduction_number(I, S) == engine._reduction_number(I, Q, 1), S
+        e = newton_multiplicity(S)
+        m_e = [Polynomial.monomial(BASE_RING, field, (i, e - i)) for i in range(e + 1)]
+        assert e == colength(Ideal(list(Q.generators) + m_e)), S
+
+
+@pytest.mark.parametrize("text,r,pure", [
+    ("x^3, y^6", 0, True),
+    (("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}), 1, False),
+    ("x^4, x^3 y, y^4", 3, True),
+])
+def test_lengths_pin_r(text, r, pure, monkeypatch):
+    # r = 0 and r = 1 come from lengths alone; r >= 2 still from the rank loop
+    I = ideal(text) if isinstance(text, str) else make_family(*text)
+    Q, monomial = _newton_pair(I)
+    assert monomial is pure
+    calls = []
+    real = engine._reduction_number
+
+    def record(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_reduction_number", record)
+    assert find_reduction(I).reduction_number == r
+    assert calls == ([] if r <= 1 else [None])
+    assert real(I, Q, None) == r
+
+
+def test_classify_of_a_stable_monomial_ideal_runs_no_rank_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "_reduction_number", lambda *args: calls.append(args))
+    for text in ("x^3, x^2 y^3, x y^5, y^6", "x^3, y^6"):
+        assert classify(ideal(text)).reduction.stable
+    rep = classify(make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}, field=FP))
+    assert rep.verdict is Verdict.AG_CERTIFIED
+    assert calls == []
 
 
 # the x -> x+2y twins of remark43 and the refuter numbers (min_sum, threshold)

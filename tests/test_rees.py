@@ -298,3 +298,36 @@ def test_a_redundant_generator_is_never_certified():
     T1 = Polynomial.variable(presentation_ring(4), QQ, "T1")
     counted = [T1] * 3 + [T1 * T1] * (10 - engine._mu(engine._power(I, 2)))
     assert not rees._minimal_by_count(counted, 4, 2, I)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+@pytest.mark.parametrize("I", [
+    "x^3, y^6",
+    "x^3, x^2 y^3, x y^5, y^6",
+    ("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}),  # a vertex split
+    ("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}),  # NOT_AG
+], ids=["r0", "r1", "co3-6-2-3", "co3-6-3-5"])
+def test_presentation_after_classify_runs_only_its_elimination(I, field, monkeypatch):
+    # a monomial I's bound is read off lengths, and mu(I), mu(I^2) off
+    # staircase products: after classify(I) the presentation makes no rank
+    # test and runs Buchberger once, on its own elimination
+    I = ideal(I, field) if isinstance(I, str) else make_family(*I, field=field)
+    engine.classify(I)
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+
+    spy(engine, "_reduction_number")
+    spy(groebner, "_buchberger")
+    spy(rees, "_buchberger")
+    spy(rees, "_nakayama_prune")
+    pres = rees_defining_ideal(I)
+    assert calls == ["agrees.rees._buchberger"]
+    assert substitution_check(I, pres)

@@ -1,7 +1,10 @@
 """Survey expansion, workers, and the product-family probe."""
 
+import os
+
 import pytest
 
+from agrees import survey
 from agrees.errors import BadParameters
 from agrees.survey import classify_tuple, expand_tuples, parse_range, run_survey
 
@@ -57,3 +60,42 @@ def test_rows_deterministic_for_fixed_seed():
     a, _ = run_survey(spec[0], spec[1], seed=5, field_config="fp:2147483647", jobs=1)
     b, _ = run_survey(spec[0], spec[1], seed=5, field_config="fp:2147483647", jobs=2)
     assert a == b
+
+
+def test_jobs_are_capped_by_tuples_and_cpus(monkeypatch):
+    # a pool may start every worker at its first submit, so --jobs is capped
+    # by the tuple count and the CPU count; the pool is a stand-in that
+    # records its size and maps in this process, so no worker is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+    spec = ("power-order", {"m": range(2, 3), "n": range(2, 5)})  # 3 tuples
+
+    def run(jobs, cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rows, _ = run_survey(*spec, seed=0, field_config="fp:2147483647", jobs=jobs)
+        return rows
+
+    serial = run(1, 8)
+    assert len(serial) == 3 and sizes == []
+    assert run(500, 8) == serial and sizes == [3]
+    assert run(500, 2) == serial and sizes == [3, 2]
+    assert run(2, 8) == serial and sizes == [3, 2, 2]
+    assert run(500, None) == serial and sizes == [3, 2, 2]  # one CPU known: no pool
+    for jobs in (0, -4):
+        with pytest.raises(BadParameters):
+            run(jobs, 8)
+    assert sizes == [3, 2, 2]
