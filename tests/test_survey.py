@@ -94,7 +94,7 @@ def test_jobs_are_capped_by_tuples_and_cpus(monkeypatch):
     assert run(500, 8) == serial and sizes == [3]
     assert run(500, 2) == serial and sizes == [3, 2]
     assert run(2, 8) == serial and sizes == [3, 2, 2]
-    assert run(500, None) == serial and sizes == [3, 2, 2]  # one CPU known: no pool
+    assert run(500, None) == serial and sizes == [3, 2, 2]  # CPU count unknown: one worker, no pool
     for jobs in (0, -4):
         with pytest.raises(BadParameters):
             run(jobs, 8)
