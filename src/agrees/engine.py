@@ -172,7 +172,7 @@ def _rank(rows: list[dict], fld) -> int:
     zero = fld.zero
     for row in rows:
         r = {col: v for col, v in row.items() if v != zero}
-        lead = _echelon_reduce(r, echelon, None, fld)
+        lead = _echelon_reduce(r, echelon, fld)
         if lead is not None:
             echelon[lead] = r
     return len(echelon)
@@ -204,9 +204,11 @@ def _min_gens(P: Ideal) -> list[Polynomial]:
     return minimal_generators(P, _mul(maximal_ideal(P.ring, P.field), P))
 
 
-def _reduction_number(I: Ideal, Q: Ideal, cap: int | None) -> int | None:
+def _reduction_number(I: Ideal, Q: Ideal, cap: int | None, start: int = 0) -> int | None:
     """Minimal r <= cap (any r when cap is None) with I^{r+1} = Q I^r in
     k[x,y]_(x,y); Q <= I is assumed, and Q must be a reduction when cap is None.
+    The search starts at r = `start`, for a caller that has ruled out every
+    smaller r.
 
     Both sides lie between m*I^{r+1} and I^{r+1}, so by Nakayama they agree
     locally iff the classes of q * p (q in Q, p in gens(I^r)) span
@@ -216,8 +218,8 @@ def _reduction_number(I: Ideal, Q: Ideal, cap: int | None) -> int | None:
     built once per ideal and shared by every pair tried and by later stages.
     """
     m = maximal_ideal(I.ring, I.field)
-    gens = [Polynomial.one(I.ring, I.field)]
-    for r in itertools.count() if cap is None else range(cap + 1):
+    gens = _power(I, start).generators if start else [Polynomial.one(I.ring, I.field)]
+    for r in itertools.count(start) if cap is None else range(start, cap + 1):
         power = _power(I, r + 1)
         top = _mul(m, power).groebner_basis()
         rows = [top.reduce((q * p).terms) for q in Q.generators for p in gens]
@@ -257,8 +259,8 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
        l(R/QI) = e(I) + 2 l(R/I).
     3. QI lies in I^2, so I^2 = QI iff l(R/I^2) = e(I) + 2 l(R/I)
        (Huneke 1987, Ooishi 1987).
-    Only when both fail (r >= 2) is r searched, with no cap, by
-    `_reduction_number`'s local rank test.
+    Only when both fail (r >= 2) is r searched, from r = 2 and with no cap,
+    by `_reduction_number`'s local rank test.
 
     Other ideals try seeded sparse combinations of their generators, each
     decided by that rank test.  Every draw is tested for r <= 1 before any
@@ -277,7 +279,7 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
         Q = Ideal([sum(monos[2::2], monos[0]), sum(monos[3::2], monos[1])])
         r = _stable_reduction_number(I, stair)
         if r is None:
-            r = _reduction_number(I, Q, None)
+            r = _reduction_number(I, Q, None, 2)
         return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
 
     rng = random.Random(derive_seed(seed, "reduction"))
@@ -422,10 +424,10 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
     echelon: dict = {}
     for p in parts:
         r = top.reduce(p.terms)
-        lead = _echelon_reduce(r, echelon, None, fld)
+        lead = _echelon_reduce(r, echelon, fld)
         if lead is not None:
             echelon[lead] = r
-    return all(_echelon_reduce(top.reduce(q.terms), echelon, None, fld) is None
+    return all(_echelon_reduce(top.reduce(q.terms), echelon, fld) is None
                for q in ref_min)
 
 

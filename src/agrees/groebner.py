@@ -4,12 +4,21 @@ The engine keeps polynomials as exponent->coefficient dicts and runs classic
 Buchberger with the sugar selection strategy, pruning pairs by the criteria
 of Gebauer and Moeller (1988): the chain criterion, the lcm divisibility
 scan of the new pairs and the coprime leading-term criterion, in one pass
-that computes one lcm per basis element (`_update_pairs`).  Order keys are
-ints (`poly.GREVLEX`, `poly.BlockElimination`), read in a run from one
-`_Keys`, so each monomial is keyed once per run and each pair once, when it
-is added.  A run may be truncated by a weight bound (see `_buchberger`).
-Reduced bases are unique, so every operation here is deterministic for a
-fixed input and order.
+that computes one lcm per basis element (`_update_pairs`).  A run may be
+truncated by a weight bound (see `_buchberger`).  Reduced bases are unique,
+so every operation here is deterministic for a fixed input and order.
+
+Inside the kernels `_nf_dict`, `_spoly`, `_update_pairs`, `_entry`,
+`_buchberger` and `_extend_basis` a monomial is one packed int
+(`poly.Packer`): the order key on top and one bit field per exponent below.
+A lead is `max` of a row's words, a shifted term is `m + shift`, and "lm
+divides m" is `(m - lm) & guard == 0`, so no step builds a tuple or calls
+a key.  A run packs each input monomial once, and `_update_pairs` packs
+each distinct lcm once, computing lcms, degrees and weights on the lead
+tuples it keeps next to the words.  Everything outside the kernels stays on
+exponent tuples: `GroebnerBasis.reduce` packs its input and unpacks the
+remainder, and `elements` and `leading_exponents` unpack.  Only this module
+and `poly` know the packed format.
 
 The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
 rows of plain integers, one kernel for both fields; the field supplies what
@@ -25,8 +34,8 @@ algorithm (Cox-Little-O'Shea).  Inside a kernel a step is native `int`
 arithmetic, reduced modulo `field.modulus` when that is nonzero (over fp),
 with no field method call per term.
 
-A reduced basis is stored in one form, the kernels' entries (lm, lc, row)
-that `_buchberger` returns.  A run clears its inputs once; its S-pair and
+A reduced basis is stored in one form, the kernels' packed entries (lm, lc,
+row) that `_buchberger` returns.  A run clears its inputs once; its S-pair and
 interreduction remainders stay integer rows.  Field values are made again
 only where a value leaves a kernel: the remainder `GroebnerBasis.reduce`
 returns, the monic polynomials `_monic_polynomial` builds once from a
@@ -46,7 +55,7 @@ through Buchberger.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import add, le
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -60,89 +69,69 @@ from .poly import (
     BlockElimination,
     Exponent,
     MonomialOrder,
+    Packer,
     Polynomial,
     Ring,
-    mono_deg,
-    mono_div,
-    mono_divides,
-    mono_mul,
 )
 
 _Term = dict  # exponent tuple -> coefficient
+_Row = dict   # packed word -> integer (or field value, entering `_nf_dict`)
+
+_lead = itemgetter(0)  # an entry's leading word
 
 
-# -- dict-level engine -------------------------------------------------------
+# -- packed-row engine -------------------------------------------------------
 
-def _lead(p: _Term, keyf) -> Exponent:
-    return max(p, key=keyf)
-
-
-class _Keys(dict):
-    """keyf's values, each computed once, when first read: `__getitem__` is
-    keyf keying each monomial once."""
-
-    __slots__ = ("keyf",)
-
-    def __init__(self, keyf):
-        self.keyf = keyf
-
-    def __missing__(self, m):
-        k = self[m] = self.keyf(m)
-        return k
-
-
-def _nf_dict(p: _Term, basis: list, keyf, field, keys: _Keys | None = None) -> _Term:
-    """Full normal form of p against basis entries (lm, lc, row) made by
-    `_entry`: of field values, or, given a Buchberger run's `_Keys` of keyf,
-    of an integer row, returned as an integer row (a positive multiple of
-    the normal form, which the run's `_entry` normalizes).
+def _nf_dict(p: _Row, basis: list, guard: int, field, integral: bool = False) -> _Row:
+    """Full normal form of p, keyed by packed words, against basis entries
+    (lm, lc, row) made by `_entry`: of field values, or, when `integral`, of
+    an integer row, returned as an integer row (a positive multiple of the
+    normal form, which a Buchberger run's `_entry` normalizes).
 
     The work is an integer row (see the module docstring); field values
-    enter as unit * work by `field.clear`.  A step that cancels the leading
-    c of work against an entry with leading integer lc sets work := a * work
+    enter as unit * work by `field.clear`.  The lead is the largest word.  A
+    step's divisor is the first entry in list order whose lm divides it,
+    `(lead - lm) & guard == 0` (`poly.Packer`), and that difference is the
+    shift, added to each word of the entry's row.  A step that cancels the
+    lead's c against the entry's leading integer lc sets work := a * work
     - s * shift * row with (a, s) = `field.cross(c, lc)`, and scales the
-    kept terms by a too.  A step's divisor is the first entry in list order
-    whose leading monomial divides.  Each monomial is keyed once (once per
-    run with `keys`), when first compared for the lead.  Steps are int
-    arithmetic, modulo `field.modulus` when it is nonzero, so a kept integer
-    is the field's canonical value; field values leave as the kept integers
-    times unit / (the product of the a), with no `field.mul` when that is 1
-    (always over fp).
+    kept terms by a too.  Steps are int arithmetic, modulo `field.modulus`
+    when it is nonzero, so a kept integer is the field's canonical value;
+    field values leave as the kept integers times unit / (the product of
+    the a), with no `field.mul` when that is 1 (always over fp).
     """
     work = dict(p)
-    integral = keys is not None
     if not integral:
         unit = field.clear(work)
-        keys = _Keys(keyf)
-    key = keys.__getitem__
-    rem: _Term = {}
+    rem: _Row = {}
     den = 1
     mod = field.modulus
     while work:
-        lm = max(work, key=key)
+        lm = max(work)
         c = work.pop(lm)
-        for blm, blc, bterms in basis:
-            if all(map(le, blm, lm)):  # mono_divides(blm, lm), inlined
-                a, s = field.cross(c, blc)
-                if a != 1:  # over q only: fp leads are monic
-                    for m, v in work.items():
-                        work[m] = a * v
-                    for m, v in rem.items():
-                        rem[m] = a * v
-                    den *= a
-                shift = mono_div(lm, blm)
-                for m, bc in bterms.items():
-                    if m == blm:
-                        continue
-                    mm = tuple(map(add, m, shift))  # mono_mul(m, shift), inlined
-                    nv = work.get(mm, 0) - s * bc
-                    if mod:
-                        nv %= mod
-                    if nv == 0:
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = nv
-                break
+        for blm, blc, brow in basis:
+            shift = lm - blm
+            if shift & guard:
+                continue  # blm does not divide lm
+            a, s = field.cross(c, blc)
+            if a != 1:  # over q only: fp leads are monic
+                for m, v in work.items():
+                    work[m] = a * v
+                for m, v in rem.items():
+                    rem[m] = a * v
+                den *= a
+            for m, bc in brow.items():
+                if m == blm:
+                    continue
+                mm = m + shift
+                nv = work.get(mm, 0) - s * bc
+                if mod:
+                    nv %= mod
+                if nv == 0:
+                    work.pop(mm, None)
+                else:
+                    work[mm] = nv
+            break
         else:
             rem[lm] = c
     if not integral:
@@ -167,10 +156,11 @@ def _sub_scaled(row: dict, other: dict, scale, field) -> None:
             row[k] = nv
 
 
-def _echelon_reduce(r: _Term, rows: dict, keyf, field) -> Exponent | None:
+def _echelon_reduce(r: dict, rows: dict, field):
     """Reduce r in place against an echelon {lead column: row}, columns
-    ordered by keyf (by their own order when keyf is None); the lead of what
-    is left, a row the echelon lacks, or None when r reduces to 0.
+    ordered as they compare (packed words in their monomial order, tuples
+    as tuples); the lead of what is left, a row the echelon lacks, or None
+    when r reduces to 0.
 
     r arrives with field values and is cleared to an integer row first.  A
     step cancels r's lead c against the row's lead b as r := a * r - s * row
@@ -182,7 +172,7 @@ def _echelon_reduce(r: _Term, rows: dict, keyf, field) -> Exponent | None:
     """
     field.clear(r)
     while r:
-        lm = _lead(r, keyf)
+        lm = max(r)
         row = rows.get(lm)
         if row is None:
             field.normalize(r, lm)
@@ -195,18 +185,19 @@ def _echelon_reduce(r: _Term, rows: dict, keyf, field) -> Exponent | None:
     return None
 
 
-def _spoly(f, g, lcm: Exponent, field) -> _Term:
-    """a * (lcm/lm f) * f - s * (lcm/lm g) * g for integer entries f, g, with
-    (a, s) = `field.cross` of their leading integers."""
+def _spoly(f, g, lcm: int, field) -> _Row:
+    """a * (lcm/lm f) * f - s * (lcm/lm g) * g for integer entries f, g and
+    the packed lcm of their leads, with (a, s) = `field.cross` of their
+    leading integers."""
     lmf, lcf, tf = f
     lmg, lcg, tg = g
-    sf = mono_div(lcm, lmf)
-    sg = mono_div(lcm, lmg)
+    sf = lcm - lmf
+    sg = lcm - lmg
     a, s = field.cross(lcf, lcg)  # a = 1 over fp, whose entries are monic
-    out: _Term = {mono_mul(m, sf): a * c for m, c in tf.items()}
+    out: _Row = {m + sf: a * c for m, c in tf.items()}
     mod = field.modulus
     for m, c in tg.items():
-        mm = mono_mul(m, sg)
+        mm = m + sg
         nv = out.get(mm, 0) - s * c
         if mod:
             nv %= mod
@@ -217,83 +208,106 @@ def _spoly(f, g, lcm: Exponent, field) -> _Term:
     return out
 
 
-def _update_pairs(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None):
+def _update_pairs(G, leads, sugars, P, f_entry, f_sugar, pk: Packer, max_weight=None):
     """Add f to the basis, pruning pairs by Gebauer-Moeller's criteria.
 
-    P maps (i, j) to (sugar, keyf(lcm), (i, j), lcm), so the smallest value
-    is the next pair to reduce.  One pass computes L_i = lcm(lm g_i, lm f)
-    once per basis element and reads it in all three criteria: the chain
-    criterion on the old pairs; the grouping of the new pairs by L_i, where
-    a group gets one pair, from its smallest i, when no smaller L_j divides
-    its L_i; and the coprime test, as L_i = lm g_i * lm f exactly when
-    their degrees agree.  Each distinct L_i is keyed once, and the pair
-    keeps that key.  An L_i that weighs more than `max_weight` (see
-    `_buchberger`) is dropped before the divisibility scan: a divisor of a
-    light L_j weighs no more than L_j, so no dropped L_i could have pruned
-    a kept one.
+    G holds the entries, `leads` their leading exponent tuples and `sugars`
+    their sugars, index for index.  P maps (i, j) to (sugar, packed lcm,
+    (i, j), lcm tuple), so the smallest value is the next pair to reduce.
+    One pass computes L_i = lcm(lm g_i, lm f) once per basis element, on the
+    tuples, and reads it in all three criteria: the chain criterion on the
+    old pairs; the grouping of the new pairs by L_i, where a group gets one
+    pair, from its smallest i, when no smaller L_j divides its L_i; and the
+    coprime test, as L_i = lm g_i * lm f exactly when its word is the sum of
+    theirs.  Each distinct L_i is packed once, and the pair keeps that word;
+    the divisor tests are on the words.  An L_i that weighs more than
+    `max_weight` (see `_buchberger`) is dropped before the divisibility
+    scan: a divisor of a light L_j weighs no more than L_j, so no dropped
+    L_i could have pruned a kept one.
     """
-    lmf = f_entry[0]
+    wf = f_entry[0]
+    lmf = pk.unpack(wf)
     deg_f = sum(lmf)
+    guard = pk.guard
     m = len(G)
-    lcms = [tuple(map(max, g[0], lmf)) for g in G]  # mono_lcm, inlined
+    lcms = [tuple(map(max, g, lmf)) for g in leads]  # mono_lcm, inlined
     kept = {}
     for ij, entry in P.items():
         L = entry[3]
-        # mono_divides(lmf, L), inlined here and in the scan below
-        if all(map(le, lmf, L)) and lcms[ij[0]] != L and lcms[ij[1]] != L:
-            continue  # chain criterion
+        if not (entry[1] - wf) & guard and lcms[ij[0]] != L and lcms[ij[1]] != L:
+            continue  # chain criterion: lm f divides L
         kept[ij] = entry
     groups: dict[Exponent, list[int]] = {}
     for i, L in enumerate(lcms):
         if max_weight is None or sum(L[2:]) <= max_weight:
-            groups.setdefault(L, []).append(i)
-    keys = {L: keyf(L) for L in groups}
-    minimal: list[Exponent] = []
-    for L in sorted(groups, key=keys.__getitem__):
-        if not any(all(map(le, Lp, L)) for Lp in minimal):
-            minimal.append(L)
-    for L in minimal:
-        deg_L = sum(L)
+            if L in groups:
+                groups[L].append(i)
+            else:
+                groups[L] = [i]
+    pack = pk.pack
+    words = sorted((pack(L), L) for L in groups)
+    minimal: list[int] = []
+    for w, L in words:
+        if any(not (w - v) & guard for v in minimal):
+            continue  # a smaller lcm divides L
+        minimal.append(w)
         group = groups[L]
-        if any(deg_L == sum(G[i][0]) + deg_f for i in group):
+        if any(w == G[i][0] + wf for i in group):
             continue  # coprime leading terms reduce to zero
         i = group[0]  # the smallest index: groups fill in index order
-        sug = max(sugars[i] + deg_L - sum(G[i][0]), f_sugar + deg_L - deg_f)
-        kept[(i, m)] = (sug, keys[L], (i, m), L)
+        deg_L = sum(L)
+        sug = max(sugars[i] + deg_L - sum(leads[i]), f_sugar + deg_L - deg_f)
+        kept[(i, m)] = (sug, w, (i, m), L)
     G.append(f_entry)
+    leads.append(lmf)
     sugars.append(f_sugar)
     return kept
 
 
-def _entry(row: _Term, keyf, field):
+def _entry(row: _Row, field):
     """Basis entry (lm, lc, row) of an integer row, `field.normalize`d in
-    place (primitive over q, monic over fp), with lc = row[lm]."""
-    lm = _lead(row, keyf)
+    place (primitive over q, monic over fp), with lm its largest word and
+    lc = row[lm]."""
+    lm = max(row)
     field.normalize(row, lm)
     return (lm, row[lm], row)
 
 
-def _monic_polynomial(ring: Ring, field, entry) -> Polynomial:
-    """The monic polynomial of a basis entry (lm, lc, row), in field values:
-    the one conversion from a reduced basis's integer rows."""
+def _monic_polynomial(ring: Ring, field, entry, unpack) -> Polynomial:
+    """The monic polynomial of a basis entry (lm, lc, row), in field values
+    on exponent tuples: the one conversion from a reduced basis's integer
+    rows."""
     _, lc, row = entry
     if lc == 1:
-        return Polynomial(ring, field, {m: field.from_int(c) for m, c in row.items()})
-    return Polynomial(ring, field, {m: field.div(c, lc) for m, c in row.items()})
+        return Polynomial(ring, field, {unpack(m): field.from_int(c) for m, c in row.items()})
+    return Polynomial(ring, field, {unpack(m): field.div(c, lc) for m, c in row.items()})
 
 
-def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list:
-    """Reduced basis of the ideal of `inputs`, as `_entry`s sorted by
+def _front_free_elements(ring: Ring, field, order: BlockElimination, entries) -> list[Polynomial]:
+    """The monic elements free of the front block among a reduced basis
+    under a block elimination order, given as `_buchberger` returns it:
+    those whose lead is free of it, since a term involving the front sorts
+    above every term free of it."""
+    unpack = order.packer(ring).unpack
+    front = [ring.index(v) for v in order.front]
+    return [_monic_polynomial(ring, field, e, unpack) for e in entries
+            if not any(unpack(e[0])[i] for i in front)]
+
+
+def _buchberger(inputs: list[_Term], pk: Packer, field, max_weight=None) -> list:
+    """Reduced basis of the ideal of `inputs`, term dicts on exponent
+    tuples, as `_entry`s of packed words (`pk`, see `poly.Packer`) sorted by
     descending leading monomial.
 
-    The run keeps each basis element as an `_entry`, an integer row with its
-    content removed (the primitive-part Buchberger algorithm, Cox-Little-
-    O'Shea); S-polynomials cross-multiply by integer leads, and every
-    reduction is one `_nf_dict` that returns an integer row, so after the
-    inputs are cleared no field value is made until the run returns.  Every
-    order key of the run is read from one `_Keys`, so each monomial is keyed
-    once.  The interreduced elements are returned as entries too: primitive
-    over q, monic over fp.
+    The run packs each input monomial once and then works on packed words
+    only: a lead is `max`, a shift is `+` and a divisor test a subtraction
+    and a mask.  It keeps each basis element as an `_entry`, an integer row
+    with its content removed (the primitive-part Buchberger algorithm,
+    Cox-Little-O'Shea); S-polynomials cross-multiply by integer leads, and
+    every reduction is one `_nf_dict` that returns an integer row, so after
+    the inputs are cleared no field value is made until the run returns.
+    The interreduced elements are returned as entries too: primitive over q,
+    monic over fp.
 
     Pairs are reduced by smallest sugar, then smallest lcm, then index.
     `max_weight` drops every S-pair whose lcm weighs more than it, where an
@@ -304,43 +318,41 @@ def _buchberger(inputs: list[_Term], keyf, field, max_weight=None) -> list:
     part of weight <= max_weight of the unbounded reduced basis.  A run
     terminates on every input (Dickson's lemma), so nothing else bounds it.
     """
-    keys = _Keys(keyf)
-    key = keys.__getitem__
+    pack, guard = pk.pack, pk.guard
     G: list = []
+    leads: list[Exponent] = []
     sugars: list[int] = []
     P: dict = {}
     for p in inputs:
         if not p:
             continue
-        sug = max(mono_deg(m) for m in p)
-        row = dict(p)
+        sug = max(map(sum, p))
+        row = {pack(m): c for m, c in p.items()}
         field.clear(row)
-        P = _update_pairs(G, sugars, P, _entry(row, key, field), sug, key, max_weight)
+        P = _update_pairs(G, leads, sugars, P, _entry(row, field), sug, pk, max_weight)
     while P:
-        sug, _, (i, j), L = P.pop(min(P.values())[2])
-        r = _nf_dict(_spoly(G[i], G[j], L, field), G, keyf, field, keys)
+        sug, L, (i, j), _ = P.pop(min(P.values())[2])
+        r = _nf_dict(_spoly(G[i], G[j], L, field), G, guard, field, True)
         if r:
-            P = _update_pairs(G, sugars, P, _entry(r, key, field), sug, key, max_weight)
+            P = _update_pairs(G, leads, sugars, P, _entry(r, field), sug, pk, max_weight)
     # minimalize: leading monomials must form a divisibility antichain
-    order_asc = sorted(range(len(G)), key=lambda i: key(G[i][0]))
     minimal: list = []
-    for i in order_asc:
-        if all(not mono_divides(e[0], G[i][0]) for e in minimal):
-            minimal.append(G[i])
+    for g in sorted(G, key=_lead):
+        if all((g[0] - e[0]) & guard for e in minimal):
+            minimal.append(g)
     # interreduce to the unique reduced basis
     reduced = []
     for k, entry in enumerate(minimal):
         others = [e for idx, e in enumerate(minimal) if idx != k]
-        reduced.append(_entry(_nf_dict(entry[2], others, keyf, field, keys), key, field))
-    reduced.sort(key=lambda e: key(e[0]), reverse=True)
+        reduced.append(_entry(_nf_dict(entry[2], others, guard, field, True), field))
+    reduced.sort(key=_lead, reverse=True)
     return reduced
 
 
-def _monomial_basis(stair, keyf) -> list:
+def _monomial_basis(stair, ring: Ring, field, order: MonomialOrder) -> "GroebnerBasis":
     """Reduced basis of a monomial ideal of k[x,y]: the corners of its
-    staircase, as entries (e, 1, {e: 1}) in the order `_buchberger` returns
-    them."""
-    return [(e, 1, {e: 1}) for e in sorted(stair.gens, key=keyf, reverse=True)]
+    staircase, read off it with no run and no packed word."""
+    return GroebnerBasis(ring, field, order, stair=stair)
 
 
 # -- public layer ------------------------------------------------------------
@@ -348,39 +360,61 @@ def _monomial_basis(stair, keyf) -> list:
 class GroebnerBasis:
     """Reduced Groebner basis: monic elements, leading monomials an antichain.
 
-    `entries` are the basis as `_buchberger` returns it, `_entry`s sorted by
-    descending leading monomial: primitive integer rows over q, monic rows
-    over fp.  They are kept as `_lead_data`, which `reduce` divides by; the
-    monic `elements` are made from them once, when first read, since most
-    bases are only reduced against.
+    `entries` are the basis as `_buchberger` returns it, `_entry`s of packed
+    words sorted by descending leading monomial: primitive integer rows over
+    q, monic rows over fp.  `reduce` divides by them, packing its input and
+    unpacking the remainder; the monic `elements` and the
+    `leading_exponents` are unpacked from them once, when first read, and
+    so is `staircase`, the staircase of the leads, with the `colength` it
+    gives.
 
     A basis of single monomials in k[x,y] (a monomial ideal's, or a
     Buchberger run's that came out monomial) reduces by a term filter
     instead: `_corners` is its staircase, the leading x-exponents ascending
-    and their y-exponents; None for every other basis.
+    and their y-exponents; None for every other basis.  A monomial ideal's
+    basis is made from its staircase `stair` alone (`_monomial_basis`), and
+    packs its entries only if a kernel reads them.
     """
 
-    __slots__ = ("ring", "field", "order", "_elements", "_lead_data", "_key", "_corners")
+    __slots__ = ("ring", "field", "order", "_pk", "_entries", "_leads", "_elements",
+                 "_corners", "_stair", "_colength")
 
-    def __init__(self, ring: Ring, field, order: MonomialOrder, entries: list):
+    def __init__(self, ring: Ring, field, order: MonomialOrder, entries: list | None = None,
+                 stair=None):
         self.ring = ring
         self.field = field
         self.order = order
-        self._lead_data = entries
-        self._key = order.key(ring)
+        self._pk = order.packer(ring)
+        self._entries = entries
         self._elements = None
+        self._colength = None
         self._corners = None
-        if ring.arity == 2 and all(len(row) == 1 for _, _, row in entries):
-            # an antichain: x-exponents distinct, y-exponents falling
-            leads = sorted(lm for lm, _, _ in entries)
-            self._corners = ([a for a, _ in leads], [b for _, b in leads])
+        self._leads = self._stair = None
+        if stair is not None:
+            self._leads = sorted(stair.gens, key=order.key(ring), reverse=True)
+            self._stair = stair
+            corners = stair.gens[::-1]
+        elif ring.arity == 2 and all(len(row) == 1 for _, _, row in entries):
+            corners = sorted(self.leading_exponents())
+        else:
+            return
+        # an antichain: x-exponents distinct, y-exponents falling
+        self._corners = ([a for a, _ in corners], [b for _, b in corners])
+
+    @property
+    def entries(self) -> list:
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = [(w, 1, {w: 1}) for w in map(self._pk.pack, self._leads)]
+        return entries
 
     @property
     def elements(self) -> tuple[Polynomial, ...]:
         elements = self._elements
         if elements is None:
+            unpack = self._pk.unpack
             elements = self._elements = tuple(
-                _monic_polynomial(self.ring, self.field, e) for e in self._lead_data)
+                _monic_polynomial(self.ring, self.field, e, unpack) for e in self.entries)
         return elements
 
     def __iter__(self):
@@ -400,8 +434,12 @@ class GroebnerBasis:
         """
         corners = self._corners
         if corners is None:
+            pk = self._pk
+            pack, unpack = pk.pack, pk.unpack
             # looked up on the module, so a wrapper bound there sees this call too
-            return _nf_dict(terms, self._lead_data, self._key, self.field)
+            rem = _nf_dict({pack(m): c for m, c in terms.items()}, self._entries, pk.guard,
+                           self.field)
+            return {unpack(w): c for w, c in rem.items()}
         xs, ys = corners
         kept = {m: c for m, c in terms.items()
                 if not (i := bisect_right(xs, m[0])) or ys[i - 1] > m[1]}
@@ -413,7 +451,31 @@ class GroebnerBasis:
         return kept
 
     def leading_exponents(self) -> list[Exponent]:
-        return [lm for lm, _, _ in self._lead_data]
+        leads = self._leads
+        if leads is None:
+            unpack = self._pk.unpack
+            leads = self._leads = [unpack(lm) for lm, _, _ in self._entries]
+        return list(leads)
+
+    def staircase(self):
+        """The `staircase.Staircase` of the leading monomials, normalized
+        once (k[x,y], a nonzero ideal)."""
+        stair = self._stair
+        if stair is None:
+            from .staircase import staircase_normalize
+
+            stair = self._stair = staircase_normalize(self.leading_exponents())
+        return stair
+
+    def colength(self) -> int:
+        """The count of standard monomials, read once off `staircase`;
+        raises NotZeroDimensional when it is infinite."""
+        n = self._colength
+        if n is None:
+            from .staircase import mono_colength
+
+            n = self._colength = mono_colength(self.staircase())
+        return n
 
 
 # an Ideal's `_staircase` until `Ideal.staircase` first reads it
@@ -453,13 +515,12 @@ class Ideal:
         cached = self._gb_cache.get(order)
         if cached is not None:
             return cached
-        keyf = order.key(self.ring)
         stair = self.staircase()
         if stair is not None:
-            entries = _monomial_basis(stair, keyf)
+            gb = _monomial_basis(stair, self.ring, self.field, order)
         else:
-            entries = _buchberger([g.terms for g in self.generators], keyf, self.field)
-        gb = GroebnerBasis(self.ring, self.field, order, entries)
+            gb = GroebnerBasis(self.ring, self.field, order, _buchberger(
+                [g.terms for g in self.generators], order.packer(self.ring), self.field))
         self._gb_cache[order] = gb
         return gb
 
@@ -550,20 +611,15 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
     gens = [u * lift(f) for f in I.generators] + [one_minus_u * lift(g) for g in J.generators]
     order = BlockElimination(front=("u",))
-    keyf = order.key(aux)
-    basis = _buchberger([g.terms for g in gens if not g.is_zero], keyf, field)
+    basis = _buchberger([g.terms for g in gens if not g.is_zero], order.packer(aux), field)
     keep = tuple(range(1, aux.arity))
-    trimmed = [
-        _monic_polynomial(aux, field, entry).project(ring, keep)
-        for entry in basis
-        if all(e[0] == 0 for e in entry[2])
-    ]
+    trimmed = [p.project(ring, keep) for p in _front_free_elements(aux, field, order, basis)]
     if not trimmed:
         trimmed = [Polynomial.zero(ring, field)]
     return Ideal(trimmed)
 
 
-def _eliminate_leads(row: _Term, lead: Exponent, rows: dict, field) -> None:
+def _eliminate_leads(row: _Row, lead: int, rows: dict, field) -> None:
     """Cancel, in place, each term of an integer row but `lead` that leads
     a row of the fully reduced echelon `rows` (their other terms lead none,
     so a cancelled term never comes back)."""
@@ -579,8 +635,9 @@ def _eliminate_leads(row: _Term, lead: Exponent, rows: dict, field) -> None:
 def _extend_basis(gb: GroebnerBasis, kernel: list) -> list:
     """C + (kernel)'s reduced basis as `_buchberger` returns it, from the
     reduced grevlex basis gb of C, of finite colength in k[x,y], and integer
-    rows on C's standard monomials that span an ideal modulo C: the border
-    read-off of FGLM (Faugere-Gianni-Lazard-Mora 1993).
+    rows on C's standard monomials (exponent tuples, packed here) that span
+    an ideal modulo C: the border read-off of FGLM (Faugere-Gianni-Lazard-
+    Mora 1993).
 
     With L the leads of a fully reduced grevlex echelon of the rows, the
     leading monomials of C + (kernel) are LM(C) and L: an element g + k, g
@@ -591,25 +648,27 @@ def _extend_basis(gb: GroebnerBasis, kernel: list) -> list:
     """
     from .staircase import staircase_normalize
 
-    field, keyf = gb.field, gb._key
+    field, pk = gb.field, gb._pk
+    pack, unpack = pk.pack, pk.unpack
     rows: dict = {}
     for r in kernel:
-        r = dict(r)
-        lm = _echelon_reduce(r, rows, keyf, field)
+        r = {pack(m): c for m, c in r.items()}
+        lm = _echelon_reduce(r, rows, field)
         if lm is not None:
             rows[lm] = r
-    for lm in sorted(rows, key=keyf):  # a row's terms lead only smaller rows
+    for lm in sorted(rows):  # a row's terms lead only smaller rows
         _eliminate_leads(rows[lm], lm, rows, field)
-    of_gb = {lm: row for lm, _, row in gb._lead_data}
+    of_gb = {lm: row for lm, _, row in gb.entries}
     entries = []
-    for c in staircase_normalize(gb.leading_exponents() + list(rows)).gens:
+    leads = gb.leading_exponents() + [unpack(lm) for lm in rows]
+    for c in map(pack, staircase_normalize(leads).gens):
         row = rows.get(c)
         if row is None:
             row = dict(of_gb[c])
             _eliminate_leads(row, c, rows, field)
         field.normalize(row, c)
         entries.append((c, row[c], row))
-    entries.sort(key=lambda e: keyf(e[0]), reverse=True)
+    entries.sort(key=_lead, reverse=True)
     return entries
 
 
@@ -629,7 +688,7 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
     columns are a kernel row; with no nonzero b every row is one.  The
     reduced basis is read off C's and the kernel (`_extend_basis`).
     """
-    from .staircase import staircase_normalize, standard_monomials
+    from .staircase import standard_monomials
 
     fld = A.field
     top = A.groebner_basis()
@@ -638,7 +697,7 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
     forms: dict = {}     # s -> [NF_A(s*b) for b in gens]
     echelon: dict = {}   # lead column -> augmented row with a nonzero image
     kernel: list[_Term] = []
-    for s in standard_monomials(staircase_normalize(gb.leading_exponents())):
+    for s in standard_monomials(gb.staircase()):
         if s == (0, 0):
             prods = gens
         else:
@@ -648,7 +707,7 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
         forms[s] = nfs = [top.reduce(p) for p in prods]
         row = {(j, e): c for j, f in enumerate(nfs) for e, c in f.items()}
         row[(-1, s)] = fld.one  # no earlier row has this column: never cancelled
-        lead = _echelon_reduce(row, echelon, None, fld)
+        lead = _echelon_reduce(row, echelon, fld)
         if lead[0] >= 0:
             echelon[lead] = row
         else:
@@ -672,18 +731,19 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 
 def colength(I: Ideal) -> int:
     """Length of R/I as the count of standard monomials (2-variable rings),
-    read off I's own staircase when I is monomial, with no basis built."""
+    read off I's own staircase when I is monomial, with no basis built, and
+    otherwise off its reduced basis, which keeps it (`GroebnerBasis.colength`)."""
     if I.ring.arity != 2:
         raise NotZeroDimensional(f"colength requires a 2-variable ring, got {I.ring}")
-    from .staircase import mono_colength, staircase_normalize
-
     stair = I.staircase()
     if stair is not None:
+        from .staircase import mono_colength
+
         return mono_colength(stair)
     gb = I.groebner_basis()
-    if not gb._lead_data:
+    if not gb.entries:
         raise NotZeroDimensional("zero ideal has infinite colength")
-    return mono_colength(staircase_normalize(gb.leading_exponents()))
+    return gb.colength()
 
 
 def is_origin_primary(I: Ideal) -> bool:
@@ -702,16 +762,14 @@ def is_origin_primary(I: Ideal) -> bool:
     if stair is not None:
         return stair.is_m_primary and stair.gens != ((0, 0),)
     gb = I.groebner_basis()
-    if not gb._lead_data:
+    if not gb.entries:
         return False
     leads = gb.leading_exponents()
     if any(e == (0, 0) for e in leads):
         return False  # unit ideal
     if not any(e[1] == 0 for e in leads) or not any(e[0] == 0 for e in leads):
         return False
-    from .staircase import mono_colength, staircase_normalize
-
-    ell = mono_colength(staircase_normalize(leads))
+    ell = gb.colength()
     powers = [Polynomial.variable(I.ring, I.field, v) ** ell for v in ("x", "y")]
     return all(normal_form(pw, gb).is_zero for pw in powers)
 
@@ -775,14 +833,14 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
     if N is None:
         gb = GroebnerBasis(ring, field, GREVLEX, _buchberger(
             [(Polynomial.variable(ring, field, v) * g).terms for v in ring.vars for g in gens],
-            GREVLEX.key(ring), field, max_weight=max_weight))
+            GREVLEX.packer(ring), field, max_weight=max_weight))
     else:
         gb = N.groebner_basis()
     rows: dict[Exponent, _Term] = {}
     kept: list[Polynomial] = []
     for g in sorted(gens, key=key):
         r = gb.reduce(g.terms)
-        lm = _echelon_reduce(r, rows, gb._key, field)
+        lm = _echelon_reduce(r, rows, field)
         if lm is not None:
             rows[lm] = r
             kept.append(g)

@@ -3,6 +3,17 @@
 Monomials are plain exponent tuples; the ambient ring (an ordered tuple of
 variable names) travels with each Polynomial.  All values are immutable, so
 everything here is safe to share across threads.
+
+Inside the Groebner kernels a monomial is one int, packed by the order's
+`Packer`: its key above one 34-bit field per exponent, so that words
+compare as the order, add as the monomials multiply and pass a mask test
+exactly when they divide.  A word is exact while its monomial's total
+degree is below 2^32, and `pack` raises DegreeOverflow from there on, as
+the order keys do.  The kernels pack their inputs and every lcm and derive
+every other word by adding and subtracting words.  Under grevlex no derived
+degree exceeds a packed one; under lex and block orders a derived degree
+is bounded by nothing but the run, and must stay below 2^32 (see "packed
+monomials" below).
 """
 
 from __future__ import annotations
@@ -49,7 +60,8 @@ def presentation_ring(s: int) -> Ring:
 # -- monomial helpers --------------------------------------------------------
 # Exponents are plain tuples; divisibility, lcm and order keys run on
 # map/operator, with no cache, so no primitive runs a Python frame per
-# coordinate.
+# coordinate.  Inside the Groebner kernels a monomial is one packed int
+# instead (`MonomialOrder.packer`), on which these are `+`, `-` and a mask.
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
@@ -74,30 +86,68 @@ def mono_deg(a: Exponent) -> int:
 # -- monomial orders ---------------------------------------------------------
 
 _ORDER_KEYS: dict = {}  # (order, ring) -> the order's key function on ring
+_PACKERS: dict = {}     # (order, ring) -> the order's Packer on ring
 
 
 class MonomialOrder:
-    """Total multiplicative order on exponent tuples of a fixed ring."""
+    """Total multiplicative order on exponent tuples of a fixed ring.
 
-    def key(self, ring: Ring) -> Callable[[Exponent], object]:
+    Every order here is keyed by one linear form in the exponents,
+    sum(map(mul, e, W)) with the weights W of `_linear`, which orders the
+    monomials of total degree below B = ORDER_BASE and raises
+    DegreeOverflow from there on, rather than misorder."""
+
+    def key(self, ring: Ring) -> Callable[[Exponent], int]:
         """The order's sort key on ring's exponents: one function per equal
         (order, ring), built once, so a caller may ask for it per call."""
         k = _ORDER_KEYS.get((self, ring))
         if k is None:
-            k = _ORDER_KEYS[(self, ring)] = self._build_key(ring)
+            k = _ORDER_KEYS[(self, ring)] = _linear_form(*self._linear(ring))
         return k
 
-    def _build_key(self, ring: Ring) -> Callable[[Exponent], object]:
+    def packer(self, ring: Ring) -> "Packer":
+        """The `Packer` of `key(ring)`: one per equal (order, ring)."""
+        pk = _PACKERS.get((self, ring))
+        if pk is None:
+            pk = _PACKERS[(self, ring)] = Packer(*self._linear(ring), ring.arity)
+        return pk
+
+    def _linear(self, ring: Ring) -> tuple[list[int], int | None]:
+        """(W, limit): the key's weights on ring, and the value from which
+        its total degree is at least B, when the value shows it (else None,
+        and the degree is summed)."""
         raise NotImplementedError
 
 
-# Grevlex and block keys are ints, one weighted sum of the exponents per
-# monomial, sum(map(mul, e, W)), with one digit in base B = ORDER_BASE per
-# variable.  Grevlex orders as the tuples (deg(e), -e[n-1], ..., -e[0]) while
-# the total degree is below B, so that no digit carries; at or above it a key
-# raises DegreeOverflow rather than misorder.
+# Keys are ints with one digit in base B = ORDER_BASE per variable.  Grevlex
+# orders as the tuples (deg(e), -e[n-1], ..., -e[0]) while the total degree
+# is below B, so that no digit carries.
 _DIGIT_BITS = 32
 ORDER_BASE = 1 << _DIGIT_BITS
+
+
+def _degree_overflow(e: Exponent) -> DegreeOverflow:
+    return DegreeOverflow(
+        f"monomial {e} has total degree {sum(e)}, at or above 2^32: "
+        "beyond the integer order keys")
+
+
+def _linear_form(weights: list[int], limit: int | None) -> Callable[[Exponent], int]:
+    """e -> sum(e[i] * weights[i]), raising DegreeOverflow where the total
+    degree reaches B: read off the value, at or above `limit`, or, when
+    `limit` is None, off the degree."""
+    if limit is None:
+        def f(e):
+            if sum(e) >= ORDER_BASE:
+                raise _degree_overflow(e)
+            return sum(map(mul, e, weights))
+    else:
+        def f(e):
+            v = sum(map(mul, e, weights))
+            if v >= limit:
+                raise _degree_overflow(e)
+            return v
+    return f
 
 
 def _grevlex_weights(n: int) -> list[int]:
@@ -108,28 +158,13 @@ def _grevlex_weights(n: int) -> list[int]:
     return [top - (1 << _DIGIT_BITS * i) for i in range(n)]
 
 
-def _degree_overflow(e: Exponent) -> DegreeOverflow:
-    return DegreeOverflow(
-        f"monomial {e} has total degree {sum(e)}, at or above 2^32: "
-        "beyond the integer order keys")
-
-
 @dataclass(frozen=True)
 class _Grevlex(MonomialOrder):
-    def _build_key(self, ring):
+    def _linear(self, ring):
         n = ring.arity
-        weights = _grevlex_weights(n)
         # the key reaches (B - 1) * B^n exactly when deg(e) >= B: below, it
         # is at most (B - 1) * (B^n - 1); from there, at least B * (B^n - B^(n-1))
-        limit = (ORDER_BASE - 1) << _DIGIT_BITS * n
-
-        def k(e):
-            v = sum(map(mul, e, weights))
-            if v >= limit:
-                raise _degree_overflow(e)
-            return v
-
-        return k
+        return _grevlex_weights(n), (ORDER_BASE - 1) << _DIGIT_BITS * n
 
     def __repr__(self):
         return "grevlex"
@@ -137,8 +172,11 @@ class _Grevlex(MonomialOrder):
 
 @dataclass(frozen=True)
 class _Lex(MonomialOrder):
-    def _build_key(self, ring):
-        return lambda e: e
+    def _linear(self, ring):
+        # sum(e[i] * B^(n-1-i)): the first variable most significant, exact
+        # while no digit carries, which total degree below B guarantees
+        n = ring.arity
+        return [1 << _DIGIT_BITS * (n - 1 - i) for i in range(n)], None
 
     def __repr__(self):
         return "lex"
@@ -157,7 +195,7 @@ class BlockElimination(MonomialOrder):
 
     front: tuple[str, ...]
 
-    def _build_key(self, ring):
+    def _linear(self, ring):
         fidx = [ring.index(v) for v in self.front]
         bidx = [i for i in range(ring.arity) if i not in fidx]
         shift = _DIGIT_BITS * (len(bidx) + 1)
@@ -166,13 +204,7 @@ class BlockElimination(MonomialOrder):
             weights[i] = w << shift
         for i, w in zip(bidx, _grevlex_weights(len(bidx))):
             weights[i] = w
-
-        def k(e):
-            if sum(e) >= ORDER_BASE:
-                raise _degree_overflow(e)
-            return sum(map(mul, e, weights))
-
-        return k
+        return weights, None
 
     def __repr__(self):
         return f"block({','.join(self.front)} >> {GREVLEX!r})"
@@ -180,6 +212,64 @@ class BlockElimination(MonomialOrder):
 
 GREVLEX = _Grevlex()
 LEX = _Lex()
+
+
+# -- packed monomials ----------------------------------------------------------
+# The Groebner kernels hold each monomial as one int (Monagan-Pearce 2007,
+# packed exponent vectors): the order key on top, then one F-bit field per
+# exponent, the first variable highest,
+#     pack(e) = key(e) << F*n | e[0] << F*(n-1) | ... | e[n-1],    F = 34.
+# Every key above is a linear form in e that orders the monomials and is
+# injective while the total degree is below B = 2^32, so there
+#   - integer comparison is the monomial order, which the key decides;
+#   - pack(a) + pack(b) == pack(a * b): keys add, and fields add with no
+#     carry, as every exponent is below 2^32 and a field holds 2^34 - 1;
+#   - a divides b exactly when (pack(b) - pack(a)) & guard == 0, guard the
+#     top bit of every field: a field of b - a is b[i] - a[i] in [0, 2^32)
+#     when no lower field borrows, and the lowest negative one borrows from
+#     above, which leaves 2^34 + b[i] - a[i] >= 2^33 there, its guard set;
+#   - pack(b) - pack(a) is pack(b / a) when a divides b, and unpack reads
+#     the fields back.
+# `pack` is the key's linear form with one more term per weight, W[i] << F*n
+# plus the field bit 1 << F*(n-1-i), so it raises DegreeOverflow as the key
+# does, where the key does.  A kernel packs its inputs and every lcm it
+# forms; every other monomial it derives is a term of a stored row shifted
+# by a difference of packed words (`m + (lcm - lead)` in an S-polynomial,
+# `m + (lead - lead)` in a reduction step), and its word is exact while that
+# term's total degree is below 2^32.  Under grevlex no term of a row has a
+# larger degree than the row's lead, so every derived degree is at most that
+# of an lcm or a reduced lead, which were checked; under lex and block
+# orders a tail term may outgrow its lead, and the words stay exact only
+# while every derived degree stays below 2^32.
+
+_FIELD_BITS = 34
+
+
+class Packer:
+    """`pack` and `unpack` between exponent tuples of one ring and the
+    packed words described above, and the `guard` mask of the divisor test.
+    Built once per (order, ring) by `MonomialOrder.packer`, from the key's
+    `_linear` form."""
+
+    __slots__ = ("pack", "unpack", "guard")
+
+    def __init__(self, weights: list[int], limit: int | None, n: int):
+        shifts = [_FIELD_BITS * (n - 1 - i) for i in range(n)]
+        top = _FIELD_BITS * n
+        self.pack = _linear_form([w << top | 1 << s for w, s in zip(weights, shifts)],
+                                 None if limit is None else limit << top)
+        mask = (1 << _FIELD_BITS) - 1
+        if n == 2:  # the plane, where most kernels run: one divmod
+            low, base = (1 << top) - 1, 1 << _FIELD_BITS
+
+            def unpack(w: int) -> Exponent:
+                return divmod(w & low, base)
+        else:
+            def unpack(w: int) -> Exponent:
+                return tuple(map(mask.__and__, map(w.__rshift__, shifts)))
+
+        self.unpack = unpack
+        self.guard = sum(1 << s + _FIELD_BITS - 1 for s in shifts)
 
 
 def compare_monomials(a: Exponent, b: Exponent, ring: Ring, order: MonomialOrder) -> int:

@@ -62,7 +62,7 @@ from .groebner import (
     colength,
     is_origin_primary,
     _buchberger,
-    _monic_polynomial,
+    _front_free_elements,
     _nakayama_prune,
 )
 from .poly import (
@@ -134,13 +134,12 @@ def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> lis
     kernel_gens = [Polynomial.variable(big, field, f"T{i}") - _lift(g, big) * t
                    for i, g in enumerate(gens, start=1)]
 
-    keyf = BlockElimination(front=("t",)).key(big)
-    basis = _buchberger([g.terms for g in kernel_gens], keyf, field,
+    order = BlockElimination(front=("t",))
+    basis = _buchberger([g.terms for g in kernel_gens], order.packer(big), field,
                         max_weight=max_weight)
     target = presentation_ring(s)
     keep = (0, 1) + tuple(range(3, big.arity))  # drop the t slot
-    return [_monic_polynomial(big, field, entry).project(target, keep)
-            for entry in basis if all(e[2] == 0 for e in entry[2])]
+    return [g.project(target, keep) for g in _front_free_elements(big, field, order, basis)]
 
 
 def _prune_key(s: int):

@@ -186,6 +186,19 @@ def test_lengths_pin_r(text, r, pure, monkeypatch):
     assert real(I, Q, None) == r
 
 
+def test_rank_loop_starts_past_the_lengths(monkeypatch):
+    # x^4, x^3 y, y^4 has r = 3: the lengths rule out r <= 1, so the rank
+    # loop tests r = 2 and r = 3 only, against mu(I^3) and mu(I^4)
+    I = ideal("x^4, x^3 y, y^4")
+    ranks, powers = [], []
+    real_rank, real_mu = engine._rank, engine._mu
+    monkeypatch.setattr(engine, "_rank", lambda *args: ranks.append(1) or real_rank(*args))
+    monkeypatch.setattr(engine, "_mu", lambda P: powers.append(P) or real_mu(P))
+    assert find_reduction(I).reduction_number == 3
+    assert len(ranks) == 2
+    assert powers == [engine._power(I, 3), engine._power(I, 4)]
+
+
 def test_classify_of_a_stable_monomial_ideal_runs_no_rank_test(monkeypatch):
     calls = []
     real = engine._reduction_number
@@ -375,7 +388,10 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     # flagship makes 8 runs in all and the boundary twin 6, one fewer each
     # than a colon that ran Buchberger on gb(I) + kernel
     from agrees import groebner
-    from test_groebner import _monic_values
+    from agrees.poly import GREVLEX
+    from test_groebner import _monic_values, _Packed
+
+    packed = _Packed(GREVLEX, BASE_RING)
 
     def key(polys):
         return frozenset(frozenset(p.items()) for p in polys)
@@ -393,10 +409,11 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     real = groebner._buchberger
     real_colon = engine._colon
 
-    def record(polys, keyf, field, *args, **kwargs):
-        out = real(polys, keyf, field, *args, **kwargs)
+    def record(polys, pk, field, *args, **kwargs):
+        assert pk is packed.pk
+        out = real(polys, pk, field, *args, **kwargs)
         inputs.append(key(polys))
-        outputs.append(key(_monic_values(out, keyf, field)))
+        outputs.append(key(_monic_values(out, packed, field)))
         return out
 
     def colon(A, gens, C):

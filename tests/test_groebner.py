@@ -7,6 +7,7 @@ arithmetic); the frozen numbers are cross-checked against the oracles here.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,7 @@ from agrees.poly import (
     mono_div,
     mono_lcm,
     mono_mul,
+    rees_ring,
 )
 
 from oracles import (
@@ -81,6 +83,32 @@ def poly(text, field=QQ):
 
 def mono_ideal(exps, field=QQ):
     return Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
+
+
+class _Packed:
+    """The one bridge between the term dicts on exponent tuples that the
+    references here and in `oracles` work on and the kernels' rows of packed
+    words (`poly.Packer`), for one order and ring."""
+
+    def __init__(self, order, ring):
+        self.keyf = order.key(ring)
+        self.pk = order.packer(ring)
+
+    def row(self, terms):
+        pack = self.pk.pack
+        return {pack(m): c for m, c in terms.items()}
+
+    def terms(self, row):
+        unpack = self.pk.unpack
+        return {unpack(w): c for w, c in row.items()}
+
+    def entry(self, entry):
+        lm, lc, row = entry
+        return (self.pk.unpack(lm), lc, self.terms(row))
+
+    def nf(self, p, entries, field, integral=False):
+        """`_nf_dict` of the term dict p against packed entries, unpacked."""
+        return self.terms(_nf_dict(self.row(p), entries, self.pk.guard, field, integral))
 
 
 # -- reduced bases -------------------------------------------------------------
@@ -125,7 +153,7 @@ def test_monomial_basis_matches_buchberger(names, order):
     equal what Buchberger returns, element for element and in order (in
     more variables the basis is Buchberger's own)."""
     ring = Ring(names)
-    keyf = order.key(ring)
+    packed = _Packed(order, ring)
     rng = random.Random(47)
     for field in (QQ, PrimeField(2147483647)):
         for _ in range(25):
@@ -137,8 +165,8 @@ def test_monomial_basis_matches_buchberger(names, order):
             gens += [Polynomial.zero(ring, field)] * rng.randint(0, 2)
             rng.shuffle(gens)
             got = Ideal(gens).groebner_basis(order).elements
-            want = _monic_values(_buchberger([dict(g.terms) for g in gens], keyf, field),
-                                 keyf, field)
+            want = _monic_values(_buchberger([dict(g.terms) for g in gens], packed.pk, field),
+                                 packed, field)
             assert [g.terms for g in got] == want
 
 
@@ -244,12 +272,12 @@ def _random_terms(rng, field, arity, n_terms, max_exp, proper=False):
     return {e: c for e, c in terms.items() if c != field.zero}
 
 
-def _integer_entry(terms, keyf, field):
-    """`groebner._entry` of a copy of field values, cleared to an integer
+def _integer_entry(terms, packed, field):
+    """`groebner._entry` of field values, packed and cleared to an integer
     row first, as `_buchberger` enters its inputs."""
-    row = dict(terms)
+    row = packed.row(terms)
     field.clear(row)
-    return groebner._entry(row, keyf, field)
+    return groebner._entry(row, field)
 
 
 def _field_values(terms, field):
@@ -270,7 +298,8 @@ def test_nf_dict_matches_reference(names, order):
     lists, handed to `_nf_dict` as its `_entry` rows, and, in the plane,
     against reduced bases, handed to the reference as monic polynomials."""
     ring = Ring(names)
-    keyf = order.key(ring)
+    packed = _Packed(order, ring)
+    keyf = packed.keyf
     rng = random.Random(53)
     for proper in (False, True):
         for field in (QQ, PrimeField(2147483647)):
@@ -282,8 +311,8 @@ def test_nf_dict_matches_reference(names, order):
                         lm = max(terms, key=keyf)
                         divisors.append((lm, terms[lm], terms))
                 p = _random_terms(rng, field, len(names), rng.randint(1, 8), 6, proper)
-                entries = [_integer_entry(t, keyf, field) for _, _, t in divisors]
-                got = _nf_dict(p, entries, keyf, field)
+                entries = [_integer_entry(t, packed, field) for _, _, t in divisors]
+                got = packed.nf(p, entries, field)
                 assert got == _reference_nf(p, divisors, keyf, field)
                 assert _field_values(got, field)
                 if len(names) > 2:
@@ -291,7 +320,7 @@ def test_nf_dict_matches_reference(names, order):
                 gens = [Polynomial(ring, field, t) for _, _, t in divisors]
                 gb = Ideal(gens).groebner_basis(order)
                 monic = [(max(g.terms, key=keyf), field.one, g.terms) for g in gb.elements]
-                got = _nf_dict(p, gb._lead_data, keyf, field)
+                got = packed.nf(p, gb.entries, field)
                 assert got == _reference_nf(p, monic, keyf, field)
                 assert _field_values(got, field)
 
@@ -304,7 +333,8 @@ def test_nf_dict_remainders_are_canonical(field):
     integral remainder, a Fraction only for a proper one, and residues in
     [0, p) over fp."""
     rng = random.Random(67)
-    keyf = GREVLEX.key(BASE_RING)
+    packed = _Packed(GREVLEX, BASE_RING)
+    keyf = packed.keyf
     kinds = set()
     for proper in (False, True):
         for _ in range(40):
@@ -314,9 +344,9 @@ def test_nf_dict_remainders_are_canonical(field):
                 if t:
                     if not proper:
                         t[max(t, key=keyf)] = field.one
-                    entries.append(_integer_entry(t, keyf, field))
+                    entries.append(_integer_entry(t, packed, field))
             p = _random_terms(rng, field, 2, rng.randint(1, 8), 6, proper)
-            got = _nf_dict(p, entries, keyf, field)
+            got = packed.nf(p, entries, field)
             assert _field_values(got, field)
             if not proper:
                 assert all(type(c) is int for c in got.values())
@@ -326,23 +356,23 @@ def test_nf_dict_remainders_are_canonical(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
 def test_integer_remainders_are_positive_multiples_of_the_normal_form(field):
-    """Given a run's `_Keys`, `_nf_dict` takes an integer row and returns one:
+    """Called `integral`, `_nf_dict` takes an integer row and returns one:
     a positive multiple of the remainder it returns as field values (the
     same remainder over fp, whose leads are monic), on the same terms."""
     rng = random.Random(71)
-    keyf = GREVLEX.key(Ring(("x", "y", "z")))
+    packed = _Packed(GREVLEX, Ring(("x", "y", "z")))
+    keyf = packed.keyf
     scaled = 0
     for proper in (False, True):
         for _ in range(40):
-            entries = [_integer_entry(t, keyf, field)
+            entries = [_integer_entry(t, packed, field)
                        for t in (_random_terms(rng, field, 3, rng.randint(1, 4), 3, proper)
                                  for _ in range(rng.randint(1, 4))) if t]
             p = _random_terms(rng, field, 3, rng.randint(1, 8), 6, proper)
             row = dict(p)
             unit = field.clear(row)
-            want = _nf_dict(p, entries, keyf, field)
-            keys = groebner._Keys(keyf)
-            got = _nf_dict(row, entries, keyf, field, keys)
+            want = packed.nf(p, entries, field)
+            got = packed.nf(row, entries, field, integral=True)
             assert got.keys() == want.keys()
             assert all(type(c) is int for c in got.values())
             if not got:
@@ -364,7 +394,8 @@ def test_reduce_is_the_normal_form(field):
     """`GroebnerBasis.reduce` returns the normal form's terms, as field
     values, and the basis's monic elements are its entries made monic."""
     rng = random.Random(61)
-    keyf = GREVLEX.key(BASE_RING)
+    packed = _Packed(GREVLEX, BASE_RING)
+    keyf = packed.keyf
     for proper in (False, True):
         for _ in range(30):
             gens = [Polynomial(BASE_RING, field,
@@ -373,7 +404,7 @@ def test_reduce_is_the_normal_form(field):
             if all(g.is_zero for g in gens):
                 continue
             gb = Ideal(gens).groebner_basis()
-            want = _monic_values(gb._lead_data, keyf, field)
+            want = _monic_values(gb.entries, packed, field)
             assert [g.terms for g in gb.elements] == want
             monic = [(max(t, key=keyf), field.one, t) for t in want]
             for _ in range(3):
@@ -429,7 +460,7 @@ def test_term_filter_is_the_normal_form(gb, data):
     entries, value for value and in the same canonical form."""
     terms = data.draw(field_terms(gb.ring, gb.field))
     got = gb.reduce(dict(terms))
-    want = _nf_dict(terms, gb._lead_data, gb._key, gb.field)
+    want = _Packed(gb.order, gb.ring).nf(terms, gb.entries, gb.field)
     assert got == want
     assert [type(c) for c in got.values()] == [type(want[m]) for m in got]
     assert _field_values(got, gb.field)
@@ -442,8 +473,8 @@ def test_only_monomial_bases_filter():
     does)."""
     binomial = ideal("x^2 - y^2, x^3").groebner_basis()
     terms = poly("x^4 + 1/2*x^2*y + 3*x*y^2 + y^5").terms
-    assert binomial.reduce(dict(terms)) == _nf_dict(terms, binomial._lead_data,
-                                                     binomial._key, binomial.field)
+    assert binomial.reduce(dict(terms)) == _Packed(GREVLEX, BASE_RING).nf(
+        terms, binomial.entries, binomial.field)
     stair = ideal("x^2 + x*y, x*y, y^3").groebner_basis()  # corners x^2, x*y, y^3
     kept = stair.reduce(poly("x^3 + 2*x^2*y + x*y + 1/2*x + y^4 + 3*y^2 - 1").terms)
     assert kept == {(1, 0): Fraction(1, 2), (0, 2): 3, (0, 0): -1}
@@ -460,7 +491,7 @@ def test_integral_fractions_act_as_their_ints(names):
     Fraction(2) equals, hashes, prints and reduces as its int-valued twin,
     and `_buchberger` gives both the same entries, rows of plain ints."""
     ring = Ring(names)
-    keyf = GREVLEX.key(ring)
+    pk = GREVLEX.packer(ring)
     rng = random.Random(89)
 
     def as_fractions(p):
@@ -472,8 +503,8 @@ def test_integral_fractions_act_as_their_ints(names):
             twins = [as_fractions(g) for g in gens]
             for g, t in zip(gens, twins):
                 assert t == g and hash(t) == hash(g) and str(t) == str(g)
-            entries = _buchberger([g.terms for g in gens], keyf, QQ)
-            assert _buchberger([t.terms for t in twins], keyf, QQ) == entries
+            entries = _buchberger([g.terms for g in gens], pk, QQ)
+            assert _buchberger([t.terms for t in twins], pk, QQ) == entries
             assert all(type(v) is int for _, lc, row in entries for v in (lc, *row.values()))
             gb = Ideal(gens).groebner_basis()
             p = Polynomial(ring, QQ, _random_terms(rng, QQ, len(names), 6, 5, proper))
@@ -697,7 +728,7 @@ def test_extend_basis_is_the_buchberger_basis(field, seed):
     for gb, kernel, entries in calls:
         polys = [Polynomial(BASE_RING, field, {e: field.from_int(c) for e, c in row.items()})
                  for row in kernel]
-        assert entries == Ideal(list(gb) + polys).groebner_basis()._lead_data
+        assert entries == Ideal(list(gb) + polys).groebner_basis().entries
         # only the span counts: rows mixed by a unit triangular matrix, no
         # longer an echelon, give the same basis
         mixed = []
@@ -708,7 +739,8 @@ def test_extend_basis_is_the_buchberger_basis(field, seed):
             mixed.append(mix)
         assert real(gb, mixed) == entries
     # A : A: the kernel is all of R/A and J = (1)
-    assert calls[-2 if red.stable else -1][2] == [((0, 0), 1, {(0, 0): 1})]
+    unit = calls[-2 if red.stable else -1][2]
+    assert [_Packed(GREVLEX, BASE_RING).entry(e) for e in unit] == [((0, 0), 1, {(0, 0): 1})]
 
 
 # -- colength, min_gens, order ---------------------------------------------------
@@ -984,10 +1016,12 @@ def _reference_monic(p, keyf, field):
     return {m: field.mul(c, inv) for m, c in p.items()}
 
 
-def _monic_values(entries, keyf, field):
-    """Basis entries (lm, lc, row) as monic term dicts of field values, by
-    `_reference_monic` rather than the conversion under test."""
-    return [_reference_monic({m: field.from_int(c) for m, c in row.items()}, keyf, field)
+def _monic_values(entries, packed, field):
+    """Basis entries (lm, lc, row) of packed words as monic term dicts of
+    field values, by `_reference_monic` rather than the conversion under
+    test."""
+    return [_reference_monic({m: field.from_int(c) for m, c in packed.terms(row).items()},
+                             packed.keyf, field)
             for _, _, row in entries]
 
 
@@ -996,16 +1030,17 @@ def test_spoly_matches_reference():
     it is the Fraction reference's S-polynomial of the monic forms, scaled."""
     rng = random.Random(89)
     ring = Ring(("x", "y", "z"))
-    keyf = GREVLEX.key(ring)
+    packed = _Packed(GREVLEX, ring)
+    keyf, unpack = packed.keyf, packed.pk.unpack
     for field in (QQ, PrimeField(2147483647)):
         for _ in range(40):
             f, g = (_random_terms(rng, field, 3, rng.randint(1, 4), 3, rng.random() < 0.5)
                     for _ in range(2))
             if not (f and g):
                 continue
-            ef, eg = _integer_entry(f, keyf, field), _integer_entry(g, keyf, field)
-            L = mono_lcm(ef[0], eg[0])
-            got = groebner._spoly(ef, eg, L, field)
+            ef, eg = _integer_entry(f, packed, field), _integer_entry(g, packed, field)
+            L = mono_lcm(unpack(ef[0]), unpack(eg[0]))
+            got = packed.terms(groebner._spoly(ef, eg, packed.pk.pack(L), field))
             want = _reference_spoly(_reference_monic_entry(f, keyf, field),
                                     _reference_monic_entry(g, keyf, field), L, field)
             assert L not in got and got.keys() == want.keys()
@@ -1071,7 +1106,8 @@ def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
     monkeypatch.setattr(groebner, "_nf_dict", counted)
     rng = random.Random(83)
     ring = Ring(("x", "y", "z"))
-    keyf = order.key(ring)
+    packed = _Packed(order, ring)
+    keyf = packed.keyf
     for proper in (False, True):
         for field in (QQ, PrimeField(2147483647)):
             for _ in range(8):
@@ -1080,8 +1116,8 @@ def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
                 reference_calls.clear()
                 want = _reference_buchberger(inputs, keyf, field, reference_nf)
                 calls.clear()
-                entries = _buchberger(inputs, keyf, field)
-                got = _monic_values(entries, keyf, field)
+                entries = _buchberger(inputs, packed.pk, field)
+                got = _monic_values(entries, packed, field)
                 assert got == want
                 assert all(_field_values(p, field) for p in got)
                 assert len(calls) == len(reference_calls) > 0
@@ -1093,60 +1129,88 @@ def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
 def test_buchberger_keeps_integer_rows_and_keys_each_monomial_once(field, monkeypatch):
     """After clearing its inputs a run makes no field value: every
-    reduction hands `_nf_dict` the run's keys and gets an integer row back,
-    `field.clear` runs once per nonzero input, and each monomial is keyed
-    once, in runs over the grevlex and block orders."""
+    reduction hands `_nf_dict` an integer row, called `integral`, and gets
+    one back, and `field.clear` runs once per nonzero input.  Each input
+    monomial is packed, and so keyed, once, and no derived monomial is
+    keyed: the only other words packed are each pair update's distinct
+    lcms, in runs over the grevlex and block orders."""
     cleared, remainders, keyed = [], [], []
+    updating = []
     real_clear, real_nf = type(field).clear, groebner._nf_dict
+    real_update = groebner._update_pairs
 
     def clear(self, row):
         cleared.append(1)
         return real_clear(self, row)
 
-    def nf(p, basis, keyf, fld, keys=None):
-        assert keys is not None and all(type(c) is int for c in p.values())
-        out = real_nf(p, basis, keyf, fld, keys)
+    def nf(p, basis, guard, fld, integral=False):
+        assert integral and all(type(c) is int for c in p.values())
+        out = real_nf(p, basis, guard, fld, integral)
         remainders.append(out)
         return out
 
+    def update(G, leads, *args):
+        # the lcms of the new lead with every earlier one, distinct, in order
+        updating.append([])
+        got = real_update(G, leads, *args)
+        lmf = leads[-1]
+        lcms = dict.fromkeys(mono_lcm(lead, lmf) for lead in leads[:-1])
+        assert updating.pop() == list(lcms)
+        return got
+
     monkeypatch.setattr(type(field), "clear", clear)
     monkeypatch.setattr(groebner, "_nf_dict", nf)
+    monkeypatch.setattr(groebner, "_update_pairs", update)
     rng = random.Random(97)
     ring = Ring(("x", "y", "z"))
     for order in (GREVLEX, BlockElimination(front=("x",))):
-        keyf = order.key(ring)
+        packed = _Packed(order, ring)
+        keyf, real_pk = packed.keyf, packed.pk
 
         def counted(m):
-            keyed.append(m)
-            return keyf(m)
+            (updating[-1] if updating else keyed).append(m)
+            return real_pk.pack(m)
 
+        pk = SimpleNamespace(pack=counted, unpack=real_pk.unpack, guard=real_pk.guard)
         for proper in (False, True):
             for _ in range(3):
                 inputs = [dict(g.terms) for g in _random_generators(rng, ring, field, proper)]
                 del cleared[:], remainders[:], keyed[:]
-                entries = _buchberger(inputs, counted, field)
+                entries = _buchberger(inputs, pk, field)
                 assert len(cleared) == sum(1 for p in inputs if p)
                 assert remainders and all(type(c) is int for r in remainders for c in r.values())
-                assert len(keyed) == len(set(keyed))
-                assert _monic_values(entries, keyf, field) == _reference_buchberger(
+                assert keyed == [m for p in inputs for m in p]
+                assert _monic_values(entries, packed, field) == _reference_buchberger(
                     inputs, keyf, field)
 
 
-def _checked_update_pairs(monkeypatch):
+def _checked_update_pairs(monkeypatch, packers):
     """Bind `groebner._update_pairs` to a wrapper that runs
-    `oracles.reference_update_pairs` on copies of the same arguments and
-    asserts the same pair dict, in the same order, and the same G and sugars
-    after the call; returns the list of pair-dict sizes, one per call."""
+    `oracles.reference_update_pairs` on unpacked copies of the same
+    arguments and asserts the same pair dict, in the same order, and the
+    same G, leads and sugars after the call; `packers` are the `_Packed` of
+    the runs' orders and rings.  Returns the list of pair-dict sizes, one
+    per call."""
     sizes = []
     real = groebner._update_pairs
+    by_pk = {packed.pk: packed for packed in packers}
 
-    def checked(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None):
-        G_ref, sugars_ref = list(G), list(sugars)
-        want = reference_update_pairs(G_ref, sugars_ref, dict(P), f_entry, f_sugar, keyf,
-                                      max_weight)
-        got = real(G, sugars, P, f_entry, f_sugar, keyf, max_weight)
-        assert list(got.items()) == list(want.items())
-        assert G == G_ref and sugars == sugars_ref
+    def checked(G, leads, sugars, P, f_entry, f_sugar, pk, max_weight=None):
+        packed = by_pk[pk]
+        keyf = packed.keyf
+
+        def unpacked(pairs):
+            # a pair keeps its packed lcm where the reference keeps its key
+            assert all(w == pk.pack(L) for _, w, _, L in pairs.values())
+            return {ij: (sug, keyf(L), ij2, L) for ij, (sug, _, ij2, L) in pairs.items()}
+
+        G_ref, sugars_ref = [packed.entry(g) for g in G], list(sugars)
+        want = reference_update_pairs(G_ref, sugars_ref, unpacked(P), packed.entry(f_entry),
+                                      f_sugar, keyf, max_weight)
+        got = real(G, leads, sugars, P, f_entry, f_sugar, pk, max_weight)
+        assert list(unpacked(got).items()) == list(want.items())
+        assert [packed.entry(g) for g in G] == G_ref and sugars == sugars_ref
+        assert leads == [g[0] for g in G_ref]
         sizes.append(len(got))
         return got
 
@@ -1159,17 +1223,17 @@ def test_update_pairs_matches_the_reference_in_the_plane(field, monkeypatch):
     """Grevlex in k[x,y]: every pair update of seeded Buchberger runs, on
     random generators and on x -> x + 2y twins of monomial ideals, keeps the
     reference's pairs, keys and sugars."""
-    sizes = _checked_update_pairs(monkeypatch)
+    packed = _Packed(GREVLEX, BASE_RING)
+    sizes = _checked_update_pairs(monkeypatch, [packed])
     rng = random.Random(101)
-    keyf = GREVLEX.key(BASE_RING)
     xt, y = poly("x + 2*y", field), poly("y", field)
     for proper in (False, True):
         for _ in range(10):
             gens = _random_generators(rng, BASE_RING, field, proper)
-            _buchberger([g.terms for g in gens], keyf, field)
+            _buchberger([g.terms for g in gens], packed.pk, field)
     for _ in range(10):
         exps = _random_mono_ideal(rng, max_exp=6)
-        _buchberger([(xt ** a * y ** b).terms for a, b in exps], keyf, field)
+        _buchberger([(xt ** a * y ** b).terms for a, b in exps], packed.pk, field)
     assert len(sizes) > 100 and max(sizes) > 3
 
 
@@ -1179,7 +1243,8 @@ def test_update_pairs_matches_the_reference_in_the_rees_ring(field, max_weight, 
     """The block order of the Rees elimination in rees_ring(2) and
     rees_ring(3), bounded by each weight: every pair update keeps the
     reference's pairs, keys and sugars."""
-    sizes = _checked_update_pairs(monkeypatch)
+    order = BlockElimination(front=("t",))
+    sizes = _checked_update_pairs(monkeypatch, [_Packed(order, rees_ring(s)) for s in (2, 3)])
     rng = random.Random(103)
     xt, y = poly("x + 2*y", field), poly("y", field)
     for s in (2, 3):
@@ -1210,6 +1275,79 @@ def test_minimal_generators_runs_at_most_two_buchberger(monkeypatch):
     got = minimal_generators(ideal("x^2 + y^3, y^4, x y^2"))
     assert len(got) == 3
     assert len(calls) <= 2
+
+
+def test_colength_normalizes_each_basis_once(monkeypatch):
+    # the colength of a non-monomial ideal is read off its basis's leads,
+    # normalized to a staircase once per basis however often it is asked
+    # for; the public colon walks that same staircase, and normalizes only
+    # the leads of the basis it reads off (`_extend_basis`)
+    from agrees import staircase
+
+    normalized = []
+    real = staircase.staircase_normalize
+
+    def counted(pairs):
+        normalized.append(1)
+        return real(pairs)
+
+    monkeypatch.setattr(staircase, "staircase_normalize", counted)
+    I, J = ideal("x^2 - y^2, x^3"), ideal("x^2 + x y, y^3 - x^3, x y^2")
+    for _ in range(3):
+        for A in (I, J):
+            assert colength(A) == lattice_colength(A.groebner_basis().leading_exponents())
+    assert len(normalized) == 2
+    ideal_colon(I, ideal("x, y"))
+    assert len(normalized) == 3
+
+
+def _count_kernels(monkeypatch):
+    """Counters on the module globals the benchmark's tracer binds: calls of
+    `groebner._nf_dict`, and of `_buchberger` through `groebner` and through
+    `rees`."""
+    counts = {"nf": 0, "groebner": 0, "rees": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(groebner, "_nf_dict", counted("nf", groebner._nf_dict))
+    monkeypatch.setattr(groebner, "_buchberger", counted("groebner", groebner._buchberger))
+    monkeypatch.setattr(rees, "_buchberger", counted("rees", rees._buchberger))
+    return counts
+
+
+def test_kernel_counters_see_the_kernels(monkeypatch):
+    """The benchmark counts normal forms and Buchberger runs by wrapping
+    these module globals, so every call must go through them: each `reduce`
+    on a non-monomial basis makes exactly one `_nf_dict` call and one on a
+    monomial basis none; classify of the flagship twin runs Buchberger
+    through `groebner`, and a Rees presentation through `rees`."""
+    from agrees.engine import classify
+    from agrees.families import coordinate_twin, family_exponents
+
+    counts = _count_kernels(monkeypatch)
+    per_reduce = []
+    real_reduce = GroebnerBasis.reduce
+
+    def reduce(gb, terms):
+        before = counts["nf"]
+        out = real_reduce(gb, terms)
+        per_reduce.append((gb._corners is None, counts["nf"] - before))
+        return out
+
+    monkeypatch.setattr(GroebnerBasis, "reduce", reduce)
+    exps = family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
+    classify(coordinate_twin(exps, Fraction(1, 3), QQ))
+    assert counts["groebner"] > 0 and counts["rees"] == 0
+    assert counts["nf"] > sum(general for general, _ in per_reduce) > 0
+    assert all(nf == (1 if general else 0) for general, nf in per_reduce)
+    runs = counts["groebner"]
+    rees.rees_defining_ideal(ideal("x^3, x^2 y^2, x y^3, y^5"))
+    assert counts["rees"] == 1 and counts["groebner"] > runs
 
 
 def test_ideal_order_examples():

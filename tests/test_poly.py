@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agrees.errors import DegreeOverflow, NotContained, RingMismatch
 from agrees.fields import QQ, PrimeField
@@ -18,6 +19,7 @@ from agrees.poly import (
     compare_monomials,
     mono_divides,
     mono_lcm,
+    mono_mul,
     rees_ring,
 )
 
@@ -162,6 +164,74 @@ def test_integer_keys_order_as_the_tuple_keys_up_to_2_to_the_32(arity):
                 assert _sign(key(a), key(b)) == _sign(ref_key(a), ref_key(b))
 
 
+@st.composite
+def _packing_cases(draw):
+    """An order among grevlex, lex and block orders with fronts of one and
+    two variables, in arity 2, 3 or 5, and two exponents a, b mixing small
+    values with values up to 2^31, so that degrees reach 2^32; b is a
+    multiple of a, by such an exponent, in about half the draws."""
+    arity = draw(st.sampled_from([2, 3, 5]))
+    ring = _ring(arity)
+    order = draw(st.sampled_from([GREVLEX, LEX, BlockElimination(front=ring.vars[:1]),
+                                  BlockElimination(front=ring.vars[1:3])]))
+    exps = st.tuples(*[st.one_of(st.integers(0, 6), st.integers(0, 1 << 31))] * arity)
+    a = draw(exps)
+    b = mono_mul(a, draw(exps)) if draw(st.booleans()) else draw(exps)
+    return ring, order, a, b
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_packing_cases())
+def test_packed_words_are_the_key_and_the_exponents(case):
+    """`order.packer(ring)`: words compare as the key, add as the monomials
+    multiply, pass the mask test exactly when the tuples divide, and unpack
+    to their exponents; `pack` raises DegreeOverflow from total degree 2^32
+    on, where the key raises it."""
+    ring, order, a, b = case
+    key, pk = order.key(ring), order.packer(ring)
+    for e in (a, b, mono_mul(a, b)):
+        if sum(e) >= ORDER_BASE:
+            for f in (key, pk.pack):
+                with pytest.raises(DegreeOverflow):
+                    f(e)
+        else:
+            assert pk.unpack(pk.pack(e)) == e
+    if max(sum(a), sum(b)) >= ORDER_BASE:
+        return
+    wa, wb = pk.pack(a), pk.pack(b)
+    assert _sign(wa, wb) == _sign(key(a), key(b))
+    assert (not (wb - wa) & pk.guard) is mono_divides(a, b)
+    if sum(a) + sum(b) < ORDER_BASE:
+        assert wa + wb == pk.pack(mono_mul(a, b))
+    if mono_divides(a, b):
+        assert pk.unpack(wb - wa) == tuple(y - x for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("arity", [2, 3, 5])
+def test_packing_raises_at_degree_2_to_the_32(arity):
+    """Total degree 2^32 - 1 packs and 2^32 raises, in one slot or spread
+    over all, under every order, as the key does; at 2^32 - 1 the mask test
+    still tells which variables divide."""
+    ring = _ring(arity)
+    variables = [tuple(int(j == i) for j in range(arity)) for i in range(arity)]
+    for order in (GREVLEX, LEX, BlockElimination(front=ring.vars[:1]),
+                  BlockElimination(front=ring.vars[1:3])):
+        pk = order.packer(ring)
+        for i, deg in itertools.product(range(arity), (ORDER_BASE - 1, ORDER_BASE)):
+            for e in (tuple(deg if j == i else 0 for j in range(arity)),
+                      tuple(deg - (arity - 1) if j == i else 1 for j in range(arity))):
+                if deg < ORDER_BASE:
+                    w = pk.pack(e)
+                    assert pk.unpack(w) == e
+                    for v in [(0,) * arity] + variables:
+                        assert (not (w - pk.pack(v)) & pk.guard) is mono_divides(v, e)
+                else:
+                    with pytest.raises(DegreeOverflow):
+                        pk.pack(e)
+                    with pytest.raises(DegreeOverflow):
+                        order.key(ring)(e)
+
+
 def test_an_order_key_is_built_once_per_order_and_ring():
     """`order.key(ring)` hands back one function per equal (order, ring):
     equal block orders share it, other rings and orders get their own."""
@@ -173,6 +243,8 @@ def test_an_order_key_is_built_once_per_order_and_ring():
     assert BlockElimination(front=("t",)).key(ring) is block
     assert BlockElimination(front=("T1",)).key(ring) is not block
     assert LEX.key(ring) is LEX.key(ring) and LEX.key(ring) is not GREVLEX.key(ring)
+    assert GREVLEX.packer(Ring(ring.vars)) is GREVLEX.packer(ring)
+    assert BlockElimination(front=("t",)).packer(ring) is not GREVLEX.packer(ring)
     e = (1, 0, 2, 0, 1)
     assert block(e) == reference_block_value(ring, ("t",))(e)
 
