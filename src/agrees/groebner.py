@@ -307,7 +307,8 @@ def _buchberger(inputs: list[_Term], pk: Packer, field, max_weight=None) -> list
     every reduction is one `_nf_dict` that returns an integer row, so after
     the inputs are cleared no field value is made until the run returns.
     The interreduced elements are returned as entries too: primitive over q,
-    monic over fp.
+    monic over fp.  Under an order that is not graded each of their words
+    is `check`ed, and a term of degree 2^32 or more raises DegreeOverflow.
 
     Pairs are reduced by smallest sugar, then smallest lcm, then index.
     `max_weight` drops every S-pair whose lcm weighs more than it, where an
@@ -346,13 +347,10 @@ def _buchberger(inputs: list[_Term], pk: Packer, field, max_weight=None) -> list
         others = [e for idx, e in enumerate(minimal) if idx != k]
         reduced.append(_entry(_nf_dict(entry[2], others, guard, field, True), field))
     reduced.sort(key=_lead, reverse=True)
+    if not pk.graded:
+        for _, _, row in reduced:
+            pk.check(row)
     return reduced
-
-
-def _monomial_basis(stair, ring: Ring, field, order: MonomialOrder) -> "GroebnerBasis":
-    """Reduced basis of a monomial ideal of k[x,y]: the corners of its
-    staircase, read off it with no run and no packed word."""
-    return GroebnerBasis(ring, field, order, stair=stair)
 
 
 # -- public layer ------------------------------------------------------------
@@ -372,8 +370,8 @@ class GroebnerBasis:
     Buchberger run's that came out monomial) reduces by a term filter
     instead: `_corners` is its staircase, the leading x-exponents ascending
     and their y-exponents; None for every other basis.  A monomial ideal's
-    basis is made from its staircase `stair` alone (`_monomial_basis`), and
-    packs its entries only if a kernel reads them.
+    basis is made from its staircase `stair` alone, the corners read off it
+    with no run, and packs its entries only if a kernel reads them.
     """
 
     __slots__ = ("ring", "field", "order", "_pk", "_entries", "_leads", "_elements",
@@ -425,6 +423,9 @@ class GroebnerBasis:
         field values.  Normal forms are k-linear: the normal form of
         sum_j c_j * p_j is sum_j c_j * NF(p_j).
 
+        Under an order that is not graded the remainder's words are
+        `check`ed, and a term of degree 2^32 or more raises DegreeOverflow.
+
         Modulo a monomial basis of k[x,y] the normal form keeps exactly the
         terms that no leading monomial divides, found by one bisection: the
         corner with the largest x-exponent <= a has the smallest y-exponent
@@ -439,6 +440,8 @@ class GroebnerBasis:
             # looked up on the module, so a wrapper bound there sees this call too
             rem = _nf_dict({pack(m): c for m, c in terms.items()}, self._entries, pk.guard,
                            self.field)
+            if not pk.graded:
+                pk.check(rem)
             return {unpack(w): c for w, c in rem.items()}
         xs, ys = corners
         kept = {m: c for m, c in terms.items()
@@ -517,7 +520,7 @@ class Ideal:
             return cached
         stair = self.staircase()
         if stair is not None:
-            gb = _monomial_basis(stair, self.ring, self.field, order)
+            gb = GroebnerBasis(self.ring, self.field, order, stair=stair)
         else:
             gb = GroebnerBasis(self.ring, self.field, order, _buchberger(
                 [g.terms for g in self.generators], order.packer(self.ring), self.field))

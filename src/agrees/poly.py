@@ -9,11 +9,12 @@ Inside the Groebner kernels a monomial is one int, packed by the order's
 compare as the order, add as the monomials multiply and pass a mask test
 exactly when they divide.  A word is exact while its monomial's total
 degree is below 2^32, and `pack` raises DegreeOverflow from there on, as
-the order keys do.  The kernels pack their inputs and every lcm and derive
-every other word by adding and subtracting words.  Under grevlex no derived
-degree exceeds a packed one; under lex and block orders a derived degree
-is bounded by nothing but the run, and must stay below 2^32 (see "packed
-monomials" below).
+the order keys do (LEX's among them, from degree 2^32).  The kernels pack
+their inputs and every lcm and derive every other word by adding and
+subtracting words.  Under grevlex no derived degree exceeds a packed one;
+under lex and block orders a derived degree is bounded by nothing but the
+run, so the words a kernel hands out are checked against 2^32 (see
+"packed monomials" below).
 """
 
 from __future__ import annotations
@@ -95,7 +96,10 @@ class MonomialOrder:
     Every order here is keyed by one linear form in the exponents,
     sum(map(mul, e, W)) with the weights W of `_linear`, which orders the
     monomials of total degree below B = ORDER_BASE and raises
-    DegreeOverflow from there on, rather than misorder."""
+    DegreeOverflow from there on, rather than misorder.  A `graded` order
+    compares total degrees first."""
+
+    graded = False
 
     def key(self, ring: Ring) -> Callable[[Exponent], int]:
         """The order's sort key on ring's exponents: one function per equal
@@ -109,7 +113,8 @@ class MonomialOrder:
         """The `Packer` of `key(ring)`: one per equal (order, ring)."""
         pk = _PACKERS.get((self, ring))
         if pk is None:
-            pk = _PACKERS[(self, ring)] = Packer(*self._linear(ring), ring.arity)
+            pk = _PACKERS[(self, ring)] = Packer(*self._linear(ring), ring.arity,
+                                                 self.graded)
         return pk
 
     def _linear(self, ring: Ring) -> tuple[list[int], int | None]:
@@ -160,6 +165,8 @@ def _grevlex_weights(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class _Grevlex(MonomialOrder):
+    graded = True
+
     def _linear(self, ring):
         n = ring.arity
         # the key reaches (B - 1) * B^n exactly when deg(e) >= B: below, it
@@ -240,7 +247,10 @@ LEX = _Lex()
 # larger degree than the row's lead, so every derived degree is at most that
 # of an lcm or a reduced lead, which were checked; under lex and block
 # orders a tail term may outgrow its lead, and the words stay exact only
-# while every derived degree stays below 2^32.
+# while every derived degree stays below 2^32.  There the kernels `check`
+# every word they hand out, the terms of a reduced basis and of a
+# remainder, and raise DegreeOverflow on a word of degree 2^32 or more; a
+# word that outgrew the bound and then cancelled inside a run is not seen.
 
 _FIELD_BITS = 34
 
@@ -249,27 +259,33 @@ class Packer:
     """`pack` and `unpack` between exponent tuples of one ring and the
     packed words described above, and the `guard` mask of the divisor test.
     Built once per (order, ring) by `MonomialOrder.packer`, from the key's
-    `_linear` form."""
+    `_linear` form; `graded` is the order's, and tells a kernel whether the
+    words it derives need a `check`."""
 
-    __slots__ = ("pack", "unpack", "guard")
+    __slots__ = ("pack", "unpack", "guard", "graded")
 
-    def __init__(self, weights: list[int], limit: int | None, n: int):
+    def __init__(self, weights: list[int], limit: int | None, n: int, graded: bool):
         shifts = [_FIELD_BITS * (n - 1 - i) for i in range(n)]
         top = _FIELD_BITS * n
         self.pack = _linear_form([w << top | 1 << s for w, s in zip(weights, shifts)],
                                  None if limit is None else limit << top)
         mask = (1 << _FIELD_BITS) - 1
-        if n == 2:  # the plane, where most kernels run: one divmod
-            low, base = (1 << top) - 1, 1 << _FIELD_BITS
 
-            def unpack(w: int) -> Exponent:
-                return divmod(w & low, base)
-        else:
-            def unpack(w: int) -> Exponent:
-                return tuple(map(mask.__and__, map(w.__rshift__, shifts)))
+        def unpack(w: int) -> Exponent:
+            return tuple(map(mask.__and__, map(w.__rshift__, shifts)))
 
         self.unpack = unpack
         self.guard = sum(1 << s + _FIELD_BITS - 1 for s in shifts)
+        self.graded = graded
+
+    def check(self, words: Iterable[int]) -> None:
+        """Raise DegreeOverflow if a word a kernel derived, under an order
+        that is not `graded`, has a monomial of total degree 2^32 or more,
+        whose word may have compared wrongly; it is repacked, and `pack`
+        raises there."""
+        pack, unpack = self.pack, self.unpack
+        for w in words:
+            pack(unpack(w))
 
 
 def compare_monomials(a: Exponent, b: Exponent, ring: Ring, order: MonomialOrder) -> int:

@@ -576,18 +576,18 @@ def test_monomial_colength_builds_no_basis(monkeypatch):
     from oracles import lattice_colength
 
     built = []
-    real_basis, real_monomial = groebner.Ideal.groebner_basis, groebner._monomial_basis
+    real_basis, real_init = groebner.Ideal.groebner_basis, groebner.GroebnerBasis.__init__
 
     def basis(self, *args, **kwargs):
         built.append("groebner_basis")
         return real_basis(self, *args, **kwargs)
 
-    def monomial(*args):
-        built.append("_monomial_basis")
-        return real_monomial(*args)
+    def init(self, *args, **kwargs):
+        built.append("GroebnerBasis")
+        real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(groebner.Ideal, "groebner_basis", basis)
-    monkeypatch.setattr(groebner, "_monomial_basis", monomial)
+    monkeypatch.setattr(groebner.GroebnerBasis, "__init__", init)
     rng = random.Random(41)
     for field in (QQ, FP):
         m = maximal_ideal(BASE_RING, field)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agrees.errors import (
+    DegreeOverflow,
     NotContained,
     NotZeroDimensional,
     RingMismatch,
@@ -483,6 +484,31 @@ def test_only_monomial_bases_filter():
     zero = Ideal([Polynomial.zero(BASE_RING, QQ)]).groebner_basis()
     assert zero.reduce({(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3)}) == {
         (1, 0): 2, (0, 1): Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_lex_kernels_raise_on_terms_past_degree_2_to_the_32(field):
+    """Under lex a tail term may outgrow its lead, and a word of degree
+    2^32 or more compares wrongly: in k[x,y,z], modulo x - z^(2^31),
+    x^2*z + x reduces to z^(2^32+1) + z^(2^31), and z^(2^32+1)'s word
+    sorts above y's.  A remainder holding such a term raises
+    DegreeOverflow instead of coming back, and so does the reduced basis
+    of (x - z^(2^31), x^2*z + y^2), whose second element is
+    y^2 + z^(2^32+1).  Below the bound a remainder comes back exact, and
+    under grevlex the same reduction derives nothing past it."""
+    N = 1 << 31
+    ring = Ring(("x", "y", "z"))
+    one, minus_one = field.one, field.from_int(-1)
+    binomial = Polynomial(ring, field, {(1, 0, 0): one, (0, 0, N): minus_one})
+    other = Polynomial(ring, field, {(2, 0, 1): one, (0, 2, 0): one})
+    gb = Ideal([binomial]).groebner_basis(LEX)
+    assert gb.reduce({(1, 1, 0): one, (0, 3, 0): one}) == {(0, 1, N): one, (0, 3, 0): one}
+    with pytest.raises(DegreeOverflow):
+        gb.reduce({(2, 0, 1): one, (1, 0, 0): one})
+    with pytest.raises(DegreeOverflow):
+        Ideal([binomial, other]).groebner_basis(LEX)
+    assert Ideal([binomial]).groebner_basis().reduce({(2, 0, 1): one, (1, 0, 0): one}) == {
+        (2, 0, 1): one, (1, 0, 0): one}
 
 
 @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
@@ -1171,7 +1197,8 @@ def test_buchberger_keeps_integer_rows_and_keys_each_monomial_once(field, monkey
             (updating[-1] if updating else keyed).append(m)
             return real_pk.pack(m)
 
-        pk = SimpleNamespace(pack=counted, unpack=real_pk.unpack, guard=real_pk.guard)
+        pk = SimpleNamespace(pack=counted, unpack=real_pk.unpack, guard=real_pk.guard,
+                             graded=real_pk.graded, check=real_pk.check)
         for proper in (False, True):
             for _ in range(3):
                 inputs = [dict(g.terms) for g in _random_generators(rng, ring, field, proper)]
