@@ -272,7 +272,7 @@ class Packer:
         mask = (1 << _FIELD_BITS) - 1
 
         def unpack(w: int) -> Exponent:
-            return tuple(map(mask.__and__, map(w.__rshift__, shifts)))
+            return tuple([w >> s & mask for s in shifts])
 
         self.unpack = unpack
         self.guard = sum(1 << s + _FIELD_BITS - 1 for s in shifts)
