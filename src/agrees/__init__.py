@@ -26,15 +26,11 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     colength,
-    groebner_basis,
     ideal_colon,
-    ideal_contains,
     ideal_equal,
     ideal_intersection,
     ideal_order,
-    ideal_pow,
     ideal_product,
-    min_gens,
     minimal_generators,
     normal_form,
 )
@@ -42,17 +38,14 @@ from .parse import parse_ideal_spec, parse_polynomial
 from .poly import (
     BASE_RING,
     GREVLEX,
-    LEX,
     BlockElimination,
     Polynomial,
     Ring,
-    compare_monomials,
     rees_ring,
 )
-from .rees import ReesPresentation, presentation_bidegrees, rees_defining_ideal
+from .rees import ReesPresentation, rees_defining_ideal
 from .staircase import (
     Staircase,
-    closure_gap_length,
     is_contracted,
     mono_colength,
     newton_closure,

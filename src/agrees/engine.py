@@ -431,11 +431,6 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
                for q in ref_min)
 
 
-def _draw_size(fld) -> int:
-    """|S| for coefficients drawn from S = {1..size}: distinct nonzero field elements."""
-    return min(_RAND_RANGE, fld.p - 1) if isinstance(fld, PrimeField) else _RAND_RANGE
-
-
 def _span(coeffs: list, gens: list[Polynomial]) -> Polynomial:
     zero = Polynomial.zero(gens[0].ring, gens[0].field)
     return sum((p.scale(c) for c, p in zip(coeffs, gens)), zero)
@@ -469,11 +464,13 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
     """One generic witness triple, decided by two ranks; None if it fails.
 
     g, h and f combine mingens(I), mingens(J) and {x, y} with seeded random
-    coefficients from S = {1..|S|}.  A condition holds iff some maximal minor
-    of its rank, of degree mu(IJ) or mu(mJ) in the coefficients, is nonzero;
-    if a witness exists, Schwartz-Zippel on the product of two such minors
-    bounds the miss probability by (mu(IJ) + mu(mJ))/|S|.  A passing triple
-    is re-checked by `verify_witness`; `stable` skips the I^2 = QI check.
+    coefficients from S = {1..|S|}, |S| = `_RAND_RANGE`: distinct nonzero
+    field elements, as a prime field's p exceeds it.  A condition holds iff
+    some maximal minor of its rank, of degree mu(IJ) or mu(mJ) in the
+    coefficients, is nonzero; if a witness exists, Schwartz-Zippel on the
+    product of two such minors bounds the miss probability by
+    (mu(IJ) + mu(mJ))/|S|.  A passing triple is re-checked by
+    `verify_witness`; `stable` skips the I^2 = QI check.
     """
     if stable is None:
         stable = is_stable(I, Q)
@@ -482,10 +479,9 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
     fld = I.field
     sp = spaces or _WitnessSpaces(I, J, _min_gens(J))
     rng = random.Random(derive_seed(seed, "certificate"))
-    size = _draw_size(fld)
 
     def draw(n: int) -> list:
-        return [fld.from_int(rng.randint(1, size)) for _ in range(n)]
+        return [fld.from_int(rng.randint(1, _RAND_RANGE)) for _ in range(n)]
 
     a, c, b = draw(len(sp.i_gens)), draw(len(sp.j_min)), draw(2)
     if not sp.full_ranks(a, b, c, fld):
@@ -608,7 +604,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if refutation.min_sum > refutation.threshold:
         return AGReport(verdict=Verdict.NOT_AG, notes=tuple(notes), **base)
 
-    miss = (spaces.mu_IJ + spaces.mu_mJ) / _draw_size(I.field)
+    miss = (spaces.mu_IJ + spaces.mu_mJ) / _RAND_RANGE
     notes.append(f"no witness at a generic triple (failure <= {miss:.1e}) and the "
                  "generator-count bound is inconclusive")
     return AGReport(verdict=Verdict.UNKNOWN, notes=tuple(notes), **base)

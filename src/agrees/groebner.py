@@ -230,7 +230,7 @@ def _update_pairs(G, leads, sugars, P, f_entry, f_sugar, pk: Packer, max_weight=
     deg_f = sum(lmf)
     guard = pk.guard
     m = len(G)
-    lcms = [tuple(map(max, g, lmf)) for g in leads]  # mono_lcm, inlined
+    lcms = [tuple(map(max, g, lmf)) for g in leads]  # lcm(g, lm f), on the tuples
     kept = {}
     for ij, entry in P.items():
         L = entry[3]
@@ -370,11 +370,11 @@ class GroebnerBasis:
     Buchberger run's that came out monomial) reduces by a term filter
     instead: `_corners` is its staircase, the leading x-exponents ascending
     and their y-exponents; None for every other basis.  A monomial ideal's
-    basis is made from its staircase `stair` alone, the corners read off it
-    with no run, and packs its entries only if a kernel reads them.
+    basis is made from its staircase `stair` alone, with no run: its
+    entries are the corners' packed words, sorted as they compare.
     """
 
-    __slots__ = ("ring", "field", "order", "_pk", "_entries", "_leads", "_elements",
+    __slots__ = ("ring", "field", "order", "entries", "_pk", "_leads", "_elements",
                  "_corners", "_stair", "_colength")
 
     def __init__(self, ring: Ring, field, order: MonomialOrder, entries: list | None = None,
@@ -382,15 +382,15 @@ class GroebnerBasis:
         self.ring = ring
         self.field = field
         self.order = order
-        self._pk = order.packer(ring)
-        self._entries = entries
+        self._pk = pk = order.packer(ring)
         self._elements = None
         self._colength = None
         self._corners = None
-        self._leads = self._stair = None
+        self._leads = None
+        self._stair = stair
+        self.entries = entries
         if stair is not None:
-            self._leads = sorted(stair.gens, key=order.key(ring), reverse=True)
-            self._stair = stair
+            self.entries = [(w, 1, {w: 1}) for w in sorted(map(pk.pack, stair.gens), reverse=True)]
             corners = stair.gens[::-1]
         elif ring.arity == 2 and all(len(row) == 1 for _, _, row in entries):
             corners = sorted(self.leading_exponents())
@@ -398,13 +398,6 @@ class GroebnerBasis:
             return
         # an antichain: x-exponents distinct, y-exponents falling
         self._corners = ([a for a, _ in corners], [b for _, b in corners])
-
-    @property
-    def entries(self) -> list:
-        entries = self._entries
-        if entries is None:
-            entries = self._entries = [(w, 1, {w: 1}) for w in map(self._pk.pack, self._leads)]
-        return entries
 
     @property
     def elements(self) -> tuple[Polynomial, ...]:
@@ -438,7 +431,7 @@ class GroebnerBasis:
             pk = self._pk
             pack, unpack = pk.pack, pk.unpack
             # looked up on the module, so a wrapper bound there sees this call too
-            rem = _nf_dict({pack(m): c for m, c in terms.items()}, self._entries, pk.guard,
+            rem = _nf_dict({pack(m): c for m, c in terms.items()}, self.entries, pk.guard,
                            self.field)
             if not pk.graded:
                 pk.check(rem)
@@ -457,7 +450,7 @@ class GroebnerBasis:
         leads = self._leads
         if leads is None:
             unpack = self._pk.unpack
-            leads = self._leads = [unpack(lm) for lm, _, _ in self._entries]
+            leads = self._leads = [unpack(lm) for lm, _, _ in self.entries]
         return list(leads)
 
     def staircase(self):
@@ -549,18 +542,10 @@ class Ideal:
         return "Ideal(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-def groebner_basis(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    return I.groebner_basis(order)
-
-
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.ring != gb.ring or p.field != gb.field:
         raise RingMismatch("polynomial and basis live in different rings or fields")
     return Polynomial(gb.ring, gb.field, gb.reduce(p.terms))
-
-
-def ideal_contains(I: Ideal, p: Polynomial) -> bool:
-    return normal_form(p, I.groebner_basis()).is_zero
 
 
 def _contains_all(I: Ideal, polys: Sequence[Polynomial]) -> bool:
@@ -589,15 +574,6 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     if not gens:
         gens = [Polynomial.zero(I.ring, I.field)]
     return Ideal(gens)
-
-
-def ideal_pow(I: Ideal, k: int) -> Ideal:
-    if k == 0:
-        return Ideal([Polynomial.one(I.ring, I.field)])
-    result = I
-    for _ in range(k - 1):
-        result = ideal_product(result, I)
-    return result
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -635,12 +611,12 @@ def _eliminate_leads(row: _Row, lead: int, rows: dict, field) -> None:
         _sub_scaled(row, other, s, field)
 
 
-def _extend_basis(gb: GroebnerBasis, kernel: list) -> list:
-    """C + (kernel)'s reduced basis as `_buchberger` returns it, from the
-    reduced grevlex basis gb of C, of finite colength in k[x,y], and integer
-    rows on C's standard monomials (exponent tuples, packed here) that span
-    an ideal modulo C: the border read-off of FGLM (Faugere-Gianni-Lazard-
-    Mora 1993).
+def _extend_basis(gb: GroebnerBasis, kernel: list):
+    """C + (kernel)'s reduced basis as `_buchberger` returns it, and the
+    staircase of its leads, from the reduced grevlex basis gb of C, of
+    finite colength in k[x,y], and integer rows on C's standard monomials
+    (exponent tuples, packed here) that span an ideal modulo C: the border
+    read-off of FGLM (Faugere-Gianni-Lazard-Mora 1993).
 
     With L the leads of a fully reduced grevlex echelon of the rows, the
     leading monomials of C + (kernel) are LM(C) and L: an element g + k, g
@@ -664,7 +640,8 @@ def _extend_basis(gb: GroebnerBasis, kernel: list) -> list:
     of_gb = {lm: row for lm, _, row in gb.entries}
     entries = []
     leads = gb.leading_exponents() + [unpack(lm) for lm in rows]
-    for c in map(pack, staircase_normalize(leads).gens):
+    stair = staircase_normalize(leads)
+    for c in map(pack, stair.gens):
         row = rows.get(c)
         if row is None:
             row = dict(of_gb[c])
@@ -672,7 +649,7 @@ def _extend_basis(gb: GroebnerBasis, kernel: list) -> list:
         field.normalize(row, c)
         entries.append((c, row[c], row))
     entries.sort(key=_lead, reverse=True)
-    return entries
+    return entries, stair
 
 
 def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
@@ -689,7 +666,8 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
     combination column (-1, s) that sorts below them; a row whose reduced
     lead lands in a (-1, .) column has a zero image, and its combination
     columns are a kernel row; with no nonzero b every row is one.  The
-    reduced basis is read off C's and the kernel (`_extend_basis`).
+    reduced basis is read off C's and the kernel (`_extend_basis`), and it
+    keeps the staircase of its leads that the read-off normalized.
     """
     from .staircase import standard_monomials
 
@@ -715,7 +693,9 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
             echelon[lead] = row
         else:
             kernel.append({e: c for (_, e), c in row.items()})
-    basis = GroebnerBasis(A.ring, fld, GREVLEX, _extend_basis(gb, kernel))
+    entries, stair = _extend_basis(gb, kernel)
+    basis = GroebnerBasis(A.ring, fld, GREVLEX, entries)
+    basis._stair = stair  # `staircase` already normalized: not again for colength
     J = Ideal(list(basis))
     J._gb_cache[GREVLEX] = basis  # already reduced: no Buchberger run
     return J
@@ -791,12 +771,6 @@ def maximal_ideal(ring: Ring, field) -> Ideal:
     return m
 
 
-def min_gens(I: Ideal) -> int:
-    """mu(I) = len(I/mI) via colength(mI) - colength(I), valid at the origin."""
-    m = maximal_ideal(I.ring, I.field)
-    return colength(ideal_product(m, I)) - colength(I)
-
-
 def ideal_order(I: Ideal) -> int:
     """Largest n with I inside m^n: minimum term degree over the generators."""
     degs = [g.min_degree() for g in I.generators if not g.is_zero]
@@ -811,9 +785,9 @@ def minimal_generators(I: Ideal, mI: Ideal | None = None) -> list[Polynomial]:
     stair = I.staircase()  # None outside k[x,y] and for the zero ideal
     if stair is not None:
         return [Polynomial.monomial(I.ring, I.field, e) for e in stair.gens]
-    keyf = GREVLEX.key(I.ring)
+    pack = GREVLEX.packer(I.ring).pack
     return _nakayama_prune(list(I.groebner_basis().elements),
-                           key=lambda g: (g.min_degree(), keyf(g.leading()[0])), N=mI)
+                           key=lambda g: (g.min_degree(), max(map(pack, g.terms))), N=mI)
 
 
 def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,

@@ -4,23 +4,23 @@ Monomials are plain exponent tuples; the ambient ring (an ordered tuple of
 variable names) travels with each Polynomial.  All values are immutable, so
 everything here is safe to share across threads.
 
-Inside the Groebner kernels a monomial is one int, packed by the order's
-`Packer`: its key above one 34-bit field per exponent, so that words
-compare as the order, add as the monomials multiply and pass a mask test
-exactly when they divide.  A word is exact while its monomial's total
-degree is below 2^32, and `pack` raises DegreeOverflow from there on, as
-the order keys do (LEX's among them, from degree 2^32).  The kernels pack
-their inputs and every lcm and derive every other word by adding and
-subtracting words.  Under grevlex no derived degree exceeds a packed one;
-under lex and block orders a derived degree is bounded by nothing but the
-run, so the words a kernel hands out are checked against 2^32 (see
-"packed monomials" below).
+A monomial order has one encoding, the packed word of its `Packer`: the
+order's key above one 34-bit field per exponent, so that words compare as
+the order, add as the monomials multiply and pass a mask test exactly when
+they divide.  `Polynomial.leading` and `sorted_terms` sort by the word, and
+inside the Groebner kernels a monomial is its word.  A word is exact while
+its monomial's total degree is below 2^32, and `pack` raises
+DegreeOverflow from there on.  The kernels pack their inputs and every lcm
+and derive every other word by adding and subtracting words.  Under
+grevlex no derived degree exceeds a packed one; under a block order a
+derived degree is bounded by nothing but the run, so the words a kernel
+hands out are checked against 2^32 (see "packed monomials" below).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, mul, sub
+from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import DegreeOverflow, NotContained, RingMismatch
@@ -59,25 +59,12 @@ def presentation_ring(s: int) -> Ring:
 
 
 # -- monomial helpers --------------------------------------------------------
-# Exponents are plain tuples; divisibility, lcm and order keys run on
-# map/operator, with no cache, so no primitive runs a Python frame per
-# coordinate.  Inside the Groebner kernels a monomial is one packed int
-# instead (`MonomialOrder.packer`), on which these are `+`, `-` and a mask.
+# Exponents are plain tuples outside the Groebner kernels; inside them a
+# monomial is one packed int (`MonomialOrder.packer`), on which a product,
+# a quotient and a divisor test are `+`, `-` and a mask.
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
-
-
-def mono_div(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(sub, a, b))
-
-
-def mono_divides(a: Exponent, b: Exponent) -> bool:
-    return all(map(le, a, b))
-
-
-def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Exponent) -> int:
@@ -86,8 +73,7 @@ def mono_deg(a: Exponent) -> int:
 
 # -- monomial orders ---------------------------------------------------------
 
-_ORDER_KEYS: dict = {}  # (order, ring) -> the order's key function on ring
-_PACKERS: dict = {}     # (order, ring) -> the order's Packer on ring
+_PACKERS: dict = {}  # (order, ring) -> the order's Packer on ring
 
 
 class MonomialOrder:
@@ -95,22 +81,16 @@ class MonomialOrder:
 
     Every order here is keyed by one linear form in the exponents,
     sum(map(mul, e, W)) with the weights W of `_linear`, which orders the
-    monomials of total degree below B = ORDER_BASE and raises
-    DegreeOverflow from there on, rather than misorder.  A `graded` order
-    compares total degrees first."""
+    monomials of total degree below B = ORDER_BASE.  The key is read only
+    as the top of a packed word (`packer`), whose `pack` is the sort key of
+    the order and raises DegreeOverflow from degree B on, rather than
+    misorder.  A `graded` order compares total degrees first."""
 
     graded = False
 
-    def key(self, ring: Ring) -> Callable[[Exponent], int]:
-        """The order's sort key on ring's exponents: one function per equal
-        (order, ring), built once, so a caller may ask for it per call."""
-        k = _ORDER_KEYS.get((self, ring))
-        if k is None:
-            k = _ORDER_KEYS[(self, ring)] = _linear_form(*self._linear(ring))
-        return k
-
     def packer(self, ring: Ring) -> "Packer":
-        """The `Packer` of `key(ring)`: one per equal (order, ring)."""
+        """The order's `Packer` on ring: one per equal (order, ring), built
+        once, so a caller may ask for it per call."""
         pk = _PACKERS.get((self, ring))
         if pk is None:
             pk = _PACKERS[(self, ring)] = Packer(*self._linear(ring), ring.arity,
@@ -178,18 +158,6 @@ class _Grevlex(MonomialOrder):
 
 
 @dataclass(frozen=True)
-class _Lex(MonomialOrder):
-    def _linear(self, ring):
-        # sum(e[i] * B^(n-1-i)): the first variable most significant, exact
-        # while no digit carries, which total degree below B guarantees
-        n = ring.arity
-        return [1 << _DIGIT_BITS * (n - 1 - i) for i in range(n)], None
-
-    def __repr__(self):
-        return "lex"
-
-
-@dataclass(frozen=True)
 class BlockElimination(MonomialOrder):
     """Front block compared by grevlex, then the rest by grevlex.
 
@@ -218,7 +186,6 @@ class BlockElimination(MonomialOrder):
 
 
 GREVLEX = _Grevlex()
-LEX = _Lex()
 
 
 # -- packed monomials ----------------------------------------------------------
@@ -238,16 +205,16 @@ LEX = _Lex()
 #   - pack(b) - pack(a) is pack(b / a) when a divides b, and unpack reads
 #     the fields back.
 # `pack` is the key's linear form with one more term per weight, W[i] << F*n
-# plus the field bit 1 << F*(n-1-i), so it raises DegreeOverflow as the key
-# does, where the key does.  A kernel packs its inputs and every lcm it
-# forms; every other monomial it derives is a term of a stored row shifted
-# by a difference of packed words (`m + (lcm - lead)` in an S-polynomial,
-# `m + (lead - lead)` in a reduction step), and its word is exact while that
-# term's total degree is below 2^32.  Under grevlex no term of a row has a
-# larger degree than the row's lead, so every derived degree is at most that
-# of an lcm or a reduced lead, which were checked; under lex and block
-# orders a tail term may outgrow its lead, and the words stay exact only
-# while every derived degree stays below 2^32.  There the kernels `check`
+# plus the field bit 1 << F*(n-1-i), and `_linear_form` makes it raise
+# DegreeOverflow from total degree 2^32 on.  A kernel packs its inputs and
+# every lcm it forms; every other monomial it derives is a term of a stored
+# row shifted by a difference of packed words (`m + (lcm - lead)` in an
+# S-polynomial, `m + (lead - lead)` in a reduction step), and its word is
+# exact while that term's total degree is below 2^32.  Under grevlex no
+# term of a row has a larger degree than the row's lead, so every derived
+# degree is at most that of an lcm or a reduced lead, which were checked;
+# under a block order a tail term may outgrow its lead, and the words stay
+# exact only while every derived degree stays below 2^32.  There the kernels `check`
 # every word they hand out, the terms of a reduced basis and of a
 # remainder, and raise DegreeOverflow on a word of degree 2^32 or more; a
 # word that outgrew the bound and then cancelled inside a run is not seen.
@@ -286,16 +253,6 @@ class Packer:
         pack, unpack = self.pack, self.unpack
         for w in words:
             pack(unpack(w))
-
-
-def compare_monomials(a: Exponent, b: Exponent, ring: Ring, order: MonomialOrder) -> int:
-    """Return -1, 0, or 1 as a <, =, > b under the order."""
-    if len(a) != ring.arity or len(b) != ring.arity:
-        raise RingMismatch(f"exponent arity does not match {ring}")
-    if a == b:
-        return 0
-    k = order.key(ring)
-    return 1 if k(a) > k(b) else -1
 
 
 # -- polynomials -------------------------------------------------------------
@@ -358,12 +315,11 @@ class Polynomial:
         return e
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Exponent, object]]:
-        key = order.key(self.ring)
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        pack = order.packer(self.ring).pack
+        return sorted(self.terms.items(), key=lambda t: pack(t[0]), reverse=True)
 
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Exponent, object]:
-        key = order.key(self.ring)
-        e = max(self.terms, key=key)
+        e = max(self.terms, key=order.packer(self.ring).pack)
         return e, self.terms[e]
 
     def min_degree(self) -> int:

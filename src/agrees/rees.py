@@ -145,8 +145,8 @@ def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> lis
 def _prune_key(s: int):
     """Scanning order of the prune, and the order of every presentation:
     T-degree, then xy-degree, then the leading monomial in grevlex."""
-    keyg = GREVLEX.key(presentation_ring(s))
-    return lambda g: (_t_degree(g), _xy_degree(g), keyg(g.leading()[0]))
+    pack = GREVLEX.packer(presentation_ring(s)).pack
+    return lambda g: (_t_degree(g), _xy_degree(g), max(map(pack, g.terms)))
 
 
 def rees_defining_ideal(I: Ideal) -> ReesPresentation:
@@ -164,10 +164,6 @@ def rees_defining_ideal(I: Ideal) -> ReesPresentation:
         kept = _nakayama_prune(t_free, key=key, max_weight=bound)
     bidegrees = tuple(sorted((_t_degree(g), _xy_degree(g)) for g in kept))
     return ReesPresentation(defining_gens=tuple(kept), bidegrees=bidegrees)
-
-
-def presentation_bidegrees(I: Ideal) -> tuple[tuple[int, int], ...]:
-    return rees_defining_ideal(I).bidegrees
 
 
 def substitution_check(I: Ideal, pres: ReesPresentation) -> bool:

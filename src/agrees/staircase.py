@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, NotZeroDimensional
-from .groebner import Ideal, ideal_order, min_gens
+from .groebner import Ideal
 
 Pair = tuple[int, int]
 
@@ -163,16 +163,6 @@ def newton_closure(s: Staircase) -> Staircase:
     return staircase_normalize(gens)
 
 
-def closure_gap_length(s: Staircase) -> int:
-    """Length of the closure modulo the ideal; zero iff integrally closed."""
-    _require_primary(s)
-    return mono_colength(s) - mono_colength(newton_closure(s))
-
-
-def is_integrally_closed(s: Staircase) -> bool:
-    return newton_closure(s) == s
-
-
 def staircase_of_ideal(I: Ideal) -> Staircase | None:
     """Staircase view of an ideal of k[x,y] whose generators are all single
     terms; None for any other ideal.  Cached on the ideal (`Ideal.staircase`)."""
@@ -197,15 +187,12 @@ def ideal_of_staircase(s: Staircase, ring, field) -> Ideal:
     return Ideal.of_staircase(s, ring, field)
 
 
-def is_contracted(obj) -> bool:
-    """mu(I) = o(I) + 1, the generator-count characterization."""
-    if isinstance(obj, Staircase):
-        _require_primary(obj)
-        return len(obj.gens) == obj.order() + 1
-    stair = staircase_of_ideal(obj)
-    if stair is not None:
-        return is_contracted(stair)
-    return min_gens(obj) == ideal_order(obj) + 1
+def is_contracted(s: Staircase) -> bool:
+    """mu(I) = o(I) + 1, the generator-count characterization, for the
+    m-primary monomial ideal of s.  A polynomial ideal's answer is
+    `classify(I).contracted`."""
+    _require_primary(s)
+    return len(s.gens) == s.order() + 1
 
 
 def render_staircase(s: Staircase) -> str:

@@ -1,6 +1,7 @@
 """Independent oracles used to derive expected values for the tests.
 
-These deliberately avoid the production algorithms: the order keys' values
+These deliberately avoid the production algorithms: the monomial
+primitives and the order keys are written out here, the order keys' values
 come from their formulas, the pair update is the criterion-by-criterion
 form of the kernel's one-pass update, the Groebner oracle is a
 plain S-pair saturation loop with no selection strategy or pair pruning, the
@@ -15,15 +16,23 @@ from __future__ import annotations
 import sympy
 
 from agrees.errors import NotContained, ZeroDivisorIdeal
-from agrees.groebner import Ideal, ideal_intersection
-from agrees.poly import GREVLEX, Polynomial, mono_div, mono_mul
+from agrees.groebner import Ideal, ideal_intersection, ideal_product
+from agrees.poly import BlockElimination, Polynomial
 
 
 # -- monomial primitives in their generator form ------------------------------
-# `agrees.poly`'s divisibility and lcm written with generators, apart from the
-# map/operator forms there, and its grevlex and block orders as tuple keys,
-# the order its integer keys must keep, so the oracles below do not change
-# with the primitives they are used to check.
+# Divisibility, lcm, product and quotient of exponent tuples written with
+# generators, and the grevlex and block orders as tuple keys, the order the
+# packed words of `agrees.poly` must keep, so the oracles below do not
+# change with the primitives they are used to check.
+
+def reference_mono_mul(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def reference_mono_div(a, b) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
 
 def reference_mono_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
@@ -38,7 +47,7 @@ def reference_grevlex_key(e) -> tuple:
 
 
 def reference_block_key(ring, front):
-    """`BlockElimination(front).key(ring)`: grevlex on the front slots, then
+    """`BlockElimination(front)` on ring: grevlex on the front slots, then
     grevlex on the rest."""
     fidx = tuple(ring.index(v) for v in front)
     bidx = tuple(i for i in range(ring.arity) if i not in fidx)
@@ -50,7 +59,15 @@ def reference_block_key(ring, front):
     return k
 
 
-# The integer order keys' values, by their defining formulas in base 2^32.
+def reference_key(order, ring):
+    """The tuple key of grevlex or of a block order on ring."""
+    if isinstance(order, BlockElimination):
+        return reference_block_key(ring, order.front)
+    return reference_grevlex_key
+
+
+# The order keys' values, the top of each packed word, by their defining
+# formulas in base 2^32.
 
 ORDER_BASE = 2 ** 32
 
@@ -72,6 +89,13 @@ def reference_block_value(ring, front):
                 + reference_grevlex_value(tuple(e[i] for i in bidx)))
 
     return k
+
+
+def reference_value(order, ring):
+    """The key value of grevlex or of a block order on ring."""
+    if isinstance(order, BlockElimination):
+        return reference_block_value(ring, order.front)
+    return reference_grevlex_value
 
 
 # -- Gebauer-Moeller pair update, criterion by criterion ----------------------
@@ -103,7 +127,8 @@ def reference_update_pairs(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None
     for L in minimal:
         if max_weight is not None and sum(L[2:]) > max_weight:
             continue  # above the weight bound
-        if any(reference_mono_lcm(G[i][0], lmf) == mono_mul(G[i][0], lmf) for i in groups[L]):
+        if any(reference_mono_lcm(G[i][0], lmf) == reference_mono_mul(G[i][0], lmf)
+               for i in groups[L]):
             continue  # coprime leading terms reduce to zero
         i = min(groups[L])
         sug = max(
@@ -121,7 +146,7 @@ def reference_update_pairs(G, sugars, P, f_entry, f_sugar, keyf, max_weight=None
 def _reduce_full(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     field = p.field
     work = dict(p.terms)
-    keyf = GREVLEX.key(p.ring)
+    keyf = reference_grevlex_key
     rem: dict = {}
     while work:
         lm = max(work, key=keyf)
@@ -136,12 +161,12 @@ def _reduce_full(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
             rem[lm] = c
             continue
         blm, blc, b = hit
-        shift = mono_div(lm, blm)
+        shift = reference_mono_div(lm, blm)
         scale = field.div(c, blc)
         for m, bc in b.terms.items():
             if m == blm:
                 continue
-            mm = mono_mul(m, shift)
+            mm = reference_mono_mul(m, shift)
             nv = field.sub(work.get(mm, field.zero), field.mul(scale, bc))
             if nv == field.zero:
                 work.pop(mm, None)
@@ -163,8 +188,8 @@ def saturation_groebner(gens: list[Polynomial]) -> list[Polynomial]:
                 lmi, _ = fi.leading()
                 lmj, _ = fj.leading()
                 lcm = reference_mono_lcm(lmi, lmj)
-                si = Polynomial.monomial(ring, field, mono_div(lcm, lmi))
-                sj = Polynomial.monomial(ring, field, mono_div(lcm, lmj))
+                si = Polynomial.monomial(ring, field, reference_mono_div(lcm, lmi))
+                sj = Polynomial.monomial(ring, field, reference_mono_div(lcm, lmj))
                 s = si * fi - sj * fj
                 r = _reduce_full(s, basis)
                 if not r.is_zero:
@@ -172,7 +197,7 @@ def saturation_groebner(gens: list[Polynomial]) -> list[Polynomial]:
                     changed = True
         if changed:
             continue
-    keyf = GREVLEX.key(ring)
+    keyf = reference_grevlex_key
     minimal = []
     for g in sorted(basis, key=lambda p: keyf(p.leading()[0])):
         if all(not reference_mono_divides(k.leading()[0], g.leading()[0]) for k in minimal):
@@ -185,13 +210,24 @@ def saturation_groebner(gens: list[Polynomial]) -> list[Polynomial]:
     return reduced
 
 
-# -- elimination colon ---------------------------------------------------------
+# -- powers and the elimination colon -----------------------------------------
+
+def ideal_pow(I: Ideal, k: int) -> Ideal:
+    """I^k by k - 1 products of generator lists, with no cache: the check on
+    the engine's `_power`."""
+    if k == 0:
+        return Ideal([Polynomial.one(I.ring, I.field)])
+    result = I
+    for _ in range(k - 1):
+        result = ideal_product(result, I)
+    return result
+
 
 def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
     """Quotient p/f when f divides p (polynomial rings over fields are UFDs);
     raises NotContained otherwise."""
     field = p.field
-    keyf = GREVLEX.key(p.ring)
+    keyf = reference_grevlex_key
     lmf, lcf = f.leading()
     work = dict(p.terms)
     out: dict = {}
@@ -200,13 +236,13 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
         c = work.pop(lm)
         if not reference_mono_divides(lmf, lm):
             raise NotContained(f"{p} is not a multiple of {f}")
-        shift = mono_div(lm, lmf)
+        shift = reference_mono_div(lm, lmf)
         scale = field.div(c, lcf)
         out[shift] = scale
         for m, fc in f.terms.items():
             if m == lmf:
                 continue
-            mm = mono_mul(m, shift)
+            mm = reference_mono_mul(m, shift)
             nv = field.sub(work.get(mm, field.zero), field.mul(scale, fc))
             if nv == field.zero:
                 work.pop(mm, None)

@@ -31,7 +31,6 @@ from agrees.groebner import (
     colength,
     ideal_colon,
     ideal_equal,
-    ideal_pow,
     ideal_product,
     maximal_ideal,
     minimal_generators,
@@ -40,7 +39,7 @@ from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import BASE_RING, Polynomial
 from agrees.staircase import staircase_normalize, staircase_of_ideal
 
-from oracles import generic_ranks, reference_colon
+from oracles import generic_ranks, ideal_pow, reference_colon
 
 FP = PrimeField(2147483647)
 
@@ -569,7 +568,7 @@ def test_monomial_colength_builds_no_basis(monkeypatch):
     # shortcut is built, for input ideals, ideals made from staircases and
     # the engine's products of them, over both fields
     from agrees import groebner
-    from agrees.groebner import colength, min_gens
+    from agrees.groebner import colength
     from agrees.repro import random_staircase
     from agrees.staircase import ideal_of_staircase
 
@@ -597,7 +596,7 @@ def test_monomial_colength_builds_no_basis(monkeypatch):
             for A in (I, ideal_of_staircase(S, BASE_RING, field), engine._mul(m, I),
                       engine._mul(I, I), ideal_product(I, I)):
                 assert colength(A) == lattice_colength(list(staircase_of_ideal(A).gens))
-            assert min_gens(I) == len(S.gens)
+            assert engine._mu(I) == len(S.gens)
     assert built == []
     assert colength(ideal("x^2 - y, y^3")) == 6 and "groebner_basis" in built
 

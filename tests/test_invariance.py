@@ -15,7 +15,7 @@ from agrees.families import coordinate_twin
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import Ideal
 from agrees.poly import BASE_RING, Polynomial
-from agrees.rees import presentation_bidegrees
+from agrees.rees import rees_defining_ideal
 from agrees.staircase import staircase_normalize
 
 FP = PrimeField(2147483647)
@@ -98,4 +98,4 @@ def test_constant_multipliers_keep_the_verdict(exps, data):
         cs = data.draw(st.lists(units, min_size=n, max_size=n))
         scaled = Ideal([g.scale(c) for g, c in zip(I.generators, cs)])
         assert _invariants(scaled) == _invariants(I)
-        assert presentation_bidegrees(scaled) == presentation_bidegrees(I)
+        assert rees_defining_ideal(scaled).bidegrees == rees_defining_ideal(I).bidegrees

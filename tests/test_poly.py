@@ -12,13 +12,9 @@ from agrees.fields import QQ, PrimeField
 from agrees.poly import (
     BASE_RING,
     GREVLEX,
-    LEX,
     BlockElimination,
     Polynomial,
     Ring,
-    compare_monomials,
-    mono_divides,
-    mono_lcm,
     mono_mul,
     rees_ring,
 )
@@ -29,39 +25,63 @@ from oracles import (
     reference_block_value,
     reference_grevlex_key,
     reference_grevlex_value,
+    reference_key,
     reference_mono_divides,
-    reference_mono_lcm,
+    reference_mono_mul,
+    reference_value,
 )
 
 FP = PrimeField(2147483647)
 
+# lex on k[x,y]: the block order with x alone in front
+LEX_XY = BlockElimination(front=("x",))
+
+# a packed word holds its order's key above one 34-bit field per exponent
+FIELD_BITS = 34
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+def _compare(a, b, order, ring=BASE_RING):
+    pack = order.packer(ring).pack
+    return _sign(pack(a), pack(b))
+
+
+def _divides(pk, a, b):
+    """The packed divisor test: a divides b."""
+    return not (pk.pack(b) - pk.pack(a)) & pk.guard
+
 
 def test_grevlex_tiebreak():
-    assert compare_monomials((2, 0), (1, 1), BASE_RING, GREVLEX) == 1
+    assert _compare((2, 0), (1, 1), GREVLEX) == 1
 
 
 def test_grevlex_degree_compatible():
-    assert compare_monomials((1, 0), (0, 2), BASE_RING, GREVLEX) == -1
+    assert _compare((1, 0), (0, 2), GREVLEX) == -1
 
 
 def test_lex_ignores_degree():
-    assert compare_monomials((1, 0), (0, 3), BASE_RING, LEX) == 1
+    assert _compare((1, 0), (0, 3), LEX_XY) == 1
+    assert _compare((1, 0), (0, 3), GREVLEX) == -1
 
 
 def test_compare_equal_iff_same_exponents():
-    assert compare_monomials((2, 1), (2, 1), BASE_RING, GREVLEX) == 0
-    with pytest.raises(RingMismatch):
-        compare_monomials((2, 1, 0), (2, 1), BASE_RING, GREVLEX)
+    assert _compare((2, 1), (2, 1), GREVLEX) == 0
+    for order in (GREVLEX, LEX_XY):
+        pack = order.packer(BASE_RING).pack
+        assert len({pack(e) for e in itertools.product(range(6), repeat=2)}) == 36
 
 
 def _random_mono(rng, arity):
     return tuple(rng.randint(0, 6) for _ in range(arity))
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockElimination(front=("x",))])
+@pytest.mark.parametrize("order", [GREVLEX, LEX_XY, BlockElimination(front=("y",))])
 def test_orders_multiplicative(order):
     rng = random.Random(7)
-    key = order.key(BASE_RING)
+    key = order.packer(BASE_RING).pack
     for _ in range(300):
         a, b, c = (_random_mono(rng, 2) for _ in range(3))
         if key(a) < key(b):
@@ -72,7 +92,7 @@ def test_orders_multiplicative(order):
 
 def test_grevlex_degree_dominates_random():
     rng = random.Random(8)
-    key = GREVLEX.key(BASE_RING)
+    key = GREVLEX.packer(BASE_RING).pack
     for _ in range(200):
         a, b = _random_mono(rng, 2), _random_mono(rng, 2)
         if sum(a) < sum(b):
@@ -82,14 +102,10 @@ def test_grevlex_degree_dominates_random():
 def test_block_order_eliminates():
     ring = rees_ring(2)  # x, y, t, T1, T2
     order = BlockElimination(front=("t",))
-    key = order.key(ring)
+    key = order.packer(ring).pack
     with_t = (0, 0, 1, 0, 0)
     without = (5, 5, 0, 3, 3)
     assert key(with_t) > key(without)
-
-
-def _sign(a, b):
-    return (a > b) - (a < b)
 
 
 def _ring(arity):
@@ -98,31 +114,33 @@ def _ring(arity):
 
 @pytest.mark.parametrize("arity", [2, 3, 5])
 def test_monomial_primitives_match_generator_form(arity):
-    """mono_divides and mono_lcm give the values of their generator forms
-    (oracles.py), and the grevlex and block keys order as the tuple keys
-    there and take the values of the integer formulas there, on every pair
-    of seeded exponents, equal and all-zero tuples included."""
+    """mono_mul and the packed divisor test give the values of their
+    generator forms (oracles.py), and the grevlex and block words order as
+    the tuple keys there and carry the values of the integer formulas there
+    above their exponent fields, on every pair of seeded exponents, equal
+    and all-zero tuples included."""
     rng = random.Random(1500 + arity)
     monos = [_random_mono(rng, arity) for _ in range(40)]
     monos += [(0,) * arity, monos[0], tuple(min(e, 2) for e in monos[1])]
-    grevlex = GREVLEX.key(_ring(arity))
+    grevlex = GREVLEX.packer(_ring(arity))
     ring = rees_ring(2)  # x, y, t, T1, T2
-    block = BlockElimination(front=("t",)).key(ring)
+    block = BlockElimination(front=("t",)).packer(ring)
     ref_block = reference_block_key(ring, ("t",))
     block_value = reference_block_value(ring, ("t",))
     divides = 0
     for a in monos:
         for b in monos:
-            assert mono_divides(a, b) is reference_mono_divides(a, b)
-            divides += mono_divides(a, b)
-            assert mono_lcm(a, b) == reference_mono_lcm(a, b)
-            assert _sign(grevlex(a), grevlex(b)) == _sign(
+            assert mono_mul(a, b) == reference_mono_mul(a, b)
+            assert _divides(grevlex, a, b) is reference_mono_divides(a, b)
+            divides += reference_mono_divides(a, b)
+            assert _sign(grevlex.pack(a), grevlex.pack(b)) == _sign(
                 reference_grevlex_key(a), reference_grevlex_key(b))
             if arity == ring.arity:
-                assert _sign(block(a), block(b)) == _sign(ref_block(a), ref_block(b))
-        assert grevlex(a) == reference_grevlex_value(a)
+                assert _divides(block, a, b) is reference_mono_divides(a, b)
+                assert _sign(block.pack(a), block.pack(b)) == _sign(ref_block(a), ref_block(b))
+        assert grevlex.pack(a) >> FIELD_BITS * arity == reference_grevlex_value(a)
         if arity == ring.arity:
-            assert block(a) == block_value(a)
+            assert block.pack(a) >> FIELD_BITS * arity == block_value(a)
     assert len(monos) < divides < len(monos) ** 2  # both outcomes occur
 
 
@@ -135,16 +153,16 @@ def _wide_mono(rng, arity):
 @pytest.mark.parametrize("arity", [2, 3, 5])
 def test_integer_keys_order_as_the_tuple_keys_up_to_2_to_the_32(arity):
     """On exponents up to 2^31, and on total degrees 2^32 - 1 and 2^32 put
-    in one slot or spread over all, the grevlex and block keys order as the
-    tuple keys and take the formula values while the total degree is below
-    2^32, and raise DegreeOverflow from there on, where the digits would
-    carry."""
+    in one slot or spread over all, the grevlex and block words order as
+    the tuple keys and carry the formula values above their exponent fields
+    while the total degree is below 2^32, and raise DegreeOverflow from
+    there on, where the key's digits would carry."""
     rng = random.Random(2200 + arity)
     ring = _ring(arity)
-    orders = [(GREVLEX.key(ring), reference_grevlex_key, reference_grevlex_value)]
+    orders = [(GREVLEX.packer(ring).pack, reference_grevlex_key, reference_grevlex_value)]
     for front in (ring.vars[:1], ring.vars[1:2], ring.vars[:2], ring.vars[1:]):
         order = BlockElimination(front=front)
-        orders.append((order.key(ring), reference_block_key(ring, front),
+        orders.append((order.packer(ring).pack, reference_block_key(ring, front),
                        reference_block_value(ring, front)))
     monos = [_wide_mono(rng, arity) for _ in range(60)]
     monos.append((1 << 31,) * arity)
@@ -153,68 +171,69 @@ def test_integer_keys_order_as_the_tuple_keys_up_to_2_to_the_32(arity):
         monos.append(tuple(deg - (arity - 1) if j == i else 1 for j in range(arity)))
     small = [e for e in monos if sum(e) < ORDER_BASE]
     assert 10 < len(small) < len(monos)  # both sides of the bound occur
-    for key, ref_key, ref_value in orders:
+    for pack, ref_key, ref_value in orders:
         for a in monos:
             if sum(a) >= ORDER_BASE:
                 with pytest.raises(DegreeOverflow):
-                    key(a)
+                    pack(a)
                 continue
-            assert key(a) == ref_value(a)
+            assert pack(a) >> FIELD_BITS * arity == ref_value(a)
             for b in small:
-                assert _sign(key(a), key(b)) == _sign(ref_key(a), ref_key(b))
+                assert _sign(pack(a), pack(b)) == _sign(ref_key(a), ref_key(b))
 
 
 @st.composite
 def _packing_cases(draw):
-    """An order among grevlex, lex and block orders with fronts of one and
-    two variables, in arity 2, 3 or 5, and two exponents a, b mixing small
-    values with values up to 2^31, so that degrees reach 2^32; b is a
-    multiple of a, by such an exponent, in about half the draws."""
+    """An order among grevlex and block orders with fronts of one and two
+    variables (lex in arity 2), in arity 2, 3 or 5, and two exponents a, b
+    mixing small values with values up to 2^31, so that degrees reach 2^32;
+    b is a multiple of a, by such an exponent, in about half the draws."""
     arity = draw(st.sampled_from([2, 3, 5]))
     ring = _ring(arity)
-    order = draw(st.sampled_from([GREVLEX, LEX, BlockElimination(front=ring.vars[:1]),
+    order = draw(st.sampled_from([GREVLEX, BlockElimination(front=ring.vars[:1]),
                                   BlockElimination(front=ring.vars[1:3])]))
     exps = st.tuples(*[st.one_of(st.integers(0, 6), st.integers(0, 1 << 31))] * arity)
     a = draw(exps)
-    b = mono_mul(a, draw(exps)) if draw(st.booleans()) else draw(exps)
+    b = reference_mono_mul(a, draw(exps)) if draw(st.booleans()) else draw(exps)
     return ring, order, a, b
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(_packing_cases())
 def test_packed_words_are_the_key_and_the_exponents(case):
-    """`order.packer(ring)`: words compare as the key, add as the monomials
-    multiply, pass the mask test exactly when the tuples divide, and unpack
-    to their exponents; `pack` raises DegreeOverflow from total degree 2^32
-    on, where the key raises it."""
+    """`order.packer(ring)`: words carry the key's value on top and compare
+    as the tuple key, add as the monomials multiply, pass the mask test
+    exactly when the tuples divide, and unpack to their exponents; `pack`
+    raises DegreeOverflow from total degree 2^32 on."""
     ring, order, a, b = case
-    key, pk = order.key(ring), order.packer(ring)
-    for e in (a, b, mono_mul(a, b)):
+    pk = order.packer(ring)
+    for e in (a, b, reference_mono_mul(a, b)):
         if sum(e) >= ORDER_BASE:
-            for f in (key, pk.pack):
-                with pytest.raises(DegreeOverflow):
-                    f(e)
+            with pytest.raises(DegreeOverflow):
+                pk.pack(e)
         else:
             assert pk.unpack(pk.pack(e)) == e
+            assert pk.pack(e) >> FIELD_BITS * ring.arity == reference_value(order, ring)(e)
     if max(sum(a), sum(b)) >= ORDER_BASE:
         return
     wa, wb = pk.pack(a), pk.pack(b)
+    key = reference_key(order, ring)
     assert _sign(wa, wb) == _sign(key(a), key(b))
-    assert (not (wb - wa) & pk.guard) is mono_divides(a, b)
+    assert _divides(pk, a, b) is reference_mono_divides(a, b)
     if sum(a) + sum(b) < ORDER_BASE:
-        assert wa + wb == pk.pack(mono_mul(a, b))
-    if mono_divides(a, b):
+        assert wa + wb == pk.pack(reference_mono_mul(a, b))
+    if reference_mono_divides(a, b):
         assert pk.unpack(wb - wa) == tuple(y - x for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("arity", [2, 3, 5])
 def test_packing_raises_at_degree_2_to_the_32(arity):
     """Total degree 2^32 - 1 packs and 2^32 raises, in one slot or spread
-    over all, under every order, as the key does; at 2^32 - 1 the mask test
-    still tells which variables divide."""
+    over all, under every order; at 2^32 - 1 the mask test still tells
+    which variables divide."""
     ring = _ring(arity)
     variables = [tuple(int(j == i) for j in range(arity)) for i in range(arity)]
-    for order in (GREVLEX, LEX, BlockElimination(front=ring.vars[:1]),
+    for order in (GREVLEX, BlockElimination(front=ring.vars[:1]),
                   BlockElimination(front=ring.vars[1:3])):
         pk = order.packer(ring)
         for i, deg in itertools.product(range(arity), (ORDER_BASE - 1, ORDER_BASE)):
@@ -224,29 +243,27 @@ def test_packing_raises_at_degree_2_to_the_32(arity):
                     w = pk.pack(e)
                     assert pk.unpack(w) == e
                     for v in [(0,) * arity] + variables:
-                        assert (not (w - pk.pack(v)) & pk.guard) is mono_divides(v, e)
+                        assert _divides(pk, v, e) is reference_mono_divides(v, e)
                 else:
                     with pytest.raises(DegreeOverflow):
                         pk.pack(e)
-                    with pytest.raises(DegreeOverflow):
-                        order.key(ring)(e)
 
 
 def test_an_order_key_is_built_once_per_order_and_ring():
-    """`order.key(ring)` hands back one function per equal (order, ring):
-    equal block orders share it, other rings and orders get their own."""
+    """`order.packer(ring)`, whose words are the order's one key, is one
+    object per equal (order, ring): equal block orders share it, other
+    rings and orders get their own; its words carry the key's value."""
     ring = rees_ring(2)
-    assert GREVLEX.key(ring) is GREVLEX.key(ring)
-    assert GREVLEX.key(Ring(ring.vars)) is GREVLEX.key(ring)
-    assert GREVLEX.key(BASE_RING) is not GREVLEX.key(ring)
-    block = BlockElimination(front=("t",)).key(ring)
-    assert BlockElimination(front=("t",)).key(ring) is block
-    assert BlockElimination(front=("T1",)).key(ring) is not block
-    assert LEX.key(ring) is LEX.key(ring) and LEX.key(ring) is not GREVLEX.key(ring)
+    assert GREVLEX.packer(ring) is GREVLEX.packer(ring)
     assert GREVLEX.packer(Ring(ring.vars)) is GREVLEX.packer(ring)
-    assert BlockElimination(front=("t",)).packer(ring) is not GREVLEX.packer(ring)
+    assert GREVLEX.packer(BASE_RING) is not GREVLEX.packer(ring)
+    block = BlockElimination(front=("t",)).packer(ring)
+    assert BlockElimination(front=("t",)).packer(ring) is block
+    assert BlockElimination(front=("T1",)).packer(ring) is not block
+    assert block is not GREVLEX.packer(ring)
     e = (1, 0, 2, 0, 1)
-    assert block(e) == reference_block_value(ring, ("t",))(e)
+    assert block.pack(e) >> FIELD_BITS * ring.arity == reference_block_value(ring, ("t",))(e)
+    assert GREVLEX.packer(ring).pack(e) >> FIELD_BITS * ring.arity == reference_grevlex_value(e)
 
 
 def test_project_rejects_a_dropped_slot():
@@ -436,7 +453,7 @@ def test_leading_term_respects_order():
     y = Polynomial.variable(BASE_RING, QQ, "y")
     p = x + y ** 3
     assert p.leading(GREVLEX)[0] == (0, 3)
-    assert p.leading(LEX)[0] == (1, 0)
+    assert p.leading(LEX_XY)[0] == (1, 0)
 
 
 def test_substitute():

@@ -18,12 +18,11 @@ from agrees.parse import parse_ideal_spec
 from agrees.poly import BASE_RING, Polynomial, presentation_ring
 from agrees.repro import random_staircase
 from agrees.rees import (
-    presentation_bidegrees,
     rees_defining_ideal,
     substitution_check,
 )
 
-from oracles import sympy_same_ideal, to_sympy
+from oracles import reference_grevlex_key, sympy_same_ideal, to_sympy
 
 
 FP = PrimeField(2147483647)
@@ -93,7 +92,23 @@ def test_four_generated_bidegrees():
 @pytest.mark.parametrize("beta,n", [(1, 2), (2, 3), (3, 5), (4, 6)])
 def test_order_two_contracted_shapes(beta, n):
     I = ideal(f"x^2, x y^{beta}, y^{n}")
-    assert sorted(t for t, _ in presentation_bidegrees(I)) == [1, 1, 2]
+    assert sorted(t for t, _ in rees_defining_ideal(I).bidegrees) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("text", ["x^3, x^2 y, x y^2, y^3", "x^3, x^2 y^2, x y^3, y^5",
+                                  "x^2, x y^3, y^5"])
+def test_presentation_is_sorted_by_bidegree_then_grevlex_lead(text):
+    """A presentation lists its generators by T-degree, then xy-degree,
+    then leading monomial in grevlex, the lead found here by the tuple key;
+    each input has generators tied on the bidegree."""
+    def key(g):
+        lead = max(g.terms, key=reference_grevlex_key)
+        return (sum(lead[2:]), min(e[0] + e[1] for e in g.terms), reference_grevlex_key(lead))
+
+    gens = rees_defining_ideal(ideal(text)).defining_gens
+    assert list(gens) == sorted(gens, key=key)
+    bidegrees = [key(g)[:2] for g in gens]
+    assert len(set(bidegrees)) < len(bidegrees)
 
 
 def test_substitution_check_random_family():

@@ -1,11 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import agrees
 
 SOURCES = sorted(Path(agrees.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_library_has_no_assert():
@@ -39,7 +41,7 @@ def test_only_fields_imports_fractions():
 
 
 # perfbench/tracing.py binds these two on `engine` to time the staircase
-# layer, though the engine no longer calls them (ROADMAP item 6 deletes both)
+# layer, though the engine no longer calls them (ROADMAP item 8 deletes both)
 UNUSED_IMPORTS_ALLOWED = {("engine.py", "mono_colength"), ("engine.py", "staircase_normalize")}
 
 
@@ -60,3 +62,53 @@ def test_no_library_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found.update((path.name, name) for name in imported - used)
     assert found == UNUSED_IMPORTS_ALLOWED, f"unused imports: {sorted(found - UNUSED_IMPORTS_ALLOWED)}"
+
+
+# exported names that no library stage reads, each kept for its reason
+EXPORTS_WITHOUT_A_READER = {
+    # perfbench/tracing.py binds it, and oracles.reference_colon is built on it
+    "ideal_intersection",
+    # perfbench's check_case calls it, and ROADMAP item 2(d) will too
+    "validate_report",
+    # ROADMAP item 8 moves the twins workload onto it
+    "coordinate_twin",
+}
+
+
+def _reads(tree) -> set:
+    """The names a module reads, leaving out a def's or class's reads of
+    its own name (a recursive call is not a reader)."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != owner:
+            found.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def _readme_example_names() -> set:
+    """The identifiers of README's first code block under "## Library"."""
+    text = README.read_text()
+    section = text[text.index("## Library"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return set(re.findall(r"[A-Za-z_]\w*", block))
+
+
+def test_every_export_has_a_reader():
+    """Each name `agrees/__init__.py` exports is read in another library
+    module, outside its own definition, or shown in README's "Library"
+    example; a public name no stage calls is deleted, not exported."""
+    init = next(path for path in SOURCES if path.name == "__init__.py")
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set().union(*(_reads(ast.parse(path.read_text(), filename=str(path)))
+                         for path in SOURCES if path != init))
+    unread = exported - read - _readme_example_names()
+    assert unread == EXPORTS_WITHOUT_A_READER, f"exports with no reader: {sorted(unread)}"
