@@ -53,6 +53,7 @@ from .groebner import (
     _contains_all,
     _echelon_reduce,
     _nakayama_prune,
+    _times_maximal,
 )
 from .poly import Polynomial
 from .staircase import (
@@ -137,19 +138,27 @@ class AGReport:
 
 # -- representation dispatch -------------------------------------------------
 # Products of two monomial ideals are built on their staircases, keeping the
-# generator lists of monomial powers minimal, and carry them cached.
-# Everything else goes through `groebner`, whose colengths and normal forms
-# modulo a monomial ideal read its staircase.  Each product is built once:
-# it is cached on its right factor, keyed by the left one (`Ideal._products`),
-# so its basis and staircase are built once per analysis, and the shared
+# generator lists of monomial powers minimal, and carry them cached.  m*B for
+# any other B is read off B's reduced basis by its consecutive S-pairs
+# (`groebner._times_maximal`), carrying its own reduced basis, so no
+# Nakayama test's m*P starts a Buchberger run.  Every other product goes
+# through `groebner.ideal_product`, whose colengths and normal forms modulo
+# a monomial ideal read its staircase.  Each product is built once: it is
+# cached on its right factor, keyed by the left one (`Ideal._products`), so
+# its basis and staircase are built once per analysis, and the shared
 # maximal ideal, always the left factor here, pins no product.
 
 def _mul(A: Ideal, B: Ideal) -> Ideal:
+    """A*B from `_mul`'s cache: on the staircases when both are monomial,
+    by `_times_maximal` when A is the maximal ideal (B then has finite
+    colength in k[x,y]), else by `ideal_product`."""
     P = B._products.get(A)
     if P is None:
         sa, sb = staircase_of_ideal(A), staircase_of_ideal(B)
         if sa is not None and sb is not None:
             P = ideal_of_staircase(staircase_product(sa, sb), A.ring, A.field)
+        elif A is maximal_ideal(A.ring, A.field):
+            P = _times_maximal(B)
         else:
             P = ideal_product(A, B)
         B._products[A] = P
@@ -195,7 +204,9 @@ def _power(I: Ideal, k: int) -> Ideal:
 
 def _mu(P: Ideal) -> int:
     """mu(P) = colength(m*P) - colength(P) for an m-primary P (Nakayama),
-    with m*P from `_mul`'s cache."""
+    with m*P from `_mul`'s cache: for a non-monomial P its reduced basis is
+    read off P's by `groebner._times_maximal`, whose leads give the
+    colength."""
     return colength(_mul(maximal_ideal(P.ring, P.field), P)) - colength(P)
 
 

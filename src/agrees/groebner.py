@@ -9,13 +9,13 @@ truncated by a weight bound (see `_buchberger`).  Reduced bases are unique,
 so every operation here is deterministic for a fixed input and order.
 
 Inside the kernels `_nf_dict`, `_spoly`, `_update_pairs`, `_entry`,
-`_buchberger` and `_extend_basis` a monomial is one packed int
-(`poly.Packer`): the order key on top and one bit field per exponent below.
-A lead is `max` of a row's words, a shifted term is `m + shift`, and "lm
-divides m" is `(m - lm) & guard == 0`, so no step builds a tuple or calls
-a key.  A run packs each input monomial once, and `_update_pairs` packs
-each distinct lcm once, computing lcms, degrees and weights on the lead
-tuples it keeps next to the words.  Everything outside the kernels stays on
+`_buchberger`, `_interreduce`, `_extend_basis` and `_times_maximal` a
+monomial is one packed int (`poly.Packer`): the order key on top and one
+bit field per exponent below.  A lead is `max` of a row's words, a shifted
+term is `m + shift`, and "lm divides m" is `(m - lm) & guard == 0`, so no
+step builds a tuple or calls a key.  A run packs each input monomial once,
+and `_update_pairs` packs each distinct lcm once, computing lcms, degrees
+and weights on the lead tuples it keeps next to the words.  Everything outside the kernels stays on
 exponent tuples: `GroebnerBasis.reduce` packs its input and unpacks the
 remainder, and `elements` and `leading_exponents` unpack.  Only this module
 and `poly` know the packed format.
@@ -42,7 +42,11 @@ returns, the monic polynomials `_monic_polynomial` builds once from a
 basis's entries, and a kernel vector a caller reads off an echelon.  The
 colon (`_colon`) runs no Buchberger: it reads its reduced basis off the
 kernel it finds and the basis it starts from (`_extend_basis`, the border
-read-off of FGLM).
+read-off of FGLM).  Nor does m*P for an ideal P of finite colength in
+k[x,y] (`_times_maximal`): the products x*g and y*g over P's reduced basis
+plus an echelon of its consecutive S-pairs' remainders are a Groebner basis
+of m*P (Schreyer 1980), and the minimalize-and-interreduce tail that ends a
+Buchberger run (`_interreduce`) makes it reduced.
 
 Monomial ideals of k[x,y] take the staircase instead (`staircase`): an
 `Ideal` caches its staircase, a monomial ideal's `colength` and reduced
@@ -336,7 +340,16 @@ def _buchberger(inputs: list[_Term], pk: Packer, field, max_weight=None) -> list
         r = _nf_dict(_spoly(G[i], G[j], L, field), G, guard, field, True)
         if r:
             P = _update_pairs(G, leads, sugars, P, _entry(r, field), sug, pk, max_weight)
-    # minimalize: leading monomials must form a divisibility antichain
+    return _interreduce(G, pk, field)
+
+
+def _interreduce(G: list, pk: Packer, field) -> list:
+    """The reduced basis of the ideal of which the entries G are a Groebner
+    basis, as `_entry`s sorted by descending leading word: minimalized, so
+    that the leads form a divisibility antichain, then each element reduced
+    modulo the others.  Under an order that is not graded each word is
+    `check`ed, and a term of degree 2^32 or more raises DegreeOverflow."""
+    guard = pk.guard
     minimal: list = []
     for g in sorted(G, key=_lead):
         if all((g[0] - e[0]) & guard for e in minimal):
@@ -699,6 +712,47 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
     J = Ideal(list(basis))
     J._gb_cache[GREVLEX] = basis  # already reduced: no Buchberger run
     return J
+
+
+def _times_maximal(P: Ideal) -> Ideal:
+    """m*P for m = (x, y) and an ideal P of finite colength in k[x,y],
+    generated by its reduced grevlex basis, which it carries cached: read
+    off P's reduced grevlex basis G = (g_1, ..., g_s) with no Buchberger
+    run (Schreyer 1980; Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 5
+    Thm 3.3).  Raises NotZeroDimensional for any other P.
+
+    An element sum f_k g_k of P is sum f_k(0) g_k modulo m*G = (x g_k,
+    y g_k), so m*P is m*G plus the constant combinations sum c_k g_k that
+    lie in m*P; c is such a vector iff it is the value at the origin of a
+    syzygy of G.  With the leads (a_k, b_k) sorted by x-exponent, the lead
+    syzygies of consecutive corners generate those of LM(P), so their lifts
+    generate the syzygies of G (Schreyer).  Each lift is read off the full
+    reduction of the S-polynomial at lcm (a_(k+1), b_k), which lies in m*P,
+    modulo m*G: its remainder's terms are corners and standard monomials,
+    so, lying in P, it is sum c_k g_k with c_k its corner coefficients, the
+    lift's value at the origin.  An echelon of the remainders has one row
+    per independent relation, each led by a new corner, so the leads of m*G
+    and of the rows give colength(P) + s - (s - mu(P)) = colength(m*P)
+    standard monomials: m*G plus the rows is a Groebner basis of m*P, which
+    `_interreduce` makes reduced.
+    """
+    colength(P)  # raises outside k[x,y], for the zero ideal and for infinite colength
+    gb = P.groebner_basis()
+    field, pk = gb.field, gb._pk
+    pack, guard = pk.pack, pk.guard
+    shifted = [(lm + v, lc, {m + v: c for m, c in row.items()})
+               for v in (pack((1, 0)), pack((0, 1))) for lm, lc, row in gb.entries]
+    corners = sorted(zip(gb.leading_exponents(), gb.entries))
+    rows: dict = {}
+    for ((_, b), f), ((a, _), g) in zip(corners, corners[1:]):
+        r = _nf_dict(_spoly(f, g, pack((a, b)), field), shifted, guard, field, True)
+        if (lm := _echelon_reduce(r, rows, field)) is not None:
+            rows[lm] = r
+    basis = GroebnerBasis(gb.ring, field, GREVLEX, _interreduce(
+        shifted + [(lm, row[lm], row) for lm, row in rows.items()], pk, field))
+    M = Ideal(list(basis))
+    M._gb_cache[GREVLEX] = basis  # already reduced: no Buchberger run
+    return M
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:

@@ -383,9 +383,11 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     # an earlier run's output.  verify_witness, the exact re-check of a
     # certificate, finds the bases of m*IJ and m^2*J that the witness spaces
     # built, so no basis is built twice, verification included.  The colon
-    # reads J's reduced basis off its kernel and runs no Buchberger, so the
-    # flagship makes 8 runs in all and the boundary twin 6, one fewer each
-    # than a colon that ran Buchberger on gb(I) + kernel
+    # reads J's reduced basis off its kernel, and every m*P reads its basis
+    # off P's (`_times_maximal`, once per product), so no Buchberger run
+    # builds an m*P: both twins make 4 runs in all (I, I^2, the colon's
+    # T = Q + I^2, and IJ), where building each m*P by Buchberger made 8
+    # and 6
     from agrees import groebner
     from agrees.poly import GREVLEX
     from test_groebner import _monic_values, _Packed
@@ -395,18 +397,22 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     def key(polys):
         return frozenset(frozenset(p.items()) for p in polys)
 
+    def basis_key(P):
+        return key(p.terms for p in P.groebner_basis())
+
     m = maximal_ideal(BASE_RING, QQ)
     cases = []
     for I, expected, runs in (
             (coordinate_twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}),
-                             Fraction(1, 3), QQ), Verdict.NOT_AG, 8),
-            (coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ), Verdict.AG_CERTIFIED, 6)):
-        shared = [key(p.terms for p in ideal_product(A, I).groebner_basis()) for A in (m, I)]
+                             Fraction(1, 3), QQ), Verdict.NOT_AG, 4),
+            (coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ), Verdict.AG_CERTIFIED, 4)):
+        shared = [basis_key(ideal_product(A, I)) for A in (m, I)]
         cases.append((I, expected, runs, shared))
 
-    inputs, outputs = [], []
+    inputs, outputs, products = [], [], []
     real = groebner._buchberger
     real_colon = engine._colon
+    real_times = engine._times_maximal
 
     def record(polys, pk, field, *args, **kwargs):
         assert pk is packed.pk
@@ -422,17 +428,31 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         assert len(inputs) == before
         return J
 
+    def times_maximal(P):
+        P.groebner_basis()  # the kernel's own input
+        before = len(inputs)
+        M = real_times(P)
+        assert len(inputs) == before
+        products.append(basis_key(M))
+        return M
+
     monkeypatch.setattr(groebner, "_buchberger", record)
     monkeypatch.setattr(engine, "_colon", colon)
+    monkeypatch.setattr(engine, "_times_maximal", times_maximal)
     for I, expected, runs, shared in cases:
         inputs.clear()
         outputs.clear()
+        products.clear()
         assert classify(I).verdict is expected
         assert len(inputs) == runs
         assert inputs and len(set(inputs)) == len(inputs)
         assert not any(basis in outputs[:k] for k, basis in enumerate(inputs))
-        # nor is a basis of m*I or I^2 built again from another generator list
-        assert [outputs.count(basis) for basis in shared] == [1, 1]
+        # the kernel builds each m*P once, m*I among them, and no run builds
+        # any m*P; I^2 is built once, from no other generator list
+        assert products and len(set(products)) == len(products)
+        assert not set(products) & set(outputs)
+        m_I, I_2 = shared
+        assert m_I in products and outputs.count(I_2) == 1
 
 
 def test_products_are_built_once():

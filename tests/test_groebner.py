@@ -10,7 +10,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agrees.errors import (
     DegreeOverflow,
@@ -775,6 +775,55 @@ def test_extend_basis_is_the_buchberger_basis(field, seed):
     # A : A: the kernel is all of R/A and J = (1)
     unit = calls[-2 if red.stable else -1][2]
     assert [_Packed(GREVLEX, BASE_RING).entry(e) for e in unit] == [((0, 0), 1, {(0, 0): 1})]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(corners=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
+       a=st.integers(1, 5), b=st.integers(1, 5), c=st.sampled_from([2, -3, Fraction(1, 3)]),
+       shape=st.sampled_from(["twin", "redundant", "times x - 1", "square", "x + y^2"]))
+@example(corners=[(0, 0)], a=1, b=1, c=2, shape="redundant")  # (1, 2, x): m*P = m
+def test_times_maximal_is_the_buchberger_basis(field, corners, a, b, c, shape):
+    """m*P's basis read off P's by consecutive S-pairs (`_times_maximal`)
+    is the entries of Buchberger's reduced basis of m*P, for P the
+    x -> x + c*y twin of a staircase (the unit ideal when a corner is
+    (0, 0)): as it is, with a redundant sum and a multiple of its
+    generators added, with its x-power times x - 1 (zeros away from the
+    origin; the unit ideal stays as it is) and squared.  Those bases are
+    minimal generating sets; the staircase's image under x -> x + y^2
+    often has a basis that is not, and only there do S-pair remainders
+    survive into the echelon.  The kernel runs no Buchberger on P's
+    basis."""
+    from agrees.families import coordinate_twin
+    from agrees.staircase import staircase_normalize
+
+    exps = staircase_normalize([(a, 0), (0, b)] + corners).gens
+    P = coordinate_twin(exps, c, field)
+    gens = list(P.generators)
+    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
+    if shape == "x + y^2":
+        P = Ideal([(x + y * y) ** i * y ** j for i, j in exps])
+    elif shape == "redundant":
+        P = Ideal(gens + [gens[0] + gens[-1], x * gens[-1]])
+    elif shape == "times x - 1" and len(gens) > 1:
+        P = Ideal([gens[0] * (x - Polynomial.one(BASE_RING, field))] + gens[1:])
+    elif shape == "square":
+        P = ideal_product(P, P)
+    want = ideal_product(maximal_ideal(BASE_RING, field), P).groebner_basis().entries
+    P.groebner_basis()
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _count_buchberger(mp)
+        assert groebner._times_maximal(P).groebner_basis().entries == want
+    assert not runs
+
+
+def test_times_maximal_needs_a_finite_colength_in_the_plane():
+    ring = Ring(("x", "y", "z"))
+    for P in (ideal("x y, x^2 y"), ideal("x^2 - y^2, x^3 - x y^2"),
+              Ideal([Polynomial.zero(BASE_RING, QQ)]),
+              Ideal([Polynomial.variable(ring, QQ, v) for v in ring.vars])):
+        with pytest.raises(NotZeroDimensional):
+            groebner._times_maximal(P)
 
 
 # -- colength, min_gens, order ---------------------------------------------------

@@ -99,3 +99,17 @@ def test_constant_multipliers_keep_the_verdict(exps, data):
         scaled = Ideal([g.scale(c) for g, c in zip(I.generators, cs)])
         assert _invariants(scaled) == _invariants(I)
         assert rees_defining_ideal(scaled).bidegrees == rees_defining_ideal(I).bidegrees
+
+
+@CASES
+@given(staircases(), st.sampled_from([QQ, FP]))
+def test_a_non_linear_automorphism_keeps_the_verdict(exps, field):
+    """x -> x + y^2 is an automorphism of k[x,y] fixing the origin, so the
+    image of a staircase has its verdict and the numbers behind it.  The
+    image is no linear twin: its m*P's bases are read off by the S-pair
+    kernel from leads that are not the staircase's."""
+    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
+    X = x + y * y
+    image = Ideal([X ** i * y ** j for i, j in exps])
+    source = Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
+    assert _invariants(image) == _invariants(source)
