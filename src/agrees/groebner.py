@@ -9,16 +9,17 @@ truncated by a weight bound (see `_buchberger`).  Reduced bases are unique,
 so every operation here is deterministic for a fixed input and order.
 
 Inside the kernels `_nf_dict`, `_spoly`, `_update_pairs`, `_entry`,
-`_buchberger`, `_interreduce`, `_extend_basis` and `_times_maximal` a
-monomial is one packed int (`poly.Packer`): the order key on top and one
-bit field per exponent below.  A lead is `max` of a row's words, a shifted
-term is `m + shift`, and "lm divides m" is `(m - lm) & guard == 0`, so no
-step builds a tuple or calls a key.  A run packs each input monomial once,
-and `_update_pairs` packs each distinct lcm once, computing lcms, degrees
-and weights on the lead tuples it keeps next to the words.  Everything outside the kernels stays on
-exponent tuples: `GroebnerBasis.reduce` packs its input and unpacks the
-remainder, and `elements` and `leading_exponents` unpack.  Only this module
-and `poly` know the packed format.
+`_buchberger`, `_interreduce` and `_times_maximal` a monomial is one packed
+int (`poly.Packer`): the order key on top and one bit field per exponent
+below.  A lead is `max` of a row's words, a shifted term is `m + shift`,
+and "lm divides m" is `(m - lm) & guard == 0`, so no step builds a tuple
+or calls a key.  A run packs each input monomial once, and `_update_pairs`
+packs each distinct lcm once, computing lcms, degrees and weights on the
+lead tuples it keeps next to the words.  `_colon` keys its kernel rows by
+packed words too.  Everything outside the kernels stays on exponent
+tuples: `GroebnerBasis.reduce` packs its input and unpacks the remainder,
+and `elements` and `leading_exponents` unpack.  Only this module and
+`poly` know the packed format.
 
 The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
 rows of plain integers, one kernel for both fields; the field supplies what
@@ -39,14 +40,16 @@ row) that `_buchberger` returns.  A run clears its inputs once; its S-pair and
 interreduction remainders stay integer rows.  Field values are made again
 only where a value leaves a kernel: the remainder `GroebnerBasis.reduce`
 returns, the monic polynomials `_monic_polynomial` builds once from a
-basis's entries, and a kernel vector a caller reads off an echelon.  The
-colon (`_colon`) runs no Buchberger: it reads its reduced basis off the
-kernel it finds and the basis it starts from (`_extend_basis`, the border
-read-off of FGLM).  Nor does m*P for an ideal P of finite colength in
-k[x,y] (`_times_maximal`): the products x*g and y*g over P's reduced basis
+basis's entries, and a kernel vector a caller reads off an echelon.
+
+Every reduced basis that is not read off a staircase ends in one finisher,
+`_interreduce`, which minimalizes a Groebner basis and interreduces it.  A
+Buchberger run hands it its basis; two kernels hand it a Groebner basis
+found with no run.  The colon (`_colon`) hands it the basis it starts from
+plus the kernel rows it finds.  For m*P with P of finite colength in
+k[x,y] (`_times_maximal`), the products x*g and y*g over P's reduced basis
 plus an echelon of its consecutive S-pairs' remainders are a Groebner basis
-of m*P (Schreyer 1980), and the minimalize-and-interreduce tail that ends a
-Buchberger run (`_interreduce`) makes it reduced.
+(Schreyer 1980).
 
 Monomial ideals of k[x,y] take the staircase instead (`staircase`): an
 `Ideal` caches its staircase, a monomial ideal's `colength` and reduced
@@ -347,8 +350,10 @@ def _interreduce(G: list, pk: Packer, field) -> list:
     """The reduced basis of the ideal of which the entries G are a Groebner
     basis, as `_entry`s sorted by descending leading word: minimalized, so
     that the leads form a divisibility antichain, then each element reduced
-    modulo the others.  Under an order that is not graded each word is
-    `check`ed, and a term of degree 2^32 or more raises DegreeOverflow."""
+    modulo the others.  It finishes every reduced basis not read off a
+    staircase: `_buchberger`'s, `_times_maximal`'s and `_colon`'s.  Under an
+    order that is not graded each word is `check`ed, and a term of degree
+    2^32 or more raises DegreeOverflow."""
     guard = pk.guard
     minimal: list = []
     for g in sorted(G, key=_lead):
@@ -551,6 +556,14 @@ class Ideal:
         I._staircase = stair
         return I
 
+    @classmethod
+    def of_basis(cls, basis: GroebnerBasis) -> "Ideal":
+        """The ideal of a reduced basis's elements, with basis already in
+        its cache: no Buchberger run."""
+        I = cls(list(basis))
+        I._gb_cache[basis.order] = basis
+        return I
+
     def __repr__(self):
         return "Ideal(" + ", ".join(str(g) for g in self.generators) + ")"
 
@@ -611,60 +624,6 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(trimmed)
 
 
-def _eliminate_leads(row: _Row, lead: int, rows: dict, field) -> None:
-    """Cancel, in place, each term of an integer row but `lead` that leads
-    a row of the fully reduced echelon `rows` (their other terms lead none,
-    so a cancelled term never comes back)."""
-    for m in [m for m in row if m != lead and m in rows]:
-        other = rows[m]
-        a, s = field.cross(row[m], other[m])
-        if a != 1:  # over q only
-            for k, v in row.items():
-                row[k] = a * v
-        _sub_scaled(row, other, s, field)
-
-
-def _extend_basis(gb: GroebnerBasis, kernel: list):
-    """C + (kernel)'s reduced basis as `_buchberger` returns it, and the
-    staircase of its leads, from the reduced grevlex basis gb of C, of
-    finite colength in k[x,y], and integer rows on C's standard monomials
-    (exponent tuples, packed here) that span an ideal modulo C: the border
-    read-off of FGLM (Faugere-Gianni-Lazard-Mora 1993).
-
-    With L the leads of a fully reduced grevlex echelon of the rows, the
-    leading monomials of C + (kernel) are LM(C) and L: an element g + k, g
-    in C and k in the span, has g's lead in LM(C) and k's terms standard
-    for C, so a lead outside LM(C) is k's.  A corner c of that staircase in
-    L leads its echelon row; any other is a corner of LM(C) and leads gb's
-    element, whose tail, standard for C, loses its terms in L.
-    """
-    from .staircase import staircase_normalize
-
-    field, pk = gb.field, gb._pk
-    pack, unpack = pk.pack, pk.unpack
-    rows: dict = {}
-    for r in kernel:
-        r = {pack(m): c for m, c in r.items()}
-        lm = _echelon_reduce(r, rows, field)
-        if lm is not None:
-            rows[lm] = r
-    for lm in sorted(rows):  # a row's terms lead only smaller rows
-        _eliminate_leads(rows[lm], lm, rows, field)
-    of_gb = {lm: row for lm, _, row in gb.entries}
-    entries = []
-    leads = gb.leading_exponents() + [unpack(lm) for lm in rows]
-    stair = staircase_normalize(leads)
-    for c in map(pack, stair.gens):
-        row = rows.get(c)
-        if row is None:
-            row = dict(of_gb[c])
-            _eliminate_leads(row, c, rows, field)
-        field.normalize(row, c)
-        entries.append((c, row[c], row))
-    entries.sort(key=_lead, reverse=True)
-    return entries, stair
-
-
 def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
     """A : (B) for a sub-ideal C of A : (B) of finite colength in k[x,y],
     generated by its reduced basis, which it carries cached.
@@ -676,21 +635,30 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
     filled by walking the staircase in degree order with NF_A(v*s*b) =
     NF_A(v*NF_A(s*b)) for a variable v, so each product is reduced from an
     already reduced one.  The row of s holds its image columns (j, e) and a
-    combination column (-1, s) that sorts below them; a row whose reduced
-    lead lands in a (-1, .) column has a zero image, and its combination
-    columns are a kernel row; with no nonzero b every row is one.  The
-    reduced basis is read off C's and the kernel (`_extend_basis`), and it
-    keeps the staircase of its leads that the read-off normalized.
+    combination column (-1, w), w the packed word of s, that sorts below
+    them; with x ascending within a degree the walk is ascending grevlex,
+    so w is the largest combination column yet, never cancelled.  A row
+    whose reduced lead is (-1, w) has a zero image, and its combination
+    columns are a kernel row led by s, which the echelon keeps under that
+    lead; with no nonzero b every row is one.
+
+    C's basis plus the kernel rows is a Groebner basis of the colon.  The
+    rows have distinct leads, so L, the leads of their span, is theirs.  An
+    element g + k, g in C and k in the span, has g's lead in LM(C) and k's
+    terms standard for C, so its lead is g's or k's: in LM(C) or in L.
+    `_interreduce` makes that basis reduced, and `Ideal.of_basis` caches
+    it; reduced bases are unique, so it is the one a Buchberger run would
+    return.
     """
     from .staircase import standard_monomials
 
     fld = A.field
     top = A.groebner_basis()
     gb = C.groebner_basis()
+    pack = gb._pk.pack
     gens = [b.terms for b in B if not b.is_zero]
     forms: dict = {}     # s -> [NF_A(s*b) for b in gens]
-    echelon: dict = {}   # lead column -> augmented row with a nonzero image
-    kernel: list[_Term] = []
+    echelon: dict = {}   # lead column -> reduced augmented row, kernel rows included
     for s in standard_monomials(gb.staircase()):
         if s == (0, 0):
             prods = gens
@@ -700,18 +668,12 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
             prods = [{(e[0] + v[0], e[1] + v[1]): c for e, c in f.items()} for f in parent]
         forms[s] = nfs = [top.reduce(p) for p in prods]
         row = {(j, e): c for j, f in enumerate(nfs) for e, c in f.items()}
-        row[(-1, s)] = fld.one  # no earlier row has this column: never cancelled
-        lead = _echelon_reduce(row, echelon, fld)
-        if lead[0] >= 0:
-            echelon[lead] = row
-        else:
-            kernel.append({e: c for (_, e), c in row.items()})
-    entries, stair = _extend_basis(gb, kernel)
-    basis = GroebnerBasis(A.ring, fld, GREVLEX, entries)
-    basis._stair = stair  # `staircase` already normalized: not again for colength
-    J = Ideal(list(basis))
-    J._gb_cache[GREVLEX] = basis  # already reduced: no Buchberger run
-    return J
+        row[(-1, pack(s))] = fld.one
+        echelon[_echelon_reduce(row, echelon, fld)] = row
+    kernel = [(w, row[j, w], {m: c for (_, m), c in row.items()})
+              for (j, w), row in echelon.items() if j < 0]
+    return Ideal.of_basis(GroebnerBasis(A.ring, fld, GREVLEX,
+                                        _interreduce(gb.entries + kernel, gb._pk, fld)))
 
 
 def _times_maximal(P: Ideal) -> Ideal:
@@ -734,7 +696,7 @@ def _times_maximal(P: Ideal) -> Ideal:
     per independent relation, each led by a new corner, so the leads of m*G
     and of the rows give colength(P) + s - (s - mu(P)) = colength(m*P)
     standard monomials: m*G plus the rows is a Groebner basis of m*P, which
-    `_interreduce` makes reduced.
+    `_interreduce` makes reduced, and `Ideal.of_basis` caches.
     """
     colength(P)  # raises outside k[x,y], for the zero ideal and for infinite colength
     gb = P.groebner_basis()
@@ -748,11 +710,8 @@ def _times_maximal(P: Ideal) -> Ideal:
         r = _nf_dict(_spoly(f, g, pack((a, b)), field), shifted, guard, field, True)
         if (lm := _echelon_reduce(r, rows, field)) is not None:
             rows[lm] = r
-    basis = GroebnerBasis(gb.ring, field, GREVLEX, _interreduce(
-        shifted + [(lm, row[lm], row) for lm, row in rows.items()], pk, field))
-    M = Ideal(list(basis))
-    M._gb_cache[GREVLEX] = basis  # already reduced: no Buchberger run
-    return M
+    return Ideal.of_basis(GroebnerBasis(gb.ring, field, GREVLEX, _interreduce(
+        shifted + [(lm, row[lm], row) for lm, row in rows.items()], pk, field)))
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:

@@ -6,8 +6,10 @@
     var   := 'x' | 'y' | 't' | 'T' nat
     coeff := integer | integer '/' integer
 
-Whitespace and '*' are optional between factors.  An ideal specification is
-a comma-separated list of polynomials, optionally wrapped in ``ideal( ... )``.
+Whitespace and '*' are optional between factors, and a '*' is followed by
+a variable: a dangling one, as in ``3*``, is a ParseError at the '*'.  An
+ideal specification is a comma-separated list of polynomials, optionally
+wrapped in ``ideal( ... )``.
 """
 
 from __future__ import annotations
@@ -126,8 +128,6 @@ class _Parser:
                                      self.tokens[self.pos - 1].pos) from None
             else:
                 coeff = f.from_int(num)
-            if self.peek().kind == "STAR":
-                self.advance()
         exponents = [0] * self.ring.arity
         saw_var = False
         while True:

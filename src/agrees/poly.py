@@ -7,8 +7,8 @@ everything here is safe to share across threads.
 A monomial order has one encoding, the packed word of its `Packer`: the
 order's key above one 34-bit field per exponent, so that words compare as
 the order, add as the monomials multiply and pass a mask test exactly when
-they divide.  `Polynomial.leading` and `sorted_terms` sort by the word, and
-inside the Groebner kernels a monomial is its word.  A word is exact while
+they divide.  `Polynomial.sorted_terms` sorts by the word, and inside the
+Groebner kernels a monomial is its word.  A word is exact while
 its monomial's total degree is below 2^32, and `pack` raises
 DegreeOverflow from there on.  The kernels pack their inputs and every lcm
 and derive every other word by adding and subtracting words.  Under
@@ -318,16 +318,9 @@ class Polynomial:
         pack = order.packer(self.ring).pack
         return sorted(self.terms.items(), key=lambda t: pack(t[0]), reverse=True)
 
-    def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Exponent, object]:
-        e = max(self.terms, key=order.packer(self.ring).pack)
-        return e, self.terms[e]
-
     def min_degree(self) -> int:
         """Smallest total degree among the terms (m-adic order of the element)."""
         return min(mono_deg(e) for e in self.terms)
-
-    def total_degree(self) -> int:
-        return max(mono_deg(e) for e in self.terms)
 
     # arithmetic
 
@@ -388,12 +381,6 @@ class Polynomial:
     def scale(self, coeff) -> "Polynomial":
         f = self.field
         return Polynomial(self.ring, f, {e: f.mul(c, coeff) for e, c in self.terms.items()})
-
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if self.is_zero:
-            return self
-        _, lc = self.leading(order)
-        return self.scale(self.field.inv(lc))
 
     def substitute(self, target_ring: Ring, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Evaluate under var -> image; images live in the target ring."""

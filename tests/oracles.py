@@ -46,6 +46,18 @@ def reference_grevlex_key(e) -> tuple:
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
+def reference_leading(p: Polynomial) -> tuple:
+    """p's leading exponent and coefficient under `reference_grevlex_key`."""
+    e = max(p.terms, key=reference_grevlex_key)
+    return e, p.terms[e]
+
+
+def _monic(p: Polynomial) -> Polynomial:
+    """p, nonzero, divided by its leading coefficient."""
+    lc = reference_leading(p)[1]
+    return Polynomial(p.ring, p.field, {e: p.field.div(c, lc) for e, c in p.terms.items()})
+
+
 def reference_block_key(ring, front):
     """`BlockElimination(front)` on ring: grevlex on the front slots, then
     grevlex on the rest."""
@@ -153,7 +165,7 @@ def _reduce_full(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
         c = work.pop(lm)
         hit = None
         for b in basis:
-            blm, blc = b.leading()
+            blm, blc = reference_leading(b)
             if reference_mono_divides(blm, lm):
                 hit = (blm, blc, b)
                 break
@@ -178,35 +190,36 @@ def _reduce_full(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
 def saturation_groebner(gens: list[Polynomial]) -> list[Polynomial]:
     """Reduced basis by brute S-pair saturation, no criteria, no strategy."""
     ring, field = gens[0].ring, gens[0].field
-    basis = [g.monic() for g in gens if not g.is_zero]
+    basis = [_monic(g) for g in gens if not g.is_zero]
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 fi, fj = basis[i], basis[j]
-                lmi, _ = fi.leading()
-                lmj, _ = fj.leading()
+                lmi, _ = reference_leading(fi)
+                lmj, _ = reference_leading(fj)
                 lcm = reference_mono_lcm(lmi, lmj)
                 si = Polynomial.monomial(ring, field, reference_mono_div(lcm, lmi))
                 sj = Polynomial.monomial(ring, field, reference_mono_div(lcm, lmj))
                 s = si * fi - sj * fj
                 r = _reduce_full(s, basis)
                 if not r.is_zero:
-                    basis.append(r.monic())
+                    basis.append(_monic(r))
                     changed = True
         if changed:
             continue
     keyf = reference_grevlex_key
     minimal = []
-    for g in sorted(basis, key=lambda p: keyf(p.leading()[0])):
-        if all(not reference_mono_divides(k.leading()[0], g.leading()[0]) for k in minimal):
+    for g in sorted(basis, key=lambda p: keyf(reference_leading(p)[0])):
+        if all(not reference_mono_divides(reference_leading(k)[0], reference_leading(g)[0])
+               for k in minimal):
             minimal.append(g)
     reduced = []
     for k, g in enumerate(minimal):
         others = minimal[:k] + minimal[k + 1:]
-        reduced.append(_reduce_full(g, others).monic())
-    reduced.sort(key=lambda p: keyf(p.leading()[0]), reverse=True)
+        reduced.append(_monic(_reduce_full(g, others)))
+    reduced.sort(key=lambda p: keyf(reference_leading(p)[0]), reverse=True)
     return reduced
 
 
@@ -228,7 +241,7 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
     raises NotContained otherwise."""
     field = p.field
     keyf = reference_grevlex_key
-    lmf, lcf = f.leading()
+    lmf, lcf = reference_leading(f)
     work = dict(p.terms)
     out: dict = {}
     while work:

@@ -61,6 +61,7 @@ from oracles import (
     reference_colon,
     reference_grevlex_key,
     reference_key,
+    reference_leading,
     reference_mono_div,
     reference_mono_divides,
     reference_mono_lcm,
@@ -138,14 +139,14 @@ def test_gb_mixed_input_matches_saturation_oracle():
 
 def test_gb_reducedness_invariants():
     gb = ideal("x^2 - y^2, x^3, x y^3 - y^4").groebner_basis()
-    leads = [g.leading()[0] for g in gb]
+    leads = [reference_leading(g)[0] for g in gb]
     for i, li in enumerate(leads):
         for j, lj in enumerate(leads):
             if i != j:
                 assert not all(a <= b for a, b in zip(li, lj))
         for g in gb.elements:
             for e in g.terms:
-                if g.leading()[0] != e:
+                if reference_leading(g)[0] != e:
                     for lj in leads:
                         assert not all(a <= b for a, b in zip(lj, e))
 
@@ -721,29 +722,33 @@ def test_colon_needs_a_finite_colength_numerator():
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_extend_basis_is_the_buchberger_basis(field, seed):
-    """J's basis read off the kernel (`_extend_basis`) is the entries of
-    Buchberger's reduced basis of gb(C) + kernel, for the kernels `_colon`
-    finds on seeded (A, B, C): the public colon (C = A) of a twin by a few
-    random polynomials, A : A, where every row is kernel and J = (1), and
-    the engine's colon (T, B, I) of a twin with the pair find_reduction
-    picks."""
+def test_colon_basis_is_the_buchberger_basis(field, seed):
+    """The reduced basis `_colon` caches, `_interreduce` of C's basis plus
+    the kernel rows, is the entries of a fresh Buchberger run on J's
+    generators and on the elimination reference's, and the colon starts no
+    Buchberger run, on seeded (A, B, C): the public colon (C = A) of a twin by a few random polynomials,
+    A : A, where every row is kernel and J = (1), and the engine's colon
+    (T, B, I) of a twin with the pair find_reduction picks."""
     from agrees.engine import canonical_colon, find_reduction
     from agrees.families import coordinate_twin
     from agrees.repro import random_staircase
-    from agrees.staircase import staircase_normalize
 
     rng = random.Random(seed)
-    calls = []
-    real = groebner._extend_basis
+    colons = []
+    runs = []
+    real_colon, real_run = groebner._colon, groebner._buchberger
 
-    def record(gb, kernel):
-        entries, stair = real(gb, kernel)
-        calls.append((gb, kernel, entries))
-        # the staircase handed back is that of the entries' leads
-        unpack = gb._pk.unpack
-        assert stair == staircase_normalize(unpack(lm) for lm, _, _ in entries)
-        return entries, stair
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real_run(*args, **kwargs)
+
+    def record(A, B, C):
+        A.groebner_basis(), C.groebner_basis()  # the bases it starts from
+        before = len(runs)
+        J = real_colon(A, B, C)
+        assert len(runs) == before, "the colon started a Buchberger run"
+        colons.append((A, B, J))
+        return J
 
     A = coordinate_twin(random_staircase(rng, 5, 3).gens, rng.choice([2, -1, Fraction(1, 3)]),
                         field)
@@ -751,30 +756,27 @@ def test_extend_basis_is_the_buchberger_basis(field, seed):
          for t in (_random_terms(rng, field, 2, rng.randint(1, 3), 3)
                    for _ in range(rng.randint(1, 3))) if t]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groebner, "_extend_basis", record)
+        mp.setattr(groebner, "_buchberger", counted)
+        mp.setattr(groebner, "_colon", record)
+        mp.setattr(engine, "_colon", record)
         if B:
             ideal_colon(A, Ideal(B))
-        ideal_colon(A, A)
+        unit = ideal_colon(A, A)
         red = find_reduction(A)
         if red.stable:
             canonical_colon(A, Ideal(list(red.Q)), stable=True)
-    assert calls
-    for gb, kernel, entries in calls:
-        polys = [Polynomial(BASE_RING, field, {e: field.from_int(c) for e, c in row.items()})
-                 for row in kernel]
-        assert entries == Ideal(list(gb) + polys).groebner_basis().entries
-        # only the span counts: rows mixed by a unit triangular matrix, no
-        # longer an echelon, give the same basis
-        mixed = []
-        for i, row in enumerate(kernel):
-            mix = dict(row)
-            for other in kernel[i + 1:]:
-                groebner._sub_scaled(mix, other, rng.randint(-3, 3), field)
-            mixed.append(mix)
-        assert real(gb, mixed)[0] == entries
+    assert len(colons) == bool(B) + 1 + red.stable
+    pk = GREVLEX.packer(BASE_RING)
+    for A, B, J in colons:
+        entries = J._gb_cache[GREVLEX].entries
+        assert entries == real_run([g.terms for g in J.generators], pk, field)
+        # and J is the colon: the elimination reference's reduced basis, or
+        # (1) when B is empty
+        want = reference_colon(A, Ideal(B)).generators if B else [Polynomial.one(BASE_RING, field)]
+        assert entries == real_run([g.terms for g in want], pk, field)
     # A : A: the kernel is all of R/A and J = (1)
-    unit = calls[-2 if red.stable else -1][2]
-    assert [_Packed(GREVLEX, BASE_RING).entry(e) for e in unit] == [((0, 0), 1, {(0, 0): 1})]
+    assert [_Packed(GREVLEX, BASE_RING).entry(e) for e in unit.groebner_basis().entries] == [
+        ((0, 0), 1, {(0, 0): 1})]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
@@ -1023,7 +1025,7 @@ def test_nakayama_prune_matches_reference(names, field):
     keyf = reference_grevlex_key
 
     def key(g):
-        return (g.min_degree(), keyf(g.leading()[0]))
+        return (g.min_degree(), keyf(reference_leading(g)[0]))
 
     rng = random.Random(71 + len(names))
     for _ in range(12):
@@ -1364,9 +1366,9 @@ def test_minimal_generators_runs_at_most_two_buchberger(monkeypatch):
 def test_colength_normalizes_each_basis_once(monkeypatch):
     # the colength of a non-monomial ideal is read off its basis's leads,
     # normalized to a staircase once per basis however often it is asked
-    # for; the public colon walks that same staircase, and normalizes only
-    # the leads of the basis it reads off (`_extend_basis`), which that
-    # basis keeps, so the colon's colength normalizes nothing more
+    # for; the public colon walks that same staircase and normalizes
+    # nothing, so the colon's basis is normalized once, at its first
+    # colength, and not again
     from agrees import staircase
 
     normalized = []
@@ -1383,9 +1385,10 @@ def test_colength_normalizes_each_basis_once(monkeypatch):
             assert colength(A) == lattice_colength(A.groebner_basis().leading_exponents())
     assert len(normalized) == 2
     K = ideal_colon(I, ideal("x, y"))
-    assert len(normalized) == 3
+    assert len(normalized) == 2
     assert K.staircase() is None  # no monomial staircase to read it off
-    assert colength(K) == lattice_colength(K.groebner_basis().leading_exponents())
+    for _ in range(3):
+        assert colength(K) == lattice_colength(K.groebner_basis().leading_exponents())
     assert len(normalized) == 3
 
 

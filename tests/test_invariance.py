@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from agrees.engine import classify
-from agrees.families import coordinate_twin
+from agrees.families import coordinate_twin, family_exponents
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import Ideal
 from agrees.poly import BASE_RING, Polynomial
@@ -113,3 +113,33 @@ def test_a_non_linear_automorphism_keeps_the_verdict(exps, field):
     image = Ideal([X ** i * y ** j for i, j in exps])
     source = Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
     assert _invariants(image) == _invariants(source)
+
+
+def _local_image(exps, field):
+    """The image of the staircase exps under x -> x(1 + y), an automorphism
+    of k[x,y]_(x,y) that is not one of k[x,y]; the image's only zero is
+    still the origin."""
+    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
+    X = x * (Polynomial.one(BASE_RING, field) + y)
+    return Ideal([X ** i * y ** j for i, j in exps])
+
+
+@CASES
+@given(staircases(), st.sampled_from([QQ, FP]))
+def test_a_local_automorphism_keeps_the_verdict(exps, field):
+    """The image under x -> x(1 + y) has its source's verdict and the
+    numbers behind it.  The image is neither monomial nor a linear twin,
+    and its colon's basis is `_interreduce`d from `_colon`'s kernel rows."""
+    source = Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
+    assert _invariants(_local_image(exps, field)) == _invariants(source)
+
+
+def test_a_local_automorphism_keeps_every_small_contracted_o3_verdict():
+    # all 56 contracted-o3 tuples (n, alpha, beta) with n <= 8, in both fields
+    tuples = [(n, a, b) for n in range(3, 9) for a in range(1, n) for b in range(a + 1, n)]
+    assert len(tuples) == 56
+    for field in (QQ, FP):
+        for n, a, b in tuples:
+            exps = family_exponents("contracted-o3", {"n": n, "alpha": a, "beta": b})
+            source = Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
+            assert _invariants(_local_image(exps, field)) == _invariants(source), (n, a, b, field)

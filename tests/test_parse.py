@@ -15,7 +15,7 @@ FP = PrimeField(2147483647)
 
 def test_two_term_difference():
     p = parse_polynomial("x^2 - y^2", BASE_RING, QQ)
-    assert len(p.terms) == 2 and p.total_degree() == 2
+    assert len(p.terms) == 2 and max(map(sum, p.terms)) == 2
     assert p.terms[(2, 0)] == 1 and p.terms[(0, 2)] == -1
 
 
@@ -78,6 +78,21 @@ def test_optional_star_and_whitespace():
     expected = parse_polynomial(variants[0], BASE_RING, QQ)
     for text in variants[1:]:
         assert parse_polynomial(text, BASE_RING, QQ) == expected
+    assert parse_polynomial("2 * x", BASE_RING, QQ).terms == {(1, 0): 2}
+
+
+@pytest.mark.parametrize("text, star", [("3*", 1), ("2*+x", 1), ("1/2*", 3), ("x*", 1),
+                                         ("x^2*", 3), ("2 * ", 2)])
+def test_a_dangling_star_is_a_parse_error(text, star):
+    # a '*' after a coefficient, as after a variable, needs a variable next
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, BASE_RING, QQ)
+    assert err.value.position == star
+    with pytest.raises(ParseError) as err:
+        parse_ideal_spec("x^2, " + text, BASE_RING, QQ)
+    assert err.value.position == star + 5
+    # the same star followed by a variable parses
+    assert parse_polynomial(text.replace("*", "*y"), BASE_RING, QQ).terms
 
 
 def test_fraction_coefficients():

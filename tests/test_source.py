@@ -75,20 +75,27 @@ EXPORTS_WITHOUT_A_READER = {
 }
 
 
-def _reads(tree) -> set:
-    """The names a module reads, leaving out a def's or class's reads of
-    its own name (a recursive call is not a reader)."""
+def _reads(tree, attributes: bool = False) -> set:
+    """The names a module reads, with `attributes` the attribute names too,
+    leaving out a def's or class's reads of its own name anywhere in its
+    body (a recursive call is not a reader)."""
     found = set()
 
-    def visit(node, owner):
+    def visit(node, owners):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != owner:
-            found.add(node.id)
+            owners = owners | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif attributes and isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in owners:
+            found.add(name)
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, owners)
 
-    visit(tree, None)
+    visit(tree, frozenset())
     return found
 
 
@@ -100,15 +107,52 @@ def _readme_example_names() -> set:
     return set(re.findall(r"[A-Za-z_]\w*", block))
 
 
+INIT = next(path for path in SOURCES if path.name == "__init__.py")
+
+
+def _exports() -> set:
+    """The names `agrees/__init__.py` imports, the package's public names."""
+    return {alias.asname or alias.name
+            for node in ast.parse(INIT.read_text()).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_every_export_has_a_reader():
     """Each name `agrees/__init__.py` exports is read in another library
     module, outside its own definition, or shown in README's "Library"
     example; a public name no stage calls is deleted, not exported."""
-    init = next(path for path in SOURCES if path.name == "__init__.py")
-    exported = {alias.asname or alias.name
-                for node in ast.parse(init.read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
     read = set().union(*(_reads(ast.parse(path.read_text(), filename=str(path)))
-                         for path in SOURCES if path != init))
-    unread = exported - read - _readme_example_names()
+                         for path in SOURCES if path != INIT))
+    unread = _exports() - read - _readme_example_names()
     assert unread == EXPORTS_WITHOUT_A_READER, f"exports with no reader: {sorted(unread)}"
+
+
+# library definitions that no library code reads, each kept for its reason
+DEFINITIONS_WITHOUT_A_READER = {
+    # perfbench's check_case calls it on every Rees presentation it times
+    "rees.substitution_check",
+}
+
+
+def test_every_definition_has_a_reader():
+    """Each module-level function or class, and each method but a dunder,
+    defined in the library is read in the library outside its own
+    definition, by its name or as an attribute; an import in
+    `__init__.py` counts as a read.  A definition no library code reads is
+    deleted, or moved into the tests that use it."""
+    read = _exports()
+    defined = {}  # qualified name -> the name a reader reads
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= _reads(tree, attributes=True)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    (f"{path.stem}.{node.name}.{m.name}", m.name) for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (m.name.startswith("__") and m.name.endswith("__")))
+    unread = {qual for qual, name in defined.items() if name not in read}
+    assert unread == DEFINITIONS_WITHOUT_A_READER, f"definitions with no reader: {sorted(unread)}"
