@@ -14,6 +14,7 @@ import time
 
 from .engine import ClassifyConfig, classify
 from .errors import AgreesError
+from .families import FAMILY_PARAMS
 from .fields import field_from_config
 from .groebner import Ideal
 from .parse import parse_ideal_spec
@@ -25,7 +26,7 @@ from .report import (
     write_survey_csv,
 )
 from .repro import CHECKS, run_all, run_check
-from .survey import SURVEY_FAMILIES, param_names, parse_range, run_survey
+from .survey import param_names, parse_range, run_survey
 
 _RANGE_FLAGS = ("n", "alpha", "beta", "m", "m1", "n1", "m2", "n2")
 
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="include Rees presentation bidegrees")
 
     survey = sub.add_parser("survey", help="classify a parameter family")
-    survey.add_argument("--family", required=True, choices=sorted(SURVEY_FAMILIES))
+    survey.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
     for flag in _RANGE_FLAGS:
         survey.add_argument(f"--{flag}", help="range lo..hi or a single value")
     survey.add_argument("--field", default="fp:2147483647",

@@ -17,16 +17,15 @@ satisfying
 
 or refute by showing that no h in J can keep mu(IJ/Ih) + mu(mJ/mh) within
 the generator-count budget 2*(mu(J) - 1).  Both witness conditions are
-Zariski-open ranks (Nakayama), so one generic triple decides the first; a
-triple that passes is re-checked exactly by one echelon of its own normal
-forms modulo each of m*IJ and m^2*J.
+Zariski-open ranks (Nakayama), so one generic triple decides the first, and
+it is decided exactly by one echelon of its own normal forms modulo each of
+m*IJ and m^2*J (`verify_witness`).
 Every product ideal is built once per analysis (`_mul` caches it on its
 right factor, and `maximal_ideal` is one object per ring and field), and
 that cache is the one way stages share work: the powers I^k (`_power`),
 each mu(P) = colength(m*P) - colength(P) (`_mu`), I^2 for the colon, and
-the re-check's reduced bases of m*IJ and m^2*J, which the rank test built,
-are all read off it, while the witness's products and their echelon are
-its own.
+the reduced bases of m*IJ and m^2*J, which the certificate builds and the
+refuter reads, are all read off it.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -58,10 +57,11 @@ from .groebner import (
 from .poly import Polynomial
 from .staircase import (
     Staircase,
+    closure_colength,
     hull_vertices,
     ideal_of_staircase,
     mono_colength,  # unused here; perfbench/tracing.py binds engine.mono_colength
-    newton_closure,
+    newton_closure,  # unused here; perfbench/tracing.py binds engine.newton_closure
     newton_multiplicity,
     staircase_colon,
     staircase_normalize,  # unused here; perfbench/tracing.py binds engine.staircase_normalize
@@ -367,54 +367,6 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     return J
 
 
-# -- witness quotients ------------------------------------------------------------
-
-def _combine(per_w: list[dict], c: list, fld) -> dict:
-    """Normal form of a * h for h = sum c_j w_j, from those of each a * w_j;
-    an entry can cancel to zero, which `_rank` drops."""
-    row: dict = {}
-    for cj, entries in zip(c, per_w):
-        for col, v in entries.items():
-            row[col] = fld.add(row.get(col, fld.zero), fld.mul(cj, v))
-    return row
-
-
-class _WitnessSpaces:
-    """IJ/mIJ and mJ/m^2J for one pair (I, J), the spaces in which both the
-    certificate's triple and the refuter's samples are rank-tested.
-
-    By Nakayama, an ideal P inside IJ satisfies P + mIJ = IJ exactly when
-    the normal forms of its generators modulo mIJ have rank mu(IJ); likewise
-    for mJ.  Every product a * w_j (a in mingens(I) for IJ, a in {x, y} for
-    mJ, w_j in mingens(J)) is reduced once, here.  The a * w_j over
-    mingens(I) generate IJ, so mu(IJ) is their rank and IJ's own basis is
-    never built; mu(mJ) is `_mu`'s.  Every product comes from `_mul`'s
-    cache: mingens(I) is pruned against the reduction search's m*I, and
-    `verify_witness` finds the bases of m*IJ and m^2*J built here.
-    """
-
-    def __init__(self, I: Ideal, J: Ideal, j_min: list[Polynomial]):
-        fld = I.field
-        m = maximal_ideal(I.ring, fld)
-        mJ = _mul(m, J)
-        ij, mj = _mul(m, _mul(I, J)).groebner_basis(), _mul(m, mJ).groebner_basis()
-        self.i_gens = _min_gens(I)
-        self.j_min = j_min
-        self.by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in self.i_gens]
-        self.by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
-        self.mu_IJ = _rank([row for per_w in self.by_I for row in per_w], fld)
-        self.mu_mJ = _mu(mJ)
-
-    def full_ranks(self, a: list, b: list, c: list, fld) -> bool:
-        """Do g = sum a_i i_i, f = b_1 x + b_2 y, h = sum c_j w_j pass both ranks?"""
-        cols = range(len(self.j_min))
-        ij_rows = ([_combine([per_w[j] for per_w in self.by_I], a, fld) for j in cols]
-                   + [_combine(per_w, c, fld) for per_w in self.by_I])
-        mj_rows = ([_combine([per_w[j] for per_w in self.by_m], b, fld) for j in cols]
-                   + [_combine(per_w, c, fld) for per_w in self.by_m])
-        return _rank(ij_rows, fld) == self.mu_IJ and _rank(mj_rows, fld) == self.mu_mJ
-
-
 # -- certificates --------------------------------------------------------------
 
 def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomial],
@@ -425,10 +377,9 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
     ref/m*ref is killed by m, so modulo m*ref the ideal (parts) is the
     k-span of the parts' normal forms: the sum is ref iff the normal form of
     every member of ref_min reduces to zero against one echelon of that
-    span.  m*ref comes from `_mul`'s cache, so its unique reduced basis is
-    the one the rank test's spaces built (a staircase when ref has one, so
-    `ref_stair` is not read); the parts' normal forms and the echelon are
-    made here.
+    span.  m*ref and its reduced basis (a staircase when ref has one, so
+    `ref_stair` is not read) come from `_mul`'s cache; the parts' normal
+    forms and the echelon are made here.
     """
     fld = ref.field
     top = _mul(maximal_ideal(ref.ring, fld), ref).groebner_basis()
@@ -454,10 +405,12 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
     With f in m, g in I and h in J (by normal form), gJ + Ih = IJ holds
     locally iff gJ + Ih + m*IJ = IJ (Nakayama); that quotient is killed by
     m, so local and global agree.  `_sum_equals` tests it by one echelon of
-    normal forms modulo m*IJ; likewise mJ = fJ + mh against m^2*J.  Only
-    the unique reduced bases of m*IJ and m^2*J are shared with the rank
-    test, through `_mul`'s cache; the products g*w, a*h, f*w and v*h, their
-    normal forms and the echelon are made here, apart from the rank test.
+    normal forms modulo m*IJ; likewise mJ = fJ + mh against m^2*J.  This is
+    the one exact test of a triple: `certificate_search` decides its generic
+    triple by it and `validate_report` re-checks a reported one.  IJ, mJ and
+    the bases of m*IJ and m^2*J come from `_mul`'s cache, so the refuter
+    reads the same ones; the products g*w, a*h, f*w and v*h, their normal
+    forms and the echelon are made here.
     """
     m = maximal_ideal(I.ring, I.field)
     if not (_contains_all(m, [f]) and _contains_all(I, [g]) and _contains_all(J, [h])):
@@ -470,41 +423,46 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
 
 
 def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
-                       spaces: _WitnessSpaces | None = None,
                        stable: bool | None = None) -> AGWitness | None:
-    """One generic witness triple, decided by two ranks; None if it fails.
+    """One generic witness triple, decided by `verify_witness`; None if it
+    fails.
 
     g, h and f combine mingens(I), mingens(J) and {x, y} with seeded random
     coefficients from S = {1..|S|}, |S| = `_RAND_RANGE`: distinct nonzero
-    field elements, as a prime field's p exceeds it.  A condition holds iff
-    some maximal minor of its rank, of degree mu(IJ) or mu(mJ) in the
-    coefficients, is nonzero; if a witness exists, Schwartz-Zippel on the
-    product of two such minors bounds the miss probability by
-    (mu(IJ) + mu(mJ))/|S|.  A passing triple is re-checked by
-    `verify_witness`; `stable` skips the I^2 = QI check.
+    field elements, as a prime field's p exceeds it.  By Nakayama each
+    condition is a rank in the coefficients, full iff some maximal minor, of
+    degree mu(IJ) or mu(mJ), is nonzero; if a witness exists, Schwartz-Zippel
+    on the product of two such minors bounds the miss probability by
+    (mu(IJ) + mu(mJ))/|S|.  `stable` skips the I^2 = QI check.
     """
     if stable is None:
         stable = is_stable(I, Q)
     if not stable:
         raise NotStable("certificate search requires I^2 = QI")
     fld = I.field
-    sp = spaces or _WitnessSpaces(I, J, _min_gens(J))
+    i_gens, j_min = _min_gens(I), _min_gens(J)
     rng = random.Random(derive_seed(seed, "certificate"))
 
     def draw(n: int) -> list:
         return [fld.from_int(rng.randint(1, _RAND_RANGE)) for _ in range(n)]
 
-    a, c, b = draw(len(sp.i_gens)), draw(len(sp.j_min)), draw(2)
-    if not sp.full_ranks(a, b, c, fld):
-        return None
-    m = maximal_ideal(I.ring, fld)
-    f, g, h = _span(b, m.generators), _span(a, sp.i_gens), _span(c, sp.j_min)
-    if not verify_witness(I, J, f, g, h):
-        raise RuntimeError("witness rank test passed but the exact check failed")
-    return AGWitness(f=f, g=g, h=h)
+    a, c, b = draw(len(i_gens)), draw(len(j_min)), draw(2)
+    f = _span(b, maximal_ideal(I.ring, fld).generators)
+    g, h = _span(a, i_gens), _span(c, j_min)
+    return AGWitness(f=f, g=g, h=h) if verify_witness(I, J, f, g, h) else None
 
 
 # -- refutation ----------------------------------------------------------------
+
+def _combine(per_w: list[dict], c: list, fld) -> dict:
+    """Normal form of a * h for h = sum c_j w_j, from those of each a * w_j;
+    an entry can cancel to zero, which `_rank` drops."""
+    row: dict = {}
+    for cj, entries in zip(c, per_w):
+        for col, v in entries.items():
+            row[col] = fld.add(row.get(col, fld.zero), fld.mul(cj, v))
+    return row
+
 
 def _sample_vector(rng: random.Random, fld, n: int, space: int) -> list:
     while True:
@@ -514,21 +472,33 @@ def _sample_vector(rng: random.Random, fld, n: int, space: int) -> list:
 
 
 def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
-                    trials: int = 16, spaces: _WitnessSpaces | None = None
-                    ) -> RefutationData:
+                    trials: int = 16) -> RefutationData:
     """Minimum over generic h in J of mu(IJ/Ih) + mu(mJ/mh), versus 2(mu(J)-1).
 
     Both quotient sizes depend only on the class of h in J/mJ and are
     determined by ranks of matrices whose entries are linear in the
     coefficients of h, so sampling h at random computes the generic minimum
-    with quantifiable failure probability (reported).  A given Q is checked
-    for I^2 = QI; callers that already know it pass none.
+    with quantifiable failure probability (reported).  By Nakayama,
+    (Ih + mIJ)/mIJ is the k-span of the normal forms of a * h modulo mIJ
+    over a in mingens(I), and (mh + m^2 J)/m^2 J that of x h, y h modulo
+    m^2 J, so every product a * w_j (w_j in mingens(J)) is reduced once and
+    each sample's rows are combinations of them.  The a * w_j over
+    mingens(I) generate IJ, so mu(IJ) is their rank and IJ's own basis is
+    never built.  The bases of m*IJ and m^2*J come from `_mul`'s cache, so
+    after a failed certificate they are `verify_witness`'s.  A given Q is
+    checked for I^2 = QI; callers that already know it pass none.
     """
     if Q is not None and not is_stable(I, Q):
         raise NotStable("the generator-count refutation needs I^2 = QI")
     fld = I.field
-    sp = spaces or _WitnessSpaces(I, J, _min_gens(J))
-    mu_IJ, mu_mJ = sp.mu_IJ, sp.mu_mJ
+    m = maximal_ideal(I.ring, fld)
+    mJ = _mul(m, J)
+    ij, mj = _mul(m, _mul(I, J)).groebner_basis(), _mul(m, mJ).groebner_basis()
+    j_min = _min_gens(J)
+    by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in _min_gens(I)]
+    by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
+    mu_IJ = _rank([row for per_w in by_I for row in per_w], fld)
+    mu_mJ = _mu(mJ)
     mu_J = _mu(J)
     if mu_J < 2:
         raise ValueError("refutation needs mu(J) >= 2; mu(J) = 1 is the Gorenstein case")
@@ -537,15 +507,13 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     rng = random.Random(run_seed)
 
     space = fld.p if isinstance(fld, PrimeField) else _RAND_RANGE
-    # (Ih + mIJ)/mIJ is spanned over k by {a * h : a in mingens(I)}, and
-    # likewise (mh + m^2 J)/m^2 J by {x h, y h}
     best_I = best_m = 0
     for _ in range(trials):
-        c = _sample_vector(rng, fld, len(sp.j_min), space)
-        best_I = max(best_I, _rank([_combine(per_w, c, fld) for per_w in sp.by_I], fld))
-        best_m = max(best_m, _rank([_combine(per_w, c, fld) for per_w in sp.by_m], fld))
+        c = _sample_vector(rng, fld, len(j_min), space)
+        best_I = max(best_I, _rank([_combine(per_w, c, fld) for per_w in by_I], fld))
+        best_m = max(best_m, _rank([_combine(per_w, c, fld) for per_w in by_m], fld))
     min_sum = mu_IJ + mu_mJ - best_I - best_m
-    degree = min(mu_IJ, len(sp.by_I)) + min(mu_mJ, 2)
+    degree = min(mu_IJ, len(by_I)) + min(mu_mJ, 2)
     failure_bound = float((degree / space) ** trials)
     primes = (fld.p,) if isinstance(fld, PrimeField) else ()
     return RefutationData(
@@ -569,7 +537,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     contracted = mu == o + 1
     integrally_closed = None
     if stair is not None:
-        integrally_closed = newton_closure(stair) == stair
+        integrally_closed = closure_colength(stair) == colen
     notes: list[str] = []
 
     base = dict(
@@ -601,13 +569,12 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if len(j_min) == 1:
         return AGReport(verdict=Verdict.GORENSTEIN, notes=tuple(notes), **base)
 
-    spaces = _WitnessSpaces(I, J, j_min)
-    witness = certificate_search(I, Q, J, seed=cfg.seed, spaces=spaces, stable=True)
+    witness = certificate_search(I, Q, J, seed=cfg.seed, stable=True)
     if witness is not None:
         base["witness"] = witness
         return AGReport(verdict=Verdict.AG_CERTIFIED, notes=tuple(notes), **base)
 
-    refutation = necessary_bound(I, J, seed=cfg.seed, spaces=spaces)
+    refutation = necessary_bound(I, J, seed=cfg.seed)
     base["refutation"] = refutation
     notes.append(
         f"refutation threshold 2*(mu(J)-1) = {refutation.threshold} from the "
@@ -615,7 +582,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if refutation.min_sum > refutation.threshold:
         return AGReport(verdict=Verdict.NOT_AG, notes=tuple(notes), **base)
 
-    miss = (spaces.mu_IJ + spaces.mu_mJ) / _RAND_RANGE
+    miss = (refutation.mu_IJ + refutation.mu_mJ) / _RAND_RANGE
     notes.append(f"no witness at a generic triple (failure <= {miss:.1e}) and the "
                  "generator-count bound is inconclusive")
     return AGReport(verdict=Verdict.UNKNOWN, notes=tuple(notes), **base)

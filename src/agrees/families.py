@@ -9,6 +9,7 @@ from .errors import BadParameters
 from .fields import QQ
 from .groebner import Ideal
 from .poly import BASE_RING, Polynomial
+from .staircase import staircase_normalize, staircase_product
 
 # family name -> ordered parameter names
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
@@ -16,6 +17,7 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     "power-order": ("m", "n"),
     "three-gen": ("n", "alpha"),
     "remark43": ("m",),
+    "products": ("m1", "n1", "m2", "n2"),
 }
 
 
@@ -45,6 +47,11 @@ def family_exponents(name: str, params: Mapping[str, int]) -> list[tuple[int, in
         if m < 4:
             raise BadParameters(f"remark43 needs m >= 4, got m={m}")
         return [(m, 0), (0, 2 * m)] + [(m - i, 2 * i + 1) for i in range(1, m)]
+    if name == "products":
+        # the staircase product of two power-order members, each checked by its own rule
+        s1, s2 = (staircase_normalize(family_exponents("power-order", {"m": m, "n": n}))
+                  for m, n in ((params["m1"], params["n1"]), (params["m2"], params["n2"])))
+        return list(staircase_product(s1, s2).gens)
     raise BadParameters(f"unknown family {name!r}; choose from {sorted(FAMILY_PARAMS)}")
 
 

@@ -6,6 +6,9 @@ staircase once (`Ideal.staircase`) and keeps it; `groebner` answers a
 monomial ideal's colength and normal forms from it.  Integral closure is computed
 on the Newton polygon with integer arithmetic only: a lattice point belongs
 to the closure exactly when it sits on or above every lower-boundary edge.
+The closure's colength is a count over the polygon's edges by Pick's
+theorem (`closure_colength`), so I is integrally closed iff it has that
+colength, however long the staircase's columns.
 The multiplicity e(I) is twice the area under that polygon
 (`newton_multiplicity`), so with colengths it decides the reduction number
 of the engine's Newton pair Q up to 1: I^2 = QI iff
@@ -15,6 +18,7 @@ colength(I^2) = e(I) + 2*colength(I) (see `engine.find_reduction`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, NotZeroDimensional
@@ -138,6 +142,17 @@ def newton_multiplicity(s: Staircase) -> int:
     _require_primary(s)
     hull = hull_vertices(s.gens)
     return sum(x2 * y1 - x1 * y2 for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+
+
+def closure_colength(s: Staircase) -> int:
+    """colength of the integral closure, by Pick's theorem in O(|hull|): its
+    standard monomials are the lattice points under the Newton polygon, the
+    axes counted and the polygon not, so with a = s's x-power, b its
+    y-power and the sum over the polygon's edges there are
+    (e(I) + a + b - sum gcd(dx, dy)) / 2 of them."""
+    hull = hull_vertices(s.gens)
+    on_edges = sum(gcd(x2 - x1, y1 - y2) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    return (newton_multiplicity(s) + s.gens[0][0] + s.gens[-1][1] - on_edges) // 2
 
 
 def newton_closure(s: Staircase) -> Staircase:

@@ -15,14 +15,7 @@ from .engine import ClassifyConfig, classify, derive_seed
 from .errors import BadParameters
 from .families import FAMILY_PARAMS, family_exponents, make_family
 from .fields import field_from_config
-from .groebner import Ideal
-from .poly import BASE_RING
 from .report import SurveyRow, witness_summary
-from .staircase import ideal_of_staircase, staircase_normalize, staircase_product
-
-SURVEY_FAMILIES = tuple(FAMILY_PARAMS) + ("products",)
-
-_PARAM_NAMES = dict(FAMILY_PARAMS, products=("m1", "n1", "m2", "n2"))
 
 
 def parse_range(text: str) -> range:
@@ -41,10 +34,10 @@ def parse_range(text: str) -> range:
 
 
 def param_names(family: str) -> tuple[str, ...]:
-    if family not in _PARAM_NAMES:
+    if family not in FAMILY_PARAMS:
         raise BadParameters(
-            f"unknown family {family!r}; choose from {sorted(_PARAM_NAMES)}")
-    return _PARAM_NAMES[family]
+            f"unknown family {family!r}; choose from {sorted(FAMILY_PARAMS)}")
+    return FAMILY_PARAMS[family]
 
 
 def expand_tuples(family: str, ranges: dict[str, range]) -> tuple[list[tuple[int, ...]], int]:
@@ -55,12 +48,8 @@ def expand_tuples(family: str, ranges: dict[str, range]) -> tuple[list[tuple[int
         raise BadParameters(f"family {family!r} needs ranges for {missing}")
 
     def valid(values: tuple[int, ...]) -> bool:
-        params = dict(zip(names, values))
-        if family == "products":
-            return params["m1"] >= 2 and params["m1"] <= params["n1"] \
-                and params["m2"] >= 2 and params["m2"] <= params["n2"]
         try:
-            family_exponents(family, params)
+            family_exponents(family, dict(zip(names, values)))
             return True
         except BadParameters:
             return False
@@ -70,30 +59,17 @@ def expand_tuples(family: str, ranges: dict[str, range]) -> tuple[list[tuple[int
     return tuples, len(candidates) - len(tuples)
 
 
-def _build_ideal(family: str, values: tuple[int, ...], field) -> Ideal:
-    names = _PARAM_NAMES[family]
-    params = dict(zip(names, values))
-    if family == "products":
-        s1 = staircase_normalize(
-            family_exponents("power-order", {"m": params["m1"], "n": params["n1"]}))
-        s2 = staircase_normalize(
-            family_exponents("power-order", {"m": params["m2"], "n": params["n2"]}))
-        prod = staircase_product(s1, s2)
-        return ideal_of_staircase(prod, BASE_RING, field)
-    return make_family(family, params, field=field)
-
-
 def classify_tuple(task) -> SurveyRow:
     """One classification; module-level so process pools can pickle it."""
     family, values, seed, field_config = task
     field = field_from_config(field_config)
-    ideal = _build_ideal(family, values, field)
+    ideal = make_family(family, dict(zip(FAMILY_PARAMS[family], values)), field=field)
     cfg = ClassifyConfig(seed=derive_seed(seed, family, *values))
     report = classify(ideal, cfg)
     ref = report.refutation
     return SurveyRow(
         family=family,
-        params=tuple(zip(_PARAM_NAMES[family], values)),
+        params=tuple(zip(FAMILY_PARAMS[family], values)),
         verdict=report.verdict.value,
         o=report.order,
         mu_I=report.min_gens,

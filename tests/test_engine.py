@@ -11,7 +11,6 @@ from agrees import engine
 from agrees.engine import (
     ClassifyConfig,
     Verdict,
-    _WitnessSpaces,
     canonical_colon,
     certificate_search,
     classify,
@@ -378,16 +377,15 @@ def test_colon_of_infinite_colength_raises():
 def test_classify_builds_no_basis_twice(monkeypatch):
     # the flagship twin (NOT_AG) and PINNED's boundary twin (AG_CERTIFIED):
     # mu(I) shares the reduction's levels of I, the colon shares their I^2,
-    # mingens(I) shares their m*I and mingens(J) shares m*J with the witness
-    # spaces; the colon's J carries its reduced basis, so no run starts from
-    # an earlier run's output.  verify_witness, the exact re-check of a
-    # certificate, finds the bases of m*IJ and m^2*J that the witness spaces
-    # built, so no basis is built twice, verification included.  The colon
-    # reads J's reduced basis off its kernel, and every m*P reads its basis
-    # off P's (`_times_maximal`, once per product), so no Buchberger run
-    # builds an m*P: both twins make 4 runs in all (I, I^2, the colon's
-    # T = Q + I^2, and IJ), where building each m*P by Buchberger made 8
-    # and 6
+    # mingens(I) shares their m*I and mingens(J) shares m*J with verify_witness
+    # and the refuter; the colon's J carries its reduced basis, so no run
+    # starts from an earlier run's output.  verify_witness, the one exact test
+    # of the certificate's triple, builds the bases of m*IJ and m^2*J, and the
+    # refuter finds them built, so no basis is built twice.  The colon reads J's
+    # reduced basis off its kernel, and every m*P reads its basis off P's
+    # (`_times_maximal`, once per product), so no Buchberger run builds an m*P:
+    # both twins make 4 runs in all (I, I^2, the colon's T = Q + I^2, and IJ),
+    # where building each m*P by Buchberger made 8 and 6
     from agrees import groebner
     from agrees.poly import GREVLEX
     from test_groebner import _monic_values, _Packed
@@ -453,6 +451,72 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         assert not set(products) & set(outputs)
         m_I, I_2 = shared
         assert m_I in products and outputs.count(I_2) == 1
+
+
+def test_certificate_is_decided_by_one_exact_test(monkeypatch):
+    # a certified classify runs no rank and no refuter once its reduction is
+    # found: verify_witness alone decides the generic triple.  A refuted one
+    # ranks all the a*w (a in mingens(I), w in mingens(J)) once and each of
+    # its samples' two row sets once, and after its certificate fails it
+    # takes each product a*w (a in mingens(I) or {x, y}) to its normal form
+    # once
+    from collections import Counter
+
+    from agrees import groebner
+
+    ranks, refuters, reduced = [], [], []
+    real_find, real_cert = engine.find_reduction, engine.certificate_search
+    real_rank, real_bound = engine._rank, engine.necessary_bound
+    real_reduce = groebner.GroebnerBasis.reduce
+
+    def find_reduction(*args, **kwargs):
+        red = real_find(*args, **kwargs)
+        ranks.clear()
+        return red
+
+    def certificate_search(*args, **kwargs):
+        witness = real_cert(*args, **kwargs)
+        reduced.clear()
+        return witness
+
+    def reduce(self, terms):
+        reduced.append(frozenset(terms.items()))
+        return real_reduce(self, terms)
+
+    monkeypatch.setattr(engine, "find_reduction", find_reduction)
+    monkeypatch.setattr(engine, "certificate_search", certificate_search)
+    monkeypatch.setattr(engine, "_rank", lambda *args: ranks.append(1) or real_rank(*args))
+    monkeypatch.setattr(engine, "necessary_bound",
+                        lambda *args, **kwargs: refuters.append(1) or real_bound(*args, **kwargs))
+    monkeypatch.setattr(groebner.GroebnerBasis, "reduce", reduce)
+
+    I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
+    assert classify(I).verdict is Verdict.AG_CERTIFIED
+    assert ranks == [] and refuters == []
+
+    I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
+    rep = classify(I)
+    assert rep.verdict is Verdict.NOT_AG and len(refuters) == 1
+    assert len(ranks) == 1 + 2 * rep.refutation.trials
+    m = maximal_ideal(BASE_RING, QQ)
+    rows = Counter(frozenset((a * w).terms.items())
+                   for a in minimal_generators(I) + list(m.generators) for w in rep.colon_gens)
+    assert rows and Counter(reduced) == rows
+
+
+def test_integral_closedness_is_decided_by_lengths(monkeypatch):
+    # I is integrally closed iff colength(I) is its closure's Pick count, so
+    # classify never walks the closure's columns, one per power of x: an
+    # exponent of 10^9 costs nothing
+    from agrees import staircase
+
+    def refuse(s):
+        raise AssertionError("newton_closure called")
+
+    monkeypatch.setattr(engine, "newton_closure", refuse)
+    monkeypatch.setattr(staircase, "newton_closure", refuse)
+    assert classify(ideal("x^1000000000, y")).integrally_closed is True
+    assert classify(ideal("x^2, y^5")).integrally_closed is False  # x y^3 lies in the closure
 
 
 def test_products_are_built_once():
@@ -555,10 +619,11 @@ def test_classify_leaves_no_product_on_the_maximal_ideal():
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_mu_of_ij_is_the_rank_of_its_products(field, seed):
-    """mu(IJ), the rank of the products a*w (a in mingens(I), w in
-    mingens(J)) modulo m*IJ, is colength(m*IJ) - colength(IJ) of freshly
-    built products; on seeded staircases and their twins, with J the colon
-    of a stable reduction and a second, unrelated ideal."""
+    """mu(IJ) as the refuter reports it, the rank of the products a*w (a in
+    mingens(I), w in mingens(J)) modulo m*IJ, is colength(m*IJ) -
+    colength(IJ) of freshly built products; on seeded staircases and their
+    twins, with J the colon of a stable reduction and a second, unrelated
+    ideal, whenever mu(J) >= 2 (the refuter's domain)."""
     from agrees.groebner import colength
     from agrees.repro import random_staircase
 
@@ -577,9 +642,11 @@ def test_mu_of_ij_is_the_rank_of_its_products(field, seed):
         if red.stable:
             partners.append(canonical_colon(I, Ideal(list(red.Q)), stable=True))
         for J in partners:
+            if len(minimal_generators(J)) < 2:
+                continue
             IJ = ideal_product(I, J)
             want = colength(ideal_product(m, IJ)) - colength(IJ)
-            assert _WitnessSpaces(I, J, minimal_generators(J)).mu_IJ == want
+            assert necessary_bound(I, J).mu_IJ == want
 
 
 def test_monomial_colength_builds_no_basis(monkeypatch):
@@ -760,35 +827,6 @@ def test_certificate_pinned_witness(name):
     assert verify_witness(I, J, w.f, w.g, w.h)
 
 
-@pytest.mark.parametrize("name", PINNED)
-def test_rank_test_passes_every_exact_equality(name):
-    """On seeded sparse and dense triples, both ranks are full exactly when
-    verify_witness holds: in both directions, not only on exact equalities."""
-    I, Q, J = _pinned_case(name)
-    fld = I.field
-    sp = _WitnessSpaces(I, J, minimal_generators(J))
-    m = maximal_ideal(I.ring, fld)
-    rng = random.Random(derive_seed("rank-vs-exact", name))
-
-    def coeffs(n):
-        # sparse draws are mostly 0 and +-1, dense ones are wide
-        if rng.random() < 0.5:
-            return [fld.from_int(rng.choice((0, 0, 1, -1))) for _ in range(n)]
-        return [fld.from_int(rng.randint(-99, 99)) for _ in range(n)]
-
-    def span(c, gens):
-        return sum((p.scale(cj) for cj, p in zip(c, gens)), Polynomial.zero(I.ring, fld))
-
-    outcomes = set()
-    for _ in range(24):
-        a, c, b = coeffs(len(sp.i_gens)), coeffs(len(sp.j_min)), coeffs(2)
-        passes = sp.full_ranks(a, b, c, fld)
-        f, g, h = span(b, m.generators), span(a, sp.i_gens), span(c, sp.j_min)
-        assert passes == verify_witness(I, J, f, g, h), (str(f), str(g), str(h))
-        outcomes.add(passes)
-    assert outcomes == {True, False}
-
-
 def _reference_sum_equals(ref, parts):
     """(parts) + m*ref = ref by Groebner membership of ref's generators in
     one basis of the parts plus the generators of m*ref."""
@@ -808,7 +846,8 @@ def _reference_verify_witness(I, J, f, g, h):
 
 
 # verify_witness against the Groebner route: monomial ideals over q, their
-# x -> x+2y twins over q (no staircase anywhere) and monomial ideals over fp
+# x -> x+2y twins over q (no staircase anywhere) and monomial ideals over fp,
+# each on 8 seeded stable staircases, and the PINNED ideals
 SUM_CASES = {
     "monomial-q": (QQ, False),
     "twin-q": (QQ, True),
@@ -816,12 +855,29 @@ SUM_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SUM_CASES))
+@pytest.mark.parametrize("name", sorted(SUM_CASES) + list(PINNED))
 def test_verify_witness_matches_groebner_route(name):
+    """verify_witness, the one exact test of a triple, agrees with Groebner
+    membership on seeded sparse and dense triples, in both directions."""
     from agrees.repro import random_staircase
 
-    field, twin = SUM_CASES[name]
     rng = random.Random(derive_seed("sum-equals", name))
+
+    def stable_colons():
+        field, twin = SUM_CASES[name]
+        while True:
+            S = random_staircase(rng, 5, 2)
+            I = coordinate_twin(S.gens, 2, field) if twin else Ideal(
+                [Polynomial.monomial(BASE_RING, field, e) for e in S.gens])
+            red = find_reduction(I)
+            if red.stable:
+                yield I, canonical_colon(I, Ideal(list(red.Q)), stable=True)
+
+    if name in PINNED:
+        I, _, J = _pinned_case(name)
+        field, pairs, triples = I.field, [(I, J)], 24
+    else:
+        field, pairs, triples = SUM_CASES[name][0], stable_colons(), 6
     m = maximal_ideal(BASE_RING, field)
 
     def coeffs(n):
@@ -835,25 +891,20 @@ def test_verify_witness_matches_groebner_route(name):
 
     outcomes = set()
     checked = 0
-    while checked < 8:
-        S = random_staircase(rng, 5, 2)
-        I = coordinate_twin(S.gens, 2, field) if twin else Ideal(
-            [Polynomial.monomial(BASE_RING, field, e) for e in S.gens])
-        red = find_reduction(I)
-        if not red.stable:
-            continue
-        J = canonical_colon(I, Ideal(list(red.Q)), stable=True)
+    for I, J in pairs:
         i_gens, j_min = minimal_generators(I), minimal_generators(J)
         if len(j_min) < 2:
             continue
-        for _ in range(6):
+        for _ in range(triples):
             f = span(coeffs(2), m.generators)
             g, h = span(coeffs(len(i_gens)), i_gens), span(coeffs(len(j_min)), j_min)
             got = verify_witness(I, J, f, g, h)
-            assert got == _reference_verify_witness(I, J, f, g, h), (S, str(f), str(g), str(h))
+            assert got == _reference_verify_witness(I, J, f, g, h), (str(f), str(g), str(h))
             outcomes.add(got)
         checked += 1
-    assert outcomes == {True, False}
+        if checked == 8:
+            break
+    assert checked and outcomes == {True, False}
 
 
 def test_sum_equals_on_monomial_parts_against_mj():

@@ -40,9 +40,10 @@ def test_only_fields_imports_fractions():
     assert not found, f"fractions imported outside fields.py: {found}"
 
 
-# perfbench/tracing.py binds these two on `engine` to time the staircase
-# layer, though the engine no longer calls them (ROADMAP item 8 deletes both)
-UNUSED_IMPORTS_ALLOWED = {("engine.py", "mono_colength"), ("engine.py", "staircase_normalize")}
+# perfbench/tracing.py binds these three on `engine` to time the staircase
+# layer, though the engine no longer calls them (ROADMAP item 8 deletes them)
+UNUSED_IMPORTS_ALLOWED = {("engine.py", "mono_colength"), ("engine.py", "newton_closure"),
+                          ("engine.py", "staircase_normalize")}
 
 
 def test_no_library_module_imports_a_name_it_never_uses():

@@ -13,6 +13,7 @@ from agrees.parse import parse_ideal_spec
 from agrees.poly import BASE_RING, Polynomial, rees_ring
 from agrees.staircase import (
     Staircase,
+    closure_colength,
     ideal_of_staircase,
     is_contracted,
     mono_colength,
@@ -232,6 +233,17 @@ def test_closure_matches_power_oracle_sample():
     for _ in range(20):
         s = random_stair(rng, max_exp=8)
         assert sorted(newton_closure(s).gens) == sorted(closure_power_oracle(list(s.gens)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 30), st.integers(1, 30),
+       st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=8))
+def test_pick_count_is_the_closure_colength(a, b, inner):
+    """closure_colength, Pick's count over the Newton polygon's edges, is the
+    corner sum of the closure newton_closure builds column by column; a
+    point (0, 0) among `inner` makes the unit ideal."""
+    s = staircase_normalize([(a, 0), (0, b)] + inner)
+    assert closure_colength(s) == mono_colength(newton_closure(s))
 
 
 # -- contractedness and gaps ---------------------------------------------------------
