@@ -19,6 +19,7 @@ from .fields import field_from_config
 from .groebner import Ideal
 from .parse import parse_ideal_spec
 from .poly import BASE_RING
+from .rees import rees_defining_ideal
 from .report import (
     document_json,
     render_pretty,
@@ -28,7 +29,8 @@ from .report import (
 from .repro import CHECKS, run_all, run_check
 from .survey import param_names, parse_range, run_survey
 
-_RANGE_FLAGS = ("n", "alpha", "beta", "m", "m1", "n1", "m2", "n2")
+# every family parameter, in first-appearance order
+_RANGE_FLAGS = tuple(dict.fromkeys(p for params in FAMILY_PARAMS.values() for p in params))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,8 +90,6 @@ def _run_analyze(args) -> int:
     report = classify(ideal, ClassifyConfig(seed=seed))
     bidegrees = None
     if args.rees:
-        from .rees import rees_defining_ideal
-
         bidegrees = rees_defining_ideal(ideal).bidegrees
     doc = report_document(
         report, input_text=args.ideal, ideal_gens=gens,

@@ -43,11 +43,13 @@ from .fields import PrimeField
 from .groebner import (
     Ideal,
     colength,
+    ideal_of_staircase,
     ideal_order,
     ideal_product,
     is_origin_primary,
     maximal_ideal,
     minimal_generators,
+    staircase_of_ideal,
     _colon,
     _contains_all,
     _echelon_reduce,
@@ -59,13 +61,11 @@ from .staircase import (
     Staircase,
     closure_colength,
     hull_vertices,
-    ideal_of_staircase,
     mono_colength,  # unused here; perfbench/tracing.py binds engine.mono_colength
     newton_closure,  # unused here; perfbench/tracing.py binds engine.newton_closure
     newton_multiplicity,
     staircase_colon,
     staircase_normalize,  # unused here; perfbench/tracing.py binds engine.staircase_normalize
-    staircase_of_ideal,
     staircase_product,
 )
 
@@ -180,10 +180,7 @@ def _rank(rows: list[dict], fld) -> int:
     echelon: dict = {}
     zero = fld.zero
     for row in rows:
-        r = {col: v for col, v in row.items() if v != zero}
-        lead = _echelon_reduce(r, echelon, fld)
-        if lead is not None:
-            echelon[lead] = r
+        _echelon_reduce({col: v for col, v in row.items() if v != zero}, echelon, fld)
     return len(echelon)
 
 
@@ -275,8 +272,8 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
 
     Other ideals try seeded sparse combinations of their generators, each
     decided by that rank test.  Every draw is tested for r <= 1 before any
-    is tested up to `_REDUCTION_CAP`, so a pair with r <= 1 is found before
-    any pair builds I^3 and beyond.
+    is tested from r = 2 up to `_REDUCTION_CAP`, so a pair with r <= 1 is
+    found before any pair builds I^3 and beyond.
     """
     ring, fld = I.ring, I.field
     stair = staircase_of_ideal(I)
@@ -313,8 +310,8 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
         if r is not None:
             return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
         tried.append(Q)
-    for Q in tried:
-        r = _reduction_number(I, Q, _REDUCTION_CAP)
+    for Q in tried:  # each has failed r <= 1 above
+        r = _reduction_number(I, Q, _REDUCTION_CAP, 2)
         if r is not None:
             return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
     raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(tried)} pairs")
@@ -385,10 +382,7 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
     top = _mul(maximal_ideal(ref.ring, fld), ref).groebner_basis()
     echelon: dict = {}
     for p in parts:
-        r = top.reduce(p.terms)
-        lead = _echelon_reduce(r, echelon, fld)
-        if lead is not None:
-            echelon[lead] = r
+        _echelon_reduce(top.reduce(p.terms), echelon, fld)
     return all(_echelon_reduce(top.reduce(q.terms), echelon, fld) is None
                for q in ref_min)
 

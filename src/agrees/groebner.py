@@ -51,12 +51,15 @@ k[x,y] (`_times_maximal`), the products x*g and y*g over P's reduced basis
 plus an echelon of its consecutive S-pairs' remainders are a Groebner basis
 (Schreyer 1980).
 
-Monomial ideals of k[x,y] take the staircase instead (`staircase`): an
-`Ideal` caches its staircase, a monomial ideal's `colength` and reduced
-basis are read off it, and a basis of single monomials reduces by a term
-filter in place of `_nf_dict` (`GroebnerBasis.reduce`).  Every other ideal,
-the zero ideal and monomial ideals in more variables included, goes
-through Buchberger.
+Monomial ideals of k[x,y] take the staircase instead (`staircase`, a
+lattice module that knows no ideals).  This module is the one bridge
+between the two: `staircase_of_ideal` reads an ideal's staircase once and
+caches it on the ideal, and `ideal_of_staircase` builds the ideal of a
+staircase with it cached.  A monomial ideal's `colength` and reduced basis
+are read off its staircase, and a basis of single monomials reduces by a
+term filter in place of `_nf_dict` (`GroebnerBasis.reduce`).  Every other
+ideal, the zero ideal and monomial ideals in more variables included,
+goes through Buchberger.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from .poly import (
     Polynomial,
     Ring,
 )
+from .staircase import Staircase, mono_colength, staircase_normalize, standard_monomials
 
 _Term = dict  # exponent tuple -> coefficient
 _Row = dict   # packed word -> integer (or field value, entering `_nf_dict`)
@@ -166,16 +170,17 @@ def _sub_scaled(row: dict, other: dict, scale, field) -> None:
 def _echelon_reduce(r: dict, rows: dict, field):
     """Reduce r in place against an echelon {lead column: row}, columns
     ordered as they compare (packed words in their monomial order, tuples
-    as tuples); the lead of what is left, a row the echelon lacks, or None
-    when r reduces to 0.
+    as tuples), and store what is left in the echelon under its lead, a
+    column the echelon lacks; return that lead, or None when r reduces
+    to 0.
 
     r arrives with field values and is cleared to an integer row first.  A
     step cancels r's lead c against the row's lead b as r := a * r - s * row
     with (a, s) = `field.cross(c, b)`; a rank or a kernel's span does not
     depend on row scale (fraction-free elimination, Bareiss 1968).  What is
-    left is `field.normalize`d, so the rows a caller stores are primitive
-    (over q) or monic (over fp); a caller reading a kernel vector off r
-    takes its integers back to field values.
+    left is `field.normalize`d, so the stored rows are primitive (over q)
+    or monic (over fp); a caller reading a kernel vector off r takes its
+    integers back to field values.
     """
     field.clear(r)
     while r:
@@ -183,6 +188,7 @@ def _echelon_reduce(r: dict, rows: dict, field):
         row = rows.get(lm)
         if row is None:
             field.normalize(r, lm)
+            rows[lm] = r
             return lm
         a, s = field.cross(r[lm], row[lm])
         if a != 1:  # over q only: fp leads are monic
@@ -382,7 +388,8 @@ class GroebnerBasis:
     unpacking the remainder; the monic `elements` and the
     `leading_exponents` are unpacked from them once, when first read, and
     so is `staircase`, the staircase of the leads, with the `colength` it
-    gives.
+    gives.  `minimal_generators` keeps its Nakayama prune of the elements
+    beside them (`_mingens`), so each basis is pruned once.
 
     A basis of single monomials in k[x,y] (a monomial ideal's, or a
     Buchberger run's that came out monomial) reduces by a term filter
@@ -393,7 +400,7 @@ class GroebnerBasis:
     """
 
     __slots__ = ("ring", "field", "order", "entries", "_pk", "_leads", "_elements",
-                 "_corners", "_stair", "_colength")
+                 "_corners", "_stair", "_colength", "_mingens")
 
     def __init__(self, ring: Ring, field, order: MonomialOrder, entries: list | None = None,
                  stair=None):
@@ -403,6 +410,7 @@ class GroebnerBasis:
         self._pk = pk = order.packer(ring)
         self._elements = None
         self._colength = None
+        self._mingens = None
         self._corners = None
         self._leads = None
         self._stair = stair
@@ -471,13 +479,11 @@ class GroebnerBasis:
             leads = self._leads = [unpack(lm) for lm, _, _ in self.entries]
         return list(leads)
 
-    def staircase(self):
+    def staircase(self) -> Staircase:
         """The `staircase.Staircase` of the leading monomials, normalized
         once (k[x,y], a nonzero ideal)."""
         stair = self._stair
         if stair is None:
-            from .staircase import staircase_normalize
-
             stair = self._stair = staircase_normalize(self.leading_exponents())
         return stair
 
@@ -486,20 +492,19 @@ class GroebnerBasis:
         raises NotZeroDimensional when it is infinite."""
         n = self._colength
         if n is None:
-            from .staircase import mono_colength
-
             n = self._colength = mono_colength(self.staircase())
         return n
 
 
-# an Ideal's `_staircase` until `Ideal.staircase` first reads it
+# an Ideal's `_staircase` until `staircase_of_ideal` first reads it
 _UNREAD = object()
 
 
 class Ideal:
     """Generator list plus write-once caches: reduced bases per order, the
-    staircase (`staircase`, None included), and the engine's products with
-    this ideal as right factor (`_products`, keyed by the left factor).
+    staircase (`staircase_of_ideal`, None included), and the engine's
+    products with this ideal as right factor (`_products`, keyed by the left
+    factor).
 
     The product cache holds its left factors, so an `id` is never reused
     while it is keyed; products go on the right factor, so the shared
@@ -529,7 +534,7 @@ class Ideal:
         cached = self._gb_cache.get(order)
         if cached is not None:
             return cached
-        stair = self.staircase()
+        stair = staircase_of_ideal(self)
         if stair is not None:
             gb = GroebnerBasis(self.ring, self.field, order, stair=stair)
         else:
@@ -537,24 +542,6 @@ class Ideal:
                 [g.terms for g in self.generators], order.packer(self.ring), self.field))
         self._gb_cache[order] = gb
         return gb
-
-    def staircase(self):
-        """The `staircase.Staircase` of an ideal of k[x,y] whose generators
-        are all single terms; None for any other ideal.  Read once and
-        cached, None included."""
-        stair = self._staircase
-        if stair is _UNREAD:
-            from .staircase import _read_staircase
-
-            stair = self._staircase = _read_staircase(self.generators)
-        return stair
-
-    @classmethod
-    def of_staircase(cls, stair, ring: Ring, field) -> "Ideal":
-        """The ideal of stair's corners, with stair already in its cache."""
-        I = cls([Polynomial.monomial(ring, field, e) for e in stair.gens])
-        I._staircase = stair
-        return I
 
     @classmethod
     def of_basis(cls, basis: GroebnerBasis) -> "Ideal":
@@ -566,6 +553,38 @@ class Ideal:
 
     def __repr__(self):
         return "Ideal(" + ", ".join(str(g) for g in self.generators) + ")"
+
+
+# -- the ideal <-> staircase bridge ---------------------------------------------
+
+def staircase_of_ideal(I: Ideal) -> Staircase | None:
+    """The staircase of an ideal of k[x,y] whose generators are all single
+    terms; None for any other ideal.  Read once and cached on I, None
+    included."""
+    stair = I._staircase
+    if stair is _UNREAD:
+        stair = I._staircase = _read_staircase(I.generators)
+    return stair
+
+
+def _read_staircase(generators) -> Staircase | None:
+    pairs = []
+    for g in generators:
+        if g.is_zero:
+            continue
+        if not g.is_monomial:
+            return None
+        pairs.append(g.monomial_exponent())
+    if not pairs or any(len(e) != 2 for e in pairs):
+        return None
+    return staircase_normalize(pairs)
+
+
+def ideal_of_staircase(stair: Staircase, ring: Ring, field) -> Ideal:
+    """The ideal of stair's corners, with stair already in its cache."""
+    I = Ideal([Polynomial.monomial(ring, field, e) for e in stair.gens])
+    I._staircase = stair
+    return I
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -650,8 +669,6 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
     it; reduced bases are unique, so it is the one a Buchberger run would
     return.
     """
-    from .staircase import standard_monomials
-
     fld = A.field
     top = A.groebner_basis()
     gb = C.groebner_basis()
@@ -669,7 +686,7 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
         forms[s] = nfs = [top.reduce(p) for p in prods]
         row = {(j, e): c for j, f in enumerate(nfs) for e, c in f.items()}
         row[(-1, pack(s))] = fld.one
-        echelon[_echelon_reduce(row, echelon, fld)] = row
+        _echelon_reduce(row, echelon, fld)
     kernel = [(w, row[j, w], {m: c for (_, m), c in row.items()})
               for (j, w), row in echelon.items() if j < 0]
     return Ideal.of_basis(GroebnerBasis(A.ring, fld, GREVLEX,
@@ -708,8 +725,7 @@ def _times_maximal(P: Ideal) -> Ideal:
     rows: dict = {}
     for ((_, b), f), ((a, _), g) in zip(corners, corners[1:]):
         r = _nf_dict(_spoly(f, g, pack((a, b)), field), shifted, guard, field, True)
-        if (lm := _echelon_reduce(r, rows, field)) is not None:
-            rows[lm] = r
+        _echelon_reduce(r, rows, field)
     return Ideal.of_basis(GroebnerBasis(gb.ring, field, GREVLEX, _interreduce(
         shifted + [(lm, row[lm], row) for lm, row in rows.items()], pk, field)))
 
@@ -727,14 +743,13 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 
 def colength(I: Ideal) -> int:
     """Length of R/I as the count of standard monomials (2-variable rings),
-    read off I's own staircase when I is monomial, with no basis built, and
-    otherwise off its reduced basis, which keeps it (`GroebnerBasis.colength`)."""
+    read off I's own staircase (`staircase_of_ideal`) when I is monomial,
+    a corner sum with no basis built, and otherwise off its reduced basis,
+    which keeps it (`GroebnerBasis.colength`)."""
     if I.ring.arity != 2:
         raise NotZeroDimensional(f"colength requires a 2-variable ring, got {I.ring}")
-    stair = I.staircase()
+    stair = staircase_of_ideal(I)
     if stair is not None:
-        from .staircase import mono_colength
-
         return mono_colength(stair)
     gb = I.groebner_basis()
     if not gb.entries:
@@ -754,7 +769,7 @@ def is_origin_primary(I: Ideal) -> bool:
     """
     if I.ring.arity != 2:
         return False
-    stair = I.staircase()
+    stair = staircase_of_ideal(I)
     if stair is not None:
         return stair.is_m_primary and stair.gens != ((0, 0),)
     gb = I.groebner_basis()
@@ -794,13 +809,17 @@ def ideal_order(I: Ideal) -> int:
 
 def minimal_generators(I: Ideal, mI: Ideal | None = None) -> list[Polynomial]:
     """A minimal generating set, extracted greedily against (vars) * I;
-    `mI`, when the caller already built (vars) * I, shares its basis."""
-    stair = I.staircase()  # None outside k[x,y] and for the zero ideal
+    `mI`, when the caller already built (vars) * I, shares its basis.  The
+    prune of I's reduced basis is kept on that basis, so it runs once."""
+    stair = staircase_of_ideal(I)  # None outside k[x,y] and for the zero ideal
     if stair is not None:
         return [Polynomial.monomial(I.ring, I.field, e) for e in stair.gens]
-    pack = GREVLEX.packer(I.ring).pack
-    return _nakayama_prune(list(I.groebner_basis().elements),
-                           key=lambda g: (g.min_degree(), max(map(pack, g.terms))), N=mI)
+    gb = I.groebner_basis()
+    if gb._mingens is None:
+        pack = gb._pk.pack
+        gb._mingens = _nakayama_prune(list(gb.elements), N=mI,
+                                      key=lambda g: (g.min_degree(), max(map(pack, g.terms))))
+    return list(gb._mingens)
 
 
 def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
@@ -829,9 +848,6 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
     rows: dict[Exponent, _Term] = {}
     kept: list[Polynomial] = []
     for g in sorted(gens, key=key):
-        r = gb.reduce(g.terms)
-        lm = _echelon_reduce(r, rows, field)
-        if lm is not None:
-            rows[lm] = r
+        if _echelon_reduce(gb.reduce(g.terms), rows, field) is not None:
             kept.append(g)
     return kept

@@ -19,6 +19,9 @@ from .poly import Polynomial, Ring
 
 _VAR_LETTERS = "xytT"
 
+# an expected token kind as a message names it
+_EXPECTED = {"INT": "an integer", "LPAREN": "'('", "RPAREN": "')'", "EOF": "end of input"}
+
 
 class _Token:
     __slots__ = ("kind", "value", "pos")
@@ -27,6 +30,9 @@ class _Token:
         self.kind = kind
         self.value = value
         self.pos = pos
+
+    def __str__(self):
+        return "end of input" if self.kind == "EOF" else repr(self.value)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -92,7 +98,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.value!r}", tok.pos, kind)
+            raise ParseError(f"unexpected {tok}", tok.pos, _EXPECTED[kind])
         return self.advance()
 
     def parse_poly(self, stop_kinds=("EOF",)) -> Polynomial:
@@ -110,7 +116,7 @@ class _Parser:
                 self.advance()
                 result = result + self.parse_term(-1)
             else:
-                raise ParseError(f"unexpected {tok.value!r}", tok.pos, "'+' or '-'")
+                raise ParseError(f"unexpected {tok}", tok.pos, "'+' or '-'")
         return result
 
     def parse_term(self, sign: int) -> Polynomial:
@@ -149,7 +155,7 @@ class _Parser:
             saw_var = True
         if coeff is None and not saw_var:
             tok = self.peek()
-            raise ParseError(f"expected a term, found {tok.value!r}", tok.pos,
+            raise ParseError(f"expected a term, found {tok}", tok.pos,
                              "coefficient or variable")
         if coeff is None:
             coeff = f.one

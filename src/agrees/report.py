@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass
 
 from .engine import AGReport, AGWitness
-from .staircase import render_staircase, staircase_of_ideal
+from .groebner import staircase_of_ideal
+from .staircase import render_staircase
 
 SCHEMA = "agrees/1"
 VERSION = "0.1.0"

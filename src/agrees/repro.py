@@ -24,18 +24,25 @@ from .engine import (
 from .errors import UnknownCheckId
 from .families import make_family
 from .fields import QQ
-from .groebner import Ideal, ideal_colon, ideal_equal, ideal_product
+from .groebner import (
+    Ideal,
+    colength,
+    ideal_colon,
+    ideal_equal,
+    ideal_of_staircase,
+    ideal_product,
+    staircase_of_ideal,
+)
+from .parse import parse_polynomial
 from .poly import BASE_RING, Polynomial
 from .rees import rees_defining_ideal
 from .staircase import (
     Staircase,
-    ideal_of_staircase,
     is_contracted,
     mono_colength,
     newton_closure,
     staircase_colon,
     staircase_normalize,
-    staircase_of_ideal,
     staircase_power,
     staircase_product,
 )
@@ -58,8 +65,6 @@ def _mono_ideal(exps, field=QQ) -> Ideal:
 
 
 def _poly(text: str, field=QQ) -> Polynomial:
-    from .parse import parse_polynomial
-
     return parse_polynomial(text, BASE_RING, field)
 
 
@@ -355,8 +360,6 @@ def _closure_power_oracle(S: Staircase, k_max: int = 12) -> Staircase:
 
 
 def check_oracle_agreement(seed: int) -> CheckResult:
-    from .groebner import colength as gb_colength
-
     rng = random.Random(derive_seed(seed, "oracle"))
     mismatches = 0
     for _ in range(500):
@@ -372,7 +375,7 @@ def check_oracle_agreement(seed: int) -> CheckResult:
         if sorted(p.monomial_exponent() for p in colon_gb) != sorted(
                 staircase_colon(A, B).gens):
             mismatches += 1
-        if gb_colength(IA) != mono_colength(A):
+        if colength(IA) != mono_colength(A):
             mismatches += 1
     closure_bad = 0
     for _ in range(100):

@@ -1,9 +1,11 @@
 """Fast exact path for bivariate monomial ideals.
 
 A staircase is the divisibility antichain of minimal monomial generators,
-sorted with x-exponents strictly decreasing.  Each `Ideal` reads its
-staircase once (`Ideal.staircase`) and keeps it; `groebner` answers a
-monomial ideal's colength and normal forms from it.  Integral closure is computed
+sorted with x-exponents strictly decreasing.  This module is lattice
+arithmetic on exponent pairs only and imports nothing of the package but
+`errors`; the bridge to ideals, `staircase_of_ideal` and
+`ideal_of_staircase`, lives in `groebner`, which answers a monomial
+ideal's colength and normal forms from its staircase.  Integral closure is computed
 on the Newton polygon with integer arithmetic only: a lattice point belongs
 to the closure exactly when it sits on or above every lower-boundary edge.
 The closure's colength is a count over the polygon's edges by Pick's
@@ -22,7 +24,6 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, NotZeroDimensional
-from .groebner import Ideal
 
 Pair = tuple[int, int]
 
@@ -176,30 +177,6 @@ def newton_closure(s: Staircase) -> Staircase:
                 b = max(b, -(-need // beta))  # ceil division
         gens.append((a, b))
     return staircase_normalize(gens)
-
-
-def staircase_of_ideal(I: Ideal) -> Staircase | None:
-    """Staircase view of an ideal of k[x,y] whose generators are all single
-    terms; None for any other ideal.  Cached on the ideal (`Ideal.staircase`)."""
-    return I.staircase()
-
-
-def _read_staircase(generators) -> Staircase | None:
-    pairs = []
-    for g in generators:
-        if g.is_zero:
-            continue
-        if not g.is_monomial:
-            return None
-        pairs.append(g.monomial_exponent())
-    if not pairs or any(len(e) != 2 for e in pairs):
-        return None
-    return staircase_normalize(pairs)
-
-
-def ideal_of_staircase(s: Staircase, ring, field) -> Ideal:
-    """The ideal of s's corners, with s already in its staircase cache."""
-    return Ideal.of_staircase(s, ring, field)
 
 
 def is_contracted(s: Staircase) -> bool:

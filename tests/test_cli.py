@@ -162,6 +162,23 @@ def test_survey_jobs_deterministic():
     assert one.stdout.count(b"\r\n") == one.stdout.count(b"\n")
 
 
+def test_survey_has_one_range_flag_per_family_parameter():
+    # the range flags are derived from FAMILY_PARAMS: one per parameter
+    # name, in first-appearance order, which is the order --help lists
+    import argparse
+
+    from agrees.cli import _build_parser
+    from agrees.families import FAMILY_PARAMS
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    fixed = {"help", "family", "field", "seed", "jobs", "out"}
+    flags = [a.option_strings for a in sub.choices["survey"]._actions if a.dest not in fixed]
+    names = list(dict.fromkeys(p for params in FAMILY_PARAMS.values() for p in params))
+    assert flags == [[f"--{name}"] for name in names]
+    assert names == ["n", "alpha", "beta", "m", "m1", "n1", "m2", "n2"]
+
+
 def test_survey_out_file(tmp_path):
     path = tmp_path / "rows.csv"
     out = run_cli("survey", "--family", "remark43", "--m", "4..4",

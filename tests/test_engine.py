@@ -30,13 +30,15 @@ from agrees.groebner import (
     colength,
     ideal_colon,
     ideal_equal,
+    ideal_of_staircase,
     ideal_product,
     maximal_ideal,
     minimal_generators,
+    staircase_of_ideal,
 )
 from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import BASE_RING, Polynomial
-from agrees.staircase import staircase_normalize, staircase_of_ideal
+from agrees.staircase import staircase_normalize
 
 from oracles import generic_ranks, ideal_pow, reference_colon
 
@@ -82,6 +84,26 @@ def test_reduction_deterministic():
     assert a == b
 
 
+def test_second_reduction_pass_starts_at_two(monkeypatch):
+    # the second pass retries only pairs whose first-pass test ruled out
+    # r <= 1, so its rank test starts at r = 2: the twin of x^4, x^3 y, y^4
+    # under x -> x + 2y has r = 3, found in the second pass
+    calls = []
+    real = engine._reduction_number
+
+    def spy(I, Q, cap, start=0):
+        calls.append((cap, start))
+        return real(I, Q, cap, start)
+
+    monkeypatch.setattr(engine, "_reduction_number", spy)
+    red = find_reduction(coordinate_twin([(4, 0), (3, 1), (0, 4)], 2, QQ))
+    assert red.reduction_number == 3 and not red.stable
+    first = [start for cap, start in calls if cap == 1]
+    second = [start for cap, start in calls if cap == engine._REDUCTION_CAP]
+    assert first and second and len(first) + len(second) == len(calls)
+    assert set(first) == {0} and set(second) == {2}
+
+
 def _reference_reduction_number(I, Q, cap):
     """Minimal r <= cap with I^{r+1} = Q I^r as global ideals, by product
     containments; Q <= I is assumed."""
@@ -102,7 +124,6 @@ def test_reduction_number_matches_products_on_staircases(field):
     # containments must agree, on pairs that are reductions and on those that
     # are not
     from agrees.repro import random_staircase
-    from agrees.staircase import ideal_of_staircase
 
     rng = random.Random(47)
     seen = set()
@@ -148,7 +169,7 @@ def test_lengths_decide_r_as_the_rank_test(field, seed):
     # pairs and vertex splits alike; e(I) is the colength of Q's origin
     # component Q + m^e (m^k with k < e can undercount it)
     from agrees.repro import random_staircase
-    from agrees.staircase import ideal_of_staircase, newton_multiplicity
+    from agrees.staircase import newton_multiplicity
 
     rng = random.Random(seed)
     for _ in range(4):
@@ -318,7 +339,6 @@ def test_colon_matches_reference_on_vertex_splits(field):
     # monomial ideals whose pair is the Newton-polygon vertex split: Q is
     # not monomial, so the colon is the kernel on R/I, not the staircase one
     from agrees.repro import random_staircase
-    from agrees.staircase import ideal_of_staircase
 
     rng = random.Random(67)
     checked = 0
@@ -542,6 +562,34 @@ def _flagship_twin():
     return coordinate_twin(exps, Fraction(1, 3), QQ)
 
 
+def test_each_ideal_is_pruned_once(monkeypatch):
+    # mingens(I) and mingens(J) are kept beside the reduced bases they were
+    # pruned from, so the certificate and the refuter of the flagship twin
+    # read the prunes made before them: I's and J's bases are each pruned
+    # once, and the colon's prune of Q + I is the only other one
+    from agrees import groebner
+
+    pruned, colons = [], []
+    real_prune, real_colon = groebner._nakayama_prune, engine.canonical_colon
+
+    def prune(gens, *args, **kwargs):
+        pruned.append(tuple(gens))
+        return real_prune(gens, *args, **kwargs)
+
+    def colon(*args, **kwargs):
+        colons.append(real_colon(*args, **kwargs))
+        return colons[-1]
+
+    for module in (groebner, engine):
+        monkeypatch.setattr(module, "_nakayama_prune", prune)
+    monkeypatch.setattr(engine, "canonical_colon", colon)
+    I = _flagship_twin()
+    assert classify(I).verdict is Verdict.NOT_AG
+    (J,) = colons
+    bases = [tuple(P.groebner_basis().elements) for P in (I, J)]
+    assert [pruned.count(b) for b in bases] == [1, 1] and len(pruned) == 3
+
+
 def _record_buchberger(monkeypatch) -> list:
     """The input lists `_buchberger` is given from here on, in call order."""
     from agrees import groebner, rees
@@ -657,7 +705,6 @@ def test_monomial_colength_builds_no_basis(monkeypatch):
     from agrees import groebner
     from agrees.groebner import colength
     from agrees.repro import random_staircase
-    from agrees.staircase import ideal_of_staircase
 
     from oracles import lattice_colength
 
@@ -1271,7 +1318,7 @@ def test_classify_m_primary_guard():
 def test_integrally_closed_never_refuted():
     # closures of random staircases; the refuter must never fire on them
     from agrees.repro import random_staircase
-    from agrees.staircase import ideal_of_staircase, newton_closure
+    from agrees.staircase import newton_closure
 
     rng = random.Random(12345)
     verdicts = set()
@@ -1288,7 +1335,7 @@ def test_integrally_closed_is_almost_gorenstein():
     # GMTY1: every integrally closed m-primary I has an almost Gorenstein
     # R(I); checked on Newton closures and on their x -> x+2y twins
     from agrees.repro import random_staircase
-    from agrees.staircase import ideal_of_staircase, newton_closure
+    from agrees.staircase import newton_closure
 
     rng = random.Random(2016)
     cases = [ideal_of_staircase(newton_closure(random_staircase(rng, 8, 3)), BASE_RING, FP)

@@ -95,6 +95,23 @@ def test_a_dangling_star_is_a_parse_error(text, star):
     assert parse_polynomial(text.replace("*", "*y"), BASE_RING, QQ).terms
 
 
+@pytest.mark.parametrize("text,message", [
+    ("x^2, ", "expected a term, found end of input at position 5 "
+              "(expected coefficient or variable)"),
+    ("x^", "unexpected end of input at position 2 (expected an integer)"),
+    ("1/", "unexpected end of input at position 2 (expected an integer)"),
+    ("ideal(x, y", "unexpected end of input at position 10 (expected ')')"),
+    ("ideal x", "unexpected 'x' at position 6 (expected '(')"),
+    ("ideal(x) y", "unexpected 'y' at position 9 (expected end of input)"),
+])
+def test_errors_name_tokens_as_they_are_typed(text, message):
+    # the end of the input reads "end of input", not the EOF token's value,
+    # and an expected token is named as the user would type it
+    with pytest.raises(ParseError) as err:
+        parse_ideal_spec(text, BASE_RING, QQ)
+    assert str(err.value) == message
+
+
 def test_fraction_coefficients():
     p = parse_polynomial("1/2*x + 3/4", BASE_RING, QQ)
     assert p.terms[(1, 0)] == Fraction(1, 2)

@@ -40,6 +40,30 @@ def test_only_fields_imports_fractions():
     assert not found, f"fractions imported outside fields.py: {found}"
 
 
+def test_imports_are_module_level_and_layered():
+    """Every import in the library sits at module level, so no call pays
+    for one, and the modules' `from .x import` edges have no cycle: they
+    form layers, errors -> poly, fields -> staircase -> groebner -> engine
+    -> rees, report, families -> survey, repro -> cli.  `staircase` is a
+    leaf over `errors`: the bridge to ideals lives in `groebner`."""
+    nested, graph = [], {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        nested += [f"{path.name}:{node.lineno}" for node in imports if node not in tree.body]
+        graph[path.stem] = {
+            alias.name if node.module is None else node.module.split(".")[0]
+            for node in imports if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+    assert not nested, f"imports inside a function or block: {nested}"
+    remaining = dict(graph)
+    while ready := [name for name, deps in remaining.items() if not deps & remaining.keys()]:
+        for name in ready:
+            del remaining[name]
+    assert not remaining, f"modules on or above an import cycle: {sorted(remaining)}"
+    assert graph["staircase"] == {"errors"}
+
+
 # perfbench/tracing.py binds these three on `engine` to time the staircase
 # layer, though the engine no longer calls them (ROADMAP item 8 deletes them)
 UNUSED_IMPORTS_ALLOWED = {("engine.py", "mono_colength"), ("engine.py", "newton_closure"),

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 from agrees.errors import EmptyInput, NotZeroDimensional
 from agrees.fields import QQ
 from agrees import engine
-from agrees.groebner import colength, normal_form, Ideal
+from agrees.groebner import colength, ideal_of_staircase, normal_form, staircase_of_ideal, Ideal
 from agrees.parse import parse_ideal_spec
 from agrees.poly import BASE_RING, Polynomial, rees_ring
 from agrees.staircase import (
     Staircase,
     closure_colength,
-    ideal_of_staircase,
     is_contracted,
     mono_colength,
     newton_closure,
@@ -22,7 +21,6 @@ from agrees.staircase import (
     staircase_colon,
     staircase_intersection,
     staircase_normalize,
-    staircase_of_ideal,
     staircase_power,
     staircase_product,
 )
@@ -133,16 +131,16 @@ def test_staircase_is_read_once_per_ideal(monkeypatch):
     it, None included, and always equals staircase_normalize of their
     exponents; an ideal made by ideal_of_staircase or by a product of
     staircases starts with it and reads nothing."""
-    from agrees import staircase
+    from agrees import groebner
 
     reads = []
-    real_read = staircase._read_staircase
+    real_read = groebner._read_staircase
 
     def read(generators):
         reads.append(generators)
         return real_read(generators)
 
-    monkeypatch.setattr(staircase, "_read_staircase", read)
+    monkeypatch.setattr(groebner, "_read_staircase", read)
     rng = random.Random(29)
     for _ in range(40):
         s = random_stair(rng)
@@ -259,10 +257,10 @@ def test_contracted_accepts_polynomial_ideals():
     # report's.  The square of the maximal ideal written with a
     # non-monomial generator
     I = Ideal(parse_ideal_spec("x^2, x y, y^2 + x^2", BASE_RING, QQ))
-    assert I.staircase() is None and engine.classify(I).contracted
+    assert staircase_of_ideal(I) is None and engine.classify(I).contracted
     # two generators with order two cannot be contracted
     J = Ideal(parse_ideal_spec("x^2 + y^5, y^3", BASE_RING, QQ))
-    assert J.staircase() is None and not engine.classify(J).contracted
+    assert staircase_of_ideal(J) is None and not engine.classify(J).contracted
 
 
 def _gap_length(s):
