@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NoReductionFound, NotContained, NotStable, NotZeroDimensional
-from .fields import PrimeField
+from .fields import MIN_PRIME, PrimeField
 from .groebner import (
     Ideal,
     colength,
@@ -68,8 +68,6 @@ from .staircase import (
     staircase_normalize,  # unused here; perfbench/tracing.py binds engine.staircase_normalize
     staircase_product,
 )
-
-_RAND_RANGE = 1 << 20  # sample space for random coefficients (Schwartz-Zippel)
 
 
 def derive_seed(*parts) -> int:
@@ -422,7 +420,7 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
     fails.
 
     g, h and f combine mingens(I), mingens(J) and {x, y} with seeded random
-    coefficients from S = {1..|S|}, |S| = `_RAND_RANGE`: distinct nonzero
+    coefficients from S = {1..|S|}, |S| = `fields.MIN_PRIME`: distinct nonzero
     field elements, as a prime field's p exceeds it.  By Nakayama each
     condition is a rank in the coefficients, full iff some maximal minor, of
     degree mu(IJ) or mu(mJ), is nonzero; if a witness exists, Schwartz-Zippel
@@ -438,7 +436,7 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
     rng = random.Random(derive_seed(seed, "certificate"))
 
     def draw(n: int) -> list:
-        return [fld.from_int(rng.randint(1, _RAND_RANGE)) for _ in range(n)]
+        return [fld.from_int(rng.randint(1, MIN_PRIME)) for _ in range(n)]
 
     a, c, b = draw(len(i_gens)), draw(len(j_min)), draw(2)
     f = _span(b, maximal_ideal(I.ring, fld).generators)
@@ -476,22 +474,22 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     (Ih + mIJ)/mIJ is the k-span of the normal forms of a * h modulo mIJ
     over a in mingens(I), and (mh + m^2 J)/m^2 J that of x h, y h modulo
     m^2 J, so every product a * w_j (w_j in mingens(J)) is reduced once and
-    each sample's rows are combinations of them.  The a * w_j over
-    mingens(I) generate IJ, so mu(IJ) is their rank and IJ's own basis is
-    never built.  The bases of m*IJ and m^2*J come from `_mul`'s cache, so
-    after a failed certificate they are `verify_witness`'s.  A given Q is
-    checked for I^2 = QI; callers that already know it pass none.
+    each sample's rows are combinations of them.  mu(IJ) and mu(mJ) are
+    `_mu`'s, like every other mu.  The bases of m*IJ and m^2*J come from
+    `_mul`'s cache, so after a failed certificate they are
+    `verify_witness`'s.  A given Q is checked for I^2 = QI; callers that
+    already know it pass none.
     """
     if Q is not None and not is_stable(I, Q):
         raise NotStable("the generator-count refutation needs I^2 = QI")
     fld = I.field
     m = maximal_ideal(I.ring, fld)
-    mJ = _mul(m, J)
-    ij, mj = _mul(m, _mul(I, J)).groebner_basis(), _mul(m, mJ).groebner_basis()
+    IJ, mJ = _mul(I, J), _mul(m, J)
+    ij, mj = _mul(m, IJ).groebner_basis(), _mul(m, mJ).groebner_basis()
     j_min = _min_gens(J)
     by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in _min_gens(I)]
     by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
-    mu_IJ = _rank([row for per_w in by_I for row in per_w], fld)
+    mu_IJ = _mu(IJ)
     mu_mJ = _mu(mJ)
     mu_J = _mu(J)
     if mu_J < 2:
@@ -500,7 +498,7 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     run_seed = derive_seed(seed, "refuter")
     rng = random.Random(run_seed)
 
-    space = fld.p if isinstance(fld, PrimeField) else _RAND_RANGE
+    space = fld.p if isinstance(fld, PrimeField) else MIN_PRIME
     best_I = best_m = 0
     for _ in range(trials):
         c = _sample_vector(rng, fld, len(j_min), space)
@@ -576,7 +574,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if refutation.min_sum > refutation.threshold:
         return AGReport(verdict=Verdict.NOT_AG, notes=tuple(notes), **base)
 
-    miss = (refutation.mu_IJ + refutation.mu_mJ) / _RAND_RANGE
+    miss = (refutation.mu_IJ + refutation.mu_mJ) / MIN_PRIME
     notes.append(f"no witness at a generic triple (failure <= {miss:.1e}) and the "
                  "generator-count bound is inconclusive")
     return AGReport(verdict=Verdict.UNKNOWN, notes=tuple(notes), **base)

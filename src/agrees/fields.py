@@ -7,7 +7,9 @@ from math import gcd, lcm
 
 from .errors import BadParameters
 
-# Prime moduli below this give too little Schwartz-Zippel headroom.
+# The certificate's and the refuter's sample space over q, {1..MIN_PRIME}
+# (engine, Schwartz-Zippel): a prime modulus must exceed it, so that its
+# draws are distinct nonzero field elements.
 MIN_PRIME = 1 << 20
 
 

@@ -6,7 +6,11 @@ of Gebauer and Moeller (1988): the chain criterion, the lcm divisibility
 scan of the new pairs and the coprime leading-term criterion, in one pass
 that computes one lcm per basis element (`_update_pairs`).  A run may be
 truncated by a weight bound (see `_buchberger`).  Reduced bases are unique,
-so every operation here is deterministic for a fixed input and order.
+so every operation here is deterministic for a fixed input.
+
+Every ideal and basis is grevlex.  Only the two elimination runs,
+`ideal_intersection` and `rees._t_free_kernel`, call `_buchberger` under a
+block order and read its basis into their target ring (`_front_free_elements`).
 
 Inside the kernels `_nf_dict`, `_spoly`, `_update_pairs`, `_entry`,
 `_buchberger`, `_interreduce` and `_times_maximal` a monomial is one packed
@@ -78,7 +82,6 @@ from .poly import (
     GREVLEX,
     BlockElimination,
     Exponent,
-    MonomialOrder,
     Packer,
     Polynomial,
     Ring,
@@ -296,14 +299,22 @@ def _monic_polynomial(ring: Ring, field, entry, unpack) -> Polynomial:
     return Polynomial(ring, field, {unpack(m): field.div(c, lc) for m, c in row.items()})
 
 
-def _front_free_elements(ring: Ring, field, order: BlockElimination, entries) -> list[Polynomial]:
-    """The monic elements free of the front block among a reduced basis
-    under a block elimination order, given as `_buchberger` returns it:
-    those whose lead is free of it, since a term involving the front sorts
-    above every term free of it."""
+def _front_free_elements(ring: Ring, field, order: BlockElimination, entries,
+                         target: Ring) -> list[Polynomial]:
+    """The monic elements free of the front block among a reduced basis on
+    ring under a block elimination order, given as `_buchberger` returns
+    it, as polynomials of `target`, ring's variables but the front's in
+    order: those whose lead is free of the front, since a term involving it
+    sorts above every term free of it, so that none of their terms does."""
     unpack = order.packer(ring).unpack
     front = [ring.index(v) for v in order.front]
-    return [_monic_polynomial(ring, field, e, unpack) for e in entries
+    rest = [i for i in range(ring.arity) if i not in front]
+
+    def unpack_target(w: int) -> Exponent:
+        e = unpack(w)
+        return tuple([e[i] for i in rest])
+
+    return [_monic_polynomial(target, field, e, unpack_target) for e in entries
             if not any(unpack(e[0])[i] for i in front)]
 
 
@@ -320,8 +331,8 @@ def _buchberger(inputs: list[_Term], pk: Packer, field, max_weight=None) -> list
     every reduction is one `_nf_dict` that returns an integer row, so after
     the inputs are cleared no field value is made until the run returns.
     The interreduced elements are returned as entries too: primitive over q,
-    monic over fp.  Under an order that is not graded each of their words
-    is `check`ed, and a term of degree 2^32 or more raises DegreeOverflow.
+    monic over fp.  Under a block order each of their words is `check`ed,
+    and a term of degree 2^32 or more raises DegreeOverflow.
 
     Pairs are reduced by smallest sugar, then smallest lcm, then index.
     `max_weight` drops every S-pair whose lcm weighs more than it, where an
@@ -357,9 +368,9 @@ def _interreduce(G: list, pk: Packer, field) -> list:
     basis, as `_entry`s sorted by descending leading word: minimalized, so
     that the leads form a divisibility antichain, then each element reduced
     modulo the others.  It finishes every reduced basis not read off a
-    staircase: `_buchberger`'s, `_times_maximal`'s and `_colon`'s.  Under an
-    order that is not graded each word is `check`ed, and a term of degree
-    2^32 or more raises DegreeOverflow."""
+    staircase: `_buchberger`'s, `_times_maximal`'s and `_colon`'s.  Under a
+    block order (elimination runs only) each word is `check`ed, and a term
+    of degree 2^32 or more raises DegreeOverflow."""
     guard = pk.guard
     minimal: list = []
     for g in sorted(G, key=_lead):
@@ -380,10 +391,10 @@ def _interreduce(G: list, pk: Packer, field) -> list:
 # -- public layer ------------------------------------------------------------
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic elements, leading monomials an antichain.
+    """Reduced grevlex basis: monic elements, leading monomials an antichain.
 
     `entries` are the basis as `_buchberger` returns it, `_entry`s of packed
-    words sorted by descending leading monomial: primitive integer rows over
+    grevlex words sorted by descending lead: primitive integer rows over
     q, monic rows over fp.  `reduce` divides by them, packing its input and
     unpacking the remainder; the monic `elements` and the
     `leading_exponents` are unpacked from them once, when first read, and
@@ -399,15 +410,13 @@ class GroebnerBasis:
     entries are the corners' packed words, sorted as they compare.
     """
 
-    __slots__ = ("ring", "field", "order", "entries", "_pk", "_leads", "_elements",
+    __slots__ = ("ring", "field", "entries", "_pk", "_leads", "_elements",
                  "_corners", "_stair", "_colength", "_mingens")
 
-    def __init__(self, ring: Ring, field, order: MonomialOrder, entries: list | None = None,
-                 stair=None):
+    def __init__(self, ring: Ring, field, entries: list | None = None, stair=None):
         self.ring = ring
         self.field = field
-        self.order = order
-        self._pk = pk = order.packer(ring)
+        self._pk = pk = GREVLEX.packer(ring)
         self._elements = None
         self._colength = None
         self._mingens = None
@@ -442,9 +451,6 @@ class GroebnerBasis:
         field values.  Normal forms are k-linear: the normal form of
         sum_j c_j * p_j is sum_j c_j * NF(p_j).
 
-        Under an order that is not graded the remainder's words are
-        `check`ed, and a term of degree 2^32 or more raises DegreeOverflow.
-
         Modulo a monomial basis of k[x,y] the normal form keeps exactly the
         terms that no leading monomial divides, found by one bisection: the
         corner with the largest x-exponent <= a has the smallest y-exponent
@@ -459,8 +465,6 @@ class GroebnerBasis:
             # looked up on the module, so a wrapper bound there sees this call too
             rem = _nf_dict({pack(m): c for m, c in terms.items()}, self.entries, pk.guard,
                            self.field)
-            if not pk.graded:
-                pk.check(rem)
             return {unpack(w): c for w, c in rem.items()}
         xs, ys = corners
         kept = {m: c for m, c in terms.items()
@@ -501,7 +505,7 @@ _UNREAD = object()
 
 
 class Ideal:
-    """Generator list plus write-once caches: reduced bases per order, the
+    """Generator list plus write-once caches: the reduced grevlex basis, the
     staircase (`staircase_of_ideal`, None included), and the engine's
     products with this ideal as right factor (`_products`, keyed by the left
     factor).
@@ -526,21 +530,24 @@ class Ideal:
         self.ring = first.ring
         self.field = first.field
         self.generators = gens
-        self._gb_cache: dict[MonomialOrder, GroebnerBasis] = {}
+        # {GREVLEX: basis}: a dict keyed by the order, as perfbench/tracing.py
+        # reads `GREVLEX in ideal._gb_cache` (ROADMAP item 8 retires that)
+        self._gb_cache: dict = {}
         self._staircase = _UNREAD
         self._products: dict[Ideal, Ideal] = {}
 
-    def groebner_basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-        cached = self._gb_cache.get(order)
+    def groebner_basis(self) -> GroebnerBasis:
+        """The reduced grevlex basis, built once."""
+        cached = self._gb_cache.get(GREVLEX)
         if cached is not None:
             return cached
         stair = staircase_of_ideal(self)
         if stair is not None:
-            gb = GroebnerBasis(self.ring, self.field, order, stair=stair)
+            gb = GroebnerBasis(self.ring, self.field, stair=stair)
         else:
-            gb = GroebnerBasis(self.ring, self.field, order, _buchberger(
-                [g.terms for g in self.generators], order.packer(self.ring), self.field))
-        self._gb_cache[order] = gb
+            gb = GroebnerBasis(self.ring, self.field, _buchberger(
+                [g.terms for g in self.generators], GREVLEX.packer(self.ring), self.field))
+        self._gb_cache[GREVLEX] = gb
         return gb
 
     @classmethod
@@ -548,7 +555,7 @@ class Ideal:
         """The ideal of a reduced basis's elements, with basis already in
         its cache: no Buchberger run."""
         I = cls(list(basis))
-        I._gb_cache[basis.order] = basis
+        I._gb_cache[GREVLEX] = basis
         return I
 
     def __repr__(self):
@@ -636,8 +643,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     gens = [u * lift(f) for f in I.generators] + [one_minus_u * lift(g) for g in J.generators]
     order = BlockElimination(front=("u",))
     basis = _buchberger([g.terms for g in gens if not g.is_zero], order.packer(aux), field)
-    keep = tuple(range(1, aux.arity))
-    trimmed = [p.project(ring, keep) for p in _front_free_elements(aux, field, order, basis)]
+    trimmed = _front_free_elements(aux, field, order, basis, ring)
     if not trimmed:
         trimmed = [Polynomial.zero(ring, field)]
     return Ideal(trimmed)
@@ -689,7 +695,7 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
         _echelon_reduce(row, echelon, fld)
     kernel = [(w, row[j, w], {m: c for (_, m), c in row.items()})
               for (j, w), row in echelon.items() if j < 0]
-    return Ideal.of_basis(GroebnerBasis(A.ring, fld, GREVLEX,
+    return Ideal.of_basis(GroebnerBasis(A.ring, fld,
                                         _interreduce(gb.entries + kernel, gb._pk, fld)))
 
 
@@ -726,7 +732,7 @@ def _times_maximal(P: Ideal) -> Ideal:
     for ((_, b), f), ((a, _), g) in zip(corners, corners[1:]):
         r = _nf_dict(_spoly(f, g, pack((a, b)), field), shifted, guard, field, True)
         _echelon_reduce(r, rows, field)
-    return Ideal.of_basis(GroebnerBasis(gb.ring, field, GREVLEX, _interreduce(
+    return Ideal.of_basis(GroebnerBasis(gb.ring, field, _interreduce(
         shifted + [(lm, row[lm], row) for lm, row in rows.items()], pk, field)))
 
 
@@ -840,7 +846,7 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
         return []
     ring, field = gens[0].ring, gens[0].field
     if N is None:
-        gb = GroebnerBasis(ring, field, GREVLEX, _buchberger(
+        gb = GroebnerBasis(ring, field, _buchberger(
             [(Polynomial.variable(ring, field, v) * g).terms for v in ring.vars for g in gens],
             GREVLEX.packer(ring), field, max_weight=max_weight))
     else:

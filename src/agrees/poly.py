@@ -4,17 +4,18 @@ Monomials are plain exponent tuples; the ambient ring (an ordered tuple of
 variable names) travels with each Polynomial.  All values are immutable, so
 everything here is safe to share across threads.
 
-A monomial order has one encoding, the packed word of its `Packer`: the
-order's key above one 34-bit field per exponent, so that words compare as
-the order, add as the monomials multiply and pass a mask test exactly when
-they divide.  `Polynomial.sorted_terms` sorts by the word, and inside the
-Groebner kernels a monomial is its word.  A word is exact while
-its monomial's total degree is below 2^32, and `pack` raises
-DegreeOverflow from there on.  The kernels pack their inputs and every lcm
-and derive every other word by adding and subtracting words.  Under
-grevlex no derived degree exceeds a packed one; under a block order a
-derived degree is bounded by nothing but the run, so the words a kernel
-hands out are checked against 2^32 (see "packed monomials" below).
+Grevlex orders every ideal, basis and polynomial; a block order
+(`BlockElimination`) only the two elimination runs.  An order has one
+encoding, the packed word of its `Packer`: the order's key above one 34-bit
+field per exponent, so that words compare as the order, add as the
+monomials multiply and pass a mask test exactly when they divide.
+`Polynomial.sorted_terms` sorts by the grevlex word, and inside the Groebner
+kernels a monomial is its word.  A word is exact while its monomial's total
+degree is below 2^32, and `pack` raises DegreeOverflow from there on, under
+every order.  Under grevlex no degree a kernel derives exceeds that of a
+packed word; under a block order it is bounded by nothing but the run, so
+an elimination run checks its basis against 2^32 (see "packed monomials"
+below).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
-from .errors import DegreeOverflow, NotContained, RingMismatch
+from .errors import DegreeOverflow, RingMismatch
 
 Exponent = tuple[int, ...]
 
@@ -93,14 +94,11 @@ class MonomialOrder:
         once, so a caller may ask for it per call."""
         pk = _PACKERS.get((self, ring))
         if pk is None:
-            pk = _PACKERS[(self, ring)] = Packer(*self._linear(ring), ring.arity,
-                                                 self.graded)
+            pk = _PACKERS[(self, ring)] = Packer(self._linear(ring), ring.arity, self.graded)
         return pk
 
-    def _linear(self, ring: Ring) -> tuple[list[int], int | None]:
-        """(W, limit): the key's weights on ring, and the value from which
-        its total degree is at least B, when the value shows it (else None,
-        and the degree is summed)."""
+    def _linear(self, ring: Ring) -> list[int]:
+        """W: the key's weights on ring."""
         raise NotImplementedError
 
 
@@ -111,27 +109,14 @@ _DIGIT_BITS = 32
 ORDER_BASE = 1 << _DIGIT_BITS
 
 
-def _degree_overflow(e: Exponent) -> DegreeOverflow:
-    return DegreeOverflow(
-        f"monomial {e} has total degree {sum(e)}, at or above 2^32: "
-        "beyond the integer order keys")
-
-
-def _linear_form(weights: list[int], limit: int | None) -> Callable[[Exponent], int]:
+def _linear_form(weights: list[int]) -> Callable[[Exponent], int]:
     """e -> sum(e[i] * weights[i]), raising DegreeOverflow where the total
-    degree reaches B: read off the value, at or above `limit`, or, when
-    `limit` is None, off the degree."""
-    if limit is None:
-        def f(e):
-            if sum(e) >= ORDER_BASE:
-                raise _degree_overflow(e)
-            return sum(map(mul, e, weights))
-    else:
-        def f(e):
-            v = sum(map(mul, e, weights))
-            if v >= limit:
-                raise _degree_overflow(e)
-            return v
+    degree reaches B, under every order."""
+    def f(e):
+        if sum(e) >= ORDER_BASE:
+            raise DegreeOverflow(f"monomial {e} has total degree {sum(e)}, at or above "
+                                 "2^32: beyond the integer order keys")
+        return sum(map(mul, e, weights))
     return f
 
 
@@ -148,10 +133,7 @@ class _Grevlex(MonomialOrder):
     graded = True
 
     def _linear(self, ring):
-        n = ring.arity
-        # the key reaches (B - 1) * B^n exactly when deg(e) >= B: below, it
-        # is at most (B - 1) * (B^n - 1); from there, at least B * (B^n - B^(n-1))
-        return _grevlex_weights(n), (ORDER_BASE - 1) << _DIGIT_BITS * n
+        return _grevlex_weights(ring.arity)
 
     def __repr__(self):
         return "grevlex"
@@ -179,7 +161,7 @@ class BlockElimination(MonomialOrder):
             weights[i] = w << shift
         for i, w in zip(bidx, _grevlex_weights(len(bidx))):
             weights[i] = w
-        return weights, None
+        return weights
 
     def __repr__(self):
         return f"block({','.join(self.front)} >> {GREVLEX!r})"
@@ -214,9 +196,9 @@ GREVLEX = _Grevlex()
 # term of a row has a larger degree than the row's lead, so every derived
 # degree is at most that of an lcm or a reduced lead, which were checked;
 # under a block order a tail term may outgrow its lead, and the words stay
-# exact only while every derived degree stays below 2^32.  There the kernels `check`
-# every word they hand out, the terms of a reduced basis and of a
-# remainder, and raise DegreeOverflow on a word of degree 2^32 or more; a
+# exact only while every derived degree stays below 2^32.  Block orders
+# live only in the elimination runs, whose reduced basis `_interreduce`
+# `check`s, raising DegreeOverflow on a word of degree 2^32 or more; a
 # word that outgrew the bound and then cancelled inside a run is not seen.
 
 _FIELD_BITS = 34
@@ -226,16 +208,16 @@ class Packer:
     """`pack` and `unpack` between exponent tuples of one ring and the
     packed words described above, and the `guard` mask of the divisor test.
     Built once per (order, ring) by `MonomialOrder.packer`, from the key's
-    `_linear` form; `graded` is the order's, and tells a kernel whether the
-    words it derives need a `check`."""
+    `_linear` weights; `pack` raises DegreeOverflow from total degree 2^32
+    on.  `graded` is the order's, and tells `_interreduce` whether the words
+    a run derived need a `check`."""
 
     __slots__ = ("pack", "unpack", "guard", "graded")
 
-    def __init__(self, weights: list[int], limit: int | None, n: int, graded: bool):
+    def __init__(self, weights: list[int], n: int, graded: bool):
         shifts = [_FIELD_BITS * (n - 1 - i) for i in range(n)]
         top = _FIELD_BITS * n
-        self.pack = _linear_form([w << top | 1 << s for w, s in zip(weights, shifts)],
-                                 None if limit is None else limit << top)
+        self.pack = _linear_form([w << top | 1 << s for w, s in zip(weights, shifts)])
         mask = (1 << _FIELD_BITS) - 1
 
         def unpack(w: int) -> Exponent:
@@ -246,10 +228,10 @@ class Packer:
         self.graded = graded
 
     def check(self, words: Iterable[int]) -> None:
-        """Raise DegreeOverflow if a word a kernel derived, under an order
-        that is not `graded`, has a monomial of total degree 2^32 or more,
-        whose word may have compared wrongly; it is repacked, and `pack`
-        raises there."""
+        """Raise DegreeOverflow if a word of a reduced basis that a block
+        elimination run derived has a monomial of total degree 2^32 or
+        more, whose word may have compared wrongly; it is repacked, and
+        `pack` raises there."""
         pack, unpack = self.pack, self.unpack
         for w in words:
             pack(unpack(w))
@@ -314,8 +296,8 @@ class Polynomial:
         (e,) = self.terms
         return e
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Exponent, object]]:
-        pack = order.packer(self.ring).pack
+    def sorted_terms(self) -> list[tuple[Exponent, object]]:
+        pack = GREVLEX.packer(self.ring).pack
         return sorted(self.terms.items(), key=lambda t: pack(t[0]), reverse=True)
 
     def min_degree(self) -> int:
@@ -393,15 +375,6 @@ class Polynomial:
                     term = term * (images[self.ring.vars[i]] ** exp)
             out = out + term
         return out
-
-    def project(self, target_ring: Ring, positions: tuple[int, ...]) -> "Polynomial":
-        """Keep only the exponent slots in `positions`; the rest must be zero."""
-        out = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in range(len(e)) if i not in positions):
-                raise NotContained(f"{self} has a term outside {target_ring}")
-            out[tuple(e[i] for i in positions)] = c
-        return Polynomial(target_ring, self.field, out)
 
     # equality, hashing, printing
 

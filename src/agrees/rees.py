@@ -137,9 +137,7 @@ def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> lis
     order = BlockElimination(front=("t",))
     basis = _buchberger([g.terms for g in kernel_gens], order.packer(big), field,
                         max_weight=max_weight)
-    target = presentation_ring(s)
-    keep = (0, 1) + tuple(range(3, big.arity))  # drop the t slot
-    return [g.project(target, keep) for g in _front_free_elements(big, field, order, basis)]
+    return _front_free_elements(big, field, order, basis, presentation_ring(s))
 
 
 def _prune_key(s: int):

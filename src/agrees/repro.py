@@ -38,6 +38,7 @@ from .poly import BASE_RING, Polynomial
 from .rees import rees_defining_ideal
 from .staircase import (
     Staircase,
+    closure_colength,
     is_contracted,
     mono_colength,
     newton_closure,
@@ -380,7 +381,9 @@ def check_oracle_agreement(seed: int) -> CheckResult:
     closure_bad = 0
     for _ in range(100):
         S = random_staircase(rng, max_exp=8, extras=3)
-        if newton_closure(S) != _closure_power_oracle(S):
+        oracle = _closure_power_oracle(S)
+        # classify decides closedness by closure_colength, so check it too
+        if newton_closure(S) != oracle or closure_colength(S) != mono_colength(oracle):
             closure_bad += 1
     expected = "500 pairs agree; 100 closures agree"
     got = expected if mismatches == 0 and closure_bad == 0 else (

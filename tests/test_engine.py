@@ -476,8 +476,8 @@ def test_classify_builds_no_basis_twice(monkeypatch):
 def test_certificate_is_decided_by_one_exact_test(monkeypatch):
     # a certified classify runs no rank and no refuter once its reduction is
     # found: verify_witness alone decides the generic triple.  A refuted one
-    # ranks all the a*w (a in mingens(I), w in mingens(J)) once and each of
-    # its samples' two row sets once, and after its certificate fails it
+    # ranks each of its samples' two row sets once (mu(IJ) is `_mu`'s, with
+    # no rank), and after its certificate fails it
     # takes each product a*w (a in mingens(I) or {x, y}) to its normal form
     # once
     from collections import Counter
@@ -517,7 +517,7 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
     I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
     rep = classify(I)
     assert rep.verdict is Verdict.NOT_AG and len(refuters) == 1
-    assert len(ranks) == 1 + 2 * rep.refutation.trials
+    assert len(ranks) == 2 * rep.refutation.trials
     m = maximal_ideal(BASE_RING, QQ)
     rows = Counter(frozenset((a * w).terms.items())
                    for a in minimal_generators(I) + list(m.generators) for w in rep.colon_gens)
@@ -667,12 +667,12 @@ def test_classify_leaves_no_product_on_the_maximal_ideal():
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_mu_of_ij_is_the_rank_of_its_products(field, seed):
-    """mu(IJ) as the refuter reports it, the rank of the products a*w (a in
-    mingens(I), w in mingens(J)) modulo m*IJ, is colength(m*IJ) -
-    colength(IJ) of freshly built products; on seeded staircases and their
-    twins, with J the colon of a stable reduction and a second, unrelated
-    ideal, whenever mu(J) >= 2 (the refuter's domain)."""
-    from agrees.groebner import colength
+    """mu(IJ) as the refuter reports it is the rank of the products a*w (a
+    in mingens(I), w in mingens(J)) modulo m*IJ, which generate IJ, and is
+    colength(m*IJ) - colength(IJ) of freshly built products; on seeded
+    staircases and their twins, with J the colon of a stable reduction and
+    a second, unrelated ideal, whenever mu(J) >= 2 (the refuter's
+    domain)."""
     from agrees.repro import random_staircase
 
     rng = random.Random(seed)
@@ -693,8 +693,12 @@ def test_mu_of_ij_is_the_rank_of_its_products(field, seed):
             if len(minimal_generators(J)) < 2:
                 continue
             IJ = ideal_product(I, J)
-            want = colength(ideal_product(m, IJ)) - colength(IJ)
-            assert necessary_bound(I, J).mu_IJ == want
+            mIJ = ideal_product(m, IJ)
+            want = colength(mIJ) - colength(IJ)
+            gb = mIJ.groebner_basis()
+            rank = engine._rank([gb.reduce((a * w).terms) for a in minimal_generators(I)
+                                 for w in minimal_generators(J)], field)
+            assert necessary_bound(I, J).mu_IJ == rank == want
 
 
 def test_monomial_colength_builds_no_basis(monkeypatch):

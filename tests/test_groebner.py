@@ -153,13 +153,12 @@ def test_gb_reducedness_invariants():
 
 
 @pytest.mark.parametrize("names", [("x", "y")])
-@pytest.mark.parametrize("order", [GREVLEX, BlockElimination(front=("y",))])
-def test_monomial_basis_matches_buchberger(names, order):
+def test_monomial_basis_matches_buchberger(names):
     """A monomial ideal of k[x,y] reads its basis off its staircase; it must
     equal what Buchberger returns, element for element and in order (in
     more variables the basis is Buchberger's own)."""
     ring = Ring(names)
-    packed = _Packed(order, ring)
+    packed = _Packed(GREVLEX, ring)
     rng = random.Random(47)
     for field in (QQ, PrimeField(2147483647)):
         for _ in range(25):
@@ -170,7 +169,7 @@ def test_monomial_basis_matches_buchberger(names, order):
             gens += [gens[0] * Polynomial.variable(ring, field, rng.choice(names))]
             gens += [Polynomial.zero(ring, field)] * rng.randint(0, 2)
             rng.shuffle(gens)
-            got = Ideal(gens).groebner_basis(order).elements
+            got = Ideal(gens).groebner_basis().elements
             want = _monic_values(_buchberger([dict(g.terms) for g in gens], packed.pk, field),
                                  packed, field)
             assert [g.terms for g in got] == want
@@ -302,7 +301,8 @@ def test_nf_dict_matches_reference(names, order):
     """The integer kernel leaves the same remainder, as field values, as the
     Fraction reference: against arbitrary (non-monic, not Groebner) divisor
     lists, handed to `_nf_dict` as its `_entry` rows, and, in the plane,
-    against reduced bases, handed to the reference as monic polynomials."""
+    against the reduced bases `_buchberger` returns under the order, handed
+    to the reference as monic polynomials."""
     ring = Ring(names)
     packed = _Packed(order, ring)
     keyf = packed.keyf
@@ -323,10 +323,10 @@ def test_nf_dict_matches_reference(names, order):
                 assert _field_values(got, field)
                 if len(names) > 2:
                     continue  # random bases in three variables take seconds over Q
-                gens = [Polynomial(ring, field, t) for _, _, t in divisors]
-                gb = Ideal(gens).groebner_basis(order)
-                monic = [(max(g.terms, key=keyf), field.one, g.terms) for g in gb.elements]
-                got = packed.nf(p, gb.entries, field)
+                entries = _buchberger([t for _, _, t in divisors], packed.pk, field)
+                monic = [(max(t, key=keyf), field.one, t)
+                         for t in _monic_values(entries, packed, field)]
+                got = packed.nf(p, entries, field)
                 assert got == _reference_nf(p, monic, keyf, field)
                 assert _field_values(got, field)
 
@@ -425,19 +425,17 @@ def test_reduce_is_the_normal_form(field):
 @st.composite
 def monomial_bases(draw):
     """A monomial ideal's basis in k[x,y] (a random staircase, m-primary or
-    not, possibly the unit ideal), over q or fp, under one of two orders;
-    generated by monomials with redundant ones and non-unit coefficients,
-    or also by a sum of two of them, so that the monomial basis comes out
-    of a Buchberger run."""
+    not, possibly the unit ideal), over q or fp; generated by monomials
+    with redundant ones and non-unit coefficients, or also by a sum of two
+    of them, so that the monomial basis comes out of a Buchberger run."""
     field = draw(st.sampled_from([QQ, PrimeField(2147483647)]))
     ring = BASE_RING
-    order = draw(st.sampled_from([GREVLEX, BlockElimination(front=("x",))]))
     exps = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=6))
     coeffs = draw(st.lists(st.sampled_from([1, 2, -3]), min_size=len(exps), max_size=len(exps)))
     gens = [Polynomial.monomial(ring, field, e, field.from_int(c)) for e, c in zip(exps, coeffs)]
     if len(gens) > 1 and draw(st.booleans()):
         gens.append(gens[0] + gens[1])
-    return Ideal(gens).groebner_basis(order)
+    return Ideal(gens).groebner_basis()
 
 
 @st.composite
@@ -466,7 +464,7 @@ def test_term_filter_is_the_normal_form(gb, data):
     entries, value for value and in the same canonical form."""
     terms = data.draw(field_terms(gb.ring, gb.field))
     got = gb.reduce(dict(terms))
-    want = _Packed(gb.order, gb.ring).nf(terms, gb.entries, gb.field)
+    want = _Packed(GREVLEX, gb.ring).nf(terms, gb.entries, gb.field)
     assert got == want
     assert [type(c) for c in got.values()] == [type(want[m]) for m in got]
     assert _field_values(got, gb.field)
@@ -496,23 +494,19 @@ def test_lex_kernels_raise_on_terms_past_degree_2_to_the_32(field):
     """Under an order that is not graded, here the block order with x in
     front, a tail term may outgrow its lead, and a word of degree
     2^32 or more compares wrongly: in k[x,y,z], modulo x - z^(2^31),
-    x^2*z + x reduces to z^(2^32+1) + z^(2^31), and z^(2^32+1)'s word
-    sorts above y's.  A remainder holding such a term raises
-    DegreeOverflow instead of coming back, and so does the reduced basis
-    of (x - z^(2^31), x^2*z + y^2), whose second element is
-    y^2 + z^(2^32+1).  Below the bound a remainder comes back exact, and
-    under grevlex the same reduction derives nothing past it."""
+    x^2*z reduces to z^(2^32+1), whose word sorts above y's.  A Buchberger
+    run under that order raises DegreeOverflow rather than return the
+    reduced basis of (x - z^(2^31), x^2*z + y^2), whose second element is
+    y^2 + z^(2^32+1).  Under grevlex, the order of every `Ideal`, the same
+    reduction derives nothing past the bound."""
     N = 1 << 31
     ring = Ring(("x", "y", "z"))
     one, minus_one = field.one, field.from_int(-1)
     binomial = Polynomial(ring, field, {(1, 0, 0): one, (0, 0, N): minus_one})
     other = Polynomial(ring, field, {(2, 0, 1): one, (0, 2, 0): one})
-    gb = Ideal([binomial]).groebner_basis(BlockElimination(front=("x",)))
-    assert gb.reduce({(1, 1, 0): one, (0, 3, 0): one}) == {(0, 1, N): one, (0, 3, 0): one}
     with pytest.raises(DegreeOverflow):
-        gb.reduce({(2, 0, 1): one, (1, 0, 0): one})
-    with pytest.raises(DegreeOverflow):
-        Ideal([binomial, other]).groebner_basis(BlockElimination(front=("x",)))
+        _buchberger([binomial.terms, other.terms],
+                    BlockElimination(front=("x",)).packer(ring), field)
     assert Ideal([binomial]).groebner_basis().reduce({(2, 0, 1): one, (1, 0, 0): one}) == {
         (2, 0, 1): one, (1, 0, 0): one}
 
@@ -1207,7 +1201,8 @@ def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
                 assert got == want
                 assert all(_field_values(p, field) for p in got)
                 assert len(calls) == len(reference_calls) > 0
-                elements = GroebnerBasis(ring, field, order, entries).elements
+                elements = [groebner._monic_polynomial(ring, field, e, packed.pk.unpack)
+                            for e in entries]
                 assert [p.terms for p in elements] == want
                 assert all(_field_values(p.terms, field) for p in elements)
 

@@ -1,10 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import agrees
+from agrees.groebner import GroebnerBasis, Ideal
+from agrees.poly import Polynomial
 
 SOURCES = sorted(Path(agrees.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -181,3 +184,33 @@ def test_every_definition_has_a_reader():
                     and not (m.name.startswith("__") and m.name.endswith("__")))
     unread = {qual for qual, name in defined.items() if name not in read}
     assert unread == DEFINITIONS_WITHOUT_A_READER, f"definitions with no reader: {sorted(unread)}"
+
+
+def _named_in(name: str) -> set:
+    """(module, top-level definition) for every read of `name` in the
+    library; the definition is None for a read at module level."""
+    found = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            found.update((path.stem, owner) for node in ast.walk(top)
+                         if isinstance(node, ast.Name) and node.id == name)
+    return found
+
+
+def test_block_orders_live_only_in_elimination():
+    """Grevlex is the only order outside the two elimination runs: an
+    ideal's basis, a basis and a polynomial's terms take no order, and
+    outside `poly`, where it is defined, `BlockElimination` is read only by
+    the Rees presentation's run, by `ideal_intersection` and by the reader
+    of their front-free elements; no module but `poly` reads
+    `MonomialOrder`."""
+    assert list(inspect.signature(Ideal.groebner_basis).parameters) == ["self"]
+    assert list(inspect.signature(Polynomial.sorted_terms).parameters) == ["self"]
+    assert list(inspect.signature(GroebnerBasis.__init__).parameters) == [
+        "self", "ring", "field", "entries", "stair"]
+    block = {(m, d) for m, d in _named_in("BlockElimination") if m != "poly"}
+    assert block == {
+        ("rees", "_t_free_kernel"), ("groebner", "ideal_intersection"),
+        ("groebner", "_front_free_elements")}
+    assert {m for m, _ in _named_in("MonomialOrder")} == {"poly"}
