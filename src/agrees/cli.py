@@ -27,7 +27,7 @@ from .report import (
     write_survey_csv,
 )
 from .repro import CHECKS, run_all, run_check
-from .survey import param_names, parse_range, run_survey
+from .survey import parse_range, run_survey
 
 # every family parameter, in first-appearance order
 _RANGE_FLAGS = tuple(dict.fromkeys(p for params in FAMILY_PARAMS.values() for p in params))
@@ -111,8 +111,6 @@ def _run_survey(args) -> int:
         value = getattr(args, flag)
         if value is not None:
             ranges[flag] = parse_range(value)
-    names = param_names(args.family)
-    ranges = {k: v for k, v in ranges.items() if k in names}
     started = time.perf_counter()
     rows, skipped = run_survey(
         args.family, ranges, seed=seed, field_config=args.field, jobs=args.jobs)

@@ -2,8 +2,9 @@
 
 Everything is decided in the local ring k[x,y]_(x,y) by linear algebra in
 quotients by m-primary ideals, and every rank, kernel and span test is one
-sparse echelon (`groebner._echelon_reduce`) over normal forms keyed by
-monomial, each taken modulo one reduced basis by `GroebnerBasis.reduce`.
+sparse echelon (`groebner._echelon_reduce`, here only through `_rank`) over
+normal forms keyed by monomial, each taken modulo one reduced basis by
+`GroebnerBasis.reduce`.
 The pipeline: find a 2-generated reduction Q of I (a rank in
 I^(r+1)/m*I^(r+1), or for a monomial I with r <= 1 a count of lengths; Q
 may vanish away from the origin), require stability (I^2 = QI), read
@@ -18,8 +19,9 @@ satisfying
 or refute by showing that no h in J can keep mu(IJ/Ih) + mu(mJ/mh) within
 the generator-count budget 2*(mu(J) - 1).  Both witness conditions are
 Zariski-open ranks (Nakayama), so one generic triple decides the first, and
-it is decided exactly by one echelon of its own normal forms modulo each of
-m*IJ and m^2*J (`verify_witness`).
+it is decided exactly by the rank of its own normal forms modulo each of
+m*IJ and m^2*J against mu(IJ) and mu(mJ) (`verify_witness`), the test
+`_reduction_number` makes for I^(r+1) = Q I^r.
 Every product ideal is built once per analysis (`_mul` caches it on its
 right factor, and `maximal_ideal` is one object per ring and field), and
 that cache is the one way stages share work: the powers I^k (`_power`),
@@ -38,7 +40,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import NoReductionFound, NotContained, NotStable, NotZeroDimensional
+from .errors import BadParameters, NoReductionFound, NotContained, NotStable, NotZeroDimensional
 from .fields import MIN_PRIME, PrimeField
 from .groebner import (
     Ideal,
@@ -174,7 +176,8 @@ def _rank(rows: list[dict], fld) -> int:
     """dim_k of the span of sparse rows {column: value}, with mutually
     comparable columns: one echelon keyed by the largest column, built from
     copies of the rows without their zero entries (a `_combine` can cancel
-    one)."""
+    one).  The engine's only reader of `_echelon_reduce`: every Nakayama
+    test and refuter sample is a `_rank`."""
     echelon: dict = {}
     zero = fld.zero
     for row in rows:
@@ -296,7 +299,7 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
         return (0, 0, 1, -1, 2, rng.randint(3, 99))[pick]
 
     def combo() -> Polynomial:
-        return sum((g.scale(fld.from_int(menu())) for g in gens), Polynomial.zero(ring, fld))
+        return _span([fld.from_int(menu()) for _ in gens], gens)
 
     tried: list[Ideal] = []
     for _ in range(_REDUCTION_PAIRS):  # the first draw is usually a stable reduction
@@ -366,23 +369,18 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
 
 def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomial],
                 parts: list[Polynomial]) -> bool:
-    """Does (parts) + m*ref equal ref?  parts <= ref is assumed, and ref_min
-    generates ref.
+    """Does (parts) + m*ref equal ref?  parts <= ref is assumed.
 
-    ref/m*ref is killed by m, so modulo m*ref the ideal (parts) is the
-    k-span of the parts' normal forms: the sum is ref iff the normal form of
-    every member of ref_min reduces to zero against one echelon of that
-    span.  m*ref and its reduced basis (a staircase when ref has one, so
-    `ref_stair` is not read) come from `_mul`'s cache; the parts' normal
-    forms and the echelon are made here.
+    The Nakayama test `_reduction_number` makes: ref/m*ref is killed by m,
+    has dimension mu(ref) and embeds in R/m*ref, which normal forms
+    coordinatize, so the sum is ref iff the parts' normal forms modulo
+    m*ref have rank mu(ref).  m*ref, its reduced basis and mu(ref) come
+    from `_mul`'s cache; only the parts' normal forms are made here.
+    `ref_stair` and `ref_min` are not read (perfbench's tracer reads the
+    positional arguments).
     """
-    fld = ref.field
-    top = _mul(maximal_ideal(ref.ring, fld), ref).groebner_basis()
-    echelon: dict = {}
-    for p in parts:
-        _echelon_reduce(top.reduce(p.terms), echelon, fld)
-    return all(_echelon_reduce(top.reduce(q.terms), echelon, fld) is None
-               for q in ref_min)
+    top = _mul(maximal_ideal(ref.ring, ref.field), ref).groebner_basis()
+    return _rank([top.reduce(p.terms) for p in parts], ref.field) == _mu(ref)
 
 
 def _span(coeffs: list, gens: list[Polynomial]) -> Polynomial:
@@ -396,13 +394,14 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
 
     With f in m, g in I and h in J (by normal form), gJ + Ih = IJ holds
     locally iff gJ + Ih + m*IJ = IJ (Nakayama); that quotient is killed by
-    m, so local and global agree.  `_sum_equals` tests it by one echelon of
-    normal forms modulo m*IJ; likewise mJ = fJ + mh against m^2*J.  This is
-    the one exact test of a triple: `certificate_search` decides its generic
-    triple by it and `validate_report` re-checks a reported one.  IJ, mJ and
-    the bases of m*IJ and m^2*J come from `_mul`'s cache, so the refuter
-    reads the same ones; the products g*w, a*h, f*w and v*h, their normal
-    forms and the echelon are made here.
+    m, so local and global agree.  `_sum_equals` tests it by the rank of
+    the parts' normal forms modulo m*IJ against mu(IJ); likewise mJ = fJ + mh
+    against m^2*J and mu(mJ).  This is the one exact test of a triple:
+    `certificate_search` decides its generic triple by it and
+    `validate_report` re-checks a reported one.  IJ, mJ, the bases of m*IJ
+    and m^2*J and both mu come from `_mul`'s cache, so the refuter reads the
+    same ones; the products g*w, a*h, f*w and v*h and their normal forms are
+    made here.
     """
     m = maximal_ideal(I.ring, I.field)
     if not (_contains_all(m, [f]) and _contains_all(I, [g]) and _contains_all(J, [h])):
@@ -480,6 +479,8 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     `verify_witness`'s.  A given Q is checked for I^2 = QI; callers that
     already know it pass none.
     """
+    if trials < 1:
+        raise BadParameters(f"a refutation needs at least one sample, got trials={trials}")
     if Q is not None and not is_stable(I, Q):
         raise NotStable("the generator-count refutation needs I^2 = QI")
     fld = I.field
@@ -613,8 +614,8 @@ def validate_report(I: Ideal, report: AGReport) -> bool:
     does not reach it.  A reported colon is first re-derived by
     `_is_linked_colon` against the reported reduction.  Then mu(J) = 1 is
     recomputed from the colon by `_mu`; a witness is re-verified by
-    `verify_witness`; a refutation is recomputed from the reported colon
-    with a fresh seed.
+    `verify_witness`; a refutation needs at least one trial and mu(J) >= 2,
+    and is recomputed from the reported colon with a fresh seed.
     """
     if report.verdict is Verdict.UNKNOWN:
         return True
@@ -630,8 +631,8 @@ def validate_report(I: Ideal, report: AGReport) -> bool:
         w = report.witness
         return w is not None and verify_witness(I, J, w.f, w.g, w.h)
     r = report.refutation
-    if r is None:
-        return False
+    if r is None or r.trials < 1 or _mu(J) < 2:
+        return False  # zero samples refute nothing, and mu(J) = 1 is Gorenstein
     # the linkage check above already showed I^2 = QI: no Q for the refuter
     again = necessary_bound(I, J, seed=derive_seed(*r.seeds, "validate"), trials=r.trials)
     return r.min_sum > r.threshold and again.min_sum > again.threshold

@@ -19,18 +19,15 @@ from .report import SurveyRow, witness_summary
 
 
 def parse_range(text: str) -> range:
-    """'3..10' (inclusive) or a single integer."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            return range(int(lo), int(hi) + 1)
-        except ValueError:
-            raise BadParameters(f"bad range {text!r}") from None
+    """'3..10' (inclusive, lo <= hi) or a single integer."""
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
     try:
-        v = int(text)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise BadParameters(f"bad range {text!r}") from None
-    return range(v, v + 1)
+    if lo > hi:
+        raise BadParameters(f"empty range {text!r}: {lo} > {hi}")
+    return range(lo, hi + 1)
 
 
 def param_names(family: str) -> tuple[str, ...]:
@@ -41,11 +38,12 @@ def param_names(family: str) -> tuple[str, ...]:
 
 
 def expand_tuples(family: str, ranges: dict[str, range]) -> tuple[list[tuple[int, ...]], int]:
-    """All valid parameter tuples in lexicographic order, plus a skipped count."""
+    """All valid parameter tuples in lexicographic order, plus a skipped
+    count; `ranges` must name exactly the family's parameters."""
     names = param_names(family)
-    missing = [n for n in names if n not in ranges]
-    if missing:
-        raise BadParameters(f"family {family!r} needs ranges for {missing}")
+    if set(ranges) != set(names):
+        raise BadParameters(f"family {family!r} takes ranges for exactly {list(names)}, "
+                            f"got {sorted(ranges)}")
 
     def valid(values: tuple[int, ...]) -> bool:
         try:

@@ -200,6 +200,10 @@ def test_survey_missing_range_exit_two():
     assert run_cli("survey", "--family", "three-gen", "--n", "3..5").returncode == 2
     assert run_cli("survey", "--family", "three-gen", "--n", "bad",
                    "--alpha", "1..2").returncode == 2
+    assert run_cli("survey", "--family", "three-gen", "--n", "5..3",
+                   "--alpha", "1..4").returncode == 2
+    # a range flag the family does not take is an error, not dropped
+    assert run_cli("survey", "--family", "remark43", "--m", "4", "--n", "3").returncode == 2
 
 
 def test_repro_single_check():

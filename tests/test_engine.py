@@ -474,19 +474,21 @@ def test_classify_builds_no_basis_twice(monkeypatch):
 
 
 def test_certificate_is_decided_by_one_exact_test(monkeypatch):
-    # a certified classify runs no rank and no refuter once its reduction is
-    # found: verify_witness alone decides the generic triple.  A refuted one
-    # ranks each of its samples' two row sets once (mu(IJ) is `_mu`'s, with
-    # no rank), and after its certificate fails it
+    # a certified classify runs no refuter once its reduction is found, and
+    # its only two ranks are verify_witness's, one per side: it alone decides
+    # the generic triple.  A refuted one ranks the failing IJ side once (the
+    # mJ side is not tested), then each of its samples' two row sets once
+    # (mu(IJ) is `_mu`'s, with no rank), and after its certificate fails it
     # takes each product a*w (a in mingens(I) or {x, y}) to its normal form
     # once
     from collections import Counter
 
     from agrees import groebner
 
-    ranks, refuters, reduced = [], [], []
+    ranks, refuters, reduced, verifying = [], [], [], []
     real_find, real_cert = engine.find_reduction, engine.certificate_search
     real_rank, real_bound = engine._rank, engine.necessary_bound
+    real_verify = engine.verify_witness
     real_reduce = groebner.GroebnerBasis.reduce
 
     def find_reduction(*args, **kwargs):
@@ -503,21 +505,30 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
         reduced.append(frozenset(terms.items()))
         return real_reduce(self, terms)
 
+    def verify_witness(*args):
+        verifying.append(1)
+        try:
+            return real_verify(*args)
+        finally:
+            verifying.pop()
+
     monkeypatch.setattr(engine, "find_reduction", find_reduction)
     monkeypatch.setattr(engine, "certificate_search", certificate_search)
-    monkeypatch.setattr(engine, "_rank", lambda *args: ranks.append(1) or real_rank(*args))
+    monkeypatch.setattr(engine, "verify_witness", verify_witness)
+    monkeypatch.setattr(engine, "_rank",
+                        lambda *args: ranks.append(bool(verifying)) or real_rank(*args))
     monkeypatch.setattr(engine, "necessary_bound",
                         lambda *args, **kwargs: refuters.append(1) or real_bound(*args, **kwargs))
     monkeypatch.setattr(groebner.GroebnerBasis, "reduce", reduce)
 
     I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
     assert classify(I).verdict is Verdict.AG_CERTIFIED
-    assert ranks == [] and refuters == []
+    assert ranks == [True, True] and refuters == []
 
     I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
     rep = classify(I)
     assert rep.verdict is Verdict.NOT_AG and len(refuters) == 1
-    assert len(ranks) == 2 * rep.refutation.trials
+    assert ranks == [True] + [False] * (2 * rep.refutation.trials)
     m = maximal_ideal(BASE_RING, QQ)
     rows = Counter(frozenset((a * w).terms.items())
                    for a in minimal_generators(I) + list(m.generators) for w in rep.colon_gens)
@@ -1136,6 +1147,24 @@ def test_validate_report_recomputes_refutation():
     tampered = replace(rep, verdict=Verdict.NOT_AG, witness=None,
                        refutation=replace(ref, min_sum=ref.threshold + 1))
     assert not validate_report(I, tampered)
+    # a refutation from zero samples refutes nothing: a re-run with no sample
+    # has ranks 0, so min_sum = mu(IJ) + mu(mJ) = 7 would clear any threshold
+    I = ideal("x^2, x y, y^2")
+    rep = classify(I)
+    assert rep.verdict is Verdict.AG_CERTIFIED
+    J = Ideal(list(rep.colon_gens))
+    forged = replace(rep, verdict=Verdict.NOT_AG, witness=None,
+                     refutation=replace(necessary_bound(I, J), min_sum=7, threshold=2))
+    assert not validate_report(I, replace(forged, refutation=replace(forged.refutation, trials=0)))
+    with pytest.raises(BadParameters):
+        necessary_bound(I, J, trials=0)
+    # a Gorenstein report relabelled NOT_AG: its colon (1) has mu(J) = 1,
+    # so there is nothing to refute, and the check says so without raising
+    I = ideal("x^2, y^2")
+    rep = classify(I)
+    assert rep.verdict is Verdict.GORENSTEIN
+    assert not validate_report(I, replace(rep, verdict=Verdict.NOT_AG,
+                                          refutation=forged.refutation))
 
 
 def test_validate_report_recomputes_mu_of_the_colon():

@@ -214,3 +214,10 @@ def test_block_orders_live_only_in_elimination():
         ("rees", "_t_free_kernel"), ("groebner", "ideal_intersection"),
         ("groebner", "_front_free_elements")}
     assert {m for m, _ in _named_in("MonomialOrder")} == {"poly"}
+
+
+def test_engine_reads_the_echelon_only_through_rank():
+    """Every Nakayama test in `engine` (a reduction's, each witness side's,
+    each refuter sample's) is a `_rank` of normal forms against a `mu`, so
+    `_rank` is the engine's one reader of `groebner._echelon_reduce`."""
+    assert {d for m, d in _named_in("_echelon_reduce") if m == "engine"} == {"_rank"}

@@ -14,6 +14,8 @@ def test_parse_range_forms():
     assert list(parse_range("4")) == [4]
     with pytest.raises(BadParameters):
         parse_range("a..b")
+    with pytest.raises(BadParameters):
+        parse_range("5..3")  # reversed, not an empty survey
 
 
 def test_expand_counts_invalid_tuples():
@@ -34,6 +36,8 @@ def test_expand_requires_all_ranges():
         expand_tuples("contracted-o3", {"n": range(3, 5)})
     with pytest.raises(BadParameters):
         expand_tuples("not-a-family", {"n": range(3, 5)})
+    with pytest.raises(BadParameters):
+        expand_tuples("remark43", {"m": range(4, 5), "n": range(3, 4)})
 
 
 def test_classify_tuple_row():
