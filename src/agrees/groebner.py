@@ -11,6 +11,9 @@ so every operation here is deterministic for a fixed input.
 Every ideal and basis is grevlex.  Only the two elimination runs,
 `ideal_intersection` and `rees._t_free_kernel`, call `_buchberger` under a
 block order and read its basis into their target ring (`_front_free_elements`).
+The Rees kernel of a monomial ideal is toric, and `_fiber_kernel` reads the
+elimination's bounded basis off its fibers with no run, in packed words
+formed by sums, as a kernel forms its shifted terms.
 
 Inside the kernels `_nf_dict`, `_spoly`, `_update_pairs`, `_entry`,
 `_buchberger`, `_interreduce` and `_times_maximal` a monomial is one packed
@@ -46,7 +49,7 @@ only where a value leaves a kernel: the remainder `GroebnerBasis.reduce`
 returns, the monic polynomials `_monic_polynomial` builds once from a
 basis's entries, and a kernel vector a caller reads off an echelon.
 
-Every reduced basis that is not read off a staircase ends in one finisher,
+Every reduced basis not read off a staircase or fibers ends in one finisher,
 `_interreduce`, which minimalizes a Groebner basis and interreduces it.  A
 Buchberger run hands it its basis; two kernels hand it a Groebner basis
 found with no run.  The colon (`_colon`) hands it the basis it starts from
@@ -69,6 +72,7 @@ goes through Buchberger.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 from typing import Sequence
 
@@ -386,6 +390,85 @@ def _interreduce(G: list, pk: Packer, field) -> list:
         for _, _, row in reduced:
             pk.check(row)
     return reduced
+
+
+def _fiber_kernel(gens: list[Polynomial], target: Ring, max_weight: int) -> list[Polynomial]:
+    """The part of T-degree <= max_weight of the reduced grevlex basis of
+    the kernel K of x, y, T_i -> x, y, c_i*u_i*t, for single-term gens
+    c_i*u_i of k[x,y], as monic polynomials of target = k[x, y, T_1..T_s]
+    sorted by descending lead: the t-free part of the elimination basis
+    that `_buchberger` returns under that weight bound, read off K's
+    fibers with no run.
+
+    A monomial m = x^a*y^b*T^A maps to c^A * x^a*y^b*u^A * t^d, d = |A|;
+    its fiber F(m) is the finite set of monomials with the same image up to
+    a constant.  K is toric: it is spanned by the binomials
+    c^B*m - c^A*n within fibers, so each fiber holds exactly one standard
+    monomial, its least, and K's reduced basis is m - (c^A/c^B)*min F(m),
+    x^a'*y^b'*T^B = min F(m), over the minimal generators m of in(K)
+    (Sturmfels, Groebner Bases and Convex Polytopes, 1996, Ch. 4).  Those
+    of T-degree d are read off pairs A != B of T-monomials of degree d: with
+    L = lcm(u^A, u^B), the pair's candidate is the larger of (L/u^A)*T^A and
+    (L/u^B)*T^B, which share their image.  Each candidate lies in in(K),
+    and a non-standard m is a multiple of the candidate of A and B with
+    B the T-part of min F(m), since both monomials are that pair's
+    monomials times one monomial and the order is multiplicative.  So the
+    leads of T-degree d are the candidates minimal under divisibility that
+    no lead of lower T-degree divides.  A pair with a common T_k is skipped:
+    its candidate is T_k times the candidate of the pair without it, a
+    multiple of a lower lead.  Words are formed as sums of packed words,
+    like a kernel's shifted terms, after one `pack` of the largest degree.
+    """
+    field = gens[0].field
+    pk = GREVLEX.packer(target)
+    pack, unpack, guard = pk.pack, pk.unpack, pk.guard
+    s = len(gens)
+    units = [g.monomial_exponent() for g in gens]
+    coeffs = [g.terms[u] for g, u in zip(gens, units)]
+    px, py = pack((1, 0) + (0,) * s), pack((0, 1) + (0,) * s)
+    leads: list[int] = []
+    out = []
+    for d in range(1, max_weight + 1):
+        monos = []  # (a, b, word, c^A, mask) for T^A of degree d, u^A = x^a*y^b
+        for idx in combinations_with_replacement(range(s), d):
+            T = [0] * s
+            a = b = mask = 0
+            c = field.one
+            for i in idx:
+                T[i] += 1
+                a += units[i][0]
+                b += units[i][1]
+                c = field.mul(c, coeffs[i])
+                mask |= 1 << i
+            monos.append((a, b, pack((0, 0) + tuple(T)), c, mask))
+        # no monomial below has a larger degree than x^X*y^Y*T_1^d, so this
+        # one pack raises DegreeOverflow wherever a sum of words could be inexact
+        pack((max(m[0] for m in monos), max(m[1] for m in monos), d) + (0,) * (s - 1))
+        candidates = {}  # word -> the index in monos of its T-monomial
+        for (i, (a1, b1, t1, _, m1)), (j, (a2, b2, t2, _, m2)) in combinations(
+                enumerate(monos), 2):
+            if m1 & m2:
+                continue  # a common T_k: the candidate is T_k times a lower one's
+            x, y = max(a1, a2), max(b1, b2)
+            w1 = (x - a1) * px + (y - b1) * py + t1
+            w2 = (x - a2) * px + (y - b2) * py + t2
+            if w1 > w2:
+                candidates[w1] = i
+            else:
+                candidates[w2] = j
+        for w in sorted(candidates):
+            if any(not (w - v) & guard for v in leads):
+                continue  # a smaller lead divides w
+            leads.append(w)
+            a1, b1, _, c1, _ = monos[candidates[w]]
+            e = unpack(w)
+            x, y = e[0] + a1, e[1] + b1  # the x, y part of w's image
+            n, c2 = min(((x - a) * px + (y - b) * py + t, c) for a, b, t, c, _ in monos
+                        if a <= x and b <= y)
+            out.append((w, Polynomial(target, field, {
+                e: field.one, unpack(n): field.neg(field.div(c1, c2))})))
+    out.sort(key=_lead, reverse=True)
+    return [p for _, p in out]
 
 
 # -- public layer ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Defining ideal of the Rees algebra R[It] by elimination.
+"""Defining ideal of the Rees algebra R[It], by elimination or off fibers.
 
 For I = (f_1, ..., f_s) the kernel K of x,y,T_i -> x,y,f_i*t is computed as
 (T_1 - f_1 t, ..., T_s - f_s t) intersected with the t-free subring, using a
@@ -16,6 +16,18 @@ generators are the same as without the bound.  Otherwise (r >= 2, no
 reduction found, or zeros of I away from the origin) the basis runs
 unbounded.
 
+A monomial I with the bound runs no elimination.  With f_i = c_i*u_i, c_i
+a constant and u_i a monomial, K is toric: the binomials within its fibers,
+the sets of monomials with one image up to a constant, span it, so its
+reduced grevlex basis is m - (c^A/c^B)*min F(m) over the minimal generators
+m = x^a*y^b*T^A of in(K), x^a'*y^b'*T^B = min F(m) the least monomial of
+m's fiber (Sturmfels, Groebner Bases and Convex Polytopes, 1996, Ch. 4;
+Eisenbud-Sturmfels, "Binomial ideals", 1996).  `groebner._fiber_kernel`
+reads its part of T-degree <= r + 1 off pairs of T-monomials: the same
+list, element for element and in order, as the bounded elimination, so
+everything below holds on either path.  Every other input (a generator
+with two terms, or no bound) runs the elimination.
+
 A minimal generating set is then read off that basis, by counting where the
 count is a proof and by graded Nakayama otherwise.  Write mu_d(K) for
 dim (K/MK)_d with M = (x, y, T_1..T_s); any T-homogeneous generating set has
@@ -29,13 +41,14 @@ T-degree 1 and, for D = 2, exactly C(s+1, 2) - mu(I^2) of T-degree 2, it is
 already minimal.  mu(I) and mu(I^2) are `engine._mu`'s, read off the
 products m*I, I^2 and m*I^2 in `engine._mul`'s cache: for a non-monomial I
 the reduction search behind the bound built them; for a monomial I they are
-staircase products and the bound is read off lengths, so after `classify`
-the elimination is the presentation's only Buchberger run.  Everywhere else
-(no bound, a redundant input generator, or a count above those numbers) the
-prune runs: one basis of (x, y, T_1..T_s) * K, then one normal form per
-candidate (see `groebner._nakayama_prune`).  Both paths return the basis
-sorted by the prune's key, so a certified basis is the tuple, in the order,
-that the prune would keep.
+staircase products and the bound is read off lengths, so after `classify` a
+monomial I with the bound runs Buchberger only for the prune's basis, when
+the count fails, and every other I only for its elimination and that
+basis.  Everywhere else (no bound, a redundant input generator, or a count
+above those numbers) the prune runs: one basis of (x, y, T_1..T_s) * K,
+then one normal form per candidate (see `groebner._nakayama_prune`).  The
+count and the prune return the basis sorted by the prune's key, so a
+certified basis is the tuple, in the order, that the prune would keep.
 
 The presentation is local, like every verdict: the prune is Nakayama at
 (x, y, T), so the kept generators generate K after localizing there.  When
@@ -61,7 +74,9 @@ from .groebner import (
     Ideal,
     colength,
     is_origin_primary,
+    staircase_of_ideal,
     _buchberger,
+    _fiber_kernel,
     _front_free_elements,
     _nakayama_prune,
 )
@@ -152,7 +167,10 @@ def rees_defining_ideal(I: Ideal) -> ReesPresentation:
     colength(I)  # rejects inputs that are not m-primary
     gens = [g for g in I.generators if not g.is_zero]
     bound = _relation_type_bound(I)
-    t_free = _t_free_kernel(gens, I.field, bound)
+    if bound is not None and staircase_of_ideal(I) is not None:
+        t_free = _fiber_kernel(gens, presentation_ring(len(gens)), bound)
+    else:
+        t_free = _t_free_kernel(gens, I.field, bound)
 
     key = _prune_key(len(gens))
     if bound is not None and _minimal_by_count(t_free, len(gens), bound, I):

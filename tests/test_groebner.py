@@ -1344,11 +1344,20 @@ def test_update_pairs_matches_the_reference_in_the_rees_ring(field, max_weight, 
 def test_rees_presentation_runs_two_buchberger(monkeypatch):
     # the elimination, then one basis of (x, y, T_1..T_s) * kernel, where the
     # count does not certify the bounded basis minimal (contracted-o3
-    # (5, 2, 3)); a certified input runs the elimination only, see
-    # test_rees.test_both_bases_get_the_bound
+    # (5, 2, 3)), on the x -> x + 2y twin, after the bound's reduction
+    # search; the monomial source reads its kernel off its fibers and runs
+    # the prune's basis only, and a certified input runs the elimination
+    # only, see test_rees.test_both_bases_get_the_bound
+    from agrees.families import coordinate_twin
+
+    exps = [(3, 0), (2, 2), (1, 3), (0, 5)]
+    source, twin = ideal("x^3, x^2 y^2, x y^3, y^5"), coordinate_twin(exps, 2, QQ)
+    rees._relation_type_bound(twin)
     calls = _count_buchberger(monkeypatch)
-    rees.rees_defining_ideal(ideal("x^3, x^2 y^2, x y^3, y^5"))
-    assert len(calls) == 2
+    rees.rees_defining_ideal(source)
+    assert len(calls) == 1
+    rees.rees_defining_ideal(twin)
+    assert len(calls) == 3
 
 
 def test_minimal_generators_runs_at_most_two_buchberger(monkeypatch):
@@ -1410,7 +1419,9 @@ def test_kernel_counters_see_the_kernels(monkeypatch):
     these module globals, so every call must go through them: each `reduce`
     on a non-monomial basis makes exactly one `_nf_dict` call and one on a
     monomial basis none; classify of the flagship twin runs Buchberger
-    through `groebner`, and a Rees presentation through `rees`."""
+    through `groebner`, and a Rees presentation's elimination runs it
+    through `rees`: the twin's, as a bounded monomial ideal reads its
+    kernel off its fibers, and runs only the prune's basis."""
     from agrees.engine import classify
     from agrees.families import coordinate_twin, family_exponents
 
@@ -1432,7 +1443,9 @@ def test_kernel_counters_see_the_kernels(monkeypatch):
     assert all(nf == (1 if general else 0) for general, nf in per_reduce)
     runs = counts["groebner"]
     rees.rees_defining_ideal(ideal("x^3, x^2 y^2, x y^3, y^5"))
-    assert counts["rees"] == 1 and counts["groebner"] > runs
+    assert counts["rees"] == 0 and counts["groebner"] == runs + 1
+    rees.rees_defining_ideal(coordinate_twin([(3, 0), (2, 2), (1, 3), (0, 5)], 2, QQ))
+    assert counts["rees"] == 1 and counts["groebner"] > runs + 1
 
 
 def test_ideal_order_examples():

@@ -189,6 +189,17 @@ def _monomial_ideal(exps, field):
     return Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
 
 
+def _case(I, field=QQ):
+    """The ideal of a spec, of a family (name, params), or of ("twin",
+    either): the x -> x + 2y twin of that monomial ideal."""
+    if isinstance(I, str):
+        return ideal(I, field)
+    if I[0] == "twin":
+        source = _case(I[1], field)
+        return coordinate_twin([g.monomial_exponent() for g in source.generators], 2, field)
+    return make_family(*I, field=field)
+
+
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
 def test_bounded_presentation_matches_unbounded(field, monkeypatch):
     """Where r <= 1 both bases stop at T-degree r + 1; the presentation is
@@ -239,11 +250,18 @@ def test_zeros_away_from_the_origin_run_unbounded():
 
 
 @pytest.mark.parametrize("I,seen_want", [
-    ("x^3, x^2 y^3, x y^5, y^6", [2]),  # certified: the elimination only
-    (("contracted-o3", {"n": 5, "alpha": 2, "beta": 3}), [2, 2]),  # the count fails
+    ("x^3, x^2 y^3, x y^5, y^6", []),  # certified: the kernel read off its fibers
+    (("contracted-o3", {"n": 5, "alpha": 2, "beta": 3}), [2]),  # the count fails: the prune
     ("x^4, x^3*y, x*y^3, y^4", [None, None]),  # r = 2
-], ids=["x^3, x^2 y^3, x y^5, y^6-2", "co3-5-2-3-2", "x^4, x^3*y, x*y^3, y^4-None"])
+    (("twin", ("contracted-o3", {"n": 5, "alpha": 2, "beta": 3})), [2, 2]),
+], ids=["x^3, x^2 y^3, x y^5, y^6-2", "co3-5-2-3-2", "x^4, x^3*y, x*y^3, y^4-None",
+        "co3-5-2-3-twin-2"])
 def test_both_bases_get_the_bound(I, seen_want, monkeypatch):
+    # a monomial input with the bound runs no elimination, so its kernel is
+    # counted on a twin; the bound's reduction search runs before the spy,
+    # as the bases it builds are the twin's own, not the presentation's
+    I = _case(I)
+    rees._relation_type_bound(I)
     seen = []
     real = groebner._buchberger
 
@@ -253,7 +271,7 @@ def test_both_bases_get_the_bound(I, seen_want, monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger", record)
     monkeypatch.setattr(rees, "_buchberger", record)
-    rees_defining_ideal(ideal(I) if isinstance(I, str) else make_family(*I))
+    rees_defining_ideal(I)
     assert seen == seen_want
 
 
@@ -316,17 +334,21 @@ def test_a_redundant_generator_is_never_certified():
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
-@pytest.mark.parametrize("I", [
-    "x^3, y^6",
-    "x^3, x^2 y^3, x y^5, y^6",
-    ("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}),  # a vertex split
-    ("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}),  # NOT_AG
-], ids=["r0", "r1", "co3-6-2-3", "co3-6-3-5"])
-def test_presentation_after_classify_runs_only_its_elimination(I, field, monkeypatch):
-    # a monomial I's bound is read off lengths, and mu(I), mu(I^2) off
-    # staircase products: after classify(I) the presentation makes no rank
-    # test and runs Buchberger once, on its own elimination
-    I = ideal(I, field) if isinstance(I, str) else make_family(*I, field=field)
+@pytest.mark.parametrize("I,want", [
+    ("x^3, y^6", []),
+    ("x^3, x^2 y^3, x y^5, y^6", []),
+    (("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}), []),  # a vertex split
+    (("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), []),  # NOT_AG
+    (("twin", "x^3, x^2 y^3, x y^5, y^6"),
+     ["agrees.engine._reduction_number", "agrees.rees._buchberger"]),
+], ids=["r0", "r1", "co3-6-2-3", "co3-6-3-5", "r1-twin"])
+def test_presentation_after_classify_runs_only_its_elimination(I, want, field, monkeypatch):
+    # a monomial I's bound is read off lengths, mu(I), mu(I^2) off staircase
+    # products and its kernel off its fibers: after classify(I) the
+    # presentation makes no rank test and runs no Buchberger.  Its twin
+    # repeats the reduction test and runs Buchberger once, on its own
+    # elimination
+    I = _case(I, field)
     engine.classify(I)
     calls = []
 
@@ -344,5 +366,77 @@ def test_presentation_after_classify_runs_only_its_elimination(I, field, monkeyp
     spy(rees, "_buchberger")
     spy(rees, "_nakayama_prune")
     pres = rees_defining_ideal(I)
-    assert calls == ["agrees.rees._buchberger"]
+    assert calls == want
     assert substitution_check(I, pres)
+
+
+# -- the fiber read -------------------------------------------------------------
+
+def _fiber_cases(field, rng, count):
+    """Generator lists of random staircases, each with constant multipliers,
+    one generator duplicated and one redundant multiple of a corner added,
+    in shuffled order."""
+    cases = []
+    for _ in range(count):
+        exps = list(random_staircase(rng, 7, 4).gens)
+        a, b = rng.choice(exps)
+        exps += [rng.choice(exps), (a + rng.randint(0, 2), b + rng.randint(1, 2))]
+        gens = [Polynomial.monomial(BASE_RING, field, e,
+                                    field.fraction(rng.choice([1, -1, 2, 5]), rng.choice([1, 3])))
+                for e in exps]
+        rng.shuffle(gens)
+        cases.append(gens)
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_fiber_read_is_the_bounded_elimination(field):
+    """A monomial ideal's kernel read off its fibers is the elimination
+    basis bounded at T-degree D, element for element and in order, for
+    D = 1 and D = 2, whatever the generators' order, multipliers,
+    repetitions and redundancy."""
+    fixed = [parse_ideal_spec(text, BASE_RING, field)
+             for text in ("x, y, x", "x^2, 2*x^2, y^3", "5*y^4, 2/3*x^3, x^2*y^2")]
+    for gens in fixed + _fiber_cases(field, random.Random(61), 200):
+        for bound in (1, 2):
+            got = groebner._fiber_kernel(gens, presentation_ring(len(gens)), bound)
+            want = rees._t_free_kernel(gens, field, bound)
+            assert got == want
+            assert [str(g) for g in got] == [str(g) for g in want]
+
+
+def test_fiber_read_by_hand():
+    # T1, T2, T3 -> 5y^4 t, 2/3 x^3 t, x^2y^2 t: each tail is its lead's
+    # image over the tail monomial's multiplier, the lead's fiber least
+    gens = parse_ideal_spec("5*y^4, 2/3*x^3, x^2*y^2", BASE_RING, QQ)
+    assert [str(g) for g in groebner._fiber_kernel(gens, presentation_ring(3), 2)] == [
+        "x^2*T1 - 5*y^2*T3", "y^2*T2 - 2/3*x*T3", "x*T1*T2 - 10/3*T3^2"]
+    assert [str(g) for g in groebner._fiber_kernel(gens, presentation_ring(3), 1)] == [
+        "x^2*T1 - 5*y^2*T3", "y^2*T2 - 2/3*x*T3"]
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+@pytest.mark.parametrize("I,read_want,run_want", [
+    ("5*y^4, 2/3*x^3, x^2*y^2", [2], []),
+    (("twin", "5*y^4, 2/3*x^3, x^2*y^2"), [], [2]),
+    ("x^4, x^3*y, x*y^3, y^4", [], [None]),  # r = 2
+], ids=["monomial", "twin", "r2"])
+def test_the_input_picks_the_fiber_read(I, read_want, run_want, field, monkeypatch):
+    """A monomial ideal with the bound reads its kernel off its fibers; a
+    two-term generator, or r = 2, runs the elimination, bounded or not."""
+    read, runs = [], []
+    real_read, real_run = groebner._fiber_kernel, rees._buchberger
+
+    def record_read(gens, target, bound):
+        read.append(bound)
+        return real_read(gens, target, bound)
+
+    def record_run(*args, **kwargs):
+        runs.append(kwargs.get("max_weight"))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(rees, "_fiber_kernel", record_read)
+    monkeypatch.setattr(rees, "_buchberger", record_run)
+    I = _case(I, field)
+    assert substitution_check(I, rees_defining_ideal(I))
+    assert (read, runs) == (read_want, run_want)
