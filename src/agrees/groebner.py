@@ -398,7 +398,8 @@ def _fiber_kernel(gens: list[Polynomial], target: Ring, max_weight: int) -> list
     c_i*u_i of k[x,y], as monic polynomials of target = k[x, y, T_1..T_s]
     sorted by descending lead: the t-free part of the elimination basis
     that `_buchberger` returns under that weight bound, read off K's
-    fibers with no run.
+    fibers with no run.  It is tied to `presentation_ring`'s layout, which
+    `rees` reads too: slot 0 is x, slot 1 is y, slots 2.. are T_1..T_s.
 
     A monomial m = x^a*y^b*T^A maps to c^A * x^a*y^b*u^A * t^d, d = |A|;
     its fiber F(m) is the finite set of monomials with the same image up to

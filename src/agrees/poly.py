@@ -55,7 +55,9 @@ def rees_ring(s: int) -> Ring:
 
 
 def presentation_ring(s: int) -> Ring:
-    """Target ring k[x, y, T1..Ts] of the defining ideal after eliminating t."""
+    """Target ring k[x, y, T1..Ts] of the defining ideal after eliminating t:
+    slot 0 is x, slot 1 is y, slots 2.. are T1..Ts.  `rees` and
+    `groebner._fiber_kernel` read that layout."""
     return Ring(("x", "y") + tuple(f"T{i}" for i in range(1, s + 1)))
 
 
@@ -109,27 +111,14 @@ _DIGIT_BITS = 32
 ORDER_BASE = 1 << _DIGIT_BITS
 
 
-def _overflow(e: Exponent) -> DegreeOverflow:
-    return DegreeOverflow(f"monomial {e} has total degree {sum(e)}, at or above "
-                          "2^32: beyond the integer order keys")
-
-
-def _linear_form(weights: list[int], limit: int | None) -> Callable[[Exponent], int]:
+def _linear_form(weights: list[int]) -> Callable[[Exponent], int]:
     """e -> sum(e[i] * weights[i]), raising DegreeOverflow where the total
-    degree reaches B, under every order: told by the value itself, which
-    reaches `limit` exactly from degree B on, when a limit is given
-    (grevlex, see `Packer`), else by the sum of e."""
-    if limit is None:
-        def f(e):
-            if sum(e) >= ORDER_BASE:
-                raise _overflow(e)
-            return sum(map(mul, e, weights))
-    else:
-        def f(e):
-            w = sum(map(mul, e, weights))
-            if w >= limit:
-                raise _overflow(e)
-            return w
+    degree reaches B, under every order."""
+    def f(e):
+        if sum(e) >= ORDER_BASE:
+            raise DegreeOverflow(f"monomial {e} has total degree {sum(e)}, at or above "
+                                 "2^32: beyond the integer order keys")
+        return sum(map(mul, e, weights))
     return f
 
 
@@ -201,20 +190,18 @@ GREVLEX = _Grevlex()
 #     the fields back.
 # `pack` is the key's linear form with one more term per weight, W[i] << F*n
 # plus the field bit 1 << F*(n-1-i), and `_linear_form` makes it raise
-# DegreeOverflow from total degree 2^32 on: under grevlex by one comparison
-# of the word itself, under a block order by the exponents' sum.  A kernel
-# packs its inputs and every lcm it forms; every other monomial it derives
-# is a term of a stored row shifted by a difference of packed words
-# (`m + (lcm - lead)` in an S-polynomial, `m + (lead - lead)` in a reduction
-# step), and its word is exact while that term's total degree is below
-# 2^32.  Under grevlex no term of a row has a larger degree than the row's
-# lead, so every derived degree is at most that of an lcm or a reduced
-# lead, which were checked; under a block order a tail term may outgrow its
-# lead, and the words stay exact only while every derived degree stays
-# below 2^32.  Block orders live only in the elimination runs, whose
-# reduced basis `_interreduce` `check`s, raising DegreeOverflow on a word
-# of degree 2^32 or more; a word that outgrew the bound and then cancelled
-# inside a run is not seen.
+# DegreeOverflow from total degree 2^32 on.  A kernel packs its inputs and
+# every lcm it forms; every other monomial it derives is a term of a stored
+# row shifted by a difference of packed words (`m + (lcm - lead)` in an
+# S-polynomial, `m + (lead - lead)` in a reduction step), and its word is
+# exact while that term's total degree is below 2^32.  Under grevlex no
+# term of a row has a larger degree than the row's lead, so every derived
+# degree is at most that of an lcm or a reduced lead, which were checked;
+# under a block order a tail term may outgrow its lead, and the words stay
+# exact only while every derived degree stays below 2^32.  Block orders
+# live only in the elimination runs, whose reduced basis `_interreduce`
+# `check`s, raising DegreeOverflow on a word of degree 2^32 or more; a
+# word that outgrew the bound and then cancelled inside a run is not seen.
 
 _FIELD_BITS = 34
 
@@ -232,12 +219,7 @@ class Packer:
     def __init__(self, weights: list[int], n: int, graded: bool):
         shifts = [_FIELD_BITS * (n - 1 - i) for i in range(n)]
         top = _FIELD_BITS * n
-        # grevlex, the one graded order, keys e by deg(e) * B^n - sum(e[i] * B^i),
-        # which is (B - 1) * B^n or more exactly from degree B on; below that
-        # degree the fields sum to less than 1 << top, so the word reaches
-        # the limit exactly when the key does
-        self.pack = _linear_form([w << top | 1 << s for w, s in zip(weights, shifts)],
-                                 (ORDER_BASE - 1) * ORDER_BASE ** n << top if graded else None)
+        self.pack = _linear_form([w << top | 1 << s for w, s in zip(weights, shifts)])
         mask = (1 << _FIELD_BITS) - 1
 
         def unpack(w: int) -> Exponent:

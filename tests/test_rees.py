@@ -249,30 +249,44 @@ def test_zeros_away_from_the_origin_run_unbounded():
     assert substitution_check(I, pres)
 
 
-@pytest.mark.parametrize("I,seen_want", [
-    ("x^3, x^2 y^3, x y^5, y^6", []),  # certified: the kernel read off its fibers
-    (("contracted-o3", {"n": 5, "alpha": 2, "beta": 3}), [2]),  # the count fails: the prune
-    ("x^4, x^3*y, x*y^3, y^4", [None, None]),  # r = 2
-    (("twin", ("contracted-o3", {"n": 5, "alpha": 2, "beta": 3})), [2, 2]),
+@pytest.mark.parametrize("I,field,seen_want,read_want", [
+    ("x^3, x^2 y^3, x y^5, y^6", QQ, [], [2]),  # certified: the kernel read off its fibers
+    (("contracted-o3", {"n": 5, "alpha": 2, "beta": 3}), QQ, [2], [2]),  # the count fails: the prune
+    ("x^4, x^3*y, x*y^3, y^4", QQ, [None, None], []),  # r = 2
+    (("twin", ("contracted-o3", {"n": 5, "alpha": 2, "beta": 3})), QQ, [2, 2], []),
+    ("5*y^4, 2/3*x^3, x^2*y^2", QQ, [], [2]),
+    ("5*y^4, 2/3*x^3, x^2*y^2", FP, [], [2]),
+    (("twin", "5*y^4, 2/3*x^3, x^2*y^2"), QQ, [2], []),
+    (("twin", "5*y^4, 2/3*x^3, x^2*y^2"), FP, [2], []),
+    ("x^4, x^3*y, x*y^3, y^4", FP, [None, None], []),
 ], ids=["x^3, x^2 y^3, x y^5, y^6-2", "co3-5-2-3-2", "x^4, x^3*y, x*y^3, y^4-None",
-        "co3-5-2-3-twin-2"])
-def test_both_bases_get_the_bound(I, seen_want, monkeypatch):
-    # a monomial input with the bound runs no elimination, so its kernel is
-    # counted on a twin; the bound's reduction search runs before the spy,
-    # as the bases it builds are the twin's own, not the presentation's
-    I = _case(I)
+        "co3-5-2-3-twin-2", "multipliers-q", "multipliers-fp", "multipliers-twin-q",
+        "multipliers-twin-fp", "r2-fp"])
+def test_both_bases_get_the_bound(I, field, seen_want, read_want, monkeypatch):
+    """A monomial input with the bound reads its kernel off its fibers and
+    runs Buchberger only for the prune's basis; a two-term generator runs
+    the bounded elimination, and r = 2 runs both bases unbounded.  The
+    bound's reduction search runs before the spies, as the bases it builds
+    are a twin's own, not the presentation's."""
+    I = _case(I, field)
     rees._relation_type_bound(I)
-    seen = []
-    real = groebner._buchberger
+    seen, read = [], []
+    real, real_read = groebner._buchberger, groebner._fiber_kernel
 
     def record(*args, **kwargs):
         seen.append(kwargs.get("max_weight"))
         return real(*args, **kwargs)
 
+    def record_read(gens, target, bound):
+        read.append(bound)
+        return real_read(gens, target, bound)
+
     monkeypatch.setattr(groebner, "_buchberger", record)
     monkeypatch.setattr(rees, "_buchberger", record)
-    rees_defining_ideal(I)
-    assert seen == seen_want
+    monkeypatch.setattr(rees, "_fiber_kernel", record_read)
+    pres = rees_defining_ideal(I)
+    assert (seen, read) == (seen_want, read_want)
+    assert substitution_check(I, pres)
 
 
 def _takes_the_prune(I, monkeypatch):
@@ -413,30 +427,3 @@ def test_fiber_read_by_hand():
         "x^2*T1 - 5*y^2*T3", "y^2*T2 - 2/3*x*T3", "x*T1*T2 - 10/3*T3^2"]
     assert [str(g) for g in groebner._fiber_kernel(gens, presentation_ring(3), 1)] == [
         "x^2*T1 - 5*y^2*T3", "y^2*T2 - 2/3*x*T3"]
-
-
-@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
-@pytest.mark.parametrize("I,read_want,run_want", [
-    ("5*y^4, 2/3*x^3, x^2*y^2", [2], []),
-    (("twin", "5*y^4, 2/3*x^3, x^2*y^2"), [], [2]),
-    ("x^4, x^3*y, x*y^3, y^4", [], [None]),  # r = 2
-], ids=["monomial", "twin", "r2"])
-def test_the_input_picks_the_fiber_read(I, read_want, run_want, field, monkeypatch):
-    """A monomial ideal with the bound reads its kernel off its fibers; a
-    two-term generator, or r = 2, runs the elimination, bounded or not."""
-    read, runs = [], []
-    real_read, real_run = groebner._fiber_kernel, rees._buchberger
-
-    def record_read(gens, target, bound):
-        read.append(bound)
-        return real_read(gens, target, bound)
-
-    def record_run(*args, **kwargs):
-        runs.append(kwargs.get("max_weight"))
-        return real_run(*args, **kwargs)
-
-    monkeypatch.setattr(rees, "_fiber_kernel", record_read)
-    monkeypatch.setattr(rees, "_buchberger", record_run)
-    I = _case(I, field)
-    assert substitution_check(I, rees_defining_ideal(I))
-    assert (read, runs) == (read_want, run_want)
