@@ -33,14 +33,14 @@ rows of plain integers, one kernel for both fields; the field supplies what
 differs.  `field.clear` writes field values as a unit times integers (over
 q it clears denominators, and an integral row, whose values are ints,
 enters as it is with unit 1; over fp a residue is already an integer),
-`field.cross(c, b)` gives multipliers (a, s) with a*c = s*b, so that a step
-r := a*r - s*row cancels r's leading c against a row led by b, and
+`field.cross(c, b)` gives multipliers (a, s) with a*c = s*b, and
 `field.normalize` keeps every stored row primitive (over q: content 1, lead
-positive) or monic (over fp, where a is therefore always 1).  This is
-fraction-free elimination (Bareiss 1968) and the primitive-part Buchberger
-algorithm (Cox-Little-O'Shea).  Inside a kernel a step is native `int`
-arithmetic, reduced modulo `field.modulus` when that is nonzero (over fp),
-with no field method call per term.
+positive) or monic (over fp, where a is therefore always 1).  Every kernel
+steps through one function, `_cancel`: r := a*r - s*row cancels r's c
+against a row's b shifted onto it, in native `int` arithmetic reduced
+modulo `field.modulus` when that is nonzero (over fp), with no field method
+call per term.  This is fraction-free elimination (Bareiss 1968) and the
+primitive-part Buchberger algorithm (Cox-Little-O'Shea).
 
 A reduced basis is stored in one form, the kernels' packed entries (lm, lc,
 row) that `_buchberger` returns.  A run clears its inputs once; its S-pair and
@@ -50,7 +50,9 @@ returns, the monic polynomials `_monic_polynomial` builds once from a
 basis's entries, and a kernel vector a caller reads off an echelon.
 
 Every reduced basis not read off a staircase or fibers ends in one finisher,
-`_interreduce`, which minimalizes a Groebner basis and interreduces it.  A
+`_interreduce`, one ascending sweep over a Groebner basis: an element is
+kept when no kept lead divides its lead and reduced against the kept ones
+only, as a lead dividing a term below its own is smaller, so swept.  A
 Buchberger run hands it its basis; two kernels hand it a Groebner basis
 found with no run.  The colon (`_colon`) hands it the basis it starts from
 plus the kernel rows it finds.  For m*P with P of finite colength in
@@ -100,6 +102,30 @@ _lead = itemgetter(0)  # an entry's leading word
 
 # -- packed-row engine -------------------------------------------------------
 
+def _cancel(row: _Row, c: int, other: _Row, b: int, shift: int, field) -> int:
+    """The one elimination step of every kernel: row := a*row - s*(shift*other)
+    in place, (a, s) = `field.cross(c, b)`, cancelling row's c against
+    other's b shifted onto it (shift 0 adds nothing, so tuple columns
+    pass).  Int arithmetic, modulo `field.modulus` when it is nonzero, so a
+    kept integer is the field's canonical value; zeros are dropped.  Returns a."""
+    a, s = field.cross(c, b)
+    if a != 1:  # over q only: fp leads are monic
+        for m, v in row.items():
+            row[m] = a * v
+    mod = field.modulus
+    for m, v in other.items():
+        if shift:
+            m += shift
+        nv = row.get(m, 0) - s * v
+        if mod:
+            nv %= mod
+        if nv == 0:
+            row.pop(m, None)
+        else:
+            row[m] = nv
+    return a
+
+
 def _nf_dict(p: _Row, basis: list, guard: int, field, integral: bool = False) -> _Row:
     """Full normal form of p, keyed by packed words, against basis entries
     (lm, lc, row) made by `_entry`: of field values, or, when `integral`, of
@@ -110,68 +136,36 @@ def _nf_dict(p: _Row, basis: list, guard: int, field, integral: bool = False) ->
     enter as unit * work by `field.clear`.  The lead is the largest word.  A
     step's divisor is the first entry in list order whose lm divides it,
     `(lead - lm) & guard == 0` (`poly.Packer`), and that difference is the
-    shift, added to each word of the entry's row.  A step that cancels the
-    lead's c against the entry's leading integer lc sets work := a * work
-    - s * shift * row with (a, s) = `field.cross(c, lc)`, and scales the
-    kept terms by a too.  Steps are int arithmetic, modulo `field.modulus`
-    when it is nonzero, so a kept integer is the field's canonical value;
-    field values leave as the kept integers times unit / (the product of
-    the a), with no `field.mul` when that is 1 (always over fp).
+    shift; the step is one `_cancel` of the lead against the entry's lc,
+    and its multiplier a scales the kept terms too.  Field values leave as
+    the kept integers times unit / (the product of the a), with no
+    `field.mul` when that is 1 (always over fp).
     """
     work = dict(p)
     if not integral:
         unit = field.clear(work)
     rem: _Row = {}
     den = 1
-    mod = field.modulus
     while work:
         lm = max(work)
-        c = work.pop(lm)
         for blm, blc, brow in basis:
             shift = lm - blm
             if shift & guard:
                 continue  # blm does not divide lm
-            a, s = field.cross(c, blc)
-            if a != 1:  # over q only: fp leads are monic
-                for m, v in work.items():
-                    work[m] = a * v
+            a = _cancel(work, work[lm], brow, blc, shift, field)
+            if a != 1:
                 for m, v in rem.items():
                     rem[m] = a * v
                 den *= a
-            for m, bc in brow.items():
-                if m == blm:
-                    continue
-                mm = m + shift
-                nv = work.get(mm, 0) - s * bc
-                if mod:
-                    nv %= mod
-                if nv == 0:
-                    work.pop(mm, None)
-                else:
-                    work[mm] = nv
             break
         else:
-            rem[lm] = c
+            rem[lm] = work.pop(lm)
     if not integral:
         scale = unit if den == 1 else field.div(unit, den)
         if scale != 1:
             for m, c in rem.items():
                 rem[m] = field.mul(c, scale)
     return rem
-
-
-def _sub_scaled(row: dict, other: dict, scale, field) -> None:
-    """row -= scale * other for integer rows, in place, modulo
-    `field.modulus` when it is nonzero, dropping zero entries."""
-    mod = field.modulus
-    for k, v in other.items():
-        nv = row.get(k, 0) - scale * v
-        if mod:
-            nv %= mod
-        if nv == 0:
-            row.pop(k, None)
-        else:
-            row[k] = nv
 
 
 def _echelon_reduce(r: dict, rows: dict, field):
@@ -182,12 +176,11 @@ def _echelon_reduce(r: dict, rows: dict, field):
     to 0.
 
     r arrives with field values and is cleared to an integer row first.  A
-    step cancels r's lead c against the row's lead b as r := a * r - s * row
-    with (a, s) = `field.cross(c, b)`; a rank or a kernel's span does not
-    depend on row scale (fraction-free elimination, Bareiss 1968).  What is
-    left is `field.normalize`d, so the stored rows are primitive (over q)
-    or monic (over fp); a caller reading a kernel vector off r takes its
-    integers back to field values.
+    step is one unshifted `_cancel` of r's lead against the row's; a rank
+    or a kernel's span does not depend on row scale (fraction-free
+    elimination, Bareiss 1968).  What is left is `field.normalize`d, so the
+    stored rows are primitive (over q) or monic (over fp); a caller reading
+    a kernel vector off r takes its integers back to field values.
     """
     field.clear(r)
     while r:
@@ -197,34 +190,19 @@ def _echelon_reduce(r: dict, rows: dict, field):
             field.normalize(r, lm)
             rows[lm] = r
             return lm
-        a, s = field.cross(r[lm], row[lm])
-        if a != 1:  # over q only: fp leads are monic
-            for m, v in r.items():
-                r[m] = a * v
-        _sub_scaled(r, row, s, field)
+        _cancel(r, r[lm], row, row[lm], 0, field)
     return None
 
 
 def _spoly(f, g, lcm: int, field) -> _Row:
-    """a * (lcm/lm f) * f - s * (lcm/lm g) * g for integer entries f, g and
-    the packed lcm of their leads, with (a, s) = `field.cross` of their
-    leading integers."""
+    """The S-polynomial of integer entries f, g at the packed lcm of their
+    leads: (lcm/lm f) * f, then one `_cancel` of its lcm term against g
+    shifted by lcm/lm g."""
     lmf, lcf, tf = f
     lmg, lcg, tg = g
     sf = lcm - lmf
-    sg = lcm - lmg
-    a, s = field.cross(lcf, lcg)  # a = 1 over fp, whose entries are monic
-    out: _Row = {m + sf: a * c for m, c in tf.items()}
-    mod = field.modulus
-    for m, c in tg.items():
-        mm = m + sg
-        nv = out.get(mm, 0) - s * c
-        if mod:
-            nv %= mod
-        if nv == 0:
-            out.pop(mm, None)
-        else:
-            out[mm] = nv
+    out: _Row = {m + sf: c for m, c in tf.items()}
+    _cancel(out, lcf, tg, lcg, lcm - lmg, field)
     return out
 
 
@@ -369,23 +347,20 @@ def _buchberger(inputs: list[_Term], pk: Packer, field, max_weight=None) -> list
 
 def _interreduce(G: list, pk: Packer, field) -> list:
     """The reduced basis of the ideal of which the entries G are a Groebner
-    basis, as `_entry`s sorted by descending leading word: minimalized, so
-    that the leads form a divisibility antichain, then each element reduced
-    modulo the others.  It finishes every reduced basis not read off a
-    staircase: `_buchberger`'s, `_times_maximal`'s and `_colon`'s.  Under a
-    block order (elimination runs only) each word is `check`ed, and a term
-    of degree 2^32 or more raises DegreeOverflow."""
+    basis, as `_entry`s sorted by descending leading word, in one ascending
+    sweep: an entry is kept when no kept lead divides its lead, and reduced
+    against the kept entries, already reduced.  A lead dividing a term below
+    lm(g) is below lm(g), so swept already; reduced bases are unique.  It
+    finishes every reduced basis not read off a staircase: `_buchberger`'s,
+    `_times_maximal`'s and `_colon`'s.  Under a block order (elimination
+    runs only) each word is `check`ed, and a term of degree 2^32 or more
+    raises DegreeOverflow."""
     guard = pk.guard
-    minimal: list = []
+    reduced: list = []
     for g in sorted(G, key=_lead):
-        if all((g[0] - e[0]) & guard for e in minimal):
-            minimal.append(g)
-    # interreduce to the unique reduced basis
-    reduced = []
-    for k, entry in enumerate(minimal):
-        others = [e for idx, e in enumerate(minimal) if idx != k]
-        reduced.append(_entry(_nf_dict(entry[2], others, guard, field, True), field))
-    reduced.sort(key=_lead, reverse=True)
+        if all((g[0] - e[0]) & guard for e in reduced):
+            reduced.append(_entry(_nf_dict(g[2], reduced, guard, field, True), field))
+    reduced.reverse()
     if not pk.graded:
         for _, _, row in reduced:
             pk.check(row)

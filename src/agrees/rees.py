@@ -128,16 +128,16 @@ def _relation_type_bound(I: Ideal) -> int | None:
     return r + 1 if r <= 1 else None
 
 
-def _minimal_by_count(t_free: list[Polynomial], s: int, bound: int, I: Ideal) -> bool:
-    """Whether the bounded t-free basis of I is minimal by the counting
-    certificate in the module docstring.  mu(I) and mu(I^2) are
-    `engine._mu`'s, off products in `engine._mul`'s cache."""
+def _minimal_by_count(t_degrees: list[int], s: int, bound: int, I: Ideal) -> bool:
+    """Whether the bounded t-free basis of I, of T-degrees `t_degrees`, is
+    minimal by the counting certificate in the module docstring.  mu(I) and
+    mu(I^2) are `engine._mu`'s, off products in `engine._mul`'s cache."""
     if engine._mu(I) != s:
         return False
     want = Counter({1: s - 1})
     if bound == 2:
         want[2] = comb(s + 1, 2) - engine._mu(engine._power(I, 2))
-    return Counter(map(_t_degree, t_free)) == want
+    return Counter(t_degrees) == want
 
 
 def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> list[Polynomial]:
@@ -172,14 +172,15 @@ def rees_defining_ideal(I: Ideal) -> ReesPresentation:
     else:
         t_free = _t_free_kernel(gens, I.field, bound)
 
-    key = _prune_key(len(gens))
-    if bound is not None and _minimal_by_count(t_free, len(gens), bound, I):
-        kept = sorted(t_free, key=key)
+    keys = dict(zip(t_free, map(_prune_key(len(gens)), t_free)))  # one key per element
+    ordered = sorted(t_free, key=keys.__getitem__)
+    if bound is not None and _minimal_by_count([k[0] for k in keys.values()], len(gens), bound, I):
+        kept = ordered
     else:
         # minimal generators by graded Nakayama against (x, y, T_1..T_s) * kernel
-        kept = _nakayama_prune(t_free, key=key, max_weight=bound)
-    bidegrees = tuple(sorted((_t_degree(g), _xy_degree(g)) for g in kept))
-    return ReesPresentation(defining_gens=tuple(kept), bidegrees=bidegrees)
+        kept = _nakayama_prune(ordered, key=lambda g: 0, max_weight=bound)
+    return ReesPresentation(defining_gens=tuple(kept),
+                            bidegrees=tuple(keys[g][:2] for g in kept))
 
 
 def substitution_check(I: Ideal, pres: ReesPresentation) -> bool:

@@ -814,6 +814,58 @@ def test_times_maximal_is_the_buchberger_basis(field, corners, a, b, c, shape):
     assert not runs
 
 
+def _spy_interreduce(mp):
+    """Each `_interreduce` call as [its `_nf_dict` calls, its result], a
+    call as (the lead of the row it reduces, a copy of the basis)."""
+    runs = []
+    real_nf, real_interreduce = groebner._nf_dict, groebner._interreduce
+
+    def nf(p, basis, *args):
+        if runs and runs[-1][1] is None:
+            runs[-1][0].append((max(p), list(basis)))
+        return real_nf(p, basis, *args)
+
+    def interreduce(*args):
+        run = [[], None]
+        runs.append(run)
+        run[1] = real_interreduce(*args)
+        return run[1]
+
+    mp.setattr(groebner, "_nf_dict", nf)
+    mp.setattr(groebner, "_interreduce", interreduce)
+    return runs
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_interreduce_is_one_ascending_sweep(field):
+    """`_interreduce` makes one `_nf_dict` call per kept element, in
+    ascending lead order, each against exactly the kept, already reduced
+    entries whose leads lie below the element's, in ascending order: on
+    grevlex Buchberger runs, on the bases `_colon` and `_times_maximal`
+    read off with no run, and on the block-order elimination of an
+    x -> x + 2y twin's Rees presentation."""
+    from agrees.families import coordinate_twin
+
+    twin = coordinate_twin([(3, 0), (2, 2), (1, 3), (0, 5)], 2, field)
+    gens = list(twin.generators)
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _spy_interreduce(mp)
+        for text in ("x^2 + y^3, y^4, x y^2", "x^2 - x y + y^3, x y^2 - y^4, x^3"):
+            _buchberger([g.terms for g in ideal(text, field).generators],
+                        GREVLEX.packer(BASE_RING), field)
+        twin.groebner_basis()
+        ideal_colon(twin, ideal("x, y", field))
+        groebner._times_maximal(twin)
+        rees._t_free_kernel(gens, field, None)
+    assert len(runs) == 6
+    assert all(len(out) >= 3 for _, out in runs)
+    for calls, out in runs:
+        assert [lead for lead, _ in calls] == sorted(lm for lm, _, _ in out)
+        for lead, basis in calls:
+            below = sorted((e for e in out if e[0] < lead), key=lambda e: e[0])
+            assert len(basis) == len(below) and all(a is b for a, b in zip(basis, below))
+
+
 def test_times_maximal_needs_a_finite_colength_in_the_plane():
     ring = Ring(("x", "y", "z"))
     for P in (ideal("x y, x^2 y"), ideal("x^2 - y^2, x^3 - x y^2"),

@@ -347,6 +347,26 @@ def test_a_redundant_generator_is_never_certified():
     assert not rees._minimal_by_count(counted, 4, 2, I)
 
 
+@pytest.mark.parametrize("I", ["x^3, x^2 y^3, x y^5, y^6", ("twin", "x^3, x^2 y^3, x y^5, y^6")],
+                         ids=["fibers", "elimination"])
+def test_count_path_reads_each_key_once(I, monkeypatch):
+    """A presentation certified by counting computes each basis element's
+    key once: the certificate, the order and the bidegrees all read it, so
+    `_t_degree` runs once per element."""
+    I = _case(I, QQ)
+    assert not _takes_the_prune(I, monkeypatch)
+    calls = []
+    real = rees._t_degree
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(rees, "_t_degree", counted)
+    pres = rees_defining_ideal(I)
+    assert sorted(map(str, calls)) == sorted(map(str, pres.defining_gens))
+
+
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
 @pytest.mark.parametrize("I,want", [
     ("x^3, y^6", []),

@@ -221,3 +221,13 @@ def test_engine_reads_the_echelon_only_through_rank():
     each refuter sample's) is a `_rank` of normal forms against a `mu`, so
     `_rank` is the engine's one reader of `groebner._echelon_reduce`."""
     assert {d for m, d in _named_in("_echelon_reduce") if m == "engine"} == {"_rank"}
+
+
+def test_one_elimination_step_in_groebner():
+    """Every integer-row kernel in `groebner` steps through `_cancel`: it
+    is the one function there that reads a field's `cross` or `modulus`."""
+    path = next(path for path in SOURCES if path.name == "groebner.py")
+    found = {top.name for top in ast.parse(path.read_text(), filename=str(path)).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr in ("cross", "modulus")}
+    assert found == {"_cancel"}
