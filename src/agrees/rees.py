@@ -172,15 +172,14 @@ def rees_defining_ideal(I: Ideal) -> ReesPresentation:
     else:
         t_free = _t_free_kernel(gens, I.field, bound)
 
-    keys = dict(zip(t_free, map(_prune_key(len(gens)), t_free)))  # one key per element
-    ordered = sorted(t_free, key=keys.__getitem__)
-    if bound is not None and _minimal_by_count([k[0] for k in keys.values()], len(gens), bound, I):
-        kept = ordered
+    key = dict(zip(t_free, map(_prune_key(len(gens)), t_free))).__getitem__  # one key per element
+    if bound is not None and _minimal_by_count([key(g)[0] for g in t_free], len(gens), bound, I):
+        kept = sorted(t_free, key=key)
     else:
         # minimal generators by graded Nakayama against (x, y, T_1..T_s) * kernel
-        kept = _nakayama_prune(ordered, key=lambda g: 0, max_weight=bound)
-    return ReesPresentation(defining_gens=tuple(kept),
-                            bidegrees=tuple(keys[g][:2] for g in kept))
+        kept = _nakayama_prune(t_free, key=key, max_weight=bound)
+    bidegrees = tuple(key(g)[:2] for g in kept)  # kept is in key order
+    return ReesPresentation(defining_gens=tuple(kept), bidegrees=bidegrees)
 
 
 def substitution_check(I: Ideal, pres: ReesPresentation) -> bool:
