@@ -3,15 +3,19 @@
 Everything is decided in the local ring k[x,y]_(x,y) by linear algebra in
 quotients by m-primary ideals, and every rank, kernel and span test is one
 sparse echelon (`groebner._echelon_reduce`, here only through `_rank`) over
-normal forms keyed by monomial, each taken modulo one reduced basis by
-`GroebnerBasis.reduce`.
+normal forms, each taken modulo one reduced basis.  A rank reads no row's
+scale, so every Nakayama test and membership test takes
+`GroebnerBasis.reduce_row`, a positive multiple of the normal form kept as
+a packed integer row; only the refuter, whose samples combine normal
+forms, takes the exact ones by `GroebnerBasis.reduce`.
 The pipeline: find a 2-generated reduction Q of I (a rank in
 I^(r+1)/m*I^(r+1), or for a monomial I with r <= 1 a count of lengths; Q
 may vanish away from the origin), require stability (I^2 = QI), read
 everything off the local colon ideal J = Q : I (a kernel on R/I,
 `groebner._colon`: I^2 = QI lies in Q locally, so T = Q + I^2 is the origin
 component of Q and J/I is the kernel of f -> (f*a mod T) over the
-generators a of I), then either certify with a witness triple (f, g, h)
+generators a of I; T is read off I^2's reduced basis by `groebner._sum`,
+with no Buchberger run), then either certify with a witness triple (f, g, h)
 satisfying
 
     IJ = gJ + Ih    and    mJ = fJ + mh,
@@ -56,6 +60,7 @@ from .groebner import (
     _contains_all,
     _echelon_reduce,
     _nakayama_prune,
+    _sum,
     _times_maximal,
 )
 from .poly import Polynomial
@@ -167,10 +172,12 @@ def _mul(A: Ideal, B: Ideal) -> Ideal:
 
 # -- linear algebra modulo m-primary ideals ------------------------------------
 
-# Elements of R/top are normal forms modulo top's reduced basis
-# (`GroebnerBasis.reduce`), term dicts keyed by monomial, and so are rows for
-# `_rank` with one column per monomial.  For a monomial top a product keeps
-# its single term exactly when it lies outside top.
+# Elements of R/top are normal forms modulo top's reduced basis, and so are
+# rows for `_rank` with one column per monomial: up to a positive scale, as
+# integer rows keyed by packed words (`GroebnerBasis.reduce_row`), for a
+# rank; as field values keyed by exponent tuples (`GroebnerBasis.reduce`)
+# where rows are combined.  For a monomial top a product keeps its single
+# term exactly when it lies outside top.
 
 def _rank(rows: list[dict], fld) -> int:
     """dim_k of the span of sparse rows {column: value}, with mutually
@@ -231,7 +238,7 @@ def _reduction_number(I: Ideal, Q: Ideal, cap: int | None, start: int = 0) -> in
     for r in itertools.count(start) if cap is None else range(start, cap + 1):
         power = _power(I, r + 1)
         top = _mul(m, power).groebner_basis()
-        rows = [top.reduce((q * p).terms) for q in Q.generators for p in gens]
+        rows = [top.reduce_row((q * p).terms) for q in Q.generators for p in gens]
         if _rank(rows, I.field) == _mu(power):
             return r
         gens = power.generators
@@ -335,6 +342,10 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     from the origin; then J = T : I for T = Q + I^2, found by
     `groebner._colon(T, B, I)` as a kernel on R/I (I*B lies in T, so the
     walk starts from I and not from T, whose colength e(I) is larger).
+    T's reduced basis is read off I^2's by `groebner._sum(I^2, Q, I)`, with
+    no Buchberger run: Q*I lies in I^2 for any Q inside I, so T/I^2 is the
+    span of the normal forms of s*q modulo I^2 over the standard monomials
+    s of I, exactly and globally, stable or not.
     I^2 = QI lies in Q locally, so T is m-primary and is the origin
     component of Q; hence T : I = (Q : I) + I^2 is m-primary with the
     localization of the local colon, and two m-primary ideals with one
@@ -353,7 +364,7 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
     else:
-        T = Ideal(list(Q.generators) + list(_power(I, 2).groebner_basis()))
+        T = _sum(_power(I, 2), Q.generators, I)
         kept = _nakayama_prune(list(Q.generators + I.generators), key=lambda g: 0,
                                N=_mul(maximal_ideal(I.ring, I.field), I))
         J = _colon(T, [g for g in kept if all(g is not q for q in Q.generators)], I)
@@ -375,12 +386,13 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
     has dimension mu(ref) and embeds in R/m*ref, which normal forms
     coordinatize, so the sum is ref iff the parts' normal forms modulo
     m*ref have rank mu(ref).  m*ref, its reduced basis and mu(ref) come
-    from `_mul`'s cache; only the parts' normal forms are made here.
+    from `_mul`'s cache; only the parts' normal forms (`reduce_row`) are
+    made here.
     `ref_stair` and `ref_min` are not read (perfbench's tracer reads the
     positional arguments).
     """
     top = _mul(maximal_ideal(ref.ring, ref.field), ref).groebner_basis()
-    return _rank([top.reduce(p.terms) for p in parts], ref.field) == _mu(ref)
+    return _rank([top.reduce_row(p.terms) for p in parts], ref.field) == _mu(ref)
 
 
 def _span(coeffs: list, gens: list[Polynomial]) -> Polynomial:
@@ -589,7 +601,10 @@ def _is_linked_colon(I: Ideal, Q: Ideal, J: Ideal) -> bool:
     two-generated Q, so R/T is an Artinian complete intersection, and T
     lies in I; by linkage colength(T : I) = colength(T) - colength(I).
     J*I inside T puts J inside T : I, so the two are equal exactly when J
-    has that colength.
+    has that colength.  T is built here by a Buchberger run on Q's and
+    I^2's generators on purpose, not read off I^2's basis as
+    `canonical_colon` reads it: the validator re-derives the colon by
+    independent means.
     """
     try:
         if len(Q.generators) != 2 or not is_stable(I, Q):

@@ -16,17 +16,20 @@ elimination's bounded basis off its fibers with no run, in packed words
 formed by sums, as a kernel forms its shifted terms.
 
 Inside the kernels `_nf_dict`, `_spoly`, `_update_pairs`, `_entry`,
-`_buchberger`, `_interreduce` and `_times_maximal` a monomial is one packed
-int (`poly.Packer`): the order key on top and one bit field per exponent
-below.  A lead is `max` of a row's words, a shifted term is `m + shift`,
-and "lm divides m" is `(m - lm) & guard == 0`, so no step builds a tuple
-or calls a key.  A run packs each input monomial once, and `_update_pairs`
+`_buchberger`, `_interreduce`, `_times_maximal` and `_sum` a monomial is
+one packed int (`poly.Packer`): the order key on top and one bit field per
+exponent below.  A lead is `max` of a row's words, a shifted term is
+`m + shift`, and "lm divides m" is `(m - lm) & guard == 0`, so no step
+builds a tuple or calls a key.  A run packs each input monomial once, and `_update_pairs`
 packs each distinct lcm once, computing lcms, degrees and weights on the
 lead tuples it keeps next to the words.  `_colon` keys its kernel rows by
-packed words too.  Everything outside the kernels stays on exponent
-tuples: `GroebnerBasis.reduce` packs its input and unpacks the remainder,
-and `elements` and `leading_exponents` unpack.  Only this module and
-`poly` know the packed format.
+packed words too.  A normal form whose scale does not matter, one a rank
+or a zero test reads, stays a packed integer row: `GroebnerBasis.reduce_row`
+packs its input and hands back the row `_nf_dict` returns.  Everything else
+outside the kernels is on exponent tuples: `GroebnerBasis.reduce` packs its
+input and unpacks the remainder, and `elements` and `leading_exponents`
+unpack.  Only this module and `poly` know the packed format, and a caller
+of `reduce_row` reads its rows only as columns that compare.
 
 The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
 rows of plain integers, one kernel for both fields; the field supplies what
@@ -46,19 +49,21 @@ A reduced basis is stored in one form, the kernels' packed entries (lm, lc,
 row) that `_buchberger` returns.  A run clears its inputs once; its S-pair and
 interreduction remainders stay integer rows.  Field values are made again
 only where a value leaves a kernel: the remainder `GroebnerBasis.reduce`
-returns, the monic polynomials `_monic_polynomial` builds once from a
-basis's entries, and a kernel vector a caller reads off an echelon.
+returns (`reduce_row` makes none), the monic polynomials `_monic_polynomial`
+builds once from a basis's entries, and a kernel vector a caller reads off
+an echelon.
 
 Every reduced basis not read off a staircase or fibers ends in one finisher,
 `_interreduce`, one ascending sweep over a Groebner basis: an element is
 kept when no kept lead divides its lead and reduced against the kept ones
 only, as a lead dividing a term below its own is smaller, so swept.  A
-Buchberger run hands it its basis; two kernels hand it a Groebner basis
+Buchberger run hands it its basis; three kernels hand it a Groebner basis
 found with no run.  The colon (`_colon`) hands it the basis it starts from
-plus the kernel rows it finds.  For m*P with P of finite colength in
-k[x,y] (`_times_maximal`), the products x*g and y*g over P's reduced basis
-plus an echelon of its consecutive S-pairs' remainders are a Groebner basis
-(Schreyer 1980).
+plus the kernel rows it finds, and the sum C + (F) (`_sum`) hands it C's
+basis plus an echelon of the forms NF_C(s*f).  For m*P with P of finite
+colength in k[x,y] (`_times_maximal`), the products x*g and y*g over P's
+reduced basis plus an echelon of its consecutive S-pairs' remainders are a
+Groebner basis (Schreyer 1980).
 
 Monomial ideals of k[x,y] take the staircase instead (`staircase`, a
 lattice module that knows no ideals).  This module is the one bridge
@@ -66,9 +71,9 @@ between the two: `staircase_of_ideal` reads an ideal's staircase once and
 caches it on the ideal, and `ideal_of_staircase` builds the ideal of a
 staircase with it cached.  A monomial ideal's `colength` and reduced basis
 are read off its staircase, and a basis of single monomials reduces by a
-term filter in place of `_nf_dict` (`GroebnerBasis.reduce`).  Every other
-ideal, the zero ideal and monomial ideals in more variables included,
-goes through Buchberger.
+term filter in place of `_nf_dict` (`GroebnerBasis.reduce_row`, which
+`reduce` puts in canonical form).  Every other ideal, the zero ideal and
+monomial ideals in more variables included, goes through Buchberger.
 """
 
 from __future__ import annotations
@@ -352,9 +357,9 @@ def _interreduce(G: list, pk: Packer, field) -> list:
     against the kept entries, already reduced.  A lead dividing a term below
     lm(g) is below lm(g), so swept already; reduced bases are unique.  It
     finishes every reduced basis not read off a staircase: `_buchberger`'s,
-    `_times_maximal`'s and `_colon`'s.  Under a block order (elimination
-    runs only) each word is `check`ed, and a term of degree 2^32 or more
-    raises DegreeOverflow."""
+    `_times_maximal`'s, `_colon`'s and `_sum`'s.  Under a block order
+    (elimination runs only) each word is `check`ed, and a term of degree
+    2^32 or more raises DegreeOverflow."""
     guard = pk.guard
     reduced: list = []
     for g in sorted(G, key=_lead):
@@ -455,18 +460,20 @@ class GroebnerBasis:
     `entries` are the basis as `_buchberger` returns it, `_entry`s of packed
     grevlex words sorted by descending lead: primitive integer rows over
     q, monic rows over fp.  `reduce` divides by them, packing its input and
-    unpacking the remainder; the monic `elements` and the
-    `leading_exponents` are unpacked from them once, when first read, and
-    so is `staircase`, the staircase of the leads, with the `colength` it
-    gives.  `minimal_generators` keeps its Nakayama prune of the elements
-    beside them (`_mingens`), so each basis is pruned once.
+    unpacking the remainder, and `reduce_row` hands back the integer
+    remainder, a positive multiple of the normal form; the monic `elements`
+    and the `leading_exponents` are unpacked from them once, when first
+    read, and so is `staircase`, the staircase of the leads, with the
+    `colength` it gives.  `minimal_generators` keeps its Nakayama prune of
+    the elements beside them (`_mingens`), so each basis is pruned once.
 
     A basis of single monomials in k[x,y] (a monomial ideal's, or a
     Buchberger run's that came out monomial) reduces by a term filter
-    instead: `_corners` is its staircase, the leading x-exponents ascending
-    and their y-exponents; None for every other basis.  A monomial ideal's
-    basis is made from its staircase `stair` alone, with no run: its
-    entries are the corners' packed words, sorted as they compare.
+    instead, in `reduce_row`: `_corners` is its staircase, the leading
+    x-exponents ascending and their y-exponents; None for every other basis.
+    A monomial ideal's basis is made from its staircase `stair` alone, with
+    no run: its entries are the corners' packed words, sorted as they
+    compare.
     """
 
     __slots__ = ("ring", "field", "entries", "_pk", "_leads", "_elements",
@@ -511,29 +518,47 @@ class GroebnerBasis:
         sum_j c_j * p_j is sum_j c_j * NF(p_j).
 
         Modulo a monomial basis of k[x,y] the normal form keeps exactly the
-        terms that no leading monomial divides, found by one bisection: the
-        corner with the largest x-exponent <= a has the smallest y-exponent
-        among those, so (a, b) lies in the ideal iff that one is <= b.  The
-        kept values are put in the field's canonical form (an integral
-        Fraction over q becomes its int), as `_nf_dict` returns them.
+        terms that no leading monomial divides, found by one bisection in
+        `reduce_row`: the corner with the largest x-exponent <= a has the
+        smallest y-exponent among those, so (a, b) lies in the ideal iff
+        that one is <= b.  The kept values are put in the field's canonical
+        form (an integral Fraction over q becomes its int), as `_nf_dict`
+        returns them.
         """
-        corners = self._corners
-        if corners is None:
+        if self._corners is None:
             pk = self._pk
             pack, unpack = pk.pack, pk.unpack
             # looked up on the module, so a wrapper bound there sees this call too
             rem = _nf_dict({pack(m): c for m, c in terms.items()}, self.entries, pk.guard,
                            self.field)
             return {unpack(w): c for w, c in rem.items()}
-        xs, ys = corners
-        kept = {m: c for m, c in terms.items()
-                if not (i := bisect_right(xs, m[0])) or ys[i - 1] > m[1]}
+        kept = self.reduce_row(terms)
         field = self.field
         unit = field.clear(kept)
         if unit != 1:
             for m, c in kept.items():
                 kept[m] = field.mul(c, unit)
         return kept
+
+    def reduce_row(self, terms: _Term) -> dict:
+        """A positive multiple of the normal form of a term dict, for a
+        caller that reads only its span or whether it is zero: a rank, a
+        membership test.  Modulo a general basis it is `_nf_dict`'s integer
+        row, keyed by packed words: the terms are packed and cleared, and
+        no word is unpacked and no field value made.  Modulo a monomial
+        basis of k[x,y] it is the term filter `reduce` puts in canonical
+        form, keyed by exponent tuples, its values as they came."""
+        corners = self._corners
+        if corners is None:
+            pk = self._pk
+            pack = pk.pack
+            row = {pack(m): c for m, c in terms.items()}
+            self.field.clear(row)
+            # looked up on the module, so a wrapper bound there sees this call too
+            return _nf_dict(row, self.entries, pk.guard, self.field, True)
+        xs, ys = corners
+        return {m: c for m, c in terms.items()
+                if not (i := bisect_right(xs, m[0])) or ys[i - 1] > m[1]}
 
     def leading_exponents(self) -> list[Exponent]:
         leads = self._leads
@@ -661,7 +686,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 def _contains_all(I: Ideal, polys: Sequence[Polynomial]) -> bool:
     gb = I.groebner_basis()
-    return all(not gb.reduce(p.terms) for p in polys)
+    return all(not gb.reduce_row(p.terms) for p in polys)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
@@ -758,6 +783,51 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
                                         _interreduce(gb.entries + kernel, gb._pk, fld)))
 
 
+def _sum(C: Ideal, F: Sequence[Polynomial], D: Ideal) -> Ideal:
+    """C + (F) for C of finite colength in k[x,y], given D of finite
+    colength with D*F inside C, generated by its reduced basis, which it
+    carries cached.
+
+    D*f lies in C, so r*f = NF_D(r)*f modulo C for every r, and
+    (C + (F))/C is the k-span of NF_C(s*f) over the standard monomials s of
+    D and the nonzero f in F, exactly and globally.  Those forms are filled
+    by walking D's staircase in degree order, as `_colon` does: the form of
+    s*f is the normal form of its parent's form shifted by one variable.
+    Each is kept as the integer row `_nf_dict` returns, a positive multiple
+    of the normal form, since a span does not depend on row scale, and
+    echeloned.  C's basis plus the echelon rows is a Groebner basis of the
+    sum by the argument in `_colon`'s docstring: the rows have distinct
+    leads, standard monomials of C.  `_interreduce` makes that basis
+    reduced, and `Ideal.of_basis` caches it.
+    """
+    gb = C.groebner_basis()
+    field, pk, entries = gb.field, gb._pk, gb.entries
+    pack, guard = pk.pack, pk.guard
+    px, py = pack((1, 0)), pack((0, 1))
+    gens = []
+    for f in F:
+        if not f.is_zero:
+            row = {pack(m): c for m, c in f.terms.items()}
+            field.clear(row)
+            gens.append(row)
+    forms: dict = {}  # s -> the nonzero rows NF_C(s*f), integers
+    echelon: dict = {}
+    for s in standard_monomials(D.groebner_basis().staircase()):
+        a, b = s
+        if a:
+            prods = [{m + px: c for m, c in f.items()} for f in forms[a - 1, b]]
+        elif b:
+            prods = [{m + py: c for m, c in f.items()} for f in forms[a, b - 1]]
+        else:
+            prods = gens
+        forms[s] = nfs = [r for r in (_nf_dict(p, entries, guard, field, True) for p in prods)
+                          if r]
+        for r in nfs:
+            _echelon_reduce(dict(r), echelon, field)
+    return Ideal.of_basis(GroebnerBasis(C.ring, field, _interreduce(
+        entries + [(lm, row[lm], row) for lm, row in echelon.items()], pk, field)))
+
+
 def _times_maximal(P: Ideal) -> Ideal:
     """m*P for m = (x, y) and an ideal P of finite colength in k[x,y],
     generated by its reduced grevlex basis, which it carries cached: read
@@ -846,7 +916,7 @@ def is_origin_primary(I: Ideal) -> bool:
     if not any(e[1] == 0 for e in leads) or not any(e[0] == 0 for e in leads):
         return False
     ell = gb.colength()
-    powers = [Polynomial.variable(I.ring, I.field, v) ** ell for v in ("x", "y")]
+    powers = [Polynomial.monomial(I.ring, I.field, e) for e in ((ell, 0), (0, ell))]
     return all(normal_form(pw, gb).is_zero for pw in powers)
 
 
@@ -895,10 +965,11 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
     Every a in S is a constant plus an element of (vars), and the kept ones
     lie in L = (gens), so (kept) + N = span_k(kept) + N: g is redundant iff
     NF_N(g) lies in span_k(NF_N(kept)).  One reduced basis of N serves every
-    candidate, through `GroebnerBasis.reduce`; the span is an echelon of the
-    kept normal forms, one row per leading monomial.  `N`, when the caller already built that ideal, is used
-    in place of a new one.  Otherwise N's basis is built here, bounded by
-    `max_weight` as in `_buchberger`; the prune stays exact for
+    candidate, through `GroebnerBasis.reduce_row`, as a span does not depend
+    on row scale; the span is an echelon of the kept normal forms, one row
+    per leading monomial.  `N`, when the caller already built that ideal, is
+    used in place of a new one.  Otherwise N's basis is built here, bounded
+    by `max_weight` as in `_buchberger`; the prune stays exact for
     weight-homogeneous gens that weigh no more than the bound.
     """
     if not gens:
@@ -910,9 +981,9 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
             GREVLEX.packer(ring), field, max_weight=max_weight))
     else:
         gb = N.groebner_basis()
-    rows: dict[Exponent, _Term] = {}
+    rows: dict = {}
     kept: list[Polynomial] = []
     for g in sorted(gens, key=key):
-        if _echelon_reduce(gb.reduce(g.terms), rows, field) is not None:
+        if _echelon_reduce(gb.reduce_row(g.terms), rows, field) is not None:
             kept.append(g)
     return kept

@@ -403,9 +403,11 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     # of the certificate's triple, builds the bases of m*IJ and m^2*J, and the
     # refuter finds them built, so no basis is built twice.  The colon reads J's
     # reduced basis off its kernel, and every m*P reads its basis off P's
-    # (`_times_maximal`, once per product), so no Buchberger run builds an m*P:
-    # both twins make 4 runs in all (I, I^2, the colon's T = Q + I^2, and IJ),
-    # where building each m*P by Buchberger made 8 and 6
+    # (`_times_maximal`, once per product), so no Buchberger run builds an m*P,
+    # and the colon's T = Q + I^2 is read off I^2's basis (`_sum`), so no run
+    # starts from Q's generators: both twins make 3 runs in all (I, I^2 and
+    # IJ), where building each m*P by Buchberger made 8 and 6, and building T
+    # by Buchberger made 4
     from agrees import groebner
     from agrees.poly import GREVLEX
     from test_groebner import _monic_values, _Packed
@@ -422,8 +424,8 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     cases = []
     for I, expected, runs in (
             (coordinate_twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}),
-                             Fraction(1, 3), QQ), Verdict.NOT_AG, 4),
-            (coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ), Verdict.AG_CERTIFIED, 4)):
+                             Fraction(1, 3), QQ), Verdict.NOT_AG, 3),
+            (coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ), Verdict.AG_CERTIFIED, 3)):
         shared = [basis_key(ideal_product(A, I)) for A in (m, I)]
         cases.append((I, expected, runs, shared))
 
@@ -461,8 +463,11 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         inputs.clear()
         outputs.clear()
         products.clear()
-        assert classify(I).verdict is expected
+        report = classify(I)
+        assert report.verdict is expected
         assert len(inputs) == runs
+        q_gens = {frozenset(q.terms.items()) for q in report.reduction.Q}
+        assert not any(q_gens & polys for polys in inputs)
         assert inputs and len(set(inputs)) == len(inputs)
         assert not any(basis in outputs[:k] for k, basis in enumerate(inputs))
         # the kernel builds each m*P once, m*I among them, and no run builds

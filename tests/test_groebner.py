@@ -490,6 +490,59 @@ def test_only_monomial_bases_filter():
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_reduce_row_is_a_positive_multiple_of_the_normal_form(field):
+    """Modulo a general basis, `reduce_row` is an integer row keyed by
+    packed words on the support of `reduce`, one constant multiple of it
+    (positive over q), and `_rank` reads the same rank off either."""
+    rng = random.Random(67)
+    packed = _Packed(GREVLEX, BASE_RING)
+    scaled = 0
+    for proper in (False, True):
+        for _ in range(30):
+            gens = [Polynomial(BASE_RING, field,
+                               _random_terms(rng, field, 2, rng.randint(2, 4), 4, proper))
+                    for _ in range(rng.randint(1, 3))]
+            if all(g.is_zero for g in gens):
+                continue
+            gb = Ideal(gens).groebner_basis()
+            if gb._corners is not None:
+                continue  # a monomial basis: the next test's
+            polys = [_random_terms(rng, field, 2, rng.randint(1, 8), 6, proper)
+                     for _ in range(rng.randint(1, 4))]
+            total = dict(polys[0])
+            for m, c in polys[-1].items():
+                total[m] = field.add(total.get(m, field.zero), c)
+            polys.append({m: c for m, c in total.items() if c != field.zero})  # in their span
+            for terms in polys:
+                want = gb.reduce(terms)
+                got = gb.reduce_row(terms)
+                assert all(type(c) is int for c in got.values())
+                got = packed.terms(got)
+                assert got.keys() == want.keys()
+                if not got:
+                    continue
+                lam = field.div(got[next(iter(got))], want[next(iter(got))])
+                assert all(field.from_int(c) == field.mul(lam, want[m]) for m, c in got.items())
+                if field == QQ:
+                    assert lam > 0
+                    scaled += lam != 1
+            assert engine._rank([gb.reduce_row(t) for t in polys], field) == engine._rank(
+                [gb.reduce(t) for t in polys], field)
+    assert field != QQ or scaled
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(monomial_bases(), st.data())
+def test_reduce_row_on_a_monomial_basis_is_the_term_filter(gb, data):
+    """Modulo a basis of monomials in k[x,y], `reduce_row` keeps the terms
+    `reduce` keeps, on exponent tuples, with their values as they came."""
+    terms = data.draw(field_terms(gb.ring, gb.field))
+    got = gb.reduce_row(dict(terms))
+    assert got == {m: terms[m] for m in gb.reduce(dict(terms))}
+    assert all(got[m] is terms[m] for m in got)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
 def test_lex_kernels_raise_on_terms_past_degree_2_to_the_32(field):
     """Under an order that is not graded, here the block order with x in
     front, a tail term may outgrow its lead, and a word of degree
@@ -772,6 +825,44 @@ def test_colon_basis_is_the_buchberger_basis(field, seed):
     # A : A: the kernel is all of R/A and J = (1)
     assert [_Packed(GREVLEX, BASE_RING).entry(e) for e in unit.groebner_basis().entries] == [
         ((0, 0), 1, {(0, 0): 1})]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_sum_is_the_buchberger_basis(field, monkeypatch):
+    """`_sum(I^2, Q, I)`, T = Q + I^2 read off I^2's basis, is element for
+    element the reduced basis of the ideal of Q's and I^2's generators, and
+    starts no Buchberger run: for 100 random staircases with their Newton
+    pairs, their x -> x + 2y twins with seeded `find_reduction` draws, a
+    pair with r >= 2 (QI lies in I^2 for every Q inside I, so stability is
+    not needed) and a generator list with a zero polynomial in it."""
+    from agrees.engine import find_reduction
+    from agrees.families import coordinate_twin
+    from agrees.repro import random_staircase
+
+    rng = random.Random(83)
+    cases = []
+    for _ in range(100):
+        exps = random_staircase(rng, 5, 3).gens
+        for I, seed in ((mono_ideal(exps, field), 0),
+                        (coordinate_twin(exps, 2, field), rng.randrange(2**32))):
+            cases.append((I, list(find_reduction(I, seed).Q)))
+    I = mono_ideal([(4, 0), (3, 1), (1, 3), (0, 4)], field)
+    red = find_reduction(I)
+    assert red.reduction_number >= 2
+    cases.append((I, list(red.Q)))
+    I, Q = cases[1]
+    cases.append((I, [Q[0], Polynomial.zero(BASE_RING, field), Q[1]]))
+
+    runs = _count_buchberger(monkeypatch)
+    for I, Q in cases:
+        I2 = ideal_product(I, I)
+        want = Ideal(Q + list(I2.generators)).groebner_basis().entries
+        I2.groebner_basis(), I.groebner_basis()  # the bases it starts from
+        before = len(runs)
+        got = groebner._sum(I2, Q, I)
+        assert len(runs) == before
+        assert got.groebner_basis().entries == want
+        assert [g.terms for g in got.generators] == [g.terms for g in got.groebner_basis()]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])

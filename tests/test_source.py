@@ -231,3 +231,33 @@ def test_one_elimination_step_in_groebner():
              for node in ast.walk(top)
              if isinstance(node, ast.Attribute) and node.attr in ("cross", "modulus")}
     assert found == {"_cancel"}
+
+
+def _engine_definitions() -> dict:
+    """`engine`'s top-level definitions by name."""
+    path = next(path for path in SOURCES if path.name == "engine.py")
+    return {top.name: top for top in ast.parse(path.read_text(), filename=str(path)).body
+            if hasattr(top, "name")}
+
+
+def test_engine_reads_exact_normal_forms_only_in_the_refuter():
+    """A rank or a zero test reads a normal form only up to scale, so it
+    takes `GroebnerBasis.reduce_row`; `reduce`, which makes the exact field
+    values, is read in `engine` only by `necessary_bound`, whose samples
+    combine normal forms linearly."""
+    readers = {name for name, top in _engine_definitions().items() for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "reduce"}
+    assert readers == {"necessary_bound"}
+
+
+def test_canonical_colon_builds_no_ideal_from_the_reduction():
+    """The colon's T = Q + I^2 is read off I^2's basis (`groebner._sum`),
+    so `canonical_colon` starts no Buchberger run from Q's generators: no
+    `Ideal(...)` there reads `Q.generators`."""
+    found = [node.lineno for node in ast.walk(_engine_definitions()["canonical_colon"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Ideal"
+             and any(isinstance(sub, ast.Attribute) and sub.attr == "generators"
+                     and isinstance(sub.value, ast.Name) and sub.value.id == "Q"
+                     for arg in node.args for sub in ast.walk(arg))]
+    assert not found, f"canonical_colon builds an Ideal from Q.generators at {found}"
