@@ -176,8 +176,8 @@ def _mul(A: Ideal, B: Ideal) -> Ideal:
 # rows for `_rank` with one column per monomial: up to a positive scale, as
 # integer rows keyed by packed words (`GroebnerBasis.reduce_row`), for a
 # rank; as field values keyed by exponent tuples (`GroebnerBasis.reduce`)
-# where rows are combined.  For a monomial top a product keeps its single
-# term exactly when it lies outside top.
+# where the refuter combines rows.  For a monomial top a product keeps its
+# single term exactly when it lies outside top.
 
 def _rank(rows: list[dict], fld) -> int:
     """dim_k of the span of sparse rows {column: value}, with mutually

@@ -16,20 +16,21 @@ elimination's bounded basis off its fibers with no run, in packed words
 formed by sums, as a kernel forms its shifted terms.
 
 Inside the kernels `_nf_dict`, `_spoly`, `_update_pairs`, `_entry`,
-`_buchberger`, `_interreduce`, `_times_maximal` and `_sum` a monomial is
-one packed int (`poly.Packer`): the order key on top and one bit field per
-exponent below.  A lead is `max` of a row's words, a shifted term is
-`m + shift`, and "lm divides m" is `(m - lm) & guard == 0`, so no step
-builds a tuple or calls a key.  A run packs each input monomial once, and `_update_pairs`
-packs each distinct lcm once, computing lcms, degrees and weights on the
-lead tuples it keeps next to the words.  `_colon` keys its kernel rows by
-packed words too.  A normal form whose scale does not matter, one a rank
-or a zero test reads, stays a packed integer row: `GroebnerBasis.reduce_row`
-packs its input and hands back the row `_nf_dict` returns.  Everything else
-outside the kernels is on exponent tuples: `GroebnerBasis.reduce` packs its
-input and unpacks the remainder, and `elements` and `leading_exponents`
-unpack.  Only this module and `poly` know the packed format, and a caller
-of `reduce_row` reads its rows only as columns that compare.
+`_buchberger`, `_interreduce`, `_times_maximal`, `_walk`, `_colon` and
+`_sum` a monomial is one packed int (`poly.Packer`): the order key on top
+and one bit field per exponent below.  A lead is `max` of a row's words, a
+shifted term is `m + shift`, and "lm divides m" is `(m - lm) & guard == 0`,
+so no step builds a tuple or calls a key.  A run packs each input monomial
+once, and `_update_pairs` packs each distinct lcm once, computing lcms,
+degrees and weights on the lead tuples it keeps next to the words.  A
+normal form whose scale does not matter, one a rank or a zero test reads,
+stays a packed integer row: `GroebnerBasis.reduce_row` packs its input and
+hands back the row `_nf_dict` returns.  Everything else outside the
+kernels is on exponent tuples: `GroebnerBasis.reduce`, read only by
+`normal_form` and the refuter, packs its input and unpacks the remainder,
+and `elements` and `leading_exponents` unpack.  Only this module and
+`poly` know the packed format, and a caller of `reduce_row` reads its rows
+only as columns that compare.
 
 The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
 rows of plain integers, one kernel for both fields; the field supplies what
@@ -49,21 +50,22 @@ A reduced basis is stored in one form, the kernels' packed entries (lm, lc,
 row) that `_buchberger` returns.  A run clears its inputs once; its S-pair and
 interreduction remainders stay integer rows.  Field values are made again
 only where a value leaves a kernel: the remainder `GroebnerBasis.reduce`
-returns (`reduce_row` makes none), the monic polynomials `_monic_polynomial`
-builds once from a basis's entries, and a kernel vector a caller reads off
-an echelon.
+returns (`reduce_row` makes none), the colon walk's exact forms, the monic
+polynomials `_monic_polynomial` builds once from a basis's entries, and a
+kernel vector a caller reads off an echelon.
 
 Every reduced basis not read off a staircase or fibers ends in one finisher,
 `_interreduce`, one ascending sweep over a Groebner basis: an element is
 kept when no kept lead divides its lead and reduced against the kept ones
 only, as a lead dividing a term below its own is smaller, so swept.  A
-Buchberger run hands it its basis; three kernels hand it a Groebner basis
-found with no run.  The colon (`_colon`) hands it the basis it starts from
-plus the kernel rows it finds, and the sum C + (F) (`_sum`) hands it C's
-basis plus an echelon of the forms NF_C(s*f).  For m*P with P of finite
-colength in k[x,y] (`_times_maximal`), the products x*g and y*g over P's
-reduced basis plus an echelon of its consecutive S-pairs' remainders are a
-Groebner basis (Schreyer 1980).
+Buchberger run hands it its basis; three kernels read one with no run and
+hand it on through `_finish`.  The colon (`_colon`) and the sum C + (F)
+(`_sum`) read the forms NF(s*b) over standard monomials s off one walk
+(`_walk`): the colon hands on the basis it starts from plus its kernel
+rows, the sum C's basis plus an echelon of the forms.  For m*P with P of
+finite colength in k[x,y] (`_times_maximal`), the products x*g and y*g
+over P's reduced basis plus an echelon of its consecutive S-pairs'
+remainders are a Groebner basis (Schreyer 1980).
 
 Monomial ideals of k[x,y] take the staircase instead (`staircase`, a
 lattice module that knows no ideals).  This module is the one bridge
@@ -356,8 +358,9 @@ def _interreduce(G: list, pk: Packer, field) -> list:
     sweep: an entry is kept when no kept lead divides its lead, and reduced
     against the kept entries, already reduced.  A lead dividing a term below
     lm(g) is below lm(g), so swept already; reduced bases are unique.  It
-    finishes every reduced basis not read off a staircase: `_buchberger`'s,
-    `_times_maximal`'s, `_colon`'s and `_sum`'s.  Under a block order
+    finishes every reduced basis not read off a staircase or fibers:
+    `_buchberger`'s, and through `_finish` those of `_times_maximal`,
+    `_colon` and `_sum`, read with no run.  Under a block order
     (elimination runs only) each word is `check`ed, and a term of degree
     2^32 or more raises DegreeOverflow."""
     guard = pk.guard
@@ -459,11 +462,12 @@ class GroebnerBasis:
 
     `entries` are the basis as `_buchberger` returns it, `_entry`s of packed
     grevlex words sorted by descending lead: primitive integer rows over
-    q, monic rows over fp.  `reduce` divides by them, packing its input and
-    unpacking the remainder, and `reduce_row` hands back the integer
-    remainder, a positive multiple of the normal form; the monic `elements`
-    and the `leading_exponents` are unpacked from them once, when first
-    read, and so is `staircase`, the staircase of the leads, with the
+    q, monic rows over fp, which a kernel such as `_walk` divides by.
+    `reduce` divides by them for `normal_form` and the refuter, packing its
+    input and unpacking the remainder, and `reduce_row` hands back the
+    integer remainder, a positive multiple of the normal form; the monic
+    `elements` and the `leading_exponents` are unpacked from them once, when
+    first read, and so is `staircase`, the staircase of the leads, with the
     `colength` it gives.  `minimal_generators` keeps its Nakayama prune of
     the elements beside them (`_mingens`), so each basis is pruned once.
 
@@ -514,8 +518,8 @@ class GroebnerBasis:
 
     def reduce(self, terms: _Term) -> _Term:
         """Normal form of a term dict modulo the basis, as a term dict of
-        field values.  Normal forms are k-linear: the normal form of
-        sum_j c_j * p_j is sum_j c_j * NF(p_j).
+        field values, for `normal_form` and the refuter.  Normal forms are
+        k-linear: the normal form of sum_j c_j * p_j is sum_j c_j * NF(p_j).
 
         Modulo a monomial basis of k[x,y] the normal form keeps exactly the
         terms that no leading monomial divides, found by one bisection in
@@ -634,14 +638,6 @@ class Ideal:
         self._gb_cache[GREVLEX] = gb
         return gb
 
-    @classmethod
-    def of_basis(cls, basis: GroebnerBasis) -> "Ideal":
-        """The ideal of a reduced basis's elements, with basis already in
-        its cache: no Buchberger run."""
-        I = cls(list(basis))
-        I._gb_cache[GREVLEX] = basis
-        return I
-
     def __repr__(self):
         return "Ideal(" + ", ".join(str(g) for g in self.generators) + ")"
 
@@ -733,99 +729,93 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(trimmed)
 
 
+def _walk(top: GroebnerBasis, gens: Sequence[Polynomial], D: GroebnerBasis, integral: bool):
+    """Yield each standard monomial s of the basis D, of finite colength in
+    k[x,y], in ascending grevlex order, with its nonzero forms
+    (j, NF_top(s*g_j)), j the index of g_j in gens: packed rows of exact
+    field values or, when `integral`, positive multiples of them.  A form
+    is its parent's (s with one variable less) shifted by that variable and
+    reduced again, as NF(v*s*g) = NF(v*NF(s*g)); a vanished form has no
+    successor."""
+    field, pk, entries = top.field, top._pk, top.entries
+    pack, guard = pk.pack, pk.guard
+    px, py = pack((1, 0)), pack((0, 1))
+    start = [(j, {pack(m): c for m, c in g.terms.items()}) for j, g in enumerate(gens)]
+    if integral:
+        for _, row in start:
+            field.clear(row)
+    forms: dict = {}  # s -> its nonzero forms
+    for s in standard_monomials(D.staircase()):
+        a, b = s
+        if a:
+            prods = [(j, {m + px: c for m, c in f.items()}) for j, f in forms[a - 1, b]]
+        elif b:
+            prods = [(j, {m + py: c for m, c in f.items()}) for j, f in forms[a, b - 1]]
+        else:
+            prods = start
+        # looked up on the module, so a wrapper bound there sees these calls too
+        forms[s] = nfs = [(j, r) for j, p in prods
+                          if (r := _nf_dict(p, entries, guard, field, integral))]
+        yield s, nfs
+
+
+def _finish(gb: GroebnerBasis, base: list, rows: dict) -> Ideal:
+    """The ideal of gb's ring of which the entries `base` plus the rows of
+    an echelon {lead word: integer row} are a Groebner basis, carrying the
+    reduced basis `_interreduce` makes: the one finisher of the bases
+    `_colon`, `_sum` and `_times_maximal` read with no run.  The first two
+    hand it the reduced basis of an ideal C and rows with distinct leads,
+    normal forms modulo C spanning K/C for the ideal K they read.  An
+    element g + k of K, g in C and k in the span, has g's lead in LM(C) and
+    k's terms standard for C, so its lead is g's or k's, which is a row's,
+    as their leads are distinct.  Reduced bases are unique, so it is the
+    basis a Buchberger run returns."""
+    field, pk = gb.field, gb._pk
+    basis = GroebnerBasis(gb.ring, field, _interreduce(
+        base + [(lm, row[lm], row) for lm, row in rows.items()], pk, field))
+    I = Ideal(list(basis))
+    I._gb_cache[GREVLEX] = basis
+    return I
+
+
 def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
     """A : (B) for a sub-ideal C of A : (B) of finite colength in k[x,y],
     generated by its reduced basis, which it carries cached.
 
-    C*b lies in A for each b in B, so f -> (NF_A(f*b)) over the nonzero b
-    is a k-linear map R/C -> (R/A)^mu whose kernel is (A : (B))/C; so the
-    colon is C plus that kernel, exactly and globally, wherever A's
-    components lie.  The images, one per standard monomial s of C, are
-    filled by walking the staircase in degree order with NF_A(v*s*b) =
-    NF_A(v*NF_A(s*b)) for a variable v, so each product is reduced from an
-    already reduced one.  The row of s holds its image columns (j, e) and a
-    combination column (-1, w), w the packed word of s, that sorts below
-    them; with x ascending within a degree the walk is ascending grevlex,
-    so w is the largest combination column yet, never cancelled.  A row
-    whose reduced lead is (-1, w) has a zero image, and its combination
-    columns are a kernel row led by s, which the echelon keeps under that
-    lead; with no nonzero b every row is one.
-
-    C's basis plus the kernel rows is a Groebner basis of the colon.  The
-    rows have distinct leads, so L, the leads of their span, is theirs.  An
-    element g + k, g in C and k in the span, has g's lead in LM(C) and k's
-    terms standard for C, so its lead is g's or k's: in LM(C) or in L.
-    `_interreduce` makes that basis reduced, and `Ideal.of_basis` caches
-    it; reduced bases are unique, so it is the one a Buchberger run would
-    return.
+    C*b_j lies in A, so f -> (NF_A(f*b_j))_j is a k-linear map
+    R/C -> (R/A)^|B| whose kernel is (A : (B))/C, exactly and globally.
+    The row of a standard monomial s of C holds its image, `_walk`'s exact
+    forms, in columns (j, m), and a combination column (-1, w), w the word
+    of s, below them.  The walk is ascending, so w is the largest
+    combination column yet, never cancelled: a row whose reduced lead is
+    (-1, w) has a zero image, and its combination columns are a kernel row
+    led by s (with no nonzero b every row is one).
     """
-    fld = A.field
-    top = A.groebner_basis()
+    field = A.field
     gb = C.groebner_basis()
     pack = gb._pk.pack
-    gens = [b.terms for b in B if not b.is_zero]
-    forms: dict = {}     # s -> [NF_A(s*b) for b in gens]
-    echelon: dict = {}   # lead column -> reduced augmented row, kernel rows included
-    for s in standard_monomials(gb.staircase()):
-        if s == (0, 0):
-            prods = gens
-        else:
-            v = (1, 0) if s[0] else (0, 1)
-            parent = forms[(s[0] - v[0], s[1] - v[1])]
-            prods = [{(e[0] + v[0], e[1] + v[1]): c for e, c in f.items()} for f in parent]
-        forms[s] = nfs = [top.reduce(p) for p in prods]
-        row = {(j, e): c for j, f in enumerate(nfs) for e, c in f.items()}
-        row[(-1, pack(s))] = fld.one
-        _echelon_reduce(row, echelon, fld)
-    kernel = [(w, row[j, w], {m: c for (_, m), c in row.items()})
-              for (j, w), row in echelon.items() if j < 0]
-    return Ideal.of_basis(GroebnerBasis(A.ring, fld,
-                                        _interreduce(gb.entries + kernel, gb._pk, fld)))
+    echelon: dict = {}  # lead column -> reduced augmented row, kernel rows included
+    for s, forms in _walk(A.groebner_basis(), B, gb, False):
+        row = {(j, m): c for j, f in forms for m, c in f.items()}
+        row[-1, pack(s)] = field.one
+        _echelon_reduce(row, echelon, field)
+    return _finish(gb, gb.entries, {w: {m: c for (_, m), c in row.items()}
+                                    for (j, w), row in echelon.items() if j < 0})
 
 
 def _sum(C: Ideal, F: Sequence[Polynomial], D: Ideal) -> Ideal:
     """C + (F) for C of finite colength in k[x,y], given D of finite
     colength with D*F inside C, generated by its reduced basis, which it
-    carries cached.
-
-    D*f lies in C, so r*f = NF_D(r)*f modulo C for every r, and
+    carries cached.  D*f lies in C, so r*f = NF_D(r)*f modulo C, and
     (C + (F))/C is the k-span of NF_C(s*f) over the standard monomials s of
-    D and the nonzero f in F, exactly and globally.  Those forms are filled
-    by walking D's staircase in degree order, as `_colon` does: the form of
-    s*f is the normal form of its parent's form shifted by one variable.
-    Each is kept as the integer row `_nf_dict` returns, a positive multiple
-    of the normal form, since a span does not depend on row scale, and
-    echeloned.  C's basis plus the echelon rows is a Groebner basis of the
-    sum by the argument in `_colon`'s docstring: the rows have distinct
-    leads, standard monomials of C.  `_interreduce` makes that basis
-    reduced, and `Ideal.of_basis` caches it.
-    """
+    D and the f in F, exactly and globally: `_walk`'s integer rows, as a
+    span reads no scale, echeloned."""
     gb = C.groebner_basis()
-    field, pk, entries = gb.field, gb._pk, gb.entries
-    pack, guard = pk.pack, pk.guard
-    px, py = pack((1, 0)), pack((0, 1))
-    gens = []
-    for f in F:
-        if not f.is_zero:
-            row = {pack(m): c for m, c in f.terms.items()}
-            field.clear(row)
-            gens.append(row)
-    forms: dict = {}  # s -> the nonzero rows NF_C(s*f), integers
     echelon: dict = {}
-    for s in standard_monomials(D.groebner_basis().staircase()):
-        a, b = s
-        if a:
-            prods = [{m + px: c for m, c in f.items()} for f in forms[a - 1, b]]
-        elif b:
-            prods = [{m + py: c for m, c in f.items()} for f in forms[a, b - 1]]
-        else:
-            prods = gens
-        forms[s] = nfs = [r for r in (_nf_dict(p, entries, guard, field, True) for p in prods)
-                          if r]
-        for r in nfs:
-            _echelon_reduce(dict(r), echelon, field)
-    return Ideal.of_basis(GroebnerBasis(C.ring, field, _interreduce(
-        entries + [(lm, row[lm], row) for lm, row in echelon.items()], pk, field)))
+    for _, forms in _walk(gb, F, D.groebner_basis(), True):
+        for _, r in forms:
+            _echelon_reduce(dict(r), echelon, gb.field)
+    return _finish(gb, gb.entries, echelon)
 
 
 def _times_maximal(P: Ideal) -> Ideal:
@@ -848,7 +838,7 @@ def _times_maximal(P: Ideal) -> Ideal:
     per independent relation, each led by a new corner, so the leads of m*G
     and of the rows give colength(P) + s - (s - mu(P)) = colength(m*P)
     standard monomials: m*G plus the rows is a Groebner basis of m*P, which
-    `_interreduce` makes reduced, and `Ideal.of_basis` caches.
+    `_finish` hands on.
     """
     colength(P)  # raises outside k[x,y], for the zero ideal and for infinite colength
     gb = P.groebner_basis()
@@ -861,8 +851,7 @@ def _times_maximal(P: Ideal) -> Ideal:
     for ((_, b), f), ((a, _), g) in zip(corners, corners[1:]):
         r = _nf_dict(_spoly(f, g, pack((a, b)), field), shifted, guard, field, True)
         _echelon_reduce(r, rows, field)
-    return Ideal.of_basis(GroebnerBasis(gb.ring, field, _interreduce(
-        shifted + [(lm, row[lm], row) for lm, row in rows.items()], pk, field)))
+    return _finish(gb, shifted, rows)
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:

@@ -776,7 +776,12 @@ def test_colon_basis_is_the_buchberger_basis(field, seed):
     generators and on the elimination reference's, and the colon starts no
     Buchberger run, on seeded (A, B, C): the public colon (C = A) of a twin by a few random polynomials,
     A : A, where every row is kernel and J = (1), and the engine's colon
-    (T, B, I) of a twin with the pair find_reduction picks."""
+    (T, B, I) of a twin with the pair find_reduction picks.  Three more
+    public colons check that a form keeps its component index once an
+    earlier one vanishes: with the zero polynomial in front, with a
+    generator of A in front (its forms vanish from s = 1 on), and by
+    y^(b-1) next to 1, for y^b the twin's pure y-power, whose forms vanish
+    from s = y on where those of 1 never do."""
     from agrees.engine import canonical_colon, find_reduction
     from agrees.families import coordinate_twin
     from agrees.repro import random_staircase
@@ -798,22 +803,28 @@ def test_colon_basis_is_the_buchberger_basis(field, seed):
         colons.append((A, B, J))
         return J
 
-    A = coordinate_twin(random_staircase(rng, 5, 3).gens, rng.choice([2, -1, Fraction(1, 3)]),
-                        field)
+    exps = random_staircase(rng, 5, 3).gens
+    A = coordinate_twin(exps, rng.choice([2, -1, Fraction(1, 3)]), field)
     B = [Polynomial(BASE_RING, field, t)
          for t in (_random_terms(rng, field, 2, rng.randint(1, 3), 3)
                    for _ in range(rng.randint(1, 3))) if t]
+    below = Polynomial.monomial(BASE_RING, field, (0, min(b for a, b in exps if a == 0) - 1))
+    vanishing = [[Polynomial.zero(BASE_RING, field), below] + B,
+                 [A.generators[0], below] + B,
+                 [below, Polynomial.one(BASE_RING, field)]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_buchberger", counted)
         mp.setattr(groebner, "_colon", record)
         mp.setattr(engine, "_colon", record)
         if B:
             ideal_colon(A, Ideal(B))
+        for V in vanishing:
+            ideal_colon(A, Ideal(V))
         unit = ideal_colon(A, A)
         red = find_reduction(A)
         if red.stable:
             canonical_colon(A, Ideal(list(red.Q)), stable=True)
-    assert len(colons) == bool(B) + 1 + red.stable
+    assert len(colons) == bool(B) + len(vanishing) + 1 + red.stable
     pk = GREVLEX.packer(BASE_RING)
     for A, B, J in colons:
         entries = J._gb_cache[GREVLEX].entries

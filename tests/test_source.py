@@ -242,12 +242,27 @@ def _engine_definitions() -> dict:
 
 def test_engine_reads_exact_normal_forms_only_in_the_refuter():
     """A rank or a zero test reads a normal form only up to scale, so it
-    takes `GroebnerBasis.reduce_row`; `reduce`, which makes the exact field
-    values, is read in `engine` only by `necessary_bound`, whose samples
-    combine normal forms linearly."""
-    readers = {name for name, top in _engine_definitions().items() for node in ast.walk(top)
+    takes `GroebnerBasis.reduce_row`, and a kernel divides by a basis's
+    entries itself (the colon's walk among them); `reduce`, which makes the
+    exact field values on exponent tuples, is read in the whole library
+    only by `engine.necessary_bound`, whose samples combine normal forms
+    linearly, and by `groebner.normal_form`."""
+    readers = {(path.stem, getattr(top, "name", None)) for path in SOURCES
+               for top in ast.parse(path.read_text(), filename=str(path)).body
+               for node in ast.walk(top)
                if isinstance(node, ast.Attribute) and node.attr == "reduce"}
-    assert readers == {"necessary_bound"}
+    assert readers == {("engine", "necessary_bound"), ("groebner", "normal_form")}
+
+
+def test_one_walk_and_one_finisher_in_groebner():
+    """The colon and the sum read their forms off one walk over the
+    standard monomials (`_walk`), the one reader of `standard_monomials` in
+    `groebner`; every basis read with no run ends in `_finish`, which with
+    `_buchberger` is the one reader of `_interreduce`; and `Ideal` has no
+    `of_basis`, a second way to build an ideal with its basis cached."""
+    assert {d for m, d in _named_in("standard_monomials") if m == "groebner"} == {"_walk"}
+    assert _named_in("_interreduce") == {("groebner", "_buchberger"), ("groebner", "_finish")}
+    assert not hasattr(Ideal, "of_basis")
 
 
 def test_canonical_colon_builds_no_ideal_from_the_reduction():
