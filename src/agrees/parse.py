@@ -10,14 +10,28 @@ Whitespace and '*' are optional between factors, and a '*' is followed by
 a variable: a dangling one, as in ``3*``, is a ParseError at the '*'.  An
 ideal specification is a comma-separated list of polynomials, optionally
 wrapped in ``ideal( ... )``.
+
+Lexically, ``integer`` and ``nat`` are runs of the ASCII digits 0-9, and 'T'
+needs such an index: a bare 'T' is a ParseError.  Whitespace is skipped.
+Any other character is a ParseError at its position: an unknown letter is
+an UnknownVariable, and a pasted superscript such as ``x³`` or a non-ASCII
+digit is an unexpected character, so exponents are typed as ``x^3``.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import EmptyIdeal, ParseError, UnknownVariable
 from .poly import Polynomial, Ring
 
-_VAR_LETTERS = "xytT"
+# the lexical rules in order, each alternative named by its token kind;
+# whitespace is the only text no alternative matches
+_TOKEN = re.compile(r"""
+    (?P<INT>[0-9]+) | (?P<VAR>T[0-9]*|[xyt]) | (?P<IDEAL>ideal)
+  | (?P<CARET>\^) | (?P<STAR>\*) | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<SLASH>/)
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<OTHER>\S)
+""", re.VERBOSE)
 
 # an expected token kind as a message names it
 _EXPECTED = {"INT": "an integer", "LPAREN": "'('", "RPAREN": "')'", "EOF": "end of input"}
@@ -37,46 +51,16 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "T":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("bare 'T' without index", i, "T<number>")
-            tokens.append(_Token("VAR", text[i:j], i))
-            i = j
-            continue
-        if ch in _VAR_LETTERS:
-            tokens.append(_Token("VAR", ch, i))
-            i += 1
-            continue
-        if text.startswith("ideal", i):
-            tokens.append(_Token("IDEAL", "ideal", i))
-            i += 5
-            continue
-        if ch in "^*+-/(),":
-            kind = {"^": "CARET", "*": "STAR", "+": "PLUS", "-": "MINUS",
-                    "/": "SLASH", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}[ch]
-            tokens.append(_Token(kind, ch, i))
-            i += 1
-            continue
-        if ch.isalpha():
-            raise UnknownVariable(f"unknown variable {ch!r}", i, "one of x, y, t, T<n>")
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("EOF", None, n))
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "OTHER":
+            if value.isalpha():
+                raise UnknownVariable(f"unknown variable {value!r}", pos, "one of x, y, t, T<n>")
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if value == "T":
+            raise ParseError("bare 'T' without index", pos, "T<number>")
+        tokens.append(_Token(kind, int(value) if kind == "INT" else value, pos))
+    tokens.append(_Token("EOF", None, len(text)))
     return tokens
 
 
@@ -103,21 +87,16 @@ class _Parser:
 
     def parse_poly(self, stop_kinds=("EOF",)) -> Polynomial:
         result = Polynomial.zero(self.ring, self.field)
-        sign = 1
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1 if self.advance().kind == "MINUS" else 1
-        result = result + self.parse_term(sign)
-        while self.peek().kind not in stop_kinds:
+        tok = self.peek()
+        while True:
+            if tok.kind in ("PLUS", "MINUS"):
+                self.advance()
+            result = result + self.parse_term(-1 if tok.kind == "MINUS" else 1)
             tok = self.peek()
-            if tok.kind == "PLUS":
-                self.advance()
-                result = result + self.parse_term(1)
-            elif tok.kind == "MINUS":
-                self.advance()
-                result = result + self.parse_term(-1)
-            else:
+            if tok.kind in stop_kinds:
+                return result
+            if tok.kind not in ("PLUS", "MINUS"):
                 raise ParseError(f"unexpected {tok}", tok.pos, "'+' or '-'")
-        return result
 
     def parse_term(self, sign: int) -> Polynomial:
         f = self.field

@@ -123,10 +123,13 @@ def test_analyze_prime_field():
 
 
 def test_analyze_input_errors_exit_two():
-    assert run_cli("analyze", "--ideal", "x^^2").returncode == 2
-    assert run_cli("analyze", "--ideal", "z + y").returncode == 2
-    assert run_cli("analyze", "--ideal", "x^2").returncode == 2  # not m-primary
-    assert run_cli("analyze", "--ideal", "x, y", "--field", "fp:15").returncode == 2
+    for args in (("x^^2",), ("z + y",),
+                 ("x^2",),  # not m-primary
+                 ("x, y", "--field", "fp:15"),
+                 ("x³, y²",)):  # superscripts pasted from a rendered formula
+        out = run_cli("analyze", "--ideal", *args)
+        assert out.returncode == 2, args
+        assert "Traceback" not in out.stderr, args
 
 
 def test_seed_env_override():

@@ -1170,6 +1170,12 @@ def test_validate_report_recomputes_refutation():
     assert rep.verdict is Verdict.GORENSTEIN
     assert not validate_report(I, replace(rep, verdict=Verdict.NOT_AG,
                                           refutation=forged.refutation))
+    # the refuter itself refuses mu(J) = 1: (x^2, y^3) is Gorenstein, its colon (1)
+    I = ideal("x^2, y^3")
+    rep = classify(I)
+    assert rep.verdict is Verdict.GORENSTEIN
+    with pytest.raises(ValueError):
+        necessary_bound(I, Ideal(list(rep.colon_gens)))
 
 
 def test_validate_report_recomputes_mu_of_the_colon():
@@ -1205,6 +1211,9 @@ def test_validate_report_rederives_the_colon():
         assert not validate_report(I, replace(rep, colon_gens=swapped.generators))
     outside = replace(rep.reduction, Q=(poly("x^2"), poly("y^6")))
     assert not validate_report(I, replace(rep, reduction=outside))
+    # x times the true colon: J*I still lies in T, but J has infinite colength
+    x = poly("x")
+    assert not validate_report(I, replace(rep, colon_gens=tuple(x * g for g in rep.colon_gens)))
 
     I = ideal("x^3, x^2 y^3, x y^4, y^5")
     rep = classify(I)
@@ -1277,6 +1286,32 @@ def test_classify_unstable_is_unknown():
     assert rep.reduction is not None and not rep.reduction.stable
     assert rep.reduction.reduction_number == 3
     assert rep.colon_gens is None
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_classify_inconclusive_refutation_is_unknown(field):
+    # a stable, non-contracted census row of colength 29: no witness at the
+    # generic triple, and the refuter's min_sum equals its threshold
+    I = ideal("x^5, x^3*y^3, x^2*y^6, x*y^8, y^9", field)
+    rep = classify(I)
+    assert rep.verdict is Verdict.UNKNOWN
+    assert rep.refutation.min_sum == rep.refutation.threshold == 6
+    assert rep.notes[-1] == ("no witness at a generic triple (failure <= 1.2e-05) and "
+                             "the generator-count bound is inconclusive")
+    assert validate_report(I, rep)
+
+
+def test_classify_without_a_reduction_is_unknown():
+    # the x -> x + 2y twin of x^10, x^3 y^7, y^10 (source r = 9): no seeded
+    # pair reaches r <= 4, so the search gives up and the Rees bound is unproven
+    from agrees import rees
+
+    I = coordinate_twin([(10, 0), (3, 7), (0, 10)], 2, FP)
+    rep = classify(I)
+    assert rep.verdict is Verdict.UNKNOWN and rep.reduction is None
+    assert rep.notes == ("verdict undecided: no reduction with r <= 4 among 30 pairs",)
+    assert validate_report(I, rep)
+    assert rees._relation_type_bound(I) is None
 
 
 @pytest.mark.parametrize("text,r", [

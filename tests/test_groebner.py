@@ -653,6 +653,8 @@ def test_product_with_unit():
     I = ideal("x^3, x^2 y^3")
     one = Ideal([Polynomial.one(BASE_RING, QQ)])
     assert ideal_equal(ideal_product(I, one), I)
+    zero = Polynomial.zero(BASE_RING, QQ)
+    assert ideal_product(I, Ideal([zero])).generators == (zero,)
 
 
 def test_intersection_examples():
@@ -1024,6 +1026,7 @@ def test_origin_primary_non_primary_shapes():
     assert not is_origin_primary(ideal("x^2"))        # no pure y power leads
     assert not is_origin_primary(ideal("x + 1, x"))   # unit ideal
     assert not is_origin_primary(Ideal(parse_ideal_spec("x, y, t", Ring(("x", "y", "t")), QQ)))
+    assert not is_origin_primary(Ideal([Polynomial.zero(BASE_RING, QQ)]))  # the zero ideal
 
 
 def test_origin_primary_with_a_large_prime_in_the_basis():

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from agrees.errors import EmptyIdeal, ParseError, UnknownVariable
+from agrees.errors import AgreesError, EmptyIdeal, ParseError, UnknownVariable
 from agrees.fields import QQ, PrimeField
 from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import BASE_RING, Polynomial, rees_ring
@@ -103,6 +104,10 @@ def test_a_dangling_star_is_a_parse_error(text, star):
     ("ideal(x, y", "unexpected end of input at position 10 (expected ')')"),
     ("ideal x", "unexpected 'x' at position 6 (expected '(')"),
     ("ideal(x) y", "unexpected 'y' at position 9 (expected end of input)"),
+    # digits are ASCII: a superscript or another script's digit is no integer
+    ("x²", "unexpected character '²' at position 1"),
+    ("x^³", "unexpected character '³' at position 2"),
+    ("٣x", "unexpected character '٣' at position 0"),
 ])
 def test_errors_name_tokens_as_they_are_typed(text, message):
     # the end of the input reads "end of input", not the EOF token's value,
@@ -110,6 +115,17 @@ def test_errors_name_tokens_as_they_are_typed(text, message):
     with pytest.raises(ParseError) as err:
         parse_ideal_spec(text, BASE_RING, QQ)
     assert str(err.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="0123456789xytTideal^*+-/(), \t²٣é\u00a0")))
+def test_the_input_layer_raises_only_package_errors(text):
+    # whatever is typed or pasted, a caller sees an AgreesError or a result
+    for field in (QQ, FP):
+        try:
+            parse_ideal_spec(text, BASE_RING, field)
+        except AgreesError:
+            pass
 
 
 def test_fraction_coefficients():

@@ -379,6 +379,8 @@ def test_prime_field_range_and_modulus():
         PrimeField(1048573)  # prime but below the 2^20 floor
     with pytest.raises(BadParameters):
         PrimeField(1 << 22)  # composite
+    with pytest.raises(BadParameters):
+        PrimeField(3215031751)  # 151*751*28351, a strong pseudoprime to bases 2, 3, 5, 7
 
 
 def test_field_from_config_makes_one_field_per_modulus(monkeypatch):
