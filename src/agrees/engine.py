@@ -44,7 +44,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import BadParameters, NoReductionFound, NotContained, NotStable, NotZeroDimensional
+from .errors import (BadParameters, NoReductionFound, NotContained, NotStable,
+                     NotZeroDimensional, ZeroIdeal)
 from .fields import MIN_PRIME, PrimeField
 from .groebner import (
     Ideal,
@@ -278,10 +279,12 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
     Only when both fail (r >= 2) is r searched, from r = 2 and with no cap,
     by `_reduction_number`'s local rank test.
 
-    Other ideals try seeded sparse combinations of their generators, each
-    decided by that rank test.  Every draw is tested for r <= 1 before any
-    is tested from r = 2 up to `_REDUCTION_CAP`, so a pair with r <= 1 is
-    found before any pair builds I^3 and beyond.
+    Other ideals try `_REDUCTION_PAIRS` seeded sparse combinations of their
+    generators (a draw with a zero member is skipped), each decided by that
+    rank test.  Every pair is tested for r <= 1 before any is tested from
+    r = 2 up to `_REDUCTION_CAP`, so a pair with r <= 1 is found before any
+    pair builds I^3 and beyond.  Each pair's r <= 1, i.e. I^2 = QI, is left
+    for `is_stable` on I.  The zero ideal raises ZeroIdeal.
     """
     ring, fld = I.ring, I.field
     stair = staircase_of_ideal(I)
@@ -294,12 +297,15 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
         monos = [Polynomial.monomial(ring, fld, e) for e in pts]
         Q = Ideal([sum(monos[2::2], monos[0]), sum(monos[3::2], monos[1])])
         r = _stable_reduction_number(I, stair)
+        I._stable[Q.generators] = r is not None
         if r is None:
             r = _reduction_number(I, Q, None, 2)
         return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
 
     rng = random.Random(derive_seed(seed, "reduction"))
     gens = [g for g in I.generators if not g.is_zero]
+    if not gens:
+        raise ZeroIdeal("the zero ideal has no reduction")
 
     def menu() -> int:
         pick = rng.randrange(6)
@@ -309,12 +315,13 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
         return _span([fld.from_int(menu()) for _ in gens], gens)
 
     tried: list[Ideal] = []
-    for _ in range(_REDUCTION_PAIRS):  # the first draw is usually a stable reduction
+    while len(tried) < _REDUCTION_PAIRS:  # the first pair is usually a stable reduction
         q1, q2 = combo(), combo()
         if q1.is_zero or q2.is_zero:
             continue
         Q = Ideal([q1, q2])
         r = _reduction_number(I, Q, 1)
+        I._stable[Q.generators] = r is not None
         if r is not None:
             return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
         tried.append(Q)
@@ -326,13 +333,17 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
 
 
 def is_stable(I: Ideal, Q: Ideal) -> bool:
-    """I^2 = QI in k[x,y]_(x,y); raises if Q is not inside I."""
-    if not _contains_all(I, Q.generators):
-        raise NotContained("Q is not contained in I")
-    return _reduction_number(I, Q, 1) is not None
+    """I^2 = QI in k[x,y]_(x,y); raises if Q is not inside I.  The answer
+    is kept on I, keyed by Q's generators (`Ideal._stable`), where
+    `find_reduction` has already left it for every pair it tested."""
+    if Q.generators not in I._stable:
+        if not _contains_all(I, Q.generators):
+            raise NotContained("Q is not contained in I")
+        I._stable[Q.generators] = _reduction_number(I, Q, 1) is not None
+    return I._stable[Q.generators]
 
 
-def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
+def canonical_colon(I: Ideal, Q: Ideal) -> Ideal:
     """J = Q : I in k[x,y]_(x,y), as an m-primary ideal; raises NotStable
     unless I^2 = QI, and NotZeroDimensional unless I has finite colength.
     For contracted I the orders satisfy o(I) = o(J) + 1.
@@ -352,12 +363,11 @@ def canonical_colon(I: Ideal, Q: Ideal, stable: bool | None = None) -> Ideal:
     localization are equal.  The walk multiplies only by B, the generators
     of I left by Q's in a Nakayama prune against m*I (`_nakayama_prune`,
     Q's generators first): Q + B = I locally and Q lies in T, so T : B and
-    T : I are m-primary with one localization.  `stable`, when the caller
-    already knows it, skips recomputing I^2 = QI.  I is contracted iff
+    T : I are m-primary with one localization.  I is contracted iff
     mu(I) = o(I) + 1; I^2 and m*I, hence mu(I), come from `_mul`'s cache,
     so classify's mu(I) and reduction search have built them already.
     """
-    if not (is_stable(I, Q) if stable is None else stable):
+    if not is_stable(I, Q):
         raise NotStable("the canonical colon needs I^2 = QI")
     colength(I)  # raises unless I has finite colength
     sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
@@ -425,10 +435,9 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
                for ref, parts in sides)
 
 
-def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
-                       stable: bool | None = None) -> AGWitness | None:
+def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0) -> AGWitness | None:
     """One generic witness triple, decided by `verify_witness`; None if it
-    fails.
+    fails.  Raises NotStable unless I^2 = QI (`is_stable`).
 
     g, h and f combine mingens(I), mingens(J) and {x, y} with seeded random
     coefficients from S = {1..|S|}, |S| = `fields.MIN_PRIME`: distinct nonzero
@@ -436,11 +445,9 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0,
     condition is a rank in the coefficients, full iff some maximal minor, of
     degree mu(IJ) or mu(mJ), is nonzero; if a witness exists, Schwartz-Zippel
     on the product of two such minors bounds the miss probability by
-    (mu(IJ) + mu(mJ))/|S|.  `stable` skips the I^2 = QI check.
+    (mu(IJ) + mu(mJ))/|S|.
     """
-    if stable is None:
-        stable = is_stable(I, Q)
-    if not stable:
+    if not is_stable(I, Q):
         raise NotStable("certificate search requires I^2 = QI")
     fld = I.field
     i_gens, j_min = _min_gens(I), _min_gens(J)
@@ -564,8 +571,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
         return AGReport(verdict=Verdict.UNKNOWN, notes=tuple(notes), **base)
 
     Q = Ideal(list(reduction.Q))
-    # r <= 1 already means I^2 = QI: no stage below re-checks it on a new Q*I
-    J = canonical_colon(I, Q, stable=True)
+    J = canonical_colon(I, Q)  # find_reduction left I^2 = QI on I
     j_min = _min_gens(J)
     base["colon_gens"] = tuple(j_min)
     base["colon_order"] = ideal_order(J)
@@ -574,7 +580,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     if len(j_min) == 1:
         return AGReport(verdict=Verdict.GORENSTEIN, notes=tuple(notes), **base)
 
-    witness = certificate_search(I, Q, J, seed=cfg.seed, stable=True)
+    witness = certificate_search(I, Q, J, seed=cfg.seed)
     if witness is not None:
         base["witness"] = witness
         return AGReport(verdict=Verdict.AG_CERTIFIED, notes=tuple(notes), **base)

@@ -132,9 +132,6 @@ class RationalField:
     def abs(self, a):
         return -a if a < 0 else a
 
-    def coeff_str(self, a) -> str:
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -221,9 +218,6 @@ class PrimeField:
 
     def abs(self, a):
         return self.p - a if a > self.p // 2 else a
-
-    def coeff_str(self, a) -> str:
-        return str(a - self.p if a > self.p // 2 else a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

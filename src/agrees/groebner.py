@@ -593,10 +593,10 @@ _UNREAD = object()
 
 
 class Ideal:
-    """Generator list plus write-once caches: the reduced grevlex basis, the
-    staircase (`staircase_of_ideal`, None included), and the engine's
+    """Generator list plus four write-once caches: the reduced grevlex
+    basis, the staircase (`staircase_of_ideal`, None included), the engine's
     products with this ideal as right factor (`_products`, keyed by the left
-    factor).
+    factor), and `engine.is_stable`'s I^2 = QI by Q's generators (`_stable`).
 
     The product cache holds its left factors, so an `id` is never reused
     while it is keyed; products go on the right factor, so the shared
@@ -605,7 +605,7 @@ class Ideal:
     but both compute the same value so either insertion is correct.
     """
 
-    __slots__ = ("ring", "field", "generators", "_gb_cache", "_staircase", "_products")
+    __slots__ = ("ring", "field", "generators", "_gb_cache", "_staircase", "_products", "_stable")
 
     def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -623,6 +623,7 @@ class Ideal:
         self._gb_cache: dict = {}
         self._staircase = _UNREAD
         self._products: dict[Ideal, Ideal] = {}
+        self._stable: dict[tuple[Polynomial, ...], bool] = {}
 
     def groebner_basis(self) -> GroebnerBasis:
         """The reduced grevlex basis, built once."""
@@ -886,27 +887,21 @@ def is_origin_primary(I: Ideal) -> bool:
 
     A monomial ideal answers from its staircase, with no basis built, as
     `colength` does: exactly when the staircase holds pure powers of x and y
-    and is not (1).  Otherwise finite colength alone admits zeros away from
-    the origin; those are ruled out by checking that pure variable powers
-    lie in the ideal itself (the nilpotency index on R/I is at most its
-    length).
+    and is not (1).  Any other needs a finite nonzero `colength`, which
+    alone admits zeros away from the origin; those are ruled out by checking
+    that pure variable powers lie in the ideal itself (the nilpotency index
+    on R/I is at most its length).
     """
-    if I.ring.arity != 2:
-        return False
     stair = staircase_of_ideal(I)
     if stair is not None:
         return stair.is_m_primary and stair.gens != ((0, 0),)
+    try:
+        ell = colength(I)
+    except NotZeroDimensional:
+        return False  # another ring, the zero ideal or infinite colength
     gb = I.groebner_basis()
-    if not gb.entries:
-        return False
-    leads = gb.leading_exponents()
-    if any(e == (0, 0) for e in leads):
-        return False  # unit ideal
-    if not any(e[1] == 0 for e in leads) or not any(e[0] == 0 for e in leads):
-        return False
-    ell = gb.colength()
     powers = [Polynomial.monomial(I.ring, I.field, e) for e in ((ell, 0), (0, ell))]
-    return all(normal_form(pw, gb).is_zero for pw in powers)
+    return ell > 0 and all(normal_form(pw, gb).is_zero for pw in powers)
 
 
 _MAXIMAL: dict = {}  # (ring, field) -> its maximal_ideal

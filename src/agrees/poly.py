@@ -416,11 +416,11 @@ class Polynomial:
             elif exp > 1:
                 factors.append(f"{name}^{exp}")
         if not factors:
-            return self.field.coeff_str(mag)
+            return str(mag)
         mono = "*".join(factors)
         if mag == self.field.one:
             return mono
-        return f"{self.field.coeff_str(mag)}*{mono}"
+        return f"{mag}*{mono}"
 
     def __repr__(self):
         return f"Polynomial({self})"

@@ -132,7 +132,7 @@ def check_boundary_witnesses(seed: int) -> CheckResult:
     for n, alpha, beta in boundary:
         I = make_family("contracted-o3", {"n": n, "alpha": alpha, "beta": beta})
         rep = classify(I, ClassifyConfig(seed=seed))
-        J = canonical_colon(I, _mono_ideal([(3, 0), (0, n)]), stable=True)
+        J = canonical_colon(I, _mono_ideal([(3, 0), (0, n)]))
         h = _poly(f"x^2 - y^{n - alpha}")
         if not (rep.verdict is Verdict.AG_CERTIFIED
                 and verify_witness(I, J, _poly("y"), _poly("x^3"), h)):
@@ -181,7 +181,7 @@ def check_three_gen_branches(seed: int) -> CheckResult:
             if 2 * alpha == n:
                 ok = rep.verdict is Verdict.AG_CERTIFIED
                 Q = _mono_ideal([(3, 0), (0, n)])
-                J = canonical_colon(I, Q, stable=True)
+                J = canonical_colon(I, Q)
                 ok = ok and verify_witness(I, J, _poly("y"), _poly(f"y^{n}"), _poly("x"))
             else:
                 ref = rep.refutation
@@ -206,7 +206,7 @@ def check_high_order_family(seed: int) -> CheckResult:
             red = find_reduction(I, seed=seed)
             q_exps = sorted(g.monomial_exponent() for g in red.Q)
             ok = ok and q_exps == [(0, n), (m, 0)] and red.stable
-            J = canonical_colon(I, Ideal(list(red.Q)), stable=True)
+            J = canonical_colon(I, Ideal(list(red.Q)))
             ok = ok and staircase_of_ideal(J) == staircase_power(m_stair, m - 1)
             rep = classify(I, ClassifyConfig(seed=seed))
             ok = ok and rep.verdict is Verdict.AG_CERTIFIED
@@ -303,7 +303,7 @@ def check_order_two(seed: int) -> CheckResult:
         if not is_stable(I, Q):
             bad += 1
             continue
-        J = canonical_colon(I, Q, stable=True)
+        J = canonical_colon(I, Q)
         rep = classify(I, ClassifyConfig(seed=seed))
         if rep.verdict is Verdict.NOT_AG:
             bad += 1

@@ -1,5 +1,6 @@
 """Classifier pipeline: reductions, stability, certificates, refutations."""
 
+import inspect
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -21,7 +22,7 @@ from agrees.engine import (
     validate_report,
     verify_witness,
 )
-from agrees.errors import BadParameters, NotContained, NotStable
+from agrees.errors import BadParameters, NotContained, NotStable, ZeroIdeal
 from agrees.families import coordinate_twin, family_exponents, make_family
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
@@ -76,6 +77,9 @@ def test_reduction_random_combination():
     lhs = ideal_pow(I, r + 1)
     rhs = ideal_product(Q, ideal_pow(I, r)) if r else Q
     assert ideal_equal(lhs, rhs)
+    # the zero ideal has no generator to draw a combination from
+    with pytest.raises(ZeroIdeal):
+        find_reduction(Ideal([Polynomial.zero(BASE_RING, QQ)]))
 
 
 def test_reduction_deterministic():
@@ -267,33 +271,91 @@ def test_stability_requires_containment():
         is_stable(ideal("x^3, y^6"), ideal("x^2, y^6"))
 
 
+def test_stages_decide_stability_themselves():
+    # the colon and the certificate take no flag to trust in place of
+    # I^2 = QI, and refuse (6, 2, 3) against its pure powers, which are no
+    # reduction
+    for stage in (canonical_colon, certificate_search):
+        assert "stable" not in inspect.signature(stage).parameters
+    I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
+    Q = ideal("x^3, y^6")
+    with pytest.raises(NotStable):
+        canonical_colon(I, Q)
+    with pytest.raises(NotStable):
+        certificate_search(I, Q, ideal("x, y"))
+
+
+def _count_reduction_numbers(monkeypatch) -> list:
+    calls = []
+    real = engine._reduction_number
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_reduction_number", spy)
+    return calls
+
+
+def test_stability_after_find_reduction_is_a_lookup(monkeypatch):
+    # find_reduction leaves I^2 = QI on I for the pair it returns: a binomial
+    # Newton pair (the vertex split of (6, 2, 3)), a pure-power pair, a
+    # stable twin and a twin with r = 3
+    cases = [make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}),
+             ideal("x^3, x^2 y^3, x y^5, y^6"),
+             _flagship_twin(),
+             coordinate_twin([(4, 0), (3, 1), (0, 4)], 2, QQ)]
+    calls = _count_reduction_numbers(monkeypatch)
+    for I in cases:
+        red = find_reduction(I)
+        calls.clear()
+        assert is_stable(I, Ideal(list(red.Q))) is red.stable
+        assert calls == [], I
+    assert staircase_of_ideal(Ideal(list(find_reduction(cases[0]).Q))) is None
+    # a fresh pair is decided once, by one rank test, and then remembered
+    I = ideal("x^3, x^2 y^3, x y^5, y^6")
+    for expected in ([1], []):
+        calls.clear()
+        assert is_stable(I, ideal("x^3, y^6"))
+        assert calls == expected
+
+
+def test_validator_decides_stability_itself(monkeypatch):
+    # validate_report copies I, so the answer classify left on I does not
+    # reach it: its linkage check runs its own rank test
+    I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
+    report = classify(I)
+    assert report.verdict is Verdict.NOT_AG
+    calls = _count_reduction_numbers(monkeypatch)
+    assert validate_report(I, report)
+    assert 1 in calls
+
+
 # -- canonical colon -------------------------------------------------------------
 
 def test_colon_order_three_family():
     I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
-    J = canonical_colon(I, ideal("x^3, y^6"), stable=True)
+    J = canonical_colon(I, ideal("x^3, y^6"))
     assert staircase_of_ideal(J).gens == ((2, 0), (1, 1), (0, 3))
 
 
 def test_colon_high_order_family_is_maximal_power():
     I = make_family("power-order", {"m": 3, "n": 4})
-    J = canonical_colon(I, ideal("x^3, y^4"), stable=True)
+    J = canonical_colon(I, ideal("x^3, y^4"))
     assert staircase_of_ideal(J).gens == ((2, 0), (1, 1), (0, 2))
 
 
 def test_colon_of_parameter_ideal_is_unit():
     Q = ideal("x^3, y^6")
-    J = canonical_colon(Q, Q, stable=True)
+    J = canonical_colon(Q, Q)
     assert staircase_of_ideal(J).gens == ((0, 0),)
 
 
 def test_colon_requires_stability():
     # (6, 2, 3) is not stable against its pure powers, which are no reduction
     I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
-    Q = ideal("x^3, y^6")
-    for stable in (None, False):
-        with pytest.raises(NotStable):
-            canonical_colon(I, Q, stable=stable)
+    with pytest.raises(NotStable):
+        canonical_colon(I, ideal("x^3, y^6"))
 
 
 def test_colon_of_a_pair_vanishing_away_from_the_origin():
@@ -328,7 +390,7 @@ def test_colon_matches_reference_on_twins(field):
             if not red.stable:
                 continue
             Q = Ideal(list(red.Q))
-            J = canonical_colon(I, Q, stable=True)
+            J = canonical_colon(I, Q)
             assert J.generators == _reference_colon(I, Q).generators, I
             checked += 1
     assert checked >= 20
@@ -348,7 +410,7 @@ def test_colon_matches_reference_on_vertex_splits(field):
         Q = Ideal(list(red.Q))
         if not red.stable or staircase_of_ideal(Q) is not None:
             continue
-        J = canonical_colon(I, Q, stable=True)
+        J = canonical_colon(I, Q)
         assert J.generators == _reference_colon(I, Q).generators, I
         checked += 1
     assert checked >= 16
@@ -378,7 +440,7 @@ def test_colon_walks_only_the_generators_q_leaves(field, monkeypatch):
         assert red.stable
         Q = Ideal(list(red.Q))
         walked.clear()
-        J = canonical_colon(I, Q, stable=True)
+        J = canonical_colon(I, Q)
         assert walked == [n_walked]
         assert J.generators == _reference_colon(I, Q).generators
         if not n_walked:
@@ -391,7 +453,7 @@ def test_colon_of_infinite_colength_raises():
     for text in ("x^2 + x y, x y^2", "x^2, x y"):
         I = ideal(text)
         with pytest.raises(NotZeroDimensional):
-            canonical_colon(I, I, stable=True)
+            canonical_colon(I, I)
 
 
 def test_classify_builds_no_basis_twice(monkeypatch):
@@ -704,7 +766,7 @@ def test_mu_of_ij_is_the_rank_of_its_products(field, seed):
         partners = [make(T.gens)]
         red = find_reduction(I)
         if red.stable:
-            partners.append(canonical_colon(I, Ideal(list(red.Q)), stable=True))
+            partners.append(canonical_colon(I, Ideal(list(red.Q))))
         for J in partners:
             if len(minimal_generators(J)) < 2:
                 continue
@@ -790,7 +852,7 @@ def test_order_drop_for_contracted_stable():
         Q = ideal(f"x^2, y^{n}")
         if not is_stable(I, Q):
             continue
-        J = canonical_colon(I, Q, stable=True)  # raises internally if the drop fails
+        J = canonical_colon(I, Q)  # raises internally if the drop fails
         from agrees.groebner import ideal_order
 
         assert ideal_order(I) == ideal_order(J) + 1
@@ -802,7 +864,7 @@ def test_order_drop_for_contracted_stable():
 def test_certificate_high_order_simplest():
     I = ideal("x^2, x y^4, y^5")
     Q = ideal("x^2, y^5")
-    J = canonical_colon(I, Q, stable=True)
+    J = canonical_colon(I, Q)
     w = certificate_search(I, Q, J)
     assert w is not None and w == certificate_search(I, Q, J)
     assert verify_witness(I, J, w.f, w.g, w.h)
@@ -813,7 +875,7 @@ def test_certificate_high_order_simplest():
 def test_certificate_boundary_family():
     I = ideal("x^3, x^2 y^3, x y^4, y^5")
     Q = ideal("x^3, y^5")
-    J = canonical_colon(I, Q, stable=True)
+    J = canonical_colon(I, Q)
     w = certificate_search(I, Q, J)
     assert w is not None and verify_witness(I, J, w.f, w.g, w.h)
     # the published triple also verifies
@@ -823,7 +885,7 @@ def test_certificate_boundary_family():
 def test_certificate_three_gen_even_case():
     I = ideal("x^3, x^2 y^2, y^4")
     Q = ideal("x^3, y^4")
-    J = canonical_colon(I, Q, stable=True)
+    J = canonical_colon(I, Q)
     w = certificate_search(I, Q, J)
     assert w is not None and verify_witness(I, J, w.f, w.g, w.h)
     assert verify_witness(I, J, poly("y"), poly("y^4"), poly("x"))
@@ -839,7 +901,7 @@ def test_certificate_requires_stability():
 def test_certificate_deterministic():
     I = ideal("x^3, x^2 y^3, x y^4, y^5")
     Q = ideal("x^3, y^5")
-    J = canonical_colon(I, Q, stable=True)
+    J = canonical_colon(I, Q)
     w1 = certificate_search(I, Q, J, seed=3)
     w2 = certificate_search(I, Q, J, seed=3)
     assert w1 == w2
@@ -883,7 +945,7 @@ def _pinned_case(name):
     else:
         I = ideal("x^4, x^3 y^2, x^2 y^4, x y^5, y^7", FP)
     Q = Ideal(list(find_reduction(I).Q))
-    return I, Q, canonical_colon(I, Q, stable=True)
+    return I, Q, canonical_colon(I, Q)
 
 
 @pytest.mark.parametrize("name", PINNED)
@@ -938,7 +1000,7 @@ def test_verify_witness_matches_groebner_route(name):
                 [Polynomial.monomial(BASE_RING, field, e) for e in S.gens])
             red = find_reduction(I)
             if red.stable:
-                yield I, canonical_colon(I, Ideal(list(red.Q)), stable=True)
+                yield I, canonical_colon(I, Ideal(list(red.Q)))
 
     if name in PINNED:
         I, _, J = _pinned_case(name)
@@ -1086,7 +1148,7 @@ def _refuter_numbers(i_exps, j_exps, view):
         x = x + y.scale(field.from_int(2))
     I = Ideal([x ** a * y ** b for a, b in i_exps])
     Q = Ideal([x ** i_exps[0][0], y ** i_exps[-1][1]])
-    J = canonical_colon(I, Q, stable=True)
+    J = canonical_colon(I, Q)
     ref = necessary_bound(I, J, Q=Q)
     got = (ref.mu_IJ, ref.mu_mJ, ref.rank_I, ref.rank_m, ref.min_sum)
     mu_ij, mu_mj, r_i, r_m = generic_ranks(i_exps, j_exps)
@@ -1121,7 +1183,7 @@ def test_refuter_min_sum_at_least_two():
     for args in ({"n": 6, "alpha": 3, "beta": 5}, {"n": 8, "alpha": 5, "beta": 7}):
         I = make_family("contracted-o3", args)
         Q = ideal(f"x^3, y^{args['n']}")
-        J = canonical_colon(I, Q, stable=True)
+        J = canonical_colon(I, Q)
         assert necessary_bound(I, J, Q=Q).min_sum >= 2
 
 
@@ -1219,7 +1281,7 @@ def test_validate_report_rederives_the_colon():
     rep = classify(I)
     assert rep.verdict is Verdict.AG_CERTIFIED and validate_report(I, rep)
     m = ideal("x, y")
-    w = certificate_search(I, Ideal(list(rep.reduction.Q)), m, stable=True)
+    w = certificate_search(I, Ideal(list(rep.reduction.Q)), m)
     assert w is not None and verify_witness(I, m, w.f, w.g, w.h)
     assert not validate_report(I, replace(rep, colon_gens=m.generators, witness=w))
 
@@ -1230,7 +1292,9 @@ def test_validate_report_rederives_the_colon():
     assert rep.verdict is Verdict.AG_CERTIFIED and validate_report(I, rep)
     Q = ideal("x^3, y^6")
     J = ideal_colon(Ideal(list(Q.generators) + list(ideal_product(I, I).generators)), I)
-    w = certificate_search(I, Q, J, stable=True)
+    # the triple depends only on I, J and the seed: drawn through the guard
+    # of the stable reduction, it is the witness for Q's colon all the same
+    w = certificate_search(I, Ideal(list(rep.reduction.Q)), J)
     assert w is not None and verify_witness(I, J, w.f, w.g, w.h)
     forged = replace(rep, reduction=replace(rep.reduction, Q=Q.generators),
                      colon_gens=tuple(minimal_generators(J)), witness=w)
@@ -1309,7 +1373,7 @@ def test_classify_without_a_reduction_is_unknown():
     I = coordinate_twin([(10, 0), (3, 7), (0, 10)], 2, FP)
     rep = classify(I)
     assert rep.verdict is Verdict.UNKNOWN and rep.reduction is None
-    assert rep.notes == ("verdict undecided: no reduction with r <= 4 among 30 pairs",)
+    assert rep.notes == ("verdict undecided: no reduction with r <= 4 among 32 pairs",)
     assert validate_report(I, rep)
     assert rees._relation_type_bound(I) is None
 

@@ -825,7 +825,7 @@ def test_colon_basis_is_the_buchberger_basis(field, seed):
         unit = ideal_colon(A, A)
         red = find_reduction(A)
         if red.stable:
-            canonical_colon(A, Ideal(list(red.Q)), stable=True)
+            canonical_colon(A, Ideal(list(red.Q)))
     assert len(colons) == bool(B) + len(vanishing) + 1 + red.stable
     pk = GREVLEX.packer(BASE_RING)
     for A, B, J in colons:
@@ -1027,6 +1027,7 @@ def test_origin_primary_non_primary_shapes():
     assert not is_origin_primary(ideal("x + 1, x"))   # unit ideal
     assert not is_origin_primary(Ideal(parse_ideal_spec("x, y, t", Ring(("x", "y", "t")), QQ)))
     assert not is_origin_primary(Ideal([Polynomial.zero(BASE_RING, QQ)]))  # the zero ideal
+    assert not is_origin_primary(ideal("x^2 + x*y, x*y^2"))  # infinite colength
 
 
 def test_origin_primary_with_a_large_prime_in_the_basis():

@@ -475,3 +475,7 @@ def test_str_symmetric_representatives_over_fp():
     x = Polynomial.variable(BASE_RING, FP, "x")
     p = x.scale(FP.from_int(-1))
     assert str(p) == "-x"
+    # coefficients above p/2 print as their negatives' magnitudes
+    y = Polynomial.variable(BASE_RING, FP, "y")
+    assert str(x - y.scale(FP.from_int(3))) == "x - 3*y"
+    assert str(Polynomial.one(BASE_RING, FP).scale(FP.from_int(-5))) == "-5"
