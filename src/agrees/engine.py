@@ -6,8 +6,8 @@ sparse echelon (`groebner._echelon_reduce`, here only through `_rank`) over
 normal forms, each taken modulo one reduced basis.  A rank reads no row's
 scale, so every Nakayama test and membership test takes
 `GroebnerBasis.reduce_row`, a positive multiple of the normal form kept as
-a packed integer row; only the refuter, whose samples combine normal
-forms, takes the exact ones by `GroebnerBasis.reduce`.
+an integer row; only the refuter, whose samples combine normal forms,
+takes the exact ones by `GroebnerBasis.reduce`.
 The pipeline: find a 2-generated reduction Q of I (a rank in
 I^(r+1)/m*I^(r+1), or for a monomial I with r <= 1 a count of lengths; Q
 may vanish away from the origin), require stability (I^2 = QI), read
@@ -175,21 +175,24 @@ def _mul(A: Ideal, B: Ideal) -> Ideal:
 
 # Elements of R/top are normal forms modulo top's reduced basis, and so are
 # rows for `_rank` with one column per monomial: up to a positive scale, as
-# integer rows keyed by packed words (`GroebnerBasis.reduce_row`), for a
-# rank; as field values keyed by exponent tuples (`GroebnerBasis.reduce`)
-# where the refuter combines rows.  For a monomial top a product keeps its
-# single term exactly when it lies outside top.
+# integer rows (`GroebnerBasis.reduce_row`, keyed by packed words, or by
+# exponent tuples for a monomial top, where a product keeps its single term
+# exactly when it lies outside top), for a rank; as field values keyed by
+# exponent tuples (`GroebnerBasis.reduce`) where the refuter combines rows.
 
 def _rank(rows: list[dict], fld) -> int:
-    """dim_k of the span of sparse rows {column: value}, with mutually
-    comparable columns: one echelon keyed by the largest column, built from
-    copies of the rows without their zero entries (a `_combine` can cancel
-    one).  The engine's only reader of `_echelon_reduce`: every Nakayama
-    test and refuter sample is a `_rank`."""
+    """dim_k of the span of sparse rows {column: field value}, with mutually
+    comparable columns, leaving the rows as they are: one echelon keyed by
+    the largest column, built from copies of the rows without their zero
+    entries (a `_combine` can cancel one), each cleared to an integer row
+    (`field.clear`).  The engine's only reader of `_echelon_reduce`: every
+    Nakayama test and refuter sample is a `_rank`."""
     echelon: dict = {}
     zero = fld.zero
     for row in rows:
-        _echelon_reduce({col: v for col, v in row.items() if v != zero}, echelon, fld)
+        r = {col: v for col, v in row.items() if v != zero}
+        fld.clear(r)
+        _echelon_reduce(r, echelon, fld)
     return len(echelon)
 
 

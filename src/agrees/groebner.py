@@ -24,7 +24,7 @@ so no step builds a tuple or calls a key.  A run packs each input monomial
 once, and `_update_pairs` packs each distinct lcm once, computing lcms,
 degrees and weights on the lead tuples it keeps next to the words.  A
 normal form whose scale does not matter, one a rank or a zero test reads,
-stays a packed integer row: `GroebnerBasis.reduce_row` packs its input and
+stays an integer row: `GroebnerBasis.reduce_row` packs its input and
 hands back the row `_nf_dict` returns.  Everything else outside the
 kernels is on exponent tuples: `GroebnerBasis.reduce`, read only by
 `normal_form` and the refuter, packs its input and unpacks the remainder,
@@ -34,9 +34,13 @@ only as columns that compare.
 
 The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
 rows of plain integers, one kernel for both fields; the field supplies what
-differs.  `field.clear` writes field values as a unit times integers (over
-q it clears denominators, and an integral row, whose values are ints,
-enters as it is with unit 1; over fp a residue is already an integer),
+differs.  Every row a kernel steps on is an integer row: `field.clear`
+writes field values as a unit times integers (over q it clears
+denominators, and a row of ints enters as it is with unit 1; over fp a
+residue is already an integer), and it runs once at each place where field
+values enter: both branches of `reduce_row`, a Buchberger run's inputs,
+`_nf_dict`'s exact mode, `_colon`'s augmented rows, `_sum`'s forms and
+`engine._rank`'s copies.  `_echelon_reduce` takes integer rows only.
 `field.cross(c, b)` gives multipliers (a, s) with a*c = s*b, and
 `field.normalize` keeps every stored row primitive (over q: content 1, lead
 positive) or monic (over fp, where a is therefore always 1).  Every kernel
@@ -50,7 +54,7 @@ A reduced basis is stored in one form, the kernels' packed entries (lm, lc,
 row) that `_buchberger` returns.  A run clears its inputs once; its S-pair and
 interreduction remainders stay integer rows.  Field values are made again
 only where a value leaves a kernel: the remainder `GroebnerBasis.reduce`
-returns (`reduce_row` makes none), the colon walk's exact forms, the monic
+returns (`reduce_row` makes none), the walk's exact forms, the monic
 polynomials `_monic_polynomial` builds once from a basis's entries, and a
 kernel vector a caller reads off an echelon.
 
@@ -61,7 +65,8 @@ only, as a lead dividing a term below its own is smaller, so swept.  A
 Buchberger run hands it its basis; three kernels read one with no run and
 hand it on through `_finish`.  The colon (`_colon`) and the sum C + (F)
 (`_sum`) read the forms NF(s*b) over standard monomials s off one walk
-(`_walk`): the colon hands on the basis it starts from plus its kernel
+(`_walk`), in exact field values, which each clears as it enters them in
+its echelon: the colon hands on the basis it starts from plus its kernel
 rows, the sum C's basis plus an echelon of the forms.  For m*P with P of
 finite colength in k[x,y] (`_times_maximal`), the products x*g and y*g
 over P's reduced basis plus an echelon of its consecutive S-pairs'
@@ -72,10 +77,10 @@ lattice module that knows no ideals).  This module is the one bridge
 between the two: `staircase_of_ideal` reads an ideal's staircase once and
 caches it on the ideal, and `ideal_of_staircase` builds the ideal of a
 staircase with it cached.  A monomial ideal's `colength` and reduced basis
-are read off its staircase, and a basis of single monomials reduces by a
-term filter in place of `_nf_dict` (`GroebnerBasis.reduce_row`, which
-`reduce` puts in canonical form).  Every other ideal, the zero ideal and
-monomial ideals in more variables included, goes through Buchberger.
+are read off its staircase, and its basis's `reduce_row` is a term filter
+in place of `_nf_dict`; `reduce` runs `_nf_dict` on every basis.  Every
+other ideal, the zero ideal and monomial ideals in more variables
+included, goes through Buchberger.
 """
 
 from __future__ import annotations
@@ -176,20 +181,19 @@ def _nf_dict(p: _Row, basis: list, guard: int, field, integral: bool = False) ->
 
 
 def _echelon_reduce(r: dict, rows: dict, field):
-    """Reduce r in place against an echelon {lead column: row}, columns
-    ordered as they compare (packed words in their monomial order, tuples
-    as tuples), and store what is left in the echelon under its lead, a
-    column the echelon lacks; return that lead, or None when r reduces
-    to 0.
+    """Reduce the integer row r in place against an echelon {lead column:
+    row}, columns ordered as they compare (packed words in their monomial
+    order, tuples as tuples), and store what is left in the echelon under
+    its lead, a column the echelon lacks; return that lead, or None when r
+    reduces to 0.
 
-    r arrives with field values and is cleared to an integer row first.  A
+    A caller holding field values clears them first (`field.clear`).  A
     step is one unshifted `_cancel` of r's lead against the row's; a rank
     or a kernel's span does not depend on row scale (fraction-free
     elimination, Bareiss 1968).  What is left is `field.normalize`d, so the
     stored rows are primitive (over q) or monic (over fp); a caller reading
     a kernel vector off r takes its integers back to field values.
     """
-    field.clear(r)
     while r:
         lm = max(r)
         row = rows.get(lm)
@@ -464,20 +468,18 @@ class GroebnerBasis:
     grevlex words sorted by descending lead: primitive integer rows over
     q, monic rows over fp, which a kernel such as `_walk` divides by.
     `reduce` divides by them for `normal_form` and the refuter, packing its
-    input and unpacking the remainder, and `reduce_row` hands back the
-    integer remainder, a positive multiple of the normal form; the monic
+    input and unpacking the remainder, and `reduce_row` hands back an
+    integer row, a positive multiple of the normal form; the monic
     `elements` and the `leading_exponents` are unpacked from them once, when
     first read, and so is `staircase`, the staircase of the leads, with the
     `colength` it gives.  `minimal_generators` keeps its Nakayama prune of
     the elements beside them (`_mingens`), so each basis is pruned once.
 
-    A basis of single monomials in k[x,y] (a monomial ideal's, or a
-    Buchberger run's that came out monomial) reduces by a term filter
-    instead, in `reduce_row`: `_corners` is its staircase, the leading
-    x-exponents ascending and their y-exponents; None for every other basis.
-    A monomial ideal's basis is made from its staircase `stair` alone, with
-    no run: its entries are the corners' packed words, sorted as they
-    compare.
+    A monomial ideal's basis in k[x,y] is made from its staircase `stair`
+    alone, with no run: its entries are the corners' packed words, sorted
+    as they compare, and `_corners` is the staircase, the x-exponents
+    ascending and their y-exponents, which `reduce_row` filters terms by;
+    None for every other basis.
     """
 
     __slots__ = ("ring", "field", "entries", "_pk", "_leads", "_elements",
@@ -496,13 +498,9 @@ class GroebnerBasis:
         self.entries = entries
         if stair is not None:
             self.entries = [(w, 1, {w: 1}) for w in sorted(map(pk.pack, stair.gens), reverse=True)]
+            # an antichain: x-exponents distinct, y-exponents falling
             corners = stair.gens[::-1]
-        elif ring.arity == 2 and all(len(row) == 1 for _, _, row in entries):
-            corners = sorted(self.leading_exponents())
-        else:
-            return
-        # an antichain: x-exponents distinct, y-exponents falling
-        self._corners = ([a for a, _ in corners], [b for _, b in corners])
+            self._corners = ([a for a, _ in corners], [b for _, b in corners])
 
     @property
     def elements(self) -> tuple[Polynomial, ...]:
@@ -518,51 +516,39 @@ class GroebnerBasis:
 
     def reduce(self, terms: _Term) -> _Term:
         """Normal form of a term dict modulo the basis, as a term dict of
-        field values, for `normal_form` and the refuter.  Normal forms are
-        k-linear: the normal form of sum_j c_j * p_j is sum_j c_j * NF(p_j).
-
-        Modulo a monomial basis of k[x,y] the normal form keeps exactly the
-        terms that no leading monomial divides, found by one bisection in
-        `reduce_row`: the corner with the largest x-exponent <= a has the
-        smallest y-exponent among those, so (a, b) lies in the ideal iff
-        that one is <= b.  The kept values are put in the field's canonical
-        form (an integral Fraction over q becomes its int), as `_nf_dict`
-        returns them.
-        """
-        if self._corners is None:
-            pk = self._pk
-            pack, unpack = pk.pack, pk.unpack
-            # looked up on the module, so a wrapper bound there sees this call too
-            rem = _nf_dict({pack(m): c for m, c in terms.items()}, self.entries, pk.guard,
-                           self.field)
-            return {unpack(w): c for w, c in rem.items()}
-        kept = self.reduce_row(terms)
-        field = self.field
-        unit = field.clear(kept)
-        if unit != 1:
-            for m, c in kept.items():
-                kept[m] = field.mul(c, unit)
-        return kept
+        field values, for `normal_form` and the refuter: `_nf_dict`'s exact
+        mode on the packed terms, unpacked.  Normal forms are k-linear: the
+        normal form of sum_j c_j * p_j is sum_j c_j * NF(p_j)."""
+        pk = self._pk
+        pack, unpack = pk.pack, pk.unpack
+        # looked up on the module, so a wrapper bound there sees this call too
+        rem = _nf_dict({pack(m): c for m, c in terms.items()}, self.entries, pk.guard,
+                       self.field)
+        return {unpack(w): c for w, c in rem.items()}
 
     def reduce_row(self, terms: _Term) -> dict:
-        """A positive multiple of the normal form of a term dict, for a
-        caller that reads only its span or whether it is zero: a rank, a
-        membership test.  Modulo a general basis it is `_nf_dict`'s integer
-        row, keyed by packed words: the terms are packed and cleared, and
-        no word is unpacked and no field value made.  Modulo a monomial
-        basis of k[x,y] it is the term filter `reduce` puts in canonical
-        form, keyed by exponent tuples, its values as they came."""
+        """A positive multiple of the normal form of a term dict, as an
+        integer row, for a caller that reads only its span or whether it is
+        zero: a rank, a membership test.  The terms are cleared once
+        (`field.clear`), and no field value is made.  Modulo a staircase
+        basis it is the term filter, keyed by exponent tuples: a term stays
+        exactly when no corner divides it, and the corner with the largest
+        x-exponent <= a has the smallest y-exponent among those, so one
+        bisection decides (a, b).  Modulo any other basis it is `_nf_dict`'s
+        integer row, keyed by packed words, none of them unpacked."""
         corners = self._corners
-        if corners is None:
-            pk = self._pk
-            pack = pk.pack
-            row = {pack(m): c for m, c in terms.items()}
-            self.field.clear(row)
-            # looked up on the module, so a wrapper bound there sees this call too
-            return _nf_dict(row, self.entries, pk.guard, self.field, True)
-        xs, ys = corners
-        return {m: c for m, c in terms.items()
-                if not (i := bisect_right(xs, m[0])) or ys[i - 1] > m[1]}
+        if corners is not None:
+            xs, ys = corners
+            kept = {m: c for m, c in terms.items()
+                    if not (i := bisect_right(xs, m[0])) or ys[i - 1] > m[1]}
+            self.field.clear(kept)
+            return kept
+        pk = self._pk
+        pack = pk.pack
+        row = {pack(m): c for m, c in terms.items()}
+        self.field.clear(row)
+        # looked up on the module, so a wrapper bound there sees this call too
+        return _nf_dict(row, self.entries, pk.guard, self.field, True)
 
     def leading_exponents(self) -> list[Exponent]:
         leads = self._leads
@@ -730,21 +716,17 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(trimmed)
 
 
-def _walk(top: GroebnerBasis, gens: Sequence[Polynomial], D: GroebnerBasis, integral: bool):
+def _walk(top: GroebnerBasis, gens: Sequence[Polynomial], D: GroebnerBasis):
     """Yield each standard monomial s of the basis D, of finite colength in
     k[x,y], in ascending grevlex order, with its nonzero forms
     (j, NF_top(s*g_j)), j the index of g_j in gens: packed rows of exact
-    field values or, when `integral`, positive multiples of them.  A form
-    is its parent's (s with one variable less) shifted by that variable and
-    reduced again, as NF(v*s*g) = NF(v*NF(s*g)); a vanished form has no
-    successor."""
+    field values, `_nf_dict`'s exact mode.  A form is its parent's (s with
+    one variable less) shifted by that variable and reduced again, as
+    NF(v*s*g) = NF(v*NF(s*g)); a vanished form has no successor."""
     field, pk, entries = top.field, top._pk, top.entries
     pack, guard = pk.pack, pk.guard
     px, py = pack((1, 0)), pack((0, 1))
     start = [(j, {pack(m): c for m, c in g.terms.items()}) for j, g in enumerate(gens)]
-    if integral:
-        for _, row in start:
-            field.clear(row)
     forms: dict = {}  # s -> its nonzero forms
     for s in standard_monomials(D.staircase()):
         a, b = s
@@ -756,7 +738,7 @@ def _walk(top: GroebnerBasis, gens: Sequence[Polynomial], D: GroebnerBasis, inte
             prods = start
         # looked up on the module, so a wrapper bound there sees these calls too
         forms[s] = nfs = [(j, r) for j, p in prods
-                          if (r := _nf_dict(p, entries, guard, field, integral))]
+                          if (r := _nf_dict(p, entries, guard, field))]
         yield s, nfs
 
 
@@ -787,18 +769,20 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
     R/C -> (R/A)^|B| whose kernel is (A : (B))/C, exactly and globally.
     The row of a standard monomial s of C holds its image, `_walk`'s exact
     forms, in columns (j, m), and a combination column (-1, w), w the word
-    of s, below them.  The walk is ascending, so w is the largest
-    combination column yet, never cancelled: a row whose reduced lead is
-    (-1, w) has a zero image, and its combination columns are a kernel row
-    led by s (with no nonzero b every row is one).
+    of s, below them; it is cleared as one row, so its components keep one
+    scale.  The walk is ascending, so w is the largest combination column
+    yet, never cancelled: a row whose reduced lead is (-1, w) has a zero
+    image, and its combination columns are a kernel row led by s (with no
+    nonzero b every row is one).
     """
     field = A.field
     gb = C.groebner_basis()
     pack = gb._pk.pack
     echelon: dict = {}  # lead column -> reduced augmented row, kernel rows included
-    for s, forms in _walk(A.groebner_basis(), B, gb, False):
+    for s, forms in _walk(A.groebner_basis(), B, gb):
         row = {(j, m): c for j, f in forms for m, c in f.items()}
         row[-1, pack(s)] = field.one
+        field.clear(row)
         _echelon_reduce(row, echelon, field)
     return _finish(gb, gb.entries, {w: {m: c for (_, m), c in row.items()}
                                     for (j, w), row in echelon.items() if j < 0})
@@ -809,13 +793,16 @@ def _sum(C: Ideal, F: Sequence[Polynomial], D: Ideal) -> Ideal:
     colength with D*F inside C, generated by its reduced basis, which it
     carries cached.  D*f lies in C, so r*f = NF_D(r)*f modulo C, and
     (C + (F))/C is the k-span of NF_C(s*f) over the standard monomials s of
-    D and the f in F, exactly and globally: `_walk`'s integer rows, as a
-    span reads no scale, echeloned."""
+    D and the f in F, exactly and globally: `_walk`'s forms, each cleared to
+    an integer row on its own, as a span reads no scale, echeloned."""
     gb = C.groebner_basis()
+    field = gb.field
     echelon: dict = {}
-    for _, forms in _walk(gb, F, D.groebner_basis(), True):
-        for _, r in forms:
-            _echelon_reduce(dict(r), echelon, gb.field)
+    for _, forms in _walk(gb, F, D.groebner_basis()):
+        for _, f in forms:
+            r = dict(f)
+            field.clear(r)
+            _echelon_reduce(r, echelon, field)
     return _finish(gb, gb.entries, echelon)
 
 

@@ -1515,6 +1515,49 @@ def test_contracted_order_at_most_two_is_almost_gorenstein():
         assert (verdicts.count(Verdict.GORENSTEIN), verdicts.count(Verdict.AG_CERTIFIED)) == counts
 
 
+def _partitions(n, top=None):
+    """The partitions of n into parts <= top (any part when top is None),
+    as tuples with their largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, top or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def test_census_of_monomial_ideals_up_to_colength_20():
+    # every m-primary monomial ideal of colength <= 20, one per partition of
+    # its colength (row b of the Young diagram holds the standard monomials
+    # x^a*y^b, a < its part), classified over fp with seed 0.  Gates, never
+    # loosened: GMTY1 (integrally closed => AG); the paper's main theorem
+    # (contracted with o <= 2 => AG); swapping x and y, which takes a
+    # partition to its conjugate, keeps the verdict; and up to colength 16
+    # `validate_report` accepts every decided report.
+    ag = (Verdict.GORENSTEIN, Verdict.AG_CERTIFIED)
+    verdicts = {}
+    closed = low_order = 0
+    for n in range(1, 21):
+        for parts in _partitions(n):
+            gens = [(a, b) for b, a in enumerate(parts)] + [(0, len(parts))]
+            I = ideal_of_staircase(staircase_normalize(gens), BASE_RING, FP)
+            rep = classify(I)
+            verdicts[parts] = rep.verdict
+            assert rep.colength == n, parts
+            if rep.integrally_closed:
+                closed += 1
+                assert rep.verdict in ag, (parts, rep.notes)
+            if rep.contracted and rep.order <= 2:
+                low_order += 1
+                assert rep.verdict in ag, (parts, rep.notes)
+            if n <= 16 and rep.verdict is not Verdict.UNKNOWN:
+                assert validate_report(I, rep), parts
+    assert len(verdicts) == 2713 and closed and low_order
+    for parts, verdict in verdicts.items():
+        conjugate = tuple(sum(p > a for p in parts) for a in range(parts[0]))
+        assert verdicts[conjugate] is verdict, (parts, conjugate)
+
+
 def test_twins_match_their_source():
     # the x -> x+2y twin of every contracted-o3 tuple with n <= 6 gets the
     # verdict of its monomial source, with the survey's per-tuple seed

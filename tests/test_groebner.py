@@ -459,9 +459,9 @@ def field_terms(draw, ring, field):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(monomial_bases(), st.data())
 def test_term_filter_is_the_normal_form(gb, data):
-    """Modulo a basis of monomials in k[x,y], `reduce` filters terms by a
-    bisection on the staircase; it must equal `_nf_dict` on the same
-    entries, value for value and in the same canonical form."""
+    """Modulo a basis of monomials in k[x,y], `reduce` must equal
+    `_nf_dict` on the same entries, value for value and in the same
+    canonical form."""
     terms = data.draw(field_terms(gb.ring, gb.field))
     got = gb.reduce(dict(terms))
     want = _Packed(GREVLEX, gb.ring).nf(terms, gb.entries, gb.field)
@@ -534,12 +534,29 @@ def test_reduce_row_is_a_positive_multiple_of_the_normal_form(field):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(monomial_bases(), st.data())
 def test_reduce_row_on_a_monomial_basis_is_the_term_filter(gb, data):
-    """Modulo a basis of monomials in k[x,y], `reduce_row` keeps the terms
-    `reduce` keeps, on exponent tuples, with their values as they came."""
-    terms = data.draw(field_terms(gb.ring, gb.field))
+    """Modulo a basis of monomials in k[x,y], `reduce_row` is an integer
+    row on the terms `reduce` keeps, a positive multiple of `reduce`'s
+    values.  On a staircase's basis it is the term filter, keyed by
+    exponent tuples, and equals `_nf_dict`'s integer row of the cleared
+    terms on the same entries."""
+    field = gb.field
+    packed = _Packed(GREVLEX, gb.ring)
+    terms = data.draw(field_terms(gb.ring, field))
+    want = gb.reduce(dict(terms))
     got = gb.reduce_row(dict(terms))
-    assert got == {m: terms[m] for m in gb.reduce(dict(terms))}
-    assert all(got[m] is terms[m] for m in got)
+    if gb._corners is None:
+        got = packed.terms(got)  # a Buchberger run's basis: `_nf_dict`'s packed row
+    assert got.keys() == want.keys()
+    assert all(type(c) is int for c in got.values())
+    if got:
+        first = next(iter(got))
+        lam = field.div(got[first], want[first])
+        assert all(field.from_int(c) == field.mul(lam, want[m]) for m, c in got.items())
+        assert field != QQ or lam > 0
+    if gb._corners is not None:
+        cleared = dict(terms)
+        field.clear(cleared)
+        assert got == packed.nf(cleared, gb.entries, field, integral=True)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
@@ -1575,11 +1592,11 @@ def _count_kernels(monkeypatch):
 def test_kernel_counters_see_the_kernels(monkeypatch):
     """The benchmark counts normal forms and Buchberger runs by wrapping
     these module globals, so every call must go through them: each `reduce`
-    on a non-monomial basis makes exactly one `_nf_dict` call and one on a
-    monomial basis none; classify of the flagship twin runs Buchberger
-    through `groebner`, and a Rees presentation's elimination runs it
-    through `rees`: the twin's, as a bounded monomial ideal reads its
-    kernel off its fibers, and runs only the prune's basis."""
+    makes exactly one `_nf_dict` call, on every basis; classify of the
+    flagship twin runs Buchberger through `groebner`, and a Rees
+    presentation's elimination runs it through `rees`: the twin's, as a
+    bounded monomial ideal reads its kernel off its fibers, and runs only
+    the prune's basis."""
     from agrees.engine import classify
     from agrees.families import coordinate_twin, family_exponents
 
@@ -1590,15 +1607,15 @@ def test_kernel_counters_see_the_kernels(monkeypatch):
     def reduce(gb, terms):
         before = counts["nf"]
         out = real_reduce(gb, terms)
-        per_reduce.append((gb._corners is None, counts["nf"] - before))
+        per_reduce.append(counts["nf"] - before)
         return out
 
     monkeypatch.setattr(GroebnerBasis, "reduce", reduce)
     exps = family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
     classify(coordinate_twin(exps, Fraction(1, 3), QQ))
     assert counts["groebner"] > 0 and counts["rees"] == 0
-    assert counts["nf"] > sum(general for general, _ in per_reduce) > 0
-    assert all(nf == (1 if general else 0) for general, nf in per_reduce)
+    assert counts["nf"] > len(per_reduce) > 0
+    assert all(nf == 1 for nf in per_reduce)
     runs = counts["groebner"]
     rees.rees_defining_ideal(ideal("x^3, x^2 y^2, x y^3, y^5"))
     assert counts["rees"] == 0 and counts["groebner"] == runs + 1

@@ -3,9 +3,11 @@
 import ast
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import agrees
+from agrees import groebner
 from agrees.groebner import GroebnerBasis, Ideal
 from agrees.poly import Polynomial
 
@@ -231,6 +233,41 @@ def test_one_elimination_step_in_groebner():
              for node in ast.walk(top)
              if isinstance(node, ast.Attribute) and node.attr in ("cross", "modulus")}
     assert found == {"_cancel"}
+
+
+def _readers_of(attr: str) -> Counter:
+    """(module, definition) -> its count of reads of the attribute `attr`
+    in the library, a method named as `Class.method` and a read at module
+    level under None."""
+    found = Counter()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{d.name}", d) for d in top.body
+                        if isinstance(d, ast.FunctionDef)]
+            else:
+                defs = [(getattr(top, "name", None), top)]
+            for name, d in defs:
+                found.update((path.stem, name) for node in ast.walk(d)
+                             if isinstance(node, ast.Attribute) and node.attr == attr)
+    return found
+
+
+def test_field_values_are_cleared_once_where_they_enter_the_kernels():
+    """Every row a kernel steps on is an integer row: `field.clear` is read
+    once at each place where field values enter integer arithmetic (both
+    branches of `GroebnerBasis.reduce_row`, a Buchberger run's inputs,
+    `_nf_dict`'s exact mode, `_colon`'s augmented row, `_sum`'s forms and
+    `engine._rank`'s copies), and nowhere else, so `_echelon_reduce` reads
+    none.  With that one contract `_walk` has no `integral` flag and
+    `GroebnerBasis.reduce` has one body, reading no term filter
+    (`_corners`)."""
+    assert _readers_of("clear") == Counter({
+        ("groebner", "GroebnerBasis.reduce_row"): 2, ("groebner", "_buchberger"): 1,
+        ("groebner", "_nf_dict"): 1, ("groebner", "_colon"): 1, ("groebner", "_sum"): 1,
+        ("engine", "_rank"): 1})
+    assert list(inspect.signature(groebner._walk).parameters) == ["top", "gens", "D"]
+    assert not _readers_of("_corners")[("groebner", "GroebnerBasis.reduce")]
 
 
 def _engine_definitions() -> dict:
