@@ -516,7 +516,7 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     mu_mJ = _mu(mJ)
     mu_J = _mu(J)
     if mu_J < 2:
-        raise ValueError("refutation needs mu(J) >= 2; mu(J) = 1 is the Gorenstein case")
+        raise BadParameters("refutation needs mu(J) >= 2; mu(J) = 1 is the Gorenstein case")
     threshold = 2 * (mu_J - 1)
     run_seed = derive_seed(seed, "refuter")
     rng = random.Random(run_seed)

@@ -2,14 +2,16 @@
 
 Output on stdout is byte-stable for identical invocations: JSON keys are
 sorted, the key set is fixed (absent sections are null), and wall-clock
-timing goes to stderr only.
+timing goes to stderr only.  The `witness` and `refutation` sections are
+their records' fields (`AGWitness`, `RefutationData`) by name, so a section
+rebuilds its record.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .engine import AGReport, AGWitness
 from .groebner import staircase_of_ideal
@@ -30,6 +32,14 @@ def witness_summary(w: AGWitness | None) -> str:
     return f"f={w.f};g={w.g};h={w.h}"
 
 
+def _section(record, read):
+    """A report section: each field of the record by name, its value passed
+    through read; None for an absent record."""
+    if record is None:
+        return None
+    return {f.name: read(getattr(record, f.name)) for f in fields(record)}
+
+
 def report_document(report: AGReport, *, input_text: str, ideal_gens,
                     field_name: str, seed: int,
                     rees_bidegrees=None) -> dict:
@@ -48,8 +58,9 @@ def report_document(report: AGReport, *, input_text: str, ideal_gens,
         "integrally_closed": report.integrally_closed,
         "reduction": None,
         "colon": None,
-        "witness": None,
-        "refutation": None,
+        "witness": _section(report.witness, str),
+        "refutation": _section(report.refutation,
+                               lambda v: list(v) if isinstance(v, tuple) else v),
         "notes": list(report.notes),
         "rees_bidegrees": None,
     }
@@ -65,24 +76,6 @@ def report_document(report: AGReport, *, input_text: str, ideal_gens,
             "generators": [str(g) for g in report.colon_gens],
             "order": report.colon_order,
             "min_gens": report.colon_min_gens,
-        }
-    if report.witness is not None:
-        w = report.witness
-        doc["witness"] = {"f": str(w.f), "g": str(w.g), "h": str(w.h)}
-    if report.refutation is not None:
-        ref = report.refutation
-        doc["refutation"] = {
-            "mu_IJ": ref.mu_IJ,
-            "mu_mJ": ref.mu_mJ,
-            "mu_J": ref.mu_J,
-            "threshold": ref.threshold,
-            "min_sum": ref.min_sum,
-            "rank_I": ref.rank_I,
-            "rank_m": ref.rank_m,
-            "trials": ref.trials,
-            "seeds": list(ref.seeds),
-            "primes": list(ref.primes),
-            "failure_bound": ref.failure_bound,
         }
     if rees_bidegrees is not None:
         doc["rees_bidegrees"] = [list(b) for b in rees_bidegrees]
@@ -158,14 +151,5 @@ def write_survey_csv(rows, out) -> None:
     writer = csv.writer(out, lineterminator="\r\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([
-            row.family,
-            row.param_text(),
-            row.verdict,
-            row.o,
-            row.mu_I,
-            "" if row.mu_J is None else row.mu_J,
-            "" if row.min_sum is None else row.min_sum,
-            "" if row.threshold is None else row.threshold,
-            row.witness,
-        ])
+        cells = {**vars(row), "params": row.param_text()}
+        writer.writerow(["" if cells[c] is None else cells[c] for c in CSV_COLUMNS])

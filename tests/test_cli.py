@@ -8,11 +8,12 @@ import sys
 
 import pytest
 
-from agrees.engine import classify, validate_report, verify_witness
+from agrees.engine import AGWitness, RefutationData, classify, validate_report, verify_witness
 from agrees.fields import QQ, field_from_config
 from agrees.groebner import Ideal
 from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import BASE_RING
+from agrees.report import document_json, report_document
 
 BASE = [sys.executable, "-m", "agrees.cli"]
 
@@ -57,6 +58,35 @@ def test_analyze_certified_witness():
     J = Ideal([parse_polynomial(g, BASE_RING, QQ) for g in doc["colon"]["generators"]])
     f, g, h = (parse_polynomial(w[k], BASE_RING, QQ) for k in ("f", "g", "h"))
     assert verify_witness(I, J, f, g, h)
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2147483647"])
+@pytest.mark.parametrize("text, verdict", [("x^3, x^2 y^3, x y^5, y^6", "NOT_AG"),
+                                           ("x^2, x y^4, y^5", "AG_CERTIFIED")])
+def test_report_sections_rebuild_their_records(text, verdict, field):
+    """A JSON document's `refutation` section rebuilds its `RefutationData`
+    (lists back to tuples), and its `witness` section holds the `str` of
+    each `AGWitness` field, which parses back to the witness."""
+    fld = field_from_config(field)
+    gens = parse_ideal_spec(text, BASE_RING, fld)
+    report = classify(Ideal(gens))
+    assert report.verdict.value == verdict
+    doc = json.loads(document_json(report_document(
+        report, input_text=text, ideal_gens=gens, field_name=field, seed=0)))
+    if report.refutation is not None:
+        section = doc["refutation"]
+        assert RefutationData(**{k: tuple(v) if isinstance(v, list) else v
+                                 for k, v in section.items()}) == report.refutation
+    else:
+        assert doc["refutation"] is None
+    if report.witness is not None:
+        w = report.witness
+        assert doc["witness"] == {"f": str(w.f), "g": str(w.g), "h": str(w.h)}
+        assert AGWitness(**{k: parse_polynomial(v, BASE_RING, fld)
+                            for k, v in doc["witness"].items()}) == w
+    else:
+        assert doc["witness"] is None
+    assert (report.refutation is None) != (report.witness is None)
 
 
 def test_analyze_byte_stable():

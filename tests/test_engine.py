@@ -1236,7 +1236,7 @@ def test_validate_report_recomputes_refutation():
     I = ideal("x^2, y^3")
     rep = classify(I)
     assert rep.verdict is Verdict.GORENSTEIN
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         necessary_bound(I, Ideal(list(rep.colon_gens)))
 
 

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import dataclasses
 import inspect
 import re
 from collections import Counter
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import agrees
 from agrees import groebner
+from agrees.engine import AGWitness, RefutationData
 from agrees.groebner import GroebnerBasis, Ideal
 from agrees.poly import Polynomial
 
@@ -313,3 +315,21 @@ def test_canonical_colon_builds_no_ideal_from_the_reduction():
                      and isinstance(sub.value, ast.Name) and sub.value.id == "Q"
                      for arg in node.args for sub in ast.walk(arg))]
     assert not found, f"canonical_colon builds an Ideal from Q.generators at {found}"
+
+
+def test_report_sections_are_read_off_their_records():
+    """`report_document` writes the `witness` and `refutation` sections as
+    their records' fields by name, so it spells out none of those names
+    itself, and `write_survey_csv` writes every cell under one rule, a
+    None as the empty string."""
+    path = next(path for path in SOURCES if path.name == "report.py")
+    defs = {top.name: top for top in ast.parse(path.read_text(), filename=str(path)).body
+            if hasattr(top, "name")}
+    names = {f.name for record in (AGWitness, RefutationData) for f in dataclasses.fields(record)}
+    spelled = {node.value for node in ast.walk(defs["report_document"])
+               if isinstance(node, ast.Constant) and node.value in names}
+    assert not spelled, f"report_document names record fields: {sorted(spelled)}"
+    none_tests = [node.lineno for node in ast.walk(defs["write_survey_csv"])
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)]
+    assert len(none_tests) == 1, f"write_survey_csv tests for None at {none_tests}"
