@@ -43,6 +43,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (BadParameters, NoReductionFound, NotContained, NotStable,
                      NotZeroDimensional, ZeroIdeal)
@@ -391,7 +392,7 @@ def canonical_colon(I: Ideal, Q: Ideal) -> Ideal:
 
 # -- certificates --------------------------------------------------------------
 
-def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomial],
+def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: Sequence[Polynomial],
                 parts: list[Polynomial]) -> bool:
     """Does (parts) + m*ref equal ref?  parts <= ref is assumed.
 
@@ -401,16 +402,24 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: list[Polynomia
     m*ref have rank mu(ref).  m*ref, its reduced basis and mu(ref) come
     from `_mul`'s cache; only the parts' normal forms (`reduce_row`) are
     made here.
-    `ref_stair` and `ref_min` are not read (perfbench's tracer reads the
-    positional arguments).
+    `ref_stair` and `ref_min` are not read: they keep the positional
+    signature that perfbench's tracer reads (`args[1]` and `args[3]`), and
+    `verify_witness` passes `()` for `ref_min`, so that ref's generators,
+    for IJ and m*J often never built, are not built for it.
     """
     top = _mul(maximal_ideal(ref.ring, ref.field), ref).groebner_basis()
     return _rank([top.reduce_row(p.terms) for p in parts], ref.field) == _mu(ref)
 
 
 def _span(coeffs: list, gens: list[Polynomial]) -> Polynomial:
-    zero = Polynomial.zero(gens[0].ring, gens[0].field)
-    return sum((p.scale(c) for c, p in zip(coeffs, gens)), zero)
+    """sum_j c_j * g_j, summed into one term dict."""
+    fld = gens[0].field
+    add, mul, zero = fld.add, fld.mul, fld.zero
+    terms: dict = {}
+    for c, p in zip(coeffs, gens):
+        for e, v in p.terms.items():
+            terms[e] = add(terms.get(e, zero), mul(v, c))
+    return Polynomial(gens[0].ring, fld, terms)
 
 
 def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
@@ -434,8 +443,7 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
     IJ, mJ = _mul(I, J), _mul(m, J)
     sides = ((IJ, [g * w for w in J.generators] + [a * h for a in I.generators]),
              (mJ, [f * w for w in J.generators] + [v * h for v in m.generators]))
-    return all(_sum_equals(ref, staircase_of_ideal(ref), list(ref.generators), parts)
-               for ref, parts in sides)
+    return all(_sum_equals(ref, staircase_of_ideal(ref), (), parts) for ref, parts in sides)
 
 
 def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0) -> AGWitness | None:

@@ -76,11 +76,21 @@ Monomial ideals of k[x,y] take the staircase instead (`staircase`, a
 lattice module that knows no ideals).  This module is the one bridge
 between the two: `staircase_of_ideal` reads an ideal's staircase once and
 caches it on the ideal, and `ideal_of_staircase` builds the ideal of a
-staircase with it cached.  A monomial ideal's `colength` and reduced basis
-are read off its staircase, and its basis's `reduce_row` is a term filter
-in place of `_nf_dict`; `reduce` runs `_nf_dict` on every basis.  Every
-other ideal, the zero ideal and monomial ideals in more variables
-included, goes through Buchberger.
+staircase with it cached.  A monomial ideal's `colength`, order and
+reduced basis are read off its staircase, and its basis's `reduce_row` is
+a term filter in place of `_nf_dict`; `reduce` runs `_nf_dict` on every
+basis.  Every other ideal, the zero ideal and monomial ideals in more
+variables included, goes through Buchberger.
+
+A polynomial is built only where one is read.  A derived ideal, the ideal
+of a staircase or a finished one, builds its generators from its source on
+their first read (`Ideal._derived`): the corners' monomials in
+`stair.gens` order, or the basis's monic elements by descending lead, the
+tuples the eager build made; most products are read only through their
+staircase or their basis.  A finished ideal carries the staircase its
+generators would give, the leads' when every element is one term.  A
+staircase basis packs its corners into `entries` only when a kernel reads
+them, as the term filter reads the corners themselves.
 """
 
 from __future__ import annotations
@@ -476,31 +486,43 @@ class GroebnerBasis:
     the elements beside them (`_mingens`), so each basis is pruned once.
 
     A monomial ideal's basis in k[x,y] is made from its staircase `stair`
-    alone, with no run: its entries are the corners' packed words, sorted
-    as they compare, and `_corners` is the staircase, the x-exponents
-    ascending and their y-exponents, which `reduce_row` filters terms by;
-    None for every other basis.
+    alone, with no run: `_corners` is the staircase, the x-exponents
+    ascending and their y-exponents, which `reduce_row` filters terms by
+    (None for every other basis), and its entries, the corners' packed
+    words sorted as they compare, are packed on their first read.  So a
+    basis keeps five write-once caches beside its entries: the elements,
+    the leads, the staircase, the colength and the prune.
     """
 
-    __slots__ = ("ring", "field", "entries", "_pk", "_leads", "_elements",
+    __slots__ = ("ring", "field", "_entries", "_pk", "_leads", "_elements",
                  "_corners", "_stair", "_colength", "_mingens")
 
     def __init__(self, ring: Ring, field, entries: list | None = None, stair=None):
         self.ring = ring
         self.field = field
-        self._pk = pk = GREVLEX.packer(ring)
+        self._pk = GREVLEX.packer(ring)
         self._elements = None
         self._colength = None
         self._mingens = None
         self._corners = None
         self._leads = None
         self._stair = stair
-        self.entries = entries
+        self._entries = entries
         if stair is not None:
-            self.entries = [(w, 1, {w: 1}) for w in sorted(map(pk.pack, stair.gens), reverse=True)]
             # an antichain: x-exponents distinct, y-exponents falling
             corners = stair.gens[::-1]
             self._corners = ([a for a, _ in corners], [b for _, b in corners])
+
+    @property
+    def entries(self) -> list:
+        """The kernels' entries; a staircase basis packs its corners on the
+        first read, as only the term filter reads most of them."""
+        entries = self._entries
+        if entries is None:
+            pack = self._pk.pack
+            entries = self._entries = [(w, 1, {w: 1}) for w in
+                                       sorted(map(pack, self._stair.gens), reverse=True)]
+        return entries
 
     @property
     def elements(self) -> tuple[Polynomial, ...]:
@@ -579,10 +601,17 @@ _UNREAD = object()
 
 
 class Ideal:
-    """Generator list plus four write-once caches: the reduced grevlex
+    """Generator tuple plus five write-once caches: the generators of a
+    derived ideal (`_generators`, built on first read), the reduced grevlex
     basis, the staircase (`staircase_of_ideal`, None included), the engine's
     products with this ideal as right factor (`_products`, keyed by the left
     factor), and `engine.is_stable`'s I^2 = QI by Q's generators (`_stable`).
+
+    An input ideal, `Ideal(gens)`, holds its generators.  A derived ideal
+    (`_derived`) holds the function that builds them from its source, the
+    corners of its staircase (`ideal_of_staircase`) or its reduced basis's
+    elements (`_finish`), and `generators` calls it on the first read: most
+    products are read only through their staircase or their basis.
 
     The product cache holds its left factors, so an `id` is never reused
     while it is keyed; products go on the right factor, so the shared
@@ -591,7 +620,8 @@ class Ideal:
     but both compute the same value so either insertion is correct.
     """
 
-    __slots__ = ("ring", "field", "generators", "_gb_cache", "_staircase", "_products", "_stable")
+    __slots__ = ("ring", "field", "_generators", "_gb_cache", "_staircase", "_products",
+                 "_stable")
 
     def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -601,15 +631,33 @@ class Ideal:
         for g in gens[1:]:
             if g.ring != first.ring or g.field != first.field:
                 raise RingMismatch("generators live in different rings or fields")
-        self.ring = first.ring
-        self.field = first.field
-        self.generators = gens
+        self._setup(first.ring, first.field, gens)
+
+    @classmethod
+    def _derived(cls, ring: Ring, field, build) -> Ideal:
+        """The ideal whose generators `build()` returns, as a tuple, on the
+        first read of `generators`."""
+        I = cls.__new__(cls)
+        I._setup(ring, field, build)
+        return I
+
+    def _setup(self, ring: Ring, field, generators) -> None:
+        self.ring = ring
+        self.field = field
+        self._generators = generators  # a tuple, or the function that builds it
         # {GREVLEX: basis}: a dict keyed by the order, as perfbench/tracing.py
         # reads `GREVLEX in ideal._gb_cache` (ROADMAP item 8 retires that)
         self._gb_cache: dict = {}
         self._staircase = _UNREAD
         self._products: dict[Ideal, Ideal] = {}
         self._stable: dict[tuple[Polynomial, ...], bool] = {}
+
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        gens = self._generators
+        if not isinstance(gens, tuple):
+            gens = self._generators = gens()
+        return gens
 
     def groebner_basis(self) -> GroebnerBasis:
         """The reduced grevlex basis, built once."""
@@ -654,9 +702,15 @@ def _read_staircase(generators) -> Staircase | None:
     return staircase_normalize(pairs)
 
 
+def _corner_monomials(stair: Staircase, ring: Ring, field) -> tuple[Polynomial, ...]:
+    """The monomials of stair's corners, in `stair.gens` order."""
+    return tuple(Polynomial.monomial(ring, field, e) for e in stair.gens)
+
+
 def ideal_of_staircase(stair: Staircase, ring: Ring, field) -> Ideal:
-    """The ideal of stair's corners, with stair already in its cache."""
-    I = Ideal([Polynomial.monomial(ring, field, e) for e in stair.gens])
+    """The ideal of stair's corners, with stair already in its cache; its
+    generators, the corners' monomials, are built when first read."""
+    I = Ideal._derived(ring, field, lambda: _corner_monomials(stair, ring, field))
     I._staircase = stair
     return I
 
@@ -752,12 +806,17 @@ def _finish(gb: GroebnerBasis, base: list, rows: dict) -> Ideal:
     element g + k of K, g in C and k in the span, has g's lead in LM(C) and
     k's terms standard for C, so its lead is g's or k's, which is a row's,
     as their leads are distinct.  Reduced bases are unique, so it is the
-    basis a Buchberger run returns."""
+    basis a Buchberger run returns.  The ideal's generators are the basis's
+    monic elements, built on their first read, and its staircase, which
+    `engine._mul` reads of every factor, is set here from the entries."""
     field, pk = gb.field, gb._pk
-    basis = GroebnerBasis(gb.ring, field, _interreduce(
-        base + [(lm, row[lm], row) for lm, row in rows.items()], pk, field))
-    I = Ideal(list(basis))
+    entries = _interreduce(base + [(lm, row[lm], row) for lm, row in rows.items()], pk, field)
+    basis = GroebnerBasis(gb.ring, field, entries)
+    I = Ideal._derived(gb.ring, field, lambda: basis.elements)
     I._gb_cache[GREVLEX] = basis
+    # the staircase `_read_staircase` would read off the elements: the
+    # leads' when every element is one term, else none
+    I._staircase = basis.staircase() if all(len(row) == 1 for _, _, row in entries) else None
     return I
 
 
@@ -906,7 +965,11 @@ def maximal_ideal(ring: Ring, field) -> Ideal:
 
 
 def ideal_order(I: Ideal) -> int:
-    """Largest n with I inside m^n: minimum term degree over the generators."""
+    """Largest n with I inside m^n: minimum term degree over the generators,
+    read off the corners when I has a staircase (`staircase_of_ideal`)."""
+    stair = staircase_of_ideal(I)
+    if stair is not None:
+        return stair.order()
     degs = [g.min_degree() for g in I.generators if not g.is_zero]
     if not degs:
         raise ZeroIdeal("the zero ideal has no order")
@@ -919,7 +982,7 @@ def minimal_generators(I: Ideal, mI: Ideal | None = None) -> list[Polynomial]:
     prune of I's reduced basis is kept on that basis, so it runs once."""
     stair = staircase_of_ideal(I)  # None outside k[x,y] and for the zero ideal
     if stair is not None:
-        return [Polynomial.monomial(I.ring, I.field, e) for e in stair.gens]
+        return list(_corner_monomials(stair, I.ring, I.field))
     gb = I.groebner_basis()
     if gb._mingens is None:
         pack = gb._pk.pack

@@ -1000,6 +1000,65 @@ def test_times_maximal_needs_a_finite_colength_in_the_plane():
 
 # -- colength, min_gens, order ---------------------------------------------------
 
+def _grevlex_leads(gens):
+    pack = GREVLEX.packer(BASE_RING).pack
+    return [max(map(pack, g.terms)) for g in gens]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_derived_ideals_build_their_generators_on_first_read(field):
+    """`ideal_of_staircase`, `_times_maximal`, `_colon` and `_sum` build no
+    monomial and no monic element; a later read of `generators` is what
+    the eager build gave, order included: the corners' monomials in
+    `stair.gens` order, and a finished ideal's reduced basis by descending
+    lead, on monomial results as on the rest.  A finished ideal's cached
+    staircase is the one its generators give."""
+    from agrees.families import coordinate_twin
+    from agrees.repro import random_staircase
+
+    rng = random.Random(11)
+    m = maximal_ideal(BASE_RING, field)
+    stairs = [random_staircase(rng, 6, 3) for _ in range(6)]
+    inputs = []
+    for S in stairs:
+        for P in (mono_ideal(reversed(S.gens), field), coordinate_twin(S.gens, 2, field)):
+            inputs.append((P, ideal_product(P, P), P.generators[0]))
+            for A in (P, inputs[-1][1], m):
+                A.groebner_basis()
+    made = []
+    real_monomial, real_monic = Polynomial.monomial, groebner._monic_polynomial
+
+    def monomial(*args, **kwargs):
+        made.append("monomial")
+        return real_monomial(*args, **kwargs)
+
+    def monic(*args):
+        made.append("monic")
+        return real_monic(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "monomial", staticmethod(monomial))
+        mp.setattr(groebner, "_monic_polynomial", monic)
+        lazy = [groebner.ideal_of_staircase(S, BASE_RING, field) for S in stairs]
+        derived = []
+        for P, P2, g in inputs:
+            derived += [groebner._times_maximal(P), _colon(P, m.generators, P),
+                        groebner._sum(P2, [g], P)]
+    assert made == []
+    for S, I in zip(stairs, lazy):
+        assert I.generators == tuple(Polynomial.monomial(BASE_RING, field, e) for e in S.gens)
+        assert I.generators is I.generators
+    monomial_results = 0
+    for I in derived:
+        gens = I.generators
+        leads = _grevlex_leads(gens)
+        assert leads == sorted(leads, reverse=True) and len(set(leads)) == len(leads)
+        assert set(gens) == set(Ideal(list(gens)).groebner_basis().elements)
+        assert staircase_of_ideal(I) == groebner._read_staircase(gens)
+        monomial_results += staircase_of_ideal(I) is not None
+    assert 0 < monomial_results < len(derived)
+
+
 def test_colength_examples():
     assert colength(ideal("x^3, y^6")) == 18
     assert colength(ideal("x^3, x^2 y^3, x y^5, y^6")) == 14
@@ -1631,6 +1690,37 @@ def test_ideal_order_examples():
     assert ideal_order(ideal("x^2 + y^5, y^3")) == 2
     with pytest.raises(ZeroIdeal):
         ideal_order(Ideal([Polynomial.zero(BASE_RING, QQ)]))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ideal_order_off_a_staircase_is_the_least_term_degree(field, seed):
+    """`ideal_order` reads a staircase's corners where it has one: the least
+    degree of a term of a nonzero generator, on seeded staircases given by
+    their corners, by redundant monomials and zero generators, as products
+    and as finished bases (m*P, P : m, P^2 + (g)), and on their twins."""
+    from agrees.families import coordinate_twin
+    from agrees.repro import random_staircase
+
+    def least_degree(I):
+        return min(sum(e) for g in I.generators for e in g.terms)
+
+    rng = random.Random(seed)
+    m = maximal_ideal(BASE_RING, field)
+    S = random_staircase(rng, 7, 3)
+    a, b = S.gens[0]
+    padded = list(S.gens) + [(a + 1, b), (a, b + 2)]
+    zero = Polynomial.zero(BASE_RING, field)
+    ideals = [groebner.ideal_of_staircase(S, BASE_RING, field),
+              Ideal([zero] + [Polynomial.monomial(BASE_RING, field, e) for e in padded])]
+    for P in (ideals[1], coordinate_twin(S.gens, rng.choice([2, -1, Fraction(1, 3)]), field)):
+        P2 = ideal_product(P, P)
+        ideals += [P, P2, engine._mul(P, P), groebner._times_maximal(P),
+                   _colon(P, m.generators, P), groebner._sum(P2, [P.generators[-1]], P)]
+    for I in ideals:
+        assert ideal_order(I) == least_degree(I)
+    assert ideal_order(ideals[0]) == min(i + j for i, j in S.gens)
 
 
 # -- property suites --------------------------------------------------------------
