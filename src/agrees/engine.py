@@ -8,10 +8,10 @@ scale, so every Nakayama test and membership test takes
 `GroebnerBasis.reduce_row`, a positive multiple of the normal form kept as
 an integer row; only the refuter, whose samples combine normal forms,
 takes the exact ones by `GroebnerBasis.reduce`.
-The pipeline: find a 2-generated reduction Q of I (a rank in
-I^(r+1)/m*I^(r+1), or for a monomial I with r <= 1 a count of lengths; Q
-may vanish away from the origin), require stability (I^2 = QI), read
-everything off the local colon ideal J = Q : I (a kernel on R/I,
+The pipeline: find a 2-generated reduction Q of I (Q may vanish away from
+the origin) and require stability, I^2 = QI (`_stable`, one Nakayama test
+`_spans`, or for a monomial I a count of lengths; r = 0 iff mu(I) <= 2),
+read everything off the local colon ideal J = Q : I (a kernel on R/I,
 `groebner._colon`: I^2 = QI lies in Q locally, so T = Q + I^2 is the origin
 component of Q and J/I is the kernel of f -> (f*a mod T) over the
 generators a of I; T is read off I^2's reduced basis by `groebner._sum`,
@@ -23,9 +23,7 @@ satisfying
 or refute by showing that no h in J can keep mu(IJ/Ih) + mu(mJ/mh) within
 the generator-count budget 2*(mu(J) - 1).  Both witness conditions are
 Zariski-open ranks (Nakayama), so one generic triple decides the first, and
-it is decided exactly by the rank of its own normal forms modulo each of
-m*IJ and m^2*J against mu(IJ) and mu(mJ) (`verify_witness`), the test
-`_reduction_number` makes for I^(r+1) = Q I^r.
+it is decided exactly by `_spans` in IJ and in mJ (`verify_witness`).
 Every product ideal is built once per analysis (`_mul` caches it on its
 right factor, and `maximal_ideal` is one object per ring and field), and
 that cache is the one way stages share work: the powers I^k (`_power`),
@@ -101,7 +99,11 @@ class ClassifyConfig:
 class ReductionData:
     Q: tuple[Polynomial, Polynomial]
     reduction_number: int
-    stable: bool
+
+    @property
+    def stable(self) -> bool:
+        """I^2 = QI."""
+        return self.reduction_number <= 1
 
 
 @dataclass(frozen=True)
@@ -225,28 +227,40 @@ def _min_gens(P: Ideal) -> list[Polynomial]:
     return minimal_generators(P, _mul(maximal_ideal(P.ring, P.field), P))
 
 
-def _reduction_number(I: Ideal, Q: Ideal, cap: int | None, start: int = 0) -> int | None:
-    """Minimal r <= cap (any r when cap is None) with I^{r+1} = Q I^r in
-    k[x,y]_(x,y); Q <= I is assumed, and Q must be a reduction when cap is None.
-    The search starts at r = `start`, for a caller that has ruled out every
-    smaller r.
+def _spans(P: Ideal, parts: list[Polynomial]) -> bool:
+    """Do the parts, inside the m-primary P, generate P in k[x,y]_(x,y)?
+    The one Nakayama test: P/m*P, supported at the origin, has dimension
+    mu(P) and embeds in R/m*P, so they do iff their normal forms modulo m*P
+    (`reduce_row`) have rank mu(P).  m*P, its basis and mu(P) come from
+    `_mul`'s cache."""
+    top = _mul(maximal_ideal(P.ring, P.field), P).groebner_basis()
+    return _rank([top.reduce_row(p.terms) for p in parts], P.field) == _mu(P)
 
-    Both sides lie between m*I^{r+1} and I^{r+1}, so by Nakayama they agree
-    locally iff the classes of q * p (q in Q, p in gens(I^r)) span
-    I^{r+1}/m*I^{r+1}, i.e. have rank mu(I^{r+1}).  That quotient is
-    supported at the origin, so Q may vanish elsewhere.  Every power,
-    m*I^{r+1} and its reduced basis come from `_mul`'s cache, so each is
-    built once per ideal and shared by every pair tried and by later stages.
-    """
-    m = maximal_ideal(I.ring, I.field)
-    gens = _power(I, start).generators if start else [Polynomial.one(I.ring, I.field)]
-    for r in itertools.count(start) if cap is None else range(start, cap + 1):
-        power = _power(I, r + 1)
-        top = _mul(m, power).groebner_basis()
-        rows = [top.reduce_row((q * p).terms) for q in Q.generators for p in gens]
-        if _rank(rows, I.field) == _mu(power):
+
+def _stable(I: Ideal, Q: Ideal) -> bool:
+    """I^2 = QI in k[x,y]_(x,y) for Q inside I: one `_spans` of the
+    products q*a over the generators a of I in I^2, kept on I, keyed by Q's
+    generators (`Ideal._stable`)."""
+    stable = I._stable.get(Q.generators)
+    if stable is None:
+        stable = I._stable[Q.generators] = _spans(
+            _power(I, 2), [q * a for q in Q.generators for a in I.generators])
+    return stable
+
+
+def _reduction_number(I: Ideal, Q: Ideal, cap: int | None) -> int | None:
+    """Minimal r <= cap (cap >= 1, or None for no cap) with I^{r+1} = Q I^r
+    in k[x,y]_(x,y), for a two-generated Q inside I, a reduction if cap is
+    None.  r <= 1 is `_stable`, and then r = 0 iff mu(I) <= 2: Q is a
+    reduction, so if I is a parameter ideal the parameter ideal Q inside it
+    has colength e(I) = l(R/I) and is I.  Each r >= 2 is one `_spans` of
+    the products q*p, p in gens(I^r), in I^{r+1}."""
+    if _stable(I, Q):
+        return 0 if _mu(I) <= 2 else 1
+    for r in itertools.count(2) if cap is None else range(2, cap + 1):
+        products = [q * p for q in Q.generators for p in _power(I, r).generators]
+        if _spans(_power(I, r + 1), products):
             return r
-        gens = power.generators
     return None
 
 
@@ -281,14 +295,14 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
     3. QI lies in I^2, so I^2 = QI iff l(R/I^2) = e(I) + 2 l(R/I)
        (Huneke 1987, Ooishi 1987).
     Only when both fail (r >= 2) is r searched, from r = 2 and with no cap,
-    by `_reduction_number`'s local rank test.
+    by `_reduction_number`, which reads the lengths' answer left on I.
 
     Other ideals try `_REDUCTION_PAIRS` seeded sparse combinations of their
     generators (a draw with a zero member is skipped), each decided by that
-    rank test.  Every pair is tested for r <= 1 before any is tested from
-    r = 2 up to `_REDUCTION_CAP`, so a pair with r <= 1 is found before any
-    pair builds I^3 and beyond.  Each pair's r <= 1, i.e. I^2 = QI, is left
-    for `is_stable` on I.  The zero ideal raises ZeroIdeal.
+    rank test.  Every pair is tested for I^2 = QI (`_stable`, which keeps
+    the answer on I) before any is tested from r = 2 up to
+    `_REDUCTION_CAP`, so a pair with r <= 1 is found before any pair builds
+    I^3 and beyond.  The zero ideal raises ZeroIdeal.
     """
     ring, fld = I.ring, I.field
     stair = staircase_of_ideal(I)
@@ -303,8 +317,8 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
         r = _stable_reduction_number(I, stair)
         I._stable[Q.generators] = r is not None
         if r is None:
-            r = _reduction_number(I, Q, None, 2)
-        return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
+            r = _reduction_number(I, Q, None)
+        return ReductionData(Q=Q.generators, reduction_number=r)
 
     rng = random.Random(derive_seed(seed, "reduction"))
     gens = [g for g in I.generators if not g.is_zero]
@@ -325,26 +339,22 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
             continue
         Q = Ideal([q1, q2])
         r = _reduction_number(I, Q, 1)
-        I._stable[Q.generators] = r is not None
         if r is not None:
-            return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
+            return ReductionData(Q=Q.generators, reduction_number=r)
         tried.append(Q)
-    for Q in tried:  # each has failed r <= 1 above
-        r = _reduction_number(I, Q, _REDUCTION_CAP, 2)
+    for Q in tried:  # each failed I^2 = QI above, which `_stable` kept on I
+        r = _reduction_number(I, Q, _REDUCTION_CAP)
         if r is not None:
-            return ReductionData(Q=Q.generators, reduction_number=r, stable=r <= 1)
+            return ReductionData(Q=Q.generators, reduction_number=r)
     raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(tried)} pairs")
 
 
 def is_stable(I: Ideal, Q: Ideal) -> bool:
-    """I^2 = QI in k[x,y]_(x,y); raises if Q is not inside I.  The answer
-    is kept on I, keyed by Q's generators (`Ideal._stable`), where
-    `find_reduction` has already left it for every pair it tested."""
-    if Q.generators not in I._stable:
-        if not _contains_all(I, Q.generators):
-            raise NotContained("Q is not contained in I")
-        I._stable[Q.generators] = _reduction_number(I, Q, 1) is not None
-    return I._stable[Q.generators]
+    """I^2 = QI in k[x,y]_(x,y) (`_stable`); raises if Q is not inside I.
+    A pair `find_reduction` tested, inside I by construction, is a lookup."""
+    if Q.generators not in I._stable and not _contains_all(I, Q.generators):
+        raise NotContained("Q is not contained in I")
+    return _stable(I, Q)
 
 
 def canonical_colon(I: Ideal, Q: Ideal) -> Ideal:
@@ -394,21 +404,11 @@ def canonical_colon(I: Ideal, Q: Ideal) -> Ideal:
 
 def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: Sequence[Polynomial],
                 parts: list[Polynomial]) -> bool:
-    """Does (parts) + m*ref equal ref?  parts <= ref is assumed.
-
-    The Nakayama test `_reduction_number` makes: ref/m*ref is killed by m,
-    has dimension mu(ref) and embeds in R/m*ref, which normal forms
-    coordinatize, so the sum is ref iff the parts' normal forms modulo
-    m*ref have rank mu(ref).  m*ref, its reduced basis and mu(ref) come
-    from `_mul`'s cache; only the parts' normal forms (`reduce_row`) are
-    made here.
-    `ref_stair` and `ref_min` are not read: they keep the positional
-    signature that perfbench's tracer reads (`args[1]` and `args[3]`), and
-    `verify_witness` passes `()` for `ref_min`, so that ref's generators,
-    for IJ and m*J often never built, are not built for it.
-    """
-    top = _mul(maximal_ideal(ref.ring, ref.field), ref).groebner_basis()
-    return _rank([top.reduce_row(p.terms) for p in parts], ref.field) == _mu(ref)
+    """Does (parts) + m*ref equal ref (`_spans`)?  `ref_stair` and
+    `ref_min` are not read: they keep the positional signature perfbench's
+    tracer reads (`args[1]` and `args[3]`); `verify_witness` passes `()`
+    for `ref_min`, so ref's generators are not built for it."""
+    return _spans(ref, parts)
 
 
 def _span(coeffs: list, gens: list[Polynomial]) -> Polynomial:

@@ -480,32 +480,31 @@ class GroebnerBasis:
     `reduce` divides by them for `normal_form` and the refuter, packing its
     input and unpacking the remainder, and `reduce_row` hands back an
     integer row, a positive multiple of the normal form; the monic
-    `elements` and the `leading_exponents` are unpacked from them once, when
-    first read, and so is `staircase`, the staircase of the leads, with the
-    `colength` it gives.  `minimal_generators` keeps its Nakayama prune of
-    the elements beside them (`_mingens`), so each basis is pruned once.
+    `elements` are unpacked from them once, when first read, and so is
+    `staircase`, the staircase of the leads, which `colength` reads;
+    `leading_exponents` unpacks the leads on each call.
+    `minimal_generators` keeps its Nakayama prune of the elements beside
+    them (`_mingens`), so each basis is pruned once.
 
     A monomial ideal's basis in k[x,y] is made from its staircase `stair`
     alone, with no run: `_corners` is the staircase, the x-exponents
     ascending and their y-exponents, which `reduce_row` filters terms by
     (None for every other basis), and its entries, the corners' packed
     words sorted as they compare, are packed on their first read.  So a
-    basis keeps five write-once caches beside its entries: the elements,
-    the leads, the staircase, the colength and the prune.
+    basis keeps three write-once caches beside its entries: the elements,
+    the staircase and the prune.
     """
 
-    __slots__ = ("ring", "field", "_entries", "_pk", "_leads", "_elements",
-                 "_corners", "_stair", "_colength", "_mingens")
+    __slots__ = ("ring", "field", "_entries", "_pk", "_elements", "_corners", "_stair",
+                 "_mingens")
 
     def __init__(self, ring: Ring, field, entries: list | None = None, stair=None):
         self.ring = ring
         self.field = field
         self._pk = GREVLEX.packer(ring)
         self._elements = None
-        self._colength = None
         self._mingens = None
         self._corners = None
-        self._leads = None
         self._stair = stair
         self._entries = entries
         if stair is not None:
@@ -573,11 +572,8 @@ class GroebnerBasis:
         return _nf_dict(row, self.entries, pk.guard, self.field, True)
 
     def leading_exponents(self) -> list[Exponent]:
-        leads = self._leads
-        if leads is None:
-            unpack = self._pk.unpack
-            leads = self._leads = [unpack(lm) for lm, _, _ in self.entries]
-        return list(leads)
+        unpack = self._pk.unpack
+        return [unpack(lm) for lm, _, _ in self.entries]
 
     def staircase(self) -> Staircase:
         """The `staircase.Staircase` of the leading monomials, normalized
@@ -586,14 +582,6 @@ class GroebnerBasis:
         if stair is None:
             stair = self._stair = staircase_normalize(self.leading_exponents())
         return stair
-
-    def colength(self) -> int:
-        """The count of standard monomials, read once off `staircase`;
-        raises NotZeroDimensional when it is infinite."""
-        n = self._colength
-        if n is None:
-            n = self._colength = mono_colength(self.staircase())
-        return n
 
 
 # an Ideal's `_staircase` until `staircase_of_ideal` first reads it
@@ -915,8 +903,8 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 def colength(I: Ideal) -> int:
     """Length of R/I as the count of standard monomials (2-variable rings),
     read off I's own staircase (`staircase_of_ideal`) when I is monomial,
-    a corner sum with no basis built, and otherwise off its reduced basis,
-    which keeps it (`GroebnerBasis.colength`)."""
+    a corner sum with no basis built, and otherwise off the staircase of
+    its reduced basis's leads, which the basis keeps."""
     if I.ring.arity != 2:
         raise NotZeroDimensional(f"colength requires a 2-variable ring, got {I.ring}")
     stair = staircase_of_ideal(I)
@@ -925,7 +913,7 @@ def colength(I: Ideal) -> int:
     gb = I.groebner_basis()
     if not gb.entries:
         raise NotZeroDimensional("zero ideal has infinite colength")
-    return gb.colength()
+    return mono_colength(gb.staircase())
 
 
 def is_origin_primary(I: Ideal) -> bool:

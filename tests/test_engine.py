@@ -89,23 +89,32 @@ def test_reduction_deterministic():
 
 
 def test_second_reduction_pass_starts_at_two(monkeypatch):
-    # the second pass retries only pairs whose first-pass test ruled out
-    # r <= 1, so its rank test starts at r = 2: the twin of x^4, x^3 y, y^4
-    # under x -> x + 2y has r = 3, found in the second pass
-    calls = []
-    real = engine._reduction_number
+    # the second pass retries only pairs whose first pass ruled out
+    # I^2 = QI, which it reads back from I, so its Nakayama tests are in
+    # I^3, I^4 and I^5 only, and the first pass's in I^2 only: the twin of
+    # x^4, x^3 y, y^4 under x -> x + 2y has r = 3, found in the second pass
+    spans, cap_now = [], [None]
+    real_rn, real_spans = engine._reduction_number, engine._spans
 
-    def spy(I, Q, cap, start=0):
-        calls.append((cap, start))
-        return real(I, Q, cap, start)
+    def rn(I, Q, cap):
+        cap_now[0] = cap
+        try:
+            return real_rn(I, Q, cap)
+        finally:
+            cap_now[0] = None
 
-    monkeypatch.setattr(engine, "_reduction_number", spy)
-    red = find_reduction(coordinate_twin([(4, 0), (3, 1), (0, 4)], 2, QQ))
+    monkeypatch.setattr(engine, "_reduction_number", rn)
+    monkeypatch.setattr(engine, "_spans",
+                        lambda P, parts: spans.append((cap_now[0], P)) or real_spans(P, parts))
+    I = coordinate_twin([(4, 0), (3, 1), (0, 4)], 2, QQ)
+    red = find_reduction(I)
     assert red.reduction_number == 3 and not red.stable
-    first = [start for cap, start in calls if cap == 1]
-    second = [start for cap, start in calls if cap == engine._REDUCTION_CAP]
-    assert first and second and len(first) + len(second) == len(calls)
-    assert set(first) == {0} and set(second) == {2}
+    first = [P for cap, P in spans if cap == 1]
+    second = [P for cap, P in spans if cap == engine._REDUCTION_CAP]
+    assert first and second and len(first) + len(second) == len(spans)
+    assert all(P is engine._power(I, 2) for P in first)
+    assert all(any(P is engine._power(I, k) for k in (3, 4, 5)) for P in second)
+    assert any(P is engine._power(I, 4) for P in second)
 
 
 def _reference_reduction_number(I, Q, cap):
@@ -180,7 +189,10 @@ def test_lengths_decide_r_as_the_rank_test(field, seed):
         S = random_staircase(rng, 6, 4)
         I = ideal_of_staircase(S, BASE_RING, field)
         Q, _ = _newton_pair(I)
-        assert engine._stable_reduction_number(I, S) == engine._reduction_number(I, Q, 1), S
+        # the rank side runs on a fresh ideal: find_reduction left the
+        # lengths' answer on I, which `_reduction_number` would read back
+        fresh = ideal_of_staircase(S, BASE_RING, field)
+        assert engine._stable_reduction_number(I, S) == engine._reduction_number(fresh, Q, 1), S
         e = newton_multiplicity(S)
         m_e = [Polynomial.monomial(BASE_RING, field, (i, e - i)) for i in range(e + 1)]
         assert e == colength(Ideal(list(Q.generators) + m_e)), S
@@ -206,7 +218,51 @@ def test_lengths_pin_r(text, r, pure, monkeypatch):
     monkeypatch.setattr(engine, "_reduction_number", record)
     assert find_reduction(I).reduction_number == r
     assert calls == ([] if r <= 1 else [None])
-    assert real(I, Q, None) == r
+    # on a fresh ideal, which holds no answer find_reduction left on I
+    assert real(Ideal(list(I.generators)), Q, None) == r
+
+
+def _twin_of(p, field):
+    """p under the linear change x -> x + 2y, as `coordinate_twin` maps
+    monomials."""
+    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
+    shifted = x + y.scale(field.from_int(2))
+    out = Polynomial.zero(BASE_RING, field)
+    for (a, b), c in p.terms.items():
+        out = out + (shifted ** a * y ** b).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_r_zero_is_read_off_mu_on_stable_pairs(field, seed):
+    # on a stable pair `_reduction_number` reads r = 0 off mu(I) <= 2 with
+    # no test of I = Q; the product containments decide r on their own,
+    # against Q's origin component Q + m^e (a vertex split may vanish away
+    # from the origin).  Each draw takes a random staircase and the
+    # parameter ideal of its end corners (mu = 2, r = 0), each with its
+    # Newton pair (pure powers or a vertex split), and their x -> x + 2y
+    # twins with the twinned pair, so a rule such as mu(I) < 2 fails
+    from agrees.repro import random_staircase
+    from agrees.staircase import newton_multiplicity
+
+    rng = random.Random(seed)
+    S = random_staircase(rng, 6, 3)
+    for T in (S, staircase_normalize([S.gens[0], S.gens[-1]])):
+        I = ideal_of_staircase(T, BASE_RING, field)
+        Q, _ = _newton_pair(I)
+        e = newton_multiplicity(T)
+        m_e = [Polynomial.monomial(BASE_RING, field, (i, e - i)) for i in range(e + 1)]
+        twin = Ideal([_twin_of(q, field) for q in Q.generators])
+        for A, B in ((Ideal(list(I.generators)), Q), (coordinate_twin(T.gens, 2, field), twin)):
+            r = engine._reduction_number(A, B, 1)
+            ref = _reference_reduction_number(A, Ideal(list(B.generators) + m_e), 1)
+            assert r == ref, (T, A)
+            if len(T.gens) == 2:
+                assert r == 0, T
+            if r is not None:
+                assert (r == 0) == (len(minimal_generators(A)) <= 2), (T, A)
 
 
 def test_rank_loop_starts_past_the_lengths(monkeypatch):
@@ -285,15 +341,11 @@ def test_stages_decide_stability_themselves():
         certificate_search(I, Q, ideal("x, y"))
 
 
-def _count_reduction_numbers(monkeypatch) -> list:
+def _record_spans(monkeypatch) -> list:
+    """The ideal P of every `_spans(P, parts)` call from now on."""
     calls = []
-    real = engine._reduction_number
-
-    def spy(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "_reduction_number", spy)
+    real = engine._spans
+    monkeypatch.setattr(engine, "_spans", lambda P, parts: calls.append(P) or real(P, parts))
     return calls
 
 
@@ -305,16 +357,17 @@ def test_stability_after_find_reduction_is_a_lookup(monkeypatch):
              ideal("x^3, x^2 y^3, x y^5, y^6"),
              _flagship_twin(),
              coordinate_twin([(4, 0), (3, 1), (0, 4)], 2, QQ)]
-    calls = _count_reduction_numbers(monkeypatch)
+    calls = _record_spans(monkeypatch)
     for I in cases:
         red = find_reduction(I)
         calls.clear()
         assert is_stable(I, Ideal(list(red.Q))) is red.stable
         assert calls == [], I
     assert staircase_of_ideal(Ideal(list(find_reduction(cases[0]).Q))) is None
-    # a fresh pair is decided once, by one rank test, and then remembered
+    # a fresh pair is decided once, by one Nakayama test in I^2, and then
+    # remembered
     I = ideal("x^3, x^2 y^3, x y^5, y^6")
-    for expected in ([1], []):
+    for expected in ([engine._power(I, 2)], []):
         calls.clear()
         assert is_stable(I, ideal("x^3, y^6"))
         assert calls == expected
@@ -322,13 +375,16 @@ def test_stability_after_find_reduction_is_a_lookup(monkeypatch):
 
 def test_validator_decides_stability_itself(monkeypatch):
     # validate_report copies I, so the answer classify left on I does not
-    # reach it: its linkage check runs its own rank test
+    # reach it: its linkage check makes exactly one Nakayama test in the
+    # square of its fresh copy, and none in the analyzed I^2
     I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
     report = classify(I)
     assert report.verdict is Verdict.NOT_AG
-    calls = _count_reduction_numbers(monkeypatch)
+    square = engine._power(I, 2)
+    calls = _record_spans(monkeypatch)
     assert validate_report(I, report)
-    assert 1 in calls
+    squares = [P for P in calls if staircase_of_ideal(P) == staircase_of_ideal(square)]
+    assert len(squares) == 1 and squares[0] is not square
 
 
 # -- canonical colon -------------------------------------------------------------

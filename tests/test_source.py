@@ -227,6 +227,30 @@ def test_engine_reads_the_echelon_only_through_rank():
     assert {d for m, d in _named_in("_echelon_reduce") if m == "engine"} == {"_rank"}
 
 
+def test_engine_decides_stability_in_one_place():
+    """Every Nakayama test in `engine` is one `_spans` (a reduction's, I^2 =
+    QI's, each witness side's), so `_rank` is read only there and by the
+    refuter's samples; I^2 = QI is one `_spans`, kept on I by `_stable`
+    alone, apart from the lengths' answer `find_reduction` leaves for a
+    monomial I; and `_reduction_number` takes no knob to skip the tests
+    below a given r."""
+    engine = _engine_definitions()
+    assert {d for m, d in _named_in("_rank") if m == "engine"} == {"_spans", "necessary_bound"}
+    assert list(inspect.signature(agrees.engine._reduction_number).parameters) == ["I", "Q", "cap"]
+    writes = Counter(
+        (path.stem, getattr(top, "name", None)) for path in SOURCES
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "_stable")
+    assert writes == Counter({("engine", "_stable"): 1, ("engine", "find_reduction"): 1})
+    # find_reduction's write sits in its staircase branch
+    branch = next(node for node in engine["find_reduction"].body if isinstance(node, ast.If))
+    assert "stair" in {n.id for n in ast.walk(branch.test) if isinstance(n, ast.Name)}
+    assert any(isinstance(n, ast.Attribute) and n.attr == "_stable"
+               for stmt in branch.body for n in ast.walk(stmt))
+
+
 def test_one_elimination_step_in_groebner():
     """Every integer-row kernel in `groebner` steps through `_cancel`: it
     is the one function there that reads a field's `cross` or `modulus`."""
