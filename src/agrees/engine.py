@@ -21,7 +21,9 @@ satisfying
     IJ = gJ + Ih    and    mJ = fJ + mh,
 
 or refute by showing that no h in J can keep mu(IJ/Ih) + mu(mJ/mh) within
-the generator-count budget 2*(mu(J) - 1).  Both witness conditions are
+the generator-count budget 2*(mu(J) - 1), from the ranks of sampled h,
+sampling until each side's rank meets the term rank of its support (capped
+by its mu), which no sample can exceed.  Both witness conditions are
 Zariski-open ranks (Nakayama), so one generic triple decides the first, and
 it is decided exactly by `_spans` in IJ and in mJ (`verify_witness`).
 Every product ideal is built once per analysis (`_mul` caches it on its
@@ -40,7 +42,7 @@ import enum
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import (BadParameters, NoReductionFound, NotContained, NotStable,
@@ -492,6 +494,25 @@ def _sample_vector(rng: random.Random, fld, n: int, space: int) -> list:
             return [fld.from_int(d) for d in draws]
 
 
+def _term_rank(per_row: list[set]) -> int:
+    """Largest matching of rows to columns, row i to a column of per_row[i]
+    (Kuhn's augmenting paths): the term rank of that support pattern, which
+    bounds the rank of every matrix with its nonzero entries there, since a
+    nonzero k x k minor has a nonzero term, a matching of size k (Koenig)."""
+    owner: dict = {}
+
+    def augment(i: int, seen: set) -> bool:
+        for col in per_row[i]:
+            if col not in seen:
+                seen.add(col)
+                if col not in owner or augment(owner[col], seen):
+                    owner[col] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(len(per_row)))
+
+
 def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
                     trials: int = 16) -> RefutationData:
     """Minimum over generic h in J of mu(IJ/Ih) + mu(mJ/mh), versus 2(mu(J)-1).
@@ -508,6 +529,17 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     `_mul`'s cache, so after a failed certificate they are
     `verify_witness`'s.  A given Q is checked for I^2 = QI; callers that
     already know it pass none.
+
+    `trials` is the sample budget.  Every sample's rows have their nonzero
+    entries in the union of the supports of the products' normal forms, so
+    each side's rank is at most its bound, the term rank of that support
+    pattern (`_term_rank`) capped by its mu.  Each trial draws one vector,
+    shared by both sides, and ranks only a side still short of its bound;
+    once both sides meet their bounds sampling stops, as no later sample
+    could raise either rank, so the record equals that of the whole budget,
+    and where both bounds are met its ranks are the generic ranks exactly.
+    The monomial ideals tested meet both at the first sample; a
+    non-monomial I side, whose support is dense, may draw the whole budget.
     """
     if trials < 1:
         raise BadParameters(f"a refutation needs at least one sample, got trials={trials}")
@@ -530,11 +562,17 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     rng = random.Random(run_seed)
 
     space = fld.p if isinstance(fld, PrimeField) else MIN_PRIME
+    bound_I = min(mu_IJ, _term_rank([set().union(*per_w) for per_w in by_I]))
+    bound_m = min(mu_mJ, _term_rank([set().union(*per_w) for per_w in by_m]))
     best_I = best_m = 0
     for _ in range(trials):
+        if best_I == bound_I and best_m == bound_m:
+            break  # no later sample can raise either rank
         c = _sample_vector(rng, fld, len(j_min), space)
-        best_I = max(best_I, _rank([_combine(per_w, c, fld) for per_w in by_I], fld))
-        best_m = max(best_m, _rank([_combine(per_w, c, fld) for per_w in by_m], fld))
+        if best_I < bound_I:
+            best_I = max(best_I, _rank([_combine(per_w, c, fld) for per_w in by_I], fld))
+        if best_m < bound_m:
+            best_m = max(best_m, _rank([_combine(per_w, c, fld) for per_w in by_m], fld))
     min_sum = mu_IJ + mu_mJ - best_I - best_m
     degree = min(mu_IJ, len(by_I)) + min(mu_mJ, 2)
     failure_bound = float((degree / space) ** trials)
@@ -646,8 +684,10 @@ def validate_report(I: Ideal, report: AGReport) -> bool:
     does not reach it.  A reported colon is first re-derived by
     `_is_linked_colon` against the reported reduction.  Then mu(J) = 1 is
     recomputed from the colon by `_mu`; a witness is re-verified by
-    `verify_witness`; a refutation needs at least one trial and mu(J) >= 2,
-    and is recomputed from the reported colon with a fresh seed.
+    `verify_witness`; a refutation needs at least one trial, mu(J) >= 2
+    and min_sum > threshold, and is recomputed from the reported colon with
+    a fresh seed and the reported budget: the re-run must equal the record
+    in every field but `seeds`, so no recorded number is taken on trust.
     """
     if report.verdict is Verdict.UNKNOWN:
         return True
@@ -667,4 +707,4 @@ def validate_report(I: Ideal, report: AGReport) -> bool:
         return False  # zero samples refute nothing, and mu(J) = 1 is Gorenstein
     # the linkage check above already showed I^2 = QI: no Q for the refuter
     again = necessary_bound(I, J, seed=derive_seed(*r.seeds, "validate"), trials=r.trials)
-    return r.min_sum > r.threshold and again.min_sum > again.threshold
+    return r.min_sum > r.threshold and replace(again, seeds=r.seeds) == r

@@ -7,16 +7,21 @@ form of the kernel's one-pass update, the Groebner oracle is a
 plain S-pair saturation loop with no selection strategy or pair pruning, the
 lattice oracles work on divisibility predicates, the reference colon is an
 elimination (one auxiliary variable and exact division) in place of the
-library's kernel walk, and the rank oracle runs symbolic linear algebra in
-sympy.
+library's kernel walk, the rank oracle runs symbolic linear algebra in
+sympy, and the refuter's reference draws and ranks its whole sample budget
+with no rank bound to stop at.
 """
 
 from __future__ import annotations
 
+import random
+
 import sympy
 
-from agrees.errors import NotContained, ZeroDivisorIdeal
-from agrees.groebner import Ideal, ideal_intersection, ideal_product
+from agrees import engine
+from agrees.errors import NotContained, NotStable, ZeroDivisorIdeal
+from agrees.fields import MIN_PRIME, PrimeField
+from agrees.groebner import Ideal, ideal_intersection, ideal_product, maximal_ideal
 from agrees.poly import BlockElimination, Polynomial
 
 
@@ -368,6 +373,39 @@ def generic_ranks(i_gens, j_gens) -> tuple[int, int, int, int]:
     rank_i = span_matrix(i_gens, IJ).rank()
     rank_m = span_matrix(m_gens, mJ).rank()
     return len(IJ), len(mJ), rank_i, rank_m
+
+
+# -- the refuter's full sample budget ------------------------------------------
+
+def reference_necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
+                              trials: int = 16):
+    """`engine.necessary_bound` with no rank bound: each of the `trials`
+    shared sample vectors is drawn and both sides' rows are ranked, so the
+    ranks are the largest over the whole budget."""
+    if Q is not None and not engine.is_stable(I, Q):
+        raise NotStable("the generator-count refutation needs I^2 = QI")
+    fld = I.field
+    m = maximal_ideal(I.ring, fld)
+    IJ, mJ = engine._mul(I, J), engine._mul(m, J)
+    ij, mj = engine._mul(m, IJ).groebner_basis(), engine._mul(m, mJ).groebner_basis()
+    j_min = engine._min_gens(J)
+    by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in engine._min_gens(I)]
+    by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
+    mu_IJ, mu_mJ, mu_J = engine._mu(IJ), engine._mu(mJ), engine._mu(J)
+    run_seed = engine.derive_seed(seed, "refuter")
+    rng = random.Random(run_seed)
+    space = fld.p if isinstance(fld, PrimeField) else MIN_PRIME
+    best_I = best_m = 0
+    for _ in range(trials):
+        c = engine._sample_vector(rng, fld, len(j_min), space)
+        best_I = max(best_I, engine._rank([engine._combine(per_w, c, fld) for per_w in by_I], fld))
+        best_m = max(best_m, engine._rank([engine._combine(per_w, c, fld) for per_w in by_m], fld))
+    degree = min(mu_IJ, len(by_I)) + min(mu_mJ, 2)
+    return engine.RefutationData(
+        mu_IJ=mu_IJ, mu_mJ=mu_mJ, mu_J=mu_J, threshold=2 * (mu_J - 1),
+        min_sum=mu_IJ + mu_mJ - best_I - best_m, rank_I=best_I, rank_m=best_m,
+        trials=trials, seeds=(run_seed,), primes=(fld.p,) if isinstance(fld, PrimeField) else (),
+        failure_bound=float((degree / space) ** trials))
 
 
 # -- sympy bridge for elimination cross-checks ---------------------------------

@@ -41,7 +41,7 @@ from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import BASE_RING, Polynomial
 from agrees.staircase import staircase_normalize
 
-from oracles import generic_ranks, ideal_pow, reference_colon
+from oracles import generic_ranks, ideal_pow, reference_colon, reference_necessary_bound
 
 FP = PrimeField(2147483647)
 
@@ -600,10 +600,10 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
     # a certified classify runs no refuter once its reduction is found, and
     # its only two ranks are verify_witness's, one per side: it alone decides
     # the generic triple.  A refuted one ranks the failing IJ side once (the
-    # mJ side is not tested), then each of its samples' two row sets once
-    # (mu(IJ) is `_mu`'s, with no rank), and after its certificate fails it
-    # takes each product a*w (a in mingens(I) or {x, y}) to its normal form
-    # once
+    # mJ side is not tested), then its one sample's two row sets once, since
+    # the first sample meets both term-rank bounds (mu(IJ) is `_mu`'s, with
+    # no rank), and after its certificate fails it takes each product a*w
+    # (a in mingens(I) or {x, y}) to its normal form once
     from collections import Counter
 
     from agrees import groebner
@@ -651,7 +651,7 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
     I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
     rep = classify(I)
     assert rep.verdict is Verdict.NOT_AG and len(refuters) == 1
-    assert ranks == [True] + [False] * (2 * rep.refutation.trials)
+    assert ranks == [True, False, False]
     m = maximal_ideal(BASE_RING, QQ)
     rows = Counter(frozenset((a * w).terms.items())
                    for a in minimal_generators(I) + list(m.generators) for w in rep.colon_gens)
@@ -1362,6 +1362,96 @@ def test_refuter_requires_stability_when_given_q():
         necessary_bound(I, ideal_colon(Q, I), Q=Q)
 
 
+def _refuted_rows(field):
+    """(I, J, monomial) for every row that reaches the refuter in classify:
+    the census rows of colength <= 14 and the x -> x+2y twins of the
+    contracted-o3 tuples with n <= 8."""
+    census = [ideal_of_staircase(staircase_normalize(
+                  [(a, b) for b, a in enumerate(parts)] + [(0, len(parts))]), BASE_RING, field)
+              for n in range(1, 15) for parts in _partitions(n)]
+    twins = [coordinate_twin(family_exponents("contracted-o3", {"n": n, "alpha": a, "beta": b}),
+                             2, field)
+             for n in range(3, 9) for b in range(2, n) for a in range(1, b)]
+    rows = []
+    for I in census + twins:
+        rep = classify(I)
+        if rep.refutation is not None:
+            rows.append((I, Ideal(list(rep.colon_gens)), staircase_of_ideal(I) is not None))
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_refuter_equals_its_full_budget_loop(field, monkeypatch):
+    # stopping at the term-rank bound changes no field of the record: every
+    # row that reaches the refuter, at sample budgets 1, 2 and 16 and three
+    # seeds, equals the loop that ranks every sample.  A monomial row meets
+    # both bounds at its first sample, so it draws once; a twin's I side
+    # has a dense support and draws the whole budget
+    draws = []
+    real_sample = engine._sample_vector
+    monkeypatch.setattr(engine, "_sample_vector",
+                        lambda *args: draws.append(1) or real_sample(*args))
+    rows = _refuted_rows(field)
+    monomial = sum(mono for _, _, mono in rows)
+    assert monomial >= 15 and len(rows) - monomial >= 4
+    for I, J, mono in rows:
+        for trials in (1, 2, 16):
+            for seed in (0, 1, 9):
+                draws.clear()
+                got = necessary_bound(I, J, seed=seed, trials=trials)
+                assert len(draws) == (1 if mono else trials), (I, trials, seed)
+                assert got == reference_necessary_bound(I, J, seed=seed, trials=trials), I
+
+
+def test_one_sample_gives_the_generic_ranks_on_monomial_rows():
+    # on the census rows that reach the refuter, the ranks of a single
+    # sample are sympy's ranks with symbolic coefficients
+    checked = 0
+    for I, J, mono in _refuted_rows(FP):
+        if mono:
+            ref = necessary_bound(I, J, trials=1)
+            i_exps, j_exps = staircase_of_ideal(I).gens, staircase_of_ideal(J).gens
+            assert (ref.mu_IJ, ref.mu_mJ, ref.rank_I, ref.rank_m) == generic_ranks(i_exps, j_exps)
+            checked += 1
+    assert checked >= 15
+
+
+def _largest_matching(supports) -> int:
+    """Largest matching of rows to columns by trying, row by row, to leave
+    the row out or to give it each free column of its support."""
+    def best(i, used):
+        if i == len(supports):
+            return 0
+        return max([best(i + 1, used)]
+                   + [1 + best(i + 1, used | {col}) for col in supports[i] if col not in used])
+    return best(0, frozenset())
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_term_rank_is_a_largest_matching_and_bounds_the_rank(field):
+    # on seeded supports `_term_rank` is the brute-force largest matching,
+    # and it bounds the rank of the rows themselves (with explicit zeros and
+    # sums that cancel) and of `_combine`'s random combinations of them
+    rng = random.Random(derive_seed("term-rank", field.p if field is FP else 0))
+    for _ in range(200):
+        rows = _seeded_rank_rows(rng, field)
+        supports = [set(row) for row in rows]
+        bound = engine._term_rank(supports)
+        assert bound == _largest_matching(supports), rows
+        assert engine._rank(rows, field) <= bound, rows
+        n = rng.randint(1, 4)
+        per_row = [[rng.choice(rows) if rows and rng.random() < 0.5 else {}
+                    for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        bound = engine._term_rank([set().union(*per_w) for per_w in per_row])
+        for _ in range(3):
+            c = [field.from_int(rng.choice((0, 1, -1, rng.randint(-9, 9)))) for _ in range(n)]
+            assert engine._rank([engine._combine(per_w, c, field) for per_w in per_row],
+                                field) <= bound, per_row
+    assert engine._term_rank([]) == 0
+    assert engine._term_rank([{1, 2}, {1}, {1}]) == 2
+    assert engine._term_rank([{1, 2, 3}, {1}, {2}, {2, 3}]) == 3
+
+
 # -- classify ------------------------------------------------------------------------
 
 def test_classify_flagship_not_ag():
@@ -1406,6 +1496,25 @@ def test_validate_report_recomputes_refutation():
     assert rep.verdict is Verdict.GORENSTEIN
     with pytest.raises(BadParameters):
         necessary_bound(I, Ideal(list(rep.colon_gens)))
+
+
+def test_validate_report_rejects_forged_refutation_numbers():
+    # a genuine NOT_AG report whose refutation record is altered in one
+    # recorded number, each still refuting (min_sum > threshold), or with
+    # rank_I and min_sum forged together: the re-run must equal the record
+    # in every field but its seeds
+    I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
+    rep = classify(I)
+    assert rep.verdict is Verdict.NOT_AG and validate_report(I, rep)
+    r = rep.refutation
+    forgeries = [replace(r, mu_IJ=99), replace(r, mu_J=9), replace(r, threshold=1),
+                 replace(r, min_sum=15), replace(r, rank_I=0, min_sum=8),
+                 replace(r, primes=(7,)), replace(r, failure_bound=0.0)]
+    assert all(f != r and f.min_sum > f.threshold for f in forgeries)
+    for forged in forgeries:
+        assert not validate_report(I, replace(rep, refutation=forged)), forged
+    # the seeds are the one field a re-run does not repeat
+    assert validate_report(I, replace(rep, refutation=replace(r, seeds=(1, 2))))
 
 
 def test_validate_report_recomputes_mu_of_the_colon():

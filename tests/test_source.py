@@ -227,6 +227,15 @@ def test_engine_reads_the_echelon_only_through_rank():
     assert {d for m, d in _named_in("_echelon_reduce") if m == "engine"} == {"_rank"}
 
 
+def test_refuter_alone_reads_the_term_rank():
+    """The refuter stops sampling once each side's rank meets its bound,
+    the term rank of that side's support capped by its mu, so
+    `_term_rank` is read only by `necessary_bound`, and `_rank` stays read
+    only by `_spans` and `necessary_bound`."""
+    assert _named_in("_term_rank") == {("engine", "necessary_bound")}
+    assert {d for m, d in _named_in("_rank") if m == "engine"} == {"_spans", "necessary_bound"}
+
+
 def test_engine_decides_stability_in_one_place():
     """Every Nakayama test in `engine` is one `_spans` (a reduction's, I^2 =
     QI's, each witness side's), so `_rank` is read only there and by the
