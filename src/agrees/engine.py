@@ -6,8 +6,9 @@ sparse echelon (`groebner._echelon_reduce`, here only through `_rank`) over
 normal forms, each taken modulo one reduced basis.  A rank reads no row's
 scale, so every Nakayama test and membership test takes
 `GroebnerBasis.reduce_row`, a positive multiple of the normal form kept as
-an integer row; only the refuter, whose samples combine normal forms,
-takes the exact ones by `GroebnerBasis.reduce`.
+an integer row; only the table of generator products, whose rows the
+certificate and the refuter combine, takes the exact ones, by
+`GroebnerBasis.reduce_products`.
 The pipeline: find a 2-generated reduction Q of I (Q may vanish away from
 the origin) and require stability, I^2 = QI (`_stable`, one Nakayama test
 `_spans`, or for a monomial I a count of lengths; r = 0 iff mu(I) <= 2),
@@ -24,14 +25,17 @@ or refute by showing that no h in J can keep mu(IJ/Ih) + mu(mJ/mh) within
 the generator-count budget 2*(mu(J) - 1), from the ranks of sampled h,
 sampling until each side's rank meets the term rank of its support (capped
 by its mu), which no sample can exceed.  Both witness conditions are
-Zariski-open ranks (Nakayama), so one generic triple decides the first, and
-it is decided exactly by `_spans` in IJ and in mJ (`verify_witness`).
+Zariski-open ranks (Nakayama), so one generic triple decides the first.
+The triple and the refuter's samples are ranked on one table, the normal
+forms of the products of minimal generators (`_product_tables`), read off
+the corners for a monomial I and J; the validator re-checks a reported
+triple by building and reducing its products (`verify_witness`).
 Every product ideal is built once per analysis (`_mul` caches it on its
 right factor, and `maximal_ideal` is one object per ring and field), and
 that cache is the one way stages share work: the powers I^k (`_power`),
 each mu(P) = colength(m*P) - colength(P) (`_mu`), I^2 for the colon, and
 the reduced bases of m*IJ and m^2*J, which the certificate builds and the
-refuter reads, are all read off it.
+refuter reads, are all read off it; the table itself is read again.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -183,7 +187,8 @@ def _mul(A: Ideal, B: Ideal) -> Ideal:
 # integer rows (`GroebnerBasis.reduce_row`, keyed by packed words, or by
 # exponent tuples for a monomial top, where a product keeps its single term
 # exactly when it lies outside top), for a rank; as field values keyed by
-# exponent tuples (`GroebnerBasis.reduce`) where the refuter combines rows.
+# exponent tuples (`GroebnerBasis.reduce_products`) where the certificate
+# and the refuter combine rows.
 
 def _rank(rows: list[dict], fld) -> int:
     """dim_k of the span of sparse rows {column: field value}, with mutually
@@ -191,7 +196,8 @@ def _rank(rows: list[dict], fld) -> int:
     the largest column, built from copies of the rows without their zero
     entries (a `_combine` can cancel one), each cleared to an integer row
     (`field.clear`).  The engine's only reader of `_echelon_reduce`: every
-    Nakayama test and refuter sample is a `_rank`."""
+    Nakayama test, witness side on the table and refuter sample is a
+    `_rank`."""
     echelon: dict = {}
     zero = fld.zero
     for row in rows:
@@ -432,12 +438,11 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
     locally iff gJ + Ih + m*IJ = IJ (Nakayama); that quotient is killed by
     m, so local and global agree.  `_sum_equals` tests it by the rank of
     the parts' normal forms modulo m*IJ against mu(IJ); likewise mJ = fJ + mh
-    against m^2*J and mu(mJ).  This is the one exact test of a triple:
-    `certificate_search` decides its generic triple by it and
-    `validate_report` re-checks a reported one.  IJ, mJ, the bases of m*IJ
-    and m^2*J and both mu come from `_mul`'s cache, so the refuter reads the
-    same ones; the products g*w, a*h, f*w and v*h and their normal forms are
-    made here.
+    against m^2*J and mu(mJ).  This is `validate_report`'s check of a
+    reported triple: it builds and reduces the products g*w, a*h, f*w and
+    v*h over the generators of I and J, a route independent of the table
+    `certificate_search` decides on (`_witness_on_table`), which it equals.
+    IJ, mJ, the bases of m*IJ and m^2*J and both mu come from `_mul`'s cache.
     """
     m = maximal_ideal(I.ring, I.field)
     if not (_contains_all(m, [f]) and _contains_all(I, [g]) and _contains_all(J, [h])):
@@ -448,9 +453,55 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
     return all(_sum_equals(ref, staircase_of_ideal(ref), (), parts) for ref, parts in sides)
 
 
+def _product_tables(I: Ideal, J: Ideal):
+    """The table of generator products that the certificate and the
+    refuter read, one side at a time: (IJ, by_I), then (mJ, by_m), with
+    by_I[i][j] = NF(u_i*w_j) modulo m*IJ for u_i in mingens(I), by_m[v][j]
+    = NF(v*w_j) modulo m^2*J for v in {x, y}, and w_j in mingens(J), in
+    exact field values (`GroebnerBasis.reduce_products`, a corner read for
+    monomial I and J).  A caller that stops after the IJ side builds no mJ
+    side.  The ideals and bases come from `_mul`'s cache."""
+    m = maximal_ideal(I.ring, I.field)
+    j_min = _min_gens(J)
+    for P, left in ((_mul(I, J), _min_gens(I)), (_mul(m, J), m.generators)):
+        yield P, _mul(m, P).groebner_basis().reduce_products(left, j_min)
+
+
+def _combine(per_w: list[dict], c: list, fld) -> dict:
+    """sum_j c_j * per_w[j] of normal forms, such as that of a*h for
+    h = sum c_j w_j from those of each a*w_j; an entry can cancel to zero,
+    which `_rank` drops."""
+    row: dict = {}
+    for cj, entries in zip(c, per_w):
+        for col, v in entries.items():
+            row[col] = fld.add(row.get(col, fld.zero), fld.mul(cj, v))
+    return row
+
+
+def _witness_on_table(I: Ideal, J: Ideal, a: list, c: list, b: list) -> bool:
+    """Do g = sum a_i u_i, h = sum c_j w_j and f = b_x x + b_y y (u_i in
+    mingens(I), w_j in mingens(J)) satisfy both witness equalities?  Normal
+    forms are linear, so NF(g*w_j) = sum_i a_i by_I[i][j] and NF(u_i*h) =
+    sum_j c_j by_I[i][j] (`_product_tables`), and the IJ side holds iff
+    these mu(J) + mu(I) rows have rank mu(IJ); then the mJ side likewise
+    with b, by_m and mu(mJ).
+
+    This equals `verify_witness(I, J, f, g, h)`: f, g and h lie in m, I
+    and J by construction, and modulo m*IJ the products g*w over any
+    generators w of J span what those over mingens(J) do, as w is a
+    combination of them modulo mJ and g*mJ lies in I*mJ = m*IJ; likewise
+    for a*h, and for the mJ side modulo m^2*J."""
+    fld = I.field
+    return all(
+        _rank([_combine(col, coeffs, fld) for col in zip(*table)]
+              + [_combine(row, c, fld) for row in table], fld) == _mu(P)
+        for (P, table), coeffs in zip(_product_tables(I, J), (a, b)))
+
+
 def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0) -> AGWitness | None:
-    """One generic witness triple, decided by `verify_witness`; None if it
-    fails.  Raises NotStable unless I^2 = QI (`is_stable`).
+    """One generic witness triple, decided on the table of generator
+    products (`_witness_on_table`); None if it fails.  Raises NotStable
+    unless I^2 = QI (`is_stable`).
 
     g, h and f combine mingens(I), mingens(J) and {x, y} with seeded random
     coefficients from S = {1..|S|}, |S| = `fields.MIN_PRIME`: distinct nonzero
@@ -458,7 +509,8 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0) -> AGWitness
     condition is a rank in the coefficients, full iff some maximal minor, of
     degree mu(IJ) or mu(mJ), is nonzero; if a witness exists, Schwartz-Zippel
     on the product of two such minors bounds the miss probability by
-    (mu(IJ) + mu(mJ))/|S|.
+    (mu(IJ) + mu(mJ))/|S|.  The polynomials f, g and h are built only for a
+    triple that passes.
     """
     if not is_stable(I, Q):
         raise NotStable("certificate search requires I^2 = QI")
@@ -470,22 +522,13 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0) -> AGWitness
         return [fld.from_int(rng.randint(1, MIN_PRIME)) for _ in range(n)]
 
     a, c, b = draw(len(i_gens)), draw(len(j_min)), draw(2)
-    f = _span(b, maximal_ideal(I.ring, fld).generators)
-    g, h = _span(a, i_gens), _span(c, j_min)
-    return AGWitness(f=f, g=g, h=h) if verify_witness(I, J, f, g, h) else None
+    if not _witness_on_table(I, J, a, c, b):
+        return None
+    return AGWitness(f=_span(b, maximal_ideal(I.ring, fld).generators),
+                     g=_span(a, i_gens), h=_span(c, j_min))
 
 
 # -- refutation ----------------------------------------------------------------
-
-def _combine(per_w: list[dict], c: list, fld) -> dict:
-    """Normal form of a * h for h = sum c_j w_j, from those of each a * w_j;
-    an entry can cancel to zero, which `_rank` drops."""
-    row: dict = {}
-    for cj, entries in zip(c, per_w):
-        for col, v in entries.items():
-            row[col] = fld.add(row.get(col, fld.zero), fld.mul(cj, v))
-    return row
-
 
 def _sample_vector(rng: random.Random, fld, n: int, space: int) -> list:
     while True:
@@ -513,8 +556,11 @@ def _term_rank(per_row: list[set]) -> int:
     return sum(augment(i, set()) for i in range(len(per_row)))
 
 
+_TRIALS = 16  # the refuter's sample budget, which classify records
+
+
 def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
-                    trials: int = 16) -> RefutationData:
+                    trials: int = _TRIALS) -> RefutationData:
     """Minimum over generic h in J of mu(IJ/Ih) + mu(mJ/mh), versus 2(mu(J)-1).
 
     Both quotient sizes depend only on the class of h in J/mJ and are
@@ -523,17 +569,19 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     with quantifiable failure probability (reported).  By Nakayama,
     (Ih + mIJ)/mIJ is the k-span of the normal forms of a * h modulo mIJ
     over a in mingens(I), and (mh + m^2 J)/m^2 J that of x h, y h modulo
-    m^2 J, so every product a * w_j (w_j in mingens(J)) is reduced once and
-    each sample's rows are combinations of them.  mu(IJ) and mu(mJ) are
-    `_mu`'s, like every other mu.  The bases of m*IJ and m^2*J come from
-    `_mul`'s cache, so after a failed certificate they are
-    `verify_witness`'s.  A given Q is checked for I^2 = QI; callers that
-    already know it pass none.
+    m^2 J, so each sample's rows are combinations of the normal forms of
+    the products a * w_j (w_j in mingens(J)): the table of generator
+    products (`_product_tables`) that the certificate decided on, read
+    again after it fails (for monomial I and J a read of the corners), with
+    the bases of m*IJ and m^2*J from `_mul`'s cache.  mu(IJ) and mu(mJ) are
+    `_mu`'s, like every other mu.  A given Q is checked for I^2 = QI;
+    callers that already know it pass none.
 
-    `trials` is the sample budget.  Every sample's rows have their nonzero
-    entries in the union of the supports of the products' normal forms, so
-    each side's rank is at most its bound, the term rank of that support
-    pattern (`_term_rank`) capped by its mu.  Each trial draws one vector,
+    `trials` is the sample budget, `_TRIALS` by default; classify records
+    it and `validate_report` accepts no other.  Every sample's rows have
+    their nonzero entries in the union of the supports of the products'
+    normal forms, so each side's rank is at most its bound, the term rank
+    of that support pattern (`_term_rank`) capped by its mu.  Each trial draws one vector,
     shared by both sides, and ranks only a side still short of its bound;
     once both sides meet their bounds sampling stops, as no later sample
     could raise either rank, so the record equals that of the whole budget,
@@ -546,12 +594,7 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     if Q is not None and not is_stable(I, Q):
         raise NotStable("the generator-count refutation needs I^2 = QI")
     fld = I.field
-    m = maximal_ideal(I.ring, fld)
-    IJ, mJ = _mul(I, J), _mul(m, J)
-    ij, mj = _mul(m, IJ).groebner_basis(), _mul(m, mJ).groebner_basis()
-    j_min = _min_gens(J)
-    by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in _min_gens(I)]
-    by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
+    (IJ, by_I), (mJ, by_m) = _product_tables(I, J)
     mu_IJ = _mu(IJ)
     mu_mJ = _mu(mJ)
     mu_J = _mu(J)
@@ -568,7 +611,7 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     for _ in range(trials):
         if best_I == bound_I and best_m == bound_m:
             break  # no later sample can raise either rank
-        c = _sample_vector(rng, fld, len(j_min), space)
+        c = _sample_vector(rng, fld, len(_min_gens(J)), space)
         if best_I < bound_I:
             best_I = max(best_I, _rank([_combine(per_w, c, fld) for per_w in by_I], fld))
         if best_m < bound_m:
@@ -684,10 +727,13 @@ def validate_report(I: Ideal, report: AGReport) -> bool:
     does not reach it.  A reported colon is first re-derived by
     `_is_linked_colon` against the reported reduction.  Then mu(J) = 1 is
     recomputed from the colon by `_mu`; a witness is re-verified by
-    `verify_witness`; a refutation needs at least one trial, mu(J) >= 2
-    and min_sum > threshold, and is recomputed from the reported colon with
-    a fresh seed and the reported budget: the re-run must equal the record
-    in every field but `seeds`, so no recorded number is taken on trust.
+    `verify_witness`, which builds and reduces the products themselves, a
+    route independent of the table `certificate_search` decided on; a
+    refutation needs classify's budget, `trials` = `_TRIALS` (any other is
+    rejected before a sample is drawn, so a forged budget costs nothing),
+    mu(J) >= 2 and min_sum > threshold, and is recomputed from the reported
+    colon with a fresh seed: the re-run must equal the record in every
+    field but `seeds`, so no recorded number is taken on trust.
     """
     if report.verdict is Verdict.UNKNOWN:
         return True
@@ -703,8 +749,8 @@ def validate_report(I: Ideal, report: AGReport) -> bool:
         w = report.witness
         return w is not None and verify_witness(I, J, w.f, w.g, w.h)
     r = report.refutation
-    if r is None or r.trials < 1 or _mu(J) < 2:
-        return False  # zero samples refute nothing, and mu(J) = 1 is Gorenstein
+    if r is None or r.trials != _TRIALS or _mu(J) < 2:
+        return False  # classify samples _TRIALS times, and mu(J) = 1 is Gorenstein
     # the linkage check above already showed I^2 = QI: no Q for the refuter
-    again = necessary_bound(I, J, seed=derive_seed(*r.seeds, "validate"), trials=r.trials)
+    again = necessary_bound(I, J, seed=derive_seed(*r.seeds, "validate"))
     return r.min_sum > r.threshold and replace(again, seeds=r.seeds) == r

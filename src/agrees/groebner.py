@@ -27,8 +27,9 @@ normal form whose scale does not matter, one a rank or a zero test reads,
 stays an integer row: `GroebnerBasis.reduce_row` packs its input and
 hands back the row `_nf_dict` returns.  Everything else outside the
 kernels is on exponent tuples: `GroebnerBasis.reduce`, read only by
-`normal_form` and the refuter, packs its input and unpacks the remainder,
-and `elements` and `leading_exponents` unpack.  Only this module and
+`normal_form` and `GroebnerBasis.reduce_products` (the engine's table of
+generator products), packs its input and unpacks the remainder, and
+`elements` and `leading_exponents` unpack.  Only this module and
 `poly` know the packed format, and a caller of `reduce_row` reads its rows
 only as columns that compare.
 
@@ -78,9 +79,10 @@ between the two: `staircase_of_ideal` reads an ideal's staircase once and
 caches it on the ideal, and `ideal_of_staircase` builds the ideal of a
 staircase with it cached.  A monomial ideal's `colength`, order and
 reduced basis are read off its staircase, and its basis's `reduce_row` is
-a term filter in place of `_nf_dict`; `reduce` runs `_nf_dict` on every
-basis.  Every other ideal, the zero ideal and monomial ideals in more
-variables included, goes through Buchberger.
+a term filter in place of `_nf_dict`, and so is its `reduce_products` on
+two single terms; `reduce` runs `_nf_dict` on every basis.  Every other
+ideal, the zero ideal and monomial ideals in more variables included, goes
+through Buchberger.
 
 A polynomial is built only where one is read.  A derived ideal, the ideal
 of a staircase or a finished one, builds its generators from its source on
@@ -477,8 +479,8 @@ class GroebnerBasis:
     `entries` are the basis as `_buchberger` returns it, `_entry`s of packed
     grevlex words sorted by descending lead: primitive integer rows over
     q, monic rows over fp, which a kernel such as `_walk` divides by.
-    `reduce` divides by them for `normal_form` and the refuter, packing its
-    input and unpacking the remainder, and `reduce_row` hands back an
+    `reduce` divides by them for `normal_form` and `reduce_products`,
+    packing its input and unpacking the remainder, and `reduce_row` hands back an
     integer row, a positive multiple of the normal form; the monic
     `elements` are unpacked from them once, when first read, and so is
     `staircase`, the staircase of the leads, which `colength` reads;
@@ -537,8 +539,8 @@ class GroebnerBasis:
 
     def reduce(self, terms: _Term) -> _Term:
         """Normal form of a term dict modulo the basis, as a term dict of
-        field values, for `normal_form` and the refuter: `_nf_dict`'s exact
-        mode on the packed terms, unpacked.  Normal forms are k-linear: the
+        field values, for `normal_form` and `reduce_products`: `_nf_dict`'s
+        exact mode on the packed terms, unpacked.  Normal forms are k-linear: the
         normal form of sum_j c_j * p_j is sum_j c_j * NF(p_j)."""
         pk = self._pk
         pack, unpack = pk.pack, pk.unpack
@@ -570,6 +572,34 @@ class GroebnerBasis:
         self.field.clear(row)
         # looked up on the module, so a wrapper bound there sees this call too
         return _nf_dict(row, self.entries, pk.guard, self.field, True)
+
+    def reduce_products(self, left: Sequence[Polynomial],
+                        right: Sequence[Polynomial]) -> list[list[_Term]]:
+        """The table [[reduce((u*w).terms) for w in right] for u in left]:
+        the exact normal forms of the products, for a caller that combines
+        them linearly.  Modulo a staircase basis a product of two single
+        terms c*x^a and d*x^b is the single term cd*x^(a+b), which the term
+        filter of `reduce_row` keeps or drops, so its entry is
+        {a+b: cd} or {} with no product built.  Every other product is
+        formed and `reduce`d."""
+        corners = self._corners
+        if corners is None:
+            return [[self.reduce((u * w).terms) for w in right] for u in left]
+        xs, ys = corners
+        mul = self.field.mul
+        table = []
+        for u in left:
+            row = []
+            for w in right:
+                if len(u.terms) == 1 == len(w.terms):
+                    ((a, c),), ((b, d),) = u.terms.items(), w.terms.items()
+                    e = (a[0] + b[0], a[1] + b[1])
+                    i = bisect_right(xs, e[0])
+                    row.append({e: mul(c, d)} if not i or ys[i - 1] > e[1] else {})
+                else:
+                    row.append(self.reduce((u * w).terms))
+            table.append(row)
+        return table
 
     def leading_exponents(self) -> list[Exponent]:
         unpack = self._pk.unpack

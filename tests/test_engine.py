@@ -598,21 +598,23 @@ def test_classify_builds_no_basis_twice(monkeypatch):
 
 def test_certificate_is_decided_by_one_exact_test(monkeypatch):
     # a certified classify runs no refuter once its reduction is found, and
-    # its only two ranks are verify_witness's, one per side: it alone decides
-    # the generic triple.  A refuted one ranks the failing IJ side once (the
+    # its only two ranks are the certificate's, one per side of the table of
+    # generator products: they alone decide the generic triple, and no
+    # verify_witness runs.  A refuted one ranks the failing IJ side once (the
     # mJ side is not tested), then its one sample's two row sets once, since
     # the first sample meets both term-rank bounds (mu(IJ) is `_mu`'s, with
-    # no rank), and after its certificate fails it takes each product a*w
-    # (a in mingens(I) or {x, y}) to its normal form once
+    # no rank).  A monomial row's table is read off the corners, so neither
+    # stage reduces a product; a twin's refuter reduces each product a*w
+    # (a in mingens(I) or {x, y}) once, as its certificate did before it
     from collections import Counter
 
     from agrees import groebner
 
-    ranks, refuters, reduced, verifying = [], [], [], []
+    ranks, refuters, reduced, verified = [], [], [], []
     real_find, real_cert = engine.find_reduction, engine.certificate_search
     real_rank, real_bound = engine._rank, engine.necessary_bound
-    real_verify = engine.verify_witness
     real_reduce = groebner.GroebnerBasis.reduce
+    certifying = []
 
     def find_reduction(*args, **kwargs):
         red = real_find(*args, **kwargs)
@@ -620,26 +622,22 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
         return red
 
     def certificate_search(*args, **kwargs):
-        witness = real_cert(*args, **kwargs)
-        reduced.clear()
-        return witness
+        certifying.append(1)
+        try:
+            return real_cert(*args, **kwargs)
+        finally:
+            certifying.pop()
+            reduced.clear()
 
     def reduce(self, terms):
         reduced.append(frozenset(terms.items()))
         return real_reduce(self, terms)
 
-    def verify_witness(*args):
-        verifying.append(1)
-        try:
-            return real_verify(*args)
-        finally:
-            verifying.pop()
-
     monkeypatch.setattr(engine, "find_reduction", find_reduction)
     monkeypatch.setattr(engine, "certificate_search", certificate_search)
-    monkeypatch.setattr(engine, "verify_witness", verify_witness)
+    monkeypatch.setattr(engine, "verify_witness", lambda *args: verified.append(1))
     monkeypatch.setattr(engine, "_rank",
-                        lambda *args: ranks.append(bool(verifying)) or real_rank(*args))
+                        lambda *args: ranks.append(bool(certifying)) or real_rank(*args))
     monkeypatch.setattr(engine, "necessary_bound",
                         lambda *args, **kwargs: refuters.append(1) or real_bound(*args, **kwargs))
     monkeypatch.setattr(groebner.GroebnerBasis, "reduce", reduce)
@@ -651,11 +649,16 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
     I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
     rep = classify(I)
     assert rep.verdict is Verdict.NOT_AG and len(refuters) == 1
-    assert ranks == [True, False, False]
+    assert ranks == [True, False, False] and reduced == []
+
+    rep = classify(_flagship_twin())
+    assert rep.verdict is Verdict.NOT_AG and len(refuters) == 2
     m = maximal_ideal(BASE_RING, QQ)
     rows = Counter(frozenset((a * w).terms.items())
-                   for a in minimal_generators(I) + list(m.generators) for w in rep.colon_gens)
+                   for a in minimal_generators(_flagship_twin()) + list(m.generators)
+                   for w in rep.colon_gens)
     assert rows and Counter(reduced) == rows
+    assert verified == []
 
 
 def test_integral_closedness_is_decided_by_lengths(monkeypatch):
@@ -1092,6 +1095,103 @@ def test_verify_witness_matches_groebner_route(name):
     assert checked and outcomes == {True, False}
 
 
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_table_decides_as_verify_witness(field, monkeypatch):
+    # on every row of `_census_and_twins` that reaches the certificate, the
+    # decision on the table of generator products equals verify_witness,
+    # which builds and reduces the products themselves: at the generic
+    # triple of seeds 0, 1 and 9 (a passing one is the witness
+    # certificate_search returns), and at degenerate triples with zero or
+    # repeated coefficients, which make the IJ side or the mJ side fail,
+    # some by a rank one short.  No classify calls verify_witness
+    real_table = engine._witness_on_table
+    verified, drawn = [], []
+    monkeypatch.setattr(engine, "verify_witness", lambda *args: verified.append(args))
+    monkeypatch.setattr(engine, "_witness_on_table",
+                        lambda *args: drawn.append(args[2:]) or real_table(*args))
+    m = maximal_ideal(BASE_RING, field)
+    F = field.from_int
+    rng = random.Random(derive_seed("table", field.p if field is FP else 0))
+
+    def sparse(n):
+        return [F(rng.choice((0, 0, 1, -1, 2))) for _ in range(n)]
+
+    outcomes, failed_sides, rows = set(), set(), 0
+    for I in _census_and_twins(field):
+        rep = classify(I)
+        if rep.witness is None and rep.refutation is None:
+            continue  # unstable or Gorenstein: no certificate
+        rows += 1
+        Q, J = Ideal(list(rep.reduction.Q)), Ideal(list(rep.colon_gens))
+        i_gens, j_min = minimal_generators(I), minimal_generators(J)
+        ni, nj = len(i_gens), len(j_min)
+        generic = []
+        for seed in (0, 1, 9):
+            drawn.clear()
+            witness = certificate_search(I, Q, J, seed=seed)
+            (triple,) = drawn
+            generic.append((triple, witness))
+        degenerate = [
+            ([F(0)] * ni, [F(1)] * nj, [F(1), F(1)]),                    # g = 0
+            ([F(1)] * ni, [F(0)] * nj, [F(1), F(2)]),                    # h = 0
+            ([F(1)] * ni, [F(1)] * nj, [F(0), F(0)]),                    # f = 0
+            ([F(1)] * ni, [F(2)] * nj, [F(1), F(0)]),                    # f = x
+            ([F(7)] * ni, [F(1)] + [F(0)] * (nj - 1), [F(5), F(5)]),     # h = w_1
+        ] + [(sparse(ni), sparse(nj), sparse(2)) for _ in range(4)]
+        for k, (a, c, b) in enumerate([t for t, _ in generic] + degenerate):
+            f = engine._span(b, m.generators)
+            g, h = engine._span(a, i_gens), engine._span(c, j_min)
+            got = real_table(I, J, a, c, b)
+            assert got == verify_witness(I, J, f, g, h), (I, a, c, b)
+            outcomes.add(got)
+            if k < len(generic):
+                assert generic[k][1] == (engine.AGWitness(f=f, g=g, h=h) if got else None)
+            if not got:
+                ij_holds = engine._spans(engine._mul(I, J), [g * w for w in J.generators]
+                                         + [u * h for u in I.generators])
+                failed_sides.add("mJ" if ij_holds else "IJ")
+    assert rows >= 400 and outcomes == {True, False} and failed_sides == {"IJ", "mJ"}
+    assert verified == []
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_monomial_certificate_forms_no_product(field, monkeypatch):
+    # for monomial I and J every entry of the table is read off the corners:
+    # a certificate, certified or not, calls no `reduce` and no `_nf_dict`
+    # and multiplies no polynomials (the census rows of colength <= 10)
+    from agrees import groebner
+
+    real_cert = engine.certificate_search
+    certifying, formed = [], []
+    verdicts = set()
+
+    def certificate_search(*args, **kwargs):
+        certifying.append(1)
+        try:
+            witness = real_cert(*args, **kwargs)
+        finally:
+            certifying.pop()
+        verdicts.add(witness is not None)
+        return witness
+
+    def spy(real):
+        def call(*args):
+            if certifying:
+                formed.append(real)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(engine, "certificate_search", certificate_search)
+    monkeypatch.setattr(Polynomial, "__mul__", spy(Polynomial.__mul__))
+    monkeypatch.setattr(groebner.GroebnerBasis, "reduce", spy(groebner.GroebnerBasis.reduce))
+    monkeypatch.setattr(groebner, "_nf_dict", spy(groebner._nf_dict))
+    for n in range(1, 11):
+        for parts in _partitions(n):
+            gens = [(a, b) for b, a in enumerate(parts)] + [(0, len(parts))]
+            classify(ideal_of_staircase(staircase_normalize(gens), BASE_RING, field))
+    assert verdicts == {True, False} and formed == []
+
+
 def _old_span(coeffs, gens):
     """The fold `_span` replaced: each scaled copy summed onto a partial sum."""
     zero = Polynomial.zero(gens[0].ring, gens[0].field)
@@ -1185,7 +1285,10 @@ def test_classify_builds_no_generators_of_a_product_with_m(case, monkeypatch):
 def test_witness_test_keeps_the_tracers_arguments(monkeypatch):
     # perfbench's tracer reads `_sum_equals`'s positional (ref, ref_stair,
     # ref_min, parts): args[1] is ref's staircase, args[3] the parts as
-    # polynomials; ref_min is not read, and verify_witness passes ()
+    # polynomials; ref_min is not read, and verify_witness passes ().
+    # classify decides its triple on the table, so the calls come from
+    # validate_report's re-check, of a certified twin (no staircase) and of
+    # its monomial source (staircases)
     calls = []
     real = engine._sum_equals
 
@@ -1195,9 +1298,13 @@ def test_witness_test_keeps_the_tracers_arguments(monkeypatch):
 
     monkeypatch.setattr(engine, "_sum_equals", spy)
     assert list(inspect.signature(real).parameters) == ["ref", "ref_stair", "ref_min", "parts"]
-    for I in (_flagship_twin(), make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})):
-        classify(I)
-    assert len(calls) >= 3
+    exps = family_exponents("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
+    for I in (coordinate_twin(exps, Fraction(1, 3), QQ),
+              make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})):
+        before = len(calls)
+        rep = classify(I)
+        assert rep.verdict is Verdict.AG_CERTIFIED and len(calls) == before
+        assert validate_report(I, rep) and len(calls) == before + 2
     for ref, ref_stair, ref_min, parts in calls:
         assert ref_stair == staircase_of_ideal(ref) and ref_min == ()
         assert parts and all(isinstance(p, Polynomial) for p in parts)
@@ -1362,9 +1469,8 @@ def test_refuter_requires_stability_when_given_q():
         necessary_bound(I, ideal_colon(Q, I), Q=Q)
 
 
-def _refuted_rows(field):
-    """(I, J, monomial) for every row that reaches the refuter in classify:
-    the census rows of colength <= 14 and the x -> x+2y twins of the
+def _census_and_twins(field):
+    """The census rows of colength <= 14 and the x -> x+2y twins of the
     contracted-o3 tuples with n <= 8."""
     census = [ideal_of_staircase(staircase_normalize(
                   [(a, b) for b, a in enumerate(parts)] + [(0, len(parts))]), BASE_RING, field)
@@ -1372,8 +1478,14 @@ def _refuted_rows(field):
     twins = [coordinate_twin(family_exponents("contracted-o3", {"n": n, "alpha": a, "beta": b}),
                              2, field)
              for n in range(3, 9) for b in range(2, n) for a in range(1, b)]
+    return census + twins
+
+
+def _refuted_rows(field):
+    """(I, J, monomial) for every row of `_census_and_twins` that reaches
+    the refuter in classify."""
     rows = []
-    for I in census + twins:
+    for I in _census_and_twins(field):
         rep = classify(I)
         if rep.refutation is not None:
             rows.append((I, Ideal(list(rep.colon_gens)), staircase_of_ideal(I) is not None))
@@ -1498,11 +1610,18 @@ def test_validate_report_recomputes_refutation():
         necessary_bound(I, Ideal(list(rep.colon_gens)))
 
 
-def test_validate_report_rejects_forged_refutation_numbers():
+def test_validate_report_rejects_forged_refutation_numbers(monkeypatch):
     # a genuine NOT_AG report whose refutation record is altered in one
     # recorded number, each still refuting (min_sum > threshold), or with
     # rank_I and min_sum forged together: the re-run must equal the record
-    # in every field but its seeds
+    # in every field but its seeds.  A budget other than classify's is
+    # rejected before the re-run draws a sample, so a forged trials=2000
+    # costs nothing, and every genuine NOT_AG report of `_census_and_twins`
+    # still validates
+    draws = []
+    real_sample = engine._sample_vector
+    monkeypatch.setattr(engine, "_sample_vector",
+                        lambda *args: draws.append(1) or real_sample(*args))
     I = make_family("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
     rep = classify(I)
     assert rep.verdict is Verdict.NOT_AG and validate_report(I, rep)
@@ -1515,6 +1634,18 @@ def test_validate_report_rejects_forged_refutation_numbers():
         assert not validate_report(I, replace(rep, refutation=forged)), forged
     # the seeds are the one field a re-run does not repeat
     assert validate_report(I, replace(rep, refutation=replace(r, seeds=(1, 2))))
+    assert r.trials == engine._TRIALS
+    draws.clear()
+    for trials in (2000, r.trials + 1, r.trials - 1, 1):
+        assert not validate_report(I, replace(rep, refutation=replace(r, trials=trials))), trials
+    assert draws == []
+    genuine = 0
+    for I in _census_and_twins(FP):
+        rep = classify(I)
+        if rep.verdict is Verdict.NOT_AG:
+            assert validate_report(I, rep), I
+            genuine += 1
+    assert genuine >= 20
 
 
 def test_validate_report_recomputes_mu_of_the_colon():

@@ -230,21 +230,25 @@ def test_engine_reads_the_echelon_only_through_rank():
 def test_refuter_alone_reads_the_term_rank():
     """The refuter stops sampling once each side's rank meets its bound,
     the term rank of that side's support capped by its mu, so
-    `_term_rank` is read only by `necessary_bound`, and `_rank` stays read
-    only by `_spans` and `necessary_bound`."""
+    `_term_rank` is read only by `necessary_bound`, and `_rank` is read
+    only by `_spans`, `necessary_bound` and the certificate's decision on
+    the table of generator products (`_witness_on_table`)."""
     assert _named_in("_term_rank") == {("engine", "necessary_bound")}
-    assert {d for m, d in _named_in("_rank") if m == "engine"} == {"_spans", "necessary_bound"}
+    assert {d for m, d in _named_in("_rank") if m == "engine"} == {
+        "_spans", "necessary_bound", "_witness_on_table"}
 
 
 def test_engine_decides_stability_in_one_place():
     """Every Nakayama test in `engine` is one `_spans` (a reduction's, I^2 =
-    QI's, each witness side's), so `_rank` is read only there and by the
-    refuter's samples; I^2 = QI is one `_spans`, kept on I by `_stable`
+    QI's, each side of a reported witness), so `_rank` is read only there,
+    by the refuter's samples and by the certificate's two sides on the
+    table of generator products; I^2 = QI is one `_spans`, kept on I by `_stable`
     alone, apart from the lengths' answer `find_reduction` leaves for a
     monomial I; and `_reduction_number` takes no knob to skip the tests
     below a given r."""
     engine = _engine_definitions()
-    assert {d for m, d in _named_in("_rank") if m == "engine"} == {"_spans", "necessary_bound"}
+    assert {d for m, d in _named_in("_rank") if m == "engine"} == {
+        "_spans", "necessary_bound", "_witness_on_table"}
     assert list(inspect.signature(agrees.engine._reduction_number).parameters) == ["I", "Q", "cap"]
     writes = Counter(
         (path.stem, getattr(top, "name", None)) for path in SOURCES
@@ -317,13 +321,13 @@ def test_engine_reads_exact_normal_forms_only_in_the_refuter():
     takes `GroebnerBasis.reduce_row`, and a kernel divides by a basis's
     entries itself (the colon's walk among them); `reduce`, which makes the
     exact field values on exponent tuples, is read in the whole library
-    only by `engine.necessary_bound`, whose samples combine normal forms
-    linearly, and by `groebner.normal_form`."""
-    readers = {(path.stem, getattr(top, "name", None)) for path in SOURCES
-               for top in ast.parse(path.read_text(), filename=str(path)).body
-               for node in ast.walk(top)
-               if isinstance(node, ast.Attribute) and node.attr == "reduce"}
-    assert readers == {("engine", "necessary_bound"), ("groebner", "normal_form")}
+    only by `GroebnerBasis.reduce_products`, the table of generator
+    products whose entries the certificate and the refuter combine
+    linearly, and by `groebner.normal_form`; in `engine` only
+    `_product_tables` reads that table."""
+    assert set(_readers_of("reduce")) == {
+        ("groebner", "GroebnerBasis.reduce_products"), ("groebner", "normal_form")}
+    assert set(_readers_of("reduce_products")) == {("engine", "_product_tables")}
 
 
 def test_one_walk_and_one_finisher_in_groebner():
