@@ -12,12 +12,14 @@ certificate and the refuter combine, takes the exact ones, by
 The pipeline: find a 2-generated reduction Q of I (Q may vanish away from
 the origin) and require stability, I^2 = QI (`_stable`, one Nakayama test
 `_spans`, or for a monomial I a count of lengths; r = 0 iff mu(I) <= 2),
-read everything off the local colon ideal J = Q : I (a kernel on R/I,
-`groebner._colon`: I^2 = QI lies in Q locally, so T = Q + I^2 is the origin
-component of Q and J/I is the kernel of f -> (f*a mod T) over the
-generators a of I; T is read off I^2's reduced basis by `groebner._sum`,
-with no Buchberger run), then either certify with a witness triple (f, g, h)
-satisfying
+read everything off the local colon ideal J = Q : I (for a monomial I,
+the staircase colon when Q is the pure-power pair, else, when I is
+integrally closed, its adjoint read off the corners by Howald's rule, which
+is Q : I by Lipman's theorem; otherwise a kernel on R/I, `_kernel_colon`:
+I^2 = QI lies in Q locally, so T = Q + I^2 is the origin component of Q
+and J/I is the kernel of f -> (f*a mod T) over the generators a of I; T is
+read off I^2's reduced basis by `groebner._sum`, with no Buchberger run),
+then either certify with a witness triple (f, g, h) satisfying
 
     IJ = gJ + Ih    and    mJ = fJ + mh,
 
@@ -72,8 +74,9 @@ from .groebner import (
 from .poly import Polynomial
 from .staircase import (
     Staircase,
-    closure_colength,
+    adjoint,
     hull_vertices,
+    is_integrally_closed,
     mono_colength,  # unused here; perfbench/tracing.py binds engine.mono_colength
     newton_closure,  # unused here; perfbench/tracing.py binds engine.newton_closure
     newton_multiplicity,
@@ -365,29 +368,48 @@ def is_stable(I: Ideal, Q: Ideal) -> bool:
     return _stable(I, Q)
 
 
-def canonical_colon(I: Ideal, Q: Ideal) -> Ideal:
-    """J = Q : I in k[x,y]_(x,y), as an m-primary ideal; raises NotStable
-    unless I^2 = QI, and NotZeroDimensional unless I has finite colength.
-    For contracted I the orders satisfy o(I) = o(J) + 1.
-
-    A monomial Q is the pure-power pair (a stable monomial pair is
-    m-primary) and takes the staircase colon.  Any other Q may vanish away
-    from the origin; then J = T : I for T = Q + I^2, found by
-    `groebner._colon(T, B, I)` as a kernel on R/I (I*B lies in T, so the
-    walk starts from I and not from T, whose colength e(I) is larger).
-    T's reduced basis is read off I^2's by `groebner._sum(I^2, Q, I)`, with
-    no Buchberger run: Q*I lies in I^2 for any Q inside I, so T/I^2 is the
-    span of the normal forms of s*q modulo I^2 over the standard monomials
-    s of I, exactly and globally, stable or not.
-    I^2 = QI lies in Q locally, so T is m-primary and is the origin
+def _kernel_colon(I: Ideal, Q: Ideal) -> Ideal:
+    """J = Q : I in k[x,y]_(x,y) for a stable Q inside the m-primary I, as
+    a kernel on R/I: J = T : I for T = Q + I^2, found by
+    `groebner._colon(T, B, I)` (I*B lies in T, so the walk starts from I
+    and not from T, whose colength e(I) is larger).  Q may vanish away
+    from the origin.  T's reduced basis is read off I^2's by
+    `groebner._sum(I^2, Q, I)`, with no Buchberger run: Q*I lies in I^2 for
+    any Q inside I, so T/I^2 is the span of the normal forms of s*q modulo
+    I^2 over the standard monomials s of I, exactly and globally, stable or
+    not.  I^2 = QI lies in Q locally, so T is m-primary and is the origin
     component of Q; hence T : I = (Q : I) + I^2 is m-primary with the
     localization of the local colon, and two m-primary ideals with one
     localization are equal.  The walk multiplies only by B, the generators
     of I left by Q's in a Nakayama prune against m*I (`_nakayama_prune`,
     Q's generators first): Q + B = I locally and Q lies in T, so T : B and
-    T : I are m-primary with one localization.  I is contracted iff
-    mu(I) = o(I) + 1; I^2 and m*I, hence mu(I), come from `_mul`'s cache,
-    so classify's mu(I) and reduction search have built them already.
+    T : I are m-primary with one localization.  I^2 and m*I come from
+    `_mul`'s cache, so classify's mu(I) and reduction search have built
+    them already."""
+    T = _sum(_power(I, 2), Q.generators, I)
+    kept = _nakayama_prune(list(Q.generators + I.generators), key=lambda g: 0,
+                           N=_mul(maximal_ideal(I.ring, I.field), I))
+    return _colon(T, [g for g in kept if all(g is not q for q in Q.generators)], I)
+
+
+def canonical_colon(I: Ideal, Q: Ideal) -> Ideal:
+    """J = Q : I in k[x,y]_(x,y), as an m-primary ideal; raises NotStable
+    unless I^2 = QI, and NotZeroDimensional unless I has finite colength.
+    For contracted I the orders satisfy o(I) = o(J) + 1.
+
+    Three routes:
+    1. A monomial Q is the pure-power pair (a stable monomial pair is
+       m-primary) and takes the staircase colon.
+    2. A monomial, integrally closed I with a two-generated Q takes
+       Howald's adjoint (`staircase.adjoint`), read off the Newton
+       polygon's edges.  I^2 = QI makes Q a reduction, and a two-generated
+       one is minimal; for a complete ideal of a two-dimensional regular
+       local ring, Q : I = adj(I) for every minimal reduction Q (Lipman
+       1994; Huneke-Swanson 2006, Ch. 18), and for a monomial I, x^a*y^b
+       lies in adj(I) iff (a+1, b+1) lies strictly inside the Newton
+       polyhedron (Howald 2001).  No T basis is built and no kernel walked.
+    3. Every other pair takes the kernel on R/I (`_kernel_colon`).
+    I is contracted iff mu(I) = o(I) + 1, with mu(I) from `_mul`'s cache.
     """
     if not is_stable(I, Q):
         raise NotStable("the canonical colon needs I^2 = QI")
@@ -395,11 +417,10 @@ def canonical_colon(I: Ideal, Q: Ideal) -> Ideal:
     sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
+    elif sI is not None and len(Q.generators) == 2 and is_integrally_closed(sI):
+        J = ideal_of_staircase(adjoint(sI), I.ring, I.field)
     else:
-        T = _sum(_power(I, 2), Q.generators, I)
-        kept = _nakayama_prune(list(Q.generators + I.generators), key=lambda g: 0,
-                               N=_mul(maximal_ideal(I.ring, I.field), I))
-        J = _colon(T, [g for g in kept if all(g is not q for q in Q.generators)], I)
+        J = _kernel_colon(I, Q)
     if _mu(I) == ideal_order(I) + 1:
         o_i, o_j = ideal_order(I), ideal_order(J)
         if o_i != o_j + 1:
@@ -641,7 +662,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     contracted = mu == o + 1
     integrally_closed = None
     if stair is not None:
-        integrally_closed = closure_colength(stair) == colen
+        integrally_closed = is_integrally_closed(stair)
     notes: list[str] = []
 
     base = dict(

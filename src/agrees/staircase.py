@@ -10,11 +10,15 @@ on the Newton polygon with integer arithmetic only: a lattice point belongs
 to the closure exactly when it sits on or above every lower-boundary edge.
 The closure's colength is a count over the polygon's edges by Pick's
 theorem (`closure_colength`), so I is integrally closed iff it has that
-colength, however long the staircase's columns.
+colength, however long the staircase's columns (`is_integrally_closed`).
 The multiplicity e(I) is twice the area under that polygon
 (`newton_multiplicity`), so with colengths it decides the reduction number
 of the engine's Newton pair Q up to 1: I^2 = QI iff
 colength(I^2) = e(I) + 2*colength(I) (see `engine.find_reduction`).
+The adjoint adj(I) is read off the same edges by Howald's rule, strict
+inequalities at the shifted points (a+1, b+1) (`adjoint`); for an
+integrally closed I it is the canonical colon Q : I (Lipman; see
+`engine.canonical_colon`).
 """
 
 from __future__ import annotations
@@ -51,17 +55,17 @@ class Staircase:
 
 def staircase_normalize(pairs: Iterable[Pair]) -> Staircase:
     """Drop non-minimal generators and sort canonically."""
-    pts = sorted(set((int(a), int(b)) for a, b in pairs))
+    pts = sorted(pairs)
     if not pts:
         raise EmptyInput("staircase needs at least one exponent pair")
     # sweep with a ascending: a point is redundant iff an earlier kept one
-    # has b no larger (its a is already no larger)
+    # has b no larger (its a is already no larger), a repeat included
     kept: list[Pair] = []
     best_b = None
-    for p in pts:
-        if best_b is None or p[1] < best_b:
-            kept.append(p)
-            best_b = p[1]
+    for a, b in pts:
+        if best_b is None or b < best_b:
+            kept.append((int(a), int(b)))
+            best_b = b
     kept.reverse()
     return Staircase(tuple(kept))
 
@@ -156,25 +160,49 @@ def closure_colength(s: Staircase) -> int:
     return (newton_multiplicity(s) + s.gens[0][0] + s.gens[-1][1] - on_edges) // 2
 
 
-def newton_closure(s: Staircase) -> Staircase:
-    """Integral closure: lattice points on or above the Newton polygon boundary."""
+def is_integrally_closed(s: Staircase) -> bool:
+    """I = its closure for the m-primary monomial ideal of s: I lies in its
+    closure, so they are equal iff they have one colength."""
+    return closure_colength(s) == mono_colength(s)
+
+
+def _edges(s: Staircase) -> list[tuple[int, int, int]]:
+    """(alpha, beta, c), beta > 0, for each edge of the Newton polygon: the
+    polyhedron is alpha*a + beta*b >= c on every edge, with a, b >= 0."""
     _require_primary(s)
     hull = hull_vertices(s.gens)
-    edges = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        # half-plane (y2-y1)(a-x1) + (x1-x2)(b-y1) <= 0 flipped to alpha*a+beta*b >= c
-        alpha = y1 - y2
-        beta = x2 - x1
-        c = alpha * x1 + beta * y1
-        edges.append((alpha, beta, c))
-    a_max = s.gens[0][0]
+    # half-plane (y2-y1)(a-x1) + (x1-x2)(b-y1) <= 0 flipped to alpha*a+beta*b >= c
+    return [(y1 - y2, x2 - x1, (y1 - y2) * x1 + (x2 - x1) * y1)
+            for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+
+
+def newton_closure(s: Staircase) -> Staircase:
+    """Integral closure: lattice points on or above the Newton polygon boundary."""
+    edges = _edges(s)
     gens = []
-    for a in range(a_max + 1):
+    for a in range(s.gens[0][0] + 1):
         b = 0
         for alpha, beta, c in edges:
             need = c - alpha * a
             if need > 0:
                 b = max(b, -(-need // beta))  # ceil division
+        gens.append((a, b))
+    return staircase_normalize(gens)
+
+
+def adjoint(s: Staircase) -> Staircase:
+    """adj(I) of the m-primary monomial ideal of s, by Howald's rule:
+    x^a*y^b lies in it iff (a+1, b+1) lies strictly inside the Newton
+    polyhedron, i.e. alpha*(a+1) + beta*(b+1) > c on every edge (the axes'
+    facets hold strictly for every a, b >= 0).  Column a keeps its least
+    such b, max(0, floor((c - alpha*(a+1)) / beta)) over the edges; column
+    a = s's x-power already keeps b = 0."""
+    edges = _edges(s)
+    gens = []
+    for a in range(s.gens[0][0] + 1):
+        b = 0
+        for alpha, beta, c in edges:
+            b = max(b, (c - alpha * (a + 1)) // beta)
         gens.append((a, b))
     return staircase_normalize(gens)
 

@@ -15,6 +15,7 @@ with no rank bound to stop at.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import sympy
 
@@ -348,6 +349,26 @@ def closure_power_oracle(gens, k_max: int = 12) -> list[tuple[int, int]]:
             if any(lattice_member((k * a, k * b), powers[k])
                    for k in range(1, k_max + 1)):
                 members.append((a, b))
+    return lattice_minimal(members)
+
+
+def howald_adjoint_oracle(gens) -> list[tuple[int, int]]:
+    """adj(I) of an m-primary monomial ideal by Howald's rule: x^a*y^b is in
+    it iff (a+1, b+1) lies strictly inside the Newton polyhedron
+    conv(gens) + R^2_{>=0}.  A point (x, y) with x > 0 does iff y exceeds
+    the polyhedron's lower boundary at x: the least height, in exact
+    Fractions, of a generator with a <= x or of the segment between two
+    generators that straddle x.  No hull or edge list is built."""
+    def floor_at(x):
+        heights = [Fraction(b) for a, b in gens if a <= x]
+        heights += [Fraction(b1) + Fraction(b2 - b1, a2 - a1) * (x - a1)
+                    for a1, b1 in gens for a2, b2 in gens if a1 < x < a2]
+        return min(heights)
+
+    a_max = max(p[0] for p in gens)
+    b_max = max(p[1] for p in gens)
+    members = [(a, b) for a in range(a_max + 1) for b in range(b_max + 1)
+               if b + 1 > floor_at(a + 1)]
     return lattice_minimal(members)
 
 

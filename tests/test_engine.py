@@ -39,7 +39,7 @@ from agrees.groebner import (
 )
 from agrees.parse import parse_ideal_spec, parse_polynomial
 from agrees.poly import BASE_RING, Polynomial
-from agrees.staircase import staircase_normalize
+from agrees.staircase import adjoint, is_integrally_closed, staircase_normalize
 
 from oracles import generic_ranks, ideal_pow, reference_colon, reference_necessary_bound
 
@@ -455,21 +455,65 @@ def test_colon_matches_reference_on_twins(field):
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
 def test_colon_matches_reference_on_vertex_splits(field):
     # monomial ideals whose pair is the Newton-polygon vertex split: Q is
-    # not monomial, so the colon is the kernel on R/I, not the staircase one
+    # not monomial, so the kernel on R/I gives the reference's reduced basis
+    # tuple for tuple, and canonical_colon, which reads a closed row's colon
+    # off its corners (Howald's adjoint) and walks the kernel on the rest,
+    # gives the reference's staircase
     from agrees.repro import random_staircase
 
     rng = random.Random(67)
-    checked = 0
+    checked = closed = 0
     for _ in range(60):
         I = ideal_of_staircase(random_staircase(rng, 7, 3), BASE_RING, field)
         red = find_reduction(I)
         Q = Ideal(list(red.Q))
         if not red.stable or staircase_of_ideal(Q) is not None:
             continue
-        J = canonical_colon(I, Q)
-        assert J.generators == _reference_colon(I, Q).generators, I
+        reference = _reference_colon(I, Q)
+        assert engine._kernel_colon(I, Q).generators == reference.generators, I
+        assert staircase_of_ideal(canonical_colon(I, Q)) == staircase_of_ideal(reference), I
         checked += 1
-    assert checked >= 16
+        closed += is_integrally_closed(staircase_of_ideal(I))
+    assert checked >= 16 and 0 < closed < checked
+
+
+def test_closed_monomial_colon_walks_no_kernel(monkeypatch):
+    # contracted-o3 (6,1,3) is integrally closed with the vertex-split pair,
+    # so its colon is the adjoint read off the corners: no T = Q + I^2, no
+    # prune and no kernel walk.  (6,1,5), not closed with the same kind of
+    # pair, still walks the kernel once
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("_sum", "_colon", "_nakayama_prune"):
+        monkeypatch.setattr(engine, name, spy(name, getattr(engine, name)))
+    for params, closed, walked in (((6, 1, 3), True, []),
+                                   ((6, 1, 5), False, ["_sum", "_nakayama_prune", "_colon"])):
+        values = dict(zip(("n", "alpha", "beta"), params))
+        I = make_family("contracted-o3", values, field=FP)
+        calls.clear()
+        rep = classify(I)
+        assert rep.integrally_closed is closed and rep.reduction.stable
+        assert staircase_of_ideal(Ideal(list(rep.reduction.Q))) is None
+        assert calls == walked, params
+
+
+def test_adjoint_needs_a_two_generated_pair():
+    # Q : I = adj(I) holds for a minimal reduction.  Q = (x^3, y^3, x^2 y),
+    # written with a binomial, is a stable reduction of the closed m^3 that
+    # is not minimal: its colon is m, not adj(m^3) = m^2, so canonical_colon
+    # walks the kernel and the contracted order drop, which needs a minimal
+    # reduction, fails
+    I, Q = ideal("x^3, x^2 y, x y^2, y^3"), ideal("x^3 + x^2 y, y^3, x^2 y")
+    assert is_stable(I, Q)
+    assert staircase_of_ideal(engine._kernel_colon(I, Q)).gens == ((1, 0), (0, 1))
+    with pytest.raises(RuntimeError, match="order drop"):
+        canonical_colon(I, Q)
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
@@ -1964,6 +2008,28 @@ def test_census_of_monomial_ideals_up_to_colength_20():
     for parts, verdict in verdicts.items():
         conjugate = tuple(sum(p > a for p in parts) for a in range(parts[0]))
         assert verdicts[conjugate] is verdict, (parts, conjugate)
+
+
+def test_adjoint_is_the_kernel_colon_on_closed_census_rows():
+    # Lipman's Q : I = adj(I) for a complete I and Howald's corner rule,
+    # never loosened: on every integrally closed stable census row of
+    # colength <= 20 whose Newton pair is not the pure powers (1306 rows),
+    # the adjoint is the staircase of the kernel on R/I
+    rows = 0
+    for n in range(1, 21):
+        for parts in _partitions(n):
+            gens = [(a, b) for b, a in enumerate(parts)] + [(0, len(parts))]
+            s = staircase_normalize(gens)
+            if not is_integrally_closed(s):
+                continue
+            I = ideal_of_staircase(s, BASE_RING, FP)
+            red = find_reduction(I)
+            Q = Ideal(list(red.Q))
+            if not red.stable or staircase_of_ideal(Q) is not None:
+                continue
+            assert adjoint(s) == staircase_of_ideal(engine._kernel_colon(I, Q)), parts
+            rows += 1
+    assert rows == 1306
 
 
 def test_twins_match_their_source():

@@ -343,15 +343,18 @@ def test_one_walk_and_one_finisher_in_groebner():
 
 def test_canonical_colon_builds_no_ideal_from_the_reduction():
     """The colon's T = Q + I^2 is read off I^2's basis (`groebner._sum`),
-    so `canonical_colon` starts no Buchberger run from Q's generators: no
-    `Ideal(...)` there reads `Q.generators`."""
-    found = [node.lineno for node in ast.walk(_engine_definitions()["canonical_colon"])
+    so neither `canonical_colon` nor its kernel route `_kernel_colon`
+    starts a Buchberger run from Q's generators: no `Ideal(...)` there
+    reads `Q.generators`."""
+    definitions = _engine_definitions()
+    found = [(name, node.lineno) for name in ("canonical_colon", "_kernel_colon")
+             for node in ast.walk(definitions[name])
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "Ideal"
              and any(isinstance(sub, ast.Attribute) and sub.attr == "generators"
                      and isinstance(sub.value, ast.Name) and sub.value.id == "Q"
                      for arg in node.args for sub in ast.walk(arg))]
-    assert not found, f"canonical_colon builds an Ideal from Q.generators at {found}"
+    assert not found, f"the colon builds an Ideal from Q.generators at {found}"
 
 
 def test_report_sections_are_read_off_their_records():

@@ -13,8 +13,10 @@ from agrees.parse import parse_ideal_spec
 from agrees.poly import BASE_RING, Polynomial, rees_ring
 from agrees.staircase import (
     Staircase,
+    adjoint,
     closure_colength,
     is_contracted,
+    is_integrally_closed,
     mono_colength,
     newton_closure,
     render_staircase,
@@ -27,6 +29,7 @@ from agrees.staircase import (
 
 from oracles import (
     closure_power_oracle,
+    howald_adjoint_oracle,
     ideal_pow,
     lattice_colength,
     lattice_intersection,
@@ -242,6 +245,39 @@ def test_pick_count_is_the_closure_colength(a, b, inner):
     point (0, 0) among `inner` makes the unit ideal."""
     s = staircase_normalize([(a, 0), (0, b)] + inner)
     assert closure_colength(s) == mono_colength(newton_closure(s))
+
+
+def test_integrally_closed_is_the_closure_by_lengths():
+    rng = random.Random(19)
+    for _ in range(60):
+        s = random_stair(rng, max_exp=7)
+        assert is_integrally_closed(s) == (newton_closure(s) == s)
+    assert is_integrally_closed(stair((2, 0), (1, 1), (0, 3)))
+    assert not is_integrally_closed(stair((2, 0), (0, 5)))
+
+
+# -- the adjoint ------------------------------------------------------------------
+
+def test_adjoint_of_a_maximal_ideal_power_is_the_next_lower_power():
+    m = stair((1, 0), (0, 1))
+    for n in range(1, 9):
+        assert adjoint(staircase_power(m, n)) == staircase_power(m, n - 1)
+
+
+def test_adjoint_matches_howalds_rule():
+    # against lattice points strictly inside the Newton polyhedron, tested
+    # with exact Fractions on the generators' segments, not with adjoint's
+    # integer edges; closed or not
+    rng = random.Random(23)
+    for _ in range(200):
+        s = random_stair(rng, max_exp=9, extras=4)
+        assert list(adjoint(s).gens) == howald_adjoint_oracle(list(s.gens)), s
+    assert adjoint(stair((2, 0), (0, 2))).gens == ((1, 0), (0, 1))  # not Q : I = (1)
+
+
+def test_adjoint_needs_a_primary_staircase():
+    with pytest.raises(NotZeroDimensional):
+        adjoint(stair((2, 0), (1, 1)))
 
 
 # -- contractedness and gaps ---------------------------------------------------------
