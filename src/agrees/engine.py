@@ -9,16 +9,17 @@ scale, so every Nakayama test and membership test takes
 an integer row; only the table of generator products, whose rows the
 certificate and the refuter combine, takes the exact ones, by
 `GroebnerBasis.reduce_products`.
-The pipeline: find a 2-generated reduction Q of I (Q may vanish away from
-the origin) and require stability, I^2 = QI (`_stable`, one Nakayama test
-`_spans`, or for a monomial I a count of lengths; r = 0 iff mu(I) <= 2),
-read everything off the local colon ideal J = Q : I (for a monomial I,
-the staircase colon when Q is the pure-power pair, else, when I is
-integrally closed, its adjoint read off the corners by Howald's rule, which
-is Q : I by Lipman's theorem; otherwise a kernel on R/I, `_kernel_colon`:
-I^2 = QI lies in Q locally, so T = Q + I^2 is the origin component of Q
-and J/I is the kernel of f -> (f*a mod T) over the generators a of I; T is
-read off I^2's reduced basis by `groebner._sum`, with no Buchberger run),
+The pipeline: find a 2-generated reduction Q of I, a function of I (Q may
+vanish away from the origin), and require stability, I^2 = QI (`_stable`,
+one Nakayama test `_spans`, or for a monomial I a count of lengths; r = 0
+iff mu(I) <= 2), read everything off the local colon ideal J = Q : I (for a
+monomial I, the staircase colon when Q is the pure-power pair, else, when I
+is integrally closed, its adjoint read off the corners by Howald's rule,
+which is Q : I by Lipman's theorem; otherwise a kernel on R/I,
+`_kernel_colon`: I^2 = QI lies in Q locally, so T = Q + I^2 is the origin
+component of Q and J/I is the kernel of f -> (f*a mod T) over the
+generators a of I; T is read off I^2's reduced basis by `groebner._sum`,
+with no Buchberger run),
 then either certify with a witness triple (f, g, h) satisfying
 
     IJ = gJ + Ih    and    mJ = fJ + mh,
@@ -212,8 +213,8 @@ def _rank(rows: list[dict], fld) -> int:
 
 # -- reductions ---------------------------------------------------------------
 
-_REDUCTION_PAIRS = 32  # seeded menu draws tried for an ideal without a staircase
-_REDUCTION_CAP = 4     # largest reduction number searched for on those draws
+_REDUCTION_PAIRS = 32  # power-sum pairs tried for an ideal without a staircase
+_REDUCTION_CAP = 4     # largest reduction number searched for on those pairs
 
 
 def _power(I: Ideal, k: int) -> Ideal:
@@ -288,7 +289,7 @@ def _stable_reduction_number(I: Ideal, stair: Staircase) -> int | None:
     return None
 
 
-def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
+def find_reduction(I: Ideal) -> ReductionData:
     """Find a two-generated reduction Q of I in k[x,y]_(x,y) and its
     reduction number.
 
@@ -308,12 +309,20 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
     Only when both fail (r >= 2) is r searched, from r = 2 and with no cap,
     by `_reduction_number`, which reads the lengths' answer left on I.
 
-    Other ideals try `_REDUCTION_PAIRS` seeded sparse combinations of their
-    generators (a draw with a zero member is skipped), each decided by that
-    rank test.  Every pair is tested for I^2 = QI (`_stable`, which keeps
-    the answer on I) before any is tested from r = 2 up to
-    `_REDUCTION_CAP`, so a pair with r <= 1 is found before any pair builds
-    I^3 and beyond.  The zero ideal raises ZeroIdeal.
+    Other ideals try `_REDUCTION_PAIRS` fixed pairs, each decided by that
+    rank test: with b_0, b_1, ... I's reduced grevlex basis by descending
+    lead, pair k is (sum_i s^i b_i, sum_i t^i b_i) for the k-th (s, t) of
+    (1, 2), (1, 3), (2, 3), (1, 4), ..., so Q is a function of I, and no
+    member is zero (each is led by b_0).  The list ends in a minimal
+    reduction (Northcott-Rees 1954): the first member fails only in the
+    degree-1 parts of the fiber cone's top-dimensional minimal primes,
+    finitely many proper subspaces of I/mI, and as the b_i span I/mI and
+    (1, s, s^2, ...) lies in no hyperplane (Vandermonde), each rules out
+    fewer than len(b) values of s; likewise t once s is good.  The budget
+    of 32 is an implementation limit.  Every pair is tested for I^2 = QI
+    (`_stable`, which keeps the answer on I) before any is tested from
+    r = 2 up to `_REDUCTION_CAP`, so a pair with r <= 1 is found before
+    any pair builds I^3 and beyond.  The zero ideal raises ZeroIdeal.
     """
     ring, fld = I.ring, I.field
     stair = staircase_of_ideal(I)
@@ -331,33 +340,19 @@ def find_reduction(I: Ideal, seed: int = 0) -> ReductionData:
             r = _reduction_number(I, Q, None)
         return ReductionData(Q=Q.generators, reduction_number=r)
 
-    rng = random.Random(derive_seed(seed, "reduction"))
-    gens = [g for g in I.generators if not g.is_zero]
-    if not gens:
+    basis = I.groebner_basis().elements
+    if not basis:
         raise ZeroIdeal("the zero ideal has no reduction")
-
-    def menu() -> int:
-        pick = rng.randrange(6)
-        return (0, 0, 1, -1, 2, rng.randint(3, 99))[pick]
-
-    def combo() -> Polynomial:
-        return _span([fld.from_int(menu()) for _ in gens], gens)
-
-    tried: list[Ideal] = []
-    while len(tried) < _REDUCTION_PAIRS:  # the first pair is usually a stable reduction
-        q1, q2 = combo(), combo()
-        if q1.is_zero or q2.is_zero:
-            continue
-        Q = Ideal([q1, q2])
-        r = _reduction_number(I, Q, 1)
-        if r is not None:
-            return ReductionData(Q=Q.generators, reduction_number=r)
-        tried.append(Q)
-    for Q in tried:  # each failed I^2 = QI above, which `_stable` kept on I
-        r = _reduction_number(I, Q, _REDUCTION_CAP)
-        if r is not None:
-            return ReductionData(Q=Q.generators, reduction_number=r)
-    raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(tried)} pairs")
+    pairs = list(itertools.islice(((s, t) for t in itertools.count(2) for s in range(1, t)),
+                                  _REDUCTION_PAIRS))
+    for cap in (1, _REDUCTION_CAP):  # r <= 1 on every pair first; the first usually is
+        for pair in pairs:
+            Q = Ideal([_span([fld.from_int(v ** i) for i in range(len(basis))], basis)
+                       for v in pair])
+            r = _reduction_number(I, Q, cap)
+            if r is not None:
+                return ReductionData(Q=Q.generators, reduction_number=r)
+    raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(pairs)} pairs")
 
 
 def is_stable(I: Ideal, Q: Ideal) -> bool:
@@ -393,31 +388,33 @@ def _kernel_colon(I: Ideal, Q: Ideal) -> Ideal:
 
 
 def canonical_colon(I: Ideal, Q: Ideal) -> Ideal:
-    """J = Q : I in k[x,y]_(x,y), as an m-primary ideal; raises NotStable
+    """J = Q : I in k[x,y]_(x,y), as an m-primary ideal, for a minimal
+    reduction Q: raises BadParameters unless Q is two-generated, NotStable
     unless I^2 = QI, and NotZeroDimensional unless I has finite colength.
     For contracted I the orders satisfy o(I) = o(J) + 1.
 
     Three routes:
     1. A monomial Q is the pure-power pair (a stable monomial pair is
        m-primary) and takes the staircase colon.
-    2. A monomial, integrally closed I with a two-generated Q takes
-       Howald's adjoint (`staircase.adjoint`), read off the Newton
-       polygon's edges.  I^2 = QI makes Q a reduction, and a two-generated
-       one is minimal; for a complete ideal of a two-dimensional regular
-       local ring, Q : I = adj(I) for every minimal reduction Q (Lipman
-       1994; Huneke-Swanson 2006, Ch. 18), and for a monomial I, x^a*y^b
-       lies in adj(I) iff (a+1, b+1) lies strictly inside the Newton
-       polyhedron (Howald 2001).  No T basis is built and no kernel walked.
+    2. A monomial, integrally closed I takes Howald's adjoint
+       (`staircase.adjoint`), read off the Newton polygon's edges.  For a
+       complete ideal of a two-dimensional regular local ring, Q : I =
+       adj(I) for every minimal reduction Q (Lipman 1994; Huneke-Swanson
+       2006, Ch. 18), and for a monomial I, x^a*y^b lies in adj(I) iff
+       (a+1, b+1) lies strictly inside the Newton polyhedron (Howald
+       2001).  No T basis is built and no kernel walked.
     3. Every other pair takes the kernel on R/I (`_kernel_colon`).
     I is contracted iff mu(I) = o(I) + 1, with mu(I) from `_mul`'s cache.
     """
+    if len(Q.generators) != 2:
+        raise BadParameters("the canonical colon needs a two-generated Q")
     if not is_stable(I, Q):
         raise NotStable("the canonical colon needs I^2 = QI")
     colength(I)  # raises unless I has finite colength
     sQ, sI = staircase_of_ideal(Q), staircase_of_ideal(I)
     if sQ is not None and sI is not None:
         J = ideal_of_staircase(staircase_colon(sQ, sI), I.ring, I.field)
-    elif sI is not None and len(Q.generators) == 2 and is_integrally_closed(sI):
+    elif sI is not None and is_integrally_closed(sI):
         J = ideal_of_staircase(adjoint(sI), I.ring, I.field)
     else:
         J = _kernel_colon(I, Q)
@@ -672,7 +669,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
     )
 
     try:
-        reduction = find_reduction(I, seed=cfg.seed)
+        reduction = find_reduction(I)
     except NoReductionFound as exc:
         notes.append(f"verdict undecided: {exc}")
         return AGReport(verdict=Verdict.UNKNOWN, notes=tuple(notes), **base)

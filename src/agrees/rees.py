@@ -118,7 +118,8 @@ def _relation_type_bound(I: Ideal) -> int | None:
     """r + 1 when V(I) is the origin and a reduction of I has reduction
     number r <= 1, else None.  r is decided in the local ring at the origin,
     which speaks for all of V(I) only when V(I) is the origin.  Which
-    reduction is found only decides whether the bound is used."""
+    reduction is found only decides whether the bound is used; it is
+    classify's, a function of I, so its I^2 = QI is read back."""
     if not is_origin_primary(I):
         return None
     try:

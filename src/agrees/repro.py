@@ -203,7 +203,7 @@ def check_high_order_family(seed: int) -> CheckResult:
             I = make_family("power-order", {"m": m, "n": n})
             stair = staircase_of_ideal(I)
             ok = is_contracted(stair) and stair.order() == m
-            red = find_reduction(I, seed=seed)
+            red = find_reduction(I)
             q_exps = sorted(g.monomial_exponent() for g in red.Q)
             ok = ok and q_exps == [(0, n), (m, 0)] and red.stable
             J = canonical_colon(I, Ideal(list(red.Q)))

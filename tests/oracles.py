@@ -229,6 +229,18 @@ def saturation_groebner(gens: list[Polynomial]) -> list[Polynomial]:
     return reduced
 
 
+def power_sum_pair(I: Ideal, k: int) -> Ideal:
+    """The k-th reduction candidate of an ideal without a staircase, from
+    its definition: (sum_i s^i b_i, sum_i t^i b_i) over I's reduced grevlex
+    basis b_0, b_1, ... by descending lead, for the k-th (s, t) of (1, 2),
+    (1, 3), (2, 3), (1, 4), ..., as polynomial arithmetic."""
+    pairs = [(s, t) for t in range(2, k + 3) for s in range(1, t)]
+    basis = I.groebner_basis().elements
+    zero = Polynomial.zero(I.ring, I.field)
+    return Ideal([sum((b.scale(I.field.from_int(v ** i)) for i, b in enumerate(basis)), zero)
+                  for v in pairs[k]])
+
+
 # -- powers and the elimination colon -----------------------------------------
 
 def ideal_pow(I: Ideal, k: int) -> Ideal:

@@ -106,14 +106,14 @@ FLAGSHIP_TWIN = ("x^3 + x^2*y + 1/3*x*y^2 + 1/27*y^3, x^2*y^3 + 2/3*x*y^4 + 1/9*
 PINNED_ANALYZE = {
     "flagship-twin": (
         FLAGSHIP_TWIN, "q",
-        "d267dc76ad3404143640f29cdd35a92efe26b596968582680baa693904f9c066"),
+        "381ef90ac05572f2f5921ad402cbd5591db0414d77e01ebef27d79c3c3c0dfb1"),
     "flagship-twin-fp": (
         FLAGSHIP_TWIN, "fp:2147483647",
-        "b5991acba91fbc518ac1392f2b3bf473861ed218042c7884c655d54e9a10f49a"),
+        "244d4b309de604ae1ca452d68a6805e46ea54c7e84108982c07321333e4da91a"),
     "remark43-m4-twin": (
         "x^4 + 8*x^3*y + 24*x^2*y^2 + 32*x*y^3 + 16*y^4, y^8, "
         "x^3*y^3 + 6*x^2*y^4 + 12*x*y^5 + 8*y^6, x^2*y^5 + 4*x*y^6 + 4*y^7, x*y^7 + 2*y^8", "q",
-        "11b81f64efa73469b4d9f0c1acd25c64a90d255c0b3415c8bfea0ebb1262604c"),
+        "27ce4b314e6cd989f6d58904b5ed79fc5073cae5d8a449c7fb248c2d95f0cb53"),
 }
 
 

@@ -367,22 +367,26 @@ def test_count_path_reads_each_key_once(I, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
-@pytest.mark.parametrize("I,want", [
-    ("x^3, y^6", []),
-    ("x^3, x^2 y^3, x y^5, y^6", []),
-    (("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}), []),  # a vertex split
-    (("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), []),  # NOT_AG
-    (("twin", "x^3, x^2 y^3, x y^5, y^6"),
+@pytest.mark.parametrize("I,seed,want", [
+    ("x^3, y^6", 0, []),
+    ("x^3, x^2 y^3, x y^5, y^6", 0, []),
+    (("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}), 0, []),  # a vertex split
+    (("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), 0, []),  # NOT_AG
+    (("twin", "x^3, x^2 y^3, x y^5, y^6"), 0,
      ["agrees.engine._reduction_number", "agrees.rees._buchberger"]),
-], ids=["r0", "r1", "co3-6-2-3", "co3-6-3-5", "r1-twin"])
-def test_presentation_after_classify_runs_only_its_elimination(I, want, field, monkeypatch):
+    (("twin", "x^3, x^2 y^3, x y^5, y^6"), 7,
+     ["agrees.engine._reduction_number", "agrees.rees._buchberger"]),
+], ids=["r0", "r1", "co3-6-2-3", "co3-6-3-5", "r1-twin", "r1-twin-seed7"])
+def test_presentation_after_classify_runs_only_its_elimination(I, seed, want, field,
+                                                                monkeypatch):
     # a monomial I's bound is read off lengths, mu(I), mu(I^2) off staircase
     # products and its kernel off its fibers: after classify(I) the
     # presentation makes no rank test and runs no Buchberger.  Its twin
-    # repeats the reduction test and runs Buchberger once, on its own
-    # elimination
+    # finds classify's Q again, at any seed, so its reduction test is a
+    # lookup with no Nakayama test (`_spans`), and it runs Buchberger once,
+    # on its own elimination
     I = _case(I, field)
-    engine.classify(I)
+    engine.classify(I, engine.ClassifyConfig(seed=seed))
     calls = []
 
     def spy(module, name):
@@ -395,6 +399,7 @@ def test_presentation_after_classify_runs_only_its_elimination(I, want, field, m
         monkeypatch.setattr(module, name, record)
 
     spy(engine, "_reduction_number")
+    spy(engine, "_spans")
     spy(groebner, "_buchberger")
     spy(rees, "_buchberger")
     spy(rees, "_nakayama_prune")

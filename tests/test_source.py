@@ -264,6 +264,19 @@ def test_engine_decides_stability_in_one_place():
                for stmt in branch.body for n in ast.walk(stmt))
 
 
+def test_reduction_search_reads_no_seed():
+    """`find_reduction` reads its pairs off I's reduced basis by fixed power
+    sums, so it takes I alone, and in `engine` the `random` module and
+    `derive_seed` are read only by the certificate's triple, the refuter's
+    samples (`necessary_bound` and `_sample_vector`, whose parameter is
+    the refuter's generator) and the validator's fresh refuter seed."""
+    assert list(inspect.signature(agrees.engine.find_reduction).parameters) == ["I"]
+    readers = {d for name in ("random", "derive_seed") for m, d in _named_in(name)
+               if m == "engine" and d != "derive_seed"}
+    assert readers == {"certificate_search", "necessary_bound", "_sample_vector",
+                       "validate_report"}
+
+
 def test_one_elimination_step_in_groebner():
     """Every integer-row kernel in `groebner` steps through `_cancel`: it
     is the one function there that reads a field's `cross` or `modulus`."""
