@@ -7,7 +7,8 @@ normal forms, each taken modulo one reduced basis.  A rank reads no row's
 scale, so every Nakayama test and membership test takes
 `GroebnerBasis.reduce_row`, a positive multiple of the normal form kept as
 an integer row; only the table of generator products, whose rows the
-certificate and the refuter combine, takes the exact ones, by
+certificate and the refuter combine, takes the exact ones, read off the
+corners for monomial factors and otherwise by
 `GroebnerBasis.reduce_products`.
 The pipeline: find a 2-generated reduction Q of I, a function of I (Q may
 vanish away from the origin), and require stability, I^2 = QI (`_stable`,
@@ -31,14 +32,19 @@ by its mu), which no sample can exceed.  Both witness conditions are
 Zariski-open ranks (Nakayama), so one generic triple decides the first.
 The triple and the refuter's samples are ranked on one table, the normal
 forms of the products of minimal generators (`_product_tables`), read off
-the corners for a monomial I and J; the validator re-checks a reported
-triple by building and reducing its products (`verify_witness`).
-Every product ideal is built once per analysis (`_mul` caches it on its
-right factor, and `maximal_ideal` is one object per ring and field), and
-that cache is the one way stages share work: the powers I^k (`_power`),
-each mu(P) = colength(m*P) - colength(P) (`_mu`), I^2 for the colon, and
-the reduced bases of m*IJ and m^2*J, which the certificate builds and the
-refuter reads, are all read off it; the table itself is read again.
+the corners of IJ and mJ for a monomial I and J; the validator re-checks
+a reported triple by building and reducing its products modulo m*IJ and
+m^2*J (`verify_witness`).
+A monomial P's generator count and minimal generators are its corners
+(`_mu`, `_min_gens`), so classify builds m*P for a monomial P only as
+the table's mJ, for a rank test of r >= 2 (`_spans`) and for the kernel
+colon's prune.  Every product ideal is built once per analysis (`_mul`
+caches it on its right factor, and `maximal_ideal` is one object per
+ring and field), and that cache is the one way stages share work: the
+powers I^k (`_power`), every other mu(P) = colength(m*P) - colength(P),
+I^2 for the colon, and for a non-monomial I or J the reduced bases of
+m*IJ and m^2*J, which the certificate builds and the refuter reads, are
+all read off it; the table itself is read again.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -157,7 +163,10 @@ class AGReport:
 
 # -- representation dispatch -------------------------------------------------
 # Products of two monomial ideals are built on their staircases, keeping the
-# generator lists of monomial powers minimal, and carry them cached.  m*B for
+# generator lists of monomial powers minimal, and carry them cached.  A
+# monomial P's mu, minimal generators and products of generators are read
+# off its corners, so for a monomial P, m*P is built only as the table's mJ
+# (P = J), by a Nakayama test (`_spans`) or by the colon's prune.  m*B for
 # any other B is read off B's reduced basis by its consecutive S-pairs
 # (`groebner._times_maximal`), carrying its own reduced basis, so no
 # Nakayama test's m*P starts a Buchberger run.  Every other product goes
@@ -191,8 +200,9 @@ def _mul(A: Ideal, B: Ideal) -> Ideal:
 # integer rows (`GroebnerBasis.reduce_row`, keyed by packed words, or by
 # exponent tuples for a monomial top, where a product keeps its single term
 # exactly when it lies outside top), for a rank; as field values keyed by
-# exponent tuples (`GroebnerBasis.reduce_products`) where the certificate
-# and the refuter combine rows.
+# exponent tuples (`_product_tables`: a corner read for monomial factors,
+# else `GroebnerBasis.reduce_products`) where the certificate and the
+# refuter combine rows.
 
 def _rank(rows: list[dict], fld) -> int:
     """dim_k of the span of sparse rows {column: field value}, with mutually
@@ -227,15 +237,24 @@ def _power(I: Ideal, k: int) -> Ideal:
 
 
 def _mu(P: Ideal) -> int:
-    """mu(P) = colength(m*P) - colength(P) for an m-primary P (Nakayama),
-    with m*P from `_mul`'s cache: for a non-monomial P its reduced basis is
-    read off P's by `groebner._times_maximal`, whose leads give the
-    colength."""
+    """mu(P) for an m-primary P: for a monomial P the number of corners of
+    its staircase, its minimal generators; for any other P
+    colength(m*P) - colength(P) (Nakayama), with m*P from `_mul`'s cache,
+    its reduced basis read off P's by `groebner._times_maximal`, whose
+    leads give the colength.  Raises NotZeroDimensional unless P has finite
+    colength, a monomial P included."""
+    stair = staircase_of_ideal(P)
+    if stair is not None and stair.is_m_primary:
+        return len(stair.gens)
     return colength(_mul(maximal_ideal(P.ring, P.field), P)) - colength(P)
 
 
 def _min_gens(P: Ideal) -> list[Polynomial]:
-    """mingens(P), pruned against m*P from `_mul`'s cache."""
+    """mingens(P), kept on P (`minimal_generators`): a monomial P's corners
+    in `stair.gens` order, with no m*P built; any other P's basis pruned
+    against m*P from `_mul`'s cache."""
+    if staircase_of_ideal(P) is not None:
+        return minimal_generators(P)
     return minimal_generators(P, _mul(maximal_ideal(P.ring, P.field), P))
 
 
@@ -243,8 +262,8 @@ def _spans(P: Ideal, parts: list[Polynomial]) -> bool:
     """Do the parts, inside the m-primary P, generate P in k[x,y]_(x,y)?
     The one Nakayama test: P/m*P, supported at the origin, has dimension
     mu(P) and embeds in R/m*P, so they do iff their normal forms modulo m*P
-    (`reduce_row`) have rank mu(P).  m*P, its basis and mu(P) come from
-    `_mul`'s cache."""
+    (`reduce_row`) have rank mu(P).  m*P and its basis come from `_mul`'s
+    cache, mu(P) from `_mu`."""
     top = _mul(maximal_ideal(P.ring, P.field), P).groebner_basis()
     return _rank([top.reduce_row(p.terms) for p in parts], P.field) == _mu(P)
 
@@ -460,7 +479,8 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
     reported triple: it builds and reduces the products g*w, a*h, f*w and
     v*h over the generators of I and J, a route independent of the table
     `certificate_search` decides on (`_witness_on_table`), which it equals.
-    IJ, mJ, the bases of m*IJ and m^2*J and both mu come from `_mul`'s cache.
+    IJ, mJ and the bases of m*IJ and m^2*J come from `_mul`'s cache, both
+    mu from `_mu`.
     """
     m = maximal_ideal(I.ring, I.field)
     if not (_contains_all(m, [f]) and _contains_all(I, [g]) and _contains_all(J, [h])):
@@ -476,13 +496,29 @@ def _product_tables(I: Ideal, J: Ideal):
     refuter read, one side at a time: (IJ, by_I), then (mJ, by_m), with
     by_I[i][j] = NF(u_i*w_j) modulo m*IJ for u_i in mingens(I), by_m[v][j]
     = NF(v*w_j) modulo m^2*J for v in {x, y}, and w_j in mingens(J), in
-    exact field values (`GroebnerBasis.reduce_products`, a corner read for
-    monomial I and J).  A caller that stops after the IJ side builds no mJ
-    side.  The ideals and bases come from `_mul`'s cache."""
+    exact field values.  A caller that stops after the IJ side builds no mJ
+    side.  The ideals come from `_mul`'s cache.
+
+    When the side's P (IJ or mJ) is a staircase and every factor one term,
+    as for monomial I and J, the factors c*x^a and d*x^b have the product
+    cd*x^(a+b) in P, and a monomial of P lies outside the monomial ideal
+    m*P exactly when it is a minimal generator of P, a corner.  So the
+    entry is {a+b: cd} when a+b is a corner of P, else {}, and no product,
+    no m*P and no basis is built.  Every other side (a twin's, or the mJ
+    side of a J that is not monomial while mJ is) forms and reduces its
+    products modulo m*P's basis from `_mul`'s cache
+    (`GroebnerBasis.reduce_products`)."""
     m = maximal_ideal(I.ring, I.field)
     j_min = _min_gens(J)
     for P, left in ((_mul(I, J), _min_gens(I)), (_mul(m, J), m.generators)):
-        yield P, _mul(m, P).groebner_basis().reduce_products(left, j_min)
+        stair = staircase_of_ideal(P)
+        if stair is None or not all(p.is_monomial for p in (*left, *j_min)):
+            yield P, _mul(m, P).groebner_basis().reduce_products(left, j_min)
+            continue
+        corners, mul = set(stair.gens), I.field.mul
+        right = [w.terms.items() for w in j_min]
+        yield P, [[{e: mul(c, d)} if (e := (a[0] + b[0], a[1] + b[1])) in corners else {}
+                   for ((b, d),) in right] for ((a, c),) in (u.terms.items() for u in left)]
 
 
 def _combine(per_w: list[dict], c: list, fld) -> dict:
@@ -590,9 +626,9 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     m^2 J, so each sample's rows are combinations of the normal forms of
     the products a * w_j (w_j in mingens(J)): the table of generator
     products (`_product_tables`) that the certificate decided on, read
-    again after it fails (for monomial I and J a read of the corners), with
-    the bases of m*IJ and m^2*J from `_mul`'s cache.  mu(IJ) and mu(mJ) are
-    `_mu`'s, like every other mu.  A given Q is checked for I^2 = QI;
+    again after it fails (for monomial I and J a read of the corners of IJ
+    and mJ, else reduced modulo the bases of m*IJ and m^2*J from `_mul`'s
+    cache).  mu(IJ) and mu(mJ) are `_mu`'s, like every other mu.  A given Q is checked for I^2 = QI;
     callers that already know it pass none.
 
     `trials` is the sample budget, `_TRIALS` by default; classify records

@@ -79,8 +79,11 @@ between the two: `staircase_of_ideal` reads an ideal's staircase once and
 caches it on the ideal, and `ideal_of_staircase` builds the ideal of a
 staircase with it cached.  A monomial ideal's `colength`, order and
 reduced basis are read off its staircase, and its basis's `reduce_row` is
-a term filter in place of `_nf_dict`, and so is its `reduce_products` on
-two single terms; `reduce` runs `_nf_dict` on every basis.  Every other
+a term filter in place of `_nf_dict`; `reduce`, and with it
+`reduce_products`, runs `_nf_dict` on every basis.  Its minimal
+generators are its corners' monomials (`minimal_generators`), and the
+engine reads its table of generator products off the corners of each
+product (`engine._product_tables`).  Every other
 ideal, the zero ideal and monomial ideals in more variables included, goes
 through Buchberger.
 
@@ -485,27 +488,23 @@ class GroebnerBasis:
     `elements` are unpacked from them once, when first read, and so is
     `staircase`, the staircase of the leads, which `colength` reads;
     `leading_exponents` unpacks the leads on each call.
-    `minimal_generators` keeps its Nakayama prune of the elements beside
-    them (`_mingens`), so each basis is pruned once.
 
     A monomial ideal's basis in k[x,y] is made from its staircase `stair`
     alone, with no run: `_corners` is the staircase, the x-exponents
     ascending and their y-exponents, which `reduce_row` filters terms by
     (None for every other basis), and its entries, the corners' packed
     words sorted as they compare, are packed on their first read.  So a
-    basis keeps three write-once caches beside its entries: the elements,
-    the staircase and the prune.
+    basis keeps two write-once caches beside its entries: the elements and
+    the staircase.
     """
 
-    __slots__ = ("ring", "field", "_entries", "_pk", "_elements", "_corners", "_stair",
-                 "_mingens")
+    __slots__ = ("ring", "field", "_entries", "_pk", "_elements", "_corners", "_stair")
 
     def __init__(self, ring: Ring, field, entries: list | None = None, stair=None):
         self.ring = ring
         self.field = field
         self._pk = GREVLEX.packer(ring)
         self._elements = None
-        self._mingens = None
         self._corners = None
         self._stair = stair
         self._entries = entries
@@ -576,30 +575,11 @@ class GroebnerBasis:
     def reduce_products(self, left: Sequence[Polynomial],
                         right: Sequence[Polynomial]) -> list[list[_Term]]:
         """The table [[reduce((u*w).terms) for w in right] for u in left]:
-        the exact normal forms of the products, for a caller that combines
-        them linearly.  Modulo a staircase basis a product of two single
-        terms c*x^a and d*x^b is the single term cd*x^(a+b), which the term
-        filter of `reduce_row` keeps or drops, so its entry is
-        {a+b: cd} or {} with no product built.  Every other product is
-        formed and `reduce`d."""
-        corners = self._corners
-        if corners is None:
-            return [[self.reduce((u * w).terms) for w in right] for u in left]
-        xs, ys = corners
-        mul = self.field.mul
-        table = []
-        for u in left:
-            row = []
-            for w in right:
-                if len(u.terms) == 1 == len(w.terms):
-                    ((a, c),), ((b, d),) = u.terms.items(), w.terms.items()
-                    e = (a[0] + b[0], a[1] + b[1])
-                    i = bisect_right(xs, e[0])
-                    row.append({e: mul(c, d)} if not i or ys[i - 1] > e[1] else {})
-                else:
-                    row.append(self.reduce((u * w).terms))
-            table.append(row)
-        return table
+        the exact normal forms of the products, each formed and `reduce`d,
+        for a caller that combines them linearly.  The engine's table of a
+        monomial product is read off its corners instead
+        (`engine._product_tables`)."""
+        return [[self.reduce((u * w).terms) for w in right] for u in left]
 
     def leading_exponents(self) -> list[Exponent]:
         unpack = self._pk.unpack
@@ -619,11 +599,13 @@ _UNREAD = object()
 
 
 class Ideal:
-    """Generator tuple plus five write-once caches: the generators of a
+    """Generator tuple plus seven write-once caches: the generators of a
     derived ideal (`_generators`, built on first read), the reduced grevlex
     basis, the staircase (`staircase_of_ideal`, None included), the engine's
     products with this ideal as right factor (`_products`, keyed by the left
-    factor), and `engine.is_stable`'s I^2 = QI by Q's generators (`_stable`).
+    factor), `engine.is_stable`'s I^2 = QI by Q's generators (`_stable`),
+    the minimal generators (`minimal_generators`) and whether V(I) is the
+    origin (`is_origin_primary`).
 
     An input ideal, `Ideal(gens)`, holds its generators.  A derived ideal
     (`_derived`) holds the function that builds them from its source, the
@@ -639,7 +621,7 @@ class Ideal:
     """
 
     __slots__ = ("ring", "field", "_generators", "_gb_cache", "_staircase", "_products",
-                 "_stable")
+                 "_stable", "_mingens", "_origin")
 
     def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -669,6 +651,8 @@ class Ideal:
         self._staircase = _UNREAD
         self._products: dict[Ideal, Ideal] = {}
         self._stable: dict[tuple[Polynomial, ...], bool] = {}
+        self._mingens: tuple[Polynomial, ...] | None = None
+        self._origin: bool | None = None
 
     @property
     def generators(self) -> tuple[Polynomial, ...]:
@@ -727,8 +711,9 @@ def _corner_monomials(stair: Staircase, ring: Ring, field) -> tuple[Polynomial, 
 
 def ideal_of_staircase(stair: Staircase, ring: Ring, field) -> Ideal:
     """The ideal of stair's corners, with stair already in its cache; its
-    generators, the corners' monomials, are built when first read."""
-    I = Ideal._derived(ring, field, lambda: _corner_monomials(stair, ring, field))
+    generators, the corners' monomials, are built when first read, as its
+    minimal generators, so the two reads share one tuple."""
+    I = Ideal._derived(ring, field, lambda: tuple(minimal_generators(I)))
     I._staircase = stair
     return I
 
@@ -954,18 +939,23 @@ def is_origin_primary(I: Ideal) -> bool:
     and is not (1).  Any other needs a finite nonzero `colength`, which
     alone admits zeros away from the origin; those are ruled out by checking
     that pure variable powers lie in the ideal itself (the nilpotency index
-    on R/I is at most its length).
+    on R/I is at most its length).  That answer is kept on I (`_origin`),
+    so a second check, such as the Rees presentation's after `classify`,
+    takes no normal form.
     """
     stair = staircase_of_ideal(I)
     if stair is not None:
         return stair.is_m_primary and stair.gens != ((0, 0),)
-    try:
-        ell = colength(I)
-    except NotZeroDimensional:
-        return False  # another ring, the zero ideal or infinite colength
-    gb = I.groebner_basis()
-    powers = [Polynomial.monomial(I.ring, I.field, e) for e in ((ell, 0), (0, ell))]
-    return ell > 0 and all(normal_form(pw, gb).is_zero for pw in powers)
+    if I._origin is None:
+        try:
+            ell = colength(I)
+        except NotZeroDimensional:
+            ell = 0  # another ring, the zero ideal or infinite colength
+        gb = I.groebner_basis() if ell > 0 else None
+        I._origin = ell > 0 and all(
+            normal_form(Polynomial.monomial(I.ring, I.field, e), gb).is_zero
+            for e in ((ell, 0), (0, ell)))
+    return I._origin
 
 
 _MAXIMAL: dict = {}  # (ring, field) -> its maximal_ideal
@@ -995,18 +985,23 @@ def ideal_order(I: Ideal) -> int:
 
 
 def minimal_generators(I: Ideal, mI: Ideal | None = None) -> list[Polynomial]:
-    """A minimal generating set, extracted greedily against (vars) * I;
-    `mI`, when the caller already built (vars) * I, shares its basis.  The
-    prune of I's reduced basis is kept on that basis, so it runs once."""
-    stair = staircase_of_ideal(I)  # None outside k[x,y] and for the zero ideal
-    if stair is not None:
-        return list(_corner_monomials(stair, I.ring, I.field))
-    gb = I.groebner_basis()
-    if gb._mingens is None:
-        pack = gb._pk.pack
-        gb._mingens = _nakayama_prune(list(gb.elements), N=mI,
-                                      key=lambda g: (g.min_degree(), max(map(pack, g.terms))))
-    return list(gb._mingens)
+    """A minimal generating set, kept on I (`Ideal._mingens`), so it is
+    found once: for a monomial ideal of k[x,y] its corners' monomials in
+    `stair.gens` order, read off its staircase with no basis and no
+    (vars) * I; for any other, I's reduced basis extracted greedily against
+    (vars) * I, whose basis `mI` shares when the caller already built it."""
+    gens = I._mingens
+    if gens is None:
+        stair = staircase_of_ideal(I)  # None outside k[x,y] and for the zero ideal
+        if stair is not None:
+            gens = _corner_monomials(stair, I.ring, I.field)
+        else:
+            gb = I.groebner_basis()
+            pack = gb._pk.pack
+            gens = tuple(_nakayama_prune(list(gb.elements), N=mI,
+                                         key=lambda g: (g.min_degree(), max(map(pack, g.terms)))))
+        I._mingens = gens
+    return list(gens)
 
 
 def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,

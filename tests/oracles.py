@@ -8,8 +8,10 @@ plain S-pair saturation loop with no selection strategy or pair pruning, the
 lattice oracles work on divisibility predicates, the reference colon is an
 elimination (one auxiliary variable and exact division) in place of the
 library's kernel walk, the rank oracle runs symbolic linear algebra in
-sympy, and the refuter's reference draws and ranks its whole sample budget
-with no rank bound to stop at.
+sympy, the refuter's reference draws and ranks its whole sample budget
+with no rank bound to stop at, and the generator counts and the table of
+generator products are read through a freshly built m*P in place of the
+corners of a monomial P.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import sympy
 from agrees import engine
 from agrees.errors import NotContained, NotStable, ZeroDivisorIdeal
 from agrees.fields import MIN_PRIME, PrimeField
-from agrees.groebner import Ideal, ideal_intersection, ideal_product, maximal_ideal
+from agrees.groebner import (Ideal, colength, ideal_intersection, ideal_product, maximal_ideal,
+                             staircase_of_ideal)
 from agrees.poly import BlockElimination, Polynomial
 
 
@@ -382,6 +385,35 @@ def howald_adjoint_oracle(gens) -> list[tuple[int, int]]:
     members = [(a, b) for a in range(a_max + 1) for b in range(b_max + 1)
                if b + 1 > floor_at(a + 1)]
     return lattice_minimal(members)
+
+
+# -- generator counts through m*P ---------------------------------------------
+# mu, a monomial ideal's minimal generators and the table of generator
+# products by the route that builds m*P for every P: Nakayama's lengths,
+# the corners written out, and each product formed and reduced modulo m*P.
+
+def reference_mu(P: Ideal) -> int:
+    """colength(m*P) - colength(P), with m*P built fresh by `ideal_product`."""
+    return colength(ideal_product(maximal_ideal(P.ring, P.field), P)) - colength(P)
+
+
+def reference_corner_gens(P: Ideal) -> list[Polynomial]:
+    """The monomials of a monomial P's corners, in `stair.gens` order."""
+    return [Polynomial.monomial(P.ring, P.field, e) for e in staircase_of_ideal(P).gens]
+
+
+def reference_product_tables(I: Ideal, J: Ideal) -> list[tuple[Ideal, list]]:
+    """`engine._product_tables` entry by entry: [(IJ, by_I), (mJ, by_m)],
+    each entry `GroebnerBasis.reduce` of the formed product modulo m*P,
+    built fresh by `ideal_product`, over the engine's factor lists and its
+    IJ and mJ."""
+    m = maximal_ideal(I.ring, I.field)
+    j_min = engine._min_gens(J)
+    sides = []
+    for P, left in ((engine._mul(I, J), engine._min_gens(I)), (engine._mul(m, J), m.generators)):
+        gb = ideal_product(m, P).groebner_basis()
+        sides.append((P, [[gb.reduce((u * w).terms) for w in j_min] for u in left]))
+    return sides
 
 
 # -- symbolic rank oracle for the refuter -------------------------------------

@@ -22,7 +22,7 @@ from agrees.engine import (
     validate_report,
     verify_witness,
 )
-from agrees.errors import BadParameters, NotContained, NotStable, ZeroIdeal
+from agrees.errors import BadParameters, NotContained, NotStable, NotZeroDimensional, ZeroIdeal
 from agrees.families import FAMILY_PARAMS, coordinate_twin, family_exponents, make_family
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
@@ -43,7 +43,8 @@ from agrees.staircase import adjoint, is_integrally_closed, staircase_normalize
 from agrees.survey import expand_tuples
 
 from oracles import (generic_ranks, ideal_pow, power_sum_pair, reference_colon,
-                     reference_necessary_bound)
+                     reference_corner_gens, reference_mu, reference_necessary_bound,
+                     reference_product_tables)
 
 FP = PrimeField(2147483647)
 
@@ -817,8 +818,8 @@ def _flagship_twin():
 
 
 def test_each_ideal_is_pruned_once(monkeypatch):
-    # mingens(I) and mingens(J) are kept beside the reduced bases they were
-    # pruned from, so the certificate and the refuter of the flagship twin
+    # mingens(I) and mingens(J) are kept on their ideals, pruned from their
+    # reduced bases, so the certificate and the refuter of the flagship twin
     # read the prunes made before them: I's and J's bases are each pruned
     # once, and the colon's prune of Q + I is the only other one
     from agrees import groebner
@@ -1273,14 +1274,24 @@ def test_table_decides_as_verify_witness(field, monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
 def test_monomial_certificate_forms_no_product(field, monkeypatch):
-    # for monomial I and J every entry of the table is read off the corners:
-    # a certificate, certified or not, calls no `reduce` and no `_nf_dict`
-    # and multiplies no polynomials (the census rows of colength <= 10)
+    # for monomial I and J every entry of the table is read off the corners
+    # of IJ and mJ: a certificate, certified or not, calls no `reduce` and
+    # no `_nf_dict`, multiplies no polynomials, and builds no m*IJ and no
+    # m^2*J; its one product with m is mJ (the census rows of colength <= 10)
     from agrees import groebner
 
-    real_cert = engine.certificate_search
-    certifying, formed = [], []
-    verdicts = set()
+    real_cert, real_colon, real_mul = engine.certificate_search, engine.canonical_colon, engine._mul
+    certifying, formed, colons, by_m = [], [], [], []
+    verdicts, mJ_reads = set(), 0
+
+    def canonical_colon(*args, **kwargs):
+        colons.append(real_colon(*args, **kwargs))
+        return colons[-1]
+
+    def mul(A, B):
+        if certifying and A is maximal_ideal(B.ring, B.field):
+            by_m.append(B)
+        return real_mul(A, B)
 
     def certificate_search(*args, **kwargs):
         certifying.append(1)
@@ -1299,14 +1310,77 @@ def test_monomial_certificate_forms_no_product(field, monkeypatch):
         return call
 
     monkeypatch.setattr(engine, "certificate_search", certificate_search)
+    monkeypatch.setattr(engine, "canonical_colon", canonical_colon)
+    monkeypatch.setattr(engine, "_mul", mul)
     monkeypatch.setattr(Polynomial, "__mul__", spy(Polynomial.__mul__))
     monkeypatch.setattr(groebner.GroebnerBasis, "reduce", spy(groebner.GroebnerBasis.reduce))
     monkeypatch.setattr(groebner, "_nf_dict", spy(groebner._nf_dict))
     for n in range(1, 11):
         for parts in _partitions(n):
             gens = [(a, b) for b, a in enumerate(parts)] + [(0, len(parts))]
+            del colons[:], by_m[:]
             classify(ideal_of_staircase(staircase_normalize(gens), BASE_RING, field))
-    assert verdicts == {True, False} and formed == []
+            assert all(B is J for B in by_m for J in colons), gens
+            mJ_reads += len(by_m)
+    assert verdicts == {True, False} and formed == [] and mJ_reads
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_counts_and_table_equal_the_m_p_route(field, monkeypatch):
+    # on every row of `_census_and_twins`, and on the I, J, IJ and mJ of each
+    # row classify takes to a colon, mu, the minimal generators and the
+    # table equal their route through a fresh m*P: `_mu(P)` is
+    # colength(m*P) - colength(P), a monomial P's `_min_gens` are its
+    # corners in `stair.gens` order, and `_product_tables` is each product
+    # formed and reduced modulo m*P, values and their types alike.  For
+    # monomial I and J the table is read off the corners: it forms no
+    # product and calls no `_nf_dict`
+    from agrees import groebner
+
+    colons = []
+    real_colon = engine.canonical_colon
+
+    def canonical_colon(*args, **kwargs):
+        colons.append(real_colon(*args, **kwargs))
+        return colons[-1]
+
+    def types(table):
+        return [[[type(c) for c in entry.values()] for entry in row] for row in table]
+
+    monkeypatch.setattr(engine, "canonical_colon", canonical_colon)
+    m = maximal_ideal(BASE_RING, field)
+    formed = []
+    real_mul, real_nf = Polynomial.__mul__, groebner._nf_dict
+    tables = {True: 0, False: 0}  # by whether I and J are monomial
+    for I in _census_and_twins(field):
+        del colons[:]
+        classify(I)
+        ideals = [I] + [P for J in colons for P in (J, engine._mul(I, J), engine._mul(m, J))]
+        for P in ideals:
+            assert engine._mu(P) == reference_mu(P), P
+            if staircase_of_ideal(P) is not None:
+                assert engine._min_gens(P) == reference_corner_gens(P), P
+        for J in colons:
+            monomial = staircase_of_ideal(I) is not None and staircase_of_ideal(J) is not None
+            del formed[:]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Polynomial, "__mul__", lambda *args: formed.append(1) or real_mul(*args))
+                mp.setattr(groebner, "_nf_dict", lambda *args: formed.append(1) or real_nf(*args))
+                got = list(engine._product_tables(I, J))
+            assert not monomial or not formed, I
+            want = reference_product_tables(I, J)
+            assert all(P is Q for (P, _), (Q, _) in zip(got, want))
+            assert [t for _, t in got] == [t for _, t in want], I
+            assert [types(t) for _, t in got] == [types(t) for _, t in want], I
+            tables[monomial] += 1
+    assert tables[True] >= 400 and tables[False] >= 40
+
+
+def test_mu_of_a_staircase_that_is_not_m_primary_raises():
+    # only an m-primary staircase counts its corners: (x^2, x*y) has
+    # infinite colength, and `_mu` raises as colength(m*P) does
+    with pytest.raises(NotZeroDimensional):
+        engine._mu(ideal("x^2, x*y"))
 
 
 def _old_span(coeffs, gens):
@@ -1356,7 +1430,8 @@ def test_classify_builds_no_generators_of_a_product_with_m(case, monkeypatch):
     # every m*P classify caches is read through its staircase or its
     # reduced basis alone, so none has built its generators: the first read
     # after classify makes them, the corners' monomials or the basis's
-    # monic elements
+    # monic elements.  A monomial I's mu, minimal generators and table are
+    # read off corners, so its one product with m is the table's own mJ
     from agrees import groebner
 
     colons = []
@@ -1377,7 +1452,7 @@ def test_classify_builds_no_generators_of_a_product_with_m(case, monkeypatch):
         expected = Verdict.NOT_AG if case == "survey-not-ag" else Verdict.AG_CERTIFIED
     assert classify(I).verdict is expected
     m = maximal_ideal(BASE_RING, I.field)
-    seen, todo, by_m = set(), [I, *colons], []
+    seen, todo, by_m, factors = set(), [I, *colons], [], []
     while todo:
         X = todo.pop()
         if id(X) not in seen:
@@ -1385,8 +1460,13 @@ def test_classify_builds_no_generators_of_a_product_with_m(case, monkeypatch):
             for A, P in X._products.items():
                 if A is m:
                     by_m.append(P)
+                    factors.append(X)
                 todo.append(P)
-    assert len(by_m) >= 4
+    if case == "flagship-twin":
+        assert len(by_m) >= 4
+    else:
+        (J,) = colons
+        assert len(factors) == 1 and factors[0] is J
     made = []
     real_monomial, real_monic = Polynomial.monomial, groebner._monic_polynomial
     with pytest.MonkeyPatch.context() as mp:

@@ -408,6 +408,23 @@ def test_presentation_after_classify_runs_only_its_elimination(I, seed, want, fi
     assert substitution_check(I, pres)
 
 
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_presentation_after_classify_checks_the_origin_once(field, monkeypatch):
+    # classify keeps whether V(I) is the origin on I, so the presentation's
+    # own check of the twin classified at seed 7 is a lookup: it takes no
+    # normal form of x^l or y^l modulo I's basis
+    I = _case(("twin", "x^3, x^2 y^3, x y^5, y^6"), field)
+    engine.classify(I, engine.ClassifyConfig(seed=7))
+    calls = []
+    real_origin, real_nf = rees.is_origin_primary, groebner.normal_form
+    monkeypatch.setattr(rees, "is_origin_primary",
+                        lambda J: calls.append("origin") or real_origin(J))
+    monkeypatch.setattr(groebner, "normal_form",
+                        lambda *args: calls.append("nf") or real_nf(*args))
+    rees_defining_ideal(I)
+    assert calls == ["origin"]
+
+
 # -- the fiber read -------------------------------------------------------------
 
 def _fiber_cases(field, rng, count):

@@ -343,6 +343,24 @@ def test_engine_reads_exact_normal_forms_only_in_the_refuter():
     assert set(_readers_of("reduce_products")) == {("engine", "_product_tables")}
 
 
+def test_table_reads_corners_only_in_product_tables():
+    """`GroebnerBasis.reduce_products` forms and reduces every product: the
+    term filter (`_corners`) is read only where a staircase basis is made
+    and by `reduce_row`.  The table's corner read, a membership test of a
+    product's exponent in the set of a staircase's corners
+    (`set(stair.gens)`), lives only in `engine._product_tables`."""
+    assert set(_readers_of("_corners")) == {
+        ("groebner", "GroebnerBasis.__init__"), ("groebner", "GroebnerBasis.reduce_row")}
+    corner_sets = {(path.stem, top.name) for path in SOURCES
+                   for top in ast.parse(path.read_text(), filename=str(path)).body
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "set"
+                   and any(isinstance(arg, ast.Attribute) and arg.attr == "gens"
+                           for arg in node.args)}
+    assert corner_sets == {("engine", "_product_tables")}
+
+
 def test_one_walk_and_one_finisher_in_groebner():
     """The colon and the sum read their forms off one walk over the
     standard monomials (`_walk`), the one reader of `standard_monomials` in
