@@ -711,9 +711,8 @@ def _corner_monomials(stair: Staircase, ring: Ring, field) -> tuple[Polynomial, 
 
 def ideal_of_staircase(stair: Staircase, ring: Ring, field) -> Ideal:
     """The ideal of stair's corners, with stair already in its cache; its
-    generators, the corners' monomials, are built when first read, as its
-    minimal generators, so the two reads share one tuple."""
-    I = Ideal._derived(ring, field, lambda: tuple(minimal_generators(I)))
+    generators, the corners' monomials, are built when first read."""
+    I = Ideal._derived(ring, field, lambda: _corner_monomials(stair, ring, field))
     I._staircase = stair
     return I
 
