@@ -128,7 +128,7 @@ def render_pretty(doc: dict, ideal=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SurveyRow:
     family: str
     params: tuple[tuple[str, int], ...]
@@ -140,8 +140,21 @@ class SurveyRow:
     threshold: int | None
     witness: str
 
+    def __post_init__(self):
+        # a row never changes, so its text (the dataclass repr) and its sort
+        # key are made once, where the row is made: inside classify_tuple,
+        # on the worker under --jobs k.  The instance dict holds the fields in
+        # order until the two are added.
+        state = vars(self)
+        text = ", ".join([f"{name}={value!r}" for name, value in state.items()])
+        state["_repr"] = f"{type(self).__qualname__}({text})"
+        state["_values"] = tuple([v for _, v in self.params])
+
+    def __repr__(self) -> str:
+        return self._repr
+
     def param_values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.params)
+        return self._values
 
     def param_text(self) -> str:
         return ";".join(f"{k}={v}" for k, v in self.params)

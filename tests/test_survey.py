@@ -1,6 +1,8 @@
 """Survey expansion, workers, and the product-family probe."""
 
+import dataclasses
 import os
+import pickle
 
 import pytest
 
@@ -46,6 +48,22 @@ def test_classify_tuple_row():
     assert row.params == (("m", 2), ("n", 5))
     assert row.o == 2 and row.mu_I == 3 and row.mu_J == 2
     assert row.witness.startswith("f=")
+
+
+def test_row_text_and_sort_key_follow_its_fields():
+    row = classify_tuple(("contracted-o3", (6, 3, 5), 0, "q"))
+    fields = ", ".join(f"{f.name}={getattr(row, f.name)!r}"
+                       for f in dataclasses.fields(row))
+    assert repr(row) == f"SurveyRow({fields})"
+    assert row.param_values() == (6, 3, 5)
+    for copy in (pickle.loads(pickle.dumps(row)), dataclasses.replace(row)):
+        assert copy == row and repr(copy) == repr(row)
+    other = dataclasses.replace(row, params=(("n", 7), ("alpha", 3), ("beta", 5)),
+                                verdict="UNKNOWN")
+    assert other.param_values() == (7, 3, 5)
+    assert "params=(('n', 7), ('alpha', 3), ('beta', 5)), verdict='UNKNOWN'" in repr(other)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.verdict = "NOT_AG"
 
 
 def test_products_family_probe():
