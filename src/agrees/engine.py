@@ -170,8 +170,12 @@ class AGReport:
 # any other B is read off B's reduced basis by its consecutive S-pairs
 # (`groebner._times_maximal`), carrying its own reduced basis, so no
 # Nakayama test's m*P starts a Buchberger run.  Every other product goes
-# through `groebner.ideal_product`, whose colengths and normal forms modulo
-# a monomial ideal read its staircase.  Each product is built once: it is
+# through `groebner.ideal_product`, whose run starts from the products
+# formed on packed words.  No product a kernel reads is a `Polynomial`
+# product: `_stable` and `_reduction_number` hand `_spans` the factors, and
+# the table forms its own (`reduce_products`); only the validator's
+# `verify_witness` and `_is_linked_colon` multiply polynomials, a route
+# independent of that kernel.  Each product is built once: it is
 # cached on its right factor, keyed by the left one (`Ideal._products`), so
 # its basis and staircase are built once per analysis, and the shared
 # maximal ideal, always the left factor here, pins no product.
@@ -199,10 +203,10 @@ def _mul(A: Ideal, B: Ideal) -> Ideal:
 # rows for `_rank` with one column per monomial: up to a positive scale, as
 # integer rows (`GroebnerBasis.reduce_row`, keyed by packed words, or by
 # exponent tuples for a monomial top, where a product keeps its single term
-# exactly when it lies outside top), for a rank; as field values keyed by
-# exponent tuples (`_product_tables`: a corner read for monomial factors,
-# else `GroebnerBasis.reduce_products`) where the certificate and the
-# refuter combine rows.
+# exactly when it lies outside top; `product_rows` for products), for a
+# rank; as field values keyed by exponent tuples (`_product_tables`: a
+# corner read for monomial factors, else `GroebnerBasis.reduce_products`)
+# where the certificate and the refuter combine rows.
 
 def _rank(rows: list[dict], fld) -> int:
     """dim_k of the span of sparse rows {column: field value}, with mutually
@@ -258,24 +262,26 @@ def _min_gens(P: Ideal) -> list[Polynomial]:
     return minimal_generators(P, _mul(maximal_ideal(P.ring, P.field), P))
 
 
-def _spans(P: Ideal, parts: list[Polynomial]) -> bool:
+def _spans(P: Ideal, parts: Sequence[Polynomial], by: Sequence[Polynomial] | None = None
+           ) -> bool:
     """Do the parts, inside the m-primary P, generate P in k[x,y]_(x,y)?
-    The one Nakayama test: P/m*P, supported at the origin, has dimension
-    mu(P) and embeds in R/m*P, so they do iff their normal forms modulo m*P
-    (`reduce_row`) have rank mu(P).  m*P and its basis come from `_mul`'s
-    cache, mu(P) from `_mu`."""
+    Given `by`, they are the products p*b, b in `by`, formed on packed
+    words (`GroebnerBasis.product_rows`).  The one Nakayama test: P/m*P,
+    supported at the origin, has dimension mu(P) and embeds in R/m*P, so
+    they do iff their normal forms modulo m*P have rank mu(P).  m*P and
+    its basis come from `_mul`'s cache, mu(P) from `_mu`."""
     top = _mul(maximal_ideal(P.ring, P.field), P).groebner_basis()
-    return _rank([top.reduce_row(p.terms) for p in parts], P.field) == _mu(P)
+    rows = [top.reduce_row(p.terms) for p in parts] if by is None else top.product_rows(parts, by)
+    return _rank(rows, P.field) == _mu(P)
 
 
 def _stable(I: Ideal, Q: Ideal) -> bool:
     """I^2 = QI in k[x,y]_(x,y) for Q inside I: one `_spans` of the
-    products q*a over the generators a of I in I^2, kept on I, keyed by Q's
-    generators (`Ideal._stable`)."""
+    products q*a over the generators a of I in I^2, formed on packed words,
+    kept on I, keyed by Q's generators (`Ideal._stable`)."""
     stable = I._stable.get(Q.generators)
     if stable is None:
-        stable = I._stable[Q.generators] = _spans(
-            _power(I, 2), [q * a for q in Q.generators for a in I.generators])
+        stable = I._stable[Q.generators] = _spans(_power(I, 2), Q.generators, I.generators)
     return stable
 
 
@@ -289,8 +295,7 @@ def _reduction_number(I: Ideal, Q: Ideal, cap: int | None) -> int | None:
     if _stable(I, Q):
         return 0 if _mu(I) <= 2 else 1
     for r in itertools.count(2) if cap is None else range(2, cap + 1):
-        products = [q * p for q in Q.generators for p in _power(I, r).generators]
-        if _spans(_power(I, r + 1), products):
+        if _spans(_power(I, r + 1), Q.generators, _power(I, r).generators):
             return r
     return None
 

@@ -16,32 +16,38 @@ elimination's bounded basis off its fibers with no run, in packed words
 formed by sums, as a kernel forms its shifted terms.
 
 Inside the kernels `_nf_dict`, `_spoly`, `_update_pairs`, `_entry`,
-`_buchberger`, `_interreduce`, `_times_maximal`, `_walk`, `_colon` and
-`_sum` a monomial is one packed int (`poly.Packer`): the order key on top
-and one bit field per exponent below.  A lead is `max` of a row's words, a
-shifted term is `m + shift`, and "lm divides m" is `(m - lm) & guard == 0`,
-so no step builds a tuple or calls a key.  A run packs each input monomial
-once, and `_update_pairs` packs each distinct lcm once, computing lcms,
-degrees and weights on the lead tuples it keeps next to the words.  A
-normal form whose scale does not matter, one a rank or a zero test reads,
-stays an integer row: `GroebnerBasis.reduce_row` packs its input and
-hands back the row `_nf_dict` returns.  Everything else outside the
-kernels is on exponent tuples: `GroebnerBasis.reduce`, read only by
-`normal_form` and `GroebnerBasis.reduce_products` (the engine's table of
-generator products), packs its input and unpacks the remainder, and
-`elements` and `leading_exponents` unpack.  Only this module and
-`poly` know the packed format, and a caller of `reduce_row` reads its rows
-only as columns that compare.
+`_buchberger`, `_interreduce`, `_product_row`, `_times_maximal`, `_walk`,
+`_colon` and `_sum` a monomial is one packed int (`poly.Packer`): the order
+key on top and one bit field per exponent below.  A lead is `max` of a
+row's words, a shifted term is `m + shift`, and "lm divides m" is
+`(m - lm) & guard == 0`, so no step builds a tuple or calls a key.  A
+polynomial's monomials are packed once, where it enters (`_packed`), and
+`_update_pairs` packs each distinct lcm once, computing lcms, degrees and
+weights on the lead tuples it keeps next to the words.  A normal form whose
+scale does not matter, one a rank or a zero test reads, stays an integer
+row: `GroebnerBasis.reduce_row` and `product_rows` hand back the row
+`_nf_dict` returns.  `reduce`, read only by `normal_form`, and
+`reduce_products` (the engine's table of generator products) unpack their
+remainders, and `elements` and `leading_exponents` unpack.  Only this
+module and `poly` know the packed format, and a caller of `reduce_row`
+reads its rows only as columns that compare.
 
-The three kernels, `_nf_dict`, `_buchberger` and `_echelon_reduce`, work on
-rows of plain integers, one kernel for both fields; the field supplies what
-differs.  Every row a kernel steps on is an integer row: `field.clear`
-writes field values as a unit times integers (over q it clears
-denominators, and a row of ints enters as it is with unit 1; over fp a
-residue is already an integer), and it runs once at each place where field
-values enter: both branches of `reduce_row`, a Buchberger run's inputs,
-`_nf_dict`'s exact mode, `_colon`'s augmented rows, `_sum`'s forms and
-`engine._rank`'s copies.  `_echelon_reduce` takes integer rows only.
+Every product a kernel reads is formed on packed words by one kernel,
+`_product_row`, a term being one integer sum (Monagan-Pearce 2007), with
+each factor packed once: the generators of `ideal_product`, which its
+Buchberger run takes as they are, the table's products and a Nakayama
+test's (`product_rows`).  None is formed as a polynomial.
+
+The four kernels, `_nf_dict`, `_buchberger`, `_product_row` and
+`_echelon_reduce`, work on rows of plain integers, one kernel for both
+fields; the field supplies what differs.  Every row a kernel steps on is an
+integer row: `field.clear` writes field values as a unit times integers
+(over q it clears denominators, and a row of ints enters as it is with unit
+1; over fp a residue is already an integer), and it runs once at each place
+where field values enter: `_packed`, which serves a Buchberger run's
+inputs, `reduce`, `reduce_row` and the product kernel's factors;
+`reduce_row`'s term filter, `_walk`'s forms, `_colon`'s augmented rows,
+`_sum`'s forms and `engine._rank`'s copies.
 `field.cross(c, b)` gives multipliers (a, s) with a*c = s*b, and
 `field.normalize` keeps every stored row primitive (over q: content 1, lead
 positive) or monic (over fp, where a is therefore always 1).  Every kernel
@@ -52,12 +58,13 @@ call per term.  This is fraction-free elimination (Bareiss 1968) and the
 primitive-part Buchberger algorithm (Cox-Little-O'Shea).
 
 A reduced basis is stored in one form, the kernels' packed entries (lm, lc,
-row) that `_buchberger` returns.  A run clears its inputs once; its S-pair and
-interreduction remainders stay integer rows.  Field values are made again
-only where a value leaves a kernel: the remainder `GroebnerBasis.reduce`
-returns (`reduce_row` makes none), the walk's exact forms, the monic
-polynomials `_monic_polynomial` builds once from a basis's entries, and a
-kernel vector a caller reads off an echelon.
+row) that `_buchberger` returns.  A run takes its inputs cleared; its S-pair
+and interreduction remainders stay integer rows.  Field values are made
+again only where a value leaves a kernel: the remainders `reduce` and
+`reduce_products` return, scaled by their units once, the walk's exact
+forms, the monic polynomials `_monic_polynomial` builds once from a basis's
+entries, a product's generators and a kernel vector a caller reads off an
+echelon.
 
 Every reduced basis not read off a staircase or fibers ends in one finisher,
 `_interreduce`, one ascending sweep over a Groebner basis: an element is
@@ -79,29 +86,28 @@ between the two: `staircase_of_ideal` reads an ideal's staircase once and
 caches it on the ideal, and `ideal_of_staircase` builds the ideal of a
 staircase with it cached.  A monomial ideal's `colength`, order and
 reduced basis are read off its staircase, and its basis's `reduce_row` is
-a term filter in place of `_nf_dict`; `reduce`, and with it
-`reduce_products`, runs `_nf_dict` on every basis.  Its minimal
-generators are its corners' monomials (`minimal_generators`), and the
-engine reads its table of generator products off the corners of each
-product (`engine._product_tables`).  Every other
-ideal, the zero ideal and monomial ideals in more variables included, goes
-through Buchberger.
+a term filter in place of `_nf_dict`; `reduce`, `reduce_products` and
+`product_rows` run `_nf_dict` on every basis.  Its minimal generators are
+its corners' monomials (`minimal_generators`), and the engine reads its
+table of generator products off the corners of each product
+(`engine._product_tables`).  Every other ideal, the zero ideal and
+monomial ideals in more variables included, goes through Buchberger.
 
 A polynomial is built only where one is read.  A derived ideal, the ideal
-of a staircase or a finished one, builds its generators from its source on
-their first read (`Ideal._derived`): the corners' monomials in
-`stair.gens` order, or the basis's monic elements by descending lead, the
-tuples the eager build made; most products are read only through their
-staircase or their basis.  A finished ideal carries the staircase its
-generators would give, the leads' when every element is one term.  A
-staircase basis packs its corners into `entries` only when a kernel reads
-them, as the term filter reads the corners themselves.
+of a staircase, a finished one or a product, builds its generators from its
+source on their first read (`Ideal._derived`): the corners' monomials in
+`stair.gens` order, the basis's monic elements by descending lead, or the
+product rows, the tuples the eager build made; most products are read only
+through their staircase or their basis.  A finished ideal carries the
+staircase its generators would give, the leads' when every element is one
+term.  A staircase basis packs its corners into `entries` only when a
+kernel reads them, as the term filter reads the corners themselves.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 from typing import Sequence
 
@@ -153,24 +159,47 @@ def _cancel(row: _Row, c: int, other: _Row, b: int, shift: int, field) -> int:
     return a
 
 
-def _nf_dict(p: _Row, basis: list, guard: int, field, integral: bool = False) -> _Row:
-    """Full normal form of p, keyed by packed words, against basis entries
-    (lm, lc, row) made by `_entry`: of field values, or, when `integral`, of
-    an integer row, returned as an integer row (a positive multiple of the
-    normal form, which a Buchberger run's `_entry` normalizes).
+def _packed(terms: _Term, pack, field) -> tuple:
+    """(unit, row) with terms = unit * row, row the packed integer row that
+    `field.clear` makes: where a polynomial enters a kernel."""
+    row = {pack(m): c for m, c in terms.items()}
+    return field.clear(row), row
 
-    The work is an integer row (see the module docstring); field values
-    enter as unit * work by `field.clear`.  The lead is the largest word.  A
-    step's divisor is the first entry in list order whose lm divides it,
-    `(lead - lm) & guard == 0` (`poly.Packer`), and that difference is the
-    shift; the step is one `_cancel` of the lead against the entry's lc,
-    and its multiplier a scales the kept terms too.  Field values leave as
-    the kept integers times unit / (the product of the a), with no
-    `field.mul` when that is 1 (always over fp).
+
+def _product_row(u: _Row, w: _Row, field) -> _Row:
+    """The integer row u*w: each term c*m of u adds c times w shifted by m,
+    one `_cancel` with b = 1 (so a = 1)."""
+    out: _Row = {}
+    for m, c in u.items():
+        _cancel(out, -c, w, 1, m, field)
+    return out
+
+
+def _products(left: Sequence[Polynomial], right: Sequence[Polynomial], pack,
+              field) -> list[list[tuple]]:
+    """[[(unit, row) for w in right] for u in left], u*w = unit * row, each
+    factor packed once."""
+    ws = [_packed(w.terms, pack, field) for w in right]
+    mul = field.mul
+    return [[(mul(a, b), _product_row(u, w, field)) for b, w in ws]
+            for a, u in (_packed(f.terms, pack, field) for f in left)]
+
+
+def _nf_dict(p: _Row, basis: list, guard: int, field, unit=None) -> _Row:
+    """Full normal form of the integer row p, keyed by packed words, against
+    basis entries (lm, lc, row) made by `_entry`: an integer row, a
+    positive multiple of the normal form, or, given p's `unit`, the exact
+    normal form of unit * p in field values.
+
+    The lead is the largest word.  A step's divisor is the first entry in
+    list order whose lm divides it, `(lead - lm) & guard == 0`
+    (`poly.Packer`), and that difference is the shift; the step is one
+    `_cancel` of the lead against the entry's lc, and its multiplier a
+    scales the kept terms too.  Field values leave as the kept integers
+    times unit / (the product of the a), with no `field.mul` when that is 1
+    (always over fp).
     """
     work = dict(p)
-    if not integral:
-        unit = field.clear(work)
     rem: _Row = {}
     den = 1
     while work:
@@ -187,7 +216,7 @@ def _nf_dict(p: _Row, basis: list, guard: int, field, integral: bool = False) ->
             break
         else:
             rem[lm] = work.pop(lm)
-    if not integral:
+    if unit is not None:
         scale = unit if den == 1 else field.div(unit, den)
         if scale != 1:
             for m, c in rem.items():
@@ -326,19 +355,23 @@ def _front_free_elements(ring: Ring, field, order: BlockElimination, entries,
             if not any(unpack(e[0])[i] for i in front)]
 
 
-def _buchberger(inputs: list[_Term], pk: Packer, field, max_weight=None) -> list:
-    """Reduced basis of the ideal of `inputs`, term dicts on exponent
-    tuples, as `_entry`s of packed words (`pk`, see `poly.Packer`) sorted by
-    descending leading monomial.
+def _inputs(polys: Sequence[_Term], pack, field) -> list:
+    """`_buchberger`'s (sugar, row) of each nonzero term dict."""
+    return [(max(map(sum, p)), _packed(p, pack, field)[1]) for p in polys if p]
 
-    The run packs each input monomial once and then works on packed words
-    only: a lead is `max`, a shift is `+` and a divisor test a subtraction
-    and a mask.  It keeps each basis element as an `_entry`, an integer row
-    with its content removed (the primitive-part Buchberger algorithm,
-    Cox-Little-O'Shea); S-polynomials cross-multiply by integer leads, and
-    every reduction is one `_nf_dict` that returns an integer row, so after
-    the inputs are cleared no field value is made until the run returns.
-    The interreduced elements are returned as entries too: primitive over q,
+
+def _buchberger(inputs: list, pk: Packer, field, max_weight=None) -> list:
+    """Reduced basis of the ideal of `inputs`, (sugar, integer row) pairs
+    on packed words (`pk`, see `poly.Packer`; `_inputs`, `ideal_product`),
+    as `_entry`s sorted by descending leading monomial.
+
+    The run works on packed words only: a lead is `max`, a shift is `+` and
+    a divisor test a subtraction and a mask.  It keeps each basis element
+    as an `_entry`, an integer row with its content removed (the
+    primitive-part Buchberger algorithm, Cox-Little-O'Shea); S-polynomials
+    cross-multiply by integer leads, and every reduction is one `_nf_dict`
+    that returns an integer row, so no field value is made.  The
+    interreduced elements are returned as entries too: primitive over q,
     monic over fp.  Under a block order each of their words is `check`ed,
     and a term of degree 2^32 or more raises DegreeOverflow.
 
@@ -351,21 +384,16 @@ def _buchberger(inputs: list[_Term], pk: Packer, field, max_weight=None) -> list
     part of weight <= max_weight of the unbounded reduced basis.  A run
     terminates on every input (Dickson's lemma), so nothing else bounds it.
     """
-    pack, guard = pk.pack, pk.guard
+    guard = pk.guard
     G: list = []
     leads: list[Exponent] = []
     sugars: list[int] = []
     P: dict = {}
-    for p in inputs:
-        if not p:
-            continue
-        sug = max(map(sum, p))
-        row = {pack(m): c for m, c in p.items()}
-        field.clear(row)
+    for sug, row in inputs:
         P = _update_pairs(G, leads, sugars, P, _entry(row, field), sug, pk, max_weight)
     while P:
         sug, L, (i, j), _ = P.pop(min(P.values())[2])
-        r = _nf_dict(_spoly(G[i], G[j], L, field), G, guard, field, True)
+        r = _nf_dict(_spoly(G[i], G[j], L, field), G, guard, field)
         if r:
             P = _update_pairs(G, leads, sugars, P, _entry(r, field), sug, pk, max_weight)
     return _interreduce(G, pk, field)
@@ -386,7 +414,7 @@ def _interreduce(G: list, pk: Packer, field) -> list:
     reduced: list = []
     for g in sorted(G, key=_lead):
         if all((g[0] - e[0]) & guard for e in reduced):
-            reduced.append(_entry(_nf_dict(g[2], reduced, guard, field, True), field))
+            reduced.append(_entry(_nf_dict(g[2], reduced, guard, field), field))
     reduced.reverse()
     if not pk.graded:
         for _, _, row in reduced:
@@ -538,14 +566,14 @@ class GroebnerBasis:
 
     def reduce(self, terms: _Term) -> _Term:
         """Normal form of a term dict modulo the basis, as a term dict of
-        field values, for `normal_form` and `reduce_products`: `_nf_dict`'s
-        exact mode on the packed terms, unpacked.  Normal forms are k-linear: the
+        field values, for `normal_form`: `_nf_dict`'s exact mode on the
+        packed terms (`_packed`), unpacked.  Normal forms are k-linear: the
         normal form of sum_j c_j * p_j is sum_j c_j * NF(p_j)."""
         pk = self._pk
-        pack, unpack = pk.pack, pk.unpack
+        unit, row = _packed(terms, pk.pack, self.field)
+        unpack = pk.unpack
         # looked up on the module, so a wrapper bound there sees this call too
-        rem = _nf_dict({pack(m): c for m, c in terms.items()}, self.entries, pk.guard,
-                       self.field)
+        rem = _nf_dict(row, self.entries, pk.guard, self.field, unit)
         return {unpack(w): c for w, c in rem.items()}
 
     def reduce_row(self, terms: _Term) -> dict:
@@ -566,20 +594,33 @@ class GroebnerBasis:
             self.field.clear(kept)
             return kept
         pk = self._pk
-        pack = pk.pack
-        row = {pack(m): c for m, c in terms.items()}
-        self.field.clear(row)
         # looked up on the module, so a wrapper bound there sees this call too
-        return _nf_dict(row, self.entries, pk.guard, self.field, True)
+        return _nf_dict(_packed(terms, pk.pack, self.field)[1], self.entries, pk.guard,
+                        self.field)
+
+    def product_rows(self, left: Sequence[Polynomial],
+                     right: Sequence[Polynomial]) -> list[dict]:
+        """`reduce_row((u*w).terms)` up to positive scales for u in left and
+        w in right, row-major, each product formed on packed words
+        (`_products`), keyed by packed words on every basis."""
+        pk, field, entries = self._pk, self.field, self.entries
+        guard = pk.guard
+        return [_nf_dict(row, entries, guard, field)
+                for line in _products(left, right, pk.pack, field) for _, row in line]
 
     def reduce_products(self, left: Sequence[Polynomial],
                         right: Sequence[Polynomial]) -> list[list[_Term]]:
         """The table [[reduce((u*w).terms) for w in right] for u in left]:
-        the exact normal forms of the products, each formed and `reduce`d,
-        for a caller that combines them linearly.  The engine's table of a
+        the exact normal forms of the products, formed on packed words
+        (`_products`) and scaled by their factors' units once per entry, for
+        a caller that combines them linearly.  The engine's table of a
         monomial product is read off its corners instead
         (`engine._product_tables`)."""
-        return [[self.reduce((u * w).terms) for w in right] for u in left]
+        pk, field, entries = self._pk, self.field, self.entries
+        guard, unpack = pk.guard, pk.unpack
+        # looked up on the module, so a wrapper bound there sees these calls too
+        return [[{unpack(w): c for w, c in _nf_dict(row, entries, guard, field, unit).items()}
+                 for unit, row in line] for line in _products(left, right, pk.pack, field)]
 
     def leading_exponents(self) -> list[Exponent]:
         unpack = self._pk.unpack
@@ -670,8 +711,9 @@ class Ideal:
         if stair is not None:
             gb = GroebnerBasis(self.ring, self.field, stair=stair)
         else:
+            pk = GREVLEX.packer(self.ring)
             gb = GroebnerBasis(self.ring, self.field, _buchberger(
-                [g.terms for g in self.generators], GREVLEX.packer(self.ring), self.field))
+                _inputs([g.terms for g in self.generators], pk.pack, self.field), pk, self.field))
         self._gb_cache[GREVLEX] = gb
         return gb
 
@@ -735,20 +777,45 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
+    """I*J, generated by the products f*g over the generators of I and J in
+    that order, exact duplicates and zeros dropped, built on their first
+    read.  Each product is an integer row (`_product_row`), each unordered
+    pair once for J = I; made primitive or monic, with the value k by which
+    it is the product, it is a duplicate when an earlier one has that row
+    and k.  A monomial I*J builds its basis as `Ideal(gens)` does, off its
+    staircase in k[x,y]; any other carries the basis of a Buchberger run on
+    the kept rows, and no staircase, as `_read_staircase` would find none."""
     if I.ring != J.ring or I.field != J.field:
         raise RingMismatch("ideals live in different rings or fields")
-    gens = []
-    seen = set()
-    for f in I.generators:
-        for g in J.generators:
-            p = f * g
-            if p.is_zero or p in seen:
-                continue
-            seen.add(p)
-            gens.append(p)
-    if not gens:
-        gens = [Polynomial.zero(I.ring, I.field)]
-    return Ideal(gens)
+    ring, field = I.ring, I.field
+    pk = GREVLEX.packer(ring)
+
+    def factors(P: Ideal) -> list:
+        return [(max(map(sum, g.terms)), *_packed(g.terms, pk.pack, field))
+                for g in P.generators if not g.is_zero]
+
+    left = factors(I)
+    kept: dict = {}  # (k, row's items) -> (sugar, k, row) of a product k * row
+    for (du, a, u), (dw, b, w) in (combinations_with_replacement(left, 2) if J is I
+                                   else product(left, factors(J))):
+        row = _product_row(u, w, field)
+        lm = max(row)
+        c = row[lm]
+        field.normalize(row, lm)
+        k = field.div(field.mul(field.mul(a, b), c), row[lm])
+        kept.setdefault((k, frozenset(row.items())), (du + dw, k, row))
+
+    def generators() -> tuple[Polynomial, ...]:
+        unpack, mul = pk.unpack, field.mul
+        return tuple(Polynomial(ring, field, {unpack(m): mul(k, c) for m, c in row.items()})
+                     for _, k, row in kept.values()) or (Polynomial.zero(ring, field),)
+
+    P = Ideal._derived(ring, field, generators)
+    if any(len(row) > 1 for _, _, row in kept.values()):
+        P._gb_cache[GREVLEX] = GroebnerBasis(ring, field, _buchberger(
+            [(sug, row) for sug, _, row in kept.values()], pk, field))
+        P._staircase = None
+    return P
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -765,7 +832,8 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
     gens = [u * lift(f) for f in I.generators] + [one_minus_u * lift(g) for g in J.generators]
     order = BlockElimination(front=("u",))
-    basis = _buchberger([g.terms for g in gens if not g.is_zero], order.packer(aux), field)
+    pk = order.packer(aux)
+    basis = _buchberger(_inputs([g.terms for g in gens], pk.pack, field), pk, field)
     trimmed = _front_free_elements(aux, field, order, basis, ring)
     if not trimmed:
         trimmed = [Polynomial.zero(ring, field)]
@@ -780,7 +848,7 @@ def _walk(top: GroebnerBasis, gens: Sequence[Polynomial], D: GroebnerBasis):
     one variable less) shifted by that variable and reduced again, as
     NF(v*s*g) = NF(v*NF(s*g)); a vanished form has no successor."""
     field, pk, entries = top.field, top._pk, top.entries
-    pack, guard = pk.pack, pk.guard
+    pack, guard, clear = pk.pack, pk.guard, field.clear
     px, py = pack((1, 0)), pack((0, 1))
     start = [(j, {pack(m): c for m, c in g.terms.items()}) for j, g in enumerate(gens)]
     forms: dict = {}  # s -> its nonzero forms
@@ -793,8 +861,9 @@ def _walk(top: GroebnerBasis, gens: Sequence[Polynomial], D: GroebnerBasis):
         else:
             prods = start
         # looked up on the module, so a wrapper bound there sees these calls too
+        # clear(p) makes p its integer row in place and returns its unit
         forms[s] = nfs = [(j, r) for j, p in prods
-                          if (r := _nf_dict(p, entries, guard, field))]
+                          if (r := _nf_dict(p, entries, guard, field, clear(p)))]
         yield s, nfs
 
 
@@ -898,7 +967,7 @@ def _times_maximal(P: Ideal) -> Ideal:
     corners = sorted(zip(gb.leading_exponents(), gb.entries))
     rows: dict = {}
     for ((_, b), f), ((a, _), g) in zip(corners, corners[1:]):
-        r = _nf_dict(_spoly(f, g, pack((a, b)), field), shifted, guard, field, True)
+        r = _nf_dict(_spoly(f, g, pack((a, b)), field), shifted, guard, field)
         _echelon_reduce(r, rows, field)
     return _finish(gb, shifted, rows)
 
@@ -1015,16 +1084,21 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
     on row scale; the span is an echelon of the kept normal forms, one row
     per leading monomial.  `N`, when the caller already built that ideal, is
     used in place of a new one.  Otherwise N's basis is built here, bounded
-    by `max_weight` as in `_buchberger`; the prune stays exact for
-    weight-homogeneous gens that weigh no more than the bound.
+    by `max_weight` as in `_buchberger`, each v*g a shift of g's packed
+    row; the prune stays exact for weight-homogeneous gens that weigh no
+    more than the bound.
     """
     if not gens:
         return []
     ring, field = gens[0].ring, gens[0].field
     if N is None:
+        pk = GREVLEX.packer(ring)
+        rows = _inputs([g.terms for g in gens], pk.pack, field)
+        n = ring.arity
+        variables = [pk.pack(tuple(int(i == k) for i in range(n))) for k in range(n)]
         gb = GroebnerBasis(ring, field, _buchberger(
-            [(Polynomial.variable(ring, field, v) * g).terms for v in ring.vars for g in gens],
-            GREVLEX.packer(ring), field, max_weight=max_weight))
+            [(sug + 1, {m + v: c for m, c in row.items()}) for v in variables for sug, row in rows],
+            pk, field, max_weight=max_weight))
     else:
         gb = N.groebner_basis()
     rows: dict = {}

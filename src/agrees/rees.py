@@ -78,6 +78,7 @@ from .groebner import (
     _buchberger,
     _fiber_kernel,
     _front_free_elements,
+    _inputs,
     _nakayama_prune,
 )
 from .poly import (
@@ -153,7 +154,8 @@ def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> lis
                    for i, g in enumerate(gens, start=1)]
 
     order = BlockElimination(front=("t",))
-    basis = _buchberger([g.terms for g in kernel_gens], order.packer(big), field,
+    pk = order.packer(big)
+    basis = _buchberger(_inputs([g.terms for g in kernel_gens], pk.pack, field), pk, field,
                         max_weight=max_weight)
     return _front_free_elements(big, field, order, basis, presentation_ring(s))
 

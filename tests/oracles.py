@@ -392,9 +392,26 @@ def howald_adjoint_oracle(gens) -> list[tuple[int, int]]:
 # products by the route that builds m*P for every P: Nakayama's lengths,
 # the corners written out, and each product formed and reduced modulo m*P.
 
+def reference_ideal_product(I: Ideal, J: Ideal) -> Ideal:
+    """I*J by the route `groebner.ideal_product` replaced: each product f*g
+    over the generators of I and J formed by `Polynomial.__mul__`, exact
+    duplicates and zeros dropped, in an `Ideal` of those generators, whose
+    basis is read off its staircase or built by a Buchberger run on the
+    products' terms when first read."""
+    gens, seen = [], set()
+    for f in I.generators:
+        for g in J.generators:
+            p = f * g
+            if not p.is_zero and p not in seen:
+                seen.add(p)
+                gens.append(p)
+    return Ideal(gens or [Polynomial.zero(I.ring, I.field)])
+
+
 def reference_mu(P: Ideal) -> int:
-    """colength(m*P) - colength(P), with m*P built fresh by `ideal_product`."""
-    return colength(ideal_product(maximal_ideal(P.ring, P.field), P)) - colength(P)
+    """colength(m*P) - colength(P), with m*P built fresh by
+    `reference_ideal_product`."""
+    return colength(reference_ideal_product(maximal_ideal(P.ring, P.field), P)) - colength(P)
 
 
 def reference_corner_gens(P: Ideal) -> list[Polynomial]:
@@ -404,14 +421,15 @@ def reference_corner_gens(P: Ideal) -> list[Polynomial]:
 
 def reference_product_tables(I: Ideal, J: Ideal) -> list[tuple[Ideal, list]]:
     """`engine._product_tables` entry by entry: [(IJ, by_I), (mJ, by_m)],
-    each entry `GroebnerBasis.reduce` of the formed product modulo m*P,
-    built fresh by `ideal_product`, over the engine's factor lists and its
-    IJ and mJ."""
+    each entry `GroebnerBasis.reduce` of the product formed by
+    `Polynomial.__mul__` modulo m*P, built fresh by
+    `reference_ideal_product`, over the engine's factor lists and its IJ
+    and mJ."""
     m = maximal_ideal(I.ring, I.field)
     j_min = engine._min_gens(J)
     sides = []
     for P, left in ((engine._mul(I, J), engine._min_gens(I)), (engine._mul(m, J), m.generators)):
-        gb = ideal_product(m, P).groebner_basis()
+        gb = reference_ideal_product(m, P).groebner_basis()
         sides.append((P, [[gb.reduce((u * w).terms) for w in j_min] for u in left]))
     return sides
 

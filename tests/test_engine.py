@@ -43,8 +43,8 @@ from agrees.staircase import adjoint, is_integrally_closed, staircase_normalize
 from agrees.survey import expand_tuples
 
 from oracles import (generic_ranks, ideal_pow, power_sum_pair, reference_colon,
-                     reference_corner_gens, reference_mu, reference_necessary_bound,
-                     reference_product_tables)
+                     reference_corner_gens, reference_ideal_product, reference_mu,
+                     reference_necessary_bound, reference_product_tables)
 
 FP = PrimeField(2147483647)
 
@@ -179,7 +179,7 @@ def test_second_reduction_pass_starts_at_two(monkeypatch):
 
     monkeypatch.setattr(engine, "_reduction_number", rn)
     monkeypatch.setattr(engine, "_spans",
-                        lambda P, parts: spans.append((cap_now[0], P)) or real_spans(P, parts))
+                        lambda P, *parts: spans.append((cap_now[0], P)) or real_spans(P, *parts))
     I = coordinate_twin([(4, 0), (3, 1), (0, 4)], 2, QQ)
     red = find_reduction(I)
     assert red.reduction_number == 3 and not red.stable
@@ -416,10 +416,10 @@ def test_stages_decide_stability_themselves():
 
 
 def _record_spans(monkeypatch) -> list:
-    """The ideal P of every `_spans(P, parts)` call from now on."""
+    """The ideal P of every `_spans(P, parts[, by])` call from now on."""
     calls = []
     real = engine._spans
-    monkeypatch.setattr(engine, "_spans", lambda P, parts: calls.append(P) or real(P, parts))
+    monkeypatch.setattr(engine, "_spans", lambda P, *parts: calls.append(P) or real(P, *parts))
     return calls
 
 
@@ -670,10 +670,12 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     real_colon = engine._colon
     real_times = engine._times_maximal
 
-    def record(polys, pk, field, *args, **kwargs):
+    def record(rows, pk, field, *args, **kwargs):
+        # an input is an integer row; it is keyed as its monic field values
         assert pk is packed.pk
-        out = real(polys, pk, field, *args, **kwargs)
-        inputs.append(key(polys))
+        monic = key(_monic_values([(None, None, row) for _, row in rows], packed, field))
+        out = real(rows, pk, field, *args, **kwargs)
+        inputs.append(monic)
         outputs.append(key(_monic_values(out, packed, field)))
         return out
 
@@ -702,7 +704,8 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         report = classify(I)
         assert report.verdict is expected
         assert len(inputs) == runs
-        q_gens = {frozenset(q.terms.items()) for q in report.reduction.Q}
+        q_gens = {frozenset(q.items()) for q in _monic_values(
+            [(None, None, packed.row(q.terms)) for q in report.reduction.Q], packed, QQ)}
         assert not any(q_gens & polys for polys in inputs)
         assert inputs and len(set(inputs)) == len(inputs)
         assert not any(basis in outputs[:k] for k, basis in enumerate(inputs))
@@ -731,7 +734,7 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
     ranks, refuters, reduced, verified = [], [], [], []
     real_find, real_cert = engine.find_reduction, engine.certificate_search
     real_rank, real_bound = engine._rank, engine.necessary_bound
-    real_reduce = groebner.GroebnerBasis.reduce
+    real_table = groebner.GroebnerBasis.reduce_products
     certifying = []
 
     def find_reduction(*args, **kwargs):
@@ -747,9 +750,10 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
             certifying.pop()
             reduced.clear()
 
-    def reduce(self, terms):
-        reduced.append(frozenset(terms.items()))
-        return real_reduce(self, terms)
+    def reduce_products(self, left, right):
+        # each product the table reduces, formed here by Polynomial.__mul__
+        reduced.extend(frozenset((u * w).terms.items()) for u in left for w in right)
+        return real_table(self, left, right)
 
     monkeypatch.setattr(engine, "find_reduction", find_reduction)
     monkeypatch.setattr(engine, "certificate_search", certificate_search)
@@ -758,7 +762,7 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
                         lambda *args: ranks.append(bool(certifying)) or real_rank(*args))
     monkeypatch.setattr(engine, "necessary_bound",
                         lambda *args, **kwargs: refuters.append(1) or real_bound(*args, **kwargs))
-    monkeypatch.setattr(groebner.GroebnerBasis, "reduce", reduce)
+    monkeypatch.setattr(groebner.GroebnerBasis, "reduce_products", reduce_products)
 
     I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
     assert classify(I).verdict is Verdict.AG_CERTIFIED
@@ -853,7 +857,7 @@ def _record_buchberger(monkeypatch) -> list:
     real = groebner._buchberger
 
     def record(polys, *args, **kwargs):
-        inputs.append([sorted(p.items()) for p in polys])
+        inputs.append([(sug, sorted(row.items())) for sug, row in polys])
         return real(polys, *args, **kwargs)
 
     for module in (groebner, rees):
@@ -1374,6 +1378,128 @@ def test_counts_and_table_equal_the_m_p_route(field, monkeypatch):
             assert [types(t) for _, t in got] == [types(t) for _, t in want], I
             tables[monomial] += 1
     assert tables[True] >= 400 and tables[False] >= 40
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_ideal_product_equals_the_polynomial_route(field, monkeypatch):
+    # on every row I of `_census_and_twins`, on the x -> x + y/3 twins of
+    # the contracted-o3 tuples with n <= 6 (Fraction coefficients over q),
+    # and on the J each row takes to a colon, `ideal_product` gives m*I,
+    # I^2, IJ and mJ the generator tuple of the
+    # Polynomial.__mul__ route (`oracles.reference_ideal_product`): the same
+    # generators in the same order, values and their types alike, with the
+    # same staircase and the same reduced basis, entry for entry.  I^2 forms
+    # each unordered pair of generators once
+    from agrees import groebner
+
+    colons = []
+    real_colon, real_row = engine.canonical_colon, groebner._product_row
+
+    def canonical_colon(*args, **kwargs):
+        colons.append(real_colon(*args, **kwargs))
+        return colons[-1]
+
+    formed = []
+    monkeypatch.setattr(engine, "canonical_colon", canonical_colon)
+    monkeypatch.setattr(groebner, "_product_row", lambda *args: formed.append(1) or real_row(*args))
+    m = maximal_ideal(BASE_RING, field)
+    checked = {True: 0, False: 0}  # by whether the product is monomial
+    thirds = [coordinate_twin(family_exponents("contracted-o3", {"n": n, "alpha": a, "beta": b}),
+                              Fraction(1, 3), field)
+              for n in range(3, 7) for b in range(2, n) for a in range(1, b)]
+    for I in _census_and_twins(field) + thirds:
+        del colons[:]
+        classify(I)
+        for A, B in [(m, I), (I, I)] + [(A, J) for J in colons for A in (I, m)]:
+            del formed[:]
+            got = ideal_product(A, B)
+            n = len(A.generators)
+            assert len(formed) == (n * (n + 1) // 2 if A is B else n * len(B.generators))
+            want = reference_ideal_product(A, B)
+            assert got.generators == want.generators, (A, B)
+            assert [[type(c) for c in g.terms.values()] for g in got.generators] == \
+                [[type(c) for c in g.terms.values()] for g in want.generators]
+            assert staircase_of_ideal(got) == staircase_of_ideal(want)
+            assert got.groebner_basis().entries == want.groebner_basis().entries
+            checked[staircase_of_ideal(got) is not None] += 1
+    assert checked[True] >= 1000 and checked[False] >= 100
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_spans_on_factor_pairs_equals_spans_on_products(field):
+    # `_spans(P, left, right)`, whose parts are the products formed on
+    # packed words, decides as `_spans(P, parts)` on the same products formed
+    # by Polynomial.__mul__: for I^2 = QI and I^3 = QI^2 on the twins of
+    # `_census_and_twins` with their first three power-sum pairs, and on the
+    # census rows of colength <= 10 with their reduction pair, whose m*P is
+    # a staircase
+    rows = [I for I in _census_and_twins(field)
+            if staircase_of_ideal(I) is None or colength(I) <= 10]
+    answers = set()
+    for I in rows:
+        if staircase_of_ideal(I) is None:
+            pairs = [power_sum_pair(I, k) for k in range(3)]
+        else:
+            pairs = [Ideal(list(find_reduction(I).Q))]
+        for Q in pairs:
+            for r in (1, 2):
+                P, lower = engine._power(I, r + 1), engine._power(I, r)
+                got = engine._spans(P, Q.generators, lower.generators)
+                assert got == engine._spans(P, [q * p for q in Q.generators
+                                                for p in lower.generators]), (I, Q, r)
+                answers.add(got)
+    assert answers == {True, False}
+
+
+def _twins_workload_inputs(field) -> list[Ideal]:
+    """The inputs of perfbench's coordinate-twins workload over `field`: the
+    x -> x + 2y twins of its family grid (order-two n <= 8, three-gen
+    n <= 4, power-order m <= 3 and n <= 4, contracted-o3 n <= 4, remark43
+    m = 4) and the flagship's x -> x + y/3 twin."""
+    exps = [[(2, 0), (1, b), (0, n)] for n in range(2, 9) for b in range((n + 1) // 2, n)]
+    for family, spec in (("three-gen", {"n": (3, 4), "alpha": (1, 3)}),
+                         ("power-order", {"m": (2, 3), "n": (2, 4)}),
+                         ("contracted-o3", {"n": (3, 4), "alpha": (1, 3), "beta": (1, 3)}),
+                         ("remark43", {"m": (4, 4)})):
+        tuples, _ = expand_tuples(family, {k: range(lo, hi + 1) for k, (lo, hi) in spec.items()})
+        exps += [family_exponents(family, dict(zip(FAMILY_PARAMS[family], t))) for t in tuples]
+    flagship = family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
+    return [coordinate_twin(e, 2, field) for e in exps] + [
+        coordinate_twin(flagship, Fraction(1, 3), field)]
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_classify_forms_no_polynomial_product(field, monkeypatch):
+    # classify of every coordinate-twins input, and of the contracted-o3
+    # twins with n <= 8, forms every product it reduces on packed words:
+    # Polynomial.__mul__ is called zero times.  validate_report on the same
+    # rows still calls it, as its linkage check and `verify_witness` form
+    # their products by Polynomial.__mul__, a route independent of the
+    # kernel's
+    workload = _twins_workload_inputs(field)
+    assert len(workload) == 30
+    inputs = workload + [I for I in _census_and_twins(field) if staircase_of_ideal(I) is None]
+    formed = []
+    real = Polynomial.__mul__
+
+    def mul(*args):
+        formed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(Polynomial, "__mul__", mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", mul)
+    reports = []
+    for I in inputs:
+        reports.append(classify(I))
+        assert formed == [], I
+    validated = 0
+    for I, report in zip(inputs, reports):
+        if report.verdict is not Verdict.UNKNOWN:
+            del formed[:]
+            assert validate_report(I, report)
+            assert formed, I
+            validated += 1
+    assert validated == 78
 
 
 def test_mu_of_a_staircase_that_is_not_m_primary_raises():

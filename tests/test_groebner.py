@@ -26,6 +26,7 @@ from agrees.groebner import (
     GroebnerBasis,
     Ideal,
     _buchberger,
+    _inputs,
     _colon,
     _nakayama_prune,
     _nf_dict,
@@ -114,8 +115,17 @@ class _Packed:
         return (self.pk.unpack(lm), lc, self.terms(row))
 
     def nf(self, p, entries, field, integral=False):
-        """`_nf_dict` of the term dict p against packed entries, unpacked."""
-        return self.terms(_nf_dict(self.row(p), entries, self.pk.guard, field, integral))
+        """`_nf_dict` of the term dict p against packed entries, unpacked:
+        exact, p's row cleared with its unit, or, when `integral`, of p as
+        an integer row."""
+        row = self.row(p)
+        unit = None if integral else field.clear(row)
+        return self.terms(_nf_dict(row, entries, self.pk.guard, field, unit))
+
+
+def _run(polys, pk, field, **kwargs):
+    """`_buchberger` on term dicts, entered as `_inputs` makes them."""
+    return _buchberger(_inputs(polys, pk.pack, field), pk, field, **kwargs)
 
 
 # -- reduced bases -------------------------------------------------------------
@@ -171,7 +181,7 @@ def test_monomial_basis_matches_buchberger(names):
             gens += [Polynomial.zero(ring, field)] * rng.randint(0, 2)
             rng.shuffle(gens)
             got = Ideal(gens).groebner_basis().elements
-            want = _monic_values(_buchberger([dict(g.terms) for g in gens], packed.pk, field),
+            want = _monic_values(_run([dict(g.terms) for g in gens], packed.pk, field),
                                  packed, field)
             assert [g.terms for g in got] == want
 
@@ -324,7 +334,7 @@ def test_nf_dict_matches_reference(names, order):
                 assert _field_values(got, field)
                 if len(names) > 2:
                     continue  # random bases in three variables take seconds over Q
-                entries = _buchberger([t for _, _, t in divisors], packed.pk, field)
+                entries = _run([t for _, _, t in divisors], packed.pk, field)
                 monic = [(max(t, key=keyf), field.one, t)
                          for t in _monic_values(entries, packed, field)]
                 got = packed.nf(p, entries, field)
@@ -597,6 +607,85 @@ def test_reduce_products_is_the_table_of_normal_forms(field):
     assert all(kinds.values())
 
 
+def _kernel_product(u, w, pk, field):
+    """u*w by the product kernel (`groebner._products`), unit times row,
+    as field values on exponent tuples."""
+    ((unit, row),), = groebner._products([u], [w], pk.pack, field)
+    return {pk.unpack(m): field.mul(unit, c) for m, c in row.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_product_kernel_is_the_polynomial_product(field):
+    """The product kernel forms u*w on packed words as a unit times an
+    integer row, and that is `Polynomial.__mul__`'s product, value for
+    value and type for type: on the flagship's x -> x + y/3 factors
+    (Fraction coefficients over q), residues next to p, products whose
+    middle terms cancel (over fp, residues summing to p), a constant
+    factor, a zero factor and random factors in two and three variables."""
+    pk = GREVLEX.packer(BASE_RING)
+    x, y = poly("x", field), poly("y", field)
+    third = x + y.scale(field.fraction(1, 3))
+    minus = [field.from_int(-k) for k in (1, 2, 3)]  # p - 1, p - 2, p - 3 over fp
+    near = x.scale(minus[0]) + (x * y).scale(minus[1]) + y.scale(minus[2])
+    cases = [(third ** 3, third ** 2 * y), (third, third.scale(field.from_int(-3))),
+             (x + y, x + y.scale(minus[0])),  # x*y cancels
+             (near, near), (near, x.scale(minus[1]) + y),
+             (Polynomial.constant(BASE_RING, field, field.fraction(2, 3)), third),
+             (third, Polynomial.constant(BASE_RING, field, minus[0])),
+             (Polynomial.zero(BASE_RING, field), third), (third, Polynomial.zero(BASE_RING, field))]
+    rng = random.Random(61)
+    for _ in range(40):
+        u, w = (Polynomial(BASE_RING, field, _random_terms(rng, field, 2, rng.randint(1, 5), 4,
+                                                           field == QQ)) for _ in range(2))
+        cases.append((u, w))
+    for u, w in cases:
+        got, want = _kernel_product(u, w, pk, field), (u * w).terms
+        assert got == want, (u, w)
+        assert [type(got[m]) for m in want] == [type(c) for c in want.values()]
+    ring = Ring(("x", "y", "z"))
+    pk3 = GREVLEX.packer(ring)
+    for _ in range(20):
+        u, w = (Polynomial(ring, field, _random_terms(rng, field, 3, rng.randint(1, 4), 3,
+                                                      field == QQ)) for _ in range(2))
+        assert _kernel_product(u, w, pk3, field) == (u * w).terms
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_product_rows_are_the_reduced_products(field):
+    """`product_rows(left, right)` is `reduce_row((u*w).terms)` of each
+    formed product, row-major, up to a positive scale, modulo staircase and
+    Buchberger bases alike; its rows are keyed by packed words on both."""
+    rng = random.Random(79)
+    pk = GREVLEX.packer(BASE_RING)
+
+    def scaled(row):
+        out = {pk.pack(k) if isinstance(k, tuple) else k: v for k, v in row.items()}
+        if out:
+            field.normalize(out, max(out))
+        return out
+
+    def factor(terms):
+        return Polynomial(BASE_RING, field, _random_terms(rng, field, 2, terms, 4, field == QQ))
+
+    kinds = {"staircase": 0, "buchberger": 0}
+    for _ in range(40):
+        left = [f for f in (factor(rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+                if not f.is_zero]
+        right = [f for f in (factor(rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+                 if not f.is_zero]
+        monomial = rng.random() < 0.5
+        gens = [factor(1 if monomial else rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        if not left or not right or all(g.is_zero for g in gens):
+            continue
+        gb = Ideal(gens).groebner_basis()
+        kinds["staircase" if gb._corners is not None else "buchberger"] += 1
+        got = gb.product_rows(left, right)
+        assert all(type(k) is int for row in got for k in row)
+        assert [scaled(r) for r in got] == [scaled(gb.reduce_row((u * w).terms))
+                                           for u in left for w in right]
+    assert all(kinds.values())
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
 def test_lex_kernels_raise_on_terms_past_degree_2_to_the_32(field):
     """Under an order that is not graded, here the block order with x in
@@ -613,7 +702,7 @@ def test_lex_kernels_raise_on_terms_past_degree_2_to_the_32(field):
     binomial = Polynomial(ring, field, {(1, 0, 0): one, (0, 0, N): minus_one})
     other = Polynomial(ring, field, {(2, 0, 1): one, (0, 2, 0): one})
     with pytest.raises(DegreeOverflow):
-        _buchberger([binomial.terms, other.terms],
+        _run([binomial.terms, other.terms],
                     BlockElimination(front=("x",)).packer(ring), field)
     assert Ideal([binomial]).groebner_basis().reduce({(2, 0, 1): one, (1, 0, 0): one}) == {
         (2, 0, 1): one, (1, 0, 0): one}
@@ -637,8 +726,8 @@ def test_integral_fractions_act_as_their_ints(names):
             twins = [as_fractions(g) for g in gens]
             for g, t in zip(gens, twins):
                 assert t == g and hash(t) == hash(g) and str(t) == str(g)
-            entries = _buchberger([g.terms for g in gens], pk, QQ)
-            assert _buchberger([t.terms for t in twins], pk, QQ) == entries
+            entries = _run([g.terms for g in gens], pk, QQ)
+            assert _run([t.terms for t in twins], pk, QQ) == entries
             assert all(type(v) is int for _, lc, row in entries for v in (lc, *row.values()))
             gb = Ideal(gens).groebner_basis()
             p = Polynomial(ring, QQ, _random_terms(rng, QQ, len(names), 6, 5, proper))
@@ -885,11 +974,12 @@ def test_colon_basis_is_the_buchberger_basis(field, seed):
     pk = GREVLEX.packer(BASE_RING)
     for A, B, J in colons:
         entries = J._gb_cache[GREVLEX].entries
-        assert entries == real_run([g.terms for g in J.generators], pk, field)
+        assert entries == real_run(_inputs([g.terms for g in J.generators], pk.pack, field),
+                                   pk, field)
         # and J is the colon: the elimination reference's reduced basis, or
         # (1) when B is empty
         want = reference_colon(A, Ideal(B)).generators if B else [Polynomial.one(BASE_RING, field)]
-        assert entries == real_run([g.terms for g in want], pk, field)
+        assert entries == real_run(_inputs([g.terms for g in want], pk.pack, field), pk, field)
     # A : A: the kernel is all of R/A and J = (1)
     assert [_Packed(GREVLEX, BASE_RING).entry(e) for e in unit.groebner_basis().entries] == [
         ((0, 0), 1, {(0, 0): 1})]
@@ -1012,7 +1102,7 @@ def test_interreduce_is_one_ascending_sweep(field):
     with pytest.MonkeyPatch.context() as mp:
         runs = _spy_interreduce(mp)
         for text in ("x^2 + y^3, y^4, x y^2", "x^2 - x y + y^3, x y^2 - y^4, x^3"):
-            _buchberger([g.terms for g in ideal(text, field).generators],
+            _run([g.terms for g in ideal(text, field).generators],
                         GREVLEX.packer(BASE_RING), field)
         twin.groebner_basis()
         ideal_colon(twin, ideal("x, y", field))
@@ -1470,7 +1560,7 @@ def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
                 reference_calls.clear()
                 want = _reference_buchberger(inputs, keyf, field, reference_nf)
                 calls.clear()
-                entries = _buchberger(inputs, packed.pk, field)
+                entries = _run(inputs, packed.pk, field)
                 got = _monic_values(entries, packed, field)
                 assert got == want
                 assert all(_field_values(p, field) for p in got)
@@ -1484,8 +1574,8 @@ def test_pair_queue_reduces_as_the_reference(order, monkeypatch):
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
 def test_buchberger_keeps_integer_rows_and_keys_each_monomial_once(field, monkeypatch):
     """After clearing its inputs a run makes no field value: every
-    reduction hands `_nf_dict` an integer row, called `integral`, and gets
-    one back, and `field.clear` runs once per nonzero input.  Each input
+    reduction hands `_nf_dict` an integer row, with no unit, and gets one
+    back, and `field.clear` runs once per nonzero input.  Each input
     monomial is packed, and so keyed, once, and no derived monomial is
     keyed: the only other words packed are each pair update's distinct
     lcms, in runs over the grevlex and block orders."""
@@ -1498,9 +1588,9 @@ def test_buchberger_keeps_integer_rows_and_keys_each_monomial_once(field, monkey
         cleared.append(1)
         return real_clear(self, row)
 
-    def nf(p, basis, guard, fld, integral=False):
-        assert integral and all(type(c) is int for c in p.values())
-        out = real_nf(p, basis, guard, fld, integral)
+    def nf(p, basis, guard, fld, unit=None):
+        assert unit is None and all(type(c) is int for c in p.values())
+        out = real_nf(p, basis, guard, fld, unit)
         remainders.append(out)
         return out
 
@@ -1532,7 +1622,7 @@ def test_buchberger_keeps_integer_rows_and_keys_each_monomial_once(field, monkey
             for _ in range(3):
                 inputs = [dict(g.terms) for g in _random_generators(rng, ring, field, proper)]
                 del cleared[:], remainders[:], keyed[:]
-                entries = _buchberger(inputs, pk, field)
+                entries = _run(inputs, pk, field)
                 assert len(cleared) == sum(1 for p in inputs if p)
                 assert remainders and all(type(c) is int for r in remainders for c in r.values())
                 assert keyed == [m for p in inputs for m in p]
@@ -1586,10 +1676,10 @@ def test_update_pairs_matches_the_reference_in_the_plane(field, monkeypatch):
     for proper in (False, True):
         for _ in range(10):
             gens = _random_generators(rng, BASE_RING, field, proper)
-            _buchberger([g.terms for g in gens], packed.pk, field)
+            _run([g.terms for g in gens], packed.pk, field)
     for _ in range(10):
         exps = _random_mono_ideal(rng, max_exp=6)
-        _buchberger([(xt ** a * y ** b).terms for a, b in exps], packed.pk, field)
+        _run([(xt ** a * y ** b).terms for a, b in exps], packed.pk, field)
     assert len(sizes) > 100 and max(sizes) > 3
 
 

@@ -307,17 +307,23 @@ def _readers_of(attr: str) -> Counter:
 
 def test_field_values_are_cleared_once_where_they_enter_the_kernels():
     """Every row a kernel steps on is an integer row: `field.clear` is read
-    once at each place where field values enter integer arithmetic (both
-    branches of `GroebnerBasis.reduce_row`, a Buchberger run's inputs,
-    `_nf_dict`'s exact mode, `_colon`'s augmented row, `_sum`'s forms and
-    `engine._rank`'s copies), and nowhere else, so `_echelon_reduce` reads
-    none.  With that one contract `_walk` has no `integral` flag and
-    `GroebnerBasis.reduce` has one body, reading no term filter
-    (`_corners`)."""
+    once at each place where field values enter integer arithmetic, and
+    nowhere else, so `_nf_dict`, `_buchberger` and `_echelon_reduce` read
+    none.  A polynomial's terms enter through one pack-and-clear helper,
+    `_packed`, which serves a Buchberger run's inputs (`_inputs`),
+    `GroebnerBasis.reduce`, `reduce_row` and the product kernel's factors
+    (`_products`, `ideal_product`); the others are `reduce_row`'s term
+    filter, `_walk`'s exact forms, `_colon`'s augmented row, `_sum`'s forms
+    and `engine._rank`'s copies.  With that one contract `_walk` has no
+    `integral` flag and `GroebnerBasis.reduce` has one body, reading no
+    term filter (`_corners`)."""
     assert _readers_of("clear") == Counter({
-        ("groebner", "GroebnerBasis.reduce_row"): 2, ("groebner", "_buchberger"): 1,
-        ("groebner", "_nf_dict"): 1, ("groebner", "_colon"): 1, ("groebner", "_sum"): 1,
+        ("groebner", "_packed"): 1, ("groebner", "GroebnerBasis.reduce_row"): 1,
+        ("groebner", "_walk"): 1, ("groebner", "_colon"): 1, ("groebner", "_sum"): 1,
         ("engine", "_rank"): 1})
+    assert _named_in("_packed") == {
+        ("groebner", "_inputs"), ("groebner", "GroebnerBasis"), ("groebner", "_products"),
+        ("groebner", "ideal_product")}
     assert list(inspect.signature(groebner._walk).parameters) == ["top", "gens", "D"]
     assert not _readers_of("_corners")[("groebner", "GroebnerBasis.reduce")]
 
@@ -331,16 +337,17 @@ def _engine_definitions() -> dict:
 
 def test_engine_reads_exact_normal_forms_only_in_the_refuter():
     """A rank or a zero test reads a normal form only up to scale, so it
-    takes `GroebnerBasis.reduce_row`, and a kernel divides by a basis's
-    entries itself (the colon's walk among them); `reduce`, which makes the
-    exact field values on exponent tuples, is read in the whole library
-    only by `GroebnerBasis.reduce_products`, the table of generator
-    products whose entries the certificate and the refuter combine
-    linearly, and by `groebner.normal_form`; in `engine` only
-    `_product_tables` reads that table."""
-    assert set(_readers_of("reduce")) == {
-        ("groebner", "GroebnerBasis.reduce_products"), ("groebner", "normal_form")}
+    takes `GroebnerBasis.reduce_row`, or `product_rows` for products, and a
+    kernel divides by a basis's entries itself (the colon's walk among
+    them); `reduce`, which makes the exact field values on exponent tuples,
+    is read in the whole library only by `groebner.normal_form`, and the
+    table of generator products whose entries the certificate and the
+    refuter combine linearly, `GroebnerBasis.reduce_products`, is read in
+    `engine` only by `_product_tables`; the product rows only by the one
+    Nakayama test, `_spans`."""
+    assert set(_readers_of("reduce")) == {("groebner", "normal_form")}
     assert set(_readers_of("reduce_products")) == {("engine", "_product_tables")}
+    assert set(_readers_of("product_rows")) == {("engine", "_spans")}
 
 
 def test_table_reads_corners_only_in_product_tables():
