@@ -362,8 +362,8 @@ def _inputs(polys: Sequence[_Term], pack, field) -> list:
 
 def _buchberger(inputs: list, pk: Packer, field, max_weight=None) -> list:
     """Reduced basis of the ideal of `inputs`, (sugar, integer row) pairs
-    on packed words (`pk`, see `poly.Packer`; `_inputs`, `ideal_product`),
-    as `_entry`s sorted by descending leading monomial.
+    on packed words (`pk`, see `poly.Packer`) as `_inputs` and
+    `ideal_product` make them, as `_entry`s sorted by descending lead.
 
     The run works on packed words only: a lead is `max`, a shift is `+` and
     a divisor test a subtraction and a mask.  It keeps each basis element

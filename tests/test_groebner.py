@@ -577,10 +577,19 @@ def test_reduce_products_is_the_table_of_normal_forms(field):
     """`reduce_products(left, right)` is `reduce` of each product u*w, entry
     for entry, values and their types alike, modulo staircase bases and
     Buchberger bases, on factors that are single terms with unit and
-    non-unit coefficients, sums of terms, or a mix of both.  The engine's
-    corner read of a monomial table is
+    non-unit coefficients, sums of terms, or a mix of both; and
+    `product_rows(left, right)` is `reduce_row` of each product, row-major,
+    up to a positive scale, keyed by packed words on both kinds of basis.
+    The engine's corner read of a monomial table is
     `tests/test_engine.py::test_counts_and_table_equal_the_m_p_route`'s."""
     rng = random.Random(73)
+    pk = GREVLEX.packer(BASE_RING)
+
+    def scaled(row):
+        out = {pk.pack(k) if isinstance(k, tuple) else k: v for k, v in row.items()}
+        if out:
+            field.normalize(out, max(out))
+        return out
 
     def factor(terms):
         proper = field == QQ and rng.random() < 0.3
@@ -604,6 +613,10 @@ def test_reduce_products_is_the_table_of_normal_forms(field):
         assert got == want, (gens, left, right)
         assert [[[type(c) for c in e.values()] for e in row] for row in got] == \
             [[[type(c) for c in e.values()] for e in row] for row in want]
+        rows = gb.product_rows(left, right)
+        assert all(type(k) is int for row in rows for k in row)
+        assert [scaled(r) for r in rows] == [scaled(gb.reduce_row((u * w).terms))
+                                            for u in left for w in right]
     assert all(kinds.values())
 
 
@@ -648,42 +661,6 @@ def test_product_kernel_is_the_polynomial_product(field):
         u, w = (Polynomial(ring, field, _random_terms(rng, field, 3, rng.randint(1, 4), 3,
                                                       field == QQ)) for _ in range(2))
         assert _kernel_product(u, w, pk3, field) == (u * w).terms
-
-
-@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
-def test_product_rows_are_the_reduced_products(field):
-    """`product_rows(left, right)` is `reduce_row((u*w).terms)` of each
-    formed product, row-major, up to a positive scale, modulo staircase and
-    Buchberger bases alike; its rows are keyed by packed words on both."""
-    rng = random.Random(79)
-    pk = GREVLEX.packer(BASE_RING)
-
-    def scaled(row):
-        out = {pk.pack(k) if isinstance(k, tuple) else k: v for k, v in row.items()}
-        if out:
-            field.normalize(out, max(out))
-        return out
-
-    def factor(terms):
-        return Polynomial(BASE_RING, field, _random_terms(rng, field, 2, terms, 4, field == QQ))
-
-    kinds = {"staircase": 0, "buchberger": 0}
-    for _ in range(40):
-        left = [f for f in (factor(rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
-                if not f.is_zero]
-        right = [f for f in (factor(rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
-                 if not f.is_zero]
-        monomial = rng.random() < 0.5
-        gens = [factor(1 if monomial else rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
-        if not left or not right or all(g.is_zero for g in gens):
-            continue
-        gb = Ideal(gens).groebner_basis()
-        kinds["staircase" if gb._corners is not None else "buchberger"] += 1
-        got = gb.product_rows(left, right)
-        assert all(type(k) is int for row in got for k in row)
-        assert [scaled(r) for r in got] == [scaled(gb.reduce_row((u * w).terms))
-                                           for u in left for w in right]
-    assert all(kinds.values())
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
