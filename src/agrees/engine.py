@@ -2,14 +2,9 @@
 
 Everything is decided in the local ring k[x,y]_(x,y) by linear algebra in
 quotients by m-primary ideals, and every rank, kernel and span test is one
-sparse echelon (`groebner._echelon_reduce`, here only through `_rank`) over
-normal forms, each taken modulo one reduced basis.  A rank reads no row's
-scale, so every Nakayama test and membership test takes
-`GroebnerBasis.reduce_row`, a positive multiple of the normal form kept as
-an integer row; only the table of generator products, whose rows the
-certificate and the refuter combine, takes the exact ones, read off the
-corners for monomial factors and otherwise by
-`GroebnerBasis.reduce_products`.
+sparse echelon (`groebner._echelon_reduce`, here only through `_rank`).  A
+Nakayama test ranks classes in P/m*P read off P's own reduced basis
+(`groebner.classes`), with no m*P built.
 The pipeline: find a 2-generated reduction Q of I, a function of I (Q may
 vanish away from the origin), and require stability, I^2 = QI (`_stable`,
 one Nakayama test `_spans`, or for a monomial I a count of lengths; r = 0
@@ -30,21 +25,14 @@ the generator-count budget 2*(mu(J) - 1), from the ranks of sampled h,
 sampling until each side's rank meets the term rank of its support (capped
 by its mu), which no sample can exceed.  Both witness conditions are
 Zariski-open ranks (Nakayama), so one generic triple decides the first.
-The triple and the refuter's samples are ranked on one table, the normal
-forms of the products of minimal generators (`_product_tables`), read off
-the corners of IJ and mJ for a monomial I and J; the validator re-checks
-a reported triple by building and reducing its products modulo m*IJ and
-m^2*J (`verify_witness`).
-A monomial P's generator count and minimal generators are its corners
-(`_mu`, `_min_gens`), so classify builds m*P for a monomial P only as
-the table's mJ, for a rank test of r >= 2 (`_spans`) and for the kernel
-colon's prune.  Every product ideal is built once per analysis (`_mul`
-caches it on its right factor, and `maximal_ideal` is one object per
-ring and field), and that cache is the one way stages share work: the
-powers I^k (`_power`), every other mu(P) = colength(m*P) - colength(P),
-I^2 for the colon, and for a non-monomial I or J the reduced bases of
-m*IJ and m^2*J, which the certificate builds and the refuter reads, are
-all read off it; the table itself is read again.
+The triple and the refuter's samples are ranked on one table, the exact
+classes of the products of minimal generators in IJ/m*IJ and mJ/m^2*J
+(`_product_tables`), read off the corners of IJ and mJ for a monomial I
+and J; the validator re-checks a reported triple by forming its products
+as polynomials (`verify_witness`).  Every product ideal is built once per
+analysis (`_mul` caches it on its right factor), and that cache is the
+one way stages share work: the powers I^k, I^2 for the colon, IJ and mJ,
+with the relations every mu and class reads kept on each.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -74,9 +62,11 @@ from .groebner import (
     _colon,
     _contains_all,
     _echelon_reduce,
-    _nakayama_prune,
+    _relations,
     _sum,
     _times_maximal,
+    classes,
+    independent,
 )
 from .poly import Polynomial
 from .staircase import (
@@ -162,23 +152,18 @@ class AGReport:
 
 
 # -- representation dispatch -------------------------------------------------
-# Products of two monomial ideals are built on their staircases, keeping the
-# generator lists of monomial powers minimal, and carry them cached.  A
-# monomial P's mu, minimal generators and products of generators are read
-# off its corners, so for a monomial P, m*P is built only as the table's mJ
-# (P = J), by a Nakayama test (`_spans`) or by the colon's prune.  m*B for
-# any other B is read off B's reduced basis by its consecutive S-pairs
-# (`groebner._times_maximal`), carrying its own reduced basis, so no
-# Nakayama test's m*P starts a Buchberger run.  Every other product goes
-# through `groebner.ideal_product`, whose run starts from the products
-# formed on packed words.  No product a kernel reads is a `Polynomial`
-# product: `_stable` and `_reduction_number` hand `_spans` the factors, and
-# the table forms its own (`reduce_products`); only the validator's
-# `verify_witness` and `_is_linked_colon` multiply polynomials, a route
-# independent of that kernel.  Each product is built once: it is
-# cached on its right factor, keyed by the left one (`Ideal._products`), so
-# its basis and staircase are built once per analysis, and the shared
-# maximal ideal, always the left factor here, pins no product.
+# Products of two monomial ideals are built on their staircases and carry
+# them cached.  No Nakayama test builds an m*P (`groebner.classes`), so the
+# one product with m is the table's mJ, read off a non-monomial J's basis
+# and relations (`groebner._times_maximal`) with no Buchberger run.  Every
+# other product goes through `groebner.ideal_product`, whose run starts from
+# the products formed on packed words; `_stable`, `_reduction_number` and
+# the table hand `classes` the factors, and only the validator's
+# `verify_witness` and `_is_linked_colon` multiply polynomials.  Each
+# product is cached on its right factor, keyed by the left one
+# (`Ideal._products`), so its basis, staircase and relations are built once
+# per analysis, and the shared maximal ideal, always the left factor here,
+# pins no product.
 
 def _mul(A: Ideal, B: Ideal) -> Ideal:
     """A*B from `_mul`'s cache: on the staircases when both are monomial,
@@ -197,25 +182,16 @@ def _mul(A: Ideal, B: Ideal) -> Ideal:
     return P
 
 
-# -- linear algebra modulo m-primary ideals ------------------------------------
-
-# Elements of R/top are normal forms modulo top's reduced basis, and so are
-# rows for `_rank` with one column per monomial: up to a positive scale, as
-# integer rows (`GroebnerBasis.reduce_row`, keyed by packed words, or by
-# exponent tuples for a monomial top, where a product keeps its single term
-# exactly when it lies outside top; `product_rows` for products), for a
-# rank; as field values keyed by exponent tuples (`_product_tables`: a
-# corner read for monomial factors, else `GroebnerBasis.reduce_products`)
-# where the certificate and the refuter combine rows.
+# -- linear algebra in P/m*P ----------------------------------------------------
 
 def _rank(rows: list[dict], fld) -> int:
-    """dim_k of the span of sparse rows {column: field value}, with mutually
-    comparable columns, leaving the rows as they are: one echelon keyed by
-    the largest column, built from copies of the rows without their zero
-    entries (a `_combine` can cancel one), each cleared to an integer row
-    (`field.clear`).  The engine's only reader of `_echelon_reduce`: every
-    Nakayama test, witness side on the table and refuter sample is a
-    `_rank`."""
+    """dim_k of the span of sparse rows {column: field value}, such as
+    classes in P/m*P, with mutually comparable columns, leaving the rows as
+    they are: one echelon keyed by the largest column, built from copies of
+    the rows without their zero entries (a `_combine` can cancel one), each
+    cleared to an integer row (`field.clear`).  The engine's only reader of
+    `_echelon_reduce`: every Nakayama test, witness side on the table and
+    refuter sample is a `_rank`."""
     echelon: dict = {}
     zero = fld.zero
     for row in rows:
@@ -241,38 +217,25 @@ def _power(I: Ideal, k: int) -> Ideal:
 
 
 def _mu(P: Ideal) -> int:
-    """mu(P) for an m-primary P: for a monomial P the number of corners of
-    its staircase, its minimal generators; for any other P
-    colength(m*P) - colength(P) (Nakayama), with m*P from `_mul`'s cache,
-    its reduced basis read off P's by `groebner._times_maximal`, whose
-    leads give the colength.  Raises NotZeroDimensional unless P has finite
-    colength, a monomial P included."""
+    """mu(P) = dim P/m*P for an m-primary P: a monomial P's number of
+    corners, else the size of its reduced basis less its relations
+    (`groebner._relations`, kept on P).  Raises NotZeroDimensional unless
+    P has finite colength, a monomial P included."""
     stair = staircase_of_ideal(P)
     if stair is not None and stair.is_m_primary:
         return len(stair.gens)
-    return colength(_mul(maximal_ideal(P.ring, P.field), P)) - colength(P)
-
-
-def _min_gens(P: Ideal) -> list[Polynomial]:
-    """mingens(P), kept on P (`minimal_generators`): a monomial P's corners
-    in `stair.gens` order, with no m*P built; any other P's basis pruned
-    against m*P from `_mul`'s cache."""
-    if staircase_of_ideal(P) is not None:
-        return minimal_generators(P)
-    return minimal_generators(P, _mul(maximal_ideal(P.ring, P.field), P))
+    colength(P)  # raises for infinite colength
+    cols, rels = _relations(P)
+    return len(cols) - len(rels)
 
 
 def _spans(P: Ideal, parts: Sequence[Polynomial], by: Sequence[Polynomial] | None = None
            ) -> bool:
     """Do the parts, inside the m-primary P, generate P in k[x,y]_(x,y)?
     Given `by`, they are the products p*b, b in `by`, formed on packed
-    words (`GroebnerBasis.product_rows`).  The one Nakayama test: P/m*P,
-    supported at the origin, has dimension mu(P) and embeds in R/m*P, so
-    they do iff their normal forms modulo m*P have rank mu(P).  m*P and
-    its basis come from `_mul`'s cache, mu(P) from `_mu`."""
-    top = _mul(maximal_ideal(P.ring, P.field), P).groebner_basis()
-    rows = [top.reduce_row(p.terms) for p in parts] if by is None else top.product_rows(parts, by)
-    return _rank(rows, P.field) == _mu(P)
+    words.  The one Nakayama test: they do iff their classes in P/m*P
+    (`groebner.classes`) have rank mu(P)."""
+    return _rank(classes(P, parts, by), P.field) == _mu(P)
 
 
 def _stable(I: Ideal, Q: Ideal) -> bool:
@@ -346,7 +309,9 @@ def find_reduction(I: Ideal) -> ReductionData:
     of 32 is an implementation limit.  Every pair is tested for I^2 = QI
     (`_stable`, which keeps the answer on I) before any is tested from
     r = 2 up to `_REDUCTION_CAP`, so a pair with r <= 1 is found before
-    any pair builds I^3 and beyond.  The zero ideal raises ZeroIdeal.
+    any pair builds I^3 and beyond.  The zero ideal raises ZeroIdeal.  The
+    reduction found is kept on I (`Ideal._reduction`) for
+    `rees._relation_type_bound`.
     """
     ring, fld = I.ring, I.field
     stair = staircase_of_ideal(I)
@@ -362,7 +327,8 @@ def find_reduction(I: Ideal) -> ReductionData:
         I._stable[Q.generators] = r is not None
         if r is None:
             r = _reduction_number(I, Q, None)
-        return ReductionData(Q=Q.generators, reduction_number=r)
+        I._reduction = ReductionData(Q=Q.generators, reduction_number=r)
+        return I._reduction
 
     basis = I.groebner_basis().elements
     if not basis:
@@ -375,7 +341,8 @@ def find_reduction(I: Ideal) -> ReductionData:
                        for v in pair])
             r = _reduction_number(I, Q, cap)
             if r is not None:
-                return ReductionData(Q=Q.generators, reduction_number=r)
+                I._reduction = ReductionData(Q=Q.generators, reduction_number=r)
+                return I._reduction
     raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(pairs)} pairs")
 
 
@@ -400,14 +367,11 @@ def _kernel_colon(I: Ideal, Q: Ideal) -> Ideal:
     component of Q; hence T : I = (Q : I) + I^2 is m-primary with the
     localization of the local colon, and two m-primary ideals with one
     localization are equal.  The walk multiplies only by B, the generators
-    of I left by Q's in a Nakayama prune against m*I (`_nakayama_prune`,
-    Q's generators first): Q + B = I locally and Q lies in T, so T : B and
-    T : I are m-primary with one localization.  I^2 and m*I come from
-    `_mul`'s cache, so classify's mu(I) and reduction search have built
-    them already."""
+    of I whose classes in I/m*I are independent of Q's and of those before
+    them (`groebner.independent`): Q + B = I locally and Q lies in T, so
+    T : B and T : I are m-primary with one localization."""
     T = _sum(_power(I, 2), Q.generators, I)
-    kept = _nakayama_prune(list(Q.generators + I.generators), key=lambda g: 0,
-                           N=_mul(maximal_ideal(I.ring, I.field), I))
+    kept = independent(I, Q.generators + I.generators)
     return _colon(T, [g for g in kept if all(g is not q for q in Q.generators)], I)
 
 
@@ -428,7 +392,7 @@ def canonical_colon(I: Ideal, Q: Ideal) -> Ideal:
        (a+1, b+1) lies strictly inside the Newton polyhedron (Howald
        2001).  No T basis is built and no kernel walked.
     3. Every other pair takes the kernel on R/I (`_kernel_colon`).
-    I is contracted iff mu(I) = o(I) + 1, with mu(I) from `_mul`'s cache.
+    I is contracted iff mu(I) = o(I) + 1.
     """
     if len(Q.generators) != 2:
         raise BadParameters("the canonical colon needs a two-generated Q")
@@ -477,15 +441,11 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
     """Check both witness equalities in the local ring k[x,y]_(x,y).
 
     With f in m, g in I and h in J (by normal form), gJ + Ih = IJ holds
-    locally iff gJ + Ih + m*IJ = IJ (Nakayama); that quotient is killed by
-    m, so local and global agree.  `_sum_equals` tests it by the rank of
-    the parts' normal forms modulo m*IJ against mu(IJ); likewise mJ = fJ + mh
-    against m^2*J and mu(mJ).  This is `validate_report`'s check of a
-    reported triple: it builds and reduces the products g*w, a*h, f*w and
-    v*h over the generators of I and J, a route independent of the table
+    locally iff gJ + Ih + m*IJ = IJ (Nakayama), a `_sum_equals` in IJ;
+    likewise mJ = fJ + mh in mJ.  This is `validate_report`'s check of a
+    reported triple: it forms the products g*w, a*h, f*w and v*h over the
+    generators of I and J as polynomials, a route independent of the table
     `certificate_search` decides on (`_witness_on_table`), which it equals.
-    IJ, mJ and the bases of m*IJ and m^2*J come from `_mul`'s cache, both
-    mu from `_mu`.
     """
     m = maximal_ideal(I.ring, I.field)
     if not (_contains_all(m, [f]) and _contains_all(I, [g]) and _contains_all(J, [h])):
@@ -499,26 +459,23 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
 def _product_tables(I: Ideal, J: Ideal):
     """The table of generator products that the certificate and the
     refuter read, one side at a time: (IJ, by_I), then (mJ, by_m), with
-    by_I[i][j] = NF(u_i*w_j) modulo m*IJ for u_i in mingens(I), by_m[v][j]
-    = NF(v*w_j) modulo m^2*J for v in {x, y}, and w_j in mingens(J), in
-    exact field values.  A caller that stops after the IJ side builds no mJ
-    side.  The ideals come from `_mul`'s cache.
+    by_I[i][j] the class of u_i*w_j in IJ/m*IJ for u_i in mingens(I),
+    by_m[v][j] that of v*w_j in mJ/m^2*J for v in {x, y}, and w_j in
+    mingens(J), in exact field values.  A caller that stops after the IJ
+    side builds no mJ side.  The ideals come from `_mul`'s cache.
 
     When the side's P (IJ or mJ) is a staircase and every factor one term,
-    as for monomial I and J, the factors c*x^a and d*x^b have the product
-    cd*x^(a+b) in P, and a monomial of P lies outside the monomial ideal
-    m*P exactly when it is a minimal generator of P, a corner.  So the
-    entry is {a+b: cd} when a+b is a corner of P, else {}, and no product,
-    no m*P and no basis is built.  Every other side (a twin's, or the mJ
-    side of a J that is not monomial while mJ is) forms and reduces its
-    products modulo m*P's basis from `_mul`'s cache
-    (`GroebnerBasis.reduce_products`)."""
+    as for monomial I and J, the product of c*x^a and d*x^b is cd*x^(a+b),
+    whose class is {a+b: cd} when a+b is a corner of P, else {}, so no
+    product and no basis is built.  Every other side forms its products
+    and reads their exact classes (`groebner.classes`)."""
     m = maximal_ideal(I.ring, I.field)
-    j_min = _min_gens(J)
-    for P, left in ((_mul(I, J), _min_gens(I)), (_mul(m, J), m.generators)):
+    j_min = minimal_generators(J)
+    for P, left in ((_mul(I, J), minimal_generators(I)), (_mul(m, J), m.generators)):
         stair = staircase_of_ideal(P)
         if stair is None or not all(p.is_monomial for p in (*left, *j_min)):
-            yield P, _mul(m, P).groebner_basis().reduce_products(left, j_min)
+            flat, n = classes(P, left, j_min, exact=True), len(j_min)
+            yield P, [flat[k:k + n] for k in range(0, len(flat), n)]
             continue
         corners, mul = set(stair.gens), I.field.mul
         right = [w.terms.items() for w in j_min]
@@ -527,7 +484,7 @@ def _product_tables(I: Ideal, J: Ideal):
 
 
 def _combine(per_w: list[dict], c: list, fld) -> dict:
-    """sum_j c_j * per_w[j] of normal forms, such as that of a*h for
+    """sum_j c_j * per_w[j] of classes, such as that of a*h for
     h = sum c_j w_j from those of each a*w_j; an entry can cancel to zero,
     which `_rank` drops."""
     row: dict = {}
@@ -539,8 +496,8 @@ def _combine(per_w: list[dict], c: list, fld) -> dict:
 
 def _witness_on_table(I: Ideal, J: Ideal, a: list, c: list, b: list) -> bool:
     """Do g = sum a_i u_i, h = sum c_j w_j and f = b_x x + b_y y (u_i in
-    mingens(I), w_j in mingens(J)) satisfy both witness equalities?  Normal
-    forms are linear, so NF(g*w_j) = sum_i a_i by_I[i][j] and NF(u_i*h) =
+    mingens(I), w_j in mingens(J)) satisfy both witness equalities?  Classes
+    are linear, so [g*w_j] = sum_i a_i by_I[i][j] and [u_i*h] =
     sum_j c_j by_I[i][j] (`_product_tables`), and the IJ side holds iff
     these mu(J) + mu(I) rows have rank mu(IJ); then the mJ side likewise
     with b, by_m and mu(mJ).
@@ -574,7 +531,7 @@ def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0) -> AGWitness
     if not is_stable(I, Q):
         raise NotStable("certificate search requires I^2 = QI")
     fld = I.field
-    i_gens, j_min = _min_gens(I), _min_gens(J)
+    i_gens, j_min = minimal_generators(I), minimal_generators(J)
     rng = random.Random(derive_seed(seed, "certificate"))
 
     def draw(n: int) -> list:
@@ -623,30 +580,24 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     """Minimum over generic h in J of mu(IJ/Ih) + mu(mJ/mh), versus 2(mu(J)-1).
 
     Both quotient sizes depend only on the class of h in J/mJ and are
-    determined by ranks of matrices whose entries are linear in the
-    coefficients of h, so sampling h at random computes the generic minimum
-    with quantifiable failure probability (reported).  By Nakayama,
-    (Ih + mIJ)/mIJ is the k-span of the normal forms of a * h modulo mIJ
-    over a in mingens(I), and (mh + m^2 J)/m^2 J that of x h, y h modulo
-    m^2 J, so each sample's rows are combinations of the normal forms of
-    the products a * w_j (w_j in mingens(J)): the table of generator
-    products (`_product_tables`) that the certificate decided on, read
-    again after it fails (for monomial I and J a read of the corners of IJ
-    and mJ, else reduced modulo the bases of m*IJ and m^2*J from `_mul`'s
-    cache).  mu(IJ) and mu(mJ) are `_mu`'s, like every other mu.  A given Q is checked for I^2 = QI;
-    callers that already know it pass none.
+    ranks of matrices linear in h's coefficients, so sampling h computes
+    the generic minimum with a reported failure probability.  By Nakayama,
+    (Ih + mIJ)/mIJ is spanned by the classes of a*h, a in mingens(I), and
+    (mh + m^2 J)/m^2 J by those of x h, y h: each sample's rows combine the
+    table of generator products (`_product_tables`) that the certificate
+    decided on.  A given Q is checked for I^2 = QI; callers that already
+    know it pass none.
 
     `trials` is the sample budget, `_TRIALS` by default; classify records
-    it and `validate_report` accepts no other.  Every sample's rows have
-    their nonzero entries in the union of the supports of the products'
-    normal forms, so each side's rank is at most its bound, the term rank
-    of that support pattern (`_term_rank`) capped by its mu.  Each trial draws one vector,
-    shared by both sides, and ranks only a side still short of its bound;
-    once both sides meet their bounds sampling stops, as no later sample
-    could raise either rank, so the record equals that of the whole budget,
-    and where both bounds are met its ranks are the generic ranks exactly.
-    The monomial ideals tested meet both at the first sample; a
-    non-monomial I side, whose support is dense, may draw the whole budget.
+    it and `validate_report` accepts no other.  Each side's rank is at most
+    its bound, the term rank of the table's support (`_term_rank`) capped
+    by its mu.  Each trial draws one vector, shared by both sides, and
+    ranks only a side still short of its bound; once both meet their
+    bounds sampling stops, as no later sample could raise either rank, so
+    the record equals that of the whole budget, and where both bounds are
+    met its ranks are the generic ranks exactly.  The monomial ideals
+    tested meet both at the first sample; a non-monomial I side may draw
+    the whole budget.
     """
     if trials < 1:
         raise BadParameters(f"a refutation needs at least one sample, got trials={trials}")
@@ -670,7 +621,7 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     for _ in range(trials):
         if best_I == bound_I and best_m == bound_m:
             break  # no later sample can raise either rank
-        c = _sample_vector(rng, fld, len(_min_gens(J)), space)
+        c = _sample_vector(rng, fld, len(minimal_generators(J)), space)
         if best_I < bound_I:
             best_I = max(best_I, _rank([_combine(per_w, c, fld) for per_w in by_I], fld))
         if best_m < bound_m:
@@ -723,7 +674,7 @@ def classify(I: Ideal, config: ClassifyConfig | None = None) -> AGReport:
 
     Q = Ideal(list(reduction.Q))
     J = canonical_colon(I, Q)  # find_reduction left I^2 = QI on I
-    j_min = _min_gens(J)
+    j_min = minimal_generators(J)
     base["colon_gens"] = tuple(j_min)
     base["colon_order"] = ideal_order(J)
     base["colon_min_gens"] = len(j_min)

@@ -16,7 +16,7 @@ elimination's bounded basis off its fibers with no run, in packed words
 formed by sums, as a kernel forms its shifted terms.
 
 Inside the kernels `_nf_dict`, `_spoly`, `_update_pairs`, `_entry`,
-`_buchberger`, `_interreduce`, `_product_row`, `_times_maximal`, `_walk`,
+`_buchberger`, `_interreduce`, `_product_row`, `_relations`, `_walk`,
 `_colon` and `_sum` a monomial is one packed int (`poly.Packer`): the order
 key on top and one bit field per exponent below.  A lead is `max` of a
 row's words, a shifted term is `m + shift`, and "lm divides m" is
@@ -24,19 +24,20 @@ row's words, a shifted term is `m + shift`, and "lm divides m" is
 polynomial's monomials are packed once, where it enters (`_packed`), and
 `_update_pairs` packs each distinct lcm once, computing lcms, degrees and
 weights on the lead tuples it keeps next to the words.  A normal form whose
-scale does not matter, one a rank or a zero test reads, stays an integer
-row: `GroebnerBasis.reduce_row` and `product_rows` hand back the row
-`_nf_dict` returns.  `reduce`, read only by `normal_form`, and
-`reduce_products` (the engine's table of generator products) unpack their
-remainders, and `elements` and `leading_exponents` unpack.  Only this
-module and `poly` know the packed format, and a caller of `reduce_row`
-reads its rows only as columns that compare.
+scale does not matter, one a zero test reads, stays an integer row:
+`GroebnerBasis.reduce_row` hands back the row `_nf_dict` returns.
+`reduce`, read only by `normal_form`, unpacks its remainder, and
+`elements` and `leading_exponents` unpack.  Only this module and `poly`
+know the packed format, and a caller of `reduce_row` reads its rows only
+as columns that compare.
 
-Every product a kernel reads is formed on packed words by one kernel,
-`_product_row`, a term being one integer sum (Monagan-Pearce 2007), with
-each factor packed once: the generators of `ideal_product`, which its
-Buchberger run takes as they are, the table's products and a Nakayama
-test's (`product_rows`).  None is formed as a polynomial.
+Every Nakayama test reads P/m*P off P's own reduced basis, with no m*P
+built: a class is the constant parts of a division's quotients
+(`classes`), modulo the classes of the basis's consecutive S-pairs
+(`_relations`).  Every product a kernel reads is formed on packed words by
+one kernel, `_product_row`, a term being one integer sum (Monagan-Pearce
+2007), with each factor packed once: the generators of `ideal_product`
+and the products whose classes the engine reads.
 
 The four kernels, `_nf_dict`, `_buchberger`, `_product_row` and
 `_echelon_reduce`, work on rows of plain integers, one kernel for both
@@ -45,9 +46,10 @@ integer row: `field.clear` writes field values as a unit times integers
 (over q it clears denominators, and a row of ints enters as it is with unit
 1; over fp a residue is already an integer), and it runs once at each place
 where field values enter: `_packed`, which serves a Buchberger run's
-inputs, `reduce`, `reduce_row` and the product kernel's factors;
-`reduce_row`'s term filter, `_walk`'s forms, `_colon`'s augmented rows,
-`_sum`'s forms and `engine._rank`'s copies.
+inputs, `reduce`, `reduce_row`, `classes` and the product kernel's
+factors; `reduce_row`'s term filter, an exact class's division by the
+relations, `_walk`'s forms, `_colon`'s augmented rows, `_sum`'s forms and
+`engine._rank`'s copies.
 `field.cross(c, b)` gives multipliers (a, s) with a*c = s*b, and
 `field.normalize` keeps every stored row primitive (over q: content 1, lead
 positive) or monic (over fp, where a is therefore always 1).  Every kernel
@@ -60,11 +62,10 @@ primitive-part Buchberger algorithm (Cox-Little-O'Shea).
 A reduced basis is stored in one form, the kernels' packed entries (lm, lc,
 row) that `_buchberger` returns.  A run takes its inputs cleared; its S-pair
 and interreduction remainders stay integer rows.  Field values are made
-again only where a value leaves a kernel: the remainders `reduce` and
-`reduce_products` return, scaled by their units once, the walk's exact
-forms, the monic polynomials `_monic_polynomial` builds once from a basis's
-entries, a product's generators and a kernel vector a caller reads off an
-echelon.
+again only where a value leaves a kernel: `reduce`'s remainders and the
+exact classes, scaled by their units once, the walk's exact forms, the
+monic polynomials `_monic_polynomial` builds once from a basis's entries,
+a product's generators and a kernel vector a caller reads off an echelon.
 
 Every reduced basis not read off a staircase or fibers ends in one finisher,
 `_interreduce`, one ascending sweep over a Groebner basis: an element is
@@ -77,8 +78,8 @@ hand it on through `_finish`.  The colon (`_colon`) and the sum C + (F)
 its echelon: the colon hands on the basis it starts from plus its kernel
 rows, the sum C's basis plus an echelon of the forms.  For m*P with P of
 finite colength in k[x,y] (`_times_maximal`), the products x*g and y*g
-over P's reduced basis plus an echelon of its consecutive S-pairs'
-remainders are a Groebner basis (Schreyer 1980).
+over P's reduced basis plus an echelon of the combinations that P's
+relations name are a Groebner basis.
 
 Monomial ideals of k[x,y] take the staircase instead (`staircase`, a
 lattice module that knows no ideals).  This module is the one bridge
@@ -86,10 +87,10 @@ between the two: `staircase_of_ideal` reads an ideal's staircase once and
 caches it on the ideal, and `ideal_of_staircase` builds the ideal of a
 staircase with it cached.  A monomial ideal's `colength`, order and
 reduced basis are read off its staircase, and its basis's `reduce_row` is
-a term filter in place of `_nf_dict`; `reduce`, `reduce_products` and
-`product_rows` run `_nf_dict` on every basis.  Its minimal generators are
-its corners' monomials (`minimal_generators`), and the engine reads its
-table of generator products off the corners of each product
+a term filter in place of `_nf_dict`, as `classes` is; `reduce` runs
+`_nf_dict` on every basis.  Its minimal generators are its corners'
+monomials (`minimal_generators`), and the engine reads its table of
+generator products off the corners of each product
 (`engine._product_tables`).  Every other ideal, the zero ideal and
 monomial ideals in more variables included, goes through Buchberger.
 
@@ -135,12 +136,13 @@ _lead = itemgetter(0)  # an entry's leading word
 
 # -- packed-row engine -------------------------------------------------------
 
-def _cancel(row: _Row, c: int, other: _Row, b: int, shift: int, field) -> int:
+def _cancel(row: _Row, c: int, other: _Row, b: int, shift: int, field) -> tuple[int, int]:
     """The one elimination step of every kernel: row := a*row - s*(shift*other)
     in place, (a, s) = `field.cross(c, b)`, cancelling row's c against
     other's b shifted onto it (shift 0 adds nothing, so tuple columns
     pass).  Int arithmetic, modulo `field.modulus` when it is nonzero, so a
-    kept integer is the field's canonical value; zeros are dropped.  Returns a."""
+    kept integer is the field's canonical value; zeros are dropped.  Returns
+    (a, s)."""
     a, s = field.cross(c, b)
     if a != 1:  # over q only: fp leads are monic
         for m, v in row.items():
@@ -156,7 +158,7 @@ def _cancel(row: _Row, c: int, other: _Row, b: int, shift: int, field) -> int:
             row.pop(m, None)
         else:
             row[m] = nv
-    return a
+    return a, s
 
 
 def _packed(terms: _Term, pack, field) -> tuple:
@@ -185,7 +187,7 @@ def _products(left: Sequence[Polynomial], right: Sequence[Polynomial], pack,
             for a, u in (_packed(f.terms, pack, field) for f in left)]
 
 
-def _nf_dict(p: _Row, basis: list, guard: int, field, unit=None) -> _Row:
+def _nf_dict(p: _Row, basis: list, guard: int, field, unit=None, cols=None) -> _Row:
     """Full normal form of the integer row p, keyed by packed words, against
     basis entries (lm, lc, row) made by `_entry`: an integer row, a
     positive multiple of the normal form, or, given p's `unit`, the exact
@@ -198,6 +200,11 @@ def _nf_dict(p: _Row, basis: list, guard: int, field, unit=None) -> _Row:
     scales the kept terms too.  Field values leave as the kept integers
     times unit / (the product of the a), with no `field.mul` when that is 1
     (always over fp).
+
+    Given `cols`, a column for each entry's lm, and p in the entries'
+    ideal P, it returns p's class in P/m*P (`classes`): p = sum f_k g_k is
+    sum f_k(0) g_k modulo m*P, and f_k(0) is the multiplier s of the one
+    step of shift 0 against g_k, if any, kept in g_k's column.
     """
     work = dict(p)
     rem: _Row = {}
@@ -208,11 +215,13 @@ def _nf_dict(p: _Row, basis: list, guard: int, field, unit=None) -> _Row:
             shift = lm - blm
             if shift & guard:
                 continue  # blm does not divide lm
-            a = _cancel(work, work[lm], brow, blc, shift, field)
+            a, s = _cancel(work, work[lm], brow, blc, shift, field)
             if a != 1:
                 for m, v in rem.items():
                     rem[m] = a * v
                 den *= a
+            if cols is not None and not shift:
+                rem[cols[blm]] = s
             break
         else:
             rem[lm] = work.pop(lm)
@@ -510,8 +519,8 @@ class GroebnerBasis:
     `entries` are the basis as `_buchberger` returns it, `_entry`s of packed
     grevlex words sorted by descending lead: primitive integer rows over
     q, monic rows over fp, which a kernel such as `_walk` divides by.
-    `reduce` divides by them for `normal_form` and `reduce_products`,
-    packing its input and unpacking the remainder, and `reduce_row` hands back an
+    `reduce` divides by them for `normal_form`, packing its input and
+    unpacking the remainder, and `reduce_row` hands back an
     integer row, a positive multiple of the normal form; the monic
     `elements` are unpacked from them once, when first read, and so is
     `staircase`, the staircase of the leads, which `colength` reads;
@@ -598,30 +607,6 @@ class GroebnerBasis:
         return _nf_dict(_packed(terms, pk.pack, self.field)[1], self.entries, pk.guard,
                         self.field)
 
-    def product_rows(self, left: Sequence[Polynomial],
-                     right: Sequence[Polynomial]) -> list[dict]:
-        """`reduce_row((u*w).terms)` up to positive scales for u in left and
-        w in right, row-major, each product formed on packed words
-        (`_products`), keyed by packed words on every basis."""
-        pk, field, entries = self._pk, self.field, self.entries
-        guard = pk.guard
-        return [_nf_dict(row, entries, guard, field)
-                for line in _products(left, right, pk.pack, field) for _, row in line]
-
-    def reduce_products(self, left: Sequence[Polynomial],
-                        right: Sequence[Polynomial]) -> list[list[_Term]]:
-        """The table [[reduce((u*w).terms) for w in right] for u in left]:
-        the exact normal forms of the products, formed on packed words
-        (`_products`) and scaled by their factors' units once per entry, for
-        a caller that combines them linearly.  The engine's table of a
-        monomial product is read off its corners instead
-        (`engine._product_tables`)."""
-        pk, field, entries = self._pk, self.field, self.entries
-        guard, unpack = pk.guard, pk.unpack
-        # looked up on the module, so a wrapper bound there sees these calls too
-        return [[{unpack(w): c for w, c in _nf_dict(row, entries, guard, field, unit).items()}
-                 for unit, row in line] for line in _products(left, right, pk.pack, field)]
-
     def leading_exponents(self) -> list[Exponent]:
         unpack = self._pk.unpack
         return [unpack(lm) for lm, _, _ in self.entries]
@@ -640,13 +625,14 @@ _UNREAD = object()
 
 
 class Ideal:
-    """Generator tuple plus seven write-once caches: the generators of a
+    """Generator tuple plus nine write-once caches: the generators of a
     derived ideal (`_generators`, built on first read), the reduced grevlex
     basis, the staircase (`staircase_of_ideal`, None included), the engine's
     products with this ideal as right factor (`_products`, keyed by the left
     factor), `engine.is_stable`'s I^2 = QI by Q's generators (`_stable`),
-    the minimal generators (`minimal_generators`) and whether V(I) is the
-    origin (`is_origin_primary`).
+    the minimal generators (`minimal_generators`), the relations of
+    I/m*I (`_relations`), whether V(I) is the origin (`is_origin_primary`)
+    and the reduction `engine.find_reduction` found (`_reduction`).
 
     An input ideal, `Ideal(gens)`, holds its generators.  A derived ideal
     (`_derived`) holds the function that builds them from its source, the
@@ -662,7 +648,7 @@ class Ideal:
     """
 
     __slots__ = ("ring", "field", "_generators", "_gb_cache", "_staircase", "_products",
-                 "_stable", "_mingens", "_origin")
+                 "_stable", "_mingens", "_relations", "_origin", "_reduction")
 
     def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -693,7 +679,9 @@ class Ideal:
         self._products: dict[Ideal, Ideal] = {}
         self._stable: dict[tuple[Polynomial, ...], bool] = {}
         self._mingens: tuple[Polynomial, ...] | None = None
+        self._relations: tuple[dict, list] | None = None
         self._origin: bool | None = None
+        self._reduction = None
 
     @property
     def generators(self) -> tuple[Polynomial, ...]:
@@ -940,36 +928,100 @@ def _times_maximal(P: Ideal) -> Ideal:
     """m*P for m = (x, y) and an ideal P of finite colength in k[x,y],
     generated by its reduced grevlex basis, which it carries cached: read
     off P's reduced grevlex basis G = (g_1, ..., g_s) with no Buchberger
-    run (Schreyer 1980; Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 5
-    Thm 3.3).  Raises NotZeroDimensional for any other P.
+    run.  Raises NotZeroDimensional for any other P.
 
-    An element sum f_k g_k of P is sum f_k(0) g_k modulo m*G = (x g_k,
-    y g_k), so m*P is m*G plus the constant combinations sum c_k g_k that
-    lie in m*P; c is such a vector iff it is the value at the origin of a
-    syzygy of G.  With the leads (a_k, b_k) sorted by x-exponent, the lead
-    syzygies of consecutive corners generate those of LM(P), so their lifts
-    generate the syzygies of G (Schreyer).  Each lift is read off the full
-    reduction of the S-polynomial at lcm (a_(k+1), b_k), which lies in m*P,
-    modulo m*G: its remainder's terms are corners and standard monomials,
-    so, lying in P, it is sum c_k g_k with c_k its corner coefficients, the
-    lift's value at the origin.  An echelon of the remainders has one row
-    per independent relation, each led by a new corner, so the leads of m*G
-    and of the rows give colength(P) + s - (s - mu(P)) = colength(m*P)
-    standard monomials: m*G plus the rows is a Groebner basis of m*P, which
-    `_finish` hands on.
+    m*P is m*G = (x g_k, y g_k) plus the combinations sum c_k g_k over the
+    relations c of P/m*P (`_relations`), each led by a corner; an echelon
+    of them has a new corner for each relation, so with m*G they lead
+    colength(P) + s - (s - mu(P)) = colength(m*P) standard monomials: a
+    Groebner basis of m*P, which `_finish` hands on.
     """
     colength(P)  # raises outside k[x,y], for the zero ideal and for infinite colength
     gb = P.groebner_basis()
-    field, pk = gb.field, gb._pk
-    pack, guard = pk.pack, pk.guard
+    field, pack = gb.field, gb._pk.pack
     shifted = [(lm + v, lc, {m + v: c for m, c in row.items()})
                for v in (pack((1, 0)), pack((0, 1))) for lm, lc, row in gb.entries]
-    corners = sorted(zip(gb.leading_exponents(), gb.entries))
+    cols, rels = _relations(P)
+    g = {cols[lm]: row for lm, _, row in gb.entries}
     rows: dict = {}
-    for ((_, b), f), ((a, _), g) in zip(corners, corners[1:]):
-        r = _nf_dict(_spoly(f, g, pack((a, b)), field), shifted, guard, field)
+    for _, _, rel in rels:
+        r: _Row = {}
+        for k, c in rel.items():
+            _cancel(r, -c, g[k], 1, 0, field)  # r += c * g_k
         _echelon_reduce(r, rows, field)
     return _finish(gb, shifted, rows)
+
+
+def _relations(P: Ideal) -> tuple[dict, list]:
+    """(cols, rels) for a nonzero ideal P of k[x,y] with reduced basis
+    G = (g_1, ..., g_s), kept on P: k^s maps onto P/m*P, e_k to the class
+    of g_k; `cols` numbers the lead of each g_k by least degree, then lead,
+    and `rels` is an echelon of the kernel as `_nf_dict` entries.
+
+    c is in the kernel iff sum c_k g_k lies in m*G, iff it is the value at
+    the origin of a syzygy of G.  With the leads (a_k, b_k) sorted by
+    x-exponent, the lifts of the S-pairs of consecutive corners, at lcm
+    (a_(k+1), b_k), generate G's syzygies (Schreyer 1980; Cox-Little-O'Shea,
+    Using Algebraic Geometry, Ch. 5 Thm 3.3), and as a pair's own
+    multipliers are not constant, its lift's value at the origin is minus
+    its S-polynomial's class.  A monomial P's corners have no relation."""
+    rel = P._relations
+    if rel is None:
+        gb = P.groebner_basis()
+        field, pk, entries = gb.field, gb._pk, gb.entries
+        unpack = pk.unpack
+        cols = {e[0]: k for k, e in enumerate(
+            sorted(entries, key=lambda e: (sum(unpack(min(e[2]))), e[0])))}
+        monomial = staircase_of_ideal(P) is not None
+        corners = [] if monomial else sorted(zip(gb.leading_exponents(), entries))
+        rows: dict = {}
+        for ((_, b), f), ((a, _), g) in zip(corners, corners[1:]):
+            _echelon_reduce(_nf_dict(_spoly(f, g, pk.pack((a, b)), field), entries, pk.guard,
+                                     field, None, cols), rows, field)
+        rel = P._relations = (cols, [(lm, row[lm], row) for lm, row in rows.items()])
+    return rel
+
+
+def classes(P: Ideal, left: Sequence[Polynomial], right: Sequence[Polynomial] | None = None,
+            exact: bool = False) -> list[dict]:
+    """The classes in P/m*P of the elements of `left` of a nonzero ideal P
+    of k[x,y], or, given `right`, of the products u*w, row-major, formed on
+    packed words (`_products`): vectors on the columns of `_relations(P)`
+    that lead no relation, each a positive multiple of the class, or the
+    class in field values when `exact`.  For a monomial P it is the term
+    filter, p's coefficients at the corners, the monomials of P outside
+    m*P; otherwise `_nf_dict`'s class divided by the relations, whose
+    columns are ints, so with guard -1 "lm divides" means "lm equals"."""
+    gb = P.groebner_basis()
+    field, pk = gb.field, gb._pk
+    cols, rels = _relations(P)
+    if right is None:
+        rows = [_packed(p.terms, pk.pack, field) for p in left]
+    else:
+        rows = [entry for line in _products(left, right, pk.pack, field) for entry in line]
+    monomial = staircase_of_ideal(P) is not None
+    out = []
+    for unit, row in rows:
+        unit = unit if exact else None
+        if monomial:
+            c = {cols[w]: v if unit is None else field.mul(unit, v)
+                 for w, v in row.items() if w in cols}
+        else:
+            # looked up on the module, so a wrapper bound there sees these calls too
+            c = _nf_dict(row, gb.entries, pk.guard, field, unit, cols)
+            if rels:  # clear(c) makes c its integer row in place and returns its unit
+                c = _nf_dict(c, rels, -1, field, None if unit is None else field.clear(c))
+        out.append(c)
+    return out
+
+
+def independent(P: Ideal, gens: Sequence[Polynomial]) -> list[Polynomial]:
+    """The elements of gens, inside P, in order, each kept unless its class
+    in P/m*P (`classes`) lies in the span of those kept before it: graded
+    Nakayama, so the kept ones generate what gens do modulo m*P."""
+    rows: dict = {}
+    return [g for g, c in zip(gens, classes(P, gens))
+            if _echelon_reduce(c, rows, P.field) is not None]
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
@@ -1052,28 +1104,34 @@ def ideal_order(I: Ideal) -> int:
     return min(degs)
 
 
-def minimal_generators(I: Ideal, mI: Ideal | None = None) -> list[Polynomial]:
-    """A minimal generating set, kept on I (`Ideal._mingens`), so it is
-    found once: for a monomial ideal of k[x,y] its corners' monomials in
-    `stair.gens` order, read off its staircase with no basis and no
-    (vars) * I; for any other, I's reduced basis extracted greedily against
-    (vars) * I, whose basis `mI` shares when the caller already built it."""
+def minimal_generators(I: Ideal) -> list[Polynomial]:
+    """A minimal generating set, kept on I (`Ideal._mingens`): for a
+    monomial ideal of k[x,y] its corners' monomials in `stair.gens` order;
+    for any other nonzero ideal of k[x,y] its basis elements whose columns
+    lead no relation (`_relations`), in column order, which a scan by
+    least degree, then lead, keeps, with no normal form taken; in more
+    variables that scan against (vars) * I (`_nakayama_prune`)."""
     gens = I._mingens
     if gens is None:
         stair = staircase_of_ideal(I)  # None outside k[x,y] and for the zero ideal
+        gb = I.groebner_basis() if stair is None else None
         if stair is not None:
             gens = _corner_monomials(stair, I.ring, I.field)
+        elif I.ring.arity == 2 and gb.entries:
+            cols, rels = _relations(I)
+            led = {lm for lm, _, _ in rels}
+            by_lead = dict(zip(map(_lead, gb.entries), gb.elements))
+            gens = tuple(by_lead[w] for w, k in cols.items() if k not in led)
         else:
-            gb = I.groebner_basis()
             pack = gb._pk.pack
-            gens = tuple(_nakayama_prune(list(gb.elements), N=mI,
+            gens = tuple(_nakayama_prune(list(gb.elements),
                                          key=lambda g: (g.min_degree(), max(map(pack, g.terms)))))
         I._mingens = gens
     return list(gens)
 
 
-def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
-                    max_weight: int | None = None) -> list[Polynomial]:
+def _nakayama_prune(gens: list[Polynomial], key, max_weight: int | None = None
+                    ) -> list[Polynomial]:
     """Graded Nakayama: scanning gens sorted by key, keep g unless it lies in
     the ideal of the kept ones plus N = (vars) * gens.
 
@@ -1082,28 +1140,20 @@ def _nakayama_prune(gens: list[Polynomial], key, N: Ideal | None = None,
     NF_N(g) lies in span_k(NF_N(kept)).  One reduced basis of N serves every
     candidate, through `GroebnerBasis.reduce_row`, as a span does not depend
     on row scale; the span is an echelon of the kept normal forms, one row
-    per leading monomial.  `N`, when the caller already built that ideal, is
-    used in place of a new one.  Otherwise N's basis is built here, bounded
-    by `max_weight` as in `_buchberger`, each v*g a shift of g's packed
-    row; the prune stays exact for weight-homogeneous gens that weigh no
-    more than the bound.
+    per leading monomial.  N's basis is bounded by `max_weight` as in
+    `_buchberger`, each v*g a shift of g's packed row; the prune stays
+    exact for weight-homogeneous gens that weigh no more than the bound.
     """
     if not gens:
         return []
     ring, field = gens[0].ring, gens[0].field
-    if N is None:
-        pk = GREVLEX.packer(ring)
-        rows = _inputs([g.terms for g in gens], pk.pack, field)
-        n = ring.arity
-        variables = [pk.pack(tuple(int(i == k) for i in range(n))) for k in range(n)]
-        gb = GroebnerBasis(ring, field, _buchberger(
-            [(sug + 1, {m + v: c for m, c in row.items()}) for v in variables for sug, row in rows],
-            pk, field, max_weight=max_weight))
-    else:
-        gb = N.groebner_basis()
-    rows: dict = {}
-    kept: list[Polynomial] = []
-    for g in sorted(gens, key=key):
-        if _echelon_reduce(gb.reduce_row(g.terms), rows, field) is not None:
-            kept.append(g)
-    return kept
+    pk = GREVLEX.packer(ring)
+    rows = _inputs([g.terms for g in gens], pk.pack, field)
+    n = ring.arity
+    variables = [pk.pack(tuple(int(i == k) for i in range(n))) for k in range(n)]
+    gb = GroebnerBasis(ring, field, _buchberger(
+        [(sug + 1, {m + v: c for m, c in row.items()}) for v in variables for sug, row in rows],
+        pk, field, max_weight=max_weight))
+    echelon: dict = {}
+    return [g for g in sorted(gens, key=key)
+            if _echelon_reduce(gb.reduce_row(g.terms), echelon, field) is not None]

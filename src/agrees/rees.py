@@ -38,14 +38,14 @@ when the s generators are minimal, mu(I) = s, P_1 = 0 and
 mu_2 >= dim P_2 = C(s+1, 2) - mu(I^2).  So when the bound D = r + 1 is
 proven, mu(I) = s and the bounded basis has exactly s - 1 elements of
 T-degree 1 and, for D = 2, exactly C(s+1, 2) - mu(I^2) of T-degree 2, it is
-already minimal.  mu(I) and mu(I^2) are `engine._mu`'s: for a monomial I
-the corner counts of I and of the staircase product I^2, with the bound
-read off lengths; for a non-monomial I read off the products m*I, I^2 and
-m*I^2 in `engine._mul`'s cache, which the reduction search behind the bound
-built.  So after `classify` a monomial I with the bound runs Buchberger
-only for the prune's basis, when the count fails, and every other I only
-for its elimination and that basis.  Everywhere else (no bound, a redundant input generator, or a count
-above those numbers) the prune runs: one basis of (x, y, T_1..T_s) * K,
+already minimal.  mu(I) and mu(I^2) are `engine._mu`'s: corner counts for
+a monomial I, else read off the relations kept on I and on I^2 in
+`engine._mul`'s cache, which the reduction search behind the bound found.
+So after `classify` a monomial I with the bound runs Buchberger only for
+the prune's basis, when the count fails, and every other I only for its
+elimination and that basis.  Everywhere else (no bound, a redundant input
+generator, or a count above those numbers) the prune runs: one basis of
+(x, y, T_1..T_s) * K,
 then one normal form per candidate (see `groebner._nakayama_prune`).  The
 count and the prune return the basis sorted by the prune's key, so a
 certified basis is the tuple, in the order, that the prune would keep.
@@ -120,12 +120,13 @@ def _relation_type_bound(I: Ideal) -> int | None:
     number r <= 1, else None.  r is decided in the local ring at the origin,
     which speaks for all of V(I) only when V(I) is the origin.  Which
     reduction is found only decides whether the bound is used; it is
-    classify's, a function of I, so its I^2 = QI is read back, and so is
-    classify's answer on the origin, kept on I (`is_origin_primary`)."""
+    classify's, a function of I, read back where classify kept it
+    (`Ideal._reduction`), and so is classify's answer on the origin
+    (`is_origin_primary`); with neither on I they are found here."""
     if not is_origin_primary(I):
         return None
     try:
-        r = engine.find_reduction(I).reduction_number
+        r = (I._reduction or engine.find_reduction(I)).reduction_number
     except NoReductionFound:
         return None
     return r + 1 if r <= 1 else None
@@ -133,9 +134,7 @@ def _relation_type_bound(I: Ideal) -> int | None:
 
 def _minimal_by_count(t_degrees: list[int], s: int, bound: int, I: Ideal) -> bool:
     """Whether the bounded t-free basis of I, of T-degrees `t_degrees`, is
-    minimal by the counting certificate in the module docstring.  mu(I) and
-    mu(I^2) are `engine._mu`'s: corner counts for a monomial I, else off
-    products in `engine._mul`'s cache."""
+    minimal by the module docstring's count, with `engine._mu`'s mus."""
     if engine._mu(I) != s:
         return False
     want = Counter({1: s - 1})

@@ -9,19 +9,22 @@ lattice oracles work on divisibility predicates, the reference colon is an
 elimination (one auxiliary variable and exact division) in place of the
 library's kernel walk, the rank oracle runs symbolic linear algebra in
 sympy, the refuter's reference draws and ranks its whole sample budget
-with no rank bound to stop at, and the generator counts and the table of
-generator products are read through a freshly built m*P in place of the
-corners of a monomial P.
+with no rank bound to stop at, and the generator counts, the minimal
+generators, the ranks in P/m*P, the table of generator products, the
+witness test and the refuter are read through normal forms modulo a
+freshly built m*P in place of the classes the engine reads off P's own
+basis or corners.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 import sympy
 
-from agrees import engine
+from agrees import engine, groebner
 from agrees.errors import NotContained, NotStable, ZeroDivisorIdeal
 from agrees.fields import MIN_PRIME, PrimeField
 from agrees.groebner import (Ideal, colength, ideal_intersection, ideal_product, maximal_ideal,
@@ -408,10 +411,36 @@ def reference_ideal_product(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(gens or [Polynomial.zero(I.ring, I.field)])
 
 
+@functools.lru_cache(maxsize=64)
+def _fresh_m_times(P: Ideal):
+    """The reduced basis of m*P, built fresh by `reference_ideal_product`,
+    once per P among the last 64 asked for."""
+    return reference_ideal_product(maximal_ideal(P.ring, P.field), P).groebner_basis()
+
+
 def reference_mu(P: Ideal) -> int:
     """colength(m*P) - colength(P), with m*P built fresh by
     `reference_ideal_product`."""
     return colength(reference_ideal_product(maximal_ideal(P.ring, P.field), P)) - colength(P)
+
+
+def reference_rank(P: Ideal, elements) -> int:
+    """The rank in P/m*P of elements of P: that of their normal forms
+    modulo a fresh m*P, as P/m*P embeds in R/m*P."""
+    mP = _fresh_m_times(P)
+    return engine._rank([mP.reduce(p.terms) for p in elements], P.field)
+
+
+def reference_min_gens(P: Ideal) -> list[Polynomial]:
+    """The scan of P's reduced basis by least degree, then lead, keeping an
+    element unless its normal form modulo a fresh m*P lies in the span of
+    those kept before it."""
+    mP, kept = _fresh_m_times(P), []
+    for g in sorted(P.groebner_basis().elements,
+                    key=lambda g: (g.min_degree(), reference_grevlex_key(reference_leading(g)[0]))):
+        if engine._rank([mP.reduce(p.terms) for p in kept + [g]], P.field) > len(kept):
+            kept.append(g)
+    return kept
 
 
 def reference_corner_gens(P: Ideal) -> list[Polynomial]:
@@ -419,19 +448,58 @@ def reference_corner_gens(P: Ideal) -> list[Polynomial]:
     return [Polynomial.monomial(P.ring, P.field, e) for e in staircase_of_ideal(P).gens]
 
 
+def reference_class_element(P: Ideal, vector: dict) -> Polynomial:
+    """sum_k c_k g_k for a class vector {key: c_k} of P/m*P as the engine
+    keys it: a column k is P's reduced-basis entry that
+    `groebner._relations` numbers k, as its integer row, and an exponent
+    tuple, a corner read's key, is that monomial."""
+    gb, field = P.groebner_basis(), P.field
+    cols, _ = groebner._relations(P)
+    rows = {k: gb.entries[[lm for lm, _, _ in gb.entries].index(w)][2] for w, k in cols.items()}
+    terms: dict = {}
+    for key, c in vector.items():
+        part = {key: field.one} if isinstance(key, tuple) else {
+            gb._pk.unpack(w): field.from_int(v) for w, v in rows[key].items()}
+        for e, v in part.items():
+            terms[e] = field.add(terms.get(e, field.zero), field.mul(c, v))
+    return Polynomial(P.ring, field, terms)
+
+
+def reference_class_forms(P: Ideal, table: list) -> list:
+    """Each entry v of a table of classes in P/m*P as the normal form of
+    `reference_class_element(P, v)` modulo a fresh m*P: for a class of a
+    product, its entry in `reference_product_tables`."""
+    mP = _fresh_m_times(P)
+    return [[mP.reduce(reference_class_element(P, v).terms) for v in row] for row in table]
+
+
 def reference_product_tables(I: Ideal, J: Ideal) -> list[tuple[Ideal, list]]:
-    """`engine._product_tables` entry by entry: [(IJ, by_I), (mJ, by_m)],
-    each entry `GroebnerBasis.reduce` of the product formed by
-    `Polynomial.__mul__` modulo m*P, built fresh by
+    """`engine._product_tables` entry by entry, as normal forms: [(IJ,
+    by_I), (mJ, by_m)], each entry `GroebnerBasis.reduce` of the product
+    formed by `Polynomial.__mul__` modulo m*P, built fresh by
     `reference_ideal_product`, over the engine's factor lists and its IJ
-    and mJ."""
+    and mJ.  An engine entry v equals its entry w when
+    NF(`reference_class_element(P, v)`) = w."""
     m = maximal_ideal(I.ring, I.field)
-    j_min = engine._min_gens(J)
+    j_min = groebner.minimal_generators(J)
     sides = []
-    for P, left in ((engine._mul(I, J), engine._min_gens(I)), (engine._mul(m, J), m.generators)):
-        gb = reference_ideal_product(m, P).groebner_basis()
+    for P, left in ((engine._mul(I, J), groebner.minimal_generators(I)),
+                    (engine._mul(m, J), m.generators)):
+        gb = _fresh_m_times(P)
         sides.append((P, [[gb.reduce((u * w).terms) for w in j_min] for u in left]))
     return sides
+
+
+def reference_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial, h: Polynomial) -> bool:
+    """Both witness equalities for f in m, g in I and h in J, each as the
+    rank of its products' normal forms modulo a fresh m*IJ or m^2*J against
+    `reference_mu`."""
+    m = maximal_ideal(I.ring, I.field)
+    IJ, mJ = engine._mul(I, J), engine._mul(m, J)
+    return (reference_rank(IJ, [g * w for w in J.generators] + [a * h for a in I.generators])
+            == reference_mu(IJ)
+            and reference_rank(mJ, [f * w for w in J.generators] + [v * h for v in m.generators])
+            == reference_mu(mJ))
 
 
 # -- symbolic rank oracle for the refuter -------------------------------------
@@ -464,17 +532,15 @@ def reference_necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None
                               trials: int = 16):
     """`engine.necessary_bound` with no rank bound: each of the `trials`
     shared sample vectors is drawn and both sides' rows are ranked, so the
-    ranks are the largest over the whole budget."""
+    ranks are the largest over the whole budget, on the table of normal
+    forms modulo a fresh m*IJ and m^2*J (`reference_product_tables`), with
+    every mu `reference_mu`'s."""
     if Q is not None and not engine.is_stable(I, Q):
         raise NotStable("the generator-count refutation needs I^2 = QI")
     fld = I.field
-    m = maximal_ideal(I.ring, fld)
-    IJ, mJ = engine._mul(I, J), engine._mul(m, J)
-    ij, mj = engine._mul(m, IJ).groebner_basis(), engine._mul(m, mJ).groebner_basis()
-    j_min = engine._min_gens(J)
-    by_I = [[ij.reduce((a * w).terms) for w in j_min] for a in engine._min_gens(I)]
-    by_m = [[mj.reduce((v * w).terms) for w in j_min] for v in m.generators]
-    mu_IJ, mu_mJ, mu_J = engine._mu(IJ), engine._mu(mJ), engine._mu(J)
+    (IJ, by_I), (mJ, by_m) = reference_product_tables(I, J)
+    j_min = groebner.minimal_generators(J)
+    mu_IJ, mu_mJ, mu_J = reference_mu(IJ), reference_mu(mJ), reference_mu(J)
     run_seed = engine.derive_seed(seed, "refuter")
     rng = random.Random(run_seed)
     space = fld.p if isinstance(fld, PrimeField) else MIN_PRIME

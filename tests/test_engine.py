@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agrees import engine
+from agrees import engine, groebner
 from agrees.engine import (
     ClassifyConfig,
     Verdict,
@@ -28,6 +28,7 @@ from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
     Ideal,
     _contains_all,
+    classes,
     colength,
     ideal_colon,
     ideal_equal,
@@ -42,9 +43,10 @@ from agrees.poly import BASE_RING, Polynomial
 from agrees.staircase import adjoint, is_integrally_closed, staircase_normalize
 from agrees.survey import expand_tuples
 
-from oracles import (generic_ranks, ideal_pow, power_sum_pair, reference_colon,
-                     reference_corner_gens, reference_ideal_product, reference_mu,
-                     reference_necessary_bound, reference_product_tables)
+from oracles import (generic_ranks, ideal_pow, power_sum_pair, reference_class_forms,
+                     reference_colon, reference_corner_gens, reference_ideal_product,
+                     reference_min_gens, reference_mu, reference_necessary_bound,
+                     reference_product_tables, reference_rank, reference_witness)
 
 FP = PrimeField(2147483647)
 
@@ -554,8 +556,8 @@ def test_colon_matches_reference_on_vertex_splits(field):
 def test_closed_monomial_colon_walks_no_kernel(monkeypatch):
     # contracted-o3 (6,1,3) is integrally closed with the vertex-split pair,
     # so its colon is the adjoint read off the corners: no T = Q + I^2, no
-    # prune and no kernel walk.  (6,1,5), not closed with the same kind of
-    # pair, still walks the kernel once
+    # prune of Q + I by its classes in I/m*I and no kernel walk.  (6,1,5),
+    # not closed with the same kind of pair, still walks the kernel once
     calls = []
 
     def spy(name, real):
@@ -564,10 +566,10 @@ def test_closed_monomial_colon_walks_no_kernel(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    for name in ("_sum", "_colon", "_nakayama_prune"):
+    for name in ("_sum", "_colon", "independent"):
         monkeypatch.setattr(engine, name, spy(name, getattr(engine, name)))
     for params, closed, walked in (((6, 1, 3), True, []),
-                                   ((6, 1, 5), False, ["_sum", "_nakayama_prune", "_colon"])):
+                                   ((6, 1, 5), False, ["_sum", "independent", "_colon"])):
         values = dict(zip(("n", "alpha", "beta"), params))
         I = make_family("contracted-o3", values, field=FP)
         calls.clear()
@@ -632,14 +634,11 @@ def test_colon_of_infinite_colength_raises():
 
 def test_classify_builds_no_basis_twice(monkeypatch):
     # the flagship twin (NOT_AG) and PINNED's boundary twin (AG_CERTIFIED):
-    # mu(I) shares the reduction's levels of I, the colon shares their I^2,
-    # mingens(I) shares their m*I and mingens(J) shares m*J with verify_witness
-    # and the refuter; the colon's J carries its reduced basis, so no run
-    # starts from an earlier run's output.  verify_witness, the one exact test
-    # of the certificate's triple, builds the bases of m*IJ and m^2*J, and the
-    # refuter finds them built, so no basis is built twice.  The colon reads J's
-    # reduced basis off its kernel, and every m*P reads its basis off P's
-    # (`_times_maximal`, once per product), so no Buchberger run builds an m*P,
+    # the colon shares the reduction's I^2, and the colon's J carries its
+    # reduced basis, so no run starts from an earlier run's output.  Every mu,
+    # minimal generator set and Nakayama test reads P/m*P off P's own basis,
+    # so the one m*P built is the table's mJ, read off J's basis
+    # (`_times_maximal`, once), and no m*I: no Buchberger run builds an m*P,
     # and the colon's T = Q + I^2 is read off I^2's basis (`_sum`), so no run
     # starts from Q's generators: both twins make 3 runs in all (I, I^2 and
     # IJ), where building each m*P by Buchberger made 8 and 6, and building T
@@ -665,7 +664,7 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         shared = [basis_key(ideal_product(A, I)) for A in (m, I)]
         cases.append((I, expected, runs, shared))
 
-    inputs, outputs, products = [], [], []
+    inputs, outputs, products, colons, scaled = [], [], [], [], []
     real = groebner._buchberger
     real_colon = engine._colon
     real_times = engine._times_maximal
@@ -684,6 +683,7 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         before = len(inputs)
         J = real_colon(A, gens, C)
         assert len(inputs) == before
+        colons.append(J)
         return J
 
     def times_maximal(P):
@@ -692,15 +692,16 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         M = real_times(P)
         assert len(inputs) == before
         products.append(basis_key(M))
+        scaled.append(P)
         return M
 
     monkeypatch.setattr(groebner, "_buchberger", record)
     monkeypatch.setattr(engine, "_colon", colon)
     monkeypatch.setattr(engine, "_times_maximal", times_maximal)
+    built = 0
     for I, expected, runs, shared in cases:
-        inputs.clear()
-        outputs.clear()
-        products.clear()
+        for seen in (inputs, outputs, products, colons, scaled):
+            seen.clear()
         report = classify(I)
         assert report.verdict is expected
         assert len(inputs) == runs
@@ -709,12 +710,17 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         assert not any(q_gens & polys for polys in inputs)
         assert inputs and len(set(inputs)) == len(inputs)
         assert not any(basis in outputs[:k] for k, basis in enumerate(inputs))
-        # the kernel builds each m*P once, m*I among them, and no run builds
-        # any m*P; I^2 is built once, from no other generator list
-        assert products and len(set(products)) == len(products)
+        # the kernel builds mJ once, when J has no staircase, and no other
+        # m*P, m*I included; no run builds any m*P; I^2 is built once, from
+        # no other generator list
+        (J,) = colons
+        kernel = [] if staircase_of_ideal(J) is not None else [J]
+        assert scaled == kernel and products == [basis_key(J._products[m]) for _ in kernel]
+        built += len(kernel)
         assert not set(products) & set(outputs)
         m_I, I_2 = shared
-        assert m_I in products and outputs.count(I_2) == 1
+        assert m_I not in products + outputs and outputs.count(I_2) == 1
+    assert built == 1
 
 
 def test_certificate_is_decided_by_one_exact_test(monkeypatch):
@@ -725,16 +731,15 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
     # mJ side is not tested), then its one sample's two row sets once, since
     # the first sample meets both term-rank bounds (mu(IJ) is `_mu`'s, with
     # no rank).  A monomial row's table is read off the corners, so neither
-    # stage reduces a product; a twin's refuter reduces each product a*w
-    # (a in mingens(I) or {x, y}) once, as its certificate did before it
+    # stage reads a product's exact class; a twin's refuter reads that of
+    # each product a*w (a in mingens(I) or {x, y}) once, as its certificate
+    # did before it
     from collections import Counter
-
-    from agrees import groebner
 
     ranks, refuters, reduced, verified = [], [], [], []
     real_find, real_cert = engine.find_reduction, engine.certificate_search
     real_rank, real_bound = engine._rank, engine.necessary_bound
-    real_table = groebner.GroebnerBasis.reduce_products
+    real_classes = engine.classes
     certifying = []
 
     def find_reduction(*args, **kwargs):
@@ -750,10 +755,12 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
             certifying.pop()
             reduced.clear()
 
-    def reduce_products(self, left, right):
-        # each product the table reduces, formed here by Polynomial.__mul__
-        reduced.extend(frozenset((u * w).terms.items()) for u in left for w in right)
-        return real_table(self, left, right)
+    def classes(P, left, right=None, exact=False):
+        # each product whose exact class the table reads, formed here by
+        # Polynomial.__mul__
+        if exact:
+            reduced.extend(frozenset((u * w).terms.items()) for u in left for w in right)
+        return real_classes(P, left, right, exact)
 
     monkeypatch.setattr(engine, "find_reduction", find_reduction)
     monkeypatch.setattr(engine, "certificate_search", certificate_search)
@@ -762,7 +769,7 @@ def test_certificate_is_decided_by_one_exact_test(monkeypatch):
                         lambda *args: ranks.append(bool(certifying)) or real_rank(*args))
     monkeypatch.setattr(engine, "necessary_bound",
                         lambda *args, **kwargs: refuters.append(1) or real_bound(*args, **kwargs))
-    monkeypatch.setattr(groebner.GroebnerBasis, "reduce_products", reduce_products)
+    monkeypatch.setattr(engine, "classes", classes)
 
     I = make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3})
     assert classify(I).verdict is Verdict.AG_CERTIFIED
@@ -822,31 +829,46 @@ def _flagship_twin():
 
 
 def test_each_ideal_is_pruned_once(monkeypatch):
-    # mingens(I) and mingens(J) are kept on their ideals, pruned from their
-    # reduced bases, so the certificate and the refuter of the flagship twin
-    # read the prunes made before them: I's and J's bases are each pruned
-    # once, and the colon's prune of Q + I is the only other one
+    # mingens(I) and mingens(J) are kept on their ideals, read off the
+    # relations among their bases' classes, which are kept on the ideals
+    # too: the certificate and the refuter of the flagship twin read what
+    # was found before them, so no ideal's relations are found twice, I's
+    # and J's among them, no basis is pruned by normal forms, and the
+    # colon's prune of Q + I by its classes in I/m*I is the only prune
     from agrees import groebner
 
-    pruned, colons = [], []
-    real_prune, real_colon = groebner._nakayama_prune, engine.canonical_colon
+    found, pruned, colons = [], [], []
+    real_relations, real_independent = groebner._relations, engine.independent
+    real_colon = engine.canonical_colon
 
-    def prune(gens, *args, **kwargs):
-        pruned.append(tuple(gens))
-        return real_prune(gens, *args, **kwargs)
+    def relations(P):
+        if P._relations is None:
+            found.append(P)
+        return real_relations(P)
+
+    def independent(P, gens):
+        pruned.append((P, tuple(gens)))
+        return real_independent(P, gens)
 
     def colon(*args, **kwargs):
         colons.append(real_colon(*args, **kwargs))
         return colons[-1]
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis pruned by normal forms")
+
     for module in (groebner, engine):
-        monkeypatch.setattr(module, "_nakayama_prune", prune)
+        monkeypatch.setattr(module, "_relations", relations)
+    monkeypatch.setattr(groebner, "_nakayama_prune", refuse)
+    monkeypatch.setattr(engine, "independent", independent)
     monkeypatch.setattr(engine, "canonical_colon", colon)
     I = _flagship_twin()
-    assert classify(I).verdict is Verdict.NOT_AG
+    rep = classify(I)
+    assert rep.verdict is Verdict.NOT_AG
     (J,) = colons
-    bases = [tuple(P.groebner_basis().elements) for P in (I, J)]
-    assert [pruned.count(b) for b in bases] == [1, 1] and len(pruned) == 3
+    assert [found.count(P) for P in (I, J)] == [1, 1]
+    assert len({id(P) for P in found}) == len(found)
+    assert pruned == [(I, tuple(rep.reduction.Q) + I.generators)]
 
 
 def _record_buchberger(monkeypatch) -> list:
@@ -1334,11 +1356,14 @@ def test_counts_and_table_equal_the_m_p_route(field, monkeypatch):
     # on every row of `_census_and_twins`, and on the I, J, IJ and mJ of each
     # row classify takes to a colon, mu, the minimal generators and the
     # table equal their route through a fresh m*P: `_mu(P)` is
-    # colength(m*P) - colength(P), a monomial P's `_min_gens` are its
-    # corners in `stair.gens` order, and `_product_tables` is each product
-    # formed and reduced modulo m*P, values and their types alike.  For
-    # monomial I and J the table is read off the corners: it forms no
-    # product and calls no `_nf_dict`
+    # colength(m*P) - colength(P), a monomial P's minimal generators are its
+    # corners in `stair.gens` order and any other's the scan of its basis
+    # against m*P (`reference_min_gens`), and each entry of
+    # `_product_tables`, a class in P/m*P in exact canonical field values,
+    # names an element whose normal form modulo m*P is the product's; it
+    # leads no relation.  For monomial I and J the table is read off the
+    # corners, the products' normal forms themselves: it forms no product
+    # and calls no `_nf_dict`
     from agrees import groebner
 
     colons = []
@@ -1348,8 +1373,9 @@ def test_counts_and_table_equal_the_m_p_route(field, monkeypatch):
         colons.append(real_colon(*args, **kwargs))
         return colons[-1]
 
-    def types(table):
-        return [[[type(c) for c in entry.values()] for entry in row] for row in table]
+    def canonical(c):
+        return type(c) is int and (field == QQ or 0 <= c < field.p) or (
+            field == QQ and type(c) is Fraction and c.denominator != 1)
 
     monkeypatch.setattr(engine, "canonical_colon", canonical_colon)
     m = maximal_ideal(BASE_RING, field)
@@ -1362,8 +1388,8 @@ def test_counts_and_table_equal_the_m_p_route(field, monkeypatch):
         ideals = [I] + [P for J in colons for P in (J, engine._mul(I, J), engine._mul(m, J))]
         for P in ideals:
             assert engine._mu(P) == reference_mu(P), P
-            if staircase_of_ideal(P) is not None:
-                assert engine._min_gens(P) == reference_corner_gens(P), P
+            assert minimal_generators(P) == (reference_corner_gens(P) if staircase_of_ideal(P)
+                                             is not None else reference_min_gens(P)), P
         for J in colons:
             monomial = staircase_of_ideal(I) is not None and staircase_of_ideal(J) is not None
             del formed[:]
@@ -1374,10 +1400,129 @@ def test_counts_and_table_equal_the_m_p_route(field, monkeypatch):
             assert not monomial or not formed, I
             want = reference_product_tables(I, J)
             assert all(P is Q for (P, _), (Q, _) in zip(got, want))
-            assert [t for _, t in got] == [t for _, t in want], I
-            assert [types(t) for _, t in got] == [types(t) for _, t in want], I
+            assert not monomial or [t for _, t in got] == [t for _, t in want], I
+            assert [reference_class_forms(P, t) for P, t in got] == [t for _, t in want], I
+            for P, table in got:
+                led = {lm for lm, _, _ in groebner._relations(P)[1]}
+                assert all(canonical(c) and k not in led
+                           for row in table for entry in row for k, c in entry.items()), I
             tables[monomial] += 1
     assert tables[True] >= 400 and tables[False] >= 40
+
+
+def assert_class_route(I: Ideal, rng: random.Random) -> tuple[int, int]:
+    """For I and, when classify reaches a colon J, for I^2, IJ and mJ, the
+    route through classes in P/m*P equals the route through normal forms
+    modulo a freshly built m*P (`tests/oracles.py`): mu(P), the minimal
+    generators, the rank and the Nakayama answer of random sets of elements
+    of P, sums of multiples of P's generators, some in m*P; and for the
+    pair (I, J), the table's exact entries, its decision at random and
+    degenerate triples and the refuter's record at two seeds.  Returns how many ideals P it
+    checked and how many of those have a relation among their reduced
+    basis's classes."""
+    field = I.field
+    rep = classify(I)
+    J = None
+    if rep.reduction is not None and rep.reduction.stable:
+        J = canonical_colon(I, Ideal(list(rep.reduction.Q)))
+    m = maximal_ideal(BASE_RING, field)
+    ideals = [I, engine._power(I, 2)] + ([] if J is None else [engine._mul(I, J),
+                                                                engine._mul(m, J)])
+    x, y = m.generators
+    related = sum(bool(staircase_of_ideal(P) is None and groebner._relations(P)[1])
+                  for P in ideals)
+    for P in ideals:
+        assert engine._mu(P) == reference_mu(P), P
+        assert minimal_generators(P) == (reference_corner_gens(P) if staircase_of_ideal(P)
+                                         is not None else reference_min_gens(P)), P
+        gens = list(P.generators)
+        for _ in range(3):
+            elements = []
+            for _ in range(rng.randint(1, engine._mu(P) + 1)):
+                e = Polynomial.zero(BASE_RING, field)
+                for g in rng.sample(gens, min(len(gens), 3)):
+                    c = field.from_int(rng.randint(-3, 3))
+                    e = e + g * (Polynomial.constant(BASE_RING, field, c)
+                                 + x.scale(field.from_int(rng.randint(0, 2))) + y)
+                elements.append(e)
+            rank = reference_rank(P, elements)
+            assert engine._rank(classes(P, elements), field) == rank, P
+            assert engine._spans(P, elements) == (rank == reference_mu(P)), P
+    if J is None:
+        return len(ideals), related
+    assert [reference_class_forms(P, t) for P, t in engine._product_tables(I, J)] == \
+        [t for _, t in reference_product_tables(I, J)], I
+    i_gens, j_min = minimal_generators(I), minimal_generators(J)
+    F = field.from_int
+    triples = [([F(rng.randint(1, 30)) for _ in i_gens], [F(rng.randint(1, 30)) for _ in j_min],
+                [F(rng.randint(1, 30)) for _ in range(2)]) for _ in range(2)]
+    triples += [([F(1)] * len(i_gens), [F(1)] + [F(0)] * (len(j_min) - 1), [F(1), F(0)]),
+                ([F(0)] * len(i_gens), [F(1)] * len(j_min), [F(1), F(1)])]
+    for a, c, b in triples:
+        f, g, h = engine._span(b, list(m.generators)), engine._span(a, i_gens), \
+            engine._span(c, j_min)
+        assert engine._witness_on_table(I, J, a, c, b) == reference_witness(I, J, f, g, h), I
+    if len(j_min) >= 2:
+        for seed in (0, 5):
+            assert engine.necessary_bound(I, J, seed=seed) == \
+                reference_necessary_bound(I, J, seed=seed), I
+    return len(ideals), related
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_class_route_equals_a_fresh_m_p(field):
+    # `assert_class_route` on the x -> x + 2y twins of the contracted-o3
+    # tuples with n <= 8 (the census twins), the x -> x + y/3 twins with
+    # n <= 5 and the x -> x + y^2 and x -> x + y^2/3 images of 16 random
+    # staircases, whose bases, unlike the twins', have relations among
+    # their classes, and whose exact classes have denominators over q
+    from agrees.repro import random_staircase
+
+    rng = random.Random(derive_seed("class route", field.p if field is FP else 0))
+    twins = [coordinate_twin(family_exponents("contracted-o3", {"n": n, "alpha": a, "beta": b}),
+                             c, field)
+             for c, top in ((2, 8), (Fraction(1, 3), 5))
+             for n in range(3, top + 1) for b in range(2, n) for a in range(1, b)]
+    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
+    images = [Ideal([(x + (y * y).scale(c)) ** i * y ** j for i, j in stair.gens])
+              for stair in [random_staircase(rng, 6, 3) for _ in range(16)]
+              for c in (field.one, field.fraction(1, 3))]
+    counts = [assert_class_route(I, rng) for I in twins + images]
+    assert sum(checked for checked, _ in counts) >= 4 * len(twins)
+    assert sum(related for _, related in counts[len(twins):]) >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_classify_builds_m_p_only_as_m_j(field, monkeypatch):
+    # on every twin, the x -> x + 2y ones of the contracted-o3 tuples with
+    # n <= 8 and the x -> x + y/3 ones with n <= 6, classify reads every
+    # P/m*P off P itself, so it calls `_times_maximal` only for its colon J,
+    # the table's mJ, and only when J is not monomial: never for I, a power
+    # of I or IJ, and never for mJ
+    colons, scaled = [], []
+    real_colon, real_times = engine.canonical_colon, engine._times_maximal
+
+    def colon(*args, **kwargs):
+        colons.append(real_colon(*args, **kwargs))
+        return colons[-1]
+
+    monkeypatch.setattr(engine, "canonical_colon", colon)
+    monkeypatch.setattr(engine, "_times_maximal", lambda P: scaled.append(P) or real_times(P))
+    kernels = 0
+    for c, top in ((2, 8), (Fraction(1, 3), 6)):
+        for n in range(3, top + 1):
+            for b in range(2, n):
+                for a in range(1, b):
+                    exps = family_exponents("contracted-o3", {"n": n, "alpha": a, "beta": b})
+                    del colons[:], scaled[:]
+                    rep = classify(coordinate_twin(exps, c, field))
+                    assert all(P is J and staircase_of_ideal(J) is None
+                               for P in scaled for J in colons), (exps, c)
+                    assert len(scaled) <= len(colons) <= 1
+                    assert len(scaled) == (rep.verdict in (Verdict.AG_CERTIFIED, Verdict.NOT_AG)
+                                           and staircase_of_ideal(colons[0]) is None)
+                    kernels += len(scaled)
+    assert kernels
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
@@ -1556,8 +1701,8 @@ def test_classify_builds_no_generators_of_a_product_with_m(case, monkeypatch):
     # every m*P classify caches is read through its staircase or its
     # reduced basis alone, so none has built its generators: the first read
     # after classify makes them, the corners' monomials or the basis's
-    # monic elements.  A monomial I's mu, minimal generators and table are
-    # read off corners, so its one product with m is the table's own mJ
+    # monic elements.  Every mu, minimal generator set and Nakayama test
+    # reads P/m*P off P itself, so the one product with m is the table's mJ
     from agrees import groebner
 
     colons = []
@@ -1588,11 +1733,8 @@ def test_classify_builds_no_generators_of_a_product_with_m(case, monkeypatch):
                     by_m.append(P)
                     factors.append(X)
                 todo.append(P)
-    if case == "flagship-twin":
-        assert len(by_m) >= 4
-    else:
-        (J,) = colons
-        assert len(factors) == 1 and factors[0] is J
+    (J,) = colons
+    assert len(factors) == 1 and factors[0] is J
     made = []
     real_monomial, real_monic = Polynomial.monomial, groebner._monic_polynomial
     with pytest.MonkeyPatch.context() as mp:

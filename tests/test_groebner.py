@@ -56,6 +56,8 @@ from agrees.poly import (
 
 from oracles import (
     exact_divide,
+    reference_class_forms,
+    reference_ideal_product,
     lattice_colength,
     lattice_intersection,
     lattice_member,
@@ -573,50 +575,62 @@ def test_reduce_row_on_a_monomial_basis_is_the_term_filter(gb, data):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
-def test_reduce_products_is_the_table_of_normal_forms(field):
-    """`reduce_products(left, right)` is `reduce` of each product u*w, entry
-    for entry, values and their types alike, modulo staircase bases and
-    Buchberger bases, on factors that are single terms with unit and
-    non-unit coefficients, sums of terms, or a mix of both; and
-    `product_rows(left, right)` is `reduce_row` of each product, row-major,
-    up to a positive scale, keyed by packed words on both kinds of basis.
-    The engine's corner read of a monomial table is
-    `tests/test_engine.py::test_counts_and_table_equal_the_m_p_route`'s."""
+def test_classes_are_the_normal_forms_modulo_m_p(field):
+    """`classes(P, left, right, exact=True)` names, for each product u*w
+    of u in P, an element of P whose normal form modulo a freshly built
+    m*P is the product's (`reference_class_forms`), in canonical field
+    values on columns that lead no relation; `classes` of the products
+    formed by `Polynomial.__mul__` is the same table, row-major, and
+    without `exact` each class is a positive multiple of the exact one.
+    On staircase and Buchberger bases of ideals of finite and infinite
+    colength, with factors that are single terms with unit and non-unit
+    coefficients, sums of terms, or a mix of both."""
     rng = random.Random(73)
-    pk = GREVLEX.packer(BASE_RING)
+
+    def factor(terms):
+        proper = field == QQ and rng.random() < 0.3
+        return Polynomial(BASE_RING, field, _random_terms(rng, field, 2, terms, 3, proper))
 
     def scaled(row):
-        out = {pk.pack(k) if isinstance(k, tuple) else k: v for k, v in row.items()}
+        out = dict(row)
+        field.clear(out)
         if out:
             field.normalize(out, max(out))
         return out
 
-    def factor(terms):
-        proper = field == QQ and rng.random() < 0.3
-        return Polynomial(BASE_RING, field, _random_terms(rng, field, 2, terms, 4, proper))
+    def canonical(c):
+        if field == QQ:
+            return type(c) is int or type(c) is Fraction and c.denominator != 1
+        return type(c) is int and 0 <= c < field.p
 
     kinds = {"staircase": 0, "buchberger": 0}
-    for _ in range(60):
+    for _ in range(40):
         shape = rng.choice(("terms", "sums", "mixed"))
         n_terms = {"terms": lambda: 1, "sums": lambda: rng.randint(2, 4),
                    "mixed": lambda: rng.choice((1, 1, 2, 3))}[shape]
-        left = [f for f in (factor(n_terms()) for _ in range(rng.randint(1, 3))) if not f.is_zero]
-        right = [f for f in (factor(n_terms()) for _ in range(rng.randint(1, 4))) if not f.is_zero]
         monomial = rng.random() < 0.5
-        gens = [factor(1 if monomial else rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
-        if not left or not right or all(g.is_zero for g in gens):
+        gens = [g for g in (factor(1 if monomial else rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 4))) if not g.is_zero]
+        if not gens:
             continue
-        gb = Ideal(gens).groebner_basis()
-        kinds["staircase" if gb._corners is not None else "buchberger"] += 1
-        got = gb.reduce_products(left, right)
-        want = [[gb.reduce((u * w).terms) for w in right] for u in left]
-        assert got == want, (gens, left, right)
-        assert [[[type(c) for c in e.values()] for e in row] for row in got] == \
-            [[[type(c) for c in e.values()] for e in row] for row in want]
-        rows = gb.product_rows(left, right)
-        assert all(type(k) is int for row in rows for k in row)
-        assert [scaled(r) for r in rows] == [scaled(gb.reduce_row((u * w).terms))
-                                            for u in left for w in right]
+        P = Ideal(gens)
+        left = [g * factor(n_terms()) for g in gens[:rng.randint(1, 3)]]
+        left = [u for u in left if not u.is_zero]
+        right = [f for f in (factor(n_terms()) for _ in range(rng.randint(1, 3))) if not f.is_zero]
+        if not left or not right:
+            continue
+        kinds["staircase" if P.groebner_basis()._corners is not None else "buchberger"] += 1
+        got = groebner.classes(P, left, right, exact=True)
+        table = [got[i * len(right):(i + 1) * len(right)] for i in range(len(left))]
+        mP = reference_ideal_product(maximal_ideal(BASE_RING, field), P).groebner_basis()
+        assert reference_class_forms(P, table) == [[mP.reduce((u * w).terms) for w in right]
+                                                   for u in left], (gens, left, right)
+        assert got == groebner.classes(P, [u * w for u in left for w in right], exact=True)
+        led = {lm for lm, _, _ in groebner._relations(P)[1]}
+        assert all(k not in led and canonical(c) for entry in got for k, c in entry.items())
+        rows = groebner.classes(P, left, right)
+        assert all(type(c) is int for row in rows for c in row.values())
+        assert [scaled(r) for r in rows] == [scaled(e) for e in got]
     assert all(kinds.values())
 
 

@@ -26,6 +26,8 @@ from agrees.poly import BASE_RING, Polynomial
 from agrees.rees import rees_defining_ideal
 from agrees.staircase import staircase_normalize
 
+from test_engine import assert_class_route
+
 FP = PrimeField(2147483647)
 FP2 = PrimeField(2147483629)
 
@@ -121,6 +123,17 @@ def test_a_non_linear_automorphism_keeps_the_verdict(exps, field):
     image = Ideal([X ** i * y ** j for i, j in exps])
     source = Ideal([Polynomial.monomial(BASE_RING, field, e) for e in exps])
     assert _invariants(image) == _invariants(source)
+
+
+@FEW
+@given(staircases(), st.sampled_from([QQ, FP]), st.randoms(use_true_random=False))
+def test_a_non_linear_image_reads_its_classes_as_a_fresh_m_p_does(exps, field, rng):
+    """On the x -> x + y^2 image, whose bases have relations among their
+    classes, mu, the minimal generators, ranks, the table's decisions and
+    the refuter's record of I, I^2, IJ and mJ equal the route through a
+    freshly built m*P (`test_engine.assert_class_route`)."""
+    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
+    assert_class_route(Ideal([(x + y * y) ** i * y ** j for i, j in exps]), rng)
 
 
 def _local_image(exps, field):

@@ -372,19 +372,18 @@ def test_count_path_reads_each_key_once(I, monkeypatch):
     ("x^3, x^2 y^3, x y^5, y^6", 0, []),
     (("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}), 0, []),  # a vertex split
     (("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}), 0, []),  # NOT_AG
-    (("twin", "x^3, x^2 y^3, x y^5, y^6"), 0,
-     ["agrees.engine._reduction_number", "agrees.rees._buchberger"]),
-    (("twin", "x^3, x^2 y^3, x y^5, y^6"), 7,
-     ["agrees.engine._reduction_number", "agrees.rees._buchberger"]),
+    (("twin", "x^3, x^2 y^3, x y^5, y^6"), 0, ["agrees.rees._buchberger"]),
+    (("twin", "x^3, x^2 y^3, x y^5, y^6"), 7, ["agrees.rees._buchberger"]),
 ], ids=["r0", "r1", "co3-6-2-3", "co3-6-3-5", "r1-twin", "r1-twin-seed7"])
 def test_presentation_after_classify_runs_only_its_elimination(I, seed, want, field,
                                                                 monkeypatch):
     # a monomial I's bound is read off lengths, mu(I), mu(I^2) off staircase
     # products and its kernel off its fibers: after classify(I) the
     # presentation makes no rank test and runs no Buchberger.  Its twin
-    # finds classify's Q again, at any seed, so its reduction test is a
-    # lookup with no Nakayama test (`_spans`), and it runs Buchberger once,
-    # on its own elimination
+    # reads the reduction classify kept on I, at any seed, so it searches
+    # none (no `find_reduction`, no `_reduction_number`, no Nakayama test
+    # `_spans`), and it runs
+    # Buchberger once, on its own elimination
     I = _case(I, field)
     engine.classify(I, engine.ClassifyConfig(seed=seed))
     calls = []
@@ -398,6 +397,7 @@ def test_presentation_after_classify_runs_only_its_elimination(I, seed, want, fi
 
         monkeypatch.setattr(module, name, record)
 
+    spy(engine, "find_reduction")
     spy(engine, "_reduction_number")
     spy(engine, "_spans")
     spy(groebner, "_buchberger")

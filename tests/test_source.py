@@ -311,19 +311,20 @@ def test_field_values_are_cleared_once_where_they_enter_the_kernels():
     nowhere else, so `_nf_dict`, `_buchberger` and `_echelon_reduce` read
     none.  A polynomial's terms enter through one pack-and-clear helper,
     `_packed`, which serves a Buchberger run's inputs (`_inputs`),
-    `GroebnerBasis.reduce`, `reduce_row` and the product kernel's factors
-    (`_products`, `ideal_product`); the others are `reduce_row`'s term
-    filter, `_walk`'s exact forms, `_colon`'s augmented row, `_sum`'s forms
-    and `engine._rank`'s copies.  With that one contract `_walk` has no
-    `integral` flag and `GroebnerBasis.reduce` has one body, reading no
+    `GroebnerBasis.reduce`, `reduce_row`, `classes` and the product
+    kernel's factors (`_products`, `ideal_product`); the others are
+    `reduce_row`'s term filter, an exact class's division by the relations
+    (`classes`), `_walk`'s exact forms, `_colon`'s augmented row, `_sum`'s
+    forms and `engine._rank`'s copies.  With that one contract `_walk` has
+    no `integral` flag and `GroebnerBasis.reduce` has one body, reading no
     term filter (`_corners`)."""
     assert _readers_of("clear") == Counter({
         ("groebner", "_packed"): 1, ("groebner", "GroebnerBasis.reduce_row"): 1,
-        ("groebner", "_walk"): 1, ("groebner", "_colon"): 1, ("groebner", "_sum"): 1,
-        ("engine", "_rank"): 1})
+        ("groebner", "classes"): 1, ("groebner", "_walk"): 1, ("groebner", "_colon"): 1,
+        ("groebner", "_sum"): 1, ("engine", "_rank"): 1})
     assert _named_in("_packed") == {
         ("groebner", "_inputs"), ("groebner", "GroebnerBasis"), ("groebner", "_products"),
-        ("groebner", "ideal_product")}
+        ("groebner", "ideal_product"), ("groebner", "classes")}
     assert list(inspect.signature(groebner._walk).parameters) == ["top", "gens", "D"]
     assert not _readers_of("_corners")[("groebner", "GroebnerBasis.reduce")]
 
@@ -336,24 +337,31 @@ def _engine_definitions() -> dict:
 
 
 def test_engine_reads_exact_normal_forms_only_in_the_refuter():
-    """A rank or a zero test reads a normal form only up to scale, so it
-    takes `GroebnerBasis.reduce_row`, or `product_rows` for products, and a
-    kernel divides by a basis's entries itself (the colon's walk among
-    them); `reduce`, which makes the exact field values on exponent tuples,
-    is read in the whole library only by `groebner.normal_form`, and the
-    table of generator products whose entries the certificate and the
-    refuter combine linearly, `GroebnerBasis.reduce_products`, is read in
-    `engine` only by `_product_tables`; the product rows only by the one
-    Nakayama test, `_spans`."""
+    """A rank reads a class in P/m*P only up to scale, and a kernel divides
+    by a basis's entries itself (the colon's walk among them); `reduce`,
+    which makes the exact field values on exponent tuples, is read in the
+    whole library only by `groebner.normal_form`.  The classes are read in
+    `engine` only by the one Nakayama test, `_spans`, and by the table of
+    generator products whose entries the certificate and the refuter
+    combine linearly, `_product_tables`, the one reader that asks for exact
+    values (`exact=True`); in `groebner` only by the prune `independent`.
+    No m*P basis serves a normal form: `GroebnerBasis` has no
+    `reduce_products` and no `product_rows`."""
     assert set(_readers_of("reduce")) == {("groebner", "normal_form")}
-    assert set(_readers_of("reduce_products")) == {("engine", "_product_tables")}
-    assert set(_readers_of("product_rows")) == {("engine", "_spans")}
+    assert _named_in("classes") == {("engine", "_spans"), ("engine", "_product_tables"),
+                                    ("groebner", "independent")}
+    exact = {(path.stem, top.name) for path in SOURCES
+             for top in ast.parse(path.read_text(), filename=str(path)).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.keyword) and node.arg == "exact"}
+    assert exact == {("engine", "_product_tables")}
+    assert not any(hasattr(GroebnerBasis, name) for name in ("reduce_products", "product_rows"))
 
 
 def test_table_reads_corners_only_in_product_tables():
-    """`GroebnerBasis.reduce_products` forms and reduces every product: the
-    term filter (`_corners`) is read only where a staircase basis is made
-    and by `reduce_row`.  The table's corner read, a membership test of a
+    """The term filter (`_corners`) is read only where a staircase basis is
+    made and by `reduce_row`; `groebner.classes` filters a monomial P's
+    terms by its corners' packed words.  The table's corner read, a membership test of a
     product's exponent in the set of a staircase's corners
     (`set(stair.gens)`), lives only in `engine._product_tables`."""
     assert set(_readers_of("_corners")) == {
