@@ -441,12 +441,12 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
     """Check both witness equalities in the local ring k[x,y]_(x,y).
 
     With f in m, g in I and h in J (by normal form), gJ + Ih = IJ holds
-    locally iff gJ + Ih + m*IJ = IJ (Nakayama), a `_sum_equals` in IJ;
-    likewise mJ = fJ + mh in mJ.  This is `validate_report`'s check of a
-    reported triple: it forms the products g*w, a*h, f*w and v*h over the
-    generators of I and J as polynomials, a route independent of the table
-    `certificate_search` decides on (`_witness_on_table`), which it equals.
-    """
+    locally iff gJ + Ih + m*IJ = IJ (Nakayama), a quotient killed by m, so
+    local and global agree: a `_sum_equals` in IJ; likewise mJ = fJ + mh.
+    This is `validate_report`'s check of a reported triple: it forms the
+    products g*w, a*h, f*w and v*h over the generators of I and J as
+    polynomials, a route independent of the table `certificate_search`
+    decides on (`_witness_on_table`), which it equals."""
     m = maximal_ideal(I.ring, I.field)
     if not (_contains_all(m, [f]) and _contains_all(I, [g]) and _contains_all(J, [h])):
         return False
