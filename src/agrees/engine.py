@@ -263,19 +263,6 @@ def _reduction_number(I: Ideal, Q: Ideal, cap: int | None) -> int | None:
     return None
 
 
-def _stable_reduction_number(I: Ideal, stair: Staircase) -> int | None:
-    """r_Q(I) for a monomial m-primary I and its Newton pair Q when r <= 1,
-    else None, by lengths alone (see `find_reduction`): 0 iff
-    colength(I) = e(I), 1 iff colength(I^2) = e(I) + 2*colength(I), with
-    I^2 from `_mul`'s cache."""
-    e, ell = newton_multiplicity(stair), colength(I)
-    if ell == e:
-        return 0
-    if colength(_power(I, 2)) == e + 2 * ell:
-        return 1
-    return None
-
-
 def find_reduction(I: Ideal) -> ReductionData:
     """Find a two-generated reduction Q of I in k[x,y]_(x,y) and its
     reduction number.
@@ -284,17 +271,15 @@ def find_reduction(I: Ideal) -> ReductionData:
     dominate the Newton polygon, else the even/odd split of the polygon's
     vertices.  On every edge of the polygon each member of the split has a
     single term, so the pair is Newton non-degenerate and hence a reduction.
-    Its reduction number up to 1 is read off colengths
-    (`_stable_reduction_number`):
-    1. Q is a minimal reduction, so l(R/Q) = e(I), twice the area under the
-       Newton polygon (Kouchnirenko 1976; `newton_multiplicity`); hence
-       I = Q iff l(R/I) = e(I).
-    2. Q is a parameter ideal, so Q/QI = (R/I)^2 and
-       l(R/QI) = e(I) + 2 l(R/I).
-    3. QI lies in I^2, so I^2 = QI iff l(R/I^2) = e(I) + 2 l(R/I)
+    Whether I^2 = QI is read off colengths, and kept on I (`Ideal._stable`):
+    1. Q is a parameter ideal, so Q/QI = (R/I)^2 and
+       l(R/QI) = e(I) + 2 l(R/I), with e(I) = l(R/Q) twice the area under
+       the Newton polygon (Kouchnirenko 1976; `newton_multiplicity`).
+    2. QI lies in I^2, so I^2 = QI iff l(R/I^2) = e(I) + 2 l(R/I)
        (Huneke 1987, Ooishi 1987).
-    Only when both fail (r >= 2) is r searched, from r = 2 and with no cap,
-    by `_reduction_number`, which reads the lengths' answer left on I.
+    r is then `_reduction_number`'s, which reads that answer back: on a
+    stable pair r = 0 iff mu(I) <= 2, that is iff I = Q, iff l(R/I) = e(I);
+    otherwise r is searched from r = 2 with no cap.
 
     Other ideals try `_REDUCTION_PAIRS` fixed pairs, each decided by that
     rank test: with b_0, b_1, ... I's reduced grevlex basis by descending
@@ -310,8 +295,9 @@ def find_reduction(I: Ideal) -> ReductionData:
     (`_stable`, which keeps the answer on I) before any is tested from
     r = 2 up to `_REDUCTION_CAP`, so a pair with r <= 1 is found before
     any pair builds I^3 and beyond.  The zero ideal raises ZeroIdeal.  The
-    reduction found is kept on I (`Ideal._reduction`) for
-    `rees._relation_type_bound`.
+    outcome, the reduction found or the NoReductionFound raised, is kept on
+    I (`Ideal._reduction`), so `rees._relation_type_bound` after `classify`
+    searches no more.
     """
     ring, fld = I.ring, I.field
     stair = staircase_of_ideal(I)
@@ -323,11 +309,10 @@ def find_reduction(I: Ideal) -> ReductionData:
             pts = hull_vertices(stair.gens)
         monos = [Polynomial.monomial(ring, fld, e) for e in pts]
         Q = Ideal([sum(monos[2::2], monos[0]), sum(monos[3::2], monos[1])])
-        r = _stable_reduction_number(I, stair)
-        I._stable[Q.generators] = r is not None
-        if r is None:
-            r = _reduction_number(I, Q, None)
-        I._reduction = ReductionData(Q=Q.generators, reduction_number=r)
+        I._stable[Q.generators] = (
+            colength(_power(I, 2)) == newton_multiplicity(stair) + 2 * colength(I))
+        I._reduction = ReductionData(Q=Q.generators,
+                                     reduction_number=_reduction_number(I, Q, None))
         return I._reduction
 
     basis = I.groebner_basis().elements
@@ -343,7 +328,9 @@ def find_reduction(I: Ideal) -> ReductionData:
             if r is not None:
                 I._reduction = ReductionData(Q=Q.generators, reduction_number=r)
                 return I._reduction
-    raise NoReductionFound(f"no reduction with r <= {_REDUCTION_CAP} among {len(pairs)} pairs")
+    I._reduction = NoReductionFound(
+        f"no reduction with r <= {_REDUCTION_CAP} among {len(pairs)} pairs")
+    raise I._reduction
 
 
 def is_stable(I: Ideal, Q: Ideal) -> bool:
@@ -426,14 +413,9 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: Sequence[Polyn
 
 
 def _span(coeffs: list, gens: list[Polynomial]) -> Polynomial:
-    """sum_j c_j * g_j, summed into one term dict."""
+    """sum_j c_j * g_j: `_combine` over the generators' terms."""
     fld = gens[0].field
-    add, mul, zero = fld.add, fld.mul, fld.zero
-    terms: dict = {}
-    for c, p in zip(coeffs, gens):
-        for e, v in p.terms.items():
-            terms[e] = add(terms.get(e, zero), mul(v, c))
-    return Polynomial(gens[0].ring, fld, terms)
+    return Polynomial(gens[0].ring, fld, _combine([g.terms for g in gens], coeffs, fld))
 
 
 def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,

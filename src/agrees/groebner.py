@@ -47,9 +47,8 @@ integer row: `field.clear` writes field values as a unit times integers
 1; over fp a residue is already an integer), and it runs once at each place
 where field values enter: `_packed`, which serves a Buchberger run's
 inputs, `reduce`, `reduce_row`, `classes` and the product kernel's
-factors; `reduce_row`'s term filter, an exact class's division by the
-relations, `_walk`'s forms, `_colon`'s augmented rows, `_sum`'s forms and
-`engine._rank`'s copies.
+factors; an exact class's division by the relations, `_walk`'s forms,
+`_colon`'s augmented rows, `_sum`'s forms and `engine._rank`'s copies.
 `field.cross(c, b)` gives multipliers (a, s) with a*c = s*b, and
 `field.normalize` keeps every stored row primitive (over q: content 1, lead
 positive) or monic (over fp, where a is therefore always 1).  Every kernel
@@ -86,12 +85,15 @@ lattice module that knows no ideals).  This module is the one bridge
 between the two: `staircase_of_ideal` reads an ideal's staircase once and
 caches it on the ideal, and `ideal_of_staircase` builds the ideal of a
 staircase with it cached.  A monomial ideal's `colength`, order and
-reduced basis are read off its staircase, and its basis's `reduce_row` is
-a term filter in place of `_nf_dict`, as `classes` is; `reduce` runs
-`_nf_dict` on every basis.  Its minimal generators are its corners'
-monomials (`minimal_generators`), and the engine reads its table of
-generator products off the corners of each product
-(`engine._product_tables`).  Every other ideal, the zero ideal and
+reduced basis are read off its staircase, with no run: the basis's
+entries are the corners' packed words, made with the basis.  The kernels
+then read that basis as any other: `_nf_dict` on one-term entries keeps
+exactly the terms no corner divides, a monomial P's consecutive S-pairs
+are zero, so `_relations` finds none, and `classes` reads p's
+coefficients at the corners off `_nf_dict`'s steps.  Its minimal
+generators are its corners' monomials (`minimal_generators`), and the
+engine reads its table of generator products off the corners of each
+product (`engine._product_tables`).  Every other ideal, the zero ideal and
 monomial ideals in more variables included, goes through Buchberger.
 
 A polynomial is built only where one is read.  A derived ideal, the ideal
@@ -101,13 +103,11 @@ source on their first read (`Ideal._derived`): the corners' monomials in
 product rows, the tuples the eager build made; most products are read only
 through their staircase or their basis.  A finished ideal carries the
 staircase its generators would give, the leads' when every element is one
-term.  A staircase basis packs its corners into `entries` only when a
-kernel reads them, as the term filter reads the corners themselves.
+term.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 from typing import Sequence
@@ -527,39 +527,23 @@ class GroebnerBasis:
     `leading_exponents` unpacks the leads on each call.
 
     A monomial ideal's basis in k[x,y] is made from its staircase `stair`
-    alone, with no run: `_corners` is the staircase, the x-exponents
-    ascending and their y-exponents, which `reduce_row` filters terms by
-    (None for every other basis), and its entries, the corners' packed
-    words sorted as they compare, are packed on their first read.  So a
-    basis keeps two write-once caches beside its entries: the elements and
-    the staircase.
+    alone, with no run: its entries are the corners' packed words, one
+    term each, sorted by descending word, and `stair` is kept as its
+    staircase.  So a basis keeps two write-once caches beside its
+    entries: the elements and the staircase.
     """
 
-    __slots__ = ("ring", "field", "_entries", "_pk", "_elements", "_corners", "_stair")
+    __slots__ = ("ring", "field", "entries", "_pk", "_elements", "_stair")
 
     def __init__(self, ring: Ring, field, entries: list | None = None, stair=None):
         self.ring = ring
         self.field = field
         self._pk = GREVLEX.packer(ring)
         self._elements = None
-        self._corners = None
         self._stair = stair
-        self._entries = entries
         if stair is not None:
-            # an antichain: x-exponents distinct, y-exponents falling
-            corners = stair.gens[::-1]
-            self._corners = ([a for a, _ in corners], [b for _, b in corners])
-
-    @property
-    def entries(self) -> list:
-        """The kernels' entries; a staircase basis packs its corners on the
-        first read, as only the term filter reads most of them."""
-        entries = self._entries
-        if entries is None:
-            pack = self._pk.pack
-            entries = self._entries = [(w, 1, {w: 1}) for w in
-                                       sorted(map(pack, self._stair.gens), reverse=True)]
-        return entries
+            entries = [(w, 1, {w: 1}) for w in sorted(map(self._pk.pack, stair.gens), reverse=True)]
+        self.entries = entries
 
     @property
     def elements(self) -> tuple[Polynomial, ...]:
@@ -589,19 +573,8 @@ class GroebnerBasis:
         """A positive multiple of the normal form of a term dict, as an
         integer row, for a caller that reads only its span or whether it is
         zero: a rank, a membership test.  The terms are cleared once
-        (`field.clear`), and no field value is made.  Modulo a staircase
-        basis it is the term filter, keyed by exponent tuples: a term stays
-        exactly when no corner divides it, and the corner with the largest
-        x-exponent <= a has the smallest y-exponent among those, so one
-        bisection decides (a, b).  Modulo any other basis it is `_nf_dict`'s
-        integer row, keyed by packed words, none of them unpacked."""
-        corners = self._corners
-        if corners is not None:
-            xs, ys = corners
-            kept = {m: c for m, c in terms.items()
-                    if not (i := bisect_right(xs, m[0])) or ys[i - 1] > m[1]}
-            self.field.clear(kept)
-            return kept
+        (`_packed`), and no field value is made: `_nf_dict`'s integer row,
+        keyed by packed words, none of them unpacked."""
         pk = self._pk
         # looked up on the module, so a wrapper bound there sees this call too
         return _nf_dict(_packed(terms, pk.pack, self.field)[1], self.entries, pk.guard,
@@ -632,7 +605,8 @@ class Ideal:
     factor), `engine.is_stable`'s I^2 = QI by Q's generators (`_stable`),
     the minimal generators (`minimal_generators`), the relations of
     I/m*I (`_relations`), whether V(I) is the origin (`is_origin_primary`)
-    and the reduction `engine.find_reduction` found (`_reduction`).
+    and what `engine.find_reduction` found, a reduction or the
+    NoReductionFound it raised (`_reduction`).
 
     An input ideal, `Ideal(gens)`, holds its generators.  A derived ideal
     (`_derived`) holds the function that builds them from its source, the
@@ -807,21 +781,19 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I and J meet via one auxiliary variable: (u I + (1-u) J) with u eliminated."""
+    """I and J meet via one auxiliary variable: (u I + (1-u) J) with u
+    eliminated, each input the term dict of u*f or (1-u)*g, the terms of f
+    or g shifted by u, and g's also as they are."""
     if I.ring != J.ring or I.field != J.field:
         raise RingMismatch("ideals live in different rings or fields")
     ring, field = I.ring, I.field
     aux = Ring(("u",) + ring.vars)
-    u = Polynomial.variable(aux, field, "u")
-    one_minus_u = Polynomial.one(aux, field) - u
-
-    def lift(p: Polynomial) -> Polynomial:
-        return Polynomial(aux, field, {(0,) + e: c for e, c in p.terms.items()})
-
-    gens = [u * lift(f) for f in I.generators] + [one_minus_u * lift(g) for g in J.generators]
+    gens = [{(1,) + e: c for e, c in f.terms.items()} for f in I.generators] + [
+        {**{(0,) + e: c for e, c in g.terms.items()},
+         **{(1,) + e: field.neg(c) for e, c in g.terms.items()}} for g in J.generators]
     order = BlockElimination(front=("u",))
     pk = order.packer(aux)
-    basis = _buchberger(_inputs([g.terms for g in gens], pk.pack, field), pk, field)
+    basis = _buchberger(_inputs(gens, pk.pack, field), pk, field)
     trimmed = _front_free_elements(aux, field, order, basis, ring)
     if not trimmed:
         trimmed = [Polynomial.zero(ring, field)]
@@ -964,7 +936,8 @@ def _relations(P: Ideal) -> tuple[dict, list]:
     (a_(k+1), b_k), generate G's syzygies (Schreyer 1980; Cox-Little-O'Shea,
     Using Algebraic Geometry, Ch. 5 Thm 3.3), and as a pair's own
     multipliers are not constant, its lift's value at the origin is minus
-    its S-polynomial's class.  A monomial P's corners have no relation."""
+    its S-polynomial's class.  A monomial P's S-pairs are zero, so its
+    corners have no relation."""
     rel = P._relations
     if rel is None:
         gb = P.groebner_basis()
@@ -972,8 +945,7 @@ def _relations(P: Ideal) -> tuple[dict, list]:
         unpack = pk.unpack
         cols = {e[0]: k for k, e in enumerate(
             sorted(entries, key=lambda e: (sum(unpack(min(e[2]))), e[0])))}
-        monomial = staircase_of_ideal(P) is not None
-        corners = [] if monomial else sorted(zip(gb.leading_exponents(), entries))
+        corners = sorted(zip(gb.leading_exponents(), entries))
         rows: dict = {}
         for ((_, b), f), ((a, _), g) in zip(corners, corners[1:]):
             _echelon_reduce(_nf_dict(_spoly(f, g, pk.pack((a, b)), field), entries, pk.guard,
@@ -988,10 +960,10 @@ def classes(P: Ideal, left: Sequence[Polynomial], right: Sequence[Polynomial] | 
     of k[x,y], or, given `right`, of the products u*w, row-major, formed on
     packed words (`_products`): vectors on the columns of `_relations(P)`
     that lead no relation, each a positive multiple of the class, or the
-    class in field values when `exact`.  For a monomial P it is the term
-    filter, p's coefficients at the corners, the monomials of P outside
-    m*P; otherwise `_nf_dict`'s class divided by the relations, whose
-    columns are ints, so with guard -1 "lm divides" means "lm equals"."""
+    class in field values when `exact`: `_nf_dict`'s class divided by the
+    relations, whose columns are ints, so with guard -1 "lm divides" means
+    "lm equals".  A monomial P has no relation, and its class of p is p's
+    coefficients at the corners, the monomials of P outside m*P."""
     gb = P.groebner_basis()
     field, pk = gb.field, gb._pk
     cols, rels = _relations(P)
@@ -999,18 +971,13 @@ def classes(P: Ideal, left: Sequence[Polynomial], right: Sequence[Polynomial] | 
         rows = [_packed(p.terms, pk.pack, field) for p in left]
     else:
         rows = [entry for line in _products(left, right, pk.pack, field) for entry in line]
-    monomial = staircase_of_ideal(P) is not None
     out = []
     for unit, row in rows:
         unit = unit if exact else None
-        if monomial:
-            c = {cols[w]: v if unit is None else field.mul(unit, v)
-                 for w, v in row.items() if w in cols}
-        else:
-            # looked up on the module, so a wrapper bound there sees these calls too
-            c = _nf_dict(row, gb.entries, pk.guard, field, unit, cols)
-            if rels:  # clear(c) makes c its integer row in place and returns its unit
-                c = _nf_dict(c, rels, -1, field, None if unit is None else field.clear(c))
+        # looked up on the module, so a wrapper bound there sees these calls too
+        c = _nf_dict(row, gb.entries, pk.guard, field, unit, cols)
+        if rels:  # clear(c) makes c its integer row in place and returns its unit
+            c = _nf_dict(c, rels, -1, field, None if unit is None else field.clear(c))
         out.append(c)
     return out
 

@@ -121,14 +121,18 @@ def _relation_type_bound(I: Ideal) -> int | None:
     which speaks for all of V(I) only when V(I) is the origin.  Which
     reduction is found only decides whether the bound is used; it is
     classify's, a function of I, read back where classify kept it
-    (`Ideal._reduction`), and so is classify's answer on the origin
-    (`is_origin_primary`); with neither on I they are found here."""
+    (`Ideal._reduction`), a failed search's NoReductionFound included, and
+    so is classify's answer on the origin (`is_origin_primary`); with
+    neither on I they are found here."""
     if not is_origin_primary(I):
         return None
     try:
-        r = (I._reduction or engine.find_reduction(I)).reduction_number
+        found = I._reduction or engine.find_reduction(I)
     except NoReductionFound:
         return None
+    if isinstance(found, NoReductionFound):  # classify's search failed
+        return None
+    r = found.reduction_number
     return r + 1 if r <= 1 else None
 
 
@@ -145,17 +149,18 @@ def _minimal_by_count(t_degrees: list[int], s: int, bound: int, I: Ideal) -> boo
 
 def _t_free_kernel(gens: list[Polynomial], field, max_weight: int | None) -> list[Polynomial]:
     """The t-free elements of the elimination basis of (T_i - f_i t), in the
-    presentation ring, bounded by `max_weight` as in `_buchberger`."""
+    presentation ring, bounded by `max_weight` as in `_buchberger`.  Each
+    input is a term dict: T_i, and f_i's terms shifted by t and negated."""
     s = len(gens)
-    big = rees_ring(s)
-    t = Polynomial.variable(big, field, "t")
-    kernel_gens = [Polynomial.variable(big, field, f"T{i}") - _lift(g, big) * t
-                   for i, g in enumerate(gens, start=1)]
+    big = rees_ring(s)  # x, y, t, T_1..T_s
+    t = (1,) + (0,) * s
+    kernel_gens = [{(0, 0, 0) + tuple(int(k == i) for k in range(s)): field.one,
+                    **{e + t: field.neg(c) for e, c in g.terms.items()}}
+                   for i, g in enumerate(gens)]
 
     order = BlockElimination(front=("t",))
     pk = order.packer(big)
-    basis = _buchberger(_inputs([g.terms for g in kernel_gens], pk.pack, field), pk, field,
-                        max_weight=max_weight)
+    basis = _buchberger(_inputs(kernel_gens, pk.pack, field), pk, field, max_weight=max_weight)
     return _front_free_elements(big, field, order, basis, presentation_ring(s))
 
 

@@ -255,8 +255,9 @@ def _newton_pair(I):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_lengths_decide_r_as_the_rank_test(field, seed):
     # the length identity's r <= 1 answer is the rank test's, on pure-power
-    # pairs and vertex splits alike; e(I) is the colength of Q's origin
-    # component Q + m^e (m^k with k < e can undercount it)
+    # pairs and vertex splits alike, and its r = 0 is l(R/I) = e(I); e(I)
+    # is the colength of Q's origin component Q + m^e (m^k with k < e can
+    # undercount it)
     from agrees.repro import random_staircase
     from agrees.staircase import newton_multiplicity
 
@@ -265,11 +266,13 @@ def test_lengths_decide_r_as_the_rank_test(field, seed):
         S = random_staircase(rng, 6, 4)
         I = ideal_of_staircase(S, BASE_RING, field)
         Q, _ = _newton_pair(I)
-        # the rank side runs on a fresh ideal: find_reduction left the
-        # lengths' answer on I, which `_reduction_number` would read back
+        # find_reduction left the lengths' answer on I; the rank side runs
+        # on a fresh ideal, which holds none
+        lengths = I._reduction.reduction_number if I._stable[Q.generators] else None
         fresh = ideal_of_staircase(S, BASE_RING, field)
-        assert engine._stable_reduction_number(I, S) == engine._reduction_number(fresh, Q, 1), S
+        assert lengths == engine._reduction_number(fresh, Q, 1), S
         e = newton_multiplicity(S)
+        assert (lengths == 0) == (colength(I) == e), S
         m_e = [Polynomial.monomial(BASE_RING, field, (i, e - i)) for i in range(e + 1)]
         assert e == colength(Ideal(list(Q.generators) + m_e)), S
 
@@ -280,22 +283,18 @@ def test_lengths_decide_r_as_the_rank_test(field, seed):
     ("x^4, x^3 y, y^4", 3, True),
 ])
 def test_lengths_pin_r(text, r, pure, monkeypatch):
-    # r = 0 and r = 1 come from lengths alone; r >= 2 still from the rank loop
+    # r = 0 and r = 1 come from lengths and mu(I) with no rank test; r >= 2
+    # still from the rank loop
     I = ideal(text) if isinstance(text, str) else make_family(*text)
     Q, monomial = _newton_pair(I)
     assert monomial is pure
-    calls = []
-    real = engine._reduction_number
-
-    def record(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(engine, "_reduction_number", record)
+    ranks = []
+    real = engine._rank
+    monkeypatch.setattr(engine, "_rank", lambda *args: ranks.append(1) or real(*args))
     assert find_reduction(I).reduction_number == r
-    assert calls == ([] if r <= 1 else [None])
+    assert bool(ranks) is (r > 1)
     # on a fresh ideal, which holds no answer find_reduction left on I
-    assert real(Ideal(list(I.generators)), Q, None) == r
+    assert engine._reduction_number(Ideal(list(I.generators)), Q, None) == r
 
 
 def _twin_of(p, field):
@@ -355,15 +354,27 @@ def test_rank_loop_starts_past_the_lengths(monkeypatch):
 
 
 def test_classify_of_a_stable_monomial_ideal_runs_no_rank_test(monkeypatch):
-    calls = []
-    real = engine._reduction_number
-    monkeypatch.setattr(engine, "_reduction_number",
-                        lambda *args: calls.append(args) or real(*args))
+    # a stable monomial I's reduction number is read off lengths and mu(I):
+    # the only ranks classify takes are the certificate's, outside
+    # find_reduction
+    searching, ranks = [], []
+    real_find, real_rank = engine.find_reduction, engine._rank
+
+    def find(I):
+        searching.append(I)
+        try:
+            return real_find(I)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(engine, "find_reduction", find)
+    monkeypatch.setattr(engine, "_rank",
+                        lambda *args: ranks.append(bool(searching)) or real_rank(*args))
     for text in ("x^3, x^2 y^3, x y^5, y^6", "x^3, y^6"):
         assert classify(ideal(text)).reduction.stable
     rep = classify(make_family("contracted-o3", {"n": 6, "alpha": 2, "beta": 3}, field=FP))
     assert rep.verdict is Verdict.AG_CERTIFIED
-    assert calls == []
+    assert ranks and not any(ranks)
 
 
 # the x -> x+2y twins of remark43 and the refuter numbers (min_sum, threshold)

@@ -519,9 +519,10 @@ def test_reduce_row_is_a_positive_multiple_of_the_normal_form(field):
                     for _ in range(rng.randint(1, 3))]
             if all(g.is_zero for g in gens):
                 continue
-            gb = Ideal(gens).groebner_basis()
-            if gb._corners is not None:
-                continue  # a monomial basis: the next test's
+            I = Ideal(gens)
+            gb = I.groebner_basis()
+            if staircase_of_ideal(I) is not None:
+                continue  # a staircase's basis: the next test's
             polys = [_random_terms(rng, field, 2, rng.randint(1, 8), 6, proper)
                      for _ in range(rng.randint(1, 4))]
             total = dict(polys[0])
@@ -549,29 +550,29 @@ def test_reduce_row_is_a_positive_multiple_of_the_normal_form(field):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(monomial_bases(), st.data())
 def test_reduce_row_on_a_monomial_basis_is_the_term_filter(gb, data):
-    """Modulo a basis of monomials in k[x,y], `reduce_row` is an integer
-    row on the terms `reduce` keeps, a positive multiple of `reduce`'s
-    values.  On a staircase's basis it is the term filter, keyed by
-    exponent tuples, and equals `_nf_dict`'s integer row of the cleared
-    terms on the same entries."""
+    """Modulo a basis of monomials in k[x,y], a staircase's or a Buchberger
+    run's, `reduce_row` is `_nf_dict`'s integer row keyed by packed words,
+    and it is the term filter: it keeps exactly the terms that no corner
+    divides, each with its value in the cleared terms, a positive
+    multiple of `reduce`'s values."""
     field = gb.field
     packed = _Packed(GREVLEX, gb.ring)
     terms = data.draw(field_terms(gb.ring, field))
-    want = gb.reduce(dict(terms))
+    cleared = dict(terms)
+    field.clear(cleared)
     got = gb.reduce_row(dict(terms))
-    if gb._corners is None:
-        got = packed.terms(got)  # a Buchberger run's basis: `_nf_dict`'s packed row
+    assert all(type(w) is int and type(c) is int for w, c in got.items())
+    got = packed.terms(got)
+    corners = gb.leading_exponents()
+    assert got == {m: c for m, c in cleared.items()
+                   if not any(reference_mono_divides(lm, m) for lm in corners)}
+    want = gb.reduce(dict(terms))
     assert got.keys() == want.keys()
-    assert all(type(c) is int for c in got.values())
     if got:
         first = next(iter(got))
         lam = field.div(got[first], want[first])
         assert all(field.from_int(c) == field.mul(lam, want[m]) for m, c in got.items())
         assert field != QQ or lam > 0
-    if gb._corners is not None:
-        cleared = dict(terms)
-        field.clear(cleared)
-        assert got == packed.nf(cleared, gb.entries, field, integral=True)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
@@ -619,7 +620,7 @@ def test_classes_are_the_normal_forms_modulo_m_p(field):
         right = [f for f in (factor(n_terms()) for _ in range(rng.randint(1, 3))) if not f.is_zero]
         if not left or not right:
             continue
-        kinds["staircase" if P.groebner_basis()._corners is not None else "buchberger"] += 1
+        kinds["staircase" if staircase_of_ideal(P) is not None else "buchberger"] += 1
         got = groebner.classes(P, left, right, exact=True)
         table = [got[i * len(right):(i + 1) * len(right)] for i in range(len(left))]
         mP = reference_ideal_product(maximal_ideal(BASE_RING, field), P).groebner_basis()
@@ -811,6 +812,29 @@ def test_intersection_examples():
 
     I = ideal("x^2 - y^2, x^3")
     assert ideal_equal(ideal_intersection(I, I), I)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
+def test_intersection_forms_no_polynomial_product(field, monkeypatch):
+    # u*f and (1 - u)*g enter the elimination as term dicts, shifted copies
+    # of one generator's terms, so no Polynomial.__mul__ runs; the meet of
+    # two x -> x + 2y twins is the twin of the lattice oracle's meet, as the
+    # change of coordinates is an automorphism
+    from agrees.families import coordinate_twin
+    from agrees.repro import random_staircase
+
+    rng = random.Random(83)
+    formed = []
+    real = Polynomial.__mul__
+    for _ in range(6):
+        A, B = random_staircase(rng, 4, 2).gens, random_staircase(rng, 4, 2).gens
+        twins = coordinate_twin(A, 2, field), coordinate_twin(B, 2, field)
+        with monkeypatch.context() as m:
+            m.setattr(Polynomial, "__mul__", lambda *args: formed.append(1) or real(*args))
+            m.setattr(Polynomial, "__rmul__", lambda *args: formed.append(1) or real(*args))
+            got = ideal_intersection(*twins)
+        assert ideal_equal(got, coordinate_twin(lattice_intersection(A, B), 2, field)), (A, B)
+    assert formed == []
 
 
 def test_colon_examples():

@@ -175,6 +175,24 @@ def test_mixed_presentation_matches_sympy_elimination(texts):
     assert not sympy_same_ideal(mine[1:], oracle, names)
 
 
+def test_twin_presentation_forms_no_polynomial_product(monkeypatch):
+    # the elimination's inputs T_i - f_i*t are term dicts, f_i's terms
+    # shifted by t, so a twin's presentation runs no Polynomial.__mul__,
+    # and it is still sympy's t-free kernel
+    texts = ["x^2 + 4*x*y + 4*y^2 + y^3", "y^4", "x*y^2 + 2*y^3"]
+    I = ideal(", ".join(texts))
+    formed = []
+    real = Polynomial.__mul__
+    with monkeypatch.context() as m:
+        m.setattr(Polynomial, "__mul__", lambda *args: formed.append(1) or real(*args))
+        m.setattr(Polynomial, "__rmul__", lambda *args: formed.append(1) or real(*args))
+        pres = rees_defining_ideal(I)
+    assert formed == []
+    oracle, names = sympy_elimination(texts)
+    assert sympy_same_ideal([to_sympy(g, names) for g in pres.defining_gens], oracle, names)
+    assert substitution_check(I, pres)
+
+
 # -- the T-degree bound -------------------------------------------------------------
 
 def _unbounded(I, monkeypatch):
@@ -406,6 +424,23 @@ def test_presentation_after_classify_runs_only_its_elimination(I, seed, want, fi
     pres = rees_defining_ideal(I)
     assert calls == want
     assert substitution_check(I, pres)
+
+
+def test_presentation_after_a_failed_search_searches_no_more(monkeypatch):
+    # the fp x -> x + 2y twin of x^10, x^3 y^7, y^10 has no reduction with
+    # r <= 4 among the fixed pairs: classify keeps the NoReductionFound on
+    # I, so the presentation reads it back and makes no rank test of its
+    # own, and it is the presentation of a fresh copy, which searches
+    exps = [(10, 0), (3, 7), (0, 10)]
+    I = coordinate_twin(exps, 2, FP)
+    assert engine.classify(I).verdict is engine.Verdict.UNKNOWN
+    calls = []
+    real = engine._reduction_number
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_reduction_number", lambda *args: calls.append(args) or real(*args))
+        pres = rees_defining_ideal(I)
+    assert calls == []
+    assert pres == rees_defining_ideal(coordinate_twin(exps, 2, FP))
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])

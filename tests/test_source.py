@@ -312,21 +312,34 @@ def test_field_values_are_cleared_once_where_they_enter_the_kernels():
     none.  A polynomial's terms enter through one pack-and-clear helper,
     `_packed`, which serves a Buchberger run's inputs (`_inputs`),
     `GroebnerBasis.reduce`, `reduce_row`, `classes` and the product
-    kernel's factors (`_products`, `ideal_product`); the others are
-    `reduce_row`'s term filter, an exact class's division by the relations
-    (`classes`), `_walk`'s exact forms, `_colon`'s augmented row, `_sum`'s
-    forms and `engine._rank`'s copies.  With that one contract `_walk` has
-    no `integral` flag and `GroebnerBasis.reduce` has one body, reading no
-    term filter (`_corners`)."""
+    kernel's factors (`_products`, `ideal_product`); the others are an
+    exact class's division by the relations (`classes`), `_walk`'s exact
+    forms, `_colon`'s augmented row, `_sum`'s forms and `engine._rank`'s
+    copies.  With that one contract `_walk` has no `integral` flag."""
     assert _readers_of("clear") == Counter({
-        ("groebner", "_packed"): 1, ("groebner", "GroebnerBasis.reduce_row"): 1,
-        ("groebner", "classes"): 1, ("groebner", "_walk"): 1, ("groebner", "_colon"): 1,
-        ("groebner", "_sum"): 1, ("engine", "_rank"): 1})
+        ("groebner", "_packed"): 1, ("groebner", "classes"): 1, ("groebner", "_walk"): 1,
+        ("groebner", "_colon"): 1, ("groebner", "_sum"): 1, ("engine", "_rank"): 1})
     assert _named_in("_packed") == {
         ("groebner", "_inputs"), ("groebner", "GroebnerBasis"), ("groebner", "_products"),
         ("groebner", "ideal_product"), ("groebner", "classes")}
     assert list(inspect.signature(groebner._walk).parameters) == ["top", "gens", "D"]
-    assert not _readers_of("_corners")[("groebner", "GroebnerBasis.reduce")]
+
+
+def test_kernels_take_one_route_on_every_basis():
+    """A staircase's basis packs its corners into `entries` when it is
+    made, so the kernels read every basis one way: `GroebnerBasis` has no
+    term filter (`_corners`) and no lazy `entries`, and neither it,
+    `classes` nor `_relations` reads `staircase_of_ideal`, as `_nf_dict`'s
+    class of an element of a monomial P is its coefficients at the
+    corners and a monomial P's S-pairs are zero.  A monomial I's I^2 = QI
+    is one length identity in `find_reduction`, with no second function
+    for its reduction number."""
+    assert "_corners" not in GroebnerBasis.__slots__ and "entries" in GroebnerBasis.__slots__
+    readers = _named_in("staircase_of_ideal")
+    assert not readers & {("groebner", "GroebnerBasis"), ("groebner", "classes"),
+                          ("groebner", "_relations")}
+    assert not _named_in("bisect_right")
+    assert not hasattr(agrees.engine, "_stable_reduction_number")
 
 
 def _engine_definitions() -> dict:
@@ -359,13 +372,9 @@ def test_engine_reads_exact_normal_forms_only_in_the_refuter():
 
 
 def test_table_reads_corners_only_in_product_tables():
-    """The term filter (`_corners`) is read only where a staircase basis is
-    made and by `reduce_row`; `groebner.classes` filters a monomial P's
-    terms by its corners' packed words.  The table's corner read, a membership test of a
-    product's exponent in the set of a staircase's corners
-    (`set(stair.gens)`), lives only in `engine._product_tables`."""
-    assert set(_readers_of("_corners")) == {
-        ("groebner", "GroebnerBasis.__init__"), ("groebner", "GroebnerBasis.reduce_row")}
+    """The table's corner read, a membership test of a product's exponent
+    in the set of a staircase's corners (`set(stair.gens)`), lives only in
+    `engine._product_tables`."""
     corner_sets = {(path.stem, top.name) for path in SOURCES
                    for top in ast.parse(path.read_text(), filename=str(path)).body
                    for node in ast.walk(top)
