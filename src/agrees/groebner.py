@@ -23,21 +23,20 @@ row's words, a shifted term is `m + shift`, and "lm divides m" is
 `(m - lm) & guard == 0`, so no step builds a tuple or calls a key.  A
 polynomial's monomials are packed once, where it enters (`_packed`), and
 `_update_pairs` packs each distinct lcm once, computing lcms, degrees and
-weights on the lead tuples it keeps next to the words.  A normal form whose
-scale does not matter, one a zero test reads, stays an integer row:
-`GroebnerBasis.reduce_row` hands back the row `_nf_dict` returns.
-`reduce`, read only by `normal_form`, unpacks its remainder, and
-`elements` and `leading_exponents` unpack.  Only this module and `poly`
-know the packed format, and a caller of `reduce_row` reads its rows only
-as columns that compare.
+weights on the lead tuples it keeps next to the words.  Every zero test
+reads an integer row, a normal form up to scale: `GroebnerBasis.reduce_row`
+hands back the row `_nf_dict` returns.  `reduce`, read only by the public
+`normal_form`, unpacks its remainder, and `elements` and
+`leading_exponents` unpack.  Only this module and `poly` know the packed
+format, and a caller of `reduce_row` reads its rows only as columns.
 
-Every Nakayama test reads P/m*P off P's own reduced basis, with no m*P
-built: a class is the constant parts of a division's quotients
-(`classes`), modulo the classes of the basis's consecutive S-pairs
-(`_relations`).  Every product a kernel reads is formed on packed words by
-one kernel, `_product_row`, a term being one integer sum (Monagan-Pearce
-2007), with each factor packed once: the generators of `ideal_product`
-and the products whose classes the engine reads.
+Every Nakayama test, in every ring, reads P/m*P off P's own reduced basis,
+with no m*P built and no Buchberger run: a class is the constant parts of
+a division's quotients (`classes`), modulo the classes of its S-pairs
+(`_pair_relations`), of consecutive corners in k[x,y] (`_relations`) and
+else of minimal lcms (`_nakayama_prune`).  Every product a kernel reads is
+formed on packed words by one kernel, `_product_row`, a term being one
+integer sum (Monagan-Pearce 2007), with each factor packed once.
 
 The four kernels, `_nf_dict`, `_buchberger`, `_product_row` and
 `_echelon_reduce`, work on rows of plain integers, one kernel for both
@@ -46,9 +45,10 @@ integer row: `field.clear` writes field values as a unit times integers
 (over q it clears denominators, and a row of ints enters as it is with unit
 1; over fp a residue is already an integer), and it runs once at each place
 where field values enter: `_packed`, which serves a Buchberger run's
-inputs, `reduce`, `reduce_row`, `classes` and the product kernel's
-factors; an exact class's division by the relations, `_walk`'s forms,
-`_colon`'s augmented rows, `_sum`'s forms and `engine._rank`'s copies.
+inputs, `reduce`, `reduce_row`, `classes`, the product kernel's factors
+and the prune's elements; an exact class's division by the relations,
+`_walk`'s forms, `_colon`'s augmented rows, `_sum`'s forms and
+`engine._rank`'s copies.
 `field.cross(c, b)` gives multipliers (a, s) with a*c = s*b, and
 `field.normalize` keeps every stored row primitive (over q: content 1, lead
 positive) or monic (over fp, where a is therefore always 1).  Every kernel
@@ -390,8 +390,9 @@ def _buchberger(inputs: list, pk: Packer, field, max_weight=None) -> list:
     (x and y weigh 0).  For inputs homogeneous in that weight, S-polynomials
     and their reductions stay homogeneous, and a leading monomial divides
     only monomials of equal or higher weight; so the result is exactly the
-    part of weight <= max_weight of the unbounded reduced basis.  A run
-    terminates on every input (Dickson's lemma), so nothing else bounds it.
+    part of weight <= max_weight of the unbounded reduced basis; only the
+    Rees elimination (`rees._t_free_kernel`) sets it.  A run terminates on
+    every input (Dickson's lemma).
     """
     guard = pk.guard
     G: list = []
@@ -924,20 +925,29 @@ def _times_maximal(P: Ideal) -> Ideal:
     return _finish(gb, shifted, rows)
 
 
+def _pair_relations(pairs: list, entries: list, guard: int, field, cols: dict) -> dict:
+    """An echelon {lead column: row} of the relations c of P/m*P for a
+    reduced basis G = (g_1, ..., g_s) of P, its `entries` and their `cols`,
+    read off `pairs` (f, g, packed lcm) whose lifts generate G's syzygies
+    in the weights read.  sum c_k g_k lies in m*P iff c is a syzygy's value
+    at the origin, and as neither lead of a pair divides the other, its
+    lift's value there is minus its S-polynomial's class (`cols` mode)."""
+    rows: dict = {}
+    for f, g, lcm in pairs:
+        _echelon_reduce(_nf_dict(_spoly(f, g, lcm, field), entries, guard, field, None, cols),
+                        rows, field)
+    return rows
+
+
 def _relations(P: Ideal) -> tuple[dict, list]:
     """(cols, rels) for a nonzero ideal P of k[x,y] with reduced basis
-    G = (g_1, ..., g_s), kept on P: k^s maps onto P/m*P, e_k to the class
-    of g_k; `cols` numbers the lead of each g_k by least degree, then lead,
-    and `rels` is an echelon of the kernel as `_nf_dict` entries.
-
-    c is in the kernel iff sum c_k g_k lies in m*G, iff it is the value at
-    the origin of a syzygy of G.  With the leads (a_k, b_k) sorted by
-    x-exponent, the lifts of the S-pairs of consecutive corners, at lcm
-    (a_(k+1), b_k), generate G's syzygies (Schreyer 1980; Cox-Little-O'Shea,
-    Using Algebraic Geometry, Ch. 5 Thm 3.3), and as a pair's own
-    multipliers are not constant, its lift's value at the origin is minus
-    its S-polynomial's class.  A monomial P's S-pairs are zero, so its
-    corners have no relation."""
+    G = (g_1, ..., g_s), kept on P: `cols` numbers the lead of each g_k by
+    least degree, then lead, and `rels` are the relations of P/m*P
+    (`_pair_relations`) as `_nf_dict` entries, read off the S-pairs of
+    consecutive corners, at lcm (a_(k+1), b_k) for leads (a_k, b_k) sorted
+    by x-exponent, whose lifts generate G's syzygies (Schreyer 1980;
+    Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 5 Thm 3.3).  A monomial
+    P's S-pairs are zero, so its corners have no relation."""
     rel = P._relations
     if rel is None:
         gb = P.groebner_basis()
@@ -946,10 +956,8 @@ def _relations(P: Ideal) -> tuple[dict, list]:
         cols = {e[0]: k for k, e in enumerate(
             sorted(entries, key=lambda e: (sum(unpack(min(e[2]))), e[0])))}
         corners = sorted(zip(gb.leading_exponents(), entries))
-        rows: dict = {}
-        for ((_, b), f), ((a, _), g) in zip(corners, corners[1:]):
-            _echelon_reduce(_nf_dict(_spoly(f, g, pk.pack((a, b)), field), entries, pk.guard,
-                                     field, None, cols), rows, field)
+        rows = _pair_relations([(f, g, pk.pack((a, b))) for ((_, b), f), ((a, _), g)
+                                in zip(corners, corners[1:])], entries, pk.guard, field, cols)
         rel = P._relations = (cols, [(lm, row[lm], row) for lm, row in rows.items()])
     return rel
 
@@ -1019,17 +1027,13 @@ def colength(I: Ideal) -> int:
 
 
 def is_origin_primary(I: Ideal) -> bool:
-    """True when V(I) is exactly the origin, i.e. rad(I) = (x, y) globally.
-
-    A monomial ideal answers from its staircase, with no basis built, as
-    `colength` does: exactly when the staircase holds pure powers of x and y
-    and is not (1).  Any other needs a finite nonzero `colength`, which
-    alone admits zeros away from the origin; those are ruled out by checking
-    that pure variable powers lie in the ideal itself (the nilpotency index
-    on R/I is at most its length).  That answer is kept on I (`_origin`),
-    so a second check, such as the Rees presentation's after `classify`,
-    takes no normal form.
-    """
+    """True when V(I) is exactly the origin, i.e. rad(I) = (x, y) globally:
+    for a monomial ideal, read off its staircase with no basis built, when
+    it holds pure powers of x and y and is not (1); for any other, when its
+    `colength` l is finite and nonzero and x^l and y^l lie in I (the
+    nilpotency index on R/I is at most its length), tested on integer rows
+    (`_contains_all`).  The answer is kept on I (`_origin`), so a second
+    check, such as the Rees presentation's after `classify`, tests nothing."""
     stair = staircase_of_ideal(I)
     if stair is not None:
         return stair.is_m_primary and stair.gens != ((0, 0),)
@@ -1038,10 +1042,8 @@ def is_origin_primary(I: Ideal) -> bool:
             ell = colength(I)
         except NotZeroDimensional:
             ell = 0  # another ring, the zero ideal or infinite colength
-        gb = I.groebner_basis() if ell > 0 else None
-        I._origin = ell > 0 and all(
-            normal_form(Polynomial.monomial(I.ring, I.field, e), gb).is_zero
-            for e in ((ell, 0), (0, ell)))
+        I._origin = ell > 0 and _contains_all(
+            I, [Polynomial.monomial(I.ring, I.field, e) for e in ((ell, 0), (0, ell))])
     return I._origin
 
 
@@ -1072,12 +1074,11 @@ def ideal_order(I: Ideal) -> int:
 
 
 def minimal_generators(I: Ideal) -> list[Polynomial]:
-    """A minimal generating set, kept on I (`Ideal._mingens`): for a
-    monomial ideal of k[x,y] its corners' monomials in `stair.gens` order;
-    for any other nonzero ideal of k[x,y] its basis elements whose columns
-    lead no relation (`_relations`), in column order, which a scan by
-    least degree, then lead, keeps, with no normal form taken; in more
-    variables that scan against (vars) * I (`_nakayama_prune`)."""
+    """A minimal generating set, kept on I (`Ideal._mingens`): a monomial
+    ideal of k[x,y] has its corners' monomials, in `stair.gens` order; any
+    other its basis elements whose columns, by least degree, then lead,
+    lead no relation of the basis's S-pairs: `_relations` in k[x,y], else
+    `_nakayama_prune`."""
     gens = I._mingens
     if gens is None:
         stair = staircase_of_ideal(I)  # None outside k[x,y] and for the zero ideal
@@ -1099,28 +1100,30 @@ def minimal_generators(I: Ideal) -> list[Polynomial]:
 
 def _nakayama_prune(gens: list[Polynomial], key, max_weight: int | None = None
                     ) -> list[Polynomial]:
-    """Graded Nakayama: scanning gens sorted by key, keep g unless it lies in
-    the ideal of the kept ones plus N = (vars) * gens.
-
-    Every a in S is a constant plus an element of (vars), and the kept ones
-    lie in L = (gens), so (kept) + N = span_k(kept) + N: g is redundant iff
-    NF_N(g) lies in span_k(NF_N(kept)).  One reduced basis of N serves every
-    candidate, through `GroebnerBasis.reduce_row`, as a span does not depend
-    on row scale; the span is an echelon of the kept normal forms, one row
-    per leading monomial.  N's basis is bounded by `max_weight` as in
-    `_buchberger`, each v*g a shift of g's packed row; the prune stays
-    exact for weight-homogeneous gens that weigh no more than the bound.
-    """
+    """Graded Nakayama: gens sorted by key, each kept unless its class in
+    K/M*K (M the variables' ideal) lies in the span of those before it,
+    that is when its column leads no relation (`_pair_relations`).  gens
+    must be the reduced grevlex basis G of K, or, given `max_weight` (a
+    weight as in `_buchberger`), its part of weight <= max_weight for a
+    weight-homogeneous K that this part generates.  The pairs read are
+    (f, g), f before g, whose lcm no other such lcm with g divides: their
+    syzygies of the leads generate all (Eisenbud, Commutative Algebra,
+    Lemma 15.1), so their lifts generate G's (Schreyer 1980).  A pair
+    heavier than max_weight is dropped: lifts of pairs of lcm weight <= w
+    generate the syzygies of weight w, and a heavier syzygy has no constant
+    part on an element of weight <= max_weight."""
+    gens = sorted(gens, key=key)
     if not gens:
         return []
-    ring, field = gens[0].ring, gens[0].field
-    pk = GREVLEX.packer(ring)
-    rows = _inputs([g.terms for g in gens], pk.pack, field)
-    n = ring.arity
-    variables = [pk.pack(tuple(int(i == k) for i in range(n))) for k in range(n)]
-    gb = GroebnerBasis(ring, field, _buchberger(
-        [(sug + 1, {m + v: c for m, c in row.items()}) for v in variables for sug, row in rows],
-        pk, field, max_weight=max_weight))
-    echelon: dict = {}
-    return [g for g in sorted(gens, key=key)
-            if _echelon_reduce(gb.reduce_row(g.terms), echelon, field) is not None]
+    field, pk = gens[0].field, GREVLEX.packer(gens[0].ring)
+    entries = [_entry(_packed(g.terms, pk.pack, field)[1], field) for g in gens]
+    cols = {lm: k for k, (lm, _, _) in enumerate(entries)}
+    leads = [(pk.unpack(e[0]), e) for e in entries]
+    pairs = []
+    for j, (b, g) in enumerate(leads):
+        lcms = {pk.pack(tuple(map(max, a, b))): f for a, f in leads[:j]}
+        pairs += [(f, g, w) for w, f in lcms.items()  # w minimal, and light enough
+                  if all((w - v) & pk.guard for v in lcms if v != w)
+                  and (max_weight is None or sum(pk.unpack(w)[2:]) <= max_weight)]
+    led = _pair_relations(pairs, sorted(entries, key=_lead, reverse=True), pk.guard, field, cols)
+    return [g for k, g in enumerate(gens) if k not in led]

@@ -41,14 +41,12 @@ T-degree 1 and, for D = 2, exactly C(s+1, 2) - mu(I^2) of T-degree 2, it is
 already minimal.  mu(I) and mu(I^2) are `engine._mu`'s: corner counts for
 a monomial I, else read off the relations kept on I and on I^2 in
 `engine._mul`'s cache, which the reduction search behind the bound found.
-So after `classify` a monomial I with the bound runs Buchberger only for
-the prune's basis, when the count fails, and every other I only for its
-elimination and that basis.  Everywhere else (no bound, a redundant input
-generator, or a count above those numbers) the prune runs: one basis of
-(x, y, T_1..T_s) * K,
-then one normal form per candidate (see `groebner._nakayama_prune`).  The
-count and the prune return the basis sorted by the prune's key, so a
-certified basis is the tuple, in the order, that the prune would keep.
+Everywhere else (no bound, a redundant input generator, or a count above
+those numbers) the prune runs, on the relations read off the basis's own
+S-pairs with no Buchberger run (`groebner._nakayama_prune`).  So after
+`classify` a monomial I with the bound runs no Buchberger, and every other
+I only its elimination.  The count and the prune return the basis sorted
+by the prune's key, so a certified basis is what the prune would keep.
 
 The presentation is local, like every verdict: the prune is Nakayama at
 (x, y, T), so the kept generators generate K after localizing there.  When
@@ -182,11 +180,10 @@ def rees_defining_ideal(I: Ideal) -> ReesPresentation:
         t_free = _t_free_kernel(gens, I.field, bound)
 
     key = dict(zip(t_free, map(_prune_key(len(gens)), t_free))).__getitem__  # one key per element
-    if bound is not None and _minimal_by_count([key(g)[0] for g in t_free], len(gens), bound, I):
-        kept = sorted(t_free, key=key)
-    else:
-        # minimal generators by graded Nakayama against (x, y, T_1..T_s) * kernel
-        kept = _nakayama_prune(t_free, key=key, max_weight=bound)
+    kept = sorted(t_free, key=key)
+    if bound is None or not _minimal_by_count([key(g)[0] for g in kept], len(gens), bound, I):
+        # graded Nakayama at (x, y, T_1..T_s), on the relations of the basis's S-pairs
+        kept = _nakayama_prune(kept, key=key, max_weight=bound)
     bidegrees = tuple(key(g)[:2] for g in kept)  # kept is in key order
     return ReesPresentation(defining_gens=tuple(kept), bidegrees=bidegrees)
 

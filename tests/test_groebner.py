@@ -1356,14 +1356,15 @@ def _reference_prune(gens, key):
     return kept
 
 
-def _random_generators(rng, ring, field, proper=False):
-    """A few sparse generators plus redundant, duplicate and unit-multiple
-    ones; with coefficients from PROPER_FRACTIONS when `proper`."""
+def _random_generators(rng, ring, field, proper=False, max_exp=3):
+    """A few sparse generators, exponents at most max_exp, plus redundant,
+    duplicate and unit-multiple ones; with coefficients from
+    PROPER_FRACTIONS when `proper`."""
     def rand_poly():
         p = Polynomial.zero(ring, field)
         while p.is_zero:
             for _ in range(rng.randint(1, 3)):
-                e = tuple(rng.randint(0, 3) for _ in ring.vars)
+                e = tuple(rng.randint(0, max_exp) for _ in ring.vars)
                 if sum(e) >= 2:
                     if proper:
                         c = field.fraction(*rng.choice(PROPER_FRACTIONS))
@@ -1395,6 +1396,8 @@ def _rees_prune_inputs(I):
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
 @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
 def test_nakayama_prune_matches_reference(names, field):
+    # the prune reads the relations off its input's S-pairs, so it is given
+    # reduced bases: those of random generator lists, and Rees t-free lists
     ring = Ring(names)
     keyf = reference_grevlex_key
 
@@ -1402,9 +1405,13 @@ def test_nakayama_prune_matches_reference(names, field):
         return (g.min_degree(), keyf(reference_leading(g)[0]))
 
     rng = random.Random(71 + len(names))
+    pruned = 0
     for _ in range(12):
-        gens = _random_generators(rng, ring, field)
-        assert _nakayama_prune(gens, key) == _reference_prune(gens, key)
+        gens = list(Ideal(_random_generators(rng, ring, field)).groebner_basis().elements)
+        got = _nakayama_prune(gens, key)
+        assert got == _reference_prune(gens, key)
+        pruned += len(got) < len(gens)
+    assert pruned >= 1
 
     if names == ("x", "y"):
         xt = poly("x + 2*y", field)
@@ -1418,6 +1425,59 @@ def test_nakayama_prune_matches_reference(names, field):
             assert len(got) < len(t_free)  # each kernel basis has a redundant element
             # the bounded presentation keeps the same generators
             assert got == list(rees.rees_defining_ideal(I).defining_gens)
+
+
+def test_nakayama_prune_equals_the_reference_on_bases_and_rees_lists():
+    # seeded: reduced bases in 2 to 4 variables over q and fp, and the
+    # bounded and unbounded t-free lists of random staircases and their
+    # x -> x + 2y twins, each pruned by its S-pairs' classes as the
+    # per-candidate reference prunes it.  Exponents stay below 3 in four
+    # variables, where the reference runs one Buchberger per candidate.
+    from agrees.families import coordinate_twin, family_exponents
+    from agrees.poly import presentation_ring
+    from agrees.repro import random_staircase
+
+    real_pairs = groebner._pair_relations
+    rng = random.Random(53)
+    seen = {"basis": 0, "bounded": 0, "unbounded": 0}
+    pruned = dict.fromkeys(seen, 0)
+    for field in (QQ, PrimeField(2147483647)):
+        for names, count, max_exp in ((("x", "y"), 5, 3), (("x", "y", "z"), 5, 3),
+                                      (("x", "y", "z", "w"), 4, 2)):
+            for _ in range(count):
+                raw = _random_generators(rng, Ring(names), field, max_exp=max_exp)
+                gens = list(Ideal(raw).groebner_basis().elements)
+                got = _nakayama_prune(gens, _prune_key)
+                assert got == _reference_prune(gens, _prune_key)
+                seen["basis"] += 1
+                pruned["basis"] += len(got) < len(gens)
+        # contracted-o3 (5, 2, 3) keeps a redundant element in its bounded list
+        stairs = [random_staircase(rng, 6, 4).gens for _ in range(4)]
+        for exps in stairs + [family_exponents("contracted-o3", {"n": 5, "alpha": 2, "beta": 3})]:
+            for I in (mono_ideal(exps, field), coordinate_twin(exps, 2, field)):
+                gens = list(I.generators)
+                bound = rees._relation_type_bound(I)
+                rkey = rees._prune_key(len(gens))
+                for max_weight in {None, bound}:
+                    t_free = rees._t_free_kernel(gens, field, max_weight)
+                    words = []  # the lcm of every pair the prune reads
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(groebner, "_pair_relations", lambda pairs, *rest: words.extend(
+                            w for _, _, w in pairs) or real_pairs(pairs, *rest))
+                        got = _nakayama_prune(t_free, rkey, max_weight=max_weight)
+                    assert got == _reference_prune(t_free, rkey)
+                    if max_weight is not None:  # no pair above the bound is read
+                        unpack = GREVLEX.packer(presentation_ring(len(gens))).unpack
+                        assert all(sum(unpack(w)[2:]) <= max_weight for w in words)
+                    case = "unbounded" if max_weight is None else "bounded"
+                    seen[case] += 1
+                    pruned[case] += len(got) < len(t_free)
+    assert min(seen.values()) >= 4 and min(pruned.values()) >= 1, (seen, pruned)
+
+
+def _prune_key(g):
+    """`minimal_generators`' scanning order: least degree, then lead."""
+    return (g.min_degree(), reference_grevlex_key(reference_leading(g)[0]))
 
 
 def _count_buchberger(monkeypatch):
@@ -1720,13 +1780,13 @@ def test_update_pairs_matches_the_reference_in_the_rees_ring(field, max_weight, 
     assert len(sizes) > 50 and max(sizes) >= 2
 
 
-def test_rees_presentation_runs_two_buchberger(monkeypatch):
-    # the elimination, then one basis of (x, y, T_1..T_s) * kernel, where the
-    # count does not certify the bounded basis minimal (contracted-o3
-    # (5, 2, 3)), on the x -> x + 2y twin, after the bound's reduction
-    # search; the monomial source reads its kernel off its fibers and runs
-    # the prune's basis only, and a certified input runs the elimination
-    # only, see test_rees.test_both_bases_get_the_bound
+def test_rees_presentation_runs_only_the_elimination(monkeypatch):
+    # the elimination, where the count does not certify the bounded basis
+    # minimal (contracted-o3 (5, 2, 3)), on the x -> x + 2y twin, after the
+    # bound's reduction search: the prune reads its relations off the
+    # basis's own S-pairs, with no run; the monomial source reads its
+    # kernel off its fibers and runs none, see
+    # test_rees.test_both_bases_get_the_bound
     from agrees.families import coordinate_twin
 
     exps = [(3, 0), (2, 2), (1, 3), (0, 5)]
@@ -1734,17 +1794,40 @@ def test_rees_presentation_runs_two_buchberger(monkeypatch):
     rees._relation_type_bound(twin)
     calls = _count_buchberger(monkeypatch)
     rees.rees_defining_ideal(source)
-    assert len(calls) == 1
+    assert len(calls) == 0
     rees.rees_defining_ideal(twin)
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
-def test_minimal_generators_runs_at_most_two_buchberger(monkeypatch):
-    # GB(I), then one basis of (x, y) * GB(I)
+def test_monomial_presentation_after_classify_runs_no_buchberger(monkeypatch):
+    # contracted-o3 (5, 2, 3): the count fails and the prune runs, on the
+    # kernel read off the fibers, with no Buchberger run anywhere
+    from agrees.families import make_family
+
+    I = make_family("contracted-o3", {"n": 5, "alpha": 2, "beta": 3})
+    engine.classify(I)
     calls = _count_buchberger(monkeypatch)
-    got = minimal_generators(ideal("x^2 + y^3, y^4, x y^2"))
-    assert len(got) == 3
-    assert len(calls) <= 2
+    pres = rees.rees_defining_ideal(I)
+    assert calls == []
+    assert pres == rees.rees_defining_ideal(
+        make_family("contracted-o3", {"n": 5, "alpha": 2, "beta": 3}))
+
+
+def test_minimal_generators_runs_one_buchberger(monkeypatch):
+    # GB(I), and no basis of (vars) * GB(I): the relations are read off
+    # GB(I)'s S-pairs, in k[x, y] (`_relations`) and in k[x, y, z] (the prune)
+    calls = _count_buchberger(monkeypatch)
+    assert len(minimal_generators(ideal("x^2 + y^3, y^4, x y^2"))) == 3
+    assert len(calls) == 1
+    monkeypatch.undo()
+    ring = Ring(("x", "y", "z"))
+    x, y, z = (Polynomial.variable(ring, QQ, v) for v in ring.vars)
+    gens = [x ** 2, y ** 2, x * y + z ** 2]  # a basis of six elements, three of them redundant
+    want = _reference_prune(list(Ideal(gens).groebner_basis().elements), _prune_key)
+    calls = _count_buchberger(monkeypatch)
+    got = minimal_generators(Ideal(gens))
+    assert len(calls) == 1
+    assert got == want and len(want) == 3
 
 
 def test_colength_normalizes_each_basis_once(monkeypatch):
@@ -1796,11 +1879,12 @@ def _count_kernels(monkeypatch):
 def test_kernel_counters_see_the_kernels(monkeypatch):
     """The benchmark counts normal forms and Buchberger runs by wrapping
     these module globals, so every call must go through them: each `reduce`
-    makes exactly one `_nf_dict` call, on every basis; classify of the
+    makes exactly one `_nf_dict` call, on every basis (classify's zero tests
+    read integer rows, so `normal_form` is asked here); classify of the
     flagship twin runs Buchberger through `groebner`, and a Rees
     presentation's elimination runs it through `rees`: the twin's, as a
-    bounded monomial ideal reads its kernel off its fibers, and runs only
-    the prune's basis."""
+    bounded monomial ideal reads its kernel off its fibers, and the prune
+    runs none."""
     from agrees.engine import classify
     from agrees.families import coordinate_twin, family_exponents
 
@@ -1816,15 +1900,39 @@ def test_kernel_counters_see_the_kernels(monkeypatch):
 
     monkeypatch.setattr(GroebnerBasis, "reduce", reduce)
     exps = family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
-    classify(coordinate_twin(exps, Fraction(1, 3), QQ))
+    twin = coordinate_twin(exps, Fraction(1, 3), QQ)
+    classify(twin)
     assert counts["groebner"] > 0 and counts["rees"] == 0
-    assert counts["nf"] > len(per_reduce) > 0
-    assert all(nf == 1 for nf in per_reduce)
+    assert counts["nf"] > 0 and per_reduce == []
+    source = mono_ideal(exps)
+    for I in (twin, source):
+        for g in I.generators:
+            assert normal_form(g * g, I.groebner_basis()).is_zero
+    assert len(per_reduce) == 2 * len(exps) and all(nf == 1 for nf in per_reduce)
     runs = counts["groebner"]
     rees.rees_defining_ideal(ideal("x^3, x^2 y^2, x y^3, y^5"))
-    assert counts["rees"] == 0 and counts["groebner"] == runs + 1
+    assert counts["rees"] == 0 and counts["groebner"] == runs
     rees.rees_defining_ideal(coordinate_twin([(3, 0), (2, 2), (1, 3), (0, 5)], 2, QQ))
-    assert counts["rees"] == 1 and counts["groebner"] > runs + 1
+    assert counts["rees"] == 1 and counts["groebner"] > runs
+
+
+def test_classify_of_a_twin_takes_no_exact_normal_form(monkeypatch):
+    # every zero test reads an integer row (`reduce_row`), the origin
+    # check's x^l and y^l included, so `GroebnerBasis.reduce` is never asked
+    from agrees.engine import classify
+    from agrees.families import coordinate_twin, family_exponents
+
+    calls = []
+    real_reduce = GroebnerBasis.reduce
+    monkeypatch.setattr(GroebnerBasis, "reduce",
+                        lambda gb, terms: calls.append(terms) or real_reduce(gb, terms))
+    for field in (QQ, PrimeField(2147483647)):
+        for c in (2, Fraction(1, 3)):
+            exps = family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5})
+            I = coordinate_twin(exps, c, field)
+            classify(I)
+            assert I._origin is True
+    assert calls == []
 
 
 def test_ideal_order_examples():

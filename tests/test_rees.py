@@ -267,28 +267,30 @@ def test_zeros_away_from_the_origin_run_unbounded():
     assert substitution_check(I, pres)
 
 
-@pytest.mark.parametrize("I,field,seen_want,read_want", [
-    ("x^3, x^2 y^3, x y^5, y^6", QQ, [], [2]),  # certified: the kernel read off its fibers
-    (("contracted-o3", {"n": 5, "alpha": 2, "beta": 3}), QQ, [2], [2]),  # the count fails: the prune
-    ("x^4, x^3*y, x*y^3, y^4", QQ, [None, None], []),  # r = 2
-    (("twin", ("contracted-o3", {"n": 5, "alpha": 2, "beta": 3})), QQ, [2, 2], []),
-    ("5*y^4, 2/3*x^3, x^2*y^2", QQ, [], [2]),
-    ("5*y^4, 2/3*x^3, x^2*y^2", FP, [], [2]),
-    (("twin", "5*y^4, 2/3*x^3, x^2*y^2"), QQ, [2], []),
-    (("twin", "5*y^4, 2/3*x^3, x^2*y^2"), FP, [2], []),
-    ("x^4, x^3*y, x*y^3, y^4", FP, [None, None], []),
+@pytest.mark.parametrize("I,field,seen_want,read_want,pruned_want", [
+    ("x^3, x^2 y^3, x y^5, y^6", QQ, [], [2], []),  # certified: the kernel read off its fibers
+    (("contracted-o3", {"n": 5, "alpha": 2, "beta": 3}), QQ, [], [2], [2]),  # the count fails
+    ("x^4, x^3*y, x*y^3, y^4", QQ, [None], [], [None]),  # r = 2
+    (("twin", ("contracted-o3", {"n": 5, "alpha": 2, "beta": 3})), QQ, [2], [], [2]),
+    ("5*y^4, 2/3*x^3, x^2*y^2", QQ, [], [2], []),
+    ("5*y^4, 2/3*x^3, x^2*y^2", FP, [], [2], []),
+    (("twin", "5*y^4, 2/3*x^3, x^2*y^2"), QQ, [2], [], []),
+    (("twin", "5*y^4, 2/3*x^3, x^2*y^2"), FP, [2], [], []),
+    ("x^4, x^3*y, x*y^3, y^4", FP, [None], [], [None]),
 ], ids=["x^3, x^2 y^3, x y^5, y^6-2", "co3-5-2-3-2", "x^4, x^3*y, x*y^3, y^4-None",
         "co3-5-2-3-twin-2", "multipliers-q", "multipliers-fp", "multipliers-twin-q",
         "multipliers-twin-fp", "r2-fp"])
-def test_both_bases_get_the_bound(I, field, seen_want, read_want, monkeypatch):
-    """A monomial input with the bound reads its kernel off its fibers and
-    runs Buchberger only for the prune's basis; a two-term generator runs
-    the bounded elimination, and r = 2 runs both bases unbounded.  The
-    bound's reduction search runs before the spies, as the bases it builds
-    are a twin's own, not the presentation's."""
+def test_both_bases_get_the_bound(I, field, seen_want, read_want, pruned_want, monkeypatch):
+    """The kernel basis and the prune both get the bound: a monomial input
+    with the bound reads its kernel off its fibers, a two-term generator
+    runs the bounded elimination, and r = 2 runs it unbounded; the prune,
+    where the count fails, reads its relations off that basis's S-pairs up
+    to the same bound and runs no Buchberger.  The bound's reduction search
+    runs before the spies, as the bases it builds are a twin's own, not
+    the presentation's."""
     I = _case(I, field)
     rees._relation_type_bound(I)
-    seen, read = [], []
+    seen, read, pruned = [], [], []
     real, real_read = groebner._buchberger, groebner._fiber_kernel
 
     def record(*args, **kwargs):
@@ -299,11 +301,16 @@ def test_both_bases_get_the_bound(I, field, seen_want, read_want, monkeypatch):
         read.append(bound)
         return real_read(gens, target, bound)
 
+    def record_prune(gens, key, max_weight=None):
+        pruned.append(max_weight)
+        return groebner._nakayama_prune(gens, key, max_weight)
+
     monkeypatch.setattr(groebner, "_buchberger", record)
     monkeypatch.setattr(rees, "_buchberger", record)
     monkeypatch.setattr(rees, "_fiber_kernel", record_read)
+    monkeypatch.setattr(rees, "_nakayama_prune", record_prune)
     pres = rees_defining_ideal(I)
-    assert (seen, read) == (seen_want, read_want)
+    assert (seen, read, pruned) == (seen_want, read_want, pruned_want)
     assert substitution_check(I, pres)
 
 
@@ -446,18 +453,20 @@ def test_presentation_after_a_failed_search_searches_no_more(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
 def test_presentation_after_classify_checks_the_origin_once(field, monkeypatch):
     # classify keeps whether V(I) is the origin on I, so the presentation's
-    # own check of the twin classified at seed 7 is a lookup: it takes no
-    # normal form of x^l or y^l modulo I's basis
+    # own check of the twin classified at seed 7 is a lookup: it tests no
+    # membership of x^l or y^l in I (`_contains_all`, on integer rows)
     I = _case(("twin", "x^3, x^2 y^3, x y^5, y^6"), field)
     engine.classify(I, engine.ClassifyConfig(seed=7))
     calls = []
-    real_origin, real_nf = rees.is_origin_primary, groebner.normal_form
+    real_origin, real_contains = rees.is_origin_primary, groebner._contains_all
     monkeypatch.setattr(rees, "is_origin_primary",
                         lambda J: calls.append("origin") or real_origin(J))
-    monkeypatch.setattr(groebner, "normal_form",
-                        lambda *args: calls.append("nf") or real_nf(*args))
+    monkeypatch.setattr(groebner, "_contains_all",
+                        lambda *args: calls.append("contains") or real_contains(*args))
     rees_defining_ideal(I)
     assert calls == ["origin"]
+    fresh = _case(("twin", "x^3, x^2 y^3, x y^5, y^6"), field)
+    assert groebner.is_origin_primary(fresh) and calls[1:] == ["contains"]
 
 
 # -- the fiber read -------------------------------------------------------------

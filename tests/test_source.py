@@ -311,8 +311,9 @@ def test_field_values_are_cleared_once_where_they_enter_the_kernels():
     nowhere else, so `_nf_dict`, `_buchberger` and `_echelon_reduce` read
     none.  A polynomial's terms enter through one pack-and-clear helper,
     `_packed`, which serves a Buchberger run's inputs (`_inputs`),
-    `GroebnerBasis.reduce`, `reduce_row`, `classes` and the product
-    kernel's factors (`_products`, `ideal_product`); the others are an
+    `GroebnerBasis.reduce`, `reduce_row`, `classes`, the product kernel's
+    factors (`_products`, `ideal_product`) and the elements the Nakayama
+    prune reads its relations off (`_nakayama_prune`); the others are an
     exact class's division by the relations (`classes`), `_walk`'s exact
     forms, `_colon`'s augmented row, `_sum`'s forms and `engine._rank`'s
     copies.  With that one contract `_walk` has no `integral` flag."""
@@ -321,7 +322,7 @@ def test_field_values_are_cleared_once_where_they_enter_the_kernels():
         ("groebner", "_colon"): 1, ("groebner", "_sum"): 1, ("engine", "_rank"): 1})
     assert _named_in("_packed") == {
         ("groebner", "_inputs"), ("groebner", "GroebnerBasis"), ("groebner", "_products"),
-        ("groebner", "ideal_product"), ("groebner", "classes")}
+        ("groebner", "ideal_product"), ("groebner", "classes"), ("groebner", "_nakayama_prune")}
     assert list(inspect.signature(groebner._walk).parameters) == ["top", "gens", "D"]
 
 
@@ -342,6 +343,23 @@ def test_kernels_take_one_route_on_every_basis():
     assert not hasattr(agrees.engine, "_stable_reduction_number")
 
 
+def test_one_nakayama_method_in_every_ring():
+    """The prune reads its relations off its basis's S-pairs, as
+    `_relations` does, through one shared loop (`_pair_relations`, the one
+    reader of `_spoly` besides a Buchberger run): it runs no Buchberger,
+    builds no `GroebnerBasis` and takes no `reduce_row`."""
+    definitions = {top.name: top for path in SOURCES if path.name == "groebner.py"
+                   for top in ast.parse(path.read_text(), filename=str(path)).body
+                   if hasattr(top, "name")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(definitions["_nakayama_prune"])
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not read & {"_buchberger", "GroebnerBasis", "reduce_row"}
+    assert _named_in("_pair_relations") == {("groebner", "_relations"),
+                                            ("groebner", "_nakayama_prune")}
+    assert _named_in("_spoly") == {("groebner", "_buchberger"), ("groebner", "_pair_relations")}
+
+
 def _engine_definitions() -> dict:
     """`engine`'s top-level definitions by name."""
     path = next(path for path in SOURCES if path.name == "engine.py")
@@ -359,8 +377,10 @@ def test_engine_reads_exact_normal_forms_only_in_the_refuter():
     combine linearly, `_product_tables`, the one reader that asks for exact
     values (`exact=True`); in `groebner` only by the prune `independent`.
     No m*P basis serves a normal form: `GroebnerBasis` has no
-    `reduce_products` and no `product_rows`."""
+    `reduce_products` and no `product_rows`.  Every zero test reads an
+    integer row, so `normal_form` itself has no reader in the library."""
     assert set(_readers_of("reduce")) == {("groebner", "normal_form")}
+    assert not _named_in("normal_form")
     assert _named_in("classes") == {("engine", "_spans"), ("engine", "_product_tables"),
                                     ("groebner", "independent")}
     exact = {(path.stem, top.name) for path in SOURCES
