@@ -1816,18 +1816,15 @@ def test_monomial_presentation_after_classify_runs_no_buchberger(monkeypatch):
 def test_minimal_generators_runs_one_buchberger(monkeypatch):
     # GB(I), and no basis of (vars) * GB(I): the relations are read off
     # GB(I)'s S-pairs, in k[x, y] (`_relations`) and in k[x, y, z] (the prune)
-    calls = _count_buchberger(monkeypatch)
-    assert len(minimal_generators(ideal("x^2 + y^3, y^4, x y^2"))) == 3
-    assert len(calls) == 1
-    monkeypatch.undo()
     ring = Ring(("x", "y", "z"))
     x, y, z = (Polynomial.variable(ring, QQ, v) for v in ring.vars)
     gens = [x ** 2, y ** 2, x * y + z ** 2]  # a basis of six elements, three of them redundant
     want = _reference_prune(list(Ideal(gens).groebner_basis().elements), _prune_key)
     calls = _count_buchberger(monkeypatch)
-    got = minimal_generators(Ideal(gens))
+    assert len(minimal_generators(ideal("x^2 + y^3, y^4, x y^2"))) == 3
     assert len(calls) == 1
-    assert got == want and len(want) == 3
+    assert minimal_generators(Ideal(gens)) == want and len(want) == 3
+    assert len(calls) == 2
 
 
 def test_colength_normalizes_each_basis_once(monkeypatch):
