@@ -291,15 +291,19 @@ def find_reduction(I: Ideal) -> ReductionData:
     finitely many proper subspaces of I/mI, and as the b_i span I/mI and
     (1, s, s^2, ...) lies in no hyperplane (Vandermonde), each rules out
     fewer than len(b) values of s; likewise t once s is good.  The budget
-    of 32 is an implementation limit.  Every pair is tested for I^2 = QI
-    (`_stable`, which keeps the answer on I) before any is tested from
-    r = 2 up to `_REDUCTION_CAP`, so a pair with r <= 1 is found before
-    any pair builds I^3 and beyond.  The zero ideal raises ZeroIdeal.  The
-    outcome, the reduction found or the NoReductionFound raised, is kept on
-    I (`Ideal._reduction`), so `rees._relation_type_bound` after `classify`
-    searches no more.
+    of 32 is an implementation limit.  The first pair with r <=
+    `_REDUCTION_CAP` wins.  It is a two-generated reduction, so I^2 = QI
+    holds for it iff l(R/I^2) = e(I) + 2 l(R/I), as above, whatever the
+    pair: no pair with r <= 1 comes after one with r >= 2.  The zero ideal
+    raises ZeroIdeal.  The outcome, the reduction found or the
+    NoReductionFound raised, is kept on I (`Ideal._reduction`), so a
+    second call, such as `rees._relation_type_bound`'s after `classify`,
+    returns or raises it again and searches no more.
     """
-    ring, fld = I.ring, I.field
+    if isinstance(I._reduction, NoReductionFound):
+        raise I._reduction.with_traceback(None)
+    if I._reduction is not None:
+        return I._reduction
     stair = staircase_of_ideal(I)
     if stair is not None and stair.is_m_primary:
         a, b = stair.gens[0][0], stair.gens[-1][1]
@@ -307,29 +311,26 @@ def find_reduction(I: Ideal) -> ReductionData:
             pts = [(a, 0), (0, b)]
         else:
             pts = hull_vertices(stair.gens)
-        monos = [Polynomial.monomial(ring, fld, e) for e in pts]
+        monos = [Polynomial.monomial(I.ring, I.field, e) for e in pts]
         Q = Ideal([sum(monos[2::2], monos[0]), sum(monos[3::2], monos[1])])
         I._stable[Q.generators] = (
             colength(_power(I, 2)) == newton_multiplicity(stair) + 2 * colength(I))
-        I._reduction = ReductionData(Q=Q.generators,
-                                     reduction_number=_reduction_number(I, Q, None))
+        I._reduction = ReductionData(Q.generators, _reduction_number(I, Q, None))
         return I._reduction
 
     basis = I.groebner_basis().elements
     if not basis:
         raise ZeroIdeal("the zero ideal has no reduction")
-    pairs = list(itertools.islice(((s, t) for t in itertools.count(2) for s in range(1, t)),
-                                  _REDUCTION_PAIRS))
-    for cap in (1, _REDUCTION_CAP):  # r <= 1 on every pair first; the first usually is
-        for pair in pairs:
-            Q = Ideal([_span([fld.from_int(v ** i) for i in range(len(basis))], basis)
-                       for v in pair])
-            r = _reduction_number(I, Q, cap)
-            if r is not None:
-                I._reduction = ReductionData(Q=Q.generators, reduction_number=r)
-                return I._reduction
+    for pair in itertools.islice(((s, t) for t in itertools.count(2) for s in range(1, t)),
+                                 _REDUCTION_PAIRS):
+        Q = Ideal([_span([I.field.from_int(v ** i) for i in range(len(basis))], basis)
+                   for v in pair])
+        r = _reduction_number(I, Q, _REDUCTION_CAP)
+        if r is not None:
+            I._reduction = ReductionData(Q.generators, r)
+            return I._reduction
     I._reduction = NoReductionFound(
-        f"no reduction with r <= {_REDUCTION_CAP} among {len(pairs)} pairs")
+        f"no reduction with r <= {_REDUCTION_CAP} among {_REDUCTION_PAIRS} pairs")
     raise I._reduction
 
 

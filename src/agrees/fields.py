@@ -13,11 +13,17 @@ from .errors import BadParameters
 MIN_PRIME = 1 << 20
 
 
+# Miller-Rabin with the first 13 primes as witnesses is exact below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of
+# them (Sorenson-Webster 2017), so a prime modulus must lie below it.
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin with the standard witness set (exact for n < 3.3e24).
+    # Deterministic Miller-Rabin, exact for n < PRIME_LIMIT.
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for p in small:
         if n % p == 0:
             return n == p
@@ -143,7 +149,8 @@ class RationalField:
 
 
 class PrimeField:
-    """Integers modulo a prime p > 2^20; elements are ints in [0, p).
+    """Integers modulo a prime 2^20 < p < PRIME_LIMIT; elements are ints in
+    [0, p).
 
     Elements are already the integers the kernels work on, so `clear` leaves
     a row as it is, `normalize` makes it monic and `cross` against a monic
@@ -152,8 +159,8 @@ class PrimeField:
     """
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise BadParameters(f"field modulus {p} is not prime")
+        if not _is_prime(p) or p >= PRIME_LIMIT:
+            raise BadParameters(f"field modulus {p} is not a prime below {PRIME_LIMIT}")
         if p <= MIN_PRIME:
             raise BadParameters(f"field modulus {p} must exceed 2^20")
         self.p = p

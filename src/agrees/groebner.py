@@ -607,7 +607,8 @@ class Ideal:
     the minimal generators (`minimal_generators`), the relations of
     I/m*I (`_relations`), whether V(I) is the origin (`is_origin_primary`)
     and what `engine.find_reduction` found, a reduction or the
-    NoReductionFound it raised (`_reduction`).
+    NoReductionFound it raised (`_reduction`), which that function alone
+    reads and writes, returning or raising it again on a second call.
 
     An input ideal, `Ideal(gens)`, holds its generators.  A derived ideal
     (`_derived`) holds the function that builds them from its source, the

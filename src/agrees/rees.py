@@ -12,7 +12,10 @@ S-pairs of weight above D returns exactly the weight <= D part of the full
 reduced basis (see `groebner._buchberger`).  If V(I) is the origin and
 I^2 = QI for a minimal reduction Q, then G(I) is Cohen-Macaulay (Valla 1979)
 and K is generated in T-degree <= r + 1 (Trung 1987), so the minimal
-generators are the same as without the bound.  Otherwise (r >= 2, no
+generators are the same as without the bound.  Whether I^2 = QI does
+not depend on the minimal reduction Q (Huneke 1987, Ooishi 1987), so r is
+that of the one `engine.find_reduction` finds, which after `classify`
+returns the outcome it kept on I with no search.  Otherwise (r >= 2, no
 reduction found, or zeros of I away from the origin) the basis runs
 unbounded.
 
@@ -118,19 +121,16 @@ def _relation_type_bound(I: Ideal) -> int | None:
     number r <= 1, else None.  r is decided in the local ring at the origin,
     which speaks for all of V(I) only when V(I) is the origin.  Which
     reduction is found only decides whether the bound is used; it is
-    classify's, a function of I, read back where classify kept it
-    (`Ideal._reduction`), a failed search's NoReductionFound included, and
-    so is classify's answer on the origin (`is_origin_primary`); with
-    neither on I they are found here."""
+    `engine.find_reduction`'s, a function of I, which after `classify`
+    returns the reduction it kept on I or raises its NoReductionFound
+    again, and so is classify's answer on the origin (`is_origin_primary`);
+    with neither on I they are found here."""
     if not is_origin_primary(I):
         return None
     try:
-        found = I._reduction or engine.find_reduction(I)
+        r = engine.find_reduction(I).reduction_number
     except NoReductionFound:
         return None
-    if isinstance(found, NoReductionFound):  # classify's search failed
-        return None
-    r = found.reduction_number
     return r + 1 if r <= 1 else None
 
 

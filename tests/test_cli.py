@@ -162,6 +162,14 @@ def test_analyze_input_errors_exit_two():
         assert "Traceback" not in out.stderr, args
 
 
+def test_analyze_over_a_strong_pseudoprime_modulus_exits_two():
+    # psi_12 and psi_13, strong pseudoprimes to the bases 2..37 and 2..41
+    for p in (318665857834031151167461, 3317044064679887385961981):
+        out = run_cli("analyze", "--ideal", "x^3, y^6", "--field", f"fp:{p}")
+        assert out.returncode == 2 and out.stdout == "", p
+        assert "Traceback" not in out.stderr, p
+
+
 def test_seed_env_override():
     doc = json.loads(
         run_cli("analyze", "--ideal", "x^3, y^6", "--seed", "3",

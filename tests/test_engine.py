@@ -22,7 +22,8 @@ from agrees.engine import (
     validate_report,
     verify_witness,
 )
-from agrees.errors import BadParameters, NotContained, NotStable, NotZeroDimensional, ZeroIdeal
+from agrees.errors import (BadParameters, NoReductionFound, NotContained, NotStable,
+                           NotZeroDimensional, ZeroIdeal)
 from agrees.families import FAMILY_PARAMS, coordinate_twin, family_exponents, make_family
 from agrees.fields import QQ, PrimeField
 from agrees.groebner import (
@@ -164,33 +165,86 @@ def test_colon_is_equal_on_the_first_three_candidates():
         (((3, 0), (2, 3), (1, 4), (0, 8)), 1)]
 
 
-def test_second_reduction_pass_starts_at_two(monkeypatch):
-    # the second pass retries only pairs whose first pass ruled out
-    # I^2 = QI, which it reads back from I, so its Nakayama tests are in
-    # I^3, I^4 and I^5 only, and the first pass's in I^2 only: the twin of
-    # x^4, x^3 y, y^4 under x -> x + 2y has r = 3, found in the second pass
-    spans, cap_now = [], [None]
+def test_reduction_search_tests_each_pair_once(monkeypatch):
+    # the twin of x^4, x^3 y, y^4 under x -> x + 2y has r = 3 on the first
+    # pair, found by one `_reduction_number` call: one Nakayama test in I^2
+    # (I^2 = QI), then one in I^3 (r = 2) and one in I^4 (r = 3)
+    calls, spans = [], []
     real_rn, real_spans = engine._reduction_number, engine._spans
-
-    def rn(I, Q, cap):
-        cap_now[0] = cap
-        try:
-            return real_rn(I, Q, cap)
-        finally:
-            cap_now[0] = None
-
-    monkeypatch.setattr(engine, "_reduction_number", rn)
+    monkeypatch.setattr(engine, "_reduction_number",
+                        lambda *args: calls.append(args) or real_rn(*args))
     monkeypatch.setattr(engine, "_spans",
-                        lambda P, *parts: spans.append((cap_now[0], P)) or real_spans(P, *parts))
+                        lambda P, *parts: spans.append(P) or real_spans(P, *parts))
     I = coordinate_twin([(4, 0), (3, 1), (0, 4)], 2, QQ)
     red = find_reduction(I)
     assert red.reduction_number == 3 and not red.stable
-    first = [P for cap, P in spans if cap == 1]
-    second = [P for cap, P in spans if cap == engine._REDUCTION_CAP]
-    assert first and second and len(first) + len(second) == len(spans)
-    assert all(P is engine._power(I, 2) for P in first)
-    assert all(any(P is engine._power(I, k) for k in (3, 4, 5)) for P in second)
-    assert any(P is engine._power(I, 4) for P in second)
+    assert red.Q == power_sum_pair(I, 0).generators and len(calls) == 1
+    assert len(spans) == 3
+    assert all(P is engine._power(I, k) for P, k in zip(spans, (2, 3, 4)))
+
+
+def _two_pass_reduction(I):
+    """(Q, r) in find_reduction's former order on an ideal without a
+    staircase, or None: I^2 = QI on every power-sum pair first, then r up
+    to `_REDUCTION_CAP` on every pair."""
+    for cap in (1, engine._REDUCTION_CAP):
+        for k in range(engine._REDUCTION_PAIRS):
+            Q = power_sum_pair(I, k)
+            r = engine._reduction_number(I, Q, cap)
+            if r is not None:
+                return Q.generators, r
+    return None
+
+
+def test_one_pass_search_finds_the_two_pass_reduction():
+    # a pair with r <= 4 is a two-generated reduction, and for such a pair
+    # I^2 = QI iff l(R/I^2) = e(I) + 2 l(R/I) (Huneke 1987, Ooishi 1987),
+    # so on a stable I the first pair with any r <= 4 is the first with
+    # r <= 1: the one pass finds the two passes' Q and r, or raises where
+    # they find none, on the fp x -> x + 2y twins of contracted-o3 with
+    # n <= 10, q twins of random staircases and the fp twin of x^10,
+    # x^3 y^7, y^10, which has no pair with r <= 4
+    from agrees.repro import random_staircase
+
+    rng = random.Random(59)
+    cases = [coordinate_twin(family_exponents("contracted-o3", {"n": n, "alpha": a, "beta": b}),
+                             2, FP)
+             for n in range(3, 11) for b in range(2, n) for a in range(1, b)]
+    cases += [coordinate_twin(random_staircase(rng, 6, 3).gens, c, QQ)
+              for _ in range(20) for c in (2, Fraction(1, 3))]
+    cases.append(coordinate_twin([(10, 0), (3, 7), (0, 10)], 2, FP))
+    found = []
+    for I in cases:
+        want = _two_pass_reduction(Ideal(list(I.generators)))
+        try:
+            red = find_reduction(I)
+            got = red.Q, red.reduction_number
+        except NoReductionFound:
+            got = None
+        assert got == want, I.generators
+        found.append(None if got is None else got[1])
+    assert None in found and {0, 1, 2, 3} <= set(found)
+
+
+def test_second_search_returns_the_kept_outcome(monkeypatch):
+    # find_reduction keeps its outcome on I: a second call makes no
+    # `_reduction_number` call and returns the identical record, or raises
+    # the identical NoReductionFound, with no frames added to its traceback
+    cases = [ideal("x^4, x^3 y, y^4"), coordinate_twin([(4, 0), (3, 1), (0, 4)], 2, QQ)]
+    found = [find_reduction(I) for I in cases]
+    failed = coordinate_twin([(10, 0), (3, 7), (0, 10)], 2, FP)
+    with pytest.raises(NoReductionFound) as first:
+        find_reduction(failed)
+    calls = []
+    monkeypatch.setattr(engine, "_reduction_number", lambda *args: calls.append(args))
+    assert all(find_reduction(I) is red for I, red in zip(cases, found))
+    depths = set()
+    for _ in range(3):
+        with pytest.raises(NoReductionFound) as again:
+            find_reduction(failed)
+        assert again.value is first.value
+        depths.add(len(again.traceback))
+    assert calls == [] and len(depths) == 1
 
 
 def _reference_reduction_number(I, Q, cap):
@@ -284,9 +338,10 @@ def test_lengths_decide_r_as_the_rank_test(field, seed):
 ])
 def test_lengths_pin_r(text, r, pure, monkeypatch):
     # r = 0 and r = 1 come from lengths and mu(I) with no rank test; r >= 2
-    # still from the rank loop
+    # still from the rank loop.  The pair is read off a copy of I, as
+    # find_reduction keeps its outcome on I and searches I only once
     I = ideal(text) if isinstance(text, str) else make_family(*text)
-    Q, monomial = _newton_pair(I)
+    Q, monomial = _newton_pair(Ideal(list(I.generators)))
     assert monomial is pure
     ranks = []
     real = engine._rank

@@ -411,6 +411,22 @@ def test_field_from_config_makes_one_field_per_modulus(monkeypatch):
     assert tested[2:] == [1048573, 1048573]
 
 
+def test_field_from_config_refuses_strong_pseudoprimes():
+    """psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the
+    twelve bases 2..37, and psi_13 to the thirteen bases 2..41: the witness
+    41 refuses the first, and the modulus bound below psi_13 the second."""
+    from agrees import fields
+    from agrees.errors import BadParameters
+
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441 and psi13 == fields.PRIME_LIMIT
+    assert not fields._is_prime(psi12)
+    assert fields._is_prime(psi13)
+    for p in (psi12, psi13):
+        with pytest.raises(BadParameters, match="not a prime below"):
+            fields.field_from_config(f"fp:{p}")
+
+
 def test_polynomial_arithmetic():
     x = Polynomial.variable(BASE_RING, QQ, "x")
     y = Polynomial.variable(BASE_RING, QQ, "y")

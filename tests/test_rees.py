@@ -405,10 +405,10 @@ def test_presentation_after_classify_runs_only_its_elimination(I, seed, want, fi
     # a monomial I's bound is read off lengths, mu(I), mu(I^2) off staircase
     # products and its kernel off its fibers: after classify(I) the
     # presentation makes no rank test and runs no Buchberger.  Its twin
-    # reads the reduction classify kept on I, at any seed, so it searches
-    # none (no `find_reduction`, no `_reduction_number`, no Nakayama test
-    # `_spans`), and it runs
-    # Buchberger once, on its own elimination
+    # asks `find_reduction` once, which returns the reduction classify kept
+    # on I, at any seed, so it searches none (no `_reduction_number`, no
+    # Nakayama test `_spans`), and it runs Buchberger once, on its own
+    # elimination
     I = _case(I, field)
     engine.classify(I, engine.ClassifyConfig(seed=seed))
     calls = []
@@ -429,15 +429,16 @@ def test_presentation_after_classify_runs_only_its_elimination(I, seed, want, fi
     spy(rees, "_buchberger")
     spy(rees, "_nakayama_prune")
     pres = rees_defining_ideal(I)
-    assert calls == want
+    assert calls == ["agrees.engine.find_reduction"] + want
     assert substitution_check(I, pres)
 
 
 def test_presentation_after_a_failed_search_searches_no_more(monkeypatch):
     # the fp x -> x + 2y twin of x^10, x^3 y^7, y^10 has no reduction with
     # r <= 4 among the fixed pairs: classify keeps the NoReductionFound on
-    # I, so the presentation reads it back and makes no rank test of its
-    # own, and it is the presentation of a fresh copy, which searches
+    # I, so the presentation's `find_reduction` raises it again and makes
+    # no rank test of its own, and it is the presentation of a fresh copy,
+    # which searches
     exps = [(10, 0), (3, 7), (0, 10)]
     I = coordinate_twin(exps, 2, FP)
     assert engine.classify(I).verdict is engine.Verdict.UNKNOWN

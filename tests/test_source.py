@@ -258,10 +258,23 @@ def test_engine_decides_stability_in_one_place():
         and isinstance(node.value, ast.Attribute) and node.value.attr == "_stable")
     assert writes == Counter({("engine", "_stable"): 1, ("engine", "find_reduction"): 1})
     # find_reduction's write sits in its staircase branch
-    branch = next(node for node in engine["find_reduction"].body if isinstance(node, ast.If))
+    branch = next(node for node in engine["find_reduction"].body if isinstance(node, ast.If)
+                  and any(isinstance(n, ast.Attribute) and n.attr == "_stable"
+                          for stmt in node.body for n in ast.walk(stmt)))
     assert "stair" in {n.id for n in ast.walk(branch.test) if isinstance(n, ast.Name)}
-    assert any(isinstance(n, ast.Attribute) and n.attr == "_stable"
-               for stmt in branch.body for n in ast.walk(stmt))
+
+
+def test_find_reduction_alone_keeps_its_outcome():
+    """`Ideal._reduction` is read and written only by `engine.find_reduction`,
+    which returns or raises it again, apart from its initialisation in
+    `Ideal._setup`; `_REDUCTION_CAP` is read only there too, beside its
+    definition; and the search tests each of its pairs once, in one loop."""
+    assert set(_readers_of("_reduction")) == {("engine", "find_reduction"),
+                                              ("groebner", "Ideal._setup")}
+    assert _named_in("_REDUCTION_CAP") == {("engine", None), ("engine", "find_reduction")}
+    loops = [node for node in ast.walk(_engine_definitions()["find_reduction"])
+             if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1
 
 
 def test_reduction_search_reads_no_seed():
