@@ -32,9 +32,10 @@ format, and a caller of `reduce_row` reads its rows only as columns.
 
 Every Nakayama test, in every ring, reads P/m*P off P's own reduced basis,
 with no m*P built and no Buchberger run: a class is the constant parts of
-a division's quotients (`classes`), modulo the classes of its S-pairs
-(`_pair_relations`), of consecutive corners in k[x,y] (`_relations`) and
-else of minimal lcms (`_nakayama_prune`).  Every product a kernel reads is
+a division's quotients (`classes`), modulo the classes of the S-pairs one
+rule picks (`_pair_relations`): with the leads in lex order, each
+element's pairs of minimal lcm with the elements before it, which in
+k[x,y] are its consecutive corners.  Every product a kernel reads is
 formed on packed words by one kernel, `_product_row`, a term being one
 integer sum (Monagan-Pearce 2007), with each factor packed once.
 
@@ -88,8 +89,8 @@ staircase with it cached.  A monomial ideal's `colength`, order and
 reduced basis are read off its staircase, with no run: the basis's
 entries are the corners' packed words, made with the basis.  The kernels
 then read that basis as any other: `_nf_dict` on one-term entries keeps
-exactly the terms no corner divides, a monomial P's consecutive S-pairs
-are zero, so `_relations` finds none, and `classes` reads p's
+exactly the terms no corner divides, a monomial P's S-pairs are zero, so
+`_relations` finds no relation, and `classes` reads p's
 coefficients at the corners off `_nf_dict`'s steps.  Its minimal
 generators are its corners' monomials (`minimal_generators`), and the
 engine reads its table of generator products off the corners of each
@@ -109,7 +110,7 @@ term.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Sequence
 
 from .errors import (
@@ -926,29 +927,46 @@ def _times_maximal(P: Ideal) -> Ideal:
     return _finish(gb, shifted, rows)
 
 
-def _pair_relations(pairs: list, entries: list, guard: int, field, cols: dict) -> dict:
+def _pair_relations(entries: list, pk: Packer, field, cols: dict,
+                    max_weight: int | None = None) -> dict:
     """An echelon {lead column: row} of the relations c of P/m*P for a
-    reduced basis G = (g_1, ..., g_s) of P, its `entries` and their `cols`,
-    read off `pairs` (f, g, packed lcm) whose lifts generate G's syzygies
-    in the weights read.  sum c_k g_k lies in m*P iff c is a syzygy's value
-    at the origin, and as neither lead of a pair divides the other, its
-    lift's value there is minus its S-polynomial's class (`cols` mode)."""
+    reduced basis G = (g_1, ..., g_s) of P, its `entries`, divided by in
+    list order, and their `cols`.  sum c_k g_k lies in m*P iff c is a
+    syzygy's value at the origin, and as neither lead of a pair divides the
+    other, its lift's value there is minus its S-polynomial's class (`cols`
+    mode).  With the leads in ascending lex order of their exponents, the
+    pairs read are (f, g), f before g, whose lcm no other lcm of g with an
+    element before it divides: their syzygies of the leads generate all, in
+    any order (Eisenbud, Commutative Algebra, Lemma 15.1), so their lifts
+    generate G's (Schreyer 1980).  In k[x,y] each g has one, with the
+    corner before it, so the pairs are the consecutive corners'.  Given
+    `max_weight` (a weight as in `_buchberger`), heavier pairs are dropped:
+    lifts of pairs of lcm weight <= w generate the syzygies of weight w, a
+    heavier syzygy has no constant part on an element of weight <=
+    max_weight, and a divisor of a light lcm is light."""
+    leads = sorted(zip(map(pk.unpack, map(_lead, entries)), entries), key=_lead)
     rows: dict = {}
-    for f, g, lcm in pairs:
-        _echelon_reduce(_nf_dict(_spoly(f, g, lcm, field), entries, guard, field, None, cols),
-                        rows, field)
+    for j, (b, g) in enumerate(leads):
+        minimal: list[Exponent] = []  # g's lcms kept; a divisor sorts before its multiples
+        for L, f in sorted([(tuple(map(max, a, b)), f) for a, f in leads[:j]]):
+            if max_weight is not None and sum(L[2:]) > max_weight:
+                continue
+            for v in minimal:
+                if all(map(le, v, L)):
+                    break  # v divides L
+            else:
+                minimal.append(L)
+                _echelon_reduce(_nf_dict(_spoly(f, g, pk.pack(L), field), entries, pk.guard,
+                                         field, None, cols), rows, field)
     return rows
 
 
 def _relations(P: Ideal) -> tuple[dict, list]:
-    """(cols, rels) for a nonzero ideal P of k[x,y] with reduced basis
+    """(cols, rels) for an ideal P of any ring with reduced basis
     G = (g_1, ..., g_s), kept on P: `cols` numbers the lead of each g_k by
-    least degree, then lead, and `rels` are the relations of P/m*P
-    (`_pair_relations`) as `_nf_dict` entries, read off the S-pairs of
-    consecutive corners, at lcm (a_(k+1), b_k) for leads (a_k, b_k) sorted
-    by x-exponent, whose lifts generate G's syzygies (Schreyer 1980;
-    Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 5 Thm 3.3).  A monomial
-    P's S-pairs are zero, so its corners have no relation."""
+    least degree, then lead, and `rels` are the relations of P/m*P read off
+    G's S-pairs (`_pair_relations`), as `_nf_dict` entries.  A monomial P's
+    S-pairs are zero, so its corners have no relation."""
     rel = P._relations
     if rel is None:
         gb = P.groebner_basis()
@@ -956,9 +974,7 @@ def _relations(P: Ideal) -> tuple[dict, list]:
         unpack = pk.unpack
         cols = {e[0]: k for k, e in enumerate(
             sorted(entries, key=lambda e: (sum(unpack(min(e[2]))), e[0])))}
-        corners = sorted(zip(gb.leading_exponents(), entries))
-        rows = _pair_relations([(f, g, pk.pack((a, b))) for ((_, b), f), ((a, _), g)
-                                in zip(corners, corners[1:])], entries, pk.guard, field, cols)
+        rows = _pair_relations(entries, pk, field, cols)
         rel = P._relations = (cols, [(lm, row[lm], row) for lm, row in rows.items()])
     return rel
 
@@ -966,8 +982,8 @@ def _relations(P: Ideal) -> tuple[dict, list]:
 def classes(P: Ideal, left: Sequence[Polynomial], right: Sequence[Polynomial] | None = None,
             exact: bool = False) -> list[dict]:
     """The classes in P/m*P of the elements of `left` of a nonzero ideal P
-    of k[x,y], or, given `right`, of the products u*w, row-major, formed on
-    packed words (`_products`): vectors on the columns of `_relations(P)`
+    in any ring, or, given `right`, of the products u*w, row-major, formed
+    on packed words (`_products`): vectors on the columns of `_relations(P)`
     that lead no relation, each a positive multiple of the class, or the
     class in field values when `exact`: `_nf_dict`'s class divided by the
     relations, whose columns are ints, so with guard -1 "lm divides" means
@@ -1077,24 +1093,20 @@ def ideal_order(I: Ideal) -> int:
 def minimal_generators(I: Ideal) -> list[Polynomial]:
     """A minimal generating set, kept on I (`Ideal._mingens`): a monomial
     ideal of k[x,y] has its corners' monomials, in `stair.gens` order; any
-    other its basis elements whose columns, by least degree, then lead,
-    lead no relation of the basis's S-pairs: `_relations` in k[x,y], else
-    `_nakayama_prune`."""
+    other ideal, in every ring, its basis elements whose columns, by least
+    degree, then lead, lead no relation of the basis's S-pairs
+    (`_relations`)."""
     gens = I._mingens
     if gens is None:
         stair = staircase_of_ideal(I)  # None outside k[x,y] and for the zero ideal
-        gb = I.groebner_basis() if stair is None else None
         if stair is not None:
             gens = _corner_monomials(stair, I.ring, I.field)
-        elif I.ring.arity == 2 and gb.entries:
+        else:
             cols, rels = _relations(I)
             led = {lm for lm, _, _ in rels}
+            gb = I.groebner_basis()
             by_lead = dict(zip(map(_lead, gb.entries), gb.elements))
             gens = tuple(by_lead[w] for w, k in cols.items() if k not in led)
-        else:
-            pack = gb._pk.pack
-            gens = tuple(_nakayama_prune(list(gb.elements),
-                                         key=lambda g: (g.min_degree(), max(map(pack, g.terms)))))
         I._mingens = gens
     return list(gens)
 
@@ -1106,25 +1118,12 @@ def _nakayama_prune(gens: list[Polynomial], key, max_weight: int | None = None
     that is when its column leads no relation (`_pair_relations`).  gens
     must be the reduced grevlex basis G of K, or, given `max_weight` (a
     weight as in `_buchberger`), its part of weight <= max_weight for a
-    weight-homogeneous K that this part generates.  The pairs read are
-    (f, g), f before g, whose lcm no other such lcm with g divides: their
-    syzygies of the leads generate all (Eisenbud, Commutative Algebra,
-    Lemma 15.1), so their lifts generate G's (Schreyer 1980).  A pair
-    heavier than max_weight is dropped: lifts of pairs of lcm weight <= w
-    generate the syzygies of weight w, and a heavier syzygy has no constant
-    part on an element of weight <= max_weight."""
+    weight-homogeneous K that this part generates."""
     gens = sorted(gens, key=key)
     if not gens:
         return []
     field, pk = gens[0].field, GREVLEX.packer(gens[0].ring)
     entries = [_entry(_packed(g.terms, pk.pack, field)[1], field) for g in gens]
     cols = {lm: k for k, (lm, _, _) in enumerate(entries)}
-    leads = [(pk.unpack(e[0]), e) for e in entries]
-    pairs = []
-    for j, (b, g) in enumerate(leads):
-        lcms = {pk.pack(tuple(map(max, a, b))): f for a, f in leads[:j]}
-        pairs += [(f, g, w) for w, f in lcms.items()  # w minimal, and light enough
-                  if all((w - v) & pk.guard for v in lcms if v != w)
-                  and (max_weight is None or sum(pk.unpack(w)[2:]) <= max_weight)]
-    led = _pair_relations(pairs, sorted(entries, key=_lead, reverse=True), pk.guard, field, cols)
+    led = _pair_relations(sorted(entries, key=_lead, reverse=True), pk, field, cols, max_weight)
     return [g for k, g in enumerate(gens) if k not in led]

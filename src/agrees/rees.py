@@ -45,8 +45,9 @@ already minimal.  mu(I) and mu(I^2) are `engine._mu`'s: corner counts for
 a monomial I, else read off the relations kept on I and on I^2 in
 `engine._mul`'s cache, which the reduction search behind the bound found.
 Everywhere else (no bound, a redundant input generator, or a count above
-those numbers) the prune runs, on the relations read off the basis's own
-S-pairs with no Buchberger run (`groebner._nakayama_prune`).  So after
+those numbers) the prune runs (`groebner._nakayama_prune`), on the
+relations read off the basis's own S-pairs by the pair rule of every
+Nakayama test (`groebner._pair_relations`), with no Buchberger run.  So after
 `classify` a monomial I with the bound runs no Buchberger, and every other
 I only its elimination.  The count and the prune return the basis sorted
 by the prune's key, so a certified basis is what the prune would keep.

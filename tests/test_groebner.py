@@ -1437,7 +1437,7 @@ def test_nakayama_prune_equals_the_reference_on_bases_and_rees_lists():
     from agrees.poly import presentation_ring
     from agrees.repro import random_staircase
 
-    real_pairs = groebner._pair_relations
+    real_spoly = groebner._spoly
     rng = random.Random(53)
     seen = {"basis": 0, "bounded": 0, "unbounded": 0}
     pruned = dict.fromkeys(seen, 0)
@@ -1462,8 +1462,8 @@ def test_nakayama_prune_equals_the_reference_on_bases_and_rees_lists():
                     t_free = rees._t_free_kernel(gens, field, max_weight)
                     words = []  # the lcm of every pair the prune reads
                     with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(groebner, "_pair_relations", lambda pairs, *rest: words.extend(
-                            w for _, _, w in pairs) or real_pairs(pairs, *rest))
+                        mp.setattr(groebner, "_spoly", lambda f, g, lcm, field: words.append(
+                            lcm) or real_spoly(f, g, lcm, field))
                         got = _nakayama_prune(t_free, rkey, max_weight=max_weight)
                     assert got == _reference_prune(t_free, rkey)
                     if max_weight is not None:  # no pair above the bound is read
@@ -1478,6 +1478,70 @@ def test_nakayama_prune_equals_the_reference_on_bases_and_rees_lists():
 def _prune_key(g):
     """`minimal_generators`' scanning order: least degree, then lead."""
     return (g.min_degree(), reference_grevlex_key(reference_leading(g)[0]))
+
+
+def test_minimal_generators_reads_relations_in_every_ring(monkeypatch):
+    # outside k[x, y] the minimal generators are read as in the plane, off
+    # the relations kept on the ideal (`_relations`), with no prune call:
+    # seeded reduced bases in three and four variables, and the zero ideal
+    found = []
+    real_relations = groebner._relations
+
+    def relations(P):
+        found.append(P)
+        return real_relations(P)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_generators ran the prune")
+
+    monkeypatch.setattr(groebner, "_relations", relations)
+    monkeypatch.setattr(groebner, "_nakayama_prune", refuse)
+    rng = random.Random(55)
+    pruned = 0
+    for field in (QQ, PrimeField(2147483647)):
+        for names, count, max_exp in ((("x", "y", "z"), 5, 3), (("x", "y", "z", "w"), 4, 2)):
+            ring = Ring(names)
+            cases = [Ideal(_random_generators(rng, ring, field, max_exp=max_exp))
+                     for _ in range(count)]
+            for I in cases + [Ideal([Polynomial.zero(ring, field)])]:
+                basis = list(I.groebner_basis().elements)
+                want = _reference_prune(basis, _prune_key)
+                found.clear()
+                assert minimal_generators(I) == want
+                assert found == [I]
+                pruned += len(want) < len(basis)
+    assert pruned >= 1
+
+
+def test_relations_in_the_plane_read_the_consecutive_corners():
+    # in k[x, y] the one pair rule reads one S-pair per basis element after
+    # the first, at the lcm of that element's corner and the one before it,
+    # so the plane pays nothing for sharing it: I, I^2, IJ and mJ of a twin
+    # and of an x -> x + y^2 image, whose I and I^2 have relations, and a
+    # staircase's basis
+    from agrees.families import coordinate_twin
+
+    exps = [(3, 0), (2, 3), (1, 5), (0, 6)]
+    x, y = poly("x"), poly("y")
+    cases = [mono_ideal([(4, 0), (3, 1), (1, 3), (0, 5)])]
+    for I in (coordinate_twin(exps, 2, QQ), Ideal([(x + y * y) ** a * y ** b for a, b in exps])):
+        J = engine.canonical_colon(I, Ideal(list(engine.find_reduction(I).Q)))
+        cases += [I, ideal_product(I, I), ideal_product(I, J), groebner._times_maximal(J)]
+    real_spoly = groebner._spoly
+    related = 0
+    for P in cases:
+        fresh = Ideal(list(P.groebner_basis().elements))  # its relations not yet read
+        gb = fresh.groebner_basis()
+        corners = sorted(gb.leading_exponents())
+        words = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groebner, "_spoly", lambda f, g, lcm, field: words.append(
+                lcm) or real_spoly(f, g, lcm, field))
+            rels = groebner._relations(fresh)[1]
+        assert words == [gb._pk.pack((a, b)) for (_, b), (a, _) in zip(corners, corners[1:])]
+        assert len(words) == len(gb.entries) - 1
+        related += bool(rels)
+    assert related >= 2
 
 
 def _count_buchberger(monkeypatch):
@@ -1815,7 +1879,7 @@ def test_monomial_presentation_after_classify_runs_no_buchberger(monkeypatch):
 
 def test_minimal_generators_runs_one_buchberger(monkeypatch):
     # GB(I), and no basis of (vars) * GB(I): the relations are read off
-    # GB(I)'s S-pairs, in k[x, y] (`_relations`) and in k[x, y, z] (the prune)
+    # GB(I)'s S-pairs (`_relations`), in k[x, y] and in k[x, y, z] alike
     ring = Ring(("x", "y", "z"))
     x, y, z = (Polynomial.variable(ring, QQ, v) for v in ring.vars)
     gens = [x ** 2, y ** 2, x * y + z ** 2]  # a basis of six elements, three of them redundant

@@ -357,20 +357,37 @@ def test_kernels_take_one_route_on_every_basis():
 
 
 def test_one_nakayama_method_in_every_ring():
-    """The prune reads its relations off its basis's S-pairs, as
-    `_relations` does, through one shared loop (`_pair_relations`, the one
-    reader of `_spoly` besides a Buchberger run): it runs no Buchberger,
-    builds no `GroebnerBasis` and takes no `reduce_row`."""
+    """Every relation reader reads its relations off its basis's S-pairs
+    through one loop, `_pair_relations`, which picks the pairs itself from
+    the entries it is given and is the one reader of `_spoly` besides a
+    Buchberger run: it takes no pair list, and neither `_relations` nor the
+    prune builds one, as neither takes an lcm (`max`), reads the divisor
+    mask or the leads' exponents.  The prune runs no Buchberger, builds no
+    `GroebnerBasis` and takes no `reduce_row`.  `_relations` serves every
+    ring, so `minimal_generators` has one branch besides the staircase's
+    and names no prune: only the Rees presentation does."""
     definitions = {top.name: top for path in SOURCES if path.name == "groebner.py"
                    for top in ast.parse(path.read_text(), filename=str(path)).body
                    if hasattr(top, "name")}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(definitions["_nakayama_prune"])
-            if isinstance(node, (ast.Name, ast.Attribute))}
-    assert not read & {"_buchberger", "GroebnerBasis", "reduce_row"}
+
+    def read(name):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(definitions[name])
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    assert not read("_nakayama_prune") & {"_buchberger", "GroebnerBasis", "reduce_row"}
+    for name in ("_relations", "_nakayama_prune"):
+        assert not read(name) & {"max", "guard", "leading_exponents", "_spoly"}, name
+    assert list(inspect.signature(groebner._pair_relations).parameters) == [
+        "entries", "pk", "field", "cols", "max_weight"]
     assert _named_in("_pair_relations") == {("groebner", "_relations"),
                                             ("groebner", "_nakayama_prune")}
     assert _named_in("_spoly") == {("groebner", "_buchberger"), ("groebner", "_pair_relations")}
+    assert _named_in("_nakayama_prune") == {("rees", "rees_defining_ideal")}
+    assert "_relations" in read("minimal_generators")
+    branches = [node for node in ast.walk(definitions["minimal_generators"])
+                if isinstance(node, ast.If)]
+    assert len(branches) == 2  # the cache's and the staircase's, whose else serves the rest
 
 
 def _engine_definitions() -> dict:
