@@ -1516,7 +1516,7 @@ def test_minimal_generators_reads_relations_in_every_ring(monkeypatch):
 def test_relations_in_the_plane_read_the_consecutive_corners():
     # in k[x, y] the one pair rule reads one S-pair per basis element after
     # the first, at the lcm of that element's corner and the one before it,
-    # so the plane pays nothing for sharing it: I, I^2, IJ and mJ of a twin
+    # so sharing the rule adds no S-pair in the plane: I, I^2, IJ and mJ of a twin
     # and of an x -> x + y^2 image, whose I and I^2 have relations, and a
     # staircase's basis
     from agrees.families import coordinate_twin
