@@ -26,10 +26,11 @@ sampling until each side's rank meets the term rank of its support (capped
 by its mu), which no sample can exceed.  Both witness conditions are
 Zariski-open ranks (Nakayama), so one generic triple decides the first.
 The triple and the refuter's samples are ranked on one table, the exact
-classes of the products of minimal generators in IJ/m*IJ and mJ/m^2*J
-(`_product_tables`), read off the corners of IJ and mJ for a monomial I
-and J; the validator re-checks a reported triple by forming its products
-as polynomials (`verify_witness`).  Every product ideal is built once per
+classes of the products of minimal generators in IJ/m*IJ and mJ/m^2*J,
+kept as its nonzero cells (`_product_tables`), read off the corners of IJ
+and mJ for a monomial I and J, from which one pass builds a sample's rows
+(`_table_rows`); the validator re-checks a reported triple by forming its
+products as polynomials (`verify_witness`).  Every product ideal is built once per
 analysis (`_mul` caches it on its right factor), and that cache is the
 one way stages share work: the powers I^k, I^2 for the colon, IJ and mJ,
 with the relations every mu and class reads kept on each.
@@ -188,10 +189,10 @@ def _rank(rows: list[dict], fld) -> int:
     """dim_k of the span of sparse rows {column: field value}, such as
     classes in P/m*P, with mutually comparable columns, leaving the rows as
     they are: one echelon keyed by the largest column, built from copies of
-    the rows without their zero entries (a `_combine` can cancel one), each
-    cleared to an integer row (`field.clear`).  The engine's only reader of
-    `_echelon_reduce`: every Nakayama test, witness side on the table and
-    refuter sample is a `_rank`."""
+    the rows without their zero entries (a `_table_rows` sum can cancel to
+    one), each cleared to an integer row (`field.clear`).  The engine's only
+    reader of `_echelon_reduce`: every Nakayama test, witness side on the
+    table and refuter sample is a `_rank`."""
     echelon: dict = {}
     zero = fld.zero
     for row in rows:
@@ -414,7 +415,8 @@ def _sum_equals(ref: Ideal, ref_stair: Staircase | None, ref_min: Sequence[Polyn
 
 
 def _span(coeffs: list, gens: list[Polynomial]) -> Polynomial:
-    """sum_j c_j * g_j: `_combine` over the generators' terms."""
+    """sum_j c_j * g_j, a witness polynomial: `_combine` over the
+    generators' terms."""
     fld = gens[0].field
     return Polynomial(gens[0].ring, fld, _combine([g.terms for g in gens], coeffs, fld))
 
@@ -441,35 +443,40 @@ def verify_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial,
 
 def _product_tables(I: Ideal, J: Ideal):
     """The table of generator products that the certificate and the
-    refuter read, one side at a time: (IJ, by_I), then (mJ, by_m), with
-    by_I[i][j] the class of u_i*w_j in IJ/m*IJ for u_i in mingens(I),
-    by_m[v][j] that of v*w_j in mJ/m^2*J for v in {x, y}, and w_j in
-    mingens(J), in exact field values.  A caller that stops after the IJ
-    side builds no mJ side.  The ideals come from `_mul`'s cache.
+    refuter read, one side at a time, as its nonzero cells: (IJ, cells),
+    then (mJ, cells), with a cell (i, j, class) for each product u_i*w_j of
+    u_i in mingens(I) and w_j in mingens(J) whose class in IJ/m*IJ is not
+    zero, then likewise for v*w_j in mJ/m^2*J, v in {x, y}, in exact field
+    values and row-major order.  A caller that stops after the IJ side
+    builds no mJ side.  The ideals come from `_mul`'s cache.
 
-    When the side's P (IJ or mJ) is a staircase and every factor one term,
-    as for monomial I and J, the product of c*x^a and d*x^b is cd*x^(a+b),
-    whose class is {a+b: cd} when a+b is a corner of P, else {}, so no
-    product and no basis is built.  Every other side forms its products
-    and reads their exact classes (`groebner.classes`)."""
+    When the side's P (IJ or mJ), its left factor (I or m) and J all have
+    staircases, the minimal generators are the corners' monomials, so the
+    product of corners u and w is the monomial at u + w, whose class is
+    {u + w: 1} when u + w is a corner of P and zero otherwise: the cells
+    are read off the corners alone, with no polynomial, product or basis
+    built.  Every other
+    side forms its products and reads their exact classes
+    (`groebner.classes`), dropping the zero ones."""
     m = maximal_ideal(I.ring, I.field)
-    j_min = minimal_generators(J)
-    for P, left in ((_mul(I, J), minimal_generators(I)), (_mul(m, J), m.generators)):
-        stair = staircase_of_ideal(P)
-        if stair is None or not all(p.is_monomial for p in (*left, *j_min)):
-            flat, n = classes(P, left, j_min, exact=True), len(j_min)
-            yield P, [flat[k:k + n] for k in range(0, len(flat), n)]
+    s_J, j_min = staircase_of_ideal(J), None
+    for P, left in ((_mul(I, J), I), (_mul(m, J), m)):
+        stair, s_left = staircase_of_ideal(P), staircase_of_ideal(left)
+        if stair is not None and s_left is not None and s_J is not None:
+            corners, one = set(stair.gens), I.field.one
+            yield P, [(i, j, {e: one}) for i, (a, b) in enumerate(s_left.gens)
+                      for j, (c, d) in enumerate(s_J.gens) if (e := (a + c, b + d)) in corners]
             continue
-        corners, mul = set(stair.gens), I.field.mul
-        right = [w.terms.items() for w in j_min]
-        yield P, [[{e: mul(c, d)} if (e := (a[0] + b[0], a[1] + b[1])) in corners else {}
-                   for ((b, d),) in right] for ((a, c),) in (u.terms.items() for u in left)]
+        if j_min is None:
+            j_min = minimal_generators(J)
+        n = len(j_min)
+        yield P, [(*divmod(k, n), c) for k, c in enumerate(
+            classes(P, minimal_generators(left), j_min, exact=True)) if c]
 
 
 def _combine(per_w: list[dict], c: list, fld) -> dict:
-    """sum_j c_j * per_w[j] of classes, such as that of a*h for
-    h = sum c_j w_j from those of each a*w_j; an entry can cancel to zero,
-    which `_rank` drops."""
+    """sum_j c_j * per_w[j] of term dicts in field values, for `_span`'s
+    witness polynomials."""
     row: dict = {}
     for cj, entries in zip(c, per_w):
         for col, v in entries.items():
@@ -477,13 +484,41 @@ def _combine(per_w: list[dict], c: list, fld) -> dict:
     return row
 
 
+def _table_rows(cells: list, n: int, c: list, fld, a: list | None = None) -> list[dict]:
+    """A side's rows, from its nonzero cells (i, j, [u_i*w_j]) in one pass:
+    for h = sum_j c_j w_j the classes [u_i*h] = sum_j c_j [u_i*w_j], i < n,
+    and, given a, before them for g = sum_i a_i u_i the classes [g*w_j] =
+    sum_i a_i [u_i*w_j], j < len(c).  Entries are summed in the kernels'
+    native arithmetic and reduced once modulo `field.modulus` over fp; over
+    q they stay values that `_rank` clears once per row.  A sum can cancel
+    to zero, which `_rank` drops."""
+    by_u = [{} for _ in range(n)]
+    by_w = [] if a is None else [{} for _ in c]
+    for i, j, cls in cells:
+        row, cj = by_u[i], c[j]
+        for col, v in cls.items():
+            row[col] = row.get(col, 0) + cj * v
+        if by_w:
+            row, ai = by_w[j], a[i]
+            for col, v in cls.items():
+                row[col] = row.get(col, 0) + ai * v
+    rows = by_w + by_u
+    mod = fld.modulus
+    if mod:
+        for row in rows:
+            for col, v in row.items():
+                row[col] = v % mod
+    return rows
+
+
 def _witness_on_table(I: Ideal, J: Ideal, a: list, c: list, b: list) -> bool:
     """Do g = sum a_i u_i, h = sum c_j w_j and f = b_x x + b_y y (u_i in
     mingens(I), w_j in mingens(J)) satisfy both witness equalities?  Classes
-    are linear, so [g*w_j] = sum_i a_i by_I[i][j] and [u_i*h] =
-    sum_j c_j by_I[i][j] (`_product_tables`), and the IJ side holds iff
-    these mu(J) + mu(I) rows have rank mu(IJ); then the mJ side likewise
-    with b, by_m and mu(mJ).
+    are linear, so [g*w_j] = sum_i a_i [u_i*w_j] and [u_i*h] =
+    sum_j c_j [u_i*w_j], built in one pass over the IJ side's cells
+    (`_product_tables`, `_table_rows`), and the IJ side holds iff these
+    mu(J) + mu(I) rows have rank mu(IJ); then the mJ side likewise with b,
+    its cells and mu(mJ).
 
     This equals `verify_witness(I, J, f, g, h)`: f, g and h lie in m, I
     and J by construction, and modulo m*IJ the products g*w over any
@@ -491,10 +526,8 @@ def _witness_on_table(I: Ideal, J: Ideal, a: list, c: list, b: list) -> bool:
     combination of them modulo mJ and g*mJ lies in I*mJ = m*IJ; likewise
     for a*h, and for the mJ side modulo m^2*J."""
     fld = I.field
-    return all(
-        _rank([_combine(col, coeffs, fld) for col in zip(*table)]
-              + [_combine(row, c, fld) for row in table], fld) == _mu(P)
-        for (P, table), coeffs in zip(_product_tables(I, J), (a, b)))
+    return all(_rank(_table_rows(cells, len(coeffs), c, fld, coeffs), fld) == _mu(P)
+               for (P, cells), coeffs in zip(_product_tables(I, J), (a, b)))
 
 
 def certificate_search(I: Ideal, Q: Ideal, J: Ideal, seed: int = 0) -> AGWitness | None:
@@ -566,28 +599,29 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     ranks of matrices linear in h's coefficients, so sampling h computes
     the generic minimum with a reported failure probability.  By Nakayama,
     (Ih + mIJ)/mIJ is spanned by the classes of a*h, a in mingens(I), and
-    (mh + m^2 J)/m^2 J by those of x h, y h: each sample's rows combine the
-    table of generator products (`_product_tables`) that the certificate
-    decided on.  A given Q is checked for I^2 = QI; callers that already
-    know it pass none.
+    (mh + m^2 J)/m^2 J by those of x h, y h: each sample's rows are built
+    in one pass over the nonzero cells of the table of generator products
+    (`_product_tables`, `_table_rows`) that the certificate decided on.  A
+    given Q is checked for I^2 = QI; callers that already know it pass
+    none.
 
     `trials` is the sample budget, `_TRIALS` by default; classify records
     it and `validate_report` accepts no other.  Each side's rank is at most
-    its bound, the term rank of the table's support (`_term_rank`) capped
-    by its mu.  Each trial draws one vector, shared by both sides, and
-    ranks only a side still short of its bound; once both meet their
-    bounds sampling stops, as no later sample could raise either rank, so
-    the record equals that of the whole budget, and where both bounds are
-    met its ranks are the generic ranks exactly.  The monomial ideals
-    tested meet both at the first sample; a non-monomial I side may draw
-    the whole budget.
+    its bound, the term rank of its cells' supports, row by row
+    (`_term_rank`), capped by its mu.  Each trial draws one vector, shared
+    by both sides, and ranks only a side still short of its bound; once
+    both meet their bounds sampling stops, as no later sample could raise
+    either rank, so the record equals that of the whole budget, and where
+    both bounds are met its ranks are the generic ranks exactly.  The
+    monomial ideals tested meet both at the first sample; a non-monomial I
+    side may draw the whole budget.
     """
     if trials < 1:
         raise BadParameters(f"a refutation needs at least one sample, got trials={trials}")
     if Q is not None and not is_stable(I, Q):
         raise NotStable("the generator-count refutation needs I^2 = QI")
     fld = I.field
-    (IJ, by_I), (mJ, by_m) = _product_tables(I, J)
+    (IJ, cells_I), (mJ, cells_m) = _product_tables(I, J)
     mu_IJ = _mu(IJ)
     mu_mJ = _mu(mJ)
     mu_J = _mu(J)
@@ -598,19 +632,25 @@ def necessary_bound(I: Ideal, J: Ideal, seed: int = 0, Q: Ideal | None = None,
     rng = random.Random(run_seed)
 
     space = fld.p if isinstance(fld, PrimeField) else MIN_PRIME
-    bound_I = min(mu_IJ, _term_rank([set().union(*per_w) for per_w in by_I]))
-    bound_m = min(mu_mJ, _term_rank([set().union(*per_w) for per_w in by_m]))
+    n_I = len(minimal_generators(I))
+    bounds = []
+    for mu, n, cells in ((mu_IJ, n_I, cells_I), (mu_mJ, 2, cells_m)):
+        support = [set() for _ in range(n)]
+        for i, _, cls in cells:
+            support[i].update(cls)
+        bounds.append(min(mu, _term_rank(support)))
+    bound_I, bound_m = bounds
     best_I = best_m = 0
     for _ in range(trials):
         if best_I == bound_I and best_m == bound_m:
             break  # no later sample can raise either rank
-        c = _sample_vector(rng, fld, len(minimal_generators(J)), space)
+        c = _sample_vector(rng, fld, mu_J, space)
         if best_I < bound_I:
-            best_I = max(best_I, _rank([_combine(per_w, c, fld) for per_w in by_I], fld))
+            best_I = max(best_I, _rank(_table_rows(cells_I, n_I, c, fld), fld))
         if best_m < bound_m:
-            best_m = max(best_m, _rank([_combine(per_w, c, fld) for per_w in by_m], fld))
+            best_m = max(best_m, _rank(_table_rows(cells_m, 2, c, fld), fld))
     min_sum = mu_IJ + mu_mJ - best_I - best_m
-    degree = min(mu_IJ, len(by_I)) + min(mu_mJ, 2)
+    degree = min(mu_IJ, n_I) + min(mu_mJ, 2)
     failure_bound = float((degree / space) ** trials)
     primes = (fld.p,) if isinstance(fld, PrimeField) else ()
     return RefutationData(

@@ -90,12 +90,15 @@ reduced basis are read off its staircase, with no run: the basis's
 entries are the corners' packed words, made with the basis.  The kernels
 then read that basis as any other: `_nf_dict` on one-term entries keeps
 exactly the terms no corner divides, a monomial P's S-pairs are zero, so
-`_relations` finds no relation, and `classes` reads p's
+`_relations` returns no relation and forms no S-pair for a basis of one-term
+elements, and `classes` reads p's
 coefficients at the corners off `_nf_dict`'s steps.  Its minimal
 generators are its corners' monomials (`minimal_generators`), and the
-engine reads its table of generator products off the corners of each
-product (`engine._product_tables`).  Every other ideal, the zero ideal and
-monomial ideals in more variables included, goes through Buchberger.
+engine lists the nonzero cells of its table of generator products
+straight off the corners of the factors and of each product
+(`engine._product_tables`), with no polynomial built.  Every other ideal,
+the zero ideal and monomial ideals in more variables included, goes
+through Buchberger.
 
 A polynomial is built only where one is read.  A derived ideal, the ideal
 of a staircase, a finished one or a product, builds its generators from its
@@ -966,7 +969,8 @@ def _relations(P: Ideal) -> tuple[dict, list]:
     G = (g_1, ..., g_s), kept on P: `cols` numbers the lead of each g_k by
     least degree, then lead, and `rels` are the relations of P/m*P read off
     G's S-pairs (`_pair_relations`), as `_nf_dict` entries.  A monomial P's
-    S-pairs are zero, so its corners have no relation."""
+    S-pairs are zero, so when every g_k is one term its corners have no
+    relation and no S-pair is formed."""
     rel = P._relations
     if rel is None:
         gb = P.groebner_basis()
@@ -974,7 +978,8 @@ def _relations(P: Ideal) -> tuple[dict, list]:
         unpack = pk.unpack
         cols = {e[0]: k for k, e in enumerate(
             sorted(entries, key=lambda e: (sum(unpack(min(e[2]))), e[0])))}
-        rows = _pair_relations(entries, pk, field, cols)
+        monomial = all(len(row) == 1 for _, _, row in entries)
+        rows = {} if monomial else _pair_relations(entries, pk, field, cols)
         rel = P._relations = (cols, [(lm, row[lm], row) for lm, row in rows.items()])
     return rel
 

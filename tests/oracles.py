@@ -490,6 +490,25 @@ def reference_product_tables(I: Ideal, J: Ideal) -> list[tuple[Ideal, list]]:
     return sides
 
 
+def dense_tables(I: Ideal, J: Ideal, sides) -> list[tuple[Ideal, list]]:
+    """The sides of `engine._product_tables(I, J)`, lists of nonzero cells
+    (i, j, class), as the dense tables `reference_product_tables` keeps:
+    [(IJ, by_I), (mJ, by_m)], the class of cell (i, j) at [i][j] and {} at
+    each place with no cell, mingens(I) (or the variables) by mingens(J).
+    Checks that every cell is nonzero and that the cells are in row-major
+    order, one to a place."""
+    n_j = len(groebner.minimal_generators(J))
+    out = []
+    for (P, cells), n_i in zip(sides, (len(groebner.minimal_generators(I)), I.ring.arity)):
+        places = [(i, j) for i, j, _ in cells]
+        assert all(c for _, _, c in cells) and places == sorted(set(places)), P
+        table = [[{} for _ in range(n_j)] for _ in range(n_i)]
+        for i, j, c in cells:
+            table[i][j] = c
+        out.append((P, table))
+    return out
+
+
 def reference_witness(I: Ideal, J: Ideal, f: Polynomial, g: Polynomial, h: Polynomial) -> bool:
     """Both witness equalities for f in m, g in I and h in J, each as the
     rank of its products' normal forms modulo a fresh m*IJ or m^2*J against

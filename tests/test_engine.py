@@ -44,10 +44,11 @@ from agrees.poly import BASE_RING, Polynomial
 from agrees.staircase import adjoint, is_integrally_closed, staircase_normalize
 from agrees.survey import expand_tuples
 
-from oracles import (generic_ranks, ideal_pow, power_sum_pair, reference_class_forms,
-                     reference_colon, reference_corner_gens, reference_ideal_product,
-                     reference_min_gens, reference_mu, reference_necessary_bound,
-                     reference_product_tables, reference_rank, reference_witness)
+from oracles import (dense_tables, generic_ranks, ideal_pow, power_sum_pair,
+                     reference_class_forms, reference_colon, reference_corner_gens,
+                     reference_ideal_product, reference_min_gens, reference_mu,
+                     reference_necessary_bound, reference_product_tables, reference_rank,
+                     reference_witness)
 
 FP = PrimeField(2147483647)
 
@@ -1418,18 +1419,102 @@ def test_monomial_certificate_forms_no_product(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_monomial_table_side_lists_only_corner_cells(field):
+    # for monomial I and J each side of the table is read off the corners of
+    # its factors and of its P (IJ or mJ): listing both sides builds no
+    # Polynomial and calls no minimal_generators, _combine or _nf_dict, and
+    # the cells are the products of corners that land on a corner of P,
+    # each with the class {that corner: 1}, as many as the nonzero entries
+    # of the dense reference table (the census rows of colength <= 10)
+    calls = []
+
+    def spy(mp, owner, name):
+        real = getattr(owner, name)
+        mp.setattr(owner, name, lambda *args, **kwargs: calls.append(name) or real(
+            *args, **kwargs))
+
+    m = maximal_ideal(BASE_RING, field)
+    sides_read = 0
+    for n in range(1, 11):
+        for parts in _partitions(n):
+            I = ideal_of_staircase(staircase_normalize(
+                [(a, b) for b, a in enumerate(parts)] + [(0, len(parts))]), BASE_RING, field)
+            rep = classify(I)
+            if rep.colon_min_gens is None or rep.colon_min_gens < 2:
+                continue
+            J = canonical_colon(I, Ideal(list(rep.reduction.Q)))
+            with pytest.MonkeyPatch.context() as mp:
+                for owner, name in ((Polynomial, "__init__"), (engine, "minimal_generators"),
+                                    (engine, "_combine"), (groebner, "_nf_dict")):
+                    spy(mp, owner, name)
+                sides = list(engine._product_tables(I, J))
+            assert calls == [], I
+            want = reference_product_tables(I, J)
+            j_gens = staircase_of_ideal(J).gens
+            for (P, cells), left, (_, table) in zip(sides, (I, m), want):
+                corners, l_gens = staircase_of_ideal(P).gens, staircase_of_ideal(left).gens
+                for i, j, cls in cells:
+                    (e, c), = cls.items()
+                    assert c == field.one and e in corners, I
+                    assert e == (l_gens[i][0] + j_gens[j][0], l_gens[i][1] + j_gens[j][1]), I
+                assert len(cells) == sum(bool(entry) for row in table for entry in row), I
+                sides_read += 1
+    assert sides_read >= 200
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_table_rows_equal_the_reference_routes(field):
+    # on every row of `_census_and_twins` whose colon J has mu(J) >= 2, the
+    # rows built from the table's cells decide as the routes through a fresh
+    # m*P do: `_witness_on_table` equals `reference_witness` at two random
+    # triples and at degenerate ones (g = 0, h = 0, f = 0, h = w_1), and
+    # `necessary_bound` equals `reference_necessary_bound`, which ranks every
+    # sample of the budget on the dense reference table, at seeds 0 and 5
+    rng = random.Random(derive_seed("table rows", field.p if field is FP else 0))
+    m = maximal_ideal(BASE_RING, field)
+    F = field.from_int
+    outcomes, rows = set(), 0
+    for I in _census_and_twins(field):
+        rep = classify(I)
+        if rep.colon_min_gens is None or rep.colon_min_gens < 2:
+            continue
+        rows += 1
+        J = canonical_colon(I, Ideal(list(rep.reduction.Q)))
+        i_gens, j_min = minimal_generators(I), minimal_generators(J)
+        ni, nj = len(i_gens), len(j_min)
+        triples = [([F(rng.randint(1, 30)) for _ in range(ni)],
+                    [F(rng.randint(1, 30)) for _ in range(nj)],
+                    [F(rng.randint(1, 30)) for _ in range(2)]) for _ in range(2)]
+        triples += [([F(0)] * ni, [F(1)] * nj, [F(1), F(1)]),
+                    ([F(1)] * ni, [F(0)] * nj, [F(1), F(2)]),
+                    ([F(1)] * ni, [F(1)] * nj, [F(0), F(0)]),
+                    ([F(3)] * ni, [F(1)] + [F(0)] * (nj - 1), [F(1), F(0)])]
+        for a, c, b in triples:
+            f, g, h = (engine._span(b, list(m.generators)), engine._span(a, i_gens),
+                       engine._span(c, j_min))
+            got = engine._witness_on_table(I, J, a, c, b)
+            assert got == reference_witness(I, J, f, g, h), (I, a, c, b)
+            outcomes.add(got)
+        for seed in (0, 5):
+            assert engine.necessary_bound(I, J, seed=seed) == \
+                reference_necessary_bound(I, J, seed=seed), I
+    assert rows >= 400 and outcomes == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
 def test_counts_and_table_equal_the_m_p_route(field, monkeypatch):
     # on every row of `_census_and_twins`, and on the I, J, IJ and mJ of each
     # row classify takes to a colon, mu, the minimal generators and the
     # table equal their route through a fresh m*P: `_mu(P)` is
     # colength(m*P) - colength(P), a monomial P's minimal generators are its
     # corners in `stair.gens` order and any other's the scan of its basis
-    # against m*P (`reference_min_gens`), and each entry of
-    # `_product_tables`, a class in P/m*P in exact canonical field values,
-    # names an element whose normal form modulo m*P is the product's; it
-    # leads no relation.  For monomial I and J the table is read off the
-    # corners, the products' normal forms themselves: it forms no product
-    # and calls no `_nf_dict`
+    # against m*P (`reference_min_gens`), and each cell of
+    # `_product_tables`, a nonzero class in P/m*P in exact canonical field
+    # values, rebuilt into the dense table with {} at each place with no
+    # cell (`dense_tables`), names an element whose normal form modulo m*P
+    # is the product's, entry by entry; it leads no relation.  For monomial
+    # I and J the table is read off the corners, the products' normal forms
+    # themselves: it forms no product and calls no `_nf_dict`
     from agrees import groebner
 
     colons = []
@@ -1462,16 +1547,17 @@ def test_counts_and_table_equal_the_m_p_route(field, monkeypatch):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(Polynomial, "__mul__", lambda *args: formed.append(1) or real_mul(*args))
                 mp.setattr(groebner, "_nf_dict", lambda *args: formed.append(1) or real_nf(*args))
-                got = list(engine._product_tables(I, J))
+                sides = list(engine._product_tables(I, J))
             assert not monomial or not formed, I
+            got = dense_tables(I, J, sides)
             want = reference_product_tables(I, J)
-            assert all(P is Q for (P, _), (Q, _) in zip(got, want))
+            assert len(got) == len(want) == 2 and all(P is Q for (P, _), (Q, _) in zip(got, want))
             assert not monomial or [t for _, t in got] == [t for _, t in want], I
             assert [reference_class_forms(P, t) for P, t in got] == [t for _, t in want], I
-            for P, table in got:
+            for P, cells in sides:
                 led = {lm for lm, _, _ in groebner._relations(P)[1]}
                 assert all(canonical(c) and k not in led
-                           for row in table for entry in row for k, c in entry.items()), I
+                           for _, _, entry in cells for k, c in entry.items()), I
             tables[monomial] += 1
     assert tables[True] >= 400 and tables[False] >= 40
 
@@ -1482,7 +1568,8 @@ def assert_class_route(I: Ideal, rng: random.Random) -> tuple[int, int]:
     modulo a freshly built m*P (`tests/oracles.py`): mu(P), the minimal
     generators, the rank and the Nakayama answer of random sets of elements
     of P, sums of multiples of P's generators, some in m*P; and for the
-    pair (I, J), the table's exact entries, its decision at random and
+    pair (I, J), the table's exact entries, rebuilt from its cells into
+    the dense table (`dense_tables`), its decision at random and
     degenerate triples and the refuter's record at two seeds.  Returns how many ideals P it
     checked and how many of those have a relation among their reduced
     basis's classes."""
@@ -1516,7 +1603,8 @@ def assert_class_route(I: Ideal, rng: random.Random) -> tuple[int, int]:
             assert engine._spans(P, elements) == (rank == reference_mu(P)), P
     if J is None:
         return len(ideals), related
-    assert [reference_class_forms(P, t) for P, t in engine._product_tables(I, J)] == \
+    tables = dense_tables(I, J, list(engine._product_tables(I, J)))
+    assert [reference_class_forms(P, t) for P, t in tables] == \
         [t for _, t in reference_product_tables(I, J)], I
     i_gens, j_min = minimal_generators(I), minimal_generators(J)
     F = field.from_int

@@ -1517,8 +1517,8 @@ def test_relations_in_the_plane_read_the_consecutive_corners():
     # in k[x, y] the one pair rule reads one S-pair per basis element after
     # the first, at the lcm of that element's corner and the one before it,
     # so sharing the rule adds no S-pair in the plane: I, I^2, IJ and mJ of a twin
-    # and of an x -> x + y^2 image, whose I and I^2 have relations, and a
-    # staircase's basis
+    # and of an x -> x + y^2 image, whose I and I^2 have relations; a
+    # staircase's basis, whose S-pairs are all zero, forms none
     from agrees.families import coordinate_twin
 
     exps = [(3, 0), (2, 3), (1, 5), (0, 6)]
@@ -1538,10 +1538,48 @@ def test_relations_in_the_plane_read_the_consecutive_corners():
             mp.setattr(groebner, "_spoly", lambda f, g, lcm, field: words.append(
                 lcm) or real_spoly(f, g, lcm, field))
             rels = groebner._relations(fresh)[1]
+        if staircase_of_ideal(fresh) is not None:
+            assert words == [] and rels == []
+            continue
         assert words == [gb._pk.pack((a, b)) for (_, b), (a, _) in zip(corners, corners[1:])]
         assert len(words) == len(gb.entries) - 1
         related += bool(rels)
     assert related >= 2
+
+
+def test_a_monomial_basis_forms_no_s_pair():
+    # every S-pair of a basis of one-term elements is zero, so `_relations`
+    # returns no relation without forming, dividing or echeloning one: on a
+    # staircase's basis, on I^3 of a monomial-survey row (contracted-o3,
+    # n = 7, alpha = 2, beta = 5), built by the engine's product cache, and
+    # on a monomial basis in k[x, y, z] that a Buchberger run makes; each
+    # keeps one column per basis element, and mu and the minimal generators
+    # read those columns
+    from agrees.families import family_exponents
+
+    row = mono_ideal(family_exponents("contracted-o3", {"n": 7, "alpha": 2, "beta": 5}))
+    xyz = Ring(("x", "y", "z"))
+    x, y, z = (Polynomial.variable(xyz, QQ, v) for v in ("x", "y", "z"))
+    cases = [mono_ideal([(5, 0), (3, 1), (2, 3), (0, 4)]), engine._power(row, 3),
+             Ideal([x ** 2, x * y * z, y ** 3, z ** 2, x * y ** 2])]
+    for P in cases:
+        P.groebner_basis()  # the k[x, y, z] basis is a Buchberger run's
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_spoly", "_nf_dict", "_echelon_reduce", "_pair_relations"):
+            real = getattr(groebner, name)
+            mp.setattr(groebner, name, lambda *args, real=real, name=name: calls.append(
+                name) or real(*args))
+        found = [groebner._relations(P) for P in cases]
+    assert calls == []
+    for P, (cols, rels) in zip(cases, found):
+        entries = P.groebner_basis().entries
+        assert rels == [] and sorted(cols.values()) == list(range(len(entries)))
+        assert all(len(r) == 1 for _, _, r in entries)
+    assert engine._mu(cases[1]) == len(staircase_of_ideal(cases[1]).gens)
+    assert minimal_generators(cases[2]) == sorted(
+        cases[2].groebner_basis().elements,
+        key=lambda g: (g.min_degree(), GREVLEX.packer(xyz).pack(g.monomial_exponent())))
 
 
 def _count_buchberger(monkeypatch):

@@ -238,6 +238,16 @@ def test_refuter_alone_reads_the_term_rank():
         "_spans", "necessary_bound", "_witness_on_table"}
 
 
+def test_table_rows_come_from_one_helper():
+    """The certificate's and the refuter's rows are built from the table's
+    cells by one helper, `_table_rows`, and its term-rank supports are read
+    off the same cells in `necessary_bound`; `_combine` is left to `_span`,
+    for the witness polynomials."""
+    assert _named_in("_table_rows") == {("engine", "_witness_on_table"),
+                                        ("engine", "necessary_bound")}
+    assert _named_in("_combine") == {("engine", "_span")}
+
+
 def test_engine_decides_stability_in_one_place():
     """Every Nakayama test in `engine` is one `_spans` (a reduction's, I^2 =
     QI's, each side of a reported witness), so `_rank` is read only there,
@@ -422,9 +432,10 @@ def test_engine_reads_exact_normal_forms_only_in_the_refuter():
 
 
 def test_table_reads_corners_only_in_product_tables():
-    """The table's corner read, a membership test of a product's exponent
+    """The table's corner read, a membership test of a sum of two corners
     in the set of a staircase's corners (`set(stair.gens)`), lives only in
-    `engine._product_tables`."""
+    `engine._product_tables`, whose cells are read off the factors'
+    `stair.gens` and never off a polynomial's `.terms`."""
     corner_sets = {(path.stem, top.name) for path in SOURCES
                    for top in ast.parse(path.read_text(), filename=str(path)).body
                    for node in ast.walk(top)
@@ -433,6 +444,9 @@ def test_table_reads_corners_only_in_product_tables():
                    and any(isinstance(arg, ast.Attribute) and arg.attr == "gens"
                            for arg in node.args)}
     assert corner_sets == {("engine", "_product_tables")}
+    table = _engine_definitions()["_product_tables"]
+    attrs = {node.attr for node in ast.walk(table) if isinstance(node, ast.Attribute)}
+    assert "gens" in attrs and "terms" not in attrs
 
 
 def test_one_walk_and_one_finisher_in_groebner():
