@@ -459,7 +459,7 @@ def _product_tables(I: Ideal, J: Ideal):
     side forms its products and reads their exact classes
     (`groebner.classes`), dropping the zero ones."""
     m = maximal_ideal(I.ring, I.field)
-    s_J, j_min = staircase_of_ideal(J), None
+    s_J = staircase_of_ideal(J)
     for P, left in ((_mul(I, J), I), (_mul(m, J), m)):
         stair, s_left = staircase_of_ideal(P), staircase_of_ideal(left)
         if stair is not None and s_left is not None and s_J is not None:
@@ -467,10 +467,8 @@ def _product_tables(I: Ideal, J: Ideal):
             yield P, [(i, j, {e: one}) for i, (a, b) in enumerate(s_left.gens)
                       for j, (c, d) in enumerate(s_J.gens) if (e := (a + c, b + d)) in corners]
             continue
-        if j_min is None:
-            j_min = minimal_generators(J)
-        n = len(j_min)
-        yield P, [(*divmod(k, n), c) for k, c in enumerate(
+        j_min = minimal_generators(J)
+        yield P, [(*divmod(k, len(j_min)), c) for k, c in enumerate(
             classes(P, minimal_generators(left), j_min, exact=True)) if c]
 
 
