@@ -30,10 +30,10 @@ classes of the products of minimal generators in IJ/m*IJ and mJ/m^2*J,
 kept as its nonzero cells (`_product_tables`), read off the corners of IJ
 and mJ for a monomial I and J, from which one pass builds a sample's rows
 (`_table_rows`); the validator re-checks a reported triple by forming its
-products as polynomials (`verify_witness`).  Every product ideal is built once per
-analysis (`_mul` caches it on its right factor), and that cache is the
-one way stages share work: the powers I^k, I^2 for the colon, IJ and mJ,
-with the relations every mu and class reads kept on each.
+products as polynomials (`verify_witness`).  Every product ideal is built
+once per analysis (`_mul` caches it on its right factor), and that cache
+is the one way stages share work: the powers I^k, I^2 for the colon, IJ
+and mJ, with the relations every mu and class reads kept on each.
 Ideals with neither a certificate nor a refutation stay UNKNOWN; that
 verdict is first-class.
 """
@@ -455,9 +455,8 @@ def _product_tables(I: Ideal, J: Ideal):
     product of corners u and w is the monomial at u + w, whose class is
     {u + w: 1} when u + w is a corner of P and zero otherwise: the cells
     are read off the corners alone, with no polynomial, product or basis
-    built.  Every other
-    side forms its products and reads their exact classes
-    (`groebner.classes`), dropping the zero ones."""
+    built.  Every other side forms its products and reads their exact
+    classes (`groebner.classes`), dropping the zero ones."""
     m = maximal_ideal(I.ring, I.field)
     s_J = staircase_of_ideal(J)
     for P, left in ((_mul(I, J), I), (_mul(m, J), m)):

@@ -90,9 +90,9 @@ reduced basis are read off its staircase, with no run: the basis's
 entries are the corners' packed words, made with the basis.  The kernels
 then read that basis as any other: `_nf_dict` on one-term entries keeps
 exactly the terms no corner divides, a monomial P's S-pairs are zero, so
-`_relations` returns no relation and forms no S-pair for a basis of one-term
-elements, and `classes` reads p's
-coefficients at the corners off `_nf_dict`'s steps.  Its minimal
+`_relations` returns no relation and forms no S-pair for a basis of
+one-term elements, and `classes` reads p's coefficients at the corners
+off `_nf_dict`'s steps.  Its minimal
 generators are its corners' monomials (`minimal_generators`), and the
 engine lists the nonzero cells of its table of generator products
 straight off the corners of the factors and of each product
