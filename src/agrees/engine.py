@@ -65,7 +65,6 @@ from .groebner import (
     _echelon_reduce,
     _relations,
     _sum,
-    _times_maximal,
     classes,
     independent,
 )
@@ -155,28 +154,24 @@ class AGReport:
 # -- representation dispatch -------------------------------------------------
 # Products of two monomial ideals are built on their staircases and carry
 # them cached.  No Nakayama test builds an m*P (`groebner.classes`), so the
-# one product with m is the table's mJ, read off a non-monomial J's basis
-# and relations (`groebner._times_maximal`) with no Buchberger run.  Every
-# other product goes through `groebner.ideal_product`, whose run starts from
-# the products formed on packed words; `_stable`, `_reduction_number` and
-# the table hand `classes` the factors, and only the validator's
-# `verify_witness` and `_is_linked_colon` multiply polynomials.  Each
-# product is cached on its right factor, keyed by the left one
+# one product with m is the table's mJ.  Every other product, a
+# non-monomial J's mJ included, goes through `groebner.ideal_product`,
+# whose run starts from the products formed on packed words; `_stable`,
+# `_reduction_number` and the table hand `classes` the factors, and only the
+# validator's `verify_witness` and `_is_linked_colon` multiply polynomials.
+# Each product is cached on its right factor, keyed by the left one
 # (`Ideal._products`), so its basis, staircase and relations are built once
 # per analysis, and the shared maximal ideal, always the left factor here,
 # pins no product.
 
 def _mul(A: Ideal, B: Ideal) -> Ideal:
     """A*B from `_mul`'s cache: on the staircases when both are monomial,
-    by `_times_maximal` when A is the maximal ideal (B then has finite
-    colength in k[x,y]), else by `ideal_product`."""
+    else by `ideal_product`."""
     P = B._products.get(A)
     if P is None:
         sa, sb = staircase_of_ideal(A), staircase_of_ideal(B)
         if sa is not None and sb is not None:
             P = ideal_of_staircase(staircase_product(sa, sb), A.ring, A.field)
-        elif A is maximal_ideal(A.ring, A.field):
-            P = _times_maximal(B)
         else:
             P = ideal_product(A, B)
         B._products[A] = P

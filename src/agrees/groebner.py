@@ -71,15 +71,14 @@ Every reduced basis not read off a staircase or fibers ends in one finisher,
 `_interreduce`, one ascending sweep over a Groebner basis: an element is
 kept when no kept lead divides its lead and reduced against the kept ones
 only, as a lead dividing a term below its own is smaller, so swept.  A
-Buchberger run hands it its basis; three kernels read one with no run and
+Buchberger run hands it its basis; two kernels read one with no run and
 hand it on through `_finish`.  The colon (`_colon`) and the sum C + (F)
 (`_sum`) read the forms NF(s*b) over standard monomials s off one walk
 (`_walk`), in exact field values, which each clears as it enters them in
 its echelon: the colon hands on the basis it starts from plus its kernel
-rows, the sum C's basis plus an echelon of the forms.  For m*P with P of
-finite colength in k[x,y] (`_times_maximal`), the products x*g and y*g
-over P's reduced basis plus an echelon of the combinations that P's
-relations name are a Groebner basis.
+rows, the sum C's basis plus an echelon of the forms.  A product, m*P
+included, is one Buchberger run on the products of the factors'
+generators (`ideal_product`).
 
 Monomial ideals of k[x,y] take the staircase instead (`staircase`, a
 lattice module that knows no ideals).  This module is the one bridge
@@ -420,10 +419,10 @@ def _interreduce(G: list, pk: Packer, field) -> list:
     against the kept entries, already reduced.  A lead dividing a term below
     lm(g) is below lm(g), so swept already; reduced bases are unique.  It
     finishes every reduced basis not read off a staircase or fibers:
-    `_buchberger`'s, and through `_finish` those of `_times_maximal`,
-    `_colon` and `_sum`, read with no run.  Under a block order
-    (elimination runs only) each word is `check`ed, and a term of degree
-    2^32 or more raises DegreeOverflow."""
+    `_buchberger`'s, and through `_finish` those of `_colon` and `_sum`,
+    read with no run.  Under a block order (elimination runs only) each
+    word is `check`ed, and a term of degree 2^32 or more raises
+    DegreeOverflow."""
     guard = pk.guard
     reduced: list = []
     for g in sorted(G, key=_lead):
@@ -833,21 +832,22 @@ def _walk(top: GroebnerBasis, gens: Sequence[Polynomial], D: GroebnerBasis):
         yield s, nfs
 
 
-def _finish(gb: GroebnerBasis, base: list, rows: dict) -> Ideal:
-    """The ideal of gb's ring of which the entries `base` plus the rows of
-    an echelon {lead word: integer row} are a Groebner basis, carrying the
+def _finish(gb: GroebnerBasis, rows: dict) -> Ideal:
+    """The ideal of gb's ring of which gb's entries plus the rows of an
+    echelon {lead word: integer row} are a Groebner basis, carrying the
     reduced basis `_interreduce` makes: the one finisher of the bases
-    `_colon`, `_sum` and `_times_maximal` read with no run.  The first two
-    hand it the reduced basis of an ideal C and rows with distinct leads,
-    normal forms modulo C spanning K/C for the ideal K they read.  An
-    element g + k of K, g in C and k in the span, has g's lead in LM(C) and
-    k's terms standard for C, so its lead is g's or k's, which is a row's,
-    as their leads are distinct.  Reduced bases are unique, so it is the
-    basis a Buchberger run returns.  The ideal's generators are the basis's
-    monic elements, built on their first read, and its staircase, which
-    `engine._mul` reads of every factor, is set here from the entries."""
+    `_colon` and `_sum` read with no run.  Each hands it the reduced basis
+    gb of an ideal C and rows with distinct leads, normal forms modulo C
+    spanning K/C for the ideal K it reads.  An element g + k of K, g in C
+    and k in the span, has g's lead in LM(C) and k's terms standard for C,
+    so its lead is g's or k's, which is a row's, as their leads are
+    distinct.  Reduced bases are unique, so it is the basis a Buchberger
+    run returns.  The ideal's generators are the basis's monic elements,
+    built on their first read, and its staircase, which `engine._mul` reads
+    of every factor, is set here from the entries."""
     field, pk = gb.field, gb._pk
-    entries = _interreduce(base + [(lm, row[lm], row) for lm, row in rows.items()], pk, field)
+    entries = _interreduce(gb.entries + [(lm, row[lm], row) for lm, row in rows.items()],
+                           pk, field)
     basis = GroebnerBasis(gb.ring, field, entries)
     I = Ideal._derived(gb.ring, field, lambda: basis.elements)
     I._gb_cache[GREVLEX] = basis
@@ -880,8 +880,8 @@ def _colon(A: Ideal, B: Sequence[Polynomial], C: Ideal) -> Ideal:
         row[-1, pack(s)] = field.one
         field.clear(row)
         _echelon_reduce(row, echelon, field)
-    return _finish(gb, gb.entries, {w: {m: c for (_, m), c in row.items()}
-                                    for (j, w), row in echelon.items() if j < 0})
+    return _finish(gb, {w: {m: c for (_, m), c in row.items()}
+                        for (j, w), row in echelon.items() if j < 0})
 
 
 def _sum(C: Ideal, F: Sequence[Polynomial], D: Ideal) -> Ideal:
@@ -899,35 +899,7 @@ def _sum(C: Ideal, F: Sequence[Polynomial], D: Ideal) -> Ideal:
             r = dict(f)
             field.clear(r)
             _echelon_reduce(r, echelon, field)
-    return _finish(gb, gb.entries, echelon)
-
-
-def _times_maximal(P: Ideal) -> Ideal:
-    """m*P for m = (x, y) and an ideal P of finite colength in k[x,y],
-    generated by its reduced grevlex basis, which it carries cached: read
-    off P's reduced grevlex basis G = (g_1, ..., g_s) with no Buchberger
-    run.  Raises NotZeroDimensional for any other P.
-
-    m*P is m*G = (x g_k, y g_k) plus the combinations sum c_k g_k over the
-    relations c of P/m*P (`_relations`), each led by a corner; an echelon
-    of them has a new corner for each relation, so with m*G they lead
-    colength(P) + s - (s - mu(P)) = colength(m*P) standard monomials: a
-    Groebner basis of m*P, which `_finish` hands on.
-    """
-    colength(P)  # raises outside k[x,y], for the zero ideal and for infinite colength
-    gb = P.groebner_basis()
-    field, pack = gb.field, gb._pk.pack
-    shifted = [(lm + v, lc, {m + v: c for m, c in row.items()})
-               for v in (pack((1, 0)), pack((0, 1))) for lm, lc, row in gb.entries]
-    cols, rels = _relations(P)
-    g = {cols[lm]: row for lm, _, row in gb.entries}
-    rows: dict = {}
-    for _, _, rel in rels:
-        r: _Row = {}
-        for k, c in rel.items():
-            _cancel(r, -c, g[k], 1, 0, field)  # r += c * g_k
-        _echelon_reduce(r, rows, field)
-    return _finish(gb, shifted, rows)
+    return _finish(gb, echelon)
 
 
 def _pair_relations(entries: list, pk: Packer, field, cols: dict,

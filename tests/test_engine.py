@@ -704,12 +704,13 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     # the colon shares the reduction's I^2, and the colon's J carries its
     # reduced basis, so no run starts from an earlier run's output.  Every mu,
     # minimal generator set and Nakayama test reads P/m*P off P's own basis,
-    # so the one m*P built is the table's mJ, read off J's basis
-    # (`_times_maximal`, once), and no m*I: no Buchberger run builds an m*P,
-    # and the colon's T = Q + I^2 is read off I^2's basis (`_sum`), so no run
-    # starts from Q's generators: both twins make 3 runs in all (I, I^2 and
-    # IJ), where building each m*P by Buchberger made 8 and 6, and building T
-    # by Buchberger made 4
+    # so the one m*P built is the table's mJ, and no m*I; the colon's
+    # T = Q + I^2 is read off I^2's basis (`_sum`), so no run starts from Q's
+    # generators.  The twin whose colon J is not monomial makes 4 runs (I,
+    # I^2, IJ and mJ, the last from the products x*w, y*w over J's
+    # generators w), the other 3 (its mJ is read off staircases), where
+    # building every m*P by Buchberger made 8 and 6, and building T by
+    # Buchberger made 4
     from agrees import groebner
     from agrees.poly import GREVLEX
     from test_groebner import _monic_values, _Packed
@@ -726,15 +727,14 @@ def test_classify_builds_no_basis_twice(monkeypatch):
     cases = []
     for I, expected, runs in (
             (coordinate_twin(family_exponents("contracted-o3", {"n": 6, "alpha": 3, "beta": 5}),
-                             Fraction(1, 3), QQ), Verdict.NOT_AG, 3),
+                             Fraction(1, 3), QQ), Verdict.NOT_AG, 4),
             (coordinate_twin([(3, 0), (2, 3), (1, 4), (0, 5)], 2, QQ), Verdict.AG_CERTIFIED, 3)):
         shared = [basis_key(ideal_product(A, I)) for A in (m, I)]
         cases.append((I, expected, runs, shared))
 
-    inputs, outputs, products, colons, scaled = [], [], [], [], []
+    inputs, outputs, colons = [], [], []
     real = groebner._buchberger
     real_colon = engine._colon
-    real_times = engine._times_maximal
 
     def record(rows, pk, field, *args, **kwargs):
         # an input is an integer row; it is keyed as its monic field values
@@ -753,21 +753,11 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         colons.append(J)
         return J
 
-    def times_maximal(P):
-        P.groebner_basis()  # the kernel's own input
-        before = len(inputs)
-        M = real_times(P)
-        assert len(inputs) == before
-        products.append(basis_key(M))
-        scaled.append(P)
-        return M
-
     monkeypatch.setattr(groebner, "_buchberger", record)
     monkeypatch.setattr(engine, "_colon", colon)
-    monkeypatch.setattr(engine, "_times_maximal", times_maximal)
     built = 0
     for I, expected, runs, shared in cases:
-        for seen in (inputs, outputs, products, colons, scaled):
+        for seen in (inputs, outputs, colons):
             seen.clear()
         report = classify(I)
         assert report.verdict is expected
@@ -777,16 +767,19 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         assert not any(q_gens & polys for polys in inputs)
         assert inputs and len(set(inputs)) == len(inputs)
         assert not any(basis in outputs[:k] for k, basis in enumerate(inputs))
-        # the kernel builds mJ once, when J has no staircase, and no other
-        # m*P, m*I included; no run builds any m*P; I^2 is built once, from
-        # no other generator list
+        # one run builds mJ, when J has no staircase, from the products
+        # x*w, y*w, and returns mJ's cached basis; no run builds any other
+        # m*P, m*I included; I^2 is built once, from no other generator list
         (J,) = colons
         kernel = [] if staircase_of_ideal(J) is not None else [J]
-        assert scaled == kernel and products == [basis_key(J._products[m]) for _ in kernel]
+        assert runs == 3 + len(kernel)
+        # monic, as J's generators are
+        m_J = key((v * w).terms for v in m.generators for w in J.generators)
+        assert [outputs[k] for k, run in enumerate(inputs) if run == m_J] == [
+            basis_key(J._products[m]) for _ in kernel]
         built += len(kernel)
-        assert not set(products) & set(outputs)
         m_I, I_2 = shared
-        assert m_I not in products + outputs and outputs.count(I_2) == 1
+        assert m_I not in outputs and outputs.count(I_2) == 1
     assert built == 1
 
 
@@ -1650,18 +1643,24 @@ def test_class_route_equals_a_fresh_m_p(field):
 def test_classify_builds_m_p_only_as_m_j(field, monkeypatch):
     # on every twin, the x -> x + 2y ones of the contracted-o3 tuples with
     # n <= 8 and the x -> x + y/3 ones with n <= 6, classify reads every
-    # P/m*P off P itself, so it calls `_times_maximal` only for its colon J,
-    # the table's mJ, and only when J is not monomial: never for I, a power
-    # of I or IJ, and never for mJ
+    # P/m*P off P itself, so it calls `ideal_product` with the maximal ideal
+    # as left factor only for its colon J, the table's mJ, and only when J is
+    # not monomial: never for I, a power of I or IJ, and never for mJ
     colons, scaled = [], []
-    real_colon, real_times = engine.canonical_colon, engine._times_maximal
+    real_colon, real_product = engine.canonical_colon, engine.ideal_product
+    m = maximal_ideal(BASE_RING, field)
 
     def colon(*args, **kwargs):
         colons.append(real_colon(*args, **kwargs))
         return colons[-1]
 
+    def product(A, B):
+        if A is m:
+            scaled.append(B)
+        return real_product(A, B)
+
     monkeypatch.setattr(engine, "canonical_colon", colon)
-    monkeypatch.setattr(engine, "_times_maximal", lambda P: scaled.append(P) or real_times(P))
+    monkeypatch.setattr(engine, "ideal_product", product)
     kernels = 0
     for c, top in ((2, 8), (Fraction(1, 3), 6)):
         for n in range(3, top + 1):
@@ -1853,12 +1852,11 @@ def test_span_is_the_fold_of_scaled_copies(case):
 @pytest.mark.parametrize("case", ["survey-not-ag", "survey-certified", "flagship-twin"])
 def test_classify_builds_no_generators_of_a_product_with_m(case, monkeypatch):
     # every m*P classify caches is read through its staircase or its
-    # reduced basis alone, so none has built its generators: the first read
-    # after classify makes them, the corners' monomials or the basis's
-    # monic elements.  Every mu, minimal generator set and Nakayama test
-    # reads P/m*P off P itself, so the one product with m is the table's mJ
-    from agrees import groebner
-
+    # reduced basis alone, so each still holds the function that builds its
+    # generators (the corners' monomials, or the products of the factors'
+    # generators) until the first read after classify.  Every mu, minimal
+    # generator set and Nakayama test reads P/m*P off P itself, so the one
+    # product with m is the table's mJ
     colons = []
     real_colon = engine.canonical_colon
 
@@ -1889,16 +1887,10 @@ def test_classify_builds_no_generators_of_a_product_with_m(case, monkeypatch):
                 todo.append(P)
     (J,) = colons
     assert len(factors) == 1 and factors[0] is J
-    made = []
-    real_monomial, real_monic = Polynomial.monomial, groebner._monic_polynomial
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Polynomial, "monomial",
-                   staticmethod(lambda *args: made.append(1) or real_monomial(*args)))
-        mp.setattr(groebner, "_monic_polynomial",
-                   lambda *args: made.append(1) or real_monic(*args))
-        for P in by_m:
-            before = len(made)
-            assert len(P.generators) == len(made) - before
+    for P in by_m:
+        assert not isinstance(P._generators, tuple)
+        gens = P.generators
+        assert isinstance(P._generators, tuple) and P._generators is gens and gens
 
 
 def test_witness_test_keeps_the_tracers_arguments(monkeypatch):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agrees.errors import (
     DegreeOverflow,
@@ -1040,46 +1040,6 @@ def test_sum_is_the_buchberger_basis(field, monkeypatch):
         assert [g.terms for g in got.generators] == [g.terms for g in got.groebner_basis()]
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
-@given(corners=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
-       a=st.integers(1, 5), b=st.integers(1, 5), c=st.sampled_from([2, -3, Fraction(1, 3)]),
-       shape=st.sampled_from(["twin", "redundant", "times x - 1", "square", "x + y^2"]))
-@example(corners=[(0, 0)], a=1, b=1, c=2, shape="redundant")  # (1, 2, x): m*P = m
-def test_times_maximal_is_the_buchberger_basis(field, corners, a, b, c, shape):
-    """m*P's basis read off P's by consecutive S-pairs (`_times_maximal`)
-    is the entries of Buchberger's reduced basis of m*P, for P the
-    x -> x + c*y twin of a staircase (the unit ideal when a corner is
-    (0, 0)): as it is, with a redundant sum and a multiple of its
-    generators added, with its x-power times x - 1 (zeros away from the
-    origin; the unit ideal stays as it is) and squared.  Those bases are
-    minimal generating sets; the staircase's image under x -> x + y^2
-    often has a basis that is not, and only there do S-pair remainders
-    survive into the echelon.  The kernel runs no Buchberger on P's
-    basis."""
-    from agrees.families import coordinate_twin
-    from agrees.staircase import staircase_normalize
-
-    exps = staircase_normalize([(a, 0), (0, b)] + corners).gens
-    P = coordinate_twin(exps, c, field)
-    gens = list(P.generators)
-    x, y = (Polynomial.variable(BASE_RING, field, v) for v in ("x", "y"))
-    if shape == "x + y^2":
-        P = Ideal([(x + y * y) ** i * y ** j for i, j in exps])
-    elif shape == "redundant":
-        P = Ideal(gens + [gens[0] + gens[-1], x * gens[-1]])
-    elif shape == "times x - 1" and len(gens) > 1:
-        P = Ideal([gens[0] * (x - Polynomial.one(BASE_RING, field))] + gens[1:])
-    elif shape == "square":
-        P = ideal_product(P, P)
-    want = ideal_product(maximal_ideal(BASE_RING, field), P).groebner_basis().entries
-    P.groebner_basis()
-    with pytest.MonkeyPatch.context() as mp:
-        runs = _count_buchberger(mp)
-        assert groebner._times_maximal(P).groebner_basis().entries == want
-    assert not runs
-
-
 def _spy_interreduce(mp):
     """Each `_interreduce` call as [its `_nf_dict` calls, its result], a
     call as (the lead of the row it reduces, a copy of the basis)."""
@@ -1107,9 +1067,9 @@ def test_interreduce_is_one_ascending_sweep(field):
     """`_interreduce` makes one `_nf_dict` call per kept element, in
     ascending lead order, each against exactly the kept, already reduced
     entries whose leads lie below the element's, in ascending order: on
-    grevlex Buchberger runs, on the bases `_colon` and `_times_maximal`
-    read off with no run, and on the block-order elimination of an
-    x -> x + 2y twin's Rees presentation."""
+    grevlex Buchberger runs, m*P's among them, on the basis `_colon` reads
+    off with no run, and on the block-order elimination of an x -> x + 2y
+    twin's Rees presentation."""
     from agrees.families import coordinate_twin
 
     twin = coordinate_twin([(3, 0), (2, 2), (1, 3), (0, 5)], 2, field)
@@ -1121,7 +1081,7 @@ def test_interreduce_is_one_ascending_sweep(field):
                         GREVLEX.packer(BASE_RING), field)
         twin.groebner_basis()
         ideal_colon(twin, ideal("x, y", field))
-        groebner._times_maximal(twin)
+        ideal_product(maximal_ideal(BASE_RING, field), twin)
         rees._t_free_kernel(gens, field, None)
     assert len(runs) == 6
     assert all(len(out) >= 3 for _, out in runs)
@@ -1130,15 +1090,6 @@ def test_interreduce_is_one_ascending_sweep(field):
         for lead, basis in calls:
             below = sorted((e for e in out if e[0] < lead), key=lambda e: e[0])
             assert len(basis) == len(below) and all(a is b for a, b in zip(basis, below))
-
-
-def test_times_maximal_needs_a_finite_colength_in_the_plane():
-    ring = Ring(("x", "y", "z"))
-    for P in (ideal("x y, x^2 y"), ideal("x^2 - y^2, x^3 - x y^2"),
-              Ideal([Polynomial.zero(BASE_RING, QQ)]),
-              Ideal([Polynomial.variable(ring, QQ, v) for v in ring.vars])):
-        with pytest.raises(NotZeroDimensional):
-            groebner._times_maximal(P)
 
 
 # -- colength, min_gens, order ---------------------------------------------------
@@ -1150,12 +1101,12 @@ def _grevlex_leads(gens):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["q", "fp"])
 def test_derived_ideals_build_their_generators_on_first_read(field):
-    """`ideal_of_staircase`, `_times_maximal`, `_colon` and `_sum` build no
-    monomial and no monic element; a later read of `generators` is what
-    the eager build gave, order included: the corners' monomials in
-    `stair.gens` order, and a finished ideal's reduced basis by descending
-    lead, on monomial results as on the rest.  A finished ideal's cached
-    staircase is the one its generators give."""
+    """`ideal_of_staircase`, `_colon` and `_sum` build no monomial and no
+    monic element; a later read of `generators` is what the eager build
+    gave, order included: the corners' monomials in `stair.gens` order, and
+    a finished ideal's reduced basis by descending lead, on monomial
+    results as on the rest.  A finished ideal's cached staircase is the
+    one its generators give."""
     from agrees.families import coordinate_twin
     from agrees.repro import random_staircase
 
@@ -1185,8 +1136,7 @@ def test_derived_ideals_build_their_generators_on_first_read(field):
         lazy = [groebner.ideal_of_staircase(S, BASE_RING, field) for S in stairs]
         derived = []
         for P, P2, g in inputs:
-            derived += [groebner._times_maximal(P), _colon(P, m.generators, P),
-                        groebner._sum(P2, [g], P)]
+            derived += [_colon(P, m.generators, P), groebner._sum(P2, [g], P)]
     assert made == []
     for S, I in zip(stairs, lazy):
         assert I.generators == tuple(Polynomial.monomial(BASE_RING, field, e) for e in S.gens)
@@ -1526,7 +1476,8 @@ def test_relations_in_the_plane_read_the_consecutive_corners():
     cases = [mono_ideal([(4, 0), (3, 1), (1, 3), (0, 5)])]
     for I in (coordinate_twin(exps, 2, QQ), Ideal([(x + y * y) ** a * y ** b for a, b in exps])):
         J = engine.canonical_colon(I, Ideal(list(engine.find_reduction(I).Q)))
-        cases += [I, ideal_product(I, I), ideal_product(I, J), groebner._times_maximal(J)]
+        cases += [I, ideal_product(I, I), ideal_product(I, J),
+                  ideal_product(maximal_ideal(BASE_RING, QQ), J)]
     real_spoly = groebner._spoly
     related = 0
     for P in cases:
@@ -2066,7 +2017,7 @@ def test_ideal_order_off_a_staircase_is_the_least_term_degree(field, seed):
               Ideal([zero] + [Polynomial.monomial(BASE_RING, field, e) for e in padded])]
     for P in (ideals[1], coordinate_twin(S.gens, rng.choice([2, -1, Fraction(1, 3)]), field)):
         P2 = ideal_product(P, P)
-        ideals += [P, P2, engine._mul(P, P), groebner._times_maximal(P),
+        ideals += [P, P2, engine._mul(P, P), ideal_product(m, P),
                    _colon(P, m.generators, P), groebner._sum(P2, [P.generators[-1]], P)]
     for I in ideals:
         assert ideal_order(I) == least_degree(I)

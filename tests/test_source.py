@@ -452,12 +452,19 @@ def test_table_reads_corners_only_in_product_tables():
 def test_one_walk_and_one_finisher_in_groebner():
     """The colon and the sum read their forms off one walk over the
     standard monomials (`_walk`), the one reader of `standard_monomials` in
-    `groebner`; every basis read with no run ends in `_finish`, which with
-    `_buchberger` is the one reader of `_interreduce`; and `Ideal` has no
-    `of_basis`, a second way to build an ideal with its basis cached."""
+    `groebner`; every basis read with no run, theirs alone, ends in
+    `_finish(gb, rows)`, gb's entries plus the rows, which with
+    `_buchberger` is the one reader of `_interreduce`; `Ideal` has no
+    `of_basis`, a second way to build an ideal with its basis cached; and
+    m*P has no kernel of its own: `engine._mul` builds every product that
+    is not a staircase's by `ideal_product`, and reads no `maximal_ideal`."""
     assert {d for m, d in _named_in("standard_monomials") if m == "groebner"} == {"_walk"}
     assert _named_in("_interreduce") == {("groebner", "_buchberger"), ("groebner", "_finish")}
+    assert list(inspect.signature(groebner._finish).parameters) == ["gb", "rows"]
+    assert _named_in("_finish") == {("groebner", "_colon"), ("groebner", "_sum")}
     assert not hasattr(Ideal, "of_basis")
+    assert not hasattr(groebner, "_times_maximal")
+    assert ("engine", "_mul") not in _named_in("maximal_ideal")
 
 
 def test_canonical_colon_builds_no_ideal_from_the_reduction():
