@@ -771,13 +771,13 @@ def test_classify_builds_no_basis_twice(monkeypatch):
         # x*w, y*w, and returns mJ's cached basis; no run builds any other
         # m*P, m*I included; I^2 is built once, from no other generator list
         (J,) = colons
-        kernel = [] if staircase_of_ideal(J) is not None else [J]
-        assert runs == 3 + len(kernel)
+        by_run = [] if staircase_of_ideal(J) is not None else [J]
+        assert runs == 3 + len(by_run)
         # monic, as J's generators are
         m_J = key((v * w).terms for v in m.generators for w in J.generators)
         assert [outputs[k] for k, run in enumerate(inputs) if run == m_J] == [
-            basis_key(J._products[m]) for _ in kernel]
-        built += len(kernel)
+            basis_key(J._products[m]) for _ in by_run]
+        built += len(by_run)
         m_I, I_2 = shared
         assert m_I not in outputs and outputs.count(I_2) == 1
     assert built == 1
@@ -1661,7 +1661,7 @@ def test_classify_builds_m_p_only_as_m_j(field, monkeypatch):
 
     monkeypatch.setattr(engine, "canonical_colon", colon)
     monkeypatch.setattr(engine, "ideal_product", product)
-    kernels = 0
+    built = 0
     for c, top in ((2, 8), (Fraction(1, 3), 6)):
         for n in range(3, top + 1):
             for b in range(2, n):
@@ -1674,8 +1674,8 @@ def test_classify_builds_m_p_only_as_m_j(field, monkeypatch):
                     assert len(scaled) <= len(colons) <= 1
                     assert len(scaled) == (rep.verdict in (Verdict.AG_CERTIFIED, Verdict.NOT_AG)
                                            and staircase_of_ideal(colons[0]) is None)
-                    kernels += len(scaled)
-    assert kernels
+                    built += len(scaled)
+    assert built
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
