@@ -44,6 +44,7 @@ from .poly import (
     rees_ring,
 )
 from .rees import ReesPresentation, rees_defining_ideal
+from .report import VERSION
 from .staircase import (
     Staircase,
     is_contracted,
@@ -56,4 +57,4 @@ from .staircase import (
     staircase_product,
 )
 
-__version__ = "0.1.0"
+__version__ = VERSION

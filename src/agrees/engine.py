@@ -263,10 +263,12 @@ def find_reduction(I: Ideal) -> ReductionData:
     """Find a two-generated reduction Q of I in k[x,y]_(x,y) and its
     reduction number.
 
-    A monomial ideal gets one pair: Q = (x^a, y^b) when those pure powers
-    dominate the Newton polygon, else the even/odd split of the polygon's
-    vertices.  On every edge of the polygon each member of the split has a
-    single term, so the pair is Newton non-degenerate and hence a reduction.
+    A monomial ideal gets one pair, read off its Newton polygon's vertices:
+    Q = (x^a, y^b) when there are fewer than three, the pure powers then
+    spanning the polygon (the unit ideal's one vertex gives Q = (1, 1)),
+    else the even/odd split of the vertices.  On every edge of the polygon
+    each member of the split has a single term, so the pair is Newton
+    non-degenerate and hence a reduction.
     Whether I^2 = QI is read off colengths, and kept on I (`Ideal._stable`):
     1. Q is a parameter ideal, so Q/QI = (R/I)^2 and
        l(R/QI) = e(I) + 2 l(R/I), with e(I) = l(R/Q) twice the area under
@@ -302,11 +304,9 @@ def find_reduction(I: Ideal) -> ReductionData:
         return I._reduction
     stair = staircase_of_ideal(I)
     if stair is not None and stair.is_m_primary:
-        a, b = stair.gens[0][0], stair.gens[-1][1]
-        if all(i * b + j * a >= a * b for i, j in stair.gens):
-            pts = [(a, 0), (0, b)]
-        else:
-            pts = hull_vertices(stair.gens)
+        pts = hull_vertices(stair.gens)
+        if len(pts) < 3:
+            pts = [stair.gens[0], stair.gens[-1]]
         monos = [Polynomial.monomial(I.ring, I.field, e) for e in pts]
         Q = Ideal([sum(monos[2::2], monos[0]), sum(monos[3::2], monos[1])])
         I._stable[Q.generators] = (

@@ -172,7 +172,7 @@ def _prune_key(s: int):
 
 def rees_defining_ideal(I: Ideal) -> ReesPresentation:
     """Minimal defining generators of R[It] with their bidegrees."""
-    colength(I)  # rejects inputs that are not m-primary
+    colength(I)  # rejects infinite colength; zeros away from the origin run unbounded
     gens = [g for g in I.generators if not g.is_zero]
     bound = _relation_type_bound(I)
     if bound is not None and staircase_of_ideal(I) is not None:

@@ -18,7 +18,7 @@ from .groebner import staircase_of_ideal
 from .staircase import render_staircase
 
 SCHEMA = "agrees/1"
-VERSION = "0.1.0"
+VERSION = "0.1.0"  # the package version: `agrees.__version__` is this
 
 CSV_COLUMNS = [
     "family", "params", "verdict", "o", "mu_I", "mu_J",

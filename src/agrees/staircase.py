@@ -5,20 +5,22 @@ sorted with x-exponents strictly decreasing.  This module is lattice
 arithmetic on exponent pairs only and imports nothing of the package but
 `errors`; the bridge to ideals, `staircase_of_ideal` and
 `ideal_of_staircase`, lives in `groebner`, which answers a monomial
-ideal's colength and normal forms from its staircase.  Integral closure is computed
-on the Newton polygon with integer arithmetic only: a lattice point belongs
-to the closure exactly when it sits on or above every lower-boundary edge.
-The closure's colength is a count over the polygon's edges by Pick's
-theorem (`closure_colength`), so I is integrally closed iff it has that
-colength, however long the staircase's columns (`is_integrally_closed`).
-The multiplicity e(I) is twice the area under that polygon
-(`newton_multiplicity`), so with colengths it decides the reduction number
-of the engine's Newton pair Q up to 1: I^2 = QI iff
-colength(I^2) = e(I) + 2*colength(I) (see `engine.find_reduction`).
-The adjoint adj(I) is read off the same edges by Howald's rule, strict
-inequalities at the shifted points (a+1, b+1) (`adjoint`); for an
-integrally closed I it is the canonical colon Q : I (Lipman; see
-`engine.canonical_colon`).
+ideal's colength and normal forms from its staircase.
+
+The Newton polygon is read one way, as its list of edges (`_edges`), each
+the half-plane alpha*a + beta*b >= c; integer arithmetic only.  The
+multiplicity e(I) is twice the area under the polygon, the sum of the
+edges' c (`newton_multiplicity`), so with colengths it decides the
+reduction number of the engine's Newton pair Q up to 1: I^2 = QI iff
+colength(I^2) = e(I) + 2*colength(I) (see `engine.find_reduction`).  The
+integral closure's colength is a count over the edges by Pick's theorem
+(`closure_colength`), so I is integrally closed iff it has that colength,
+however long the staircase's columns (`is_integrally_closed`).  The
+closure (`newton_closure`: the lattice points on or above every edge) and
+the adjoint adj(I) (`adjoint`: Howald's rule, strict inequalities at the
+shifted points (a+1, b+1)) are one column sweep with two per-edge bounds;
+for an integrally closed I the adjoint is the canonical colon Q : I
+(Lipman; see `engine.canonical_colon`).
 """
 
 from __future__ import annotations
@@ -140,13 +142,22 @@ def hull_vertices(points: Sequence[Pair]) -> list[Pair]:
     return hull
 
 
-def newton_multiplicity(s: Staircase) -> int:
-    """e(I) of an m-primary monomial ideal: twice the area under its Newton
-    polygon (Kouchnirenko), the shoelace sum over the hull's vertices closed
-    through the origin, whose own terms vanish."""
+def _edges(s: Staircase) -> list[tuple[int, int, int]]:
+    """(alpha, beta, c), beta > 0, for each edge (x1, y1)-(x2, y2) of the
+    Newton polygon, x1 < x2: the polyhedron is alpha*a + beta*b >= c on
+    every edge, with a, b >= 0, alpha = y1 - y2, beta = x2 - x1 and
+    c = x2*y1 - x1*y2, the edge's shoelace term."""
     _require_primary(s)
     hull = hull_vertices(s.gens)
-    return sum(x2 * y1 - x1 * y2 for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    return [(y1 - y2, x2 - x1, x2 * y1 - x1 * y2)
+            for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+
+
+def newton_multiplicity(s: Staircase) -> int:
+    """e(I) of an m-primary monomial ideal: twice the area under its Newton
+    polygon (Kouchnirenko), the sum of its edges' shoelace terms c, the
+    polygon closed through the origin, whose own terms vanish."""
+    return sum(c for _, _, c in _edges(s))
 
 
 def closure_colength(s: Staircase) -> int:
@@ -154,10 +165,9 @@ def closure_colength(s: Staircase) -> int:
     standard monomials are the lattice points under the Newton polygon, the
     axes counted and the polygon not, so with a = s's x-power, b its
     y-power and the sum over the polygon's edges there are
-    (e(I) + a + b - sum gcd(dx, dy)) / 2 of them."""
-    hull = hull_vertices(s.gens)
-    on_edges = sum(gcd(x2 - x1, y1 - y2) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
-    return (newton_multiplicity(s) + s.gens[0][0] + s.gens[-1][1] - on_edges) // 2
+    (sum (c - gcd(alpha, beta)) + a + b) / 2 of them, sum c being e(I)."""
+    inside = sum(c - gcd(alpha, beta) for alpha, beta, c in _edges(s))
+    return (inside + s.gens[0][0] + s.gens[-1][1]) // 2
 
 
 def is_integrally_closed(s: Staircase) -> bool:
@@ -166,28 +176,20 @@ def is_integrally_closed(s: Staircase) -> bool:
     return closure_colength(s) == mono_colength(s)
 
 
-def _edges(s: Staircase) -> list[tuple[int, int, int]]:
-    """(alpha, beta, c), beta > 0, for each edge of the Newton polygon: the
-    polyhedron is alpha*a + beta*b >= c on every edge, with a, b >= 0."""
-    _require_primary(s)
-    hull = hull_vertices(s.gens)
-    # half-plane (y2-y1)(a-x1) + (x1-x2)(b-y1) <= 0 flipped to alpha*a+beta*b >= c
-    return [(y1 - y2, x2 - x1, (y1 - y2) * x1 + (x2 - x1) * y1)
-            for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+def _sweep(s: Staircase, bound) -> Staircase:
+    """The monomial ideal whose column a, for a from 0 to s's x-power,
+    starts at the largest bound(alpha, beta, c, a) over the Newton
+    polygon's edges, clamped at 0."""
+    edges = _edges(s)
+    return staircase_normalize(
+        (a, max([0] + [bound(alpha, beta, c, a) for alpha, beta, c in edges]))
+        for a in range(s.gens[0][0] + 1))
 
 
 def newton_closure(s: Staircase) -> Staircase:
-    """Integral closure: lattice points on or above the Newton polygon boundary."""
-    edges = _edges(s)
-    gens = []
-    for a in range(s.gens[0][0] + 1):
-        b = 0
-        for alpha, beta, c in edges:
-            need = c - alpha * a
-            if need > 0:
-                b = max(b, -(-need // beta))  # ceil division
-        gens.append((a, b))
-    return staircase_normalize(gens)
+    """Integral closure: lattice points on or above the Newton polygon
+    boundary, column a from ceil((c - alpha*a) / beta) on every edge."""
+    return _sweep(s, lambda alpha, beta, c, a: -((alpha * a - c) // beta))
 
 
 def adjoint(s: Staircase) -> Staircase:
@@ -195,16 +197,9 @@ def adjoint(s: Staircase) -> Staircase:
     x^a*y^b lies in it iff (a+1, b+1) lies strictly inside the Newton
     polyhedron, i.e. alpha*(a+1) + beta*(b+1) > c on every edge (the axes'
     facets hold strictly for every a, b >= 0).  Column a keeps its least
-    such b, max(0, floor((c - alpha*(a+1)) / beta)) over the edges; column
-    a = s's x-power already keeps b = 0."""
-    edges = _edges(s)
-    gens = []
-    for a in range(s.gens[0][0] + 1):
-        b = 0
-        for alpha, beta, c in edges:
-            b = max(b, (c - alpha * (a + 1)) // beta)
-        gens.append((a, b))
-    return staircase_normalize(gens)
+    such b, floor((c - alpha*(a+1)) / beta) on every edge; column a = s's
+    x-power already keeps b = 0."""
+    return _sweep(s, lambda alpha, beta, c, a: (c - alpha * (a + 1)) // beta)
 
 
 def is_contracted(s: Staircase) -> bool:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,21 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run(
         BASE + list(args), capture_output=True, text=True, env=env, timeout=600)
+
+
+def test_version_has_one_source():
+    """`report.VERSION` is the library's one version literal: the package's
+    `__version__` is it, pyproject.toml repeats it, and every JSON report
+    prints it."""
+    tomllib = pytest.importorskip("tomllib")
+    import agrees
+    from agrees import report
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text())["project"]["version"]
+    out = run_cli("analyze", "--ideal", "x^2, y^3", "--json")
+    assert out.returncode == 0, out.stderr
+    assert declared == agrees.__version__ == report.VERSION == json.loads(out.stdout)["version"]
 
 
 def test_analyze_json_schema():

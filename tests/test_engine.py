@@ -353,6 +353,26 @@ def test_lengths_pin_r(text, r, pure, monkeypatch):
     assert engine._reduction_number(Ideal(list(I.generators)), Q, None) == r
 
 
+@pytest.mark.parametrize("text,pair", [
+    ("1", [[(0, 0)], [(0, 0)]]),
+    ("x^3, y^5", [[(3, 0)], [(0, 5)]]),
+    ("x^4, x^2 y^2, y^4", [[(4, 0)], [(0, 4)]]),
+    ("x^4, x^3 y^3, y^4", [[(4, 0)], [(0, 4)]]),
+    ("x^6, x^2 y, y^6", [[(0, 6), (6, 0)], [(2, 1)]]),
+    ("x^6, x^3 y, x y^3, y^6", [[(0, 6), (3, 1)], [(1, 3), (6, 0)]]),
+])
+def test_newton_pair_on_degenerate_hulls(text, pair):
+    # a hull of one or two vertices gives the pure powers (x^a, y^b) in
+    # that order, a corner on or above their segment included, and the
+    # unit ideal (1, 1) with r = 0; three or more vertices give the
+    # even/odd split of the vertices, x increasing
+    found = find_reduction(ideal(text))
+    assert [sorted(q.terms) for q in found.Q] == pair
+    assert all(set(q.terms.values()) == {1} for q in found.Q)
+    if text == "1":
+        assert found.reduction_number == 0
+
+
 def _twin_of(p, field):
     """p under the linear change x -> x + 2y, as `coordinate_twin` maps
     monomials."""

@@ -287,6 +287,29 @@ def test_find_reduction_alone_keeps_its_outcome():
     assert len(loops) == 1
 
 
+def test_newton_polygon_is_read_one_way():
+    """In `staircase`, `_edges` alone reads the hull, and e(I), the
+    closure's colength and the single column sweep, `_sweep`, read its
+    edges; `newton_closure` and `adjoint` are that sweep, told apart only
+    by the per-edge bound each passes, with no loop of their own.
+    `engine.find_reduction` reads its Newton pair off the hull's vertices,
+    with no test of the corners against the pure powers' segment."""
+    assert {d for m, d in _named_in("hull_vertices") if m == "staircase"} == {"_edges"}
+    assert _named_in("_edges") == {("staircase", "newton_multiplicity"),
+                                   ("staircase", "closure_colength"), ("staircase", "_sweep")}
+    assert _named_in("_sweep") == {("staircase", "newton_closure"), ("staircase", "adjoint")}
+    path = next(path for path in SOURCES if path.name == "staircase.py")
+    defs = {top.name: top for top in ast.parse(path.read_text()).body if hasattr(top, "name")}
+    for name in ("newton_closure", "adjoint"):
+        assert not [node for node in ast.walk(defs[name])
+                    if isinstance(node, (ast.For, ast.While, ast.comprehension))], name
+    search = _engine_definitions()["find_reduction"]
+    assert ("engine", "find_reduction") in _named_in("hull_vertices")
+    assert "all" not in {node.id for node in ast.walk(search) if isinstance(node, ast.Name)}
+    assert not [node for node in ast.walk(search) if isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.GtE, ast.LtE)) for op in node.ops)]
+
+
 def test_reduction_search_reads_no_seed():
     """`find_reduction` reads its pairs off I's reduced basis by fixed power
     sums, so it takes I alone, and in `engine` the `random` module and
